@@ -6,6 +6,8 @@ multi-parameter channels; decide attainability; construct optimal POVMs; and
 verify the bounds empirically with seeded Monte-Carlo estimation.
 """
 
+__version__ = "0.1.0"
+
 from .bounds import (
     BoundReport,
     CanonicalKraus,
@@ -90,5 +92,3 @@ from .quantum import (
     validate,
 )
 from .specfile import ChannelSpec, parse_channel_spec
-
-__version__ = "0.1.0"

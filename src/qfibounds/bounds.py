@@ -6,13 +6,13 @@ channel bound computed from canonical Kraus derivatives or from the spectral
 curve; the gap identity between the two informations; attainability
 verdicts; optimal-POVM construction and POVM optimality condition checks.
 
-Gauge convention: the canonical operators at each stencil point are obtained
-by diagonalizing the input-state Gram matrix, then permuting and re-phasing
-eigenvector columns to maximal overlap with the center point (each overlap
-made real positive).  The resulting curve has a well-defined derivative and
-the diagonal overlaps <w_k'|w_k> it produces are reported as
-gauge_source = "canonical-kraus".  Spectral-form families carry their own
-analytic gauge ("spectral-form").
+Gauge convention: the canonical operators Y = X^dag E come from the
+eigenvectors X of the input-state Gram matrix, and their derivatives follow
+the parallel-transport gauge: each eigenvector moves orthogonally to itself,
+<x_k|x_k'> = 0, with the motion given by perturbation theory from the
+family's Kraus derivative.  The diagonal overlaps <w_k'|w_k> this produces
+are reported as gauge_source = "canonical-kraus".  Spectral-form families
+carry their own analytic gauge ("spectral-form").
 """
 
 from __future__ import annotations
@@ -20,9 +20,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
-from .channels import ParametricChannel
+from .channels import ParametricChannel, SpectralData, kraus_derivative
 from .errors import (
     ConsistencyError,
     DegeneracyError,
@@ -32,7 +31,9 @@ from .errors import (
 from .linalg import (
     DEFAULT_DIFF,
     DiffConfig,
-    fd_weights,
+    _cluster_slices,
+    _normalize_phases,
+    differentiate_curve,
     hermitian_eigendecompose,
     hermitian_part,
     max_abs,
@@ -47,7 +48,6 @@ DP_FLOOR = 1e-8
 GRAM_DIAG_TOL = 1e-8
 CURVE_SUM_TOL = 1e-9
 CURVE_DERIV_TOL = 1e-6
-MIN_STENCIL_OVERLAP = 0.7
 
 
 # ---------------------------------------------------------------------------
@@ -64,23 +64,19 @@ class CanonicalKraus:
     mixing: np.ndarray         # (n, n); operators[i] = sum_j mixing[i, j] raw[j]
     weights: np.ndarray        # (n,) Gram eigenvalues, ascending
 
-    def kraus_set(self) -> KrausSet:
-        return KrausSet(self.operators)
-
 
 def _gram(ops: np.ndarray, psi: np.ndarray) -> np.ndarray:
     vs = ops @ psi
     return vs @ vs.conj().T
 
 
-def _phase_fix(col: np.ndarray) -> np.ndarray:
-    j = int(np.argmax(np.abs(col)))
-    z = col[j]
-    return col * (np.conj(z) / np.abs(z)) if np.abs(z) > 0 else col
+def _gram_derivative(ops: np.ndarray, dops: np.ndarray, psi: np.ndarray) -> np.ndarray:
+    half = (dops @ psi) @ (ops @ psi).conj().T
+    return half + half.conj().T
 
 
 def _resolve_degenerate_clusters(
-    values: np.ndarray, vectors: np.ndarray, gram_deriv: np.ndarray, supported: np.ndarray
+    vectors: np.ndarray, gram_deriv: np.ndarray, clusters: list[slice]
 ) -> np.ndarray:
     """Rotate supported degenerate clusters to diagonalize the projected Gram derivative.
 
@@ -89,42 +85,134 @@ def _resolve_degenerate_clusters(
     if it does not, the derivative is genuinely ill-posed and we refuse.
     """
     vectors = vectors.copy()
-    start = 0
-    for i in range(1, len(values) + 1):
-        if i < len(values) and values[i] - values[i - 1] < DEGENERACY_TOL:
-            continue
-        if i - start > 1 and supported[start:i].any():
-            block = vectors[:, start:i]
-            sub = hermitian_eigendecompose(block.conj().T @ gram_deriv @ block)
-            gaps = np.diff(sub.eigenvalues)
-            if gaps.size and float(np.min(gaps)) < DEGENERACY_TOL:
-                raise DegeneracyError(
-                    "degenerate Gram eigenvalues with degenerate first-order splitting; "
-                    "perturb theta to move off the crossing"
-                )
-            rotated = block @ sub.eigenvectors
-            for j in range(rotated.shape[1]):
-                rotated[:, j] = _phase_fix(rotated[:, j])
-            vectors[:, start:i] = rotated
-        start = i
+    for sl in clusters:
+        block = vectors[:, sl]
+        sub = hermitian_eigendecompose(block.conj().T @ gram_deriv @ block)
+        gaps = np.diff(sub.eigenvalues)
+        if gaps.size and float(np.min(gaps)) < DEGENERACY_TOL:
+            raise DegeneracyError(
+                "degenerate Gram eigenvalues with degenerate first-order splitting; "
+                "perturb theta to move off the crossing"
+            )
+        vectors[:, sl] = _normalize_phases(block @ sub.eigenvectors)
     return vectors
 
 
-def _align_to_center(vectors: np.ndarray, center: np.ndarray, supported: np.ndarray) -> np.ndarray:
-    """Permute and re-phase columns to maximal overlap with the center columns."""
-    overlaps = center.conj().T @ vectors
-    rows, cols = linear_sum_assignment(-np.abs(overlaps))
-    aligned = np.empty_like(vectors)
-    for j, i in zip(rows, cols):
-        z = overlaps[j, i]
-        mag = np.abs(z)
-        if supported[j] and mag < MIN_STENCIL_OVERLAP:
+def _crossing_coupling(
+    coupling: np.ndarray,
+    values: np.ndarray,
+    gram_second: np.ndarray,
+    vectors: np.ndarray,
+    sl: slice,
+) -> np.ndarray:
+    """Parallel-transport generator inside a resolved supported cluster.
+
+    With B = X^dag G' X diagonal on the cluster, second-order degenerate
+    perturbation theory gives K_ba = [(X^dag G'' X)_ba / 2 +
+    sum_{c outside} B_bc B_ca / (g - g_c)] / (g'_a - g'_b).
+    """
+    outside = np.r_[0:sl.start, sl.stop:len(values)]
+    block = vectors[:, sl]
+    through = coupling[sl][:, outside] / (float(np.mean(values[sl])) - values[outside])
+    numer = 0.5 * (block.conj().T @ gram_second @ block) + through @ coupling[outside][:, sl]
+    slopes = np.real(np.diag(coupling)[sl])
+    split = slopes[np.newaxis, :] - slopes[:, np.newaxis]
+    np.fill_diagonal(split, 1.0)
+    out = numer / split
+    np.fill_diagonal(out, 0.0)
+    return out
+
+
+def _canonical_core(
+    channel: ParametricChannel, theta, cfg: DiffConfig
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Canonical operators Y = X^dag E and their m partials at theta.
+
+    G X = X diag(g) diagonalizes the input-state Gram matrix.  The partials
+    are d_l Y = X^dag d_l E - K_l Y in the parallel-transport gauge, where
+    (K_l)_jk = (X^dag d_l G X)_jk / (g_k - g_j) between eigenvalue clusters
+    and K_l = 0 inside the unsupported cluster, because Y_k psi = 0 there.
+    d_l E comes from kraus_derivative.  A supported degenerate cluster is
+    resolved for one parameter only; with several it is refused, since a
+    crossing can split differently along different axes.
+
+    Returns (mixing X^dag, clipped weights, operators Y, partials (m, n, d, d)).
+    """
+    if not channel.is_kraus_form:
+        raise ValidationError(f"channel {channel.name!r} has no Kraus curve")
+    if channel.input_state is None:
+        raise ValidationError(f"channel {channel.name!r} needs a pure input state")
+    vec = channel.require_in_domain(theta, margin=cfg.max_offset)
+    psi = channel.input_state.amplitudes
+
+    ops = channel.kraus_matrices(vec)
+    sys = hermitian_eigendecompose(_gram(ops, psi))
+    g = sys.eigenvalues
+    p = np.clip(g, 0.0, None)
+    boundary = (p > SUPPORT_TOL) & (p <= DEGENERACY_TOL)
+    if boundary.any():
+        raise DegeneracyError(
+            f"Gram eigenvalue {p[boundary][0]:.3e} sits at the support boundary; "
+            "the supported/unsupported split is unreliable, perturb theta"
+        )
+    supported = p > SUPPORT_TOL
+    dops = [kraus_derivative(channel, vec, l, cfg) for l in range(channel.param_count)]
+    gram_derivs = [_gram_derivative(ops, d, psi) for d in dops]
+
+    slices = list(_cluster_slices(g, DEGENERACY_TOL))
+    crossings = [sl for sl in slices if sl.stop - sl.start > 1 and supported[sl].any()]
+    vectors = sys.eigenvectors
+    if crossings:
+        if channel.param_count != 1:
             raise DegeneracyError(
-                f"eigenvector overlap {mag:.3f} across the stencil; "
-                "eigenvalue crossing inside the finite-difference window"
+                "supported Gram eigenvalues are degenerate at the center point; "
+                "perturb theta to separate them"
             )
-        aligned[:, j] = vectors[:, i] * (np.conj(z) / mag) if mag > 0 else vectors[:, i]
-    return aligned
+        vectors = _resolve_degenerate_clusters(vectors, gram_derivs[0], crossings)
+        gram_second = differentiate_curve(
+            lambda t: _gram_derivative(
+                channel.kraus_matrices([t]), kraus_derivative(channel, [t], 0, cfg), psi
+            ),
+            float(vec[0]),
+            cfg,
+        )
+
+    mixing = vectors.conj().T
+    canonical = np.tensordot(mixing, ops, axes=(1, 0))
+    labels = np.concatenate([np.full(sl.stop - sl.start, i) for i, sl in enumerate(slices)])
+    same = labels[:, np.newaxis] == labels[np.newaxis, :]
+    spacing = np.where(same, 1.0, g[np.newaxis, :] - g[:, np.newaxis])
+    between = supported[:, np.newaxis] & supported[np.newaxis, :] & ~same
+    partials = []
+    for d_ops, d_gram in zip(dops, gram_derivs):
+        coupling = mixing @ d_gram @ vectors
+        # eigh fixes each eigenvector only to about eps g_max / gap, which
+        # reaches K through B as eps g_max |g_j' - g_k'| / gap^2.
+        slopes = np.real(np.diag(coupling))
+        noise = np.finfo(float).eps * g[-1] * np.abs(slopes[:, np.newaxis] - slopes)
+        noisy = between & (noise / spacing**2 * np.sqrt(p) > CURVE_DERIV_TOL)
+        if noisy.any():
+            j, k = np.argwhere(noisy)[0]
+            raise DegeneracyError(
+                f"Gram eigenvalues {g[j]:.6g} and {g[k]:.6g} are {abs(g[k] - g[j]):.3e} "
+                "apart, too close for an accurate derivative; perturb theta away "
+                "from the crossing"
+            )
+        generator = np.where(same, 0.0, coupling / spacing)
+        for sl in crossings:
+            generator[sl, sl] = _crossing_coupling(coupling, g, gram_second, vectors, sl)
+        partials.append(
+            np.tensordot(mixing, d_ops, axes=(1, 0))
+            - np.tensordot(generator, canonical, axes=(1, 0))
+        )
+
+    gram_canonical = _gram(canonical, psi)
+    off_diag = gram_canonical - np.diag(np.diag(gram_canonical))
+    if max_abs(off_diag) > GRAM_DIAG_TOL:
+        raise ConsistencyError(
+            f"canonical Gram matrix not diagonal: off-diagonal {max_abs(off_diag):.3e}"
+        )
+    return mixing, p, canonical, np.array(partials)
 
 
 def canonical_kraus(
@@ -133,58 +221,16 @@ def canonical_kraus(
     """Canonical Kraus operators, mixing unitary and derivative at theta.
 
     Requires a Kraus-form channel with a pure input state.  The derivative is
-    a finite difference of the gauge-fixed canonical curve.
+    the parallel-transport derivative of the canonical curve.
     """
-    if not channel.is_kraus_form:
-        raise ValidationError(f"channel {channel.name!r} has no Kraus curve")
-    if channel.input_state is None:
-        raise ValidationError(f"channel {channel.name!r} needs a pure input state")
     if channel.param_count != 1:
         raise ValidationError("canonical_kraus expects a one-parameter channel")
-    vec = channel.require_in_domain(theta, margin=cfg.max_offset)
-    t0 = float(vec[0])
-    psi = channel.input_state.amplitudes
-
-    weights = fd_weights(cfg)
-    samples = {off: channel.kraus_matrices(np.array([t0 + off])) for off in weights}
-    ops_c = channel.kraus_matrices(vec)
-    gram_c = _gram(ops_c, psi)
-    sys = hermitian_eigendecompose(gram_c)
-    p = np.clip(sys.eigenvalues, 0.0, None)
-    boundary = (p > SUPPORT_TOL) & (p <= DEGENERACY_TOL)
-    if boundary.any():
-        raise DegeneracyError(
-            f"Gram eigenvalue {p[boundary][0]:.3e} sits at the support boundary; "
-            "the supported/unsupported split is unreliable, perturb theta"
-        )
-    supported = p > SUPPORT_TOL
-    vectors_c = sys.eigenvectors
-    if supported.sum() > 1:
-        sp = p[supported]
-        if float(np.min(np.diff(sp))) < DEGENERACY_TOL:
-            gram_deriv = sum(w * _gram(samples[off], psi) for off, w in weights.items())
-            vectors_c = _resolve_degenerate_clusters(
-                sys.eigenvalues, vectors_c, hermitian_part(gram_deriv), supported
-            )
-
-    canonical_c = np.tensordot(vectors_c.conj().T, ops_c, axes=(1, 0))
-    deriv = np.zeros_like(canonical_c)
-    for off, w in weights.items():
-        sys_s = hermitian_eigendecompose(_gram(samples[off], psi))
-        aligned = _align_to_center(sys_s.eigenvectors, vectors_c, supported)
-        deriv += w * np.tensordot(aligned.conj().T, samples[off], axes=(1, 0))
-
-    gram_canonical = _gram(canonical_c, psi)
-    off_diag = gram_canonical - np.diag(np.diag(gram_canonical))
-    if max_abs(off_diag) > GRAM_DIAG_TOL:
-        raise ConsistencyError(
-            f"canonical Gram matrix not diagonal: off-diagonal {max_abs(off_diag):.3e}"
-        )
+    mixing, p, canonical, partials = _canonical_core(channel, theta, cfg)
     return CanonicalKraus(
-        theta=t0,
-        operators=canonical_c,
-        derivatives=deriv,
-        mixing=vectors_c.conj().T,
+        theta=float(channel.theta_vector(theta)[0]),
+        operators=canonical,
+        derivatives=partials[0],
+        mixing=mixing,
         weights=p,
     )
 
@@ -259,54 +305,75 @@ class SpectralCurve:
 
 def _orthonormal_completion(columns: np.ndarray, dim: int) -> np.ndarray:
     """Extend orthonormal columns to a full basis, deterministically."""
-    cols = [columns[:, i] for i in range(columns.shape[1])]
-    while len(cols) < dim:
-        basis = np.column_stack(cols) if cols else np.zeros((dim, 0), dtype=complex)
+    basis = columns
+    while basis.shape[1] < dim:
         residuals = np.eye(dim, dtype=complex) - basis @ (basis.conj().T)
         norms = np.linalg.norm(residuals, axis=0)
         pick = int(np.argmax(norms))
-        new = residuals[:, pick] / norms[pick]
-        cols.append(_phase_fix(new))
-    return np.column_stack(cols)
+        basis = np.column_stack([basis, residuals[:, pick] / norms[pick]])
+    return basis
 
 
-def _assemble_curve(
-    theta: float,
-    values,
-    vectors,
-    value_derivs,
-    vector_derivs,
-    dim: int,
-    gauge_source: str,
-) -> SpectralCurve:
-    values = np.asarray(values, dtype=float)
+def _canonical_spectral_data(
+    operators: np.ndarray, partials: np.ndarray, weights: np.ndarray, psi: np.ndarray
+) -> SpectralData:
+    """Supported output eigendata w_k = Y_k psi / sqrt(p_k) with m partials.
+
+    An unsupported mode whose vector Y_k psi moves means the weight grows
+    away from theta: theta sits at a rank change and is refused.
+    """
+    vs = operators @ psi                     # (n, d)
+    dvs = partials @ psi                     # (m, n, d)
+    supported = weights > SUPPORT_TOL
+    moving = np.linalg.norm(dvs[:, ~supported], axis=-1)
+    if moving.size and float(np.max(moving)) > CURVE_DERIV_TOL:
+        raise DegeneracyError(
+            f"an unsupported Gram mode moves (|dY_k psi| = {float(np.max(moving)):.3e}); "
+            "theta is at a rank change, perturb it"
+        )
+    roots = np.sqrt(weights[supported])
+    w = vs[supported] / roots[:, np.newaxis]  # (r, d)
+    dv = dvs[:, supported]
+    dp = 2.0 * np.real(np.sum(vs[supported].conj() * dv, axis=-1))  # (m, r)
+    dw = (dv - (dp / (2 * roots))[..., np.newaxis] * w) / roots[:, np.newaxis]
+    return SpectralData(
+        values=weights[supported],
+        vectors=w.T,
+        value_grads=dp,
+        vector_grads=np.transpose(dw, (0, 2, 1)),
+    )
+
+
+def _assemble_curve(data: SpectralData, dim: int):
+    """Ascending, completed eigensystem with all m partials.
+
+    Returns (values, vectors, value partials (m, d), vector partials
+    (m, d, d), support); unsupported slots hold an orthonormal completion
+    with zero partials.
+    """
+    values = np.asarray(data.values, dtype=float)
     order = np.argsort(values, kind="stable")
-    values = values[order]
-    vectors = np.asarray(vectors, dtype=complex)[:, order]
-    value_derivs = np.asarray(value_derivs, dtype=float)[order]
-    vector_derivs = np.asarray(vector_derivs, dtype=complex)[:, order]
-
-    supported = values > SUPPORT_TOL
-    keep = np.flatnonzero(supported)
+    keep = order[values[order] > SUPPORT_TOL]
     if keep.size > dim:
         raise ConsistencyError(f"{keep.size} supported eigenvalues exceed dimension {dim}")
-    w_s = vectors[:, keep]
-    completion = _orthonormal_completion(w_s, dim)[:, keep.size:]
+    m = np.shape(data.value_grads)[0]
     n_fill = dim - keep.size
+    w_s = np.asarray(data.vectors, dtype=complex)[:, keep]
+    completion = _normalize_phases(_orthonormal_completion(w_s, dim)[:, keep.size:])
     p = np.concatenate([np.zeros(n_fill), values[keep]])
-    dp = np.concatenate([np.zeros(n_fill), value_derivs[keep]])
-    w = np.column_stack([completion, w_s])
-    dw = np.column_stack([np.zeros((dim, n_fill), dtype=complex), vector_derivs[:, keep]])
-    support = np.concatenate([np.zeros(n_fill, dtype=bool), np.ones(keep.size, dtype=bool)])
-    return SpectralCurve(
-        theta=theta,
-        values=p,
-        vectors=w,
-        value_derivs=dp,
-        vector_derivs=dw,
-        support=support,
-        gauge_source=gauge_source,
+    dp = np.concatenate(
+        [np.zeros((m, n_fill)), np.asarray(data.value_grads, dtype=float)[:, keep]], axis=1
     )
+    w = np.column_stack([completion, w_s])
+    dw = np.concatenate(
+        [
+            np.zeros((m, dim, n_fill), dtype=complex),
+            np.asarray(data.vector_grads, dtype=complex)[:, :, keep],
+        ],
+        axis=2,
+    )
+    support = np.concatenate([np.zeros(n_fill, dtype=bool), np.ones(keep.size, dtype=bool)])
+    return p, w, dp, dw, support
 
 
 def spectral_curve(
@@ -323,59 +390,16 @@ def spectral_curve(
     vec = channel.theta_vector(theta)
     if channel.is_kraus_form:
         ck = canonical_kraus(channel, vec, cfg)
-        psi = channel.input_state.amplitudes
-        vs = ck.operators @ psi
-        dvs = ck.derivatives @ psi
-        p = ck.weights
-        supported = p > SUPPORT_TOL
-        # A sub-threshold mode whose weight is visibly moving means the
-        # evaluation point is too close to a rank change for a consistent
-        # supported/unsupported split.
-        skipped_slopes = [
-            2.0 * float(np.real(np.vdot(vs[k], dvs[k])))
-            for k in range(len(p))
-            if not supported[k]
-        ]
-        if any(abs(s) > CURVE_DERIV_TOL for s in skipped_slopes) or (
-            skipped_slopes and abs(sum(skipped_slopes)) > 0.5 * CURVE_DERIV_TOL
-        ):
-            raise DegeneracyError(
-                "an unsupported output eigenvalue has a non-negligible derivative "
-                f"({max(skipped_slopes, key=abs):.3e}); theta is too close to a "
-                "rank change, perturb it"
-            )
-        values, vectors, dvalues, dvectors = [], [], [], []
-        for k in range(len(p)):
-            if not supported[k]:
-                continue
-            root = np.sqrt(p[k])
-            wk = vs[k] / root
-            dpk = 2.0 * float(np.real(np.vdot(vs[k], dvs[k])))
-            dwk = (dvs[k] - (dpk / (2 * root)) * wk) / root
-            values.append(p[k])
-            vectors.append(wk)
-            dvalues.append(dpk)
-            dvectors.append(dwk)
-        return _assemble_curve(
-            float(vec[0]),
-            values,
-            np.column_stack(vectors) if vectors else np.zeros((channel.dim, 0)),
-            dvalues,
-            np.column_stack(dvectors) if dvectors else np.zeros((channel.dim, 0)),
-            channel.dim,
-            "canonical-kraus",
+        data = _canonical_spectral_data(
+            ck.operators, ck.derivatives[np.newaxis], ck.weights, channel.input_state.amplitudes
         )
-    channel.require_in_domain(vec)
-    data = channel.spectral_at(vec)
-    return _assemble_curve(
-        float(vec[0]),
-        data.values,
-        data.vectors,
-        data.value_grads[0],
-        data.vector_grads[0],
-        channel.dim,
-        "spectral-form",
-    )
+        gauge = "canonical-kraus"
+    else:
+        channel.require_in_domain(vec)
+        data = channel.spectral_at(vec)
+        gauge = "spectral-form"
+    p, w, dp, dw, support = _assemble_curve(data, channel.dim)
+    return SpectralCurve(float(vec[0]), p, w, dp[0], dw[0], support, gauge)
 
 
 # ---------------------------------------------------------------------------
@@ -509,8 +533,6 @@ def unitary_attainability(
 
     The bound is attainable for the unitary family exactly when this vanishes.
     """
-    from .channels import kraus_derivative
-
     if not channel.is_kraus_form:
         raise ValidationError("unitary condition needs a Kraus-form channel")
     ops = channel.kraus_matrices(theta)
@@ -527,16 +549,8 @@ def unitary_attainability(
 def optimal_povm_from_sld(lam: np.ndarray, degeneracy_tol: float = DEGENERACY_TOL) -> POVM:
     """Projectors onto the SLD eigenbasis; degenerate eigenspaces merge."""
     sys = hermitian_eigendecompose(lam)
-    elements = []
-    start = 0
-    vals = sys.eigenvalues
-    for i in range(1, len(vals) + 1):
-        if i < len(vals) and vals[i] - vals[i - 1] < degeneracy_tol:
-            continue
-        block = sys.eigenvectors[:, start:i]
-        elements.append(block @ block.conj().T)
-        start = i
-    return POVM(np.array(elements))
+    blocks = [sys.eigenvectors[:, sl] for sl in _cluster_slices(sys.eigenvalues, degeneracy_tol)]
+    return POVM(np.array([block @ block.conj().T for block in blocks]))
 
 
 def fisher_information(
@@ -705,8 +719,6 @@ def bound_report(
     cross = None
     c_e = None
     if channel.is_kraus_form:
-        from .channels import kraus_derivative
-
         ck = canonical_kraus(channel, theta, cfg)
         rho0 = channel.input_state.density()
         c_kraus = sm_bound_kraus(ck.operators, ck.derivatives, rho0)

@@ -19,7 +19,7 @@ from scipy.linalg import expm, expm_frechet
 
 from .errors import ValidationError
 from .linalg import DEFAULT_DIFF, DiffConfig, differentiate_curve, hermitian_part, max_abs
-from .quantum import PAULI_Z, PAULIS, DensityMatrix, KrausSet, PureState
+from .quantum import PAULI_Z, PAULIS, DensityMatrix, PureState
 
 SPECTRAL_SUM_TOL = 1e-10
 
@@ -97,9 +97,6 @@ class ParametricChannel:
         if not np.all(np.isfinite(ops)):
             raise ValidationError(f"Kraus evaluation at {theta!r} produced non-finite entries")
         return ops
-
-    def kraus_at(self, theta) -> KrausSet:
-        return KrausSet(self.kraus_matrices(theta))
 
     def spectral_at(self, theta) -> SpectralData:
         if self.spectral_fn is None:

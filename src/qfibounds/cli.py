@@ -8,7 +8,8 @@
 
 Exit codes: 0 success, 2 validation error, 3 numeric failure
 (degeneracy / singular terms / non-finite output), 4 verification-suite
-failure.  The seed falls back to the QFI_SEED environment variable, then 0.
+failure.  The seed falls back to the QFI_SEED environment variable, then 0;
+for `verify`, then the default battery seed.
 """
 
 from __future__ import annotations
@@ -165,7 +166,7 @@ def _point_report(channel, theta, cfg, povm, povm_id, tol) -> dict:
     warnings = list(doc["warnings"])
     if report.gauge_source == "canonical-kraus":
         warnings.append(
-            "eigenvector gauge fixed by maximal overlap with the center point; "
+            "eigenvector gauge fixed by parallel transport of the Gram eigenvectors; "
             "diagonal overlaps <w'|w> are gauge-dependent"
         )
     ops = channel.kraus_matrices(theta) if channel.is_kraus_form else None
@@ -356,7 +357,8 @@ def cmd_optimize_input(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    results = run_suites([args.suite], seed=_seed_of(args) or DEFAULT_SEED)
+    explicit = args.seed is not None or "QFI_SEED" in os.environ
+    results = run_suites([args.suite], seed=_seed_of(args) if explicit else DEFAULT_SEED)
     failed = [r for r in results if not r.passed]
     if args.format == "json":
         doc = {

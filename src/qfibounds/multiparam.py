@@ -5,9 +5,10 @@ Loewner-order comparisons, the matrix attainability condition, and the
 directional-reduction consistency checks that tie every multi-parameter
 quantity back to one-parameter slices.
 
-Every parameter direction uses the gauge of the one-parameter machinery
-anchored at the same center point, so the per-parameter eigendata live in a
-common frame and no mixed partials are ever needed.
+All parameters share one canonical decomposition at the point, and each
+partial follows the same parallel-transport gauge as the one-parameter
+machinery, so the per-parameter eigendata live in a common frame and no
+mixed partials are ever needed.
 """
 
 from __future__ import annotations
@@ -17,14 +18,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bounds import (
-    DEGENERACY_TOL,
     DP_FLOOR,
     P_FLOOR,
     SUPPORT_TOL,
     SpectralCurve,
-    _align_to_center,
     _assemble_curve,
-    _gram,
+    _canonical_core,
+    _canonical_spectral_data,
     canonical_kraus,
     sld_information,
     sld_score,
@@ -32,17 +32,10 @@ from .bounds import (
     spectral_curve,
 )
 from .channels import ParametricChannel, directional_channel
-from .errors import (
-    ConsistencyError,
-    DegeneracyError,
-    SingularTermError,
-    ValidationError,
-)
+from .errors import ConsistencyError, SingularTermError, ValidationError
 from .linalg import (
     DEFAULT_DIFF,
     DiffConfig,
-    fd_weights,
-    hermitian_eigendecompose,
     hermitian_part,
     loewner_leq,
     max_abs,
@@ -140,135 +133,31 @@ class MultiSpectralCurve:
         return hermitian_part((w * self.values) @ w.conj().T)
 
 
-@dataclass(frozen=True)
-class MultiCanonicalKraus:
-    """Canonical operators at a point with one derivative stack per parameter."""
-
-    theta: np.ndarray
-    operators: np.ndarray      # (n, d, d)
-    partials: np.ndarray       # (m, n, d, d)
-    mixing: np.ndarray
-    weights: np.ndarray
-
-
-def canonical_kraus_multi(
-    channel: ParametricChannel, theta, cfg: DiffConfig = DEFAULT_DIFF
-) -> MultiCanonicalKraus:
-    """Canonical decomposition with per-parameter derivatives, one shared gauge.
-
-    Supported degenerate Gram eigenvalues are refused here: a crossing can
-    split differently along different axes, which would break the shared
-    center frame.
-    """
-    if not channel.is_kraus_form:
-        raise ValidationError(f"channel {channel.name!r} has no Kraus curve")
-    if channel.input_state is None:
-        raise ValidationError(f"channel {channel.name!r} needs a pure input state")
-    vec = channel.require_in_domain(theta, margin=cfg.max_offset)
-    psi = channel.input_state.amplitudes
-
-    ops_c = channel.kraus_matrices(vec)
-    sys = hermitian_eigendecompose(_gram(ops_c, psi))
-    p = np.clip(sys.eigenvalues, 0.0, None)
-    boundary = (p > SUPPORT_TOL) & (p <= DEGENERACY_TOL)
-    if boundary.any():
-        raise DegeneracyError(
-            f"Gram eigenvalue {p[boundary][0]:.3e} sits at the support boundary; "
-            "the supported/unsupported split is unreliable, perturb theta"
-        )
-    supported = p > SUPPORT_TOL
-    sp = p[supported]
-    if sp.size > 1 and float(np.min(np.diff(sp))) < DEGENERACY_TOL:
-        raise DegeneracyError(
-            "supported Gram eigenvalues are degenerate at the center point; "
-            "perturb theta to separate them"
-        )
-    vectors_c = sys.eigenvectors
-    canonical_c = np.tensordot(vectors_c.conj().T, ops_c, axes=(1, 0))
-
-    weights = fd_weights(cfg)
-    partials = np.zeros((channel.param_count,) + canonical_c.shape, dtype=complex)
-    for l in range(channel.param_count):
-        for off, w in weights.items():
-            point = vec.copy()
-            point[l] += off
-            sample = channel.kraus_matrices(point)
-            sys_s = hermitian_eigendecompose(_gram(sample, psi))
-            aligned = _align_to_center(sys_s.eigenvectors, vectors_c, supported)
-            partials[l] += w * np.tensordot(aligned.conj().T, sample, axes=(1, 0))
-    return MultiCanonicalKraus(
-        theta=vec,
-        operators=canonical_c,
-        partials=partials,
-        mixing=vectors_c.conj().T,
-        weights=p,
-    )
-
-
 def multi_spectral_curve(
     channel: ParametricChannel, theta, cfg: DiffConfig = DEFAULT_DIFF
 ) -> MultiSpectralCurve:
     """Output-state eigensystem with per-parameter derivatives at theta."""
     vec = channel.theta_vector(theta)
-    m = channel.param_count
     if channel.is_kraus_form:
-        mck = canonical_kraus_multi(channel, vec, cfg)
-        psi = channel.input_state.amplitudes
-        vs = mck.operators @ psi
-        dvs = mck.partials @ psi  # (m, n, d)
-        p = mck.weights
-        for l in range(m):
-            slopes = [
-                2.0 * float(np.real(np.vdot(vs[k], dvs[l, k])))
-                for k in np.flatnonzero(p <= SUPPORT_TOL)
-            ]
-            if any(abs(s) > 1e-6 for s in slopes) or (
-                slopes and abs(sum(slopes)) > 0.5e-6
-            ):
-                raise DegeneracyError(
-                    "an unsupported output eigenvalue moves along parameter "
-                    f"{l}; theta is too close to a rank change, perturb it"
-                )
-        keep = np.flatnonzero(p > SUPPORT_TOL)
-        values = p[keep]
-        vectors = np.column_stack([vs[k] / np.sqrt(p[k]) for k in keep])
-        value_grads = np.zeros((m, keep.size))
-        vector_grads = np.zeros((m, channel.dim, keep.size), dtype=complex)
-        for l in range(m):
-            for i, k in enumerate(keep):
-                root = np.sqrt(p[k])
-                dpk = 2.0 * float(np.real(np.vdot(vs[k], dvs[l, k])))
-                value_grads[l, i] = dpk
-                vector_grads[l, :, i] = (dvs[l, k] - (dpk / (2 * root)) * vectors[:, i]) / root
+        _, weights, operators, partials = _canonical_core(channel, vec, cfg)
+        data = _canonical_spectral_data(
+            operators, partials, weights, channel.input_state.amplitudes
+        )
         gauge = "canonical-kraus"
     else:
         channel.require_in_domain(vec)
         data = channel.spectral_at(vec)
-        values, vectors = data.values, data.vectors
-        value_grads, vector_grads = data.value_grads, data.vector_grads
         gauge = "spectral-form"
-
-    # Shared ordering and completion via the one-parameter assembler.
-    base = _assemble_curve(
-        0.0, values, vectors, value_grads[0], vector_grads[0], channel.dim, gauge
+    values, vectors, value_partials, vector_partials, support = _assemble_curve(
+        data, channel.dim
     )
-    d = channel.dim
-    value_partials = np.zeros((m, d))
-    vector_partials = np.zeros((m, d, d), dtype=complex)
-    # Map assembled supported slots back to input modes by matching vectors.
-    overlaps = np.abs(vectors.conj().T @ base.vectors)  # (r, d)
-    for slot in np.flatnonzero(base.support):
-        src = int(np.argmax(overlaps[:, slot]))
-        for l in range(m):
-            value_partials[l, slot] = value_grads[l, src]
-            vector_partials[l, :, slot] = vector_grads[l, :, src]
     return MultiSpectralCurve(
         theta=vec,
-        values=base.values,
-        vectors=base.vectors,
+        values=values,
+        vectors=vectors,
         value_partials=value_partials,
         vector_partials=vector_partials,
-        support=base.support,
+        support=support,
         gauge_source=gauge,
     )
 
@@ -299,9 +188,8 @@ def sm_matrix(
     m = channel.param_count
     entries = np.zeros((m, m))
     if channel.is_kraus_form:
-        mck = canonical_kraus_multi(channel, vec, cfg)
-        psi = channel.input_state.amplitudes
-        dvs = mck.partials @ psi  # (m, n, d)
+        _, _, _, partials = _canonical_core(channel, vec, cfg)
+        dvs = partials @ channel.input_state.amplitudes  # (m, n, d)
         for j in range(m):
             for k in range(j, m):
                 val = 4.0 * float(np.real(np.sum(np.conj(dvs[k]) * dvs[j])))
@@ -477,10 +365,10 @@ def directional_reduction_check(
     slice_ch = directional_channel(channel, vec, v)
     kraus_mismatch = None
     if channel.is_kraus_form:
-        mck = canonical_kraus_multi(channel, vec, cfg)
+        _, weights, _, partials = _canonical_core(channel, vec, cfg)
         ck = canonical_kraus(slice_ch, 0.0, cfg)
-        combo = np.tensordot(v, mck.partials, axes=(0, 0))
-        supported = mck.weights > SUPPORT_TOL
+        combo = np.tensordot(v, partials, axes=(0, 0))
+        supported = weights > SUPPORT_TOL
         diff = ck.derivatives[supported] - combo[supported]
         kraus_mismatch = max_abs(diff) / max(1.0, max_abs(combo[supported]))
     slice_curve = spectral_curve(slice_ch, 0.0, cfg)

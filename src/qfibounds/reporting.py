@@ -9,18 +9,18 @@ representation, which is lossless on parse.
 from __future__ import annotations
 
 import csv
-import dataclasses
 import io
 import json
 import math
 
 import numpy as np
 
+from . import __version__
 from .bounds import BoundReport, ConditionReport
 from .errors import NumericError
 from .multiparam import InfoMatrix, LoewnerReport
 
-TOOL = {"name": "qfibounds", "version": "0.1.0"}
+TOOL = {"name": "qfibounds", "version": __version__}
 
 
 def native(obj):
@@ -147,7 +147,3 @@ def sweep_csv(rows: list[dict]) -> str:
         flat.pop("gauge_source", None)
         writer.writerow({k: flat.get(k, "") for k in columns})
     return buffer.getvalue()
-
-
-def dataclass_dict(obj) -> dict:
-    return dataclasses.asdict(obj)

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 from scipy.linalg import expm
+from scipy.optimize import linear_sum_assignment
 
 from qfibounds.bounds import (
     attainability_check,
@@ -28,7 +29,7 @@ from qfibounds.channels import (
     random_unitary,
     remix_channel,
 )
-from qfibounds.errors import ValidationError
+from qfibounds.errors import DegeneracyError, ValidationError
 from qfibounds.linalg import max_abs
 from qfibounds.quantum import POVM, PureState, computational_basis_povm, pauli_basis_povm
 from qfibounds.verify import one_param_battery, random_povm
@@ -56,6 +57,99 @@ def sld_information_from_state(rho_fn, theta: float, h: float = 1e-5) -> float:
             if s > 1e-12:
                 total += 2 * abs(vecs[:, j].conj() @ drho @ vecs[:, k]) ** 2 / s
     return total
+
+
+# ---------------------------------------------------------------------------
+# Independent oracle: the canonical Kraus derivative as a central difference
+# of Gram eigenvectors, each stencil point aligned to the centre by maximal
+# overlap.  It shares no code with the analytic parallel-transport route.
+# ---------------------------------------------------------------------------
+
+STENCIL = {-2: 1 / 12, -1: -8 / 12, 1: 8 / 12, 2: -1 / 12}
+
+
+def _gram_eigensystem(channel, t: float, psi: np.ndarray):
+    ops = channel.kraus_matrices(np.array([t]))
+    vs = ops @ psi
+    vals, vecs = np.linalg.eigh(vs @ vs.conj().T)
+    return ops, vals, vecs
+
+
+def stencil_canonical_kraus(channel, theta: float, h: float = 1e-4):
+    """(weights, eigenvectors, canonical derivatives) by a 4-point stencil."""
+    psi = channel.input_state.amplitudes
+    _, vals, center = _gram_eigensystem(channel, theta, psi)
+    deriv = 0.0
+    for k, weight in STENCIL.items():
+        ops, _, vecs = _gram_eigensystem(channel, theta + k * h, psi)
+        overlaps = center.conj().T @ vecs
+        rows, cols = linear_sum_assignment(-np.abs(overlaps))
+        z = overlaps[rows, cols]
+        aligned = vecs[:, cols] * np.where(np.abs(z) > 0, np.conj(z) / np.abs(z), 1.0)
+        deriv = deriv + (weight / h) * np.tensordot(aligned.conj().T, ops, axes=(1, 0))
+    return vals, center, deriv
+
+
+def assert_matches_stencil(channel, theta: float, rel: float = 1e-6):
+    psi = channel.input_state.amplitudes
+    vals, center, deriv = stencil_canonical_kraus(channel, theta)
+    ck = canonical_kraus(channel, theta)
+    supported = vals > 1e-10
+    # Columns agree up to one constant phase each: oracle x_k = c_k x_k.
+    phases = np.sum(ck.mixing.T * center, axis=0)[supported]
+    ours = np.conj(phases)[:, np.newaxis] * (ck.derivatives @ psi)[supported]
+    oracle = (deriv @ psi)[supported]
+    assert max_abs(ours - oracle) <= rel * max(1.0, max_abs(oracle))
+
+    c_oracle = 4.0 * float(np.sum(np.abs(deriv @ psi) ** 2))
+    h_oracle = sld_information_from_state(lambda t: channel.output_matrix(np.array([t])), theta)
+    curve = spectral_curve(channel, theta)
+    assert sld_information(curve) == pytest.approx(h_oracle, rel=rel)
+    assert sm_bound_spectral(curve) == pytest.approx(c_oracle, rel=rel)
+    rho0 = channel.input_state.density()
+    assert sm_bound_kraus(ck.operators, ck.derivatives, rho0) == pytest.approx(c_oracle, rel=rel)
+
+
+def test_canonical_derivatives_match_stencil_oracle():
+    rng = np.random.default_rng(2718)
+    for _ in range(30):
+        dim = int(rng.integers(2, 5))
+        env = int(rng.integers(1, dim + 1))
+        ch = random_kraus_channel(
+            dim=dim, env=env, seed=int(rng.integers(2**31)), input_state=random_pure_state(dim, rng)
+        )
+        assert_matches_stencil(ch, float(rng.choice([-1, 1]) * rng.uniform(0.1, 0.6)))
+
+
+def test_canonical_derivatives_match_stencil_oracle_fd_fallback():
+    """A remix without mixing_grad_fn has no analytic Kraus derivative."""
+    rng = np.random.default_rng(3141)
+    for _ in range(3):
+        base = random_kraus_channel(dim=3, env=3, seed=int(rng.integers(2**31)))
+        gen = random_hermitian(3, rng)
+        rem = remix_channel(base, lambda t, g=gen: expm(-1j * t[0] * g))
+        assert rem.kraus_grad_fn is None
+        assert_matches_stencil(rem, float(rng.uniform(0.1, 0.6)))
+
+
+@pytest.mark.parametrize("analytic", [True, False])
+def test_remixed_dephasing_crossing_is_continuous(analytic):
+    """At theta = 0.5 the Gram eigenvalues of a theta-dependent remix of
+    dephasing cross; the coupling inside the resolved cluster keeps C
+    continuous there.  Just outside the cluster the eigenvectors are too
+    ill-determined for a first-order derivative, and that is refused."""
+    gen = np.array([[0.3, 0.7 - 0.2j], [0.7 + 0.2j, -0.1]])
+    mix = lambda t: expm(-1j * t[0] * gen)
+    dmix = (lambda t, i: -1j * gen @ mix(t)) if analytic else None
+    ch = remix_channel(builtin("dephasing"), mix, dmix)
+    c = {t: sm_bound_spectral(spectral_curve(ch, t)) for t in (0.5 - 1e-4, 0.5, 0.5 + 1e-4)}
+    assert c[0.5] == pytest.approx(4.2, abs=1e-6)
+    assert c[0.5] == pytest.approx((c[0.5 - 1e-4] + c[0.5 + 1e-4]) / 2, abs=1e-6)
+    ck = canonical_kraus(ch, 0.5)
+    c_kraus = sm_bound_kraus(ck.operators, ck.derivatives, ch.input_state.density())
+    assert c_kraus == pytest.approx(4.2, abs=1e-6)
+    with pytest.raises(DegeneracyError, match="too close"):
+        spectral_curve(ch, 0.5 + 1e-8)
 
 
 # ---------------------------------------------------------------------------

@@ -15,6 +15,8 @@ EXAMPLE1 = "family = example1\n"
 EXAMPLE2 = "family = example2\nf_coeffs = [0, 1, 0]\ng_coeffs = [0, 0, 1]\n"
 DAMPING = "family = amplitude-damping\n"
 DEPHASING2P = "family = dephasing-2p\n"
+# E_k(0) = delta_k0 I, so the Gram rank jumps from 1 at theta = 0 to 2 nearby.
+RANK_CHANGE = "family = random-kraus\ndim = 3\nenv = 2\nseed = 3022\n"
 
 
 @pytest.fixture
@@ -224,3 +226,53 @@ def test_verify_failure_exit_code(capsys, monkeypatch):
     code, out, _ = run_cli(capsys, "verify", "--suite", "gap")
     assert code == 4
     assert out.startswith("FAIL")
+
+
+def test_report_refuses_rank_change(spec_file, capsys):
+    code, out, err = run_cli(capsys, "report", spec_file(RANK_CHANGE), "--theta", "0")
+    assert code == 3
+    assert out == ""
+    assert "rank change" in err
+
+
+def test_sweep_rank_change_row_is_warnings_only(spec_file, capsys):
+    code, out, _ = run_cli(capsys, "sweep", spec_file(RANK_CHANGE), "--theta-grid=-0.2,0,0.2")
+    assert code == 0
+    points = json.loads(out)["points"]
+    assert set(points[1]) == {"theta", "warnings"}
+    assert "rank change" in points[1]["warnings"][0]
+    assert all("channel_bound" in points[i] for i in (0, 2))
+
+
+@pytest.mark.parametrize(
+    "argv, env, expected",
+    [(["--seed", "0"], None, 0), (["--seed", "0"], "5", 0), ([], "5", 5), ([], None, None)],
+)
+def test_verify_seed_precedence(capsys, monkeypatch, argv, env, expected):
+    from qfibounds import cli as cli_module
+    from qfibounds.verify import DEFAULT_SEED
+
+    seen = []
+    monkeypatch.setattr(cli_module, "run_suites", lambda names, seed: seen.append(seed) or [])
+    if env is None:
+        monkeypatch.delenv("QFI_SEED", raising=False)
+    else:
+        monkeypatch.setenv("QFI_SEED", env)
+    code, _, _ = run_cli(capsys, "verify", "--suite", "gap", *argv)
+    assert code == 0
+    assert seen == [DEFAULT_SEED if expected is None else expected]
+
+
+def test_tool_version_is_the_package_version(monkeypatch):
+    import importlib
+
+    import qfibounds
+    from qfibounds import reporting
+
+    monkeypatch.setattr(qfibounds, "__version__", "9.9.9")
+    try:
+        assert importlib.reload(reporting).TOOL["version"] == "9.9.9"
+    finally:
+        monkeypatch.undo()
+        importlib.reload(reporting)
+    assert reporting.TOOL["version"] == qfibounds.__version__

@@ -22,7 +22,7 @@ from qfibounds.multiparam import (
     sm_matrix,
 )
 from qfibounds.quantum import computational_basis_povm, pauli_basis_povm
-from qfibounds.verify import random_povm, two_param_battery
+from qfibounds.verify import directional_suite, random_povm, two_param_battery
 
 
 def test_info_matrix_validation():
@@ -204,3 +204,9 @@ def test_multi_degeneracy_is_refused():
     ch = builtin("dephasing-2p")
     with pytest.raises(DegeneracyError):
         multi_spectral_curve(ch, np.array([0.625, 0.8]))  # t1 t2 = 0.5 crossing
+
+
+def test_directional_suite_regression_seed():
+    """Battery seed whose diagonal mismatch was 3.2e-08 with stencil derivatives."""
+    results = directional_suite(seed=6180588700756636604)
+    assert all(r.passed for r in results), [r.detail for r in results]
