@@ -30,7 +30,6 @@ from .errors import (
 )
 from .linalg import (
     DEFAULT_DIFF,
-    DiffConfig,
     _cluster_slices,
     _normalize_phases,
     differentiate_curve,
@@ -48,6 +47,7 @@ DP_FLOOR = 1e-8
 GRAM_DIAG_TOL = 1e-8
 CURVE_SUM_TOL = 1e-9
 CURVE_DERIV_TOL = 1e-6
+SLD_RESIDUAL_TOL = 1e-6
 
 
 # ---------------------------------------------------------------------------
@@ -123,9 +123,7 @@ def _crossing_coupling(
     return out
 
 
-def _canonical_core(
-    channel: ParametricChannel, theta, cfg: DiffConfig
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+def _canonical_core(channel: ParametricChannel, theta) -> tuple[np.ndarray, ...]:
     """Canonical operators Y = X^dag E and their m partials at theta.
 
     G X = X diag(g) diagonalizes the input-state Gram matrix.  The partials
@@ -142,7 +140,7 @@ def _canonical_core(
         raise ValidationError(f"channel {channel.name!r} has no Kraus curve")
     if channel.input_state is None:
         raise ValidationError(f"channel {channel.name!r} needs a pure input state")
-    vec = channel.require_in_domain(theta, margin=cfg.max_offset)
+    vec = channel.require_in_domain(theta, margin=DEFAULT_DIFF.max_offset)
     psi = channel.input_state.amplitudes
 
     ops = channel.kraus_matrices(vec)
@@ -156,7 +154,7 @@ def _canonical_core(
             "the supported/unsupported split is unreliable, perturb theta"
         )
     supported = p > SUPPORT_TOL
-    dops = [kraus_derivative(channel, vec, l, cfg) for l in range(channel.param_count)]
+    dops = [kraus_derivative(channel, vec, l) for l in range(channel.param_count)]
     gram_derivs = [_gram_derivative(ops, d, psi) for d in dops]
 
     slices = list(_cluster_slices(g, DEGENERACY_TOL))
@@ -171,10 +169,10 @@ def _canonical_core(
         vectors = _resolve_degenerate_clusters(vectors, gram_derivs[0], crossings)
         gram_second = differentiate_curve(
             lambda t: _gram_derivative(
-                channel.kraus_matrices([t]), kraus_derivative(channel, [t], 0, cfg), psi
+                channel.kraus_matrices([t]), kraus_derivative(channel, [t], 0), psi
             ),
             float(vec[0]),
-            cfg,
+            DEFAULT_DIFF,
         )
 
     mixing = vectors.conj().T
@@ -215,9 +213,7 @@ def _canonical_core(
     return mixing, p, canonical, np.array(partials)
 
 
-def canonical_kraus(
-    channel: ParametricChannel, theta, cfg: DiffConfig = DEFAULT_DIFF
-) -> CanonicalKraus:
+def canonical_kraus(channel: ParametricChannel, theta) -> CanonicalKraus:
     """Canonical Kraus operators, mixing unitary and derivative at theta.
 
     Requires a Kraus-form channel with a pure input state.  The derivative is
@@ -225,7 +221,7 @@ def canonical_kraus(
     """
     if channel.param_count != 1:
         raise ValidationError("canonical_kraus expects a one-parameter channel")
-    mixing, p, canonical, partials = _canonical_core(channel, theta, cfg)
+    mixing, p, canonical, partials = _canonical_core(channel, theta)
     return CanonicalKraus(
         theta=float(channel.theta_vector(theta)[0]),
         operators=canonical,
@@ -376,9 +372,7 @@ def _assemble_curve(data: SpectralData, dim: int):
     return p, w, dp, dw, support
 
 
-def spectral_curve(
-    channel: ParametricChannel, theta, cfg: DiffConfig = DEFAULT_DIFF
-) -> SpectralCurve:
+def spectral_curve(channel: ParametricChannel, theta) -> SpectralCurve:
     """Output-state spectral curve at theta.
 
     Kraus-form channels go through the canonical decomposition, which fixes
@@ -389,7 +383,7 @@ def spectral_curve(
         raise ValidationError("spectral_curve expects a one-parameter channel")
     vec = channel.theta_vector(theta)
     if channel.is_kraus_form:
-        ck = canonical_kraus(channel, vec, cfg)
+        ck = canonical_kraus(channel, vec)
         data = _canonical_spectral_data(
             ck.operators, ck.derivatives[np.newaxis], ck.weights, channel.input_state.amplitudes
         )
@@ -432,7 +426,7 @@ def _bound_terms(curve: SpectralCurve) -> tuple[float, float, float, float]:
     return classical, h_cross, c_cross, diag
 
 
-def sld_score(curve: SpectralCurve, residual_tol: float = 1e-6) -> np.ndarray:
+def sld_score(curve: SpectralCurve) -> np.ndarray:
     """The particular self-adjoint SLD solution induced by the spectral curve.
 
     In the eigenbasis: diagonal entries p_k'/p_k on the support, off-diagonal
@@ -459,7 +453,7 @@ def sld_score(curve: SpectralCurve, residual_tol: float = 1e-6) -> np.ndarray:
     rho = curve.state_matrix()
     drho = curve.state_derivative()
     residual = max_abs(drho - 0.5 * (rho @ lam + lam @ rho))
-    if residual > residual_tol:
+    if residual > SLD_RESIDUAL_TOL:
         raise ConsistencyError(
             f"SLD residual {residual:.3e}: curve data inconsistent with its own state derivative"
         )
@@ -527,7 +521,7 @@ def attainability_check(curve: SpectralCurve, tol: float = 1e-6) -> tuple[bool, 
 
 
 def unitary_attainability(
-    channel: ParametricChannel, theta, cfg: DiffConfig = DEFAULT_DIFF, tol: float = 1e-6
+    channel: ParametricChannel, theta, tol: float = 1e-6
 ) -> tuple[complex, bool]:
     """Condition value tr(U rho0 U'^dag) for a single-operator channel.
 
@@ -540,40 +534,33 @@ def unitary_attainability(
         raise ValidationError(f"channel has {ops.shape[0]} Kraus operators; expected 1")
     if channel.input_state is None:
         raise ValidationError("channel needs an input state")
-    du = kraus_derivative(channel, theta, 0, cfg)[0]
+    du = kraus_derivative(channel, theta, 0)[0]
     rho0 = channel.input_state.density().matrix
     value = complex(np.trace(ops[0] @ rho0 @ du.conj().T))
     return value, abs(value) < tol
 
 
-def optimal_povm_from_sld(lam: np.ndarray, degeneracy_tol: float = DEGENERACY_TOL) -> POVM:
+def optimal_povm_from_sld(lam: np.ndarray) -> POVM:
     """Projectors onto the SLD eigenbasis; degenerate eigenspaces merge."""
     sys = hermitian_eigendecompose(lam)
-    blocks = [sys.eigenvectors[:, sl] for sl in _cluster_slices(sys.eigenvalues, degeneracy_tol)]
+    blocks = [sys.eigenvectors[:, sl] for sl in _cluster_slices(sys.eigenvalues, DEGENERACY_TOL)]
     return POVM(np.array([block @ block.conj().T for block in blocks]))
 
 
-def fisher_information(
-    channel: ParametricChannel,
-    povm: POVM,
-    theta,
-    cfg: DiffConfig = DEFAULT_DIFF,
-    p_floor: float = P_FLOOR,
-    dp_floor: float = DP_FLOOR,
-) -> float:
+def fisher_information(channel: ParametricChannel, povm: POVM, theta) -> float:
     """Classical Fisher information of the POVM outcome distribution at theta."""
     if channel.param_count != 1:
         raise ValidationError("fisher_information expects a one-parameter channel")
     vec = channel.require_in_domain(theta)
     rho = channel.output_matrix(vec)
-    drho = channel.output_matrix_partial(vec, 0, cfg)
+    drho = channel.output_matrix_partial(vec, 0)
     probs = np.clip(np.real(np.einsum("ij,mji->m", rho, povm.elements)), 0.0, None)
     dprobs = np.real(np.einsum("ij,mji->m", drho, povm.elements))
     total = 0.0
     for m, (pm, dpm) in enumerate(zip(probs, dprobs)):
-        if pm > p_floor:
+        if pm > P_FLOOR:
             total += dpm * dpm / pm
-        elif abs(dpm) > dp_floor:
+        elif abs(dpm) > DP_FLOOR:
             raise SingularTermError(
                 f"outcome {m}: probability {pm:.3e} at the support boundary with "
                 f"derivative {dpm:.3e}"
@@ -703,14 +690,10 @@ class BoundReport:
 
 
 def bound_report(
-    channel: ParametricChannel,
-    theta,
-    cfg: DiffConfig = DEFAULT_DIFF,
-    povm: POVM | None = None,
-    attainability_tol: float = 1e-6,
+    channel: ParametricChannel, theta, povm: POVM | None = None, attainability_tol: float = 1e-6
 ) -> BoundReport:
     """Compute every one-parameter bound quantity at theta."""
-    curve = spectral_curve(channel, theta, cfg)
+    curve = spectral_curve(channel, theta)
     h = sld_information(curve)
     c_spec = sm_bound_spectral(curve)
     gap = bound_gap(curve)
@@ -719,12 +702,12 @@ def bound_report(
     cross = None
     c_e = None
     if channel.is_kraus_form:
-        ck = canonical_kraus(channel, theta, cfg)
+        ck = canonical_kraus(channel, theta)
         rho0 = channel.input_state.density()
         c_kraus = sm_bound_kraus(ck.operators, ck.derivatives, rho0)
         cross = abs(c_spec - c_kraus)
         raw_ops = channel.kraus_matrices(theta)
-        raw_derivs = kraus_derivative(channel, theta, 0, cfg)
+        raw_derivs = kraus_derivative(channel, theta, 0)
         c_e = sm_bound_kraus(raw_ops, raw_derivs, rho0)
     if not attainable:
         warnings.append(
@@ -734,7 +717,7 @@ def bound_report(
     f = None
     if povm is not None:
         try:
-            f = fisher_information(channel, povm, theta, cfg)
+            f = fisher_information(channel, povm, theta)
         except SingularTermError as exc:
             warnings.append(f"Fisher information dropped: {exc}")
     return BoundReport(

@@ -18,7 +18,7 @@ import numpy as np
 from scipy.linalg import expm, expm_frechet
 
 from .errors import ValidationError
-from .linalg import DEFAULT_DIFF, DiffConfig, differentiate_curve, hermitian_part, max_abs
+from .linalg import DEFAULT_DIFF, differentiate_curve, hermitian_part, max_abs
 from .quantum import PAULI_Z, PAULIS, DensityMatrix, PureState
 
 SPECTRAL_SUM_TOL = 1e-10
@@ -130,7 +130,7 @@ class ParametricChannel:
     def output_state(self, theta) -> DensityMatrix:
         return DensityMatrix(self.output_matrix(theta))
 
-    def output_matrix_partial(self, theta, index: int = 0, cfg: DiffConfig = DEFAULT_DIFF) -> np.ndarray:
+    def output_matrix_partial(self, theta, index: int = 0) -> np.ndarray:
         """Partial derivative of the output density matrix along one parameter."""
         vec = self.theta_vector(theta)
         if self.is_kraus_form:
@@ -143,7 +143,7 @@ class ParametricChannel:
                 out = np.einsum("ki,kj->ij", dvs, vs.conj())
                 return out + out.conj().T
             return differentiate_curve(
-                lambda t: self.output_matrix(_axis_point(vec, index, t)), vec[index], cfg
+                lambda t: self.output_matrix(_axis_point(vec, index, t)), vec[index], DEFAULT_DIFF
             )
         data = self.spectral_at(vec)
         w, dw = data.vectors, data.vector_grads[index]
@@ -159,9 +159,7 @@ def _axis_point(theta: np.ndarray, index: int, value: float) -> np.ndarray:
     return out
 
 
-def kraus_derivative(
-    channel: ParametricChannel, theta, index: int = 0, cfg: DiffConfig = DEFAULT_DIFF
-) -> np.ndarray:
+def kraus_derivative(channel: ParametricChannel, theta, index: int = 0) -> np.ndarray:
     """Partial derivative of the Kraus stack along parameter `index`.
 
     Uses the analytic derivative when the family provides one, otherwise a
@@ -170,17 +168,17 @@ def kraus_derivative(
     """
     if not channel.is_kraus_form:
         raise ValidationError(f"channel {channel.name!r} has no Kraus curve to differentiate")
-    vec = channel.require_in_domain(theta, margin=0.0)
+    vec = channel.require_in_domain(theta)
     if channel.kraus_grad_fn is not None:
         return np.asarray(channel.kraus_grad_fn(vec, index), dtype=complex)
-    channel.require_in_domain(vec, margin=0.0)
     lo, hi = channel.domain[index]
-    if not (lo <= vec[index] - cfg.max_offset and vec[index] + cfg.max_offset <= hi):
+    reach = DEFAULT_DIFF.max_offset
+    if not (lo <= vec[index] - reach and vec[index] + reach <= hi):
         raise ValidationError(
             f"finite-difference stencil leaves the domain at theta={vec.tolist()}"
         )
     return differentiate_curve(
-        lambda t: channel.kraus_matrices(_axis_point(vec, index, t)), vec[index], cfg
+        lambda t: channel.kraus_matrices(_axis_point(vec, index, t)), vec[index], DEFAULT_DIFF
     )
 
 

@@ -9,7 +9,9 @@
 Exit codes: 0 success, 2 validation error, 3 numeric failure
 (degeneracy / singular terms / non-finite output), 4 verification-suite
 failure.  The seed falls back to the QFI_SEED environment variable, then 0;
-for `verify`, then the default battery seed.
+for `verify`, then the default battery seed.  The only numeric option is the
+verdict tolerance --tol; the finite-difference policy (central-4, step 1e-4)
+is fixed.
 """
 
 from __future__ import annotations
@@ -40,7 +42,6 @@ from .estimation import (
     cr_experiment,
     optimize_input_state,
 )
-from .linalg import DiffConfig
 from .multiparam import (
     fisher_matrix,
     loewner_report,
@@ -67,11 +68,6 @@ def _build_parser() -> argparse.ArgumentParser:
     def add_common(p, with_spec=True):
         if with_spec:
             p.add_argument("spec", type=Path, help="channel spec file")
-        p.add_argument("--fd-step", type=float, default=1e-4, help="finite-difference step")
-        p.add_argument(
-            "--fd-scheme", choices=("central-2", "central-4"), default="central-4"
-        )
-        p.add_argument("--richardson", action="store_true", help="extrapolate the stencil")
         p.add_argument("--tol", type=float, default=1e-6, help="verdict tolerance")
         p.add_argument("--format", choices=("json", "csv"), default="json")
 
@@ -118,10 +114,6 @@ def _seed_of(args) -> int:
     return int(os.environ.get("QFI_SEED", "0"))
 
 
-def _diff_config(args) -> DiffConfig:
-    return DiffConfig(step=args.fd_step, scheme=args.fd_scheme, richardson=args.richardson)
-
-
 def _load_spec(path: Path) -> tuple[ChannelSpec, ParametricChannel]:
     try:
         text = path.read_text(encoding="utf-8")
@@ -131,22 +123,25 @@ def _load_spec(path: Path) -> tuple[ChannelSpec, ParametricChannel]:
     return spec, spec.build()
 
 
-def _resolve_povm(name: str | None, channel, theta, cfg) -> tuple[POVM | None, str | None]:
+def _resolve_povm(
+    name: str | None, channel, theta
+) -> tuple[POVM | None, str | None, np.ndarray | None]:
+    """The named POVM, its id, and for "optimal" the SLD score at theta it comes from."""
     if name is None:
-        return None, None
+        return None, None, None
     if name == "computational":
-        return computational_basis_povm(channel.dim), name
+        return computational_basis_povm(channel.dim), name, None
     if name in ("x-basis", "y-basis"):
         if channel.dim != 2:
             raise ValidationError(f"{name} POVM is only defined for qubit channels")
-        return pauli_basis_povm(name[0]), name
+        return pauli_basis_povm(name[0]), name, None
     if theta is None:
         raise ValidationError(
             "the optimal POVM comes from a single SLD score; pick a named basis "
             "for multi-parameter channels"
         )
-    curve = spectral_curve(channel, theta, cfg)
-    return optimal_povm_from_sld(sld_score(curve)), f"sld-optimal@{float(theta):.6g}"
+    lam = sld_score(spectral_curve(channel, theta))
+    return optimal_povm_from_sld(lam), f"sld-optimal@{float(theta):.6g}", lam
 
 
 def _channel_block(spec: ChannelSpec, channel) -> dict:
@@ -160,8 +155,8 @@ def _channel_block(spec: ChannelSpec, channel) -> dict:
     }
 
 
-def _point_report(channel, theta, cfg, povm, povm_id, tol) -> dict:
-    report = bound_report(channel, theta, cfg, povm=povm, attainability_tol=tol)
+def _point_report(channel, theta, povm, povm_id, lam, tol) -> dict:
+    report = bound_report(channel, theta, povm=povm, attainability_tol=tol)
     doc = reporting.bound_report_dict(report)
     warnings = list(doc["warnings"])
     if report.gauge_source == "canonical-kraus":
@@ -171,21 +166,21 @@ def _point_report(channel, theta, cfg, povm, povm_id, tol) -> dict:
         )
     ops = channel.kraus_matrices(theta) if channel.is_kraus_form else None
     if ops is not None and ops.shape[0] == 1:
-        value, flat = unitary_attainability(channel, theta, cfg, tol)
+        value, flat = unitary_attainability(channel, theta, tol)
         doc["unitary_condition"] = {
             "value": reporting.complex_value(value),
             "attainable": flat,
         }
     if povm is not None:
         doc["povm"] = povm_id
-        curve = spectral_curve(channel, theta, cfg)
-        lam = sld_score(curve)
+        if lam is None:
+            lam = sld_score(spectral_curve(channel, theta))
         rho = channel.output_state(theta)
         doc["sld_condition"] = reporting.condition_report_dict(
             povm_sld_condition_check(povm, lam, rho, tol)
         )
         if channel.is_kraus_form:
-            ck = canonical_kraus(channel, theta, cfg)
+            ck = canonical_kraus(channel, theta)
             sm_report, _ = povm_sm_condition_check(
                 povm, ck.operators, ck.derivatives, channel.input_state.density(), tol
             )
@@ -194,12 +189,12 @@ def _point_report(channel, theta, cfg, povm, povm_id, tol) -> dict:
     return doc
 
 
-def _matrix_report(channel, theta, cfg, povm, povm_id, tol) -> dict:
+def _matrix_report(channel, theta, povm, povm_id, tol) -> dict:
     vec = channel.theta_vector(theta)
-    msc = multi_spectral_curve(channel, vec, cfg)
+    msc = multi_spectral_curve(channel, vec)
     h = sld_matrix(msc)
-    c = sm_matrix(channel, vec, cfg)
-    att = multi_attainability_check(msc, tol, channel=channel, cfg=cfg)
+    c = sm_matrix(channel, vec)
+    att = multi_attainability_check(msc, tol, channel=channel)
     warnings = []
     doc = {
         "theta": [float(x) for x in vec],
@@ -226,7 +221,7 @@ def _matrix_report(channel, theta, cfg, povm, povm_id, tol) -> dict:
         )
     if povm is not None:
         doc["povm"] = povm_id
-        f = fisher_matrix(channel, povm, vec, cfg)
+        f = fisher_matrix(channel, povm, vec)
         doc["fisher_information"] = reporting.info_matrix_dict(f)
         doc["loewner"] = reporting.loewner_report_dict(loewner_report(f, h, c))
     doc["warnings"] = warnings
@@ -235,25 +230,18 @@ def _matrix_report(channel, theta, cfg, povm, povm_id, tol) -> dict:
 
 def cmd_report(args) -> int:
     spec, channel = _load_spec(args.spec)
-    cfg = _diff_config(args)
     theta = args.theta if len(args.theta) > 1 else args.theta[0]
     channel.require_in_domain(theta)
-    povm, povm_id = _resolve_povm(
-        args.povm, channel, theta if channel.param_count == 1 else None, cfg
-    )
-    if channel.param_count == 1:
-        result = _point_report(channel, theta, cfg, povm, povm_id, args.tol)
+    one = channel.param_count == 1
+    povm, povm_id, lam = _resolve_povm(args.povm, channel, theta if one else None)
+    if one:
+        result = _point_report(channel, theta, povm, povm_id, lam, args.tol)
     else:
-        result = _matrix_report(channel, theta, cfg, povm, povm_id, args.tol)
+        result = _matrix_report(channel, theta, povm, povm_id, args.tol)
     doc = {
         "tool": reporting.TOOL,
         "channel": _channel_block(spec, channel),
-        "config": {
-            "fd_step": args.fd_step,
-            "fd_scheme": args.fd_scheme,
-            "richardson": args.richardson,
-            "tol": args.tol,
-        },
+        "config": {"tol": args.tol},
         "result": result,
     }
     sys.stdout.write(reporting.to_json(doc))
@@ -276,14 +264,13 @@ def cmd_sweep(args) -> int:
     spec, channel = _load_spec(args.spec)
     if channel.param_count != 1:
         raise ValidationError("sweep handles one-parameter channels")
-    cfg = _diff_config(args)
     grid = _parse_grid(args.theta_grid)
     for theta in grid:
         channel.require_in_domain(float(theta))
     rows = []
     for theta in grid:
         try:
-            report = bound_report(channel, float(theta), cfg, attainability_tol=args.tol)
+            report = bound_report(channel, float(theta), attainability_tol=args.tol)
             rows.append(reporting.bound_report_dict(report))
         except NumericError as exc:
             rows.append({"theta": float(theta), "warnings": [str(exc)]})
@@ -293,12 +280,7 @@ def cmd_sweep(args) -> int:
     doc = {
         "tool": reporting.TOOL,
         "channel": _channel_block(spec, channel),
-        "config": {
-            "fd_step": args.fd_step,
-            "fd_scheme": args.fd_scheme,
-            "richardson": args.richardson,
-            "tol": args.tol,
-        },
+        "config": {"tol": args.tol},
         "points": rows,
     }
     sys.stdout.write(reporting.to_json(doc))
@@ -309,10 +291,9 @@ def cmd_estimate(args) -> int:
     spec, channel = _load_spec(args.spec)
     if channel.param_count != 1:
         raise ValidationError("estimation handles one-parameter channels")
-    cfg = _diff_config(args)
     seed = _seed_of(args)
     channel.require_in_domain(args.theta_true)
-    povm, povm_id = _resolve_povm(args.povm, channel, args.theta_true, cfg)
+    povm, povm_id, _ = _resolve_povm(args.povm, channel, args.theta_true)
     if args.adaptive:
         run = adaptive_experiment(
             channel,
@@ -321,11 +302,10 @@ def cmd_estimate(args) -> int:
             AdaptiveConfig(n_pilot=args.n_pilot),
             args.reps,
             seed,
-            cfg,
         )
     else:
         run = cr_experiment(
-            channel, args.theta_true, povm, args.shots, args.reps, seed, cfg, povm_id
+            channel, args.theta_true, povm, args.shots, args.reps, seed, povm_id
         )
     doc = {
         "tool": reporting.TOOL,
@@ -338,11 +318,10 @@ def cmd_estimate(args) -> int:
 
 def cmd_optimize_input(args) -> int:
     spec, channel = _load_spec(args.spec)
-    cfg = _diff_config(args)
     theta = args.theta if len(args.theta) > 1 else args.theta[0]
     channel.require_in_domain(theta)
     state, value = optimize_input_state(
-        channel, theta, args.objective, restarts=args.restarts, seed=_seed_of(args), cfg=cfg
+        channel, theta, args.objective, restarts=args.restarts, seed=_seed_of(args)
     )
     doc = {
         "tool": reporting.TOOL,

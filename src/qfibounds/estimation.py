@@ -28,7 +28,7 @@ from .bounds import (
 )
 from .channels import ParametricChannel
 from .errors import NumericError, SingularTermError, ValidationError
-from .linalg import DEFAULT_DIFF, DiffConfig
+from .linalg import DEFAULT_DIFF
 from .quantum import (
     POVM,
     DensityMatrix,
@@ -38,6 +38,8 @@ from .quantum import (
 )
 
 UNINFORMATIVE_FLOOR = 1e-9
+MLE_GRID_POINTS = 129
+MLE_REFINE_TOL = 1e-8
 _STAGE2_SALT = 0x9E3779B97F4A7C15  # fixed stream split for the second stage
 
 
@@ -83,14 +85,7 @@ def _golden_max(fun, lo: float, hi: float, tol: float) -> float:
     return 0.5 * (a + b)
 
 
-def mle_estimate(
-    channel: ParametricChannel,
-    povm: POVM,
-    counts: np.ndarray,
-    domain: tuple[float, float] | None = None,
-    grid_points: int = 129,
-    refine_tol: float = 1e-8,
-) -> MLEResult:
+def mle_estimate(channel: ParametricChannel, povm: POVM, counts: np.ndarray) -> MLEResult:
     """Maximum-likelihood estimate by coarse grid scan and golden-section refinement.
 
     Exact ties on the grid break toward the domain center; estimates pinned
@@ -101,7 +96,7 @@ def mle_estimate(
         raise ValidationError("counts are empty")
     if channel.param_count != 1:
         raise ValidationError("mle_estimate handles one-parameter channels")
-    lo, hi = domain if domain is not None else channel.domain[0]
+    lo, hi = channel.domain[0]
 
     observed = counts > 0
 
@@ -111,7 +106,7 @@ def mle_estimate(
         with np.errstate(divide="ignore"):
             return float(np.sum(counts[observed] * np.log(probs[observed])))
 
-    grid = np.linspace(lo, hi, grid_points)
+    grid = np.linspace(lo, hi, MLE_GRID_POINTS)
     values = np.array([loglik(t) for t in grid])
     if not np.any(np.isfinite(values)):
         raise NumericError("log-likelihood is -inf over the entire search domain")
@@ -120,8 +115,8 @@ def mle_estimate(
     center = 0.5 * (lo + hi)
     pick = int(ties[np.argmin(np.abs(grid[ties] - center))])
     a = grid[max(pick - 1, 0)]
-    b = grid[min(pick + 1, grid_points - 1)]
-    theta_hat = _golden_max(loglik, a, b, refine_tol) if b > a else float(grid[pick])
+    b = grid[min(pick + 1, MLE_GRID_POINTS - 1)]
+    theta_hat = _golden_max(loglik, a, b, MLE_REFINE_TOL) if b > a else float(grid[pick])
     width = hi - lo
     boundary = bool((theta_hat - lo) < 1e-6 * width or (hi - theta_hat) < 1e-6 * width)
     return MLEResult(float(theta_hat), loglik(float(theta_hat)), boundary)
@@ -129,11 +124,9 @@ def mle_estimate(
 
 @dataclass(frozen=True)
 class AdaptiveConfig:
-    """Two-stage measurement settings: pilot size, pilot POVM, MLE grid."""
+    """Two-stage measurement settings: the pilot size."""
 
     n_pilot: int
-    pilot_povm: POVM | None = None
-    grid_points: int = 129
 
     def __post_init__(self):
         if self.n_pilot < 1:
@@ -187,21 +180,17 @@ class EstimationRun:
 
 
 def predicted_bounds(
-    channel: ParametricChannel,
-    theta_true: float,
-    povm: POVM | None,
-    shots: int,
-    cfg: DiffConfig = DEFAULT_DIFF,
+    channel: ParametricChannel, theta_true: float, povm: POVM | None, shots: int
 ) -> tuple[dict[str, float | None], list[str]]:
     """Variance floors 1/(N F), 1/(N H), 1/(N C) at the true parameter."""
     warnings: list[str] = []
-    curve = spectral_curve(channel, theta_true, cfg)
+    curve = spectral_curve(channel, theta_true)
     h = sld_information(curve)
     c = sm_bound_spectral(curve)
     f = None
     if povm is not None:
         try:
-            f = fisher_information(channel, povm, theta_true, cfg)
+            f = fisher_information(channel, povm, theta_true)
         except SingularTermError as exc:
             warnings.append(f"Fisher information singular: {exc}")
     bounds: dict[str, float | None] = {
@@ -221,7 +210,6 @@ def cr_experiment(
     shots: int,
     replications: int,
     seed: int,
-    cfg: DiffConfig = DEFAULT_DIFF,
     povm_id: str = "custom",
 ) -> EstimationRun:
     """Replicated sampling + MLE, compared against the variance floors.
@@ -241,7 +229,7 @@ def cr_experiment(
         estimates.append(mle_estimate(channel, povm, counts).theta_hat)
     estimates = np.array(estimates)
     variance = float(np.var(estimates, ddof=1))
-    bounds, _ = predicted_bounds(channel, theta_true, povm, shots, cfg)
+    bounds, _ = predicted_bounds(channel, theta_true, povm, shots)
     ratios = {
         key: (None if floor is None else variance / floor) for key, floor in bounds.items()
     }
@@ -262,35 +250,23 @@ def cr_experiment(
     )
 
 
-def adaptive_two_stage(
-    channel: ParametricChannel,
-    theta_true: float,
-    shots: int,
-    config: AdaptiveConfig,
-    seed: int,
-    cfg: DiffConfig = DEFAULT_DIFF,
-) -> EstimationRun:
-    """Pilot measurement, then the SLD-optimal POVM at the pilot estimate.
-
-    The final estimate uses the second-stage data only; both stages are
-    recorded.  Bias of the pilot does not propagate beyond the choice of
-    measurement basis.
-    """
+def _two_stage(
+    channel: ParametricChannel, theta_true: float, shots: int, config: AdaptiveConfig, seed: int
+) -> tuple[EstimationRun, POVM]:
+    """One adaptive run without its variance floors, and its stage-2 POVM."""
     if config.n_pilot >= shots:
         raise ValidationError(f"n_pilot {config.n_pilot} must be below shots {shots}")
-    pilot_povm = config.pilot_povm or computational_basis_povm(channel.dim)
+    pilot_povm = computational_basis_povm(channel.dim)
     rho_true = channel.output_state(np.array([theta_true]))
     pilot_counts = sample_outcomes(rho_true, pilot_povm, config.n_pilot, seed)
-    pilot = mle_estimate(channel, pilot_povm, pilot_counts, grid_points=config.grid_points)
+    pilot = mle_estimate(channel, pilot_povm, pilot_counts)
     lo, hi = channel.domain[0]
-    margin = cfg.max_offset if channel.is_kraus_form else 0.0
+    margin = DEFAULT_DIFF.max_offset if channel.is_kraus_form else 0.0
     pivot = float(np.clip(pilot.theta_hat, lo + margin, hi - margin))
-    curve = spectral_curve(channel, pivot, cfg)
-    stage2_povm = optimal_povm_from_sld(sld_score(curve))
+    stage2_povm = optimal_povm_from_sld(sld_score(spectral_curve(channel, pivot)))
     n2 = shots - config.n_pilot
     counts2 = sample_outcomes(rho_true, stage2_povm, n2, seed ^ _STAGE2_SALT)
-    final = mle_estimate(channel, stage2_povm, counts2, grid_points=config.grid_points)
-    bounds, _ = predicted_bounds(channel, theta_true, stage2_povm, n2, cfg)
+    final = mle_estimate(channel, stage2_povm, counts2)
     stages = (
         StageRecord(
             "pilot", config.n_pilot, tuple(int(c) for c in pilot_counts),
@@ -301,7 +277,7 @@ def adaptive_two_stage(
             final.theta_hat, final.boundary,
         ),
     )
-    return EstimationRun(
+    run = EstimationRun(
         channel_id=channel.name,
         theta_true=float(theta_true),
         povm_id=f"adaptive({stages[1].povm_id})",
@@ -309,10 +285,25 @@ def adaptive_two_stage(
         seed=seed,
         counts=tuple(int(c) for c in counts2),
         theta_hat=final.theta_hat,
-        predicted_bounds=bounds,
+        predicted_bounds={},
         stages=stages,
         boundary=final.boundary,
     )
+    return run, stage2_povm
+
+
+def adaptive_two_stage(
+    channel: ParametricChannel, theta_true: float, shots: int, config: AdaptiveConfig, seed: int
+) -> EstimationRun:
+    """Pilot measurement, then the SLD-optimal POVM at the pilot estimate.
+
+    The pilot measures in the computational basis.  The final estimate uses
+    the second-stage data only; both stages are recorded.  Bias of the pilot
+    does not propagate beyond the choice of measurement basis.
+    """
+    run, stage2_povm = _two_stage(channel, theta_true, shots, config, seed)
+    bounds, _ = predicted_bounds(channel, theta_true, stage2_povm, run.shots)
+    return dataclasses.replace(run, predicted_bounds=bounds)
 
 
 def adaptive_experiment(
@@ -322,21 +313,18 @@ def adaptive_experiment(
     config: AdaptiveConfig,
     replications: int,
     seed: int,
-    cfg: DiffConfig = DEFAULT_DIFF,
 ) -> EstimationRun:
-    """Replicated adaptive runs with the variance compared to 1/((N - n) H)."""
+    """Replicated adaptive runs with the variance compared to 1/((N - n) H).
+
+    The floors are those of the first replication's stage-2 POVM.
+    """
     if replications < 2:
         raise ValidationError("need at least 2 replications for a variance")
-    estimates = []
-    first: EstimationRun | None = None
-    for rep in range(replications):
-        run = adaptive_two_stage(
-            channel, theta_true, shots, config, replication_seed(seed, rep), cfg
-        )
-        if first is None:
-            first = run
-        estimates.append(run.theta_hat)
-    estimates = np.array(estimates)
+    first = adaptive_two_stage(channel, theta_true, shots, config, replication_seed(seed, 0))
+    estimates = np.array([first.theta_hat] + [
+        _two_stage(channel, theta_true, shots, config, replication_seed(seed, rep))[0].theta_hat
+        for rep in range(1, replications)
+    ])
     variance = float(np.var(estimates, ddof=1))
     ratios = {
         key: (None if floor is None else variance / floor)
@@ -369,7 +357,6 @@ def optimize_input_state(
     objective: str = "sld",
     restarts: int = 8,
     seed: int = 0,
-    cfg: DiffConfig = DEFAULT_DIFF,
 ) -> tuple[PureState, float]:
     """Maximize H or the channel bound over pure input states.
 
@@ -392,7 +379,7 @@ def optimize_input_state(
     def cost(x: np.ndarray) -> float:
         try:
             candidate = channel.with_input_state(_state_from_angles(x, dim))
-            return -evaluate(spectral_curve(candidate, theta, cfg))
+            return -evaluate(spectral_curve(candidate, theta))
         except (NumericError, ValidationError):
             return 1e9
 

@@ -16,6 +16,7 @@ from .errors import ValidationError
 
 HERMITICITY_TOL = 1e-10
 CLUSTER_TOL = 1e-8
+PSD_NEG_TOL = 1e-8
 
 
 def max_abs(a: np.ndarray) -> float:
@@ -116,9 +117,7 @@ def _cluster_slices(values: np.ndarray, tol: float):
             start = i
 
 
-def hermitian_eigendecompose(
-    a: np.ndarray, herm_tol: float = HERMITICITY_TOL, cluster_tol: float = CLUSTER_TOL
-) -> EigenSystem:
+def hermitian_eigendecompose(a: np.ndarray) -> EigenSystem:
     """Eigendecompose a Hermitian matrix with a reproducible gauge.
 
     Eigenvalues come back ascending.  Each eigenvector has its
@@ -130,11 +129,11 @@ def hermitian_eigendecompose(
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValidationError(f"expected a square matrix, got shape {a.shape}")
     asym = max_abs(a - a.conj().T)
-    if asym >= herm_tol:
+    if asym >= HERMITICITY_TOL:
         raise ValidationError(f"matrix is not Hermitian: max asymmetry {asym:.3e}")
     values, vectors = np.linalg.eigh(hermitian_part(a))
     vectors = _normalize_phases(vectors)
-    for sl in _cluster_slices(values, cluster_tol):
+    for sl in _cluster_slices(values, CLUSTER_TOL):
         if sl.stop - sl.start > 1:
             block = vectors[:, sl]
             keys = [
@@ -146,15 +145,15 @@ def hermitian_eigendecompose(
     return EigenSystem(values, vectors)
 
 
-def psd_sqrt(a: np.ndarray, neg_tol: float = 1e-8) -> np.ndarray:
+def psd_sqrt(a: np.ndarray) -> np.ndarray:
     """Hermitian square root of a positive-semidefinite matrix.
 
-    Eigenvalues in (-neg_tol, 0) are clamped to zero; anything more negative
-    is rejected.
+    Eigenvalues in (-PSD_NEG_TOL, 0) are clamped to zero; anything more
+    negative is rejected.
     """
     sys = hermitian_eigendecompose(a)
     lo = float(sys.eigenvalues[0]) if sys.eigenvalues.size else 0.0
-    if lo < -neg_tol:
+    if lo < -PSD_NEG_TOL:
         raise ValidationError(f"matrix is not PSD: min eigenvalue {lo:.3e}")
     roots = np.sqrt(np.clip(sys.eigenvalues, 0.0, None))
     v = sys.eigenvectors

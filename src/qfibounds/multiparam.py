@@ -31,16 +31,13 @@ from .bounds import (
     sm_bound_spectral,
     spectral_curve,
 )
-from .channels import ParametricChannel, directional_channel
+from .channels import ParametricChannel, directional_channel, kraus_derivative
 from .errors import ConsistencyError, SingularTermError, ValidationError
-from .linalg import (
-    DEFAULT_DIFF,
-    DiffConfig,
-    hermitian_part,
-    loewner_leq,
-    max_abs,
-)
+from .linalg import hermitian_part, loewner_leq, max_abs
 from .quantum import POVM
+
+PINV_RCOND = 1e-12
+DIRECTIONAL_REL_TOL = 1e-5
 
 
 @dataclass(frozen=True)
@@ -69,15 +66,15 @@ class InfoMatrix:
         return self.entries.shape[0]
 
 
-def pinv_with_rank(info: InfoMatrix, rcond: float = 1e-12) -> tuple[np.ndarray, int]:
+def pinv_with_rank(info: InfoMatrix) -> tuple[np.ndarray, int]:
     """Pseudo-inverse with the numerical rank, for covariance lower bounds.
 
     The inverse-information covariance bound presumes an invertible matrix;
     for singular ones we disclose the rank alongside the pseudo-inverse.
     """
     entries = info.entries
-    rank = int(np.linalg.matrix_rank(entries, tol=rcond * max(1.0, max_abs(entries))))
-    return np.linalg.pinv(entries, rcond=rcond), rank
+    rank = int(np.linalg.matrix_rank(entries, tol=PINV_RCOND * max(1.0, max_abs(entries))))
+    return np.linalg.pinv(entries, rcond=PINV_RCOND), rank
 
 
 @dataclass(frozen=True)
@@ -133,13 +130,11 @@ class MultiSpectralCurve:
         return hermitian_part((w * self.values) @ w.conj().T)
 
 
-def multi_spectral_curve(
-    channel: ParametricChannel, theta, cfg: DiffConfig = DEFAULT_DIFF
-) -> MultiSpectralCurve:
+def multi_spectral_curve(channel: ParametricChannel, theta) -> MultiSpectralCurve:
     """Output-state eigensystem with per-parameter derivatives at theta."""
     vec = channel.theta_vector(theta)
     if channel.is_kraus_form:
-        _, weights, operators, partials = _canonical_core(channel, vec, cfg)
+        _, weights, operators, partials = _canonical_core(channel, vec)
         data = _canonical_spectral_data(
             operators, partials, weights, channel.input_state.amplitudes
         )
@@ -175,9 +170,7 @@ def sld_matrix(curve: MultiSpectralCurve) -> InfoMatrix:
     return InfoMatrix(entries, "sld")
 
 
-def sm_matrix(
-    channel: ParametricChannel, theta, cfg: DiffConfig = DEFAULT_DIFF
-) -> InfoMatrix:
+def sm_matrix(channel: ParametricChannel, theta) -> InfoMatrix:
     """Channel-bound matrix.
 
     Kraus-form channels use C_jk = 4 sum_l Re tr(dY_l/dth_j rho0 (dY_l/dth_k)^dag)
@@ -188,14 +181,14 @@ def sm_matrix(
     m = channel.param_count
     entries = np.zeros((m, m))
     if channel.is_kraus_form:
-        _, _, _, partials = _canonical_core(channel, vec, cfg)
+        _, _, _, partials = _canonical_core(channel, vec)
         dvs = partials @ channel.input_state.amplitudes  # (m, n, d)
         for j in range(m):
             for k in range(j, m):
                 val = 4.0 * float(np.real(np.sum(np.conj(dvs[k]) * dvs[j])))
                 entries[j, k] = entries[k, j] = val
         return InfoMatrix(entries, "sm")
-    curve = multi_spectral_curve(channel, vec, cfg)
+    curve = multi_spectral_curve(channel, vec)
     basis = np.eye(m)
     diag = [sm_bound_spectral(curve.directional(basis[l])) for l in range(m)]
     for j in range(m):
@@ -206,14 +199,7 @@ def sm_matrix(
     return InfoMatrix(entries, "sm")
 
 
-def fisher_matrix(
-    channel: ParametricChannel,
-    povm: POVM,
-    theta,
-    cfg: DiffConfig = DEFAULT_DIFF,
-    p_floor: float = P_FLOOR,
-    dp_floor: float = DP_FLOOR,
-) -> InfoMatrix:
+def fisher_matrix(channel: ParametricChannel, povm: POVM, theta) -> InfoMatrix:
     """Classical Fisher information matrix of the POVM outcome distribution."""
     vec = channel.require_in_domain(theta)
     m = channel.param_count
@@ -221,13 +207,13 @@ def fisher_matrix(
     probs = np.clip(np.real(np.einsum("ij,mji->m", rho, povm.elements)), 0.0, None)
     dprobs = np.empty((m, len(povm)))
     for l in range(m):
-        drho = channel.output_matrix_partial(vec, l, cfg)
+        drho = channel.output_matrix_partial(vec, l)
         dprobs[l] = np.real(np.einsum("ij,mji->m", drho, povm.elements))
     entries = np.zeros((m, m))
     for i, pm in enumerate(probs):
-        if pm > p_floor:
+        if pm > P_FLOOR:
             entries += np.outer(dprobs[:, i], dprobs[:, i]) / pm
-        elif float(np.max(np.abs(dprobs[:, i]))) > dp_floor:
+        elif float(np.max(np.abs(dprobs[:, i]))) > DP_FLOOR:
             raise SingularTermError(
                 f"outcome {i}: probability {pm:.3e} at the support boundary with a "
                 "large derivative"
@@ -245,10 +231,7 @@ class MultiAttainability:
 
 
 def multi_attainability_check(
-    curve: MultiSpectralCurve,
-    tol: float = 1e-6,
-    channel: ParametricChannel | None = None,
-    cfg: DiffConfig = DEFAULT_DIFF,
+    curve: MultiSpectralCurve, tol: float = 1e-6, channel: ParametricChannel | None = None
 ) -> MultiAttainability:
     """Matrix-bound equality condition: all supported <w_j^(l)|w_k> vanish.
 
@@ -268,12 +251,10 @@ def multi_attainability_check(
     if channel is not None and channel.is_kraus_form:
         ops = channel.kraus_matrices(curve.theta)
         if ops.shape[0] == 1 and channel.input_state is not None:
-            from .channels import kraus_derivative
-
             rho0 = channel.input_state.density().matrix
             vals = []
             for l in range(channel.param_count):
-                du = kraus_derivative(channel, curve.theta, l, cfg)[0]
+                du = kraus_derivative(channel, curve.theta, l)[0]
                 vals.append(complex(np.trace(ops[0] @ rho0 @ du.conj().T)))
             unitary_values = tuple(vals)
     return MultiAttainability(residual < tol, residual, tol, quasi, unitary_values)
@@ -348,8 +329,6 @@ def directional_reduction_check(
     channel: ParametricChannel,
     theta,
     direction,
-    cfg: DiffConfig = DEFAULT_DIFF,
-    rel_tol: float = 1e-5,
     sld: InfoMatrix | None = None,
     sm: InfoMatrix | None = None,
 ) -> DirectionalCheck:
@@ -360,24 +339,24 @@ def directional_reduction_check(
     only), and that the slice's scalar informations match v^T H v and
     v^T C v.
     """
-    vec = channel.require_in_domain(theta, margin=0.0)
+    vec = channel.require_in_domain(theta)
     v = np.asarray(direction, dtype=float)
     slice_ch = directional_channel(channel, vec, v)
     kraus_mismatch = None
     if channel.is_kraus_form:
-        _, weights, _, partials = _canonical_core(channel, vec, cfg)
-        ck = canonical_kraus(slice_ch, 0.0, cfg)
+        _, weights, _, partials = _canonical_core(channel, vec)
+        ck = canonical_kraus(slice_ch, 0.0)
         combo = np.tensordot(v, partials, axes=(0, 0))
         supported = weights > SUPPORT_TOL
         diff = ck.derivatives[supported] - combo[supported]
         kraus_mismatch = max_abs(diff) / max(1.0, max_abs(combo[supported]))
-    slice_curve = spectral_curve(slice_ch, 0.0, cfg)
+    slice_curve = spectral_curve(slice_ch, 0.0)
     h_slice = sld_information(slice_curve)
     c_slice = sm_bound_spectral(slice_curve)
     if sld is None:
-        sld = sld_matrix(multi_spectral_curve(channel, vec, cfg))
+        sld = sld_matrix(multi_spectral_curve(channel, vec))
     if sm is None:
-        sm = sm_matrix(channel, vec, cfg)
+        sm = sm_matrix(channel, vec)
     return DirectionalCheck(
         direction=v,
         kraus_deriv_mismatch=kraus_mismatch,
@@ -385,5 +364,5 @@ def directional_reduction_check(
         sld_quadratic=float(v @ sld.entries @ v),
         sm_slice=c_slice,
         sm_quadratic=float(v @ sm.entries @ v),
-        rel_tol=rel_tol,
+        rel_tol=DIRECTIONAL_REL_TOL,
     )

@@ -50,6 +50,8 @@ from .quantum import POVM
 
 DEFAULT_SEED = 20260809
 SUITES = ("ordering", "gap", "routes", "directional")
+ONE_PARAM_MAX_DIM = 4
+TWO_PARAM_MAX_DIM = 3
 
 
 @dataclass(frozen=True)
@@ -60,11 +62,10 @@ class CheckResult:
     detail: str
 
 
-def random_povm(dim: int, rng: np.random.Generator, elements: int | None = None) -> POVM:
-    """Random informationally nontrivial POVM via normalized random PSD parts."""
-    r = elements or dim
+def random_povm(dim: int, rng: np.random.Generator) -> POVM:
+    """Random informationally nontrivial POVM of dim normalized random PSD parts."""
     parts = []
-    for _ in range(r):
+    for _ in range(dim):
         x = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
         parts.append(x @ x.conj().T)
     total = sum(parts)
@@ -74,13 +75,13 @@ def random_povm(dim: int, rng: np.random.Generator, elements: int | None = None)
 
 
 def one_param_battery(
-    seed: int = DEFAULT_SEED, count: int = 200, max_dim: int = 4
+    seed: int = DEFAULT_SEED, count: int = 200
 ) -> list[tuple[ParametricChannel, float]]:
     """Seeded random one-parameter Kraus curves with evaluation points."""
     rng = np.random.Generator(np.random.Philox(key=np.uint64(seed)))
     battery = []
     for i in range(count):
-        dim = int(rng.integers(2, max_dim + 1))
+        dim = int(rng.integers(2, ONE_PARAM_MAX_DIM + 1))
         env = int(rng.integers(1, dim + 1))
         channel = random_kraus_channel(
             dim=dim,
@@ -101,12 +102,12 @@ def one_param_battery(
 
 
 def two_param_battery(
-    seed: int = DEFAULT_SEED, count: int = 50, max_dim: int = 3
+    seed: int = DEFAULT_SEED, count: int = 50
 ) -> list[tuple[ParametricChannel, np.ndarray]]:
     rng = np.random.Generator(np.random.Philox(key=np.uint64(seed ^ 0xA5A5A5A5)))
     battery = []
     for i in range(count):
-        dim = int(rng.integers(2, max_dim + 1))
+        dim = int(rng.integers(2, TWO_PARAM_MAX_DIM + 1))
         env = int(rng.integers(1, dim + 1))
         channel = random_kraus_channel(
             dim=dim,
@@ -128,9 +129,12 @@ def two_param_battery(
 
 def gap_suite(seed: int = DEFAULT_SEED, count: int = 200) -> list[CheckResult]:
     """Gap formula equals C - H on every battery channel."""
+    return _gap(one_param_battery(seed, count))
+
+
+def _gap(battery) -> list[CheckResult]:
     results = []
     worst = 0.0
-    battery = one_param_battery(seed, count)
     for channel, theta in battery:
         curve = spectral_curve(channel, theta)
         h = sld_information(curve)
@@ -151,8 +155,11 @@ def gap_suite(seed: int = DEFAULT_SEED, count: int = 200) -> list[CheckResult]:
 
 def ordering_suite(seed: int = DEFAULT_SEED, count: int = 200) -> list[CheckResult]:
     """F <= H <= C, H <= C_E under remixing, and F = H for the SLD eigenbasis."""
+    return _ordering(one_param_battery(seed, count), seed)
+
+
+def _ordering(battery, seed: int) -> list[CheckResult]:
     rng = np.random.Generator(np.random.Philox(key=np.uint64(seed ^ 0x0F0F0F0F)))
-    battery = one_param_battery(seed, count)
     worst_fh = worst_hc = worst_hce = np.inf
     worst_opt = 0.0
     optimal_checked = 0
@@ -228,7 +235,10 @@ def _expm_curve(generator: np.ndarray, t: float) -> np.ndarray:
 
 def routes_suite(seed: int = DEFAULT_SEED, count: int = 200) -> list[CheckResult]:
     """Channel bound from canonical Kraus derivatives vs from the spectral curve."""
-    battery = one_param_battery(seed, count)
+    return _routes(one_param_battery(seed, count))
+
+
+def _routes(battery) -> list[CheckResult]:
     worst = 0.0
     for channel, theta in battery:
         curve = spectral_curve(channel, theta)
@@ -325,16 +335,18 @@ def directional_suite(
 
 
 def run_suites(names, seed: int = DEFAULT_SEED) -> list[CheckResult]:
+    """Run the named suites; the one-parameter suites share one battery."""
     picked = list(SUITES) if "all" in names else list(names)
+    battery = one_param_battery(seed) if {"ordering", "gap", "routes"} & set(picked) else None
     runners = {
-        "ordering": ordering_suite,
-        "gap": gap_suite,
-        "routes": routes_suite,
-        "directional": directional_suite,
+        "ordering": lambda: _ordering(battery, seed),
+        "gap": lambda: _gap(battery),
+        "routes": lambda: _routes(battery),
+        "directional": lambda: directional_suite(seed),
     }
     results: list[CheckResult] = []
     for name in picked:
         if name not in runners:
             raise ValueError(f"unknown suite {name!r}")
-        results.extend(runners[name](seed))
+        results.extend(runners[name]())
     return results

@@ -188,6 +188,15 @@ def test_canonical_recovers_hadamard_remixed_dephasing():
     assert max_abs(canon_gram - np.diag(np.diag(canon_gram))) < 1e-10
 
 
+def test_canonical_kraus_keeps_the_domain_margin():
+    # The margin is the central-4 stencil reach, 2e-4, from each domain edge.
+    ch = builtin("dephasing")
+    for theta in (1e-4, 1 - 1e-4):
+        with pytest.raises(ValidationError, match="stencil margin"):
+            canonical_kraus(ch, theta)
+    assert canonical_kraus(ch, 2e-4).weights == pytest.approx([2e-4, 1 - 2e-4])
+
+
 def test_canonical_requires_kraus_form_and_input():
     with pytest.raises(ValidationError, match="no Kraus curve"):
         canonical_kraus(builtin("example1"), 0.5)

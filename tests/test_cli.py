@@ -276,3 +276,79 @@ def test_tool_version_is_the_package_version(monkeypatch):
         monkeypatch.undo()
         importlib.reload(reporting)
     assert reporting.TOOL["version"] == qfibounds.__version__
+
+
+@pytest.mark.parametrize(
+    "command, args",
+    [
+        ("report", ("--theta", "0.3")),
+        ("sweep", ("--theta-grid", "0.2,0.4")),
+        ("estimate", ("--theta-true", "0.3")),
+        ("optimize-input", ("--theta", "0.3")),
+    ],
+    ids=["report", "sweep", "estimate", "optimize-input"],
+)
+@pytest.mark.parametrize(
+    "flag",
+    [("--fd-step", "1e-3"), ("--fd-scheme", "central-2"), ("--richardson",)],
+    ids=["fd-step", "fd-scheme", "richardson"],
+)
+def test_retired_finite_difference_flags_are_usage_errors(spec_file, capsys, command, args, flag):
+    with pytest.raises(SystemExit) as exc:
+        main([command, spec_file(DEPHASING), *args, *flag])
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def test_config_block_holds_only_the_verdict_tolerance(spec_file, capsys):
+    path = spec_file(DEPHASING)
+    for argv in (("report", path, "--theta", "0.3"), ("sweep", path, "--theta-grid", "0.2,0.4")):
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0
+        assert json.loads(out)["config"] == {"tol": 1e-06}
+
+
+def test_report_keeps_the_domain_margin(spec_file, capsys):
+    # The canonical decomposition stays 2e-4 (the central-4 stencil reach) inside the domain.
+    code, out, err = run_cli(capsys, "report", spec_file(DEPHASING), "--theta", "0.0001")
+    assert code == 2 and out == ""
+    assert "stencil margin 0.0002" in err
+    code, _, _ = run_cli(capsys, "report", spec_file(DEPHASING), "--theta", "0.0002")
+    assert code == 0
+
+
+def test_report_optimal_povm_builds_the_sld_score_once(spec_file, capsys, monkeypatch):
+    from qfibounds import bounds
+    from qfibounds import cli as cli_module
+
+    calls = {"spectral_curve": 0, "canonical_kraus": 0}
+    for name in calls:
+        def counted(*args, _original=getattr(bounds, name), _name=name, **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        for module in (bounds, cli_module):
+            monkeypatch.setattr(module, name, counted)
+    argv = ("report", spec_file(DEPHASING), "--theta", "0.3", "--povm", "optimal")
+    code, _, _ = run_cli(capsys, *argv)
+    assert code == 0
+    # One curve for the SLD score, one inside bound_report, which also builds
+    # the canonical decomposition directly; one more for the SM condition.
+    assert calls == {"spectral_curve": 2, "canonical_kraus": 4}
+
+
+def test_verify_builds_one_battery_per_run(monkeypatch):
+    from qfibounds import verify
+
+    built = []
+    original = verify.one_param_battery
+
+    def small_battery(seed=verify.DEFAULT_SEED, count=200):
+        built.append(seed)
+        return original(seed, 6)
+
+    monkeypatch.setattr(verify, "one_param_battery", small_battery)
+    shared = verify.run_suites(["ordering", "gap", "routes"], seed=11)
+    assert built == [11]
+    separate = verify.ordering_suite(11) + verify.gap_suite(11) + verify.routes_suite(11)
+    assert shared == separate

@@ -147,6 +147,23 @@ def test_adaptive_experiment_efficiency():
     assert run.predicted_bounds["sld"] == pytest.approx(floor, rel=1e-9)
 
 
+def test_adaptive_experiment_computes_the_floors_once(monkeypatch):
+    from qfibounds import estimation
+
+    calls = []
+    original = estimation.predicted_bounds
+    monkeypatch.setattr(
+        estimation, "predicted_bounds", lambda *args: calls.append(args) or original(*args)
+    )
+    ch = builtin("dephasing")
+    config = AdaptiveConfig(n_pilot=200)
+    run = adaptive_experiment(ch, 0.2, 1000, config, 5, seed=3)
+    assert len(calls) == 1
+    first = adaptive_two_stage(ch, 0.2, 1000, config, replication_seed(3, 0))
+    assert run.predicted_bounds == first.predicted_bounds
+    assert run.theta_hats[0] == first.theta_hat
+
+
 def test_rotation_adaptive_unit_information():
     # restrict to an identifiable window: cos^2(theta/2) aliases +-theta
     ch = dataclasses.replace(builtin("rotation", axis="x"), domain=((0.05, 3.0),))
