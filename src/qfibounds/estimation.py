@@ -5,6 +5,10 @@ estimation by grid scan plus golden-section refinement, the adaptive
 two-stage measurement, Cramér-Rao comparisons across replications, and
 derivative-free optimization of the input state.
 
+The scan grid's output states are tabulated once per experiment, and each
+replication scores the whole grid with one einsum per observed outcome; only
+the golden-section refinement evaluates the channel per replication.
+
 RNG contract: Philox (counter-based, 64-bit keys).  Replication r draws from
 the stream keyed by seed XOR r, so replications are reproducible and
 independent of execution order.
@@ -16,7 +20,6 @@ import dataclasses
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .bounds import (
     fisher_information,
@@ -85,17 +88,38 @@ def _golden_max(fun, lo: float, hi: float, tol: float) -> float:
     return 0.5 * (a + b)
 
 
-def mle_estimate(channel: ParametricChannel, povm: POVM, counts: np.ndarray) -> MLEResult:
+def _grid_states(channel: ParametricChannel) -> np.ndarray:
+    """Output states on the MLE scan grid, stacked as (MLE_GRID_POINTS, d, d)."""
+    if channel.param_count != 1:
+        raise ValidationError("mle_estimate handles one-parameter channels")
+    lo, hi = channel.domain[0]
+    return np.stack(
+        [channel.output_matrix(np.array([t])) for t in np.linspace(lo, hi, MLE_GRID_POINTS)]
+    )
+
+
+def mle_estimate(
+    channel: ParametricChannel,
+    povm: POVM,
+    counts: np.ndarray,
+    *,
+    grid_states: np.ndarray | None = None,
+) -> MLEResult:
     """Maximum-likelihood estimate by coarse grid scan and golden-section refinement.
 
-    Exact ties on the grid break toward the domain center; estimates pinned
-    to the boundary are flagged.
+    The grid is scored from the channel's output states on it, one einsum
+    per observed outcome; only the refinement evaluates the channel.
+    `grid_states` holds those states, stacked (MLE_GRID_POINTS, d, d): the
+    experiments tabulate them once and hand them to every replication.  It
+    is a cache only; passing it cannot change the result.  Exact ties on the
+    grid break toward the domain center; estimates pinned to the boundary
+    are flagged.
     """
     counts = np.asarray(counts)
     if counts.sum() < 1:
         raise ValidationError("counts are empty")
-    if channel.param_count != 1:
-        raise ValidationError("mle_estimate handles one-parameter channels")
+    if grid_states is None:
+        grid_states = _grid_states(channel)
     lo, hi = channel.domain[0]
 
     observed = counts > 0
@@ -107,7 +131,14 @@ def mle_estimate(channel: ParametricChannel, povm: POVM, counts: np.ndarray) -> 
             return float(np.sum(counts[observed] * np.log(probs[observed])))
 
     grid = np.linspace(lo, hi, MLE_GRID_POINTS)
-    values = np.array([loglik(t) for t in grid])
+    # One einsum per observed POVM element, stacked C-contiguous, adds up in
+    # the order `loglik` does, so the grid values match it bit for bit; one
+    # "gij,mji->gm" einsum, or a sum over a masked column view, does not.
+    probs = np.stack(
+        [np.einsum("gij,ji->g", grid_states, e) for e in povm.elements[observed]], axis=1
+    )
+    with np.errstate(divide="ignore"):
+        values = np.sum(counts[observed] * np.log(np.clip(np.real(probs), 0.0, None)), axis=1)
     if not np.any(np.isfinite(values)):
         raise NumericError("log-likelihood is -inf over the entire search domain")
     best = np.max(values)
@@ -220,13 +251,14 @@ def cr_experiment(
     if replications < 2:
         raise ValidationError("need at least 2 replications for a variance")
     rho = channel.output_state(np.array([theta_true]))
+    states = _grid_states(channel)
     estimates = []
     first_counts = None
     for rep in range(replications):
         counts = sample_outcomes(rho, povm, shots, replication_seed(seed, rep))
         if first_counts is None:
             first_counts = counts
-        estimates.append(mle_estimate(channel, povm, counts).theta_hat)
+        estimates.append(mle_estimate(channel, povm, counts, grid_states=states).theta_hat)
     estimates = np.array(estimates)
     variance = float(np.var(estimates, ddof=1))
     bounds, _ = predicted_bounds(channel, theta_true, povm, shots)
@@ -251,22 +283,30 @@ def cr_experiment(
 
 
 def _two_stage(
-    channel: ParametricChannel, theta_true: float, shots: int, config: AdaptiveConfig, seed: int
+    channel: ParametricChannel,
+    theta_true: float,
+    shots: int,
+    config: AdaptiveConfig,
+    seed: int,
+    grid_states: np.ndarray,
 ) -> tuple[EstimationRun, POVM]:
-    """One adaptive run without its variance floors, and its stage-2 POVM."""
+    """One adaptive run without its variance floors, and its stage-2 POVM.
+
+    Both stages score their scan grid from the shared `grid_states`.
+    """
     if config.n_pilot >= shots:
         raise ValidationError(f"n_pilot {config.n_pilot} must be below shots {shots}")
     pilot_povm = computational_basis_povm(channel.dim)
     rho_true = channel.output_state(np.array([theta_true]))
     pilot_counts = sample_outcomes(rho_true, pilot_povm, config.n_pilot, seed)
-    pilot = mle_estimate(channel, pilot_povm, pilot_counts)
+    pilot = mle_estimate(channel, pilot_povm, pilot_counts, grid_states=grid_states)
     lo, hi = channel.domain[0]
     margin = DEFAULT_DIFF.max_offset if channel.is_kraus_form else 0.0
     pivot = float(np.clip(pilot.theta_hat, lo + margin, hi - margin))
     stage2_povm = optimal_povm_from_sld(sld_score(spectral_curve(channel, pivot)))
     n2 = shots - config.n_pilot
     counts2 = sample_outcomes(rho_true, stage2_povm, n2, seed ^ _STAGE2_SALT)
-    final = mle_estimate(channel, stage2_povm, counts2)
+    final = mle_estimate(channel, stage2_povm, counts2, grid_states=grid_states)
     stages = (
         StageRecord(
             "pilot", config.n_pilot, tuple(int(c) for c in pilot_counts),
@@ -301,7 +341,7 @@ def adaptive_two_stage(
     the second-stage data only; both stages are recorded.  Bias of the pilot
     does not propagate beyond the choice of measurement basis.
     """
-    run, stage2_povm = _two_stage(channel, theta_true, shots, config, seed)
+    run, stage2_povm = _two_stage(channel, theta_true, shots, config, seed, _grid_states(channel))
     bounds, _ = predicted_bounds(channel, theta_true, stage2_povm, run.shots)
     return dataclasses.replace(run, predicted_bounds=bounds)
 
@@ -320,18 +360,23 @@ def adaptive_experiment(
     """
     if replications < 2:
         raise ValidationError("need at least 2 replications for a variance")
-    first = adaptive_two_stage(channel, theta_true, shots, config, replication_seed(seed, 0))
-    estimates = np.array([first.theta_hat] + [
-        _two_stage(channel, theta_true, shots, config, replication_seed(seed, rep))[0].theta_hat
+    states = _grid_states(channel)
+    first, stage2_povm = _two_stage(
+        channel, theta_true, shots, config, replication_seed(seed, 0), states
+    )
+    bounds, _ = predicted_bounds(channel, theta_true, stage2_povm, first.shots)
+    rest = [
+        _two_stage(channel, theta_true, shots, config, replication_seed(seed, rep), states)[0]
         for rep in range(1, replications)
-    ])
+    ]
+    estimates = np.array([run.theta_hat for run in (first, *rest)])
     variance = float(np.var(estimates, ddof=1))
     ratios = {
-        key: (None if floor is None else variance / floor)
-        for key, floor in first.predicted_bounds.items()
+        key: (None if floor is None else variance / floor) for key, floor in bounds.items()
     }
     return dataclasses.replace(
         first,
+        predicted_bounds=bounds,
         seed=seed,
         empirical_variance=variance,
         variance_ratios=ratios,
@@ -364,6 +409,8 @@ def optimize_input_state(
     fixed), best of `restarts` seeded starts.  Candidates whose evaluation
     hits a degeneracy are rejected and the search continues.
     """
+    from scipy.optimize import minimize  # imported here: it is slow to import
+
     if not channel.is_kraus_form:
         raise ValidationError("input-state optimization needs a Kraus-form channel")
     key = objective.strip().lower()

@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import qfibounds
 from qfibounds.cli import main
 
 DEPHASING = """\
@@ -352,3 +357,15 @@ def test_verify_builds_one_battery_per_run(monkeypatch):
     assert built == [11]
     separate = verify.ordering_suite(11) + verify.gap_suite(11) + verify.routes_suite(11)
     assert shared == separate
+
+
+def test_cli_import_leaves_scipy_optimize_unloaded():
+    # only optimize-input needs scipy.optimize, and importing it is slow
+    package_root = str(Path(qfibounds.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [package_root, env.get("PYTHONPATH")]))
+    probe = "import sys, qfibounds.cli; print('scipy.optimize' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "False"

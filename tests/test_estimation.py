@@ -3,10 +3,11 @@ import dataclasses
 import numpy as np
 import pytest
 
-from qfibounds.bounds import sld_information, spectral_curve
-from qfibounds.channels import builtin
+from qfibounds.bounds import optimal_povm_from_sld, sld_information, sld_score, spectral_curve
+from qfibounds.channels import ParametricChannel, builtin, random_kraus_channel
 from qfibounds.errors import NumericError, ValidationError
 from qfibounds.estimation import (
+    MLE_GRID_POINTS,
     AdaptiveConfig,
     adaptive_experiment,
     adaptive_two_stage,
@@ -24,6 +25,12 @@ from qfibounds.quantum import (
 
 PLUS = PureState(np.array([1.0, 1.0]) / np.sqrt(2))
 XPOVM = pauli_basis_povm("x")
+
+
+def grid_states(ch):
+    """The scan grid's output states, built here independently of the module."""
+    grid = np.linspace(*ch.domain[0], MLE_GRID_POINTS)
+    return np.stack([ch.output_matrix(np.array([t])) for t in grid])
 
 
 def test_sample_outcomes_deterministic_state():
@@ -65,15 +72,17 @@ def test_mle_boundary_flag():
 
 def test_mle_flat_likelihood_picks_center():
     ch = builtin("dephasing")
-    res = mle_estimate(ch, computational_basis_povm(2), np.array([50, 50]))
-    assert abs(res.theta_hat - 0.5) < 0.02
+    for extra in ({}, {"grid_states": grid_states(ch)}):
+        res = mle_estimate(ch, computational_basis_povm(2), np.array([50, 50]), **extra)
+        assert abs(res.theta_hat - 0.5) < 0.02
 
 
 def test_mle_impossible_counts():
     # z rotation leaves |0> fixed, so outcome |1> never occurs in this basis
     ch = builtin("rotation", axis="z", input_state=PureState(np.array([1.0, 0.0])))
-    with pytest.raises(NumericError, match="-inf"):
-        mle_estimate(ch, computational_basis_povm(2), np.array([0, 10]))
+    for extra in ({}, {"grid_states": grid_states(ch)}):
+        with pytest.raises(NumericError, match="-inf"):
+            mle_estimate(ch, computational_basis_povm(2), np.array([0, 10]), **extra)
 
 
 def test_mle_asymptotic_consistency():
@@ -111,6 +120,43 @@ def test_cr_experiment_determinism():
     b = cr_experiment(ch, 0.2, XPOVM, 1000, 10, seed=9)
     assert a == b
     assert a.theta_hats == b.theta_hats
+
+
+@pytest.mark.parametrize(
+    "ch, theta",
+    [
+        (builtin("dephasing"), 0.3),
+        (builtin("amplitude-damping"), 0.6),
+        (random_kraus_channel(dim=4, env=2, seed=77), 0.2),
+    ],
+    ids=["dephasing", "amplitude-damping", "random-kraus"],
+)
+def test_cr_experiment_matches_fresh_mle(ch, theta):
+    povm = optimal_povm_from_sld(sld_score(spectral_curve(ch, theta)))
+    shots, seed = 2000, 17
+    run = cr_experiment(ch, theta, povm, shots, 6, seed)
+    rho = ch.output_state(np.array([theta]))
+    for rep, theta_hat in enumerate(run.theta_hats):
+        counts = sample_outcomes(rho, povm, shots, replication_seed(seed, rep))
+        assert theta_hat == mle_estimate(ch, povm, counts).theta_hat
+
+
+def test_experiments_tabulate_the_grid_once(monkeypatch):
+    calls = []
+    original = ParametricChannel.output_matrix
+    monkeypatch.setattr(
+        ParametricChannel,
+        "output_matrix",
+        lambda self, *args, **kwargs: calls.append(1) or original(self, *args, **kwargs),
+    )
+    ch = builtin("dephasing")
+    reps = 10
+    cr_experiment(ch, 0.2, XPOVM, 1000, reps, seed=5)
+    # the grid once, the true state once, then only the refinement per replication
+    assert 0 < len(calls) <= MLE_GRID_POINTS + 1 + 40 * reps
+    calls.clear()
+    adaptive_experiment(ch, 0.2, 1000, AdaptiveConfig(n_pilot=200), reps, seed=5)
+    assert 0 < len(calls) <= MLE_GRID_POINTS + 1 + 80 * reps
 
 
 def test_replication_seed_xor():
@@ -192,13 +238,23 @@ def test_optimize_input_dephasing_beats_grid_scan():
     theta = 0.3
     state, value = optimize_input_state(ch, theta, "sld", restarts=6, seed=3)
     assert value == pytest.approx(1 / (theta * (1 - theta)), rel=1e-6)
-    # random-state scan oracle: the optimizer must not fall short of it
-    rng = np.random.default_rng(0)
-    best_scan = 0.0
-    for _ in range(10_000):
-        amps = rng.normal(size=2) + 1j * rng.normal(size=2)
-        cand = ch.with_input_state(PureState(amps / np.linalg.norm(amps)))
-        best_scan = max(best_scan, sld_information(spectral_curve(cand, theta)))
+    # random-state scan oracle: the optimizer must not fall short of it.  The
+    # draws are those of 10,000 successive `normal(size=2)` real and imaginary
+    # pairs.  For a qubit, H = |r'|^2 + (r.r')^2 / (1 - |r|^2) in Bloch vectors;
+    # dephasing maps (x, y, z) to r = ((1-2t)x, (1-2t)y, z), r' = (-2x, -2y, 0).
+    draws = np.random.default_rng(0).normal(size=(10_000, 2, 2))
+    amps = draws[:, 0] + 1j * draws[:, 1]
+    amps /= np.linalg.norm(amps, axis=1, keepdims=True)
+    coherence = amps[:, 0] * amps[:, 1].conj()
+    x, y = 2 * coherence.real, -2 * coherence.imag
+    z = np.abs(amps[:, 0]) ** 2 - np.abs(amps[:, 1]) ** 2
+    r = np.stack([(1 - 2 * theta) * x, (1 - 2 * theta) * y, z], axis=1)
+    dr = np.stack([-2 * x, -2 * y, np.zeros_like(x)], axis=1)
+    r_dr, dr_dr = np.sum(r * dr, axis=1), np.sum(dr * dr, axis=1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        scan = np.where(dr_dr > 0, dr_dr + r_dr**2 / (1 - np.sum(r * r, axis=1)), 0.0)
+    best_scan = float(np.max(scan))
+    assert best_scan > 4.7
     assert value >= best_scan - 1e-6
 
 
