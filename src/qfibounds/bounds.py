@@ -383,17 +383,19 @@ def spectral_curve(channel: ParametricChannel, theta) -> SpectralCurve:
         raise ValidationError("spectral_curve expects a one-parameter channel")
     vec = channel.theta_vector(theta)
     if channel.is_kraus_form:
-        ck = canonical_kraus(channel, vec)
-        data = _canonical_spectral_data(
-            ck.operators, ck.derivatives[np.newaxis], ck.weights, channel.input_state.amplitudes
-        )
-        gauge = "canonical-kraus"
-    else:
-        channel.require_in_domain(vec)
-        data = channel.spectral_at(vec)
-        gauge = "spectral-form"
+        return _kraus_curve(channel, canonical_kraus(channel, vec))
+    channel.require_in_domain(vec)
+    p, w, dp, dw, support = _assemble_curve(channel.spectral_at(vec), channel.dim)
+    return SpectralCurve(float(vec[0]), p, w, dp[0], dw[0], support, "spectral-form")
+
+
+def _kraus_curve(channel: ParametricChannel, ck: CanonicalKraus) -> SpectralCurve:
+    """Spectral curve of a Kraus-form channel from its canonical decomposition."""
+    data = _canonical_spectral_data(
+        ck.operators, ck.derivatives[np.newaxis], ck.weights, channel.input_state.amplitudes
+    )
     p, w, dp, dw, support = _assemble_curve(data, channel.dim)
-    return SpectralCurve(float(vec[0]), p, w, dp[0], dw[0], support, gauge)
+    return SpectralCurve(ck.theta, p, w, dp[0], dw[0], support, "canonical-kraus")
 
 
 # ---------------------------------------------------------------------------

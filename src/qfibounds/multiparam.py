@@ -8,7 +8,8 @@ quantity back to one-parameter slices.
 All parameters share one canonical decomposition at the point, and each
 partial follows the same parallel-transport gauge as the one-parameter
 machinery, so the per-parameter eigendata live in a common frame and no
-mixed partials are ever needed.
+mixed partials are ever needed.  The curve, matrix and directional builders
+wrap private bodies that take that decomposition, so callers can share one.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ from .bounds import (
     _assemble_curve,
     _canonical_core,
     _canonical_spectral_data,
+    _kraus_curve,
     canonical_kraus,
     sld_information,
     sld_score,
@@ -130,11 +132,20 @@ class MultiSpectralCurve:
         return hermitian_part((w * self.values) @ w.conj().T)
 
 
+def _core(channel: ParametricChannel, vec: np.ndarray):
+    """The channel's canonical core at vec, or None for a spectral-form family."""
+    return _canonical_core(channel, vec) if channel.is_kraus_form else None
+
+
 def multi_spectral_curve(channel: ParametricChannel, theta) -> MultiSpectralCurve:
     """Output-state eigensystem with per-parameter derivatives at theta."""
     vec = channel.theta_vector(theta)
-    if channel.is_kraus_form:
-        _, weights, operators, partials = _canonical_core(channel, vec)
+    return _multi_spectral_curve(channel, vec, _core(channel, vec))
+
+
+def _multi_spectral_curve(channel, vec, core) -> MultiSpectralCurve:
+    if core is not None:
+        _, weights, operators, partials = core
         data = _canonical_spectral_data(
             operators, partials, weights, channel.input_state.amplitudes
         )
@@ -178,17 +189,21 @@ def sm_matrix(channel: ParametricChannel, theta) -> InfoMatrix:
     quadratic form from the eigendata by polarization.
     """
     vec = channel.theta_vector(theta)
+    return _sm_matrix(channel, vec, _core(channel, vec))
+
+
+def _sm_matrix(channel, vec, core) -> InfoMatrix:
     m = channel.param_count
     entries = np.zeros((m, m))
-    if channel.is_kraus_form:
-        _, _, _, partials = _canonical_core(channel, vec)
+    if core is not None:
+        _, _, _, partials = core
         dvs = partials @ channel.input_state.amplitudes  # (m, n, d)
         for j in range(m):
             for k in range(j, m):
                 val = 4.0 * float(np.real(np.sum(np.conj(dvs[k]) * dvs[j])))
                 entries[j, k] = entries[k, j] = val
         return InfoMatrix(entries, "sm")
-    curve = multi_spectral_curve(channel, vec)
+    curve = _multi_spectral_curve(channel, vec, None)
     basis = np.eye(m)
     diag = [sm_bound_spectral(curve.directional(basis[l])) for l in range(m)]
     for j in range(m):
@@ -340,23 +355,29 @@ def directional_reduction_check(
     v^T C v.
     """
     vec = channel.require_in_domain(theta)
+    return _directional_check(channel, vec, direction, _core(channel, vec), sld, sm)
+
+
+def _directional_check(channel, vec, direction, core, sld, sm) -> DirectionalCheck:
     v = np.asarray(direction, dtype=float)
     slice_ch = directional_channel(channel, vec, v)
     kraus_mismatch = None
-    if channel.is_kraus_form:
-        _, weights, _, partials = _canonical_core(channel, vec)
+    if core is not None:
+        _, weights, _, partials = core
         ck = canonical_kraus(slice_ch, 0.0)
         combo = np.tensordot(v, partials, axes=(0, 0))
         supported = weights > SUPPORT_TOL
         diff = ck.derivatives[supported] - combo[supported]
         kraus_mismatch = max_abs(diff) / max(1.0, max_abs(combo[supported]))
-    slice_curve = spectral_curve(slice_ch, 0.0)
+        slice_curve = _kraus_curve(slice_ch, ck)
+    else:
+        slice_curve = spectral_curve(slice_ch, 0.0)
     h_slice = sld_information(slice_curve)
     c_slice = sm_bound_spectral(slice_curve)
     if sld is None:
-        sld = sld_matrix(multi_spectral_curve(channel, vec))
+        sld = sld_matrix(_multi_spectral_curve(channel, vec, core))
     if sm is None:
-        sm = sm_matrix(channel, vec)
+        sm = _sm_matrix(channel, vec, core)
     return DirectionalCheck(
         direction=v,
         kraus_deriv_mismatch=kraus_mismatch,

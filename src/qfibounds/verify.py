@@ -14,7 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bounds import (
-    attainability_check,
+    _canonical_core,
+    _kraus_curve,
     bound_gap,
     canonical_kraus,
     fisher_information,
@@ -38,7 +39,9 @@ from .channels import (
 from .errors import DegeneracyError, NumericError
 from .linalg import hermitian_eigendecompose, max_abs
 from .multiparam import (
-    directional_reduction_check,
+    _directional_check,
+    _multi_spectral_curve,
+    _sm_matrix,
     fisher_matrix,
     loewner_report,
     multi_attainability_check,
@@ -129,42 +132,42 @@ def two_param_battery(
 
 def gap_suite(seed: int = DEFAULT_SEED, count: int = 200) -> list[CheckResult]:
     """Gap formula equals C - H on every battery channel."""
-    return _gap(one_param_battery(seed, count))
+    return _gap(_decomposed(one_param_battery(seed, count)))
 
 
-def _gap(battery) -> list[CheckResult]:
-    results = []
+def _decomposed(battery) -> list:
+    """(channel, theta, canonical decomposition, spectral curve) per battery point."""
+    cks = [canonical_kraus(channel, theta) for channel, theta in battery]
+    return [(ch, theta, ck, _kraus_curve(ch, ck)) for (ch, theta), ck in zip(battery, cks)]
+
+
+def _gap(points) -> list[CheckResult]:
     worst = 0.0
-    for channel, theta in battery:
-        curve = spectral_curve(channel, theta)
+    for _, _, _, curve in points:
         h = sld_information(curve)
         c = sm_bound_spectral(curve)
-        gap = bound_gap(curve)
-        defect = abs((c - h) - gap) / max(1.0, c)
-        worst = max(worst, defect)
-    results.append(
+        worst = max(worst, abs((c - h) - bound_gap(curve)) / max(1.0, c))
+    return [
         CheckResult(
             "gap",
-            f"gap identity over {len(battery)} random channels",
+            f"gap identity over {len(points)} random channels",
             worst < 1e-8,
             f"worst relative defect {worst:.3e}",
         )
-    )
-    return results
+    ]
 
 
 def ordering_suite(seed: int = DEFAULT_SEED, count: int = 200) -> list[CheckResult]:
     """F <= H <= C, H <= C_E under remixing, and F = H for the SLD eigenbasis."""
-    return _ordering(one_param_battery(seed, count), seed)
+    return _ordering(_decomposed(one_param_battery(seed, count)), seed)
 
 
-def _ordering(battery, seed: int) -> list[CheckResult]:
+def _ordering(points, seed: int) -> list[CheckResult]:
     rng = np.random.Generator(np.random.Philox(key=np.uint64(seed ^ 0x0F0F0F0F)))
     worst_fh = worst_hc = worst_hce = np.inf
     worst_opt = 0.0
     optimal_checked = 0
-    for channel, theta in battery:
-        curve = spectral_curve(channel, theta)
+    for channel, theta, _, curve in points:
         h = sld_information(curve)
         c = sm_bound_spectral(curve)
         povm = random_povm(channel.dim, rng)
@@ -198,10 +201,10 @@ def _ordering(battery, seed: int) -> list[CheckResult]:
             f_opt = fisher_information(channel, optimal_povm_from_sld(lam), theta)
             worst_opt = max(worst_opt, abs(f_opt - h) / max(1.0, h))
             optimal_checked += 1
-    results = [
+    return [
         CheckResult(
             "ordering",
-            f"F <= H for random POVMs over {len(battery)} channels",
+            f"F <= H for random POVMs over {len(points)} channels",
             worst_fh > -1e-7,
             f"min H - F = {worst_fh:.3e}",
         ),
@@ -224,7 +227,6 @@ def _ordering(battery, seed: int) -> list[CheckResult]:
             f"worst relative misfit {worst_opt:.3e}",
         ),
     ]
-    return results
 
 
 def _expm_curve(generator: np.ndarray, t: float) -> np.ndarray:
@@ -235,21 +237,19 @@ def _expm_curve(generator: np.ndarray, t: float) -> np.ndarray:
 
 def routes_suite(seed: int = DEFAULT_SEED, count: int = 200) -> list[CheckResult]:
     """Channel bound from canonical Kraus derivatives vs from the spectral curve."""
-    return _routes(one_param_battery(seed, count))
+    return _routes(_decomposed(one_param_battery(seed, count)))
 
 
-def _routes(battery) -> list[CheckResult]:
+def _routes(points) -> list[CheckResult]:
     worst = 0.0
-    for channel, theta in battery:
-        curve = spectral_curve(channel, theta)
+    for channel, _, ck, curve in points:
         c_spec = sm_bound_spectral(curve)
-        ck = canonical_kraus(channel, theta)
         c_kraus = sm_bound_kraus(ck.operators, ck.derivatives, channel.input_state.density())
         worst = max(worst, abs(c_spec - c_kraus) / max(1.0, abs(c_spec)))
     return [
         CheckResult(
             "routes",
-            f"bound route agreement over {len(battery)} channels",
+            f"bound route agreement over {len(points)} channels",
             worst < 1e-6,
             f"worst relative disagreement {worst:.3e}",
         )
@@ -265,10 +265,12 @@ def directional_suite(
     worst_slack = np.inf
     worst_dir = 0.0
     worst_diag = 0.0
+    skipped = 0
     for channel, theta in battery:
-        msc = multi_spectral_curve(channel, theta)
+        core = _canonical_core(channel, theta)
+        msc = _multi_spectral_curve(channel, theta, core)
         h = sld_matrix(msc)
-        c = sm_matrix(channel, theta)
+        c = _sm_matrix(channel, theta, core)
         f = fisher_matrix(channel, random_povm(channel.dim, rng), theta)
         rep = loewner_report(f, h, c)
         worst_slack = min(
@@ -288,12 +290,15 @@ def directional_suite(
             v = rng.normal(size=2)
             v /= np.linalg.norm(v)
             try:
-                check = directional_reduction_check(channel, theta, v, sld=h, sm=c)
+                check = _directional_check(channel, theta, v, core, h, c)
             except (DegeneracyError, NumericError):
+                skipped += 1
                 continue
             worst_dir = max(worst_dir, check.sld_mismatch, check.sm_mismatch)
             if check.kraus_deriv_mismatch is not None:
                 worst_dir = max(worst_dir, check.kraus_deriv_mismatch)
+    tried = len(battery) * directions
+    skips = f", {skipped} of {tried} directions skipped" if skipped else ""
     results = [
         CheckResult(
             "directional",
@@ -310,8 +315,8 @@ def directional_suite(
         CheckResult(
             "directional",
             f"slice consistency over {directions} random directions per channel",
-            worst_dir < 1e-5,
-            f"worst relative mismatch {worst_dir:.3e}",
+            worst_dir < 1e-5 and skipped < tried,
+            f"worst relative mismatch {worst_dir:.3e}{skips}",
         ),
     ]
     # The two-parameter equality family: matrix bounds coincide and the
@@ -335,13 +340,14 @@ def directional_suite(
 
 
 def run_suites(names, seed: int = DEFAULT_SEED) -> list[CheckResult]:
-    """Run the named suites; the one-parameter suites share one battery."""
+    """Run the named suites; the one-parameter suites share one decomposed battery."""
     picked = list(SUITES) if "all" in names else list(names)
-    battery = one_param_battery(seed) if {"ordering", "gap", "routes"} & set(picked) else None
+    one_param = {"ordering", "gap", "routes"} & set(picked)
+    points = _decomposed(one_param_battery(seed)) if one_param else None
     runners = {
-        "ordering": lambda: _ordering(battery, seed),
-        "gap": lambda: _gap(battery),
-        "routes": lambda: _routes(battery),
+        "ordering": lambda: _ordering(points, seed),
+        "gap": lambda: _gap(points),
+        "routes": lambda: _routes(points),
         "directional": lambda: directional_suite(seed),
     }
     results: list[CheckResult] = []
