@@ -59,10 +59,12 @@ class CanonicalKraus:
     """Canonical operators at a point, their derivative, and the mixing unitary."""
 
     theta: float
-    operators: np.ndarray      # (n, d, d)
-    derivatives: np.ndarray    # (n, d, d)
-    mixing: np.ndarray         # (n, n); operators[i] = sum_j mixing[i, j] raw[j]
-    weights: np.ndarray        # (n,) Gram eigenvalues, ascending
+    operators: np.ndarray        # (n, d, d)
+    derivatives: np.ndarray      # (n, d, d)
+    mixing: np.ndarray           # (n, n); operators[i] = sum_j mixing[i, j] raw[j]
+    weights: np.ndarray          # (n,) Gram eigenvalues, ascending
+    raw_operators: np.ndarray    # (n, d, d) the family's own Kraus stack
+    raw_derivatives: np.ndarray  # (n, d, d) its derivative
 
 
 def _gram(ops: np.ndarray, psi: np.ndarray) -> np.ndarray:
@@ -134,7 +136,8 @@ def _canonical_core(channel: ParametricChannel, theta) -> tuple[np.ndarray, ...]
     resolved for one parameter only; with several it is refused, since a
     crossing can split differently along different axes.
 
-    Returns (mixing X^dag, clipped weights, operators Y, partials (m, n, d, d)).
+    Returns (mixing X^dag, clipped weights, operators Y, partials (m, n, d, d),
+    raw Kraus stack E, raw partials (m, n, d, d)).
     """
     if not channel.is_kraus_form:
         raise ValidationError(f"channel {channel.name!r} has no Kraus curve")
@@ -210,24 +213,27 @@ def _canonical_core(channel: ParametricChannel, theta) -> tuple[np.ndarray, ...]
         raise ConsistencyError(
             f"canonical Gram matrix not diagonal: off-diagonal {max_abs(off_diag):.3e}"
         )
-    return mixing, p, canonical, np.array(partials)
+    return mixing, p, canonical, np.array(partials), ops, np.array(dops)
 
 
 def canonical_kraus(channel: ParametricChannel, theta) -> CanonicalKraus:
     """Canonical Kraus operators, mixing unitary and derivative at theta.
 
     Requires a Kraus-form channel with a pure input state.  The derivative is
-    the parallel-transport derivative of the canonical curve.
+    the parallel-transport derivative of the canonical curve.  With the raw
+    Kraus stack and its derivative kept, one call feeds everything a report needs.
     """
     if channel.param_count != 1:
         raise ValidationError("canonical_kraus expects a one-parameter channel")
-    mixing, p, canonical, partials = _canonical_core(channel, theta)
+    mixing, p, canonical, partials, ops, dops = _canonical_core(channel, theta)
     return CanonicalKraus(
         theta=float(channel.theta_vector(theta)[0]),
         operators=canonical,
         derivatives=partials[0],
         mixing=mixing,
         weights=p,
+        raw_operators=ops,
+        raw_derivatives=dops[0],
     )
 
 
@@ -292,10 +298,9 @@ class SpectralCurve:
         the antisymmetry <w_j'|w_k> = -<w_j|w_k'>*; entries with both indices
         unsupported are zero.
         """
-        raw = self.vector_derivs.conj().T @ self.vectors
-        out = raw.copy()
-        for j in np.flatnonzero(~self.support):
-            out[j, :] = -np.conj(raw[:, j])
+        out = self.vector_derivs.conj().T @ self.vectors
+        off = ~self.support
+        out[off, :] = -np.conj(out[:, off]).T
         return out
 
 
@@ -398,23 +403,27 @@ def _kraus_curve(channel: ParametricChannel, ck: CanonicalKraus) -> SpectralCurv
     return SpectralCurve(ck.theta, p, w, dp[0], dw[0], support, "canonical-kraus")
 
 
+def _decompose(channel: ParametricChannel, theta) -> tuple[CanonicalKraus | None, SpectralCurve]:
+    """The canonical decomposition at theta (None for spectral-form) and its spectral curve."""
+    ck = canonical_kraus(channel, theta) if channel.is_kraus_form else None
+    return ck, spectral_curve(channel, theta) if ck is None else _kraus_curve(channel, ck)
+
+
 # ---------------------------------------------------------------------------
 # Information quantities
 # ---------------------------------------------------------------------------
 
-def _bound_terms(curve: SpectralCurve) -> tuple[float, float, float, float]:
+def _bound_terms(curve: SpectralCurve, o: np.ndarray) -> tuple[float, float, float, float]:
     """Shared pieces: (classical term, H cross term, C cross term, diagonal C term).
 
-    Cross terms use symmetrized |<w_j'|w_k>|^2 for supported pairs so the gap
-    identity holds to round-off by construction.
+    o is curve.overlaps().  Cross terms use symmetrized |<w_j'|w_k>|^2 for
+    supported pairs so the gap identity holds to round-off by construction.
     """
     p, dp, supp = curve.values, curve.value_derivs, curve.support
-    o = curve.overlaps()
     classical = float(np.sum(dp[supp] ** 2 / p[supp])) if supp.any() else 0.0
     h_cross = c_cross = 0.0
-    d = curve.dim
-    for j in range(d):
-        for k in range(j + 1, d):
+    for j in range(curve.dim):
+        for k in range(j + 1, curve.dim):
             tot = p[j] + p[k]
             if tot <= 0:
                 continue
@@ -436,8 +445,11 @@ def sld_score(curve: SpectralCurve) -> np.ndarray:
     zeros on the off-support block.  Verified against the defining equation
     rho' = (rho L + L rho) / 2 before returning.
     """
+    return _sld_score(curve, curve.overlaps())
+
+
+def _sld_score(curve: SpectralCurve, o: np.ndarray) -> np.ndarray:
     p, dp, supp = curve.values, curve.value_derivs, curve.support
-    o = curve.overlaps()
     d = curve.dim
     lam_frame = np.zeros((d, d), dtype=complex)
     for k in np.flatnonzero(supp):
@@ -464,9 +476,14 @@ def sld_score(curve: SpectralCurve) -> np.ndarray:
 
 def sld_information(curve: SpectralCurve) -> float:
     """SLD quantum information H of the output-state family at this point."""
-    classical, h_cross, _, _ = _bound_terms(curve)
+    o = curve.overlaps()
+    return _sld_information(curve, o, _bound_terms(curve, o))
+
+
+def _sld_information(curve: SpectralCurve, o: np.ndarray, terms) -> float:
+    classical, h_cross, _, _ = terms
     value = classical + h_cross
-    lam = sld_score(curve)
+    lam = _sld_score(curve, o)
     rho = curve.state_matrix()
     check = float(np.real(np.trace(rho @ lam @ lam)))
     if abs(check - value) > 1e-6 * max(1.0, abs(value)):
@@ -478,7 +495,7 @@ def sld_information(curve: SpectralCurve) -> float:
 
 def sm_bound_spectral(curve: SpectralCurve) -> float:
     """Channel bound evaluated purely from the output-state spectral curve."""
-    classical, _, c_cross, diag = _bound_terms(curve)
+    classical, _, c_cross, diag = _bound_terms(curve, curve.overlaps())
     return classical + c_cross + diag
 
 
@@ -499,14 +516,18 @@ def bound_gap(curve: SpectralCurve) -> float:
 
     Checked against the difference of the two bounds before returning.
     """
-    p, supp = curve.values, curve.support
     o = curve.overlaps()
+    return _bound_gap(curve, o, _bound_terms(curve, o))
+
+
+def _bound_gap(curve: SpectralCurve, o: np.ndarray, terms) -> float:
+    p = curve.values
     gap = 0.0
-    idx = np.flatnonzero(supp)
+    idx = np.flatnonzero(curve.support)
     for j in idx:
         for k in idx:
             gap += 8.0 * p[j] * p[k] / (p[j] + p[k]) * abs(o[j, k]) ** 2
-    classical, h_cross, c_cross, diag = _bound_terms(curve)
+    classical, h_cross, c_cross, diag = terms
     direct = (classical + c_cross + diag) - (classical + h_cross)
     scale = max(1.0, classical + c_cross + diag)
     if abs(gap - direct) > 1e-8 * scale:
@@ -516,7 +537,10 @@ def bound_gap(curve: SpectralCurve) -> float:
 
 def attainability_check(curve: SpectralCurve, tol: float = 1e-6) -> tuple[bool, float]:
     """Whether every supported overlap <w_j'|w_k> vanishes; returns (verdict, residual)."""
-    o = curve.overlaps()
+    return _attainability(curve, curve.overlaps(), tol)
+
+
+def _attainability(curve: SpectralCurve, o: np.ndarray, tol: float) -> tuple[bool, float]:
     idx = np.flatnonzero(curve.support)
     residual = float(np.max(np.abs(o[np.ix_(idx, idx)]))) if idx.size else 0.0
     return residual < tol, residual
@@ -694,23 +718,24 @@ class BoundReport:
 def bound_report(
     channel: ParametricChannel, theta, povm: POVM | None = None, attainability_tol: float = 1e-6
 ) -> BoundReport:
-    """Compute every one-parameter bound quantity at theta."""
-    curve = spectral_curve(channel, theta)
-    h = sld_information(curve)
-    c_spec = sm_bound_spectral(curve)
-    gap = bound_gap(curve)
-    attainable, residual = attainability_check(curve, attainability_tol)
+    """Every one-parameter bound quantity at theta, from one canonical decomposition
+    (or one spectral curve for a spectral-form family) and one overlap matrix."""
+    return _bound_report(channel, *_decompose(channel, theta), povm, attainability_tol)
+
+
+def _bound_report(channel, ck, curve, povm, attainability_tol) -> BoundReport:
+    """bound_report on the (ck, curve) pair of _decompose, from one overlap matrix."""
+    o = curve.overlaps()
+    terms = _bound_terms(curve, o)
+    classical, _, c_cross, diag = terms
+    c_spec = classical + c_cross + diag
+    attainable, residual = _attainability(curve, o, attainability_tol)
     warnings: list[str] = []
-    cross = None
-    c_e = None
-    if channel.is_kraus_form:
-        ck = canonical_kraus(channel, theta)
+    cross = c_e = None
+    if ck is not None:
         rho0 = channel.input_state.density()
-        c_kraus = sm_bound_kraus(ck.operators, ck.derivatives, rho0)
-        cross = abs(c_spec - c_kraus)
-        raw_ops = channel.kraus_matrices(theta)
-        raw_derivs = kraus_derivative(channel, theta, 0)
-        c_e = sm_bound_kraus(raw_ops, raw_derivs, rho0)
+        cross = abs(c_spec - sm_bound_kraus(ck.operators, ck.derivatives, rho0))
+        c_e = sm_bound_kraus(ck.raw_operators, ck.raw_derivatives, rho0)
     if not attainable:
         warnings.append(
             "channel bound not attainable here: the measurement optimality "
@@ -719,14 +744,14 @@ def bound_report(
     f = None
     if povm is not None:
         try:
-            f = fisher_information(channel, povm, theta)
+            f = fisher_information(channel, povm, curve.theta)
         except SingularTermError as exc:
             warnings.append(f"Fisher information dropped: {exc}")
     return BoundReport(
-        theta=float(channel.theta_vector(theta)[0]),
-        sld_information=h,
+        theta=curve.theta,
+        sld_information=_sld_information(curve, o, terms),
         channel_bound=c_spec,
-        gap=gap,
+        gap=_bound_gap(curve, o, terms),
         attainable=attainable,
         attainability_residual=residual,
         attainability_tol=attainability_tol,

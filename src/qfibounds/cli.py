@@ -25,8 +25,9 @@ import numpy as np
 
 from . import reporting
 from .bounds import (
+    _bound_report,
+    _decompose,
     bound_report,
-    canonical_kraus,
     optimal_povm_from_sld,
     povm_sld_condition_check,
     povm_sm_condition_check,
@@ -43,13 +44,14 @@ from .estimation import (
     optimize_input_state,
 )
 from .multiparam import (
+    _core,
+    _multi_spectral_curve,
+    _sm_matrix,
     fisher_matrix,
     loewner_report,
     multi_attainability_check,
-    multi_spectral_curve,
     pinv_with_rank,
     sld_matrix,
-    sm_matrix,
 )
 from .quantum import POVM, computational_basis_povm, pauli_basis_povm
 from .specfile import ChannelSpec
@@ -124,9 +126,9 @@ def _load_spec(path: Path) -> tuple[ChannelSpec, ParametricChannel]:
 
 
 def _resolve_povm(
-    name: str | None, channel, theta
+    name: str | None, channel, curve
 ) -> tuple[POVM | None, str | None, np.ndarray | None]:
-    """The named POVM, its id, and for "optimal" the SLD score at theta it comes from."""
+    """The named POVM, its id, and for "optimal" the SLD score of the point's curve."""
     if name is None:
         return None, None, None
     if name == "computational":
@@ -135,13 +137,13 @@ def _resolve_povm(
         if channel.dim != 2:
             raise ValidationError(f"{name} POVM is only defined for qubit channels")
         return pauli_basis_povm(name[0]), name, None
-    if theta is None:
+    if curve is None:
         raise ValidationError(
             "the optimal POVM comes from a single SLD score; pick a named basis "
             "for multi-parameter channels"
         )
-    lam = sld_score(spectral_curve(channel, theta))
-    return optimal_povm_from_sld(lam), f"sld-optimal@{float(theta):.6g}", lam
+    lam = sld_score(curve)
+    return optimal_povm_from_sld(lam), f"sld-optimal@{curve.theta:.6g}", lam
 
 
 def _channel_block(spec: ChannelSpec, channel) -> dict:
@@ -155,8 +157,8 @@ def _channel_block(spec: ChannelSpec, channel) -> dict:
     }
 
 
-def _point_report(channel, theta, povm, povm_id, lam, tol) -> dict:
-    report = bound_report(channel, theta, povm=povm, attainability_tol=tol)
+def _point_report(channel, ck, curve, povm, povm_id, lam, tol) -> dict:
+    report = _bound_report(channel, ck, curve, povm, tol)
     doc = reporting.bound_report_dict(report)
     warnings = list(doc["warnings"])
     if report.gauge_source == "canonical-kraus":
@@ -164,9 +166,8 @@ def _point_report(channel, theta, povm, povm_id, lam, tol) -> dict:
             "eigenvector gauge fixed by parallel transport of the Gram eigenvectors; "
             "diagonal overlaps <w'|w> are gauge-dependent"
         )
-    ops = channel.kraus_matrices(theta) if channel.is_kraus_form else None
-    if ops is not None and ops.shape[0] == 1:
-        value, flat = unitary_attainability(channel, theta, tol)
+    if ck is not None and ck.operators.shape[0] == 1:
+        value, flat = unitary_attainability(channel, curve.theta, tol)
         doc["unitary_condition"] = {
             "value": reporting.complex_value(value),
             "attainable": flat,
@@ -174,13 +175,12 @@ def _point_report(channel, theta, povm, povm_id, lam, tol) -> dict:
     if povm is not None:
         doc["povm"] = povm_id
         if lam is None:
-            lam = sld_score(spectral_curve(channel, theta))
-        rho = channel.output_state(theta)
+            lam = sld_score(curve)
+        rho = channel.output_state(curve.theta)
         doc["sld_condition"] = reporting.condition_report_dict(
             povm_sld_condition_check(povm, lam, rho, tol)
         )
-        if channel.is_kraus_form:
-            ck = canonical_kraus(channel, theta)
+        if ck is not None:
             sm_report, _ = povm_sm_condition_check(
                 povm, ck.operators, ck.derivatives, channel.input_state.density(), tol
             )
@@ -191,9 +191,10 @@ def _point_report(channel, theta, povm, povm_id, lam, tol) -> dict:
 
 def _matrix_report(channel, theta, povm, povm_id, tol) -> dict:
     vec = channel.theta_vector(theta)
-    msc = multi_spectral_curve(channel, vec)
+    core = _core(channel, vec)
+    msc = _multi_spectral_curve(channel, vec, core)
     h = sld_matrix(msc)
-    c = sm_matrix(channel, vec)
+    c = _sm_matrix(channel, vec, core)
     att = multi_attainability_check(msc, tol, channel=channel)
     warnings = []
     doc = {
@@ -232,11 +233,14 @@ def cmd_report(args) -> int:
     spec, channel = _load_spec(args.spec)
     theta = args.theta if len(args.theta) > 1 else args.theta[0]
     channel.require_in_domain(theta)
-    one = channel.param_count == 1
-    povm, povm_id, lam = _resolve_povm(args.povm, channel, theta if one else None)
-    if one:
-        result = _point_report(channel, theta, povm, povm_id, lam, args.tol)
+    if channel.param_count == 1:
+        # a named basis is validated before the point is decomposed
+        pair = _decompose(channel, theta) if args.povm == "optimal" else None
+        povm, povm_id, lam = _resolve_povm(args.povm, channel, pair[1] if pair else None)
+        ck, curve = pair or _decompose(channel, theta)
+        result = _point_report(channel, ck, curve, povm, povm_id, lam, args.tol)
     else:
+        povm, povm_id, _ = _resolve_povm(args.povm, channel, None)
         result = _matrix_report(channel, theta, povm, povm_id, args.tol)
     doc = {
         "tool": reporting.TOOL,
@@ -293,7 +297,8 @@ def cmd_estimate(args) -> int:
         raise ValidationError("estimation handles one-parameter channels")
     seed = _seed_of(args)
     channel.require_in_domain(args.theta_true)
-    povm, povm_id, _ = _resolve_povm(args.povm, channel, args.theta_true)
+    curve = spectral_curve(channel, args.theta_true) if args.povm == "optimal" else None
+    povm, povm_id, _ = _resolve_povm(args.povm, channel, curve)
     if args.adaptive:
         run = adaptive_experiment(
             channel,

@@ -31,59 +31,31 @@ def hermitian_part(a: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class DiffConfig:
-    """Finite-difference settings for matrix-valued curves.
-
-    step is in parameter units; scheme is "central-2" or "central-4";
-    richardson enables one extrapolation level on top of the base scheme.
-    """
+    """The central-4 finite-difference stencil; step is in parameter units."""
 
     step: float = 1e-4
-    scheme: str = "central-4"
-    richardson: bool = False
 
     def __post_init__(self):
         if self.step <= 0:
             raise ValidationError(f"finite-difference step must be positive, got {self.step}")
-        if self.scheme not in ("central-2", "central-4"):
-            raise ValidationError(f"unknown scheme {self.scheme!r}")
 
     @property
     def max_offset(self) -> float:
         """Largest |offset| from the expansion point that will be evaluated."""
-        return 2 * self.step if self.scheme == "central-4" else self.step
+        return 2 * self.step
 
 
 DEFAULT_DIFF = DiffConfig()
 
 
-def _central_weights(h: float, scheme: str) -> dict[float, float]:
-    if scheme == "central-2":
-        return {-h: -0.5 / h, h: 0.5 / h}
-    return {-2 * h: 1 / (12 * h), -h: -8 / (12 * h), h: 8 / (12 * h), 2 * h: -1 / (12 * h)}
-
-
-def fd_weights(cfg: DiffConfig) -> dict[float, float]:
-    """Offsets and weights realizing d/dtheta under cfg as one linear combination."""
-    base = _central_weights(cfg.step, cfg.scheme)
-    if not cfg.richardson:
-        return base
-    fine = _central_weights(cfg.step / 2, cfg.scheme)
-    # Error orders h^2 / h^4 give extrapolation factors 4 / 16.
-    fac = 4.0 if cfg.scheme == "central-2" else 16.0
-    combined: dict[float, float] = {}
-    for off, w in fine.items():
-        combined[off] = combined.get(off, 0.0) + fac * w / (fac - 1.0)
-    for off, w in base.items():
-        combined[off] = combined.get(off, 0.0) - w / (fac - 1.0)
-    return combined
-
-
 def differentiate_curve(
     curve: Callable[[float], np.ndarray], theta: float, cfg: DiffConfig = DEFAULT_DIFF
 ) -> np.ndarray:
-    """Finite-difference derivative of an array-valued curve at theta."""
+    """Central-4 finite-difference derivative of an array-valued curve at theta."""
+    h = cfg.step
+    weights = {-2 * h: 1 / (12 * h), -h: -8 / (12 * h), h: 8 / (12 * h), 2 * h: -1 / (12 * h)}
     out = None
-    for off, w in fd_weights(cfg).items():
+    for off, w in weights.items():
         sample = np.asarray(curve(theta + off), dtype=complex)
         out = w * sample if out is None else out + w * sample
     return out

@@ -145,7 +145,7 @@ def multi_spectral_curve(channel: ParametricChannel, theta) -> MultiSpectralCurv
 
 def _multi_spectral_curve(channel, vec, core) -> MultiSpectralCurve:
     if core is not None:
-        _, weights, operators, partials = core
+        _, weights, operators, partials, _, _ = core
         data = _canonical_spectral_data(
             operators, partials, weights, channel.input_state.amplitudes
         )
@@ -196,7 +196,7 @@ def _sm_matrix(channel, vec, core) -> InfoMatrix:
     m = channel.param_count
     entries = np.zeros((m, m))
     if core is not None:
-        _, _, _, partials = core
+        _, _, _, partials, _, _ = core
         dvs = partials @ channel.input_state.amplitudes  # (m, n, d)
         for j in range(m):
             for k in range(j, m):
@@ -363,7 +363,7 @@ def _directional_check(channel, vec, direction, core, sld, sm) -> DirectionalChe
     slice_ch = directional_channel(channel, vec, v)
     kraus_mismatch = None
     if core is not None:
-        _, weights, _, partials = core
+        _, weights, _, partials, _, _ = core
         ck = canonical_kraus(slice_ch, 0.0)
         combo = np.tensordot(v, partials, axes=(0, 0))
         supported = weights > SUPPORT_TOL

@@ -15,9 +15,8 @@ import numpy as np
 
 from .bounds import (
     _canonical_core,
-    _kraus_curve,
+    _decompose,
     bound_gap,
-    canonical_kraus,
     fisher_information,
     optimal_povm_from_sld,
     sld_information,
@@ -137,8 +136,7 @@ def gap_suite(seed: int = DEFAULT_SEED, count: int = 200) -> list[CheckResult]:
 
 def _decomposed(battery) -> list:
     """(channel, theta, canonical decomposition, spectral curve) per battery point."""
-    cks = [canonical_kraus(channel, theta) for channel, theta in battery]
-    return [(ch, theta, ck, _kraus_curve(ch, ck)) for (ch, theta), ck in zip(battery, cks)]
+    return [(channel, theta, *_decompose(channel, theta)) for channel, theta in battery]
 
 
 def _gap(points) -> list[CheckResult]:
@@ -167,7 +165,7 @@ def _ordering(points, seed: int) -> list[CheckResult]:
     worst_fh = worst_hc = worst_hce = np.inf
     worst_opt = 0.0
     optimal_checked = 0
-    for channel, theta, _, curve in points:
+    for channel, theta, ck, curve in points:
         h = sld_information(curve)
         c = sm_bound_spectral(curve)
         povm = random_povm(channel.dim, rng)
@@ -175,7 +173,7 @@ def _ordering(points, seed: int) -> list[CheckResult]:
         worst_fh = min(worst_fh, h - f)
         worst_hc = min(worst_hc, c - h)
 
-        n_ops = channel.kraus_matrices(theta).shape[0]
+        n_ops = ck.operators.shape[0]
         rho0 = channel.input_state.density()
         fixed = random_unitary(n_ops, rng)
         gen = random_hermitian(n_ops, rng)

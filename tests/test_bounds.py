@@ -4,6 +4,7 @@ from scipy.linalg import expm
 from scipy.optimize import linear_sum_assignment
 
 from qfibounds.bounds import (
+    BoundReport,
     attainability_check,
     bound_gap,
     bound_report,
@@ -22,6 +23,7 @@ from qfibounds.bounds import (
 )
 from qfibounds.channels import (
     builtin,
+    custom_spectral,
     kraus_derivative,
     random_hermitian,
     random_kraus_channel,
@@ -537,6 +539,60 @@ def test_bound_report_warns_when_not_attainable():
     rep = bound_report(builtin("amplitude-damping"), 0.5)
     assert not rep.attainable
     assert any("unsatisfiable" in w for w in rep.warnings)
+
+
+def _separate_bound_report(channel, theta, povm, tol=1e-6) -> BoundReport:
+    """bound_report rebuilt from the public functionals, one decomposition each."""
+    curve = spectral_curve(channel, theta)
+    c = sm_bound_spectral(curve)
+    attainable, residual = attainability_check(curve, tol)
+    cross = c_e = None
+    if channel.is_kraus_form:
+        rho0 = channel.input_state.density()
+        ck = canonical_kraus(channel, theta)
+        cross = abs(c - sm_bound_kraus(ck.operators, ck.derivatives, rho0))
+        raw = (channel.kraus_matrices(theta), kraus_derivative(channel, theta, 0))
+        c_e = sm_bound_kraus(*raw, rho0)
+    warnings = () if attainable else (
+        "channel bound not attainable here: the measurement optimality "
+        "condition on canonical Kraus derivatives is unsatisfiable",
+    )
+    return BoundReport(
+        theta=float(theta),
+        sld_information=sld_information(curve),
+        channel_bound=c,
+        gap=bound_gap(curve),
+        attainable=attainable,
+        attainability_residual=residual,
+        attainability_tol=tol,
+        gauge_source=curve.gauge_source,
+        fisher_information=fisher_information(channel, povm, theta),
+        representation_bound=c_e,
+        method_cross_check=cross,
+        warnings=warnings,
+    )
+
+
+def test_bound_report_shared_pass_equals_separate_functionals():
+    """One decomposition and one overlap matrix give bit-identical reports."""
+    classical = custom_spectral(
+        np.eye(3, 2, dtype=complex), np.array([[0.3, 0.5], [0.7, -0.5]]), ((0.0, 0.5),)
+    )
+    points = [
+        (builtin("dephasing"), 0.2),
+        (builtin("dephasing"), 0.7),
+        (builtin("amplitude-damping"), 0.5),
+        (builtin("example1"), 0.6),
+        (classical, 0.25),
+        (random_kraus_channel(dim=3, env=2, seed=11), 0.3),
+        (random_kraus_channel(dim=3, env=2, seed=11), -0.45),
+        (random_kraus_channel(dim=6, env=3, seed=5), 0.4),
+    ]
+    for channel, theta in points:
+        povm = computational_basis_povm(channel.dim)
+        shared = bound_report(channel, theta, povm=povm)
+        assert shared == _separate_bound_report(channel, theta, povm), channel.name
+        assert bound_report(channel, theta).fisher_information is None
 
 
 def test_ordering_random_battery_small():

@@ -240,6 +240,14 @@ def test_report_refuses_rank_change(spec_file, capsys):
     assert "rank change" in err
 
 
+def test_report_validates_a_named_basis_before_decomposing(spec_file, capsys):
+    argv = ("report", spec_file(RANK_CHANGE), "--theta", "0", "--povm", "x-basis")
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert "only defined for qubit channels" in err
+
+
 def test_sweep_rank_change_row_is_warnings_only(spec_file, capsys):
     code, out, _ = run_cli(capsys, "sweep", spec_file(RANK_CHANGE), "--theta-grid=-0.2,0,0.2")
     assert code == 0
@@ -322,24 +330,76 @@ def test_report_keeps_the_domain_margin(spec_file, capsys):
     assert code == 0
 
 
-def test_report_optimal_povm_builds_the_sld_score_once(spec_file, capsys, monkeypatch):
-    from qfibounds import bounds
+def _count_calls(monkeypatch, *names) -> dict:
+    """Count calls of bounds functions, from every module that imports them."""
+    from qfibounds import bounds, multiparam
     from qfibounds import cli as cli_module
 
-    calls = {"spectral_curve": 0, "canonical_kraus": 0}
-    for name in calls:
+    calls = dict.fromkeys(names, 0)
+    for name in names:
         def counted(*args, _original=getattr(bounds, name), _name=name, **kwargs):
             calls[_name] += 1
             return _original(*args, **kwargs)
 
-        for module in (bounds, cli_module):
-            monkeypatch.setattr(module, name, counted)
-    argv = ("report", spec_file(DEPHASING), "--theta", "0.3", "--povm", "optimal")
-    code, _, _ = run_cli(capsys, *argv)
+        for module in (bounds, multiparam, cli_module):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def test_report_optimal_povm_builds_the_sld_score_once(spec_file, capsys, monkeypatch):
+    # One decomposition feeds the SLD score, the bound report and the SM
+    # condition; a spectral-form family builds its curve instead.
+    for text, expected in (
+        (DEPHASING, {"spectral_curve": 0, "canonical_kraus": 1}),
+        (EXAMPLE1, {"spectral_curve": 1, "canonical_kraus": 0}),
+    ):
+        with monkeypatch.context() as patch:
+            calls = _count_calls(patch, "spectral_curve", "canonical_kraus")
+            argv = ("report", spec_file(text), "--theta", "0.3", "--povm", "optimal")
+            code, _, _ = run_cli(capsys, *argv)
+        assert code == 0
+        assert calls == expected
+
+
+@pytest.mark.parametrize(
+    "text",
+    [DEPHASING, DAMPING, "family = random-kraus\ndim = 3\nenv = 2\n"],
+    ids=["dephasing", "amplitude-damping", "random-kraus"],
+)
+def test_sweep_decomposes_each_point_once(spec_file, capsys, monkeypatch, text):
+    from qfibounds import cli as cli_module
+    from qfibounds.channels import ParametricChannel
+
+    calls = _count_calls(monkeypatch, "canonical_kraus", "kraus_derivative")
+    calls["kraus_matrices"] = 0
+    original = ParametricChannel.kraus_matrices
+    load = cli_module._load_spec
+
+    def kraus_matrices(self, theta):
+        calls["kraus_matrices"] += 1
+        return original(self, theta)
+
+    def loaded(path):
+        # loading validates the Kraus stack over the domain; count the points only
+        out = load(path)
+        calls.update(dict.fromkeys(calls, 0))
+        return out
+
+    monkeypatch.setattr(ParametricChannel, "kraus_matrices", kraus_matrices)
+    monkeypatch.setattr(cli_module, "_load_spec", loaded)
+    code, _, _ = run_cli(capsys, "sweep", spec_file(text), "--theta-grid", "0.2:0.6:3")
     assert code == 0
-    # One curve for the SLD score, one inside bound_report, which also builds
-    # the canonical decomposition directly; one more for the SM condition.
-    assert calls == {"spectral_curve": 2, "canonical_kraus": 4}
+    # The raw Kraus stack and its derivative feed the curve, C_kraus and C_E.
+    assert calls == {"canonical_kraus": 3, "kraus_derivative": 3, "kraus_matrices": 3}
+
+
+def test_multiparameter_report_builds_one_core(spec_file, capsys, monkeypatch):
+    calls = _count_calls(monkeypatch, "_canonical_core")
+    text = "family = random-kraus\ndim = 3\nenv = 2\nseed = 11\nparam_count = 2\n"
+    code, _, _ = run_cli(capsys, "report", spec_file(text), "--theta", "0.3", "0.4")
+    assert code == 0
+    assert calls == {"_canonical_core": 1}
 
 
 def test_verify_builds_one_battery_per_run(monkeypatch):
