@@ -28,6 +28,7 @@ from .bounds import (
     sm_bound_spectral,
     spectral_curve,
     unitary_attainability,
+    unitary_condition,
 )
 from .channels import (
     ParametricChannel,

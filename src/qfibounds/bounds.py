@@ -6,6 +6,10 @@ channel bound computed from canonical Kraus derivatives or from the spectral
 curve; the gap identity between the two informations; attainability
 verdicts; optimal-POVM construction and POVM optimality condition checks.
 
+Only canonical_kraus and spectral_curve decompose.  A spectral curve carries
+the decomposition it came from and caches its overlap matrix, bound terms and
+SLD score, so every function of a point reads one value: the curve.
+
 Gauge convention: the canonical operators Y = X^dag E come from the
 eigenvectors X of the input-state Gram matrix, and their derivatives follow
 the parallel-transport gauge: each eigenvector moves orthogonally to itself,
@@ -18,6 +22,7 @@ carry their own analytic gauge ("spectral-form").
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -56,15 +61,15 @@ SLD_RESIDUAL_TOL = 1e-6
 
 @dataclass(frozen=True)
 class CanonicalKraus:
-    """Canonical operators at a point, their derivative, and the mixing unitary."""
+    """Canonical operators at a point, their m partials, and the mixing unitary."""
 
-    theta: float
+    theta: np.ndarray            # (m,)
     operators: np.ndarray        # (n, d, d)
-    derivatives: np.ndarray      # (n, d, d)
+    derivatives: np.ndarray      # (m, n, d, d) one stack per parameter
     mixing: np.ndarray           # (n, n); operators[i] = sum_j mixing[i, j] raw[j]
     weights: np.ndarray          # (n,) Gram eigenvalues, ascending
     raw_operators: np.ndarray    # (n, d, d) the family's own Kraus stack
-    raw_derivatives: np.ndarray  # (n, d, d) its derivative
+    raw_derivatives: np.ndarray  # (m, n, d, d) its partials
 
 
 def _gram(ops: np.ndarray, psi: np.ndarray) -> np.ndarray:
@@ -125,19 +130,18 @@ def _crossing_coupling(
     return out
 
 
-def _canonical_core(channel: ParametricChannel, theta) -> tuple[np.ndarray, ...]:
+def canonical_kraus(channel: ParametricChannel, theta) -> CanonicalKraus:
     """Canonical operators Y = X^dag E and their m partials at theta.
 
-    G X = X diag(g) diagonalizes the input-state Gram matrix.  The partials
-    are d_l Y = X^dag d_l E - K_l Y in the parallel-transport gauge, where
+    Requires a Kraus-form channel with a pure input state.  G X = X diag(g)
+    diagonalizes the input-state Gram matrix.  The partials are
+    d_l Y = X^dag d_l E - K_l Y in the parallel-transport gauge, where
     (K_l)_jk = (X^dag d_l G X)_jk / (g_k - g_j) between eigenvalue clusters
     and K_l = 0 inside the unsupported cluster, because Y_k psi = 0 there.
     d_l E comes from kraus_derivative.  A supported degenerate cluster is
     resolved for one parameter only; with several it is refused, since a
-    crossing can split differently along different axes.
-
-    Returns (mixing X^dag, clipped weights, operators Y, partials (m, n, d, d),
-    raw Kraus stack E, raw partials (m, n, d, d)).
+    crossing can split differently along different axes.  With the raw Kraus
+    stack and its partials kept, one call feeds everything a report needs.
     """
     if not channel.is_kraus_form:
         raise ValidationError(f"channel {channel.name!r} has no Kraus curve")
@@ -213,27 +217,14 @@ def _canonical_core(channel: ParametricChannel, theta) -> tuple[np.ndarray, ...]
         raise ConsistencyError(
             f"canonical Gram matrix not diagonal: off-diagonal {max_abs(off_diag):.3e}"
         )
-    return mixing, p, canonical, np.array(partials), ops, np.array(dops)
-
-
-def canonical_kraus(channel: ParametricChannel, theta) -> CanonicalKraus:
-    """Canonical Kraus operators, mixing unitary and derivative at theta.
-
-    Requires a Kraus-form channel with a pure input state.  The derivative is
-    the parallel-transport derivative of the canonical curve.  With the raw
-    Kraus stack and its derivative kept, one call feeds everything a report needs.
-    """
-    if channel.param_count != 1:
-        raise ValidationError("canonical_kraus expects a one-parameter channel")
-    mixing, p, canonical, partials, ops, dops = _canonical_core(channel, theta)
     return CanonicalKraus(
-        theta=float(channel.theta_vector(theta)[0]),
+        theta=vec,
         operators=canonical,
-        derivatives=partials[0],
+        derivatives=np.array(partials),
         mixing=mixing,
         weights=p,
         raw_operators=ops,
-        raw_derivatives=dops[0],
+        raw_derivatives=np.array(dops),
     )
 
 
@@ -248,6 +239,10 @@ class SpectralCurve:
     values are ascending with entries below the support threshold zeroed;
     vectors span the full space (unsupported slots hold an orthonormal
     completion whose derivative columns are zero and never used directly).
+    kraus is the canonical decomposition the curve was built from: None for
+    spectral-form families and for the views of a multi-parameter curve.
+    The overlap matrix, the bound terms and the SLD score are computed once
+    per curve and cached; the cached arrays are read-only.
     """
 
     theta: float
@@ -257,9 +252,10 @@ class SpectralCurve:
     vector_derivs: np.ndarray  # (d, d)
     support: np.ndarray        # (d,) bool
     gauge_source: str
+    kraus: CanonicalKraus | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
-        p, w, dp, dw = self.values, self.vectors, self.value_derivs, self.vector_derivs
+        p, w, dp = self.values, self.vectors, self.value_derivs
         if abs(float(p.sum()) - 1.0) > CURVE_SUM_TOL:
             raise ConsistencyError(f"eigenvalues sum to {p.sum()!r}")
         if abs(float(dp.sum())) > CURVE_DERIV_TOL:
@@ -267,7 +263,8 @@ class SpectralCurve:
         gram_defect = max_abs(w.conj().T @ w - np.eye(w.shape[0]))
         if gram_defect > CURVE_SUM_TOL:
             raise ConsistencyError(f"eigenvector orthonormality defect {gram_defect:.3e}")
-        overlap = dw.conj().T @ w
+        # The checks read supported rows only, which overlaps leaves as computed.
+        overlap = self.overlaps
         diag_re = np.abs(np.real(np.diag(overlap))[self.support])
         if diag_re.size and float(np.max(diag_re)) > CURVE_DERIV_TOL:
             raise ConsistencyError(
@@ -291,6 +288,7 @@ class SpectralCurve:
         out = (w * self.value_derivs) @ w.conj().T + (dw * self.values) @ w.conj().T
         return out + (w * self.values) @ dw.conj().T
 
+    @cached_property
     def overlaps(self) -> np.ndarray:
         """Matrix O[j, k] = <w_j'|w_k>.
 
@@ -301,7 +299,59 @@ class SpectralCurve:
         out = self.vector_derivs.conj().T @ self.vectors
         off = ~self.support
         out[off, :] = -np.conj(out[:, off]).T
+        out.setflags(write=False)
         return out
+
+    @cached_property
+    def bound_terms(self) -> tuple[float, float, float, float]:
+        """(classical term, H cross term, C cross term, diagonal C term).
+
+        Cross terms use symmetrized |<w_j'|w_k>|^2 for supported pairs so the
+        gap identity holds to round-off by construction.
+        """
+        p, dp, supp, o = self.values, self.value_derivs, self.support, self.overlaps
+        classical = float(np.sum(dp[supp] ** 2 / p[supp])) if supp.any() else 0.0
+        h_cross = c_cross = 0.0
+        for j in range(self.dim):
+            for k in range(j + 1, self.dim):
+                tot = p[j] + p[k]
+                if tot <= 0:
+                    continue
+                if supp[j] and supp[k]:
+                    mag2 = 0.5 * (abs(o[j, k]) ** 2 + abs(o[k, j]) ** 2)
+                else:
+                    mag2 = abs(o[j, k]) ** 2
+                h_cross += 4 * (p[j] - p[k]) ** 2 / tot * mag2
+                c_cross += 4 * tot * mag2
+        diag = float(np.sum(p[supp] * np.abs(np.diag(o))[supp] ** 2)) * 4 if supp.any() else 0.0
+        return classical, h_cross, c_cross, diag
+
+    @cached_property
+    def sld_score(self) -> np.ndarray:
+        """The SLD solution this curve induces; see the module function sld_score."""
+        p, dp, supp, o = self.values, self.value_derivs, self.support, self.overlaps
+        d = self.dim
+        lam_frame = np.zeros((d, d), dtype=complex)
+        for k in np.flatnonzero(supp):
+            lam_frame[k, k] = dp[k] / p[k]
+        for j in range(d):
+            for k in range(j + 1, d):
+                tot = p[j] + p[k]
+                if tot <= 0:
+                    continue
+                entry = 2.0 * (p[j] - p[k]) / tot * o[j, k]
+                lam_frame[j, k] = entry
+                lam_frame[k, j] = np.conj(entry)
+        w = self.vectors
+        lam = hermitian_part(w @ lam_frame @ w.conj().T)
+        rho = self.state_matrix()
+        residual = max_abs(self.state_derivative() - 0.5 * (rho @ lam + lam @ rho))
+        if residual > SLD_RESIDUAL_TOL:
+            raise ConsistencyError(
+                f"SLD residual {residual:.3e}: curve data inconsistent with its own state derivative"
+            )
+        lam.setflags(write=False)
+        return lam
 
 
 def _orthonormal_completion(columns: np.ndarray, dim: int) -> np.ndarray:
@@ -315,30 +365,36 @@ def _orthonormal_completion(columns: np.ndarray, dim: int) -> np.ndarray:
     return basis
 
 
-def _canonical_spectral_data(
-    operators: np.ndarray, partials: np.ndarray, weights: np.ndarray, psi: np.ndarray
-) -> SpectralData:
-    """Supported output eigendata w_k = Y_k psi / sqrt(p_k) with m partials.
+def _eigendata(channel: ParametricChannel, vec: np.ndarray):
+    """Supported output eigendata with all m partials at vec, and its decomposition.
 
-    An unsupported mode whose vector Y_k psi moves means the weight grows
-    away from theta: theta sits at a rank change and is refused.
+    Returns (canonical decomposition, SpectralData).  A spectral-form family
+    supplies its own eigendata and no decomposition.  A Kraus-form channel
+    gives w_k = Y_k psi / sqrt(p_k); an unsupported mode whose vector Y_k psi
+    moves means the weight grows away from theta: theta sits at a rank change
+    and is refused.
     """
-    vs = operators @ psi                     # (n, d)
-    dvs = partials @ psi                     # (m, n, d)
-    supported = weights > SUPPORT_TOL
+    if not channel.is_kraus_form:
+        channel.require_in_domain(vec)
+        return None, channel.spectral_at(vec)
+    ck = canonical_kraus(channel, vec)
+    psi = channel.input_state.amplitudes
+    vs = ck.operators @ psi                  # (n, d)
+    dvs = ck.derivatives @ psi               # (m, n, d)
+    supported = ck.weights > SUPPORT_TOL
     moving = np.linalg.norm(dvs[:, ~supported], axis=-1)
     if moving.size and float(np.max(moving)) > CURVE_DERIV_TOL:
         raise DegeneracyError(
             f"an unsupported Gram mode moves (|dY_k psi| = {float(np.max(moving)):.3e}); "
             "theta is at a rank change, perturb it"
         )
-    roots = np.sqrt(weights[supported])
+    roots = np.sqrt(ck.weights[supported])
     w = vs[supported] / roots[:, np.newaxis]  # (r, d)
     dv = dvs[:, supported]
     dp = 2.0 * np.real(np.sum(vs[supported].conj() * dv, axis=-1))  # (m, r)
     dw = (dv - (dp / (2 * roots))[..., np.newaxis] * w) / roots[:, np.newaxis]
-    return SpectralData(
-        values=weights[supported],
+    return ck, SpectralData(
+        values=ck.weights[supported],
         vectors=w.T,
         value_grads=dp,
         vector_grads=np.transpose(dw, (0, 2, 1)),
@@ -378,7 +434,7 @@ def _assemble_curve(data: SpectralData, dim: int):
 
 
 def spectral_curve(channel: ParametricChannel, theta) -> SpectralCurve:
-    """Output-state spectral curve at theta.
+    """Output-state spectral curve at theta, carrying its canonical decomposition.
 
     Kraus-form channels go through the canonical decomposition, which fixes
     the eigenvector gauge; spectral-form families supply their own analytic
@@ -387,55 +443,15 @@ def spectral_curve(channel: ParametricChannel, theta) -> SpectralCurve:
     if channel.param_count != 1:
         raise ValidationError("spectral_curve expects a one-parameter channel")
     vec = channel.theta_vector(theta)
-    if channel.is_kraus_form:
-        return _kraus_curve(channel, canonical_kraus(channel, vec))
-    channel.require_in_domain(vec)
-    p, w, dp, dw, support = _assemble_curve(channel.spectral_at(vec), channel.dim)
-    return SpectralCurve(float(vec[0]), p, w, dp[0], dw[0], support, "spectral-form")
-
-
-def _kraus_curve(channel: ParametricChannel, ck: CanonicalKraus) -> SpectralCurve:
-    """Spectral curve of a Kraus-form channel from its canonical decomposition."""
-    data = _canonical_spectral_data(
-        ck.operators, ck.derivatives[np.newaxis], ck.weights, channel.input_state.amplitudes
-    )
+    ck, data = _eigendata(channel, vec)
     p, w, dp, dw, support = _assemble_curve(data, channel.dim)
-    return SpectralCurve(ck.theta, p, w, dp[0], dw[0], support, "canonical-kraus")
-
-
-def _decompose(channel: ParametricChannel, theta) -> tuple[CanonicalKraus | None, SpectralCurve]:
-    """The canonical decomposition at theta (None for spectral-form) and its spectral curve."""
-    ck = canonical_kraus(channel, theta) if channel.is_kraus_form else None
-    return ck, spectral_curve(channel, theta) if ck is None else _kraus_curve(channel, ck)
+    gauge = "spectral-form" if ck is None else "canonical-kraus"
+    return SpectralCurve(float(vec[0]), p, w, dp[0], dw[0], support, gauge, ck)
 
 
 # ---------------------------------------------------------------------------
 # Information quantities
 # ---------------------------------------------------------------------------
-
-def _bound_terms(curve: SpectralCurve, o: np.ndarray) -> tuple[float, float, float, float]:
-    """Shared pieces: (classical term, H cross term, C cross term, diagonal C term).
-
-    o is curve.overlaps().  Cross terms use symmetrized |<w_j'|w_k>|^2 for
-    supported pairs so the gap identity holds to round-off by construction.
-    """
-    p, dp, supp = curve.values, curve.value_derivs, curve.support
-    classical = float(np.sum(dp[supp] ** 2 / p[supp])) if supp.any() else 0.0
-    h_cross = c_cross = 0.0
-    for j in range(curve.dim):
-        for k in range(j + 1, curve.dim):
-            tot = p[j] + p[k]
-            if tot <= 0:
-                continue
-            if supp[j] and supp[k]:
-                mag2 = 0.5 * (abs(o[j, k]) ** 2 + abs(o[k, j]) ** 2)
-            else:
-                mag2 = abs(o[j, k]) ** 2
-            h_cross += 4 * (p[j] - p[k]) ** 2 / tot * mag2
-            c_cross += 4 * tot * mag2
-    diag = float(np.sum(p[supp] * np.abs(np.diag(o))[supp] ** 2)) * 4 if supp.any() else 0.0
-    return classical, h_cross, c_cross, diag
-
 
 def sld_score(curve: SpectralCurve) -> np.ndarray:
     """The particular self-adjoint SLD solution induced by the spectral curve.
@@ -443,49 +459,17 @@ def sld_score(curve: SpectralCurve) -> np.ndarray:
     In the eigenbasis: diagonal entries p_k'/p_k on the support, off-diagonal
     entries 2 (p_j - p_k) <w_j'|w_k> / (p_j + p_k) where p_j + p_k > 0, and
     zeros on the off-support block.  Verified against the defining equation
-    rho' = (rho L + L rho) / 2 before returning.
+    rho' = (rho L + L rho) / 2 before returning.  Cached on the curve.
     """
-    return _sld_score(curve, curve.overlaps())
-
-
-def _sld_score(curve: SpectralCurve, o: np.ndarray) -> np.ndarray:
-    p, dp, supp = curve.values, curve.value_derivs, curve.support
-    d = curve.dim
-    lam_frame = np.zeros((d, d), dtype=complex)
-    for k in np.flatnonzero(supp):
-        lam_frame[k, k] = dp[k] / p[k]
-    for j in range(d):
-        for k in range(j + 1, d):
-            tot = p[j] + p[k]
-            if tot <= 0:
-                continue
-            entry = 2.0 * (p[j] - p[k]) / tot * o[j, k]
-            lam_frame[j, k] = entry
-            lam_frame[k, j] = np.conj(entry)
-    w = curve.vectors
-    lam = hermitian_part(w @ lam_frame @ w.conj().T)
-    rho = curve.state_matrix()
-    drho = curve.state_derivative()
-    residual = max_abs(drho - 0.5 * (rho @ lam + lam @ rho))
-    if residual > SLD_RESIDUAL_TOL:
-        raise ConsistencyError(
-            f"SLD residual {residual:.3e}: curve data inconsistent with its own state derivative"
-        )
-    return lam
+    return curve.sld_score
 
 
 def sld_information(curve: SpectralCurve) -> float:
     """SLD quantum information H of the output-state family at this point."""
-    o = curve.overlaps()
-    return _sld_information(curve, o, _bound_terms(curve, o))
-
-
-def _sld_information(curve: SpectralCurve, o: np.ndarray, terms) -> float:
-    classical, h_cross, _, _ = terms
+    classical, h_cross, _, _ = curve.bound_terms
     value = classical + h_cross
-    lam = _sld_score(curve, o)
-    rho = curve.state_matrix()
-    check = float(np.real(np.trace(rho @ lam @ lam)))
+    lam = curve.sld_score
+    check = float(np.real(np.trace(curve.state_matrix() @ lam @ lam)))
     if abs(check - value) > 1e-6 * max(1.0, abs(value)):
         raise ConsistencyError(
             f"H mismatch: eigendata formula {value!r} vs tr(rho L^2) {check!r}"
@@ -495,7 +479,7 @@ def _sld_information(curve: SpectralCurve, o: np.ndarray, terms) -> float:
 
 def sm_bound_spectral(curve: SpectralCurve) -> float:
     """Channel bound evaluated purely from the output-state spectral curve."""
-    classical, _, c_cross, diag = _bound_terms(curve, curve.overlaps())
+    classical, _, c_cross, diag = curve.bound_terms
     return classical + c_cross + diag
 
 
@@ -516,18 +500,13 @@ def bound_gap(curve: SpectralCurve) -> float:
 
     Checked against the difference of the two bounds before returning.
     """
-    o = curve.overlaps()
-    return _bound_gap(curve, o, _bound_terms(curve, o))
-
-
-def _bound_gap(curve: SpectralCurve, o: np.ndarray, terms) -> float:
-    p = curve.values
+    p, o = curve.values, curve.overlaps
     gap = 0.0
     idx = np.flatnonzero(curve.support)
     for j in idx:
         for k in idx:
             gap += 8.0 * p[j] * p[k] / (p[j] + p[k]) * abs(o[j, k]) ** 2
-    classical, h_cross, c_cross, diag = terms
+    classical, h_cross, c_cross, diag = curve.bound_terms
     direct = (classical + c_cross + diag) - (classical + h_cross)
     scale = max(1.0, classical + c_cross + diag)
     if abs(gap - direct) > 1e-8 * scale:
@@ -537,13 +516,14 @@ def _bound_gap(curve: SpectralCurve, o: np.ndarray, terms) -> float:
 
 def attainability_check(curve: SpectralCurve, tol: float = 1e-6) -> tuple[bool, float]:
     """Whether every supported overlap <w_j'|w_k> vanishes; returns (verdict, residual)."""
-    return _attainability(curve, curve.overlaps(), tol)
-
-
-def _attainability(curve: SpectralCurve, o: np.ndarray, tol: float) -> tuple[bool, float]:
     idx = np.flatnonzero(curve.support)
-    residual = float(np.max(np.abs(o[np.ix_(idx, idx)]))) if idx.size else 0.0
+    residual = float(np.max(np.abs(curve.overlaps[np.ix_(idx, idx)]))) if idx.size else 0.0
     return residual < tol, residual
+
+
+def unitary_condition(operator: np.ndarray, derivative: np.ndarray, rho0: np.ndarray) -> complex:
+    """Condition value tr(U rho0 U'^dag) of a single-operator family along one parameter."""
+    return complex(np.trace(operator @ rho0 @ derivative.conj().T))
 
 
 def unitary_attainability(
@@ -561,8 +541,7 @@ def unitary_attainability(
     if channel.input_state is None:
         raise ValidationError("channel needs an input state")
     du = kraus_derivative(channel, theta, 0)[0]
-    rho0 = channel.input_state.density().matrix
-    value = complex(np.trace(ops[0] @ rho0 @ du.conj().T))
+    value = unitary_condition(ops[0], du, channel.input_state.density().matrix)
     return value, abs(value) < tol
 
 
@@ -716,26 +695,26 @@ class BoundReport:
 
 
 def bound_report(
-    channel: ParametricChannel, theta, povm: POVM | None = None, attainability_tol: float = 1e-6
+    channel: ParametricChannel,
+    curve: SpectralCurve,
+    povm: POVM | None = None,
+    attainability_tol: float = 1e-6,
 ) -> BoundReport:
-    """Every one-parameter bound quantity at theta, from one canonical decomposition
-    (or one spectral curve for a spectral-form family) and one overlap matrix."""
-    return _bound_report(channel, *_decompose(channel, theta), povm, attainability_tol)
+    """Every one-parameter bound quantity at the curve's point.
 
-
-def _bound_report(channel, ck, curve, povm, attainability_tol) -> BoundReport:
-    """bound_report on the (ck, curve) pair of _decompose, from one overlap matrix."""
-    o = curve.overlaps()
-    terms = _bound_terms(curve, o)
-    classical, _, c_cross, diag = terms
-    c_spec = classical + c_cross + diag
-    attainable, residual = _attainability(curve, o, attainability_tol)
+    H, C, the gap and the attainability residual read the curve's cached
+    overlap matrix and bound terms; the C_kraus cross-check and C_E read its
+    canonical decomposition (absent for a spectral-form family).
+    """
+    c_spec = sm_bound_spectral(curve)
+    attainable, residual = attainability_check(curve, attainability_tol)
     warnings: list[str] = []
     cross = c_e = None
+    ck = curve.kraus
     if ck is not None:
         rho0 = channel.input_state.density()
-        cross = abs(c_spec - sm_bound_kraus(ck.operators, ck.derivatives, rho0))
-        c_e = sm_bound_kraus(ck.raw_operators, ck.raw_derivatives, rho0)
+        cross = abs(c_spec - sm_bound_kraus(ck.operators, ck.derivatives[0], rho0))
+        c_e = sm_bound_kraus(ck.raw_operators, ck.raw_derivatives[0], rho0)
     if not attainable:
         warnings.append(
             "channel bound not attainable here: the measurement optimality "
@@ -749,9 +728,9 @@ def _bound_report(channel, ck, curve, povm, attainability_tol) -> BoundReport:
             warnings.append(f"Fisher information dropped: {exc}")
     return BoundReport(
         theta=curve.theta,
-        sld_information=_sld_information(curve, o, terms),
+        sld_information=sld_information(curve),
         channel_bound=c_spec,
-        gap=_bound_gap(curve, o, terms),
+        gap=bound_gap(curve),
         attainable=attainable,
         attainability_residual=residual,
         attainability_tol=attainability_tol,

@@ -25,15 +25,13 @@ import numpy as np
 
 from . import reporting
 from .bounds import (
-    _bound_report,
-    _decompose,
     bound_report,
     optimal_povm_from_sld,
     povm_sld_condition_check,
     povm_sm_condition_check,
     sld_score,
     spectral_curve,
-    unitary_attainability,
+    unitary_condition,
 )
 from .channels import ParametricChannel
 from .errors import NumericError, ValidationError
@@ -44,14 +42,13 @@ from .estimation import (
     optimize_input_state,
 )
 from .multiparam import (
-    _core,
-    _multi_spectral_curve,
-    _sm_matrix,
     fisher_matrix,
     loewner_report,
     multi_attainability_check,
+    multi_spectral_curve,
     pinv_with_rank,
     sld_matrix,
+    sm_matrix,
 )
 from .quantum import POVM, computational_basis_povm, pauli_basis_povm
 from .specfile import ChannelSpec
@@ -125,25 +122,22 @@ def _load_spec(path: Path) -> tuple[ChannelSpec, ParametricChannel]:
     return spec, spec.build()
 
 
-def _resolve_povm(
-    name: str | None, channel, curve
-) -> tuple[POVM | None, str | None, np.ndarray | None]:
-    """The named POVM, its id, and for "optimal" the SLD score of the point's curve."""
+def _resolve_povm(name: str | None, channel, curve=None) -> tuple[POVM | None, str | None]:
+    """The named POVM and its id; "optimal" reads the SLD score of the point's curve."""
     if name is None:
-        return None, None, None
+        return None, None
     if name == "computational":
-        return computational_basis_povm(channel.dim), name, None
+        return computational_basis_povm(channel.dim), name
     if name in ("x-basis", "y-basis"):
         if channel.dim != 2:
             raise ValidationError(f"{name} POVM is only defined for qubit channels")
-        return pauli_basis_povm(name[0]), name, None
+        return pauli_basis_povm(name[0]), name
     if curve is None:
         raise ValidationError(
             "the optimal POVM comes from a single SLD score; pick a named basis "
             "for multi-parameter channels"
         )
-    lam = sld_score(curve)
-    return optimal_povm_from_sld(lam), f"sld-optimal@{curve.theta:.6g}", lam
+    return optimal_povm_from_sld(sld_score(curve)), f"sld-optimal@{curve.theta:.6g}"
 
 
 def _channel_block(spec: ChannelSpec, channel) -> dict:
@@ -157,8 +151,8 @@ def _channel_block(spec: ChannelSpec, channel) -> dict:
     }
 
 
-def _point_report(channel, ck, curve, povm, povm_id, lam, tol) -> dict:
-    report = _bound_report(channel, ck, curve, povm, tol)
+def _point_report(channel, curve, povm, povm_id, tol) -> dict:
+    report = bound_report(channel, curve, povm, tol)
     doc = reporting.bound_report_dict(report)
     warnings = list(doc["warnings"])
     if report.gauge_source == "canonical-kraus":
@@ -166,23 +160,23 @@ def _point_report(channel, ck, curve, povm, povm_id, lam, tol) -> dict:
             "eigenvector gauge fixed by parallel transport of the Gram eigenvectors; "
             "diagonal overlaps <w'|w> are gauge-dependent"
         )
+    ck = curve.kraus
     if ck is not None and ck.operators.shape[0] == 1:
-        value, flat = unitary_attainability(channel, curve.theta, tol)
+        rho0 = channel.input_state.density().matrix
+        value = unitary_condition(ck.raw_operators[0], ck.raw_derivatives[0][0], rho0)
         doc["unitary_condition"] = {
             "value": reporting.complex_value(value),
-            "attainable": flat,
+            "attainable": abs(value) < tol,
         }
     if povm is not None:
         doc["povm"] = povm_id
-        if lam is None:
-            lam = sld_score(curve)
         rho = channel.output_state(curve.theta)
         doc["sld_condition"] = reporting.condition_report_dict(
-            povm_sld_condition_check(povm, lam, rho, tol)
+            povm_sld_condition_check(povm, sld_score(curve), rho, tol)
         )
         if ck is not None:
             sm_report, _ = povm_sm_condition_check(
-                povm, ck.operators, ck.derivatives, channel.input_state.density(), tol
+                povm, ck.operators, ck.derivatives[0], channel.input_state.density(), tol
             )
             doc["sm_condition"] = reporting.condition_report_dict(sm_report)
     doc["warnings"] = warnings
@@ -190,15 +184,13 @@ def _point_report(channel, ck, curve, povm, povm_id, lam, tol) -> dict:
 
 
 def _matrix_report(channel, theta, povm, povm_id, tol) -> dict:
-    vec = channel.theta_vector(theta)
-    core = _core(channel, vec)
-    msc = _multi_spectral_curve(channel, vec, core)
+    msc = multi_spectral_curve(channel, theta)
     h = sld_matrix(msc)
-    c = _sm_matrix(channel, vec, core)
+    c = sm_matrix(channel, msc)
     att = multi_attainability_check(msc, tol, channel=channel)
     warnings = []
     doc = {
-        "theta": [float(x) for x in vec],
+        "theta": [float(x) for x in msc.theta],
         "sld_information": reporting.info_matrix_dict(h),
         "channel_bound": reporting.info_matrix_dict(c),
         "attainability": {
@@ -222,7 +214,7 @@ def _matrix_report(channel, theta, povm, povm_id, tol) -> dict:
         )
     if povm is not None:
         doc["povm"] = povm_id
-        f = fisher_matrix(channel, povm, vec)
+        f = fisher_matrix(channel, povm, msc.theta)
         doc["fisher_information"] = reporting.info_matrix_dict(f)
         doc["loewner"] = reporting.loewner_report_dict(loewner_report(f, h, c))
     doc["warnings"] = warnings
@@ -235,12 +227,12 @@ def cmd_report(args) -> int:
     channel.require_in_domain(theta)
     if channel.param_count == 1:
         # a named basis is validated before the point is decomposed
-        pair = _decompose(channel, theta) if args.povm == "optimal" else None
-        povm, povm_id, lam = _resolve_povm(args.povm, channel, pair[1] if pair else None)
-        ck, curve = pair or _decompose(channel, theta)
-        result = _point_report(channel, ck, curve, povm, povm_id, lam, args.tol)
+        named = args.povm != "optimal" and _resolve_povm(args.povm, channel)
+        curve = spectral_curve(channel, theta)
+        povm, povm_id = named or _resolve_povm(args.povm, channel, curve)
+        result = _point_report(channel, curve, povm, povm_id, args.tol)
     else:
-        povm, povm_id, _ = _resolve_povm(args.povm, channel, None)
+        povm, povm_id = _resolve_povm(args.povm, channel)
         result = _matrix_report(channel, theta, povm, povm_id, args.tol)
     doc = {
         "tool": reporting.TOOL,
@@ -274,7 +266,8 @@ def cmd_sweep(args) -> int:
     rows = []
     for theta in grid:
         try:
-            report = bound_report(channel, float(theta), attainability_tol=args.tol)
+            curve = spectral_curve(channel, float(theta))
+            report = bound_report(channel, curve, attainability_tol=args.tol)
             rows.append(reporting.bound_report_dict(report))
         except NumericError as exc:
             rows.append({"theta": float(theta), "warnings": [str(exc)]})
@@ -298,7 +291,7 @@ def cmd_estimate(args) -> int:
     seed = _seed_of(args)
     channel.require_in_domain(args.theta_true)
     curve = spectral_curve(channel, args.theta_true) if args.povm == "optimal" else None
-    povm, povm_id, _ = _resolve_povm(args.povm, channel, curve)
+    povm, povm_id = _resolve_povm(args.povm, channel, curve)
     if args.adaptive:
         run = adaptive_experiment(
             channel,

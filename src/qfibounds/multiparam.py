@@ -8,13 +8,15 @@ quantity back to one-parameter slices.
 All parameters share one canonical decomposition at the point, and each
 partial follows the same parallel-transport gauge as the one-parameter
 machinery, so the per-parameter eigendata live in a common frame and no
-mixed partials are ever needed.  The curve, matrix and directional builders
-wrap private bodies that take that decomposition, so callers can share one.
+mixed partials are ever needed.  multi_spectral_curve is the only function
+here that decomposes: the curve carries the decomposition and its
+one-parameter slices, and the matrix, attainability and directional
+functions read them from the curve.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -22,18 +24,18 @@ from .bounds import (
     DP_FLOOR,
     P_FLOOR,
     SUPPORT_TOL,
+    CanonicalKraus,
     SpectralCurve,
     _assemble_curve,
-    _canonical_core,
-    _canonical_spectral_data,
-    _kraus_curve,
-    canonical_kraus,
+    _eigendata,
+    attainability_check,
     sld_information,
     sld_score,
     sm_bound_spectral,
     spectral_curve,
+    unitary_condition,
 )
-from .channels import ParametricChannel, directional_channel, kraus_derivative
+from .channels import ParametricChannel, directional_channel
 from .errors import ConsistencyError, SingularTermError, ValidationError
 from .linalg import hermitian_part, loewner_leq, max_abs
 from .quantum import POVM
@@ -81,7 +83,12 @@ def pinv_with_rank(info: InfoMatrix) -> tuple[np.ndarray, int]:
 
 @dataclass(frozen=True)
 class MultiSpectralCurve:
-    """Shared output eigensystem with one derivative set per parameter."""
+    """Shared output eigensystem with one derivative set per parameter.
+
+    kraus is the canonical decomposition the curve was built from (None for
+    spectral-form families).  The m one-parameter slices are built once, which
+    runs their invariant checks, and kept in slices.
+    """
 
     theta: np.ndarray            # (m,)
     values: np.ndarray           # (d,)
@@ -90,10 +97,23 @@ class MultiSpectralCurve:
     vector_partials: np.ndarray  # (m, d, d)
     support: np.ndarray          # (d,) bool
     gauge_source: str
+    kraus: CanonicalKraus | None = field(default=None, compare=False, repr=False)
+    slices: tuple[SpectralCurve, ...] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
-        for l in range(self.param_count):
-            self.slice(l)  # runs the one-parameter invariant checks
+        slices = tuple(
+            SpectralCurve(
+                theta=float(self.theta[l]),
+                values=self.values,
+                vectors=self.vectors,
+                value_derivs=self.value_partials[l],
+                vector_derivs=self.vector_partials[l],
+                support=self.support,
+                gauge_source=self.gauge_source,
+            )
+            for l in range(self.param_count)
+        )
+        object.__setattr__(self, "slices", slices)
 
     @property
     def param_count(self) -> int:
@@ -102,17 +122,6 @@ class MultiSpectralCurve:
     @property
     def dim(self) -> int:
         return self.vectors.shape[0]
-
-    def slice(self, index: int) -> SpectralCurve:
-        return SpectralCurve(
-            theta=float(self.theta[index]),
-            values=self.values,
-            vectors=self.vectors,
-            value_derivs=self.value_partials[index],
-            vector_derivs=self.vector_partials[index],
-            support=self.support,
-            gauge_source=self.gauge_source,
-        )
 
     def directional(self, direction: np.ndarray) -> SpectralCurve:
         """Curve of the one-parameter slice along a direction, by linearity."""
@@ -132,28 +141,10 @@ class MultiSpectralCurve:
         return hermitian_part((w * self.values) @ w.conj().T)
 
 
-def _core(channel: ParametricChannel, vec: np.ndarray):
-    """The channel's canonical core at vec, or None for a spectral-form family."""
-    return _canonical_core(channel, vec) if channel.is_kraus_form else None
-
-
 def multi_spectral_curve(channel: ParametricChannel, theta) -> MultiSpectralCurve:
     """Output-state eigensystem with per-parameter derivatives at theta."""
     vec = channel.theta_vector(theta)
-    return _multi_spectral_curve(channel, vec, _core(channel, vec))
-
-
-def _multi_spectral_curve(channel, vec, core) -> MultiSpectralCurve:
-    if core is not None:
-        _, weights, operators, partials, _, _ = core
-        data = _canonical_spectral_data(
-            operators, partials, weights, channel.input_state.amplitudes
-        )
-        gauge = "canonical-kraus"
-    else:
-        channel.require_in_domain(vec)
-        data = channel.spectral_at(vec)
-        gauge = "spectral-form"
+    ck, data = _eigendata(channel, vec)
     values, vectors, value_partials, vector_partials, support = _assemble_curve(
         data, channel.dim
     )
@@ -164,7 +155,8 @@ def _multi_spectral_curve(channel, vec, core) -> MultiSpectralCurve:
         value_partials=value_partials,
         vector_partials=vector_partials,
         support=support,
-        gauge_source=gauge,
+        gauge_source="spectral-form" if ck is None else "canonical-kraus",
+        kraus=ck,
     )
 
 
@@ -172,7 +164,7 @@ def sld_matrix(curve: MultiSpectralCurve) -> InfoMatrix:
     """SLD information matrix H_jk = Re tr(L_j rho L_k) from per-parameter scores."""
     m = curve.param_count
     rho = curve.state_matrix()
-    scores = [sld_score(curve.slice(l)) for l in range(m)]
+    scores = [sld_score(view) for view in curve.slices]
     entries = np.zeros((m, m))
     for j in range(m):
         for k in range(j, m):
@@ -181,29 +173,23 @@ def sld_matrix(curve: MultiSpectralCurve) -> InfoMatrix:
     return InfoMatrix(entries, "sld")
 
 
-def sm_matrix(channel: ParametricChannel, theta) -> InfoMatrix:
+def sm_matrix(channel: ParametricChannel, curve: MultiSpectralCurve) -> InfoMatrix:
     """Channel-bound matrix.
 
     Kraus-form channels use C_jk = 4 sum_l Re tr(dY_l/dth_j rho0 (dY_l/dth_k)^dag)
-    on the canonical operators; spectral-form families assemble the same
-    quadratic form from the eigendata by polarization.
+    on the canonical operators of the curve's decomposition; spectral-form
+    families assemble the same quadratic form from the eigendata by
+    polarization.
     """
-    vec = channel.theta_vector(theta)
-    return _sm_matrix(channel, vec, _core(channel, vec))
-
-
-def _sm_matrix(channel, vec, core) -> InfoMatrix:
-    m = channel.param_count
+    m = curve.param_count
     entries = np.zeros((m, m))
-    if core is not None:
-        _, _, _, partials, _, _ = core
-        dvs = partials @ channel.input_state.amplitudes  # (m, n, d)
+    if curve.kraus is not None:
+        dvs = curve.kraus.derivatives @ channel.input_state.amplitudes  # (m, n, d)
         for j in range(m):
             for k in range(j, m):
                 val = 4.0 * float(np.real(np.sum(np.conj(dvs[k]) * dvs[j])))
                 entries[j, k] = entries[k, j] = val
         return InfoMatrix(entries, "sm")
-    curve = _multi_spectral_curve(channel, vec, None)
     basis = np.eye(m)
     diag = [sm_bound_spectral(curve.directional(basis[l])) for l in range(m)]
     for j in range(m):
@@ -252,26 +238,18 @@ def multi_attainability_check(
 
     Also reports the quasi-classical specialization (all eigenvector partials
     vanish) and, when the channel is a single-operator family, the
-    per-parameter unitary condition values tr(U rho0 dU^dag).
+    per-parameter unitary condition values tr(U rho0 dU^dag), read from the
+    curve's decomposition.
     """
-    idx = np.flatnonzero(curve.support)
-    residual = 0.0
-    quasi = True
-    for l in range(curve.param_count):
-        o = curve.slice(l).overlaps()
-        if idx.size:
-            residual = max(residual, float(np.max(np.abs(o[np.ix_(idx, idx)]))))
-        quasi = quasi and max_abs(curve.vector_partials[l][:, curve.support]) < tol
+    residual = max(attainability_check(view, tol)[1] for view in curve.slices)
+    quasi = all(max_abs(dw[:, curve.support]) < tol for dw in curve.vector_partials)
     unitary_values = None
-    if channel is not None and channel.is_kraus_form:
-        ops = channel.kraus_matrices(curve.theta)
-        if ops.shape[0] == 1 and channel.input_state is not None:
-            rho0 = channel.input_state.density().matrix
-            vals = []
-            for l in range(channel.param_count):
-                du = kraus_derivative(channel, curve.theta, l)[0]
-                vals.append(complex(np.trace(ops[0] @ rho0 @ du.conj().T)))
-            unitary_values = tuple(vals)
+    ck = curve.kraus
+    if channel is not None and ck is not None and ck.raw_operators.shape[0] == 1:
+        rho0 = channel.input_state.density().matrix
+        unitary_values = tuple(
+            unitary_condition(ck.raw_operators[0], du[0], rho0) for du in ck.raw_derivatives
+        )
     return MultiAttainability(residual < tol, residual, tol, quasi, unitary_values)
 
 
@@ -342,7 +320,7 @@ class DirectionalCheck:
 
 def directional_reduction_check(
     channel: ParametricChannel,
-    theta,
+    curve: MultiSpectralCurve,
     direction,
     sld: InfoMatrix | None = None,
     sm: InfoMatrix | None = None,
@@ -350,34 +328,24 @@ def directional_reduction_check(
     """Compare the one-parameter channel along a direction with the matrix data.
 
     Checks that the canonical-operator derivative of the slice equals the
-    linear combination of per-parameter derivatives (supported operators
-    only), and that the slice's scalar informations match v^T H v and
-    v^T C v.
+    linear combination of the curve's per-parameter derivatives (supported
+    operators only), and that the slice's scalar informations match v^T H v
+    and v^T C v.
     """
-    vec = channel.require_in_domain(theta)
-    return _directional_check(channel, vec, direction, _core(channel, vec), sld, sm)
-
-
-def _directional_check(channel, vec, direction, core, sld, sm) -> DirectionalCheck:
     v = np.asarray(direction, dtype=float)
-    slice_ch = directional_channel(channel, vec, v)
+    slice_curve = spectral_curve(directional_channel(channel, curve.theta, v), 0.0)
     kraus_mismatch = None
-    if core is not None:
-        _, weights, _, partials, _, _ = core
-        ck = canonical_kraus(slice_ch, 0.0)
-        combo = np.tensordot(v, partials, axes=(0, 0))
-        supported = weights > SUPPORT_TOL
-        diff = ck.derivatives[supported] - combo[supported]
+    if curve.kraus is not None:
+        combo = np.tensordot(v, curve.kraus.derivatives, axes=(0, 0))
+        supported = curve.kraus.weights > SUPPORT_TOL
+        diff = slice_curve.kraus.derivatives[0][supported] - combo[supported]
         kraus_mismatch = max_abs(diff) / max(1.0, max_abs(combo[supported]))
-        slice_curve = _kraus_curve(slice_ch, ck)
-    else:
-        slice_curve = spectral_curve(slice_ch, 0.0)
     h_slice = sld_information(slice_curve)
     c_slice = sm_bound_spectral(slice_curve)
     if sld is None:
-        sld = sld_matrix(_multi_spectral_curve(channel, vec, core))
+        sld = sld_matrix(curve)
     if sm is None:
-        sm = _sm_matrix(channel, vec, core)
+        sm = sm_matrix(channel, curve)
     return DirectionalCheck(
         direction=v,
         kraus_deriv_mismatch=kraus_mismatch,

@@ -14,8 +14,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bounds import (
-    _canonical_core,
-    _decompose,
     bound_gap,
     fisher_information,
     optimal_povm_from_sld,
@@ -38,9 +36,7 @@ from .channels import (
 from .errors import DegeneracyError, NumericError
 from .linalg import hermitian_eigendecompose, max_abs
 from .multiparam import (
-    _directional_check,
-    _multi_spectral_curve,
-    _sm_matrix,
+    directional_reduction_check,
     fisher_matrix,
     loewner_report,
     multi_attainability_check,
@@ -131,17 +127,17 @@ def two_param_battery(
 
 def gap_suite(seed: int = DEFAULT_SEED, count: int = 200) -> list[CheckResult]:
     """Gap formula equals C - H on every battery channel."""
-    return _gap(_decomposed(one_param_battery(seed, count)))
+    return _gap(_curves(one_param_battery(seed, count)))
 
 
-def _decomposed(battery) -> list:
-    """(channel, theta, canonical decomposition, spectral curve) per battery point."""
-    return [(channel, theta, *_decompose(channel, theta)) for channel, theta in battery]
+def _curves(battery) -> list:
+    """(channel, theta, spectral curve) per battery point; the curve carries its decomposition."""
+    return [(channel, theta, spectral_curve(channel, theta)) for channel, theta in battery]
 
 
 def _gap(points) -> list[CheckResult]:
     worst = 0.0
-    for _, _, _, curve in points:
+    for _, _, curve in points:
         h = sld_information(curve)
         c = sm_bound_spectral(curve)
         worst = max(worst, abs((c - h) - bound_gap(curve)) / max(1.0, c))
@@ -157,7 +153,7 @@ def _gap(points) -> list[CheckResult]:
 
 def ordering_suite(seed: int = DEFAULT_SEED, count: int = 200) -> list[CheckResult]:
     """F <= H <= C, H <= C_E under remixing, and F = H for the SLD eigenbasis."""
-    return _ordering(_decomposed(one_param_battery(seed, count)), seed)
+    return _ordering(_curves(one_param_battery(seed, count)), seed)
 
 
 def _ordering(points, seed: int) -> list[CheckResult]:
@@ -165,7 +161,7 @@ def _ordering(points, seed: int) -> list[CheckResult]:
     worst_fh = worst_hc = worst_hce = np.inf
     worst_opt = 0.0
     optimal_checked = 0
-    for channel, theta, ck, curve in points:
+    for channel, theta, curve in points:
         h = sld_information(curve)
         c = sm_bound_spectral(curve)
         povm = random_povm(channel.dim, rng)
@@ -173,7 +169,7 @@ def _ordering(points, seed: int) -> list[CheckResult]:
         worst_fh = min(worst_fh, h - f)
         worst_hc = min(worst_hc, c - h)
 
-        n_ops = ck.operators.shape[0]
+        n_ops = curve.kraus.operators.shape[0]
         rho0 = channel.input_state.density()
         fixed = random_unitary(n_ops, rng)
         gen = random_hermitian(n_ops, rng)
@@ -235,14 +231,15 @@ def _expm_curve(generator: np.ndarray, t: float) -> np.ndarray:
 
 def routes_suite(seed: int = DEFAULT_SEED, count: int = 200) -> list[CheckResult]:
     """Channel bound from canonical Kraus derivatives vs from the spectral curve."""
-    return _routes(_decomposed(one_param_battery(seed, count)))
+    return _routes(_curves(one_param_battery(seed, count)))
 
 
 def _routes(points) -> list[CheckResult]:
     worst = 0.0
-    for channel, _, ck, curve in points:
+    for channel, _, curve in points:
+        ck = curve.kraus
         c_spec = sm_bound_spectral(curve)
-        c_kraus = sm_bound_kraus(ck.operators, ck.derivatives, channel.input_state.density())
+        c_kraus = sm_bound_kraus(ck.operators, ck.derivatives[0], channel.input_state.density())
         worst = max(worst, abs(c_spec - c_kraus) / max(1.0, abs(c_spec)))
     return [
         CheckResult(
@@ -265,10 +262,9 @@ def directional_suite(
     worst_diag = 0.0
     skipped = 0
     for channel, theta in battery:
-        core = _canonical_core(channel, theta)
-        msc = _multi_spectral_curve(channel, theta, core)
+        msc = multi_spectral_curve(channel, theta)
         h = sld_matrix(msc)
-        c = _sm_matrix(channel, theta, core)
+        c = sm_matrix(channel, msc)
         f = fisher_matrix(channel, random_povm(channel.dim, rng), theta)
         rep = loewner_report(f, h, c)
         worst_slack = min(
@@ -277,8 +273,7 @@ def directional_suite(
             rep.sld_le_sm.min_eigenvalue,
             rep.fisher_le_sm.min_eigenvalue,
         )
-        for l in range(2):
-            slice_curve = msc.slice(l)
+        for l, slice_curve in enumerate(msc.slices):
             worst_diag = max(
                 worst_diag,
                 abs(sld_information(slice_curve) - h.entries[l, l]),
@@ -288,7 +283,7 @@ def directional_suite(
             v = rng.normal(size=2)
             v /= np.linalg.norm(v)
             try:
-                check = _directional_check(channel, theta, v, core, h, c)
+                check = directional_reduction_check(channel, msc, v, h, c)
             except (DegeneracyError, NumericError):
                 skipped += 1
                 continue
@@ -323,7 +318,7 @@ def directional_suite(
     theta = np.array([0.6, 0.3])
     msc = multi_spectral_curve(ch, theta)
     h = sld_matrix(msc)
-    c = sm_matrix(ch, theta)
+    c = sm_matrix(ch, msc)
     att = multi_attainability_check(msc, tol=1e-9)
     entry_gap = max_abs(c.entries - h.entries)
     results.append(
@@ -338,10 +333,10 @@ def directional_suite(
 
 
 def run_suites(names, seed: int = DEFAULT_SEED) -> list[CheckResult]:
-    """Run the named suites; the one-parameter suites share one decomposed battery."""
+    """Run the named suites; the one-parameter suites share one battery and its curves."""
     picked = list(SUITES) if "all" in names else list(names)
     one_param = {"ordering", "gap", "routes"} & set(picked)
-    points = _decomposed(one_param_battery(seed)) if one_param else None
+    points = _curves(one_param_battery(seed)) if one_param else None
     runners = {
         "ordering": lambda: _ordering(points, seed),
         "gap": lambda: _gap(points),

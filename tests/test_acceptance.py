@@ -157,7 +157,7 @@ def test_criterion_2_quasi_classical_chain():
                 assert abs(value - want) / want < 1e-6, f"theta={theta}: {value} vs {want}"
             ck = canonical_kraus(ch, theta)
             report, _ = povm_sm_condition_check(
-                povm, ck.operators, ck.derivatives, ch.input_state.density()
+                povm, ck.operators, ck.derivatives[0], ch.input_state.density()
             )
             assert report.satisfied, f"condition check failed at theta={theta}"
         assert time.time() - start < 1.0
@@ -238,7 +238,7 @@ def test_criterion_7_remixing_penalty():
             dmix = lambda t, i, g=gen: -1j * g @ expm(-1j * t[0] * g)
             rem = remix_channel(ch, mix, dmix)
             ck = canonical_kraus(ch, theta)
-            c_ups = sm_bound_kraus(ck.operators, ck.derivatives, rho0)
+            c_ups = sm_bound_kraus(ck.operators, ck.derivatives[0], rho0)
             c_e = sm_bound_kraus(
                 rem.kraus_matrices(theta), kraus_derivative(rem, theta, 0), rho0
             )
@@ -258,7 +258,7 @@ def test_criterion_8_multi_parameter_suite():
         theta = np.array([0.6, 0.3])
         msc = multi_spectral_curve(ch, theta)
         h = sld_matrix(msc)
-        c = sm_matrix(ch, theta)
+        c = sm_matrix(ch, msc)
         assert max_abs(h.entries - c.entries) < 1e-8
         att = multi_attainability_check(msc, tol=1e-9)
         assert att.attainable and att.residual < 1e-9

@@ -99,7 +99,7 @@ def assert_matches_stencil(channel, theta: float, rel: float = 1e-6):
     supported = vals > 1e-10
     # Columns agree up to one constant phase each: oracle x_k = c_k x_k.
     phases = np.sum(ck.mixing.T * center, axis=0)[supported]
-    ours = np.conj(phases)[:, np.newaxis] * (ck.derivatives @ psi)[supported]
+    ours = np.conj(phases)[:, np.newaxis] * (ck.derivatives[0] @ psi)[supported]
     oracle = (deriv @ psi)[supported]
     assert max_abs(ours - oracle) <= rel * max(1.0, max_abs(oracle))
 
@@ -109,7 +109,7 @@ def assert_matches_stencil(channel, theta: float, rel: float = 1e-6):
     assert sld_information(curve) == pytest.approx(h_oracle, rel=rel)
     assert sm_bound_spectral(curve) == pytest.approx(c_oracle, rel=rel)
     rho0 = channel.input_state.density()
-    assert sm_bound_kraus(ck.operators, ck.derivatives, rho0) == pytest.approx(c_oracle, rel=rel)
+    assert sm_bound_kraus(ck.operators, ck.derivatives[0], rho0) == pytest.approx(c_oracle, rel=rel)
 
 
 def test_canonical_derivatives_match_stencil_oracle():
@@ -148,7 +148,7 @@ def test_remixed_dephasing_crossing_is_continuous(analytic):
     assert c[0.5] == pytest.approx(4.2, abs=1e-6)
     assert c[0.5] == pytest.approx((c[0.5 - 1e-4] + c[0.5 + 1e-4]) / 2, abs=1e-6)
     ck = canonical_kraus(ch, 0.5)
-    c_kraus = sm_bound_kraus(ck.operators, ck.derivatives, ch.input_state.density())
+    c_kraus = sm_bound_kraus(ck.operators, ck.derivatives[0], ch.input_state.density())
     assert c_kraus == pytest.approx(4.2, abs=1e-6)
     with pytest.raises(DegeneracyError, match="too close"):
         spectral_curve(ch, 0.5 + 1e-8)
@@ -211,7 +211,7 @@ def test_canonical_requires_kraus_form_and_input():
 def test_spectral_curve_example1():
     curve = spectral_curve(builtin("example1"), 0.6)
     assert np.allclose(np.sort(curve.values), [0.0, 0.36, 0.64])
-    o = curve.overlaps()
+    o = curve.overlaps
     idx = np.flatnonzero(curve.support)
     assert max_abs(o[np.ix_(idx, idx)]) < 1e-12
 
@@ -222,10 +222,18 @@ def test_spectral_curve_dephasing_fixed_eigenvectors():
     assert max_abs(curve.vector_derivs) < 1e-9
 
 
+def test_cached_curve_arrays_are_read_only():
+    curve = spectral_curve(builtin("amplitude-damping"), 0.3)
+    for cached in (curve.overlaps, curve.sld_score):
+        with pytest.raises(ValueError, match="read-only"):
+            cached[0, 0] = 0.0
+    assert curve.overlaps is curve.overlaps and curve.sld_score is curve.sld_score
+
+
 def test_spectral_curve_rotation_gauge_overlap():
     """Canonical gauge keeps the phase of the unitary family: <w'|w> = i/2 on |0>."""
     curve = spectral_curve(builtin("rotation", axis="z"), 0.3)
-    o = curve.overlaps()
+    o = curve.overlaps
     k = int(np.flatnonzero(curve.support)[0])
     assert o[k, k] == pytest.approx(0.5j, abs=1e-9)
 
@@ -319,7 +327,7 @@ def test_sm_bound_dephasing_both_routes():
     curve = spectral_curve(ch, 0.2)
     assert sm_bound_spectral(curve) == pytest.approx(6.25, rel=1e-9)
     ck = canonical_kraus(ch, 0.2)
-    c_kraus = sm_bound_kraus(ck.operators, ck.derivatives, ch.input_state.density())
+    c_kraus = sm_bound_kraus(ck.operators, ck.derivatives[0], ch.input_state.density())
     assert c_kraus == pytest.approx(6.25, rel=1e-9)
 
 
@@ -354,7 +362,7 @@ def test_remixing_penalty_identity():
     rem = remix_channel(ch, mix, dmix)
     rho0 = ch.input_state.density()
     ck = canonical_kraus(ch, theta)
-    c_ups = sm_bound_kraus(ck.operators, ck.derivatives, rho0)
+    c_ups = sm_bound_kraus(ck.operators, ck.derivatives[0], rho0)
     c_e = sm_bound_kraus(rem.kraus_matrices(theta), kraus_derivative(rem, theta), rho0)
     du_canonical = dmix(np.array([theta]), 0) @ ck.mixing.conj().T
     penalty = remixing_penalty(du_canonical, ck.weights)
@@ -490,7 +498,7 @@ def test_sm_condition_dephasing_eigenbasis():
     ch = builtin("dephasing")
     ck = canonical_kraus(ch, 0.3)
     report, table = povm_sm_condition_check(
-        pauli_basis_povm("x"), ck.operators, ck.derivatives, ch.input_state.density()
+        pauli_basis_povm("x"), ck.operators, ck.derivatives[0], ch.input_state.density()
     )
     assert report.satisfied
     assert table.shape == (2, 2)
@@ -503,7 +511,7 @@ def test_sm_condition_fails_for_nonattainable_channel():
     povm = optimal_povm_from_sld(sld_score(curve))
     ck = canonical_kraus(ch, 0.5)
     report, _ = povm_sm_condition_check(
-        povm, ck.operators, ck.derivatives, ch.input_state.density()
+        povm, ck.operators, ck.derivatives[0], ch.input_state.density()
     )
     assert not report.satisfied
 
@@ -515,7 +523,7 @@ def test_sm_condition_rotation_x_optimal_basis():
     povm = optimal_povm_from_sld(sld_score(curve))
     ck = canonical_kraus(ch, theta)
     report, _ = povm_sm_condition_check(
-        povm, ck.operators, ck.derivatives, ch.input_state.density()
+        povm, ck.operators, ck.derivatives[0], ch.input_state.density()
     )
     assert report.satisfied
 
@@ -525,7 +533,8 @@ def test_sm_condition_rotation_x_optimal_basis():
 # ---------------------------------------------------------------------------
 
 def test_bound_report_dephasing():
-    rep = bound_report(builtin("dephasing"), 0.2, povm=pauli_basis_povm("x"))
+    ch = builtin("dephasing")
+    rep = bound_report(ch, spectral_curve(ch, 0.2), povm=pauli_basis_povm("x"))
     assert rep.fisher_information == pytest.approx(6.25, rel=1e-9)
     assert rep.sld_information == pytest.approx(6.25, rel=1e-9)
     assert rep.channel_bound == pytest.approx(6.25, rel=1e-9)
@@ -536,7 +545,8 @@ def test_bound_report_dephasing():
 
 
 def test_bound_report_warns_when_not_attainable():
-    rep = bound_report(builtin("amplitude-damping"), 0.5)
+    ch = builtin("amplitude-damping")
+    rep = bound_report(ch, spectral_curve(ch, 0.5))
     assert not rep.attainable
     assert any("unsatisfiable" in w for w in rep.warnings)
 
@@ -550,7 +560,7 @@ def _separate_bound_report(channel, theta, povm, tol=1e-6) -> BoundReport:
     if channel.is_kraus_form:
         rho0 = channel.input_state.density()
         ck = canonical_kraus(channel, theta)
-        cross = abs(c - sm_bound_kraus(ck.operators, ck.derivatives, rho0))
+        cross = abs(c - sm_bound_kraus(ck.operators, ck.derivatives[0], rho0))
         raw = (channel.kraus_matrices(theta), kraus_derivative(channel, theta, 0))
         c_e = sm_bound_kraus(*raw, rho0)
     warnings = () if attainable else (
@@ -590,9 +600,10 @@ def test_bound_report_shared_pass_equals_separate_functionals():
     ]
     for channel, theta in points:
         povm = computational_basis_povm(channel.dim)
-        shared = bound_report(channel, theta, povm=povm)
+        curve = spectral_curve(channel, theta)
+        shared = bound_report(channel, curve, povm=povm)
         assert shared == _separate_bound_report(channel, theta, povm), channel.name
-        assert bound_report(channel, theta).fisher_information is None
+        assert bound_report(channel, curve).fisher_information is None
 
 
 def test_ordering_random_battery_small():

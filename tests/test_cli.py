@@ -347,19 +347,51 @@ def _count_calls(monkeypatch, *names) -> dict:
     return calls
 
 
+def _count_curve_work(monkeypatch) -> dict:
+    """Count SpectralCurve constructions and builds of its cached overlaps and SLD score."""
+    from functools import cached_property
+
+    from qfibounds.bounds import SpectralCurve
+
+    calls = {"curves": 0, "overlaps": 0, "sld_score": 0}
+    post_init = SpectralCurve.__post_init__
+
+    def counted_post_init(self):
+        calls["curves"] += 1
+        post_init(self)
+
+    monkeypatch.setattr(SpectralCurve, "__post_init__", counted_post_init)
+    for name in ("overlaps", "sld_score"):
+        def counted(self, _build=SpectralCurve.__dict__[name].func, _name=name):
+            calls[_name] += 1
+            return _build(self)
+
+        prop = cached_property(counted)
+        prop.__set_name__(SpectralCurve, name)
+        monkeypatch.setattr(SpectralCurve, name, prop)
+    return calls
+
+
 def test_report_optimal_povm_builds_the_sld_score_once(spec_file, capsys, monkeypatch):
-    # One decomposition feeds the SLD score, the bound report and the SM
-    # condition; a spectral-form family builds its curve instead.
+    # One curve, carrying its canonical decomposition, feeds the SLD score,
+    # the bound report and the SM condition; a spectral-form family has no
+    # decomposition.  The curve builds its overlaps and its score once.
+    rotation = "family = rotation\naxis = x\n"
+    kraus = {"spectral_curve": 1, "canonical_kraus": 1}
     for text, expected in (
-        (DEPHASING, {"spectral_curve": 0, "canonical_kraus": 1}),
+        (DEPHASING, kraus),
+        (rotation, kraus),
+        ("family = random-kraus\ndim = 3\nenv = 2\nseed = 11\n", kraus),
         (EXAMPLE1, {"spectral_curve": 1, "canonical_kraus": 0}),
     ):
         with monkeypatch.context() as patch:
             calls = _count_calls(patch, "spectral_curve", "canonical_kraus")
+            work = _count_curve_work(patch)
             argv = ("report", spec_file(text), "--theta", "0.3", "--povm", "optimal")
             code, _, _ = run_cli(capsys, *argv)
         assert code == 0
         assert calls == expected
+        assert work == {"curves": 1, "overlaps": 1, "sld_score": 1}
 
 
 @pytest.mark.parametrize(
@@ -395,11 +427,17 @@ def test_sweep_decomposes_each_point_once(spec_file, capsys, monkeypatch, text):
 
 
 def test_multiparameter_report_builds_one_core(spec_file, capsys, monkeypatch):
-    calls = _count_calls(monkeypatch, "_canonical_core")
+    # The curve's two slices serve the SLD matrix and the attainability check.
     text = "family = random-kraus\ndim = 3\nenv = 2\nseed = 11\nparam_count = 2\n"
-    code, _, _ = run_cli(capsys, "report", spec_file(text), "--theta", "0.3", "0.4")
-    assert code == 0
-    assert calls == {"_canonical_core": 1}
+    for povm in ((), ("--povm", "computational")):
+        with monkeypatch.context() as patch:
+            calls = _count_calls(patch, "canonical_kraus")
+            work = _count_curve_work(patch)
+            argv = ("report", spec_file(text), "--theta", "0.3", "0.4", *povm)
+            code, _, _ = run_cli(capsys, *argv)
+        assert code == 0
+        assert calls == {"canonical_kraus": 1}
+        assert work == {"curves": 2, "overlaps": 2, "sld_score": 2}
 
 
 def test_verify_builds_one_battery_per_run(monkeypatch):
@@ -429,3 +467,17 @@ def test_cli_import_leaves_scipy_optimize_unloaded():
         [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
     )
     assert out.stdout.strip() == "False"
+
+
+def test_consumers_import_no_private_bounds_or_multiparam_names():
+    import ast
+
+    package = Path(qfibounds.__file__).resolve().parent
+    for consumer in ("cli", "verify", "estimation"):
+        tree = ast.parse((package / f"{consumer}.py").read_text(encoding="utf-8"))
+        imports = [node for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)]
+        for node in imports:
+            source = (node.module or "").removeprefix("qfibounds.")
+            if source in ("bounds", "multiparam"):
+                private = [alias.name for alias in node.names if alias.name.startswith("_")]
+                assert not private, (consumer, source, private)

@@ -2,12 +2,14 @@ import numpy as np
 import pytest
 
 from qfibounds.bounds import (
+    canonical_kraus,
     fisher_information,
     sld_information,
+    sm_bound_kraus,
     sm_bound_spectral,
     spectral_curve,
 )
-from qfibounds.channels import builtin, custom_spectral
+from qfibounds.channels import builtin, custom_spectral, random_kraus_channel
 from qfibounds.errors import ConsistencyError, DegeneracyError, ValidationError
 from qfibounds.linalg import max_abs
 from qfibounds.multiparam import (
@@ -39,7 +41,7 @@ def test_single_parameter_reduction():
     theta = np.array([0.3])
     msc = multi_spectral_curve(ch, theta)
     h = sld_matrix(msc)
-    c = sm_matrix(ch, theta)
+    c = sm_matrix(ch, msc)
     curve = spectral_curve(ch, 0.3)
     assert h.entries[0, 0] == pytest.approx(sld_information(curve), rel=1e-9)
     assert c.entries[0, 0] == pytest.approx(sm_bound_spectral(curve), rel=1e-9)
@@ -82,12 +84,27 @@ def test_sld_matrix_quasi_classical_closed_form():
     assert att.attainable and att.quasi_classical
 
 
+def test_canonical_kraus_serves_every_parameter():
+    ch = random_kraus_channel(dim=3, env=2, seed=11, param_count=2)
+    theta = np.array([0.3, 0.4])
+    ck = canonical_kraus(ch, theta)
+    n, d = ck.operators.shape[:2]
+    assert ck.derivatives.shape == ck.raw_derivatives.shape == (2, n, d, d)
+    msc = multi_spectral_curve(ch, theta)
+    assert msc.kraus is not None
+    assert all(view.kraus is None for view in msc.slices)
+    rho0 = ch.input_state.density()
+    for l, view in enumerate(msc.slices):
+        c_kraus = sm_bound_kraus(ck.operators, ck.derivatives[l], rho0)
+        assert c_kraus == pytest.approx(sm_bound_spectral(view), rel=1e-9)
+
+
 def test_example2_equality_matrices():
     ch = builtin("example2")
     theta = np.array([0.6, 0.3])
     msc = multi_spectral_curve(ch, theta)
     h = sld_matrix(msc)
-    c = sm_matrix(ch, theta)
+    c = sm_matrix(ch, msc)
     f, g = theta
     expected = np.diag([4 / (1 - f * f), 4 * f * f / (1 - g * g)])
     assert max_abs(h.entries - expected) < 1e-12
@@ -99,11 +116,10 @@ def test_example2_equality_matrices():
 
 def test_sm_matrix_two_param_unitary_at_origin():
     ch = builtin("rotation-2p")
-    c = sm_matrix(ch, np.array([0.0, 0.0]))
+    msc = multi_spectral_curve(ch, np.array([0.0, 0.0]))
+    c = sm_matrix(ch, msc)
     assert max_abs(c.entries - np.eye(2)) < 1e-9
-    att = multi_attainability_check(
-        multi_spectral_curve(ch, np.array([0.0, 0.0])), channel=ch
-    )
+    att = multi_attainability_check(msc, channel=ch)
     assert att.unitary_condition_values is not None
     assert all(abs(z) < 1e-9 for z in att.unitary_condition_values)
 
@@ -131,7 +147,7 @@ def test_directional_axis_recovers_slice():
     theta = np.array([0.4, 0.3])
     for axis in range(2):
         v = np.eye(2)[axis]
-        check = directional_reduction_check(ch, theta, v)
+        check = directional_reduction_check(ch, multi_spectral_curve(ch, theta), v)
         assert check.passed
         h = sld_matrix(multi_spectral_curve(ch, theta))
         assert check.sld_slice == pytest.approx(h.entries[axis, axis], rel=1e-9)
@@ -141,7 +157,7 @@ def test_directional_example2_diagonal_direction():
     ch = builtin("example2")
     theta = np.array([0.6, 0.3])
     v = np.array([1.0, 1.0]) / np.sqrt(2)
-    check = directional_reduction_check(ch, theta, v)
+    check = directional_reduction_check(ch, multi_spectral_curve(ch, theta), v)
     assert check.passed
     assert check.sld_slice == pytest.approx(check.sm_slice, rel=1e-9)  # equality family
 
@@ -149,12 +165,13 @@ def test_directional_example2_diagonal_direction():
 def test_directional_random_channels():
     rng = np.random.default_rng(3)
     for channel, theta in two_param_battery(seed=9, count=5):
-        h = sld_matrix(multi_spectral_curve(channel, theta))
-        c = sm_matrix(channel, theta)
+        msc = multi_spectral_curve(channel, theta)
+        h = sld_matrix(msc)
+        c = sm_matrix(channel, msc)
         for _ in range(4):
             v = rng.normal(size=2)
             v /= np.linalg.norm(v)
-            check = directional_reduction_check(channel, theta, v, sld=h, sm=c)
+            check = directional_reduction_check(channel, msc, v, sld=h, sm=c)
             assert check.sld_mismatch < 1e-5
             assert check.sm_mismatch < 1e-5
             assert check.kraus_deriv_mismatch < 1e-5
@@ -163,8 +180,9 @@ def test_directional_random_channels():
 def test_loewner_chain_random_channels():
     rng = np.random.default_rng(4)
     for channel, theta in two_param_battery(seed=21, count=6):
-        h = sld_matrix(multi_spectral_curve(channel, theta))
-        c = sm_matrix(channel, theta)
+        msc = multi_spectral_curve(channel, theta)
+        h = sld_matrix(msc)
+        c = sm_matrix(channel, msc)
         f = fisher_matrix(channel, random_povm(channel.dim, rng), theta)
         rep = loewner_report(f, h, c)
         assert rep.all_hold, rep
@@ -182,7 +200,7 @@ def test_matrix_equality_iff_attainable():
         msc = multi_spectral_curve(channel, theta)
         att = multi_attainability_check(msc, tol)
         entry_gap = max_abs(
-            sm_matrix(channel, theta).entries - sld_matrix(msc).entries
+            sm_matrix(channel, msc).entries - sld_matrix(msc).entries
         )
         m, d = channel.param_count, channel.dim
         assert att.attainable == (entry_gap < m * d * d * tol), (

@@ -1,30 +1,17 @@
 """The property suites build each canonical decomposition once per point.
 
-The suites hand one decomposition to every check that reads it, through
-private bodies of the public curve and matrix builders.  These tests pin
-that sharing: the call counts, the bit-for-bit equality of the public
-builders and their shared-core bodies, the battery's (channel, theta)
-contract, and the reporting of skipped directions.
+Every check of a point reads the spectral curve the suite built there, and
+that curve carries its canonical decomposition, so no check decomposes the
+point again.  These tests pin that sharing through the public builders: the
+call counts, the battery's (channel, theta) contract, and the reporting of
+skipped directions.
 """
 
-import dataclasses
 from collections import Counter
 
-import numpy as np
-
 from qfibounds import bounds, multiparam, verify
-from qfibounds.bounds import _canonical_core, _kraus_curve, canonical_kraus, spectral_curve
-from qfibounds.channels import ParametricChannel, builtin, random_kraus_channel
+from qfibounds.channels import ParametricChannel
 from qfibounds.errors import DegeneracyError
-from qfibounds.multiparam import (
-    _directional_check,
-    _multi_spectral_curve,
-    _sm_matrix,
-    directional_reduction_check,
-    multi_spectral_curve,
-    sld_matrix,
-    sm_matrix,
-)
 
 
 def _count(monkeypatch, name: str) -> Counter:
@@ -40,18 +27,6 @@ def _count(monkeypatch, name: str) -> Counter:
         if hasattr(module, name):
             monkeypatch.setattr(module, name, counted)
     return calls
-
-
-def _assert_same(a, b):
-    """Every field equal under ==, arrays elementwise, with no tolerance."""
-    assert type(a) is type(b)
-    for field in dataclasses.fields(a):
-        x, y = getattr(a, field.name), getattr(b, field.name)
-        if isinstance(x, np.ndarray):
-            assert x.dtype == y.dtype and x.shape == y.shape, field.name
-            assert bool(np.all(x == y)), field.name
-        else:
-            assert x == y, field.name
 
 
 def test_batteries_are_lists_of_channel_theta_pairs():
@@ -86,14 +61,14 @@ def test_run_suites_decomposes_each_point_once(monkeypatch):
 
 
 def test_directional_suite_builds_one_core_per_channel_and_direction(monkeypatch):
-    calls = _count(monkeypatch, "_canonical_core")
+    calls = _count(monkeypatch, "canonical_kraus")
     battery = verify.two_param_battery(seed=9, count=5)
-    screen = calls["_canonical_core"]
+    screen = calls["canonical_kraus"]
     calls.clear()
     results = verify.directional_suite(seed=9, count=5, directions=4)
     assert all(r.passed for r in results)
     # example2, the equality family, is spectral-form and builds no core.
-    assert calls["_canonical_core"] - screen == len(battery) * (1 + 4)
+    assert calls["canonical_kraus"] - screen == len(battery) * (1 + 4)
 
 
 def test_directional_suite_reports_skipped_directions(monkeypatch):
@@ -105,7 +80,7 @@ def test_directional_suite_reports_skipped_directions(monkeypatch):
     assert clean.passed and "skipped" not in clean.detail
     tried = len(verify.two_param_battery(seed=9, count=5)) * 4
 
-    original = verify._directional_check
+    original = verify.directional_reduction_check
     seen = Counter()
 
     def every_other(*args):
@@ -114,7 +89,7 @@ def test_directional_suite_reports_skipped_directions(monkeypatch):
             raise DegeneracyError("forced skip")
         return original(*args)
 
-    monkeypatch.setattr(verify, "_directional_check", every_other)
+    monkeypatch.setattr(verify, "directional_reduction_check", every_other)
     half = slice_check(verify.directional_suite(seed=9, count=5, directions=4))
     assert half.passed
     assert half.detail.endswith(f", {(tried + 1) // 2} of {tried} directions skipped")
@@ -122,38 +97,7 @@ def test_directional_suite_reports_skipped_directions(monkeypatch):
     def always(*args):
         raise DegeneracyError("forced skip")
 
-    monkeypatch.setattr(verify, "_directional_check", always)
+    monkeypatch.setattr(verify, "directional_reduction_check", always)
     none = slice_check(verify.directional_suite(seed=9, count=5, directions=4))
     assert not none.passed
     assert none.detail.endswith(f", {tried} of {tried} directions skipped")
-
-
-def test_public_multiparam_builders_equal_their_shared_core_bodies():
-    battery = verify.two_param_battery(seed=9, count=5)
-    assert battery
-    rng = np.random.default_rng(9)
-    for channel, theta in battery:
-        vec = channel.theta_vector(theta)
-        core = _canonical_core(channel, vec)
-        msc = multi_spectral_curve(channel, theta)
-        _assert_same(msc, _multi_spectral_curve(channel, vec, core))
-        sm = sm_matrix(channel, theta)
-        _assert_same(sm, _sm_matrix(channel, vec, core))
-        h = sld_matrix(msc)
-        v = rng.normal(size=2)
-        v /= np.linalg.norm(v)
-        public = directional_reduction_check(channel, theta, v)
-        _assert_same(public, _directional_check(channel, vec, v, core, None, None))
-        _assert_same(public, _directional_check(channel, vec, v, core, h, sm))
-
-
-def test_spectral_curve_is_the_kraus_curve_of_canonical_kraus():
-    cases = [
-        (builtin("dephasing"), 0.3),
-        (builtin("amplitude-damping"), 0.6),
-        (random_kraus_channel(dim=3, env=2, seed=11), -0.2),
-        (random_kraus_channel(dim=4, env=3, seed=5), 0.4),
-    ]
-    for channel, theta in cases:
-        expected = _kraus_curve(channel, canonical_kraus(channel, theta))
-        _assert_same(spectral_curve(channel, theta), expected)
