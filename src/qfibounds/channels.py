@@ -6,6 +6,9 @@ curve (output eigenvalues and eigenvectors with analytic derivatives).
 Built-in families cover the standard qubit channels, the two rank-two
 three-level families used throughout the test suite, and seeded random
 Kraus curves generated from random Hamiltonians on system + environment.
+The exponential families (`random-kraus`, `rotation-2p`) take their Kraus
+stack and every partial from one eigendecomposition of the generator per
+theta (`linalg.unitary_exponential`); this module imports no scipy.
 """
 
 from __future__ import annotations
@@ -15,10 +18,15 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.linalg import expm, expm_frechet
 
 from .errors import ValidationError
-from .linalg import DEFAULT_DIFF, differentiate_curve, hermitian_part, max_abs
+from .linalg import (
+    DEFAULT_DIFF,
+    differentiate_curve,
+    hermitian_part,
+    max_abs,
+    unitary_exponential,
+)
 from .quantum import PAULI_Z, PAULIS, DensityMatrix, PureState
 
 SPECTRAL_SUM_TOL = 1e-10
@@ -399,17 +407,7 @@ def dephasing_two_param(input_state: PureState = _PLUS) -> ParametricChannel:
 
 def rotation_two_param(input_state: PureState = _KET0) -> ParametricChannel:
     """Two-parameter unitary exp(-i (theta1 X + theta2 Y) / 2)."""
-    gens = [PAULIS["x"] / 2, PAULIS["y"] / 2]
-
-    def ham(theta: np.ndarray) -> np.ndarray:
-        return -1j * (theta[0] * gens[0] + theta[1] * gens[1])
-
-    def kraus(theta: np.ndarray) -> np.ndarray:
-        return expm(ham(theta))[np.newaxis]
-
-    def grad(theta: np.ndarray, index: int) -> np.ndarray:
-        return expm_frechet(ham(theta), -1j * gens[index])[1][np.newaxis]
-
+    kraus, grad = _exponential_kraus([PAULIS["x"] / 2, PAULIS["y"] / 2], env=1)
     return ParametricChannel(
         name="rotation-2p",
         dim=2,
@@ -449,6 +447,44 @@ def damped_rotation(input_state: PureState = _PLUS) -> ParametricChannel:
     )
 
 
+def _exponential_kraus(gens: Sequence[np.ndarray], env: int):
+    """kraus_fn and kraus_grad_fn of E_k(theta) = (I x <k|) exp(-i sum_l theta_l G_l) (I x |0>).
+
+    The generators act on system x environment with composite index i*env + k;
+    env = 1 gives the single unitary.  The stack and every partial at a point
+    come from one eigendecomposition of the generator, kept for the last
+    theta asked for: a point's stack and its partials are asked for together,
+    and a hit returns the same bits as recomputing.
+    """
+    gens = np.array(gens, dtype=complex)
+    total = gens.shape[1]
+    dim = total // env
+    # Reorder the composite index to k*dim + i: then the states |j, 0> are the
+    # first dim columns, and E_k is rows k*dim .. (k+1)*dim of those columns.
+    order = np.arange(total).reshape(dim, env).T.ravel()
+    gens = gens[:, order][:, :, order]
+    flat = gens.reshape(len(gens), -1)
+    columns = slice(0, dim)
+    memo: dict[bytes, object] = {}
+
+    def decomposition(theta: np.ndarray):
+        theta = np.asarray(theta, dtype=float)
+        key = theta.tobytes()
+        found = memo.get(key)
+        if found is None:
+            memo.clear()
+            found = memo[key] = unitary_exponential((theta @ flat).reshape(total, total))
+        return found
+
+    def kraus(theta: np.ndarray) -> np.ndarray:
+        return decomposition(theta).unitary(columns).reshape(env, dim, dim)
+
+    def grad(theta: np.ndarray, index: int) -> np.ndarray:
+        return decomposition(theta).partial(gens[index], columns).reshape(env, dim, dim)
+
+    return kraus, grad
+
+
 def random_hermitian(dim: int, rng: np.random.Generator, scale: float = 1.0) -> np.ndarray:
     a = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
     return hermitian_part(a) * scale / np.sqrt(dim)
@@ -486,23 +522,7 @@ def random_kraus_channel(
     if input_state is None:
         input_state = random_pure_state(dim, rng)
 
-    def ham(theta: np.ndarray) -> np.ndarray:
-        acc = np.zeros((total, total), dtype=complex)
-        for t, g in zip(theta, gens):
-            acc += -1j * t * g
-        return acc
-
-    def extract(v: np.ndarray) -> np.ndarray:
-        # E_k[i, j] = <i, k| V |j, 0> with composite index i*env + k.
-        blocks = v.reshape(dim, env, dim, env)
-        return np.ascontiguousarray(np.transpose(blocks[:, :, :, 0], (1, 0, 2)))
-
-    def kraus(theta: np.ndarray) -> np.ndarray:
-        return extract(expm(ham(theta)))
-
-    def grad(theta: np.ndarray, index: int) -> np.ndarray:
-        return extract(expm_frechet(ham(theta), -1j * gens[index])[1])
-
+    kraus, grad = _exponential_kraus(gens, env)
     return ParametricChannel(
         name=f"random-kraus-{seed}",
         dim=dim,

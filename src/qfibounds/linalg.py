@@ -1,13 +1,16 @@
 """Dense complex-matrix kernel.
 
 Hermitian eigendecomposition with a deterministic gauge, positive-semidefinite
-square roots, Loewner-order tests, and finite-difference differentiation of
-matrix-valued curves.  Everything here is a pure function of its inputs.
+square roots, Loewner-order tests, finite-difference differentiation of
+matrix-valued curves, and the unitary exp(-i H) of a Hermitian generator with
+its exact Frechet derivatives from one eigendecomposition.  Everything here
+is a pure function of its inputs.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -141,3 +144,48 @@ def loewner_leq(a: np.ndarray, b: np.ndarray, tol: float = 1e-9) -> tuple[bool, 
     diff = hermitian_part(b - a)
     min_eig = float(np.linalg.eigvalsh(diff)[0])
     return min_eig >= -tol, min_eig
+
+
+@dataclass(frozen=True)
+class UnitaryExponential:
+    """U = exp(-i H) for a Hermitian H = W diag(lambda) W^dag, with its derivatives.
+
+    One eigendecomposition gives U = W diag(e^{-i lambda}) W^dag and, by the
+    Daleckii-Krein formula (Higham, Functions of Matrices, SIAM 2008, sec.
+    3.2), the exact derivative of U along a Hermitian direction G:
+    W (Gamma o W^dag (-i G) W) W^dag with the divided differences
+    Gamma_jk = e^{-i (lambda_j + lambda_k) / 2} sinc((lambda_j - lambda_k) / 2 pi).
+    numpy's sinc is normalized and smooth at zero, so the form holds at and
+    near equal eigenvalues; at H = 0 the derivative is -i G.
+
+    `columns` selects the columns of U (or of its derivative) to return, so a
+    caller that needs U applied to a few basis states skips the rest of the
+    last product.
+    """
+
+    eigenvalues: np.ndarray
+    eigenvectors: np.ndarray
+
+    @cached_property
+    def _divided_differences(self) -> np.ndarray:
+        """-i Gamma, so that the derivative along G is W (-i Gamma o W^dag G W) W^dag."""
+        lam = self.eigenvalues
+        mean = (lam[:, np.newaxis] + lam) / 2
+        half_gap = (lam[:, np.newaxis] - lam) / (2 * np.pi)
+        return -1j * np.exp(-1j * mean) * np.sinc(half_gap)
+
+    def unitary(self, columns=slice(None)) -> np.ndarray:
+        w = self.eigenvectors
+        return np.dot(w * np.exp(-1j * self.eigenvalues), w[columns].conj().T)
+
+    def partial(self, direction: np.ndarray, columns=slice(None)) -> np.ndarray:
+        w = self.eigenvectors
+        adjoint = w.conj().T
+        inner = adjoint @ direction @ w
+        return w @ (self._divided_differences * inner) @ adjoint[:, columns]
+
+
+def unitary_exponential(h: np.ndarray) -> UnitaryExponential:
+    """Decompose the Hermitian generator h once for exp(-i h) and its derivatives."""
+    values, vectors = np.linalg.eigh(h)
+    return UnitaryExponential(values, vectors)

@@ -34,7 +34,7 @@ from .channels import (
     remix_channel,
 )
 from .errors import DegeneracyError, NumericError
-from .linalg import hermitian_eigendecompose, max_abs
+from .linalg import hermitian_eigendecompose, max_abs, unitary_exponential
 from .multiparam import (
     directional_reduction_check,
     fisher_matrix,
@@ -76,6 +76,15 @@ def one_param_battery(
     seed: int = DEFAULT_SEED, count: int = 200
 ) -> list[tuple[ParametricChannel, float]]:
     """Seeded random one-parameter Kraus curves with evaluation points."""
+    return [(channel, theta) for channel, theta, _ in _one_param_curves(seed, count)]
+
+
+def _one_param_curves(seed: int = DEFAULT_SEED, count: int = 200) -> list:
+    """(channel, theta, spectral curve) per battery point; the screening curve is kept.
+
+    The curve carries its canonical decomposition, so the suites that read
+    it decompose no point again.
+    """
     rng = np.random.Generator(np.random.Philox(key=np.uint64(seed)))
     battery = []
     for i in range(count):
@@ -91,8 +100,7 @@ def one_param_battery(
         for _ in range(8):
             theta = float(rng.uniform(-0.6, 0.6))
             try:
-                spectral_curve(channel, theta)
-                battery.append((channel, theta))
+                battery.append((channel, theta, spectral_curve(channel, theta)))
                 break
             except DegeneracyError:
                 continue
@@ -127,12 +135,7 @@ def two_param_battery(
 
 def gap_suite(seed: int = DEFAULT_SEED, count: int = 200) -> list[CheckResult]:
     """Gap formula equals C - H on every battery channel."""
-    return _gap(_curves(one_param_battery(seed, count)))
-
-
-def _curves(battery) -> list:
-    """(channel, theta, spectral curve) per battery point; the curve carries its decomposition."""
-    return [(channel, theta, spectral_curve(channel, theta)) for channel, theta in battery]
+    return _gap(_one_param_curves(seed, count))
 
 
 def _gap(points) -> list[CheckResult]:
@@ -153,7 +156,7 @@ def _gap(points) -> list[CheckResult]:
 
 def ordering_suite(seed: int = DEFAULT_SEED, count: int = 200) -> list[CheckResult]:
     """F <= H <= C, H <= C_E under remixing, and F = H for the SLD eigenbasis."""
-    return _ordering(_curves(one_param_battery(seed, count)), seed)
+    return _ordering(_one_param_curves(seed, count), seed)
 
 
 def _ordering(points, seed: int) -> list[CheckResult]:
@@ -177,8 +180,8 @@ def _ordering(points, seed: int) -> list[CheckResult]:
             ("fixed", lambda t, u=fixed: u, lambda t, i: np.zeros_like(fixed)),
             (
                 "curve",
-                lambda t, g=gen: _expm_curve(g, t[0]),
-                lambda t, i, g=gen: -1j * g @ _expm_curve(g, t[0]),
+                lambda t, g=gen: unitary_exponential(t[0] * g).unitary(),
+                lambda t, i, g=gen: -1j * g @ unitary_exponential(t[0] * g).unitary(),
             ),
         ):
             remixed = remix_channel(channel, mix, dmix, name=f"{channel.name}-{label}")
@@ -223,15 +226,9 @@ def _ordering(points, seed: int) -> list[CheckResult]:
     ]
 
 
-def _expm_curve(generator: np.ndarray, t: float) -> np.ndarray:
-    from scipy.linalg import expm
-
-    return expm(-1j * t * generator)
-
-
 def routes_suite(seed: int = DEFAULT_SEED, count: int = 200) -> list[CheckResult]:
     """Channel bound from canonical Kraus derivatives vs from the spectral curve."""
-    return _routes(_curves(one_param_battery(seed, count)))
+    return _routes(_one_param_curves(seed, count))
 
 
 def _routes(points) -> list[CheckResult]:
@@ -336,7 +333,7 @@ def run_suites(names, seed: int = DEFAULT_SEED) -> list[CheckResult]:
     """Run the named suites; the one-parameter suites share one battery and its curves."""
     picked = list(SUITES) if "all" in names else list(names)
     one_param = {"ordering", "gap", "routes"} & set(picked)
-    points = _curves(one_param_battery(seed)) if one_param else None
+    points = _one_param_curves(seed) if one_param else None
     runners = {
         "ordering": lambda: _ordering(points, seed),
         "gap": lambda: _gap(points),

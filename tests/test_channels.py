@@ -191,3 +191,53 @@ def test_domain_checks():
         ch.require_in_domain(1.5)
     with pytest.raises(ValidationError, match="theta must have"):
         ch.require_in_domain([0.1, 0.2])
+
+
+def _count_decompositions(monkeypatch) -> list:
+    from qfibounds import channels
+
+    calls = []
+    original = channels.unitary_exponential
+
+    def counted(h):
+        calls.append(h.shape)
+        return original(h)
+
+    monkeypatch.setattr(channels, "unitary_exponential", counted)
+    return calls
+
+
+@pytest.mark.parametrize("param_count", [1, 2])
+def test_random_kraus_decomposes_once_per_canonical_kraus(monkeypatch, param_count):
+    from qfibounds.bounds import canonical_kraus
+
+    calls = _count_decompositions(monkeypatch)
+    channel = random_kraus_channel(dim=3, env=2, param_count=param_count, seed=17)
+    for theta in (0.31, -0.27):
+        before = len(calls)
+        ck = canonical_kraus(channel, np.full(param_count, theta))
+        assert ck.raw_derivatives.shape[0] == param_count
+        assert len(calls) - before == 1
+
+
+def test_exponential_family_memo_returns_the_same_bits():
+    theta, other = np.array([0.4, -0.3]), np.array([-0.2, 0.6])
+
+    def evaluate(channel):
+        return [channel.kraus_fn(theta)] + [channel.kraus_grad_fn(theta, l) for l in range(2)]
+
+    for build in (
+        lambda: random_kraus_channel(dim=3, env=2, param_count=2, seed=5),
+        lambda: builtin("rotation-2p"),
+    ):
+        cold = evaluate(build())
+        warm_channel = build()
+        for array in evaluate(warm_channel):
+            array[...] = 0  # a caller may write to what it gets; the memo is not shared
+        warm = evaluate(warm_channel)
+        moved_channel = build()
+        moved_channel.kraus_fn(other)
+        moved_channel.kraus_grad_fn(other, 1)
+        moved = evaluate(moved_channel)
+        for a, b, c in zip(cold, warm, moved):
+            assert np.array_equal(a, b) and np.array_equal(a, c)

@@ -444,13 +444,13 @@ def test_verify_builds_one_battery_per_run(monkeypatch):
     from qfibounds import verify
 
     built = []
-    original = verify.one_param_battery
+    original = verify._one_param_curves
 
     def small_battery(seed=verify.DEFAULT_SEED, count=200):
         built.append(seed)
         return original(seed, 6)
 
-    monkeypatch.setattr(verify, "one_param_battery", small_battery)
+    monkeypatch.setattr(verify, "_one_param_curves", small_battery)
     shared = verify.run_suites(["ordering", "gap", "routes"], seed=11)
     assert built == [11]
     separate = verify.ordering_suite(11) + verify.gap_suite(11) + verify.routes_suite(11)
@@ -467,6 +467,42 @@ def test_cli_import_leaves_scipy_optimize_unloaded():
         [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
     )
     assert out.stdout.strip() == "False"
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    # the exponential families use numpy's eigh, so only optimize-input loads scipy
+    package_root = str(Path(qfibounds.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [package_root, env.get("PYTHONPATH")]))
+    probe = "import sys, qfibounds.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    out = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "[]"
+
+
+def test_no_module_imports_scipy_at_module_level():
+    import ast
+
+    def module_level(node):
+        for child in ast.iter_child_nodes(node):
+            if not isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                yield child
+                yield from module_level(child)
+
+    package = Path(qfibounds.__file__).resolve().parent
+    modules = sorted(package.glob("*.py"))
+    assert len(modules) > 10
+    for path in modules:
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in module_level(tree):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                names = [node.module or ""]
+            else:
+                continue
+            assert not any(name.split(".")[0] == "scipy" for name in names), path.name
 
 
 def test_consumers_import_no_private_bounds_or_multiparam_names():

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from scipy.linalg import expm
+from scipy.linalg import expm, expm_frechet
 
 from qfibounds.errors import ValidationError
 from qfibounds.linalg import (
@@ -10,10 +10,12 @@ from qfibounds.linalg import (
     loewner_leq,
     max_abs,
     psd_sqrt,
+    unitary_exponential,
 )
 
 SZ = np.array([[1, 0], [0, -1]], dtype=complex)
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
+SY = np.array([[0, -1j], [1j, 0]], dtype=complex)
 
 
 def test_eigendecompose_identity():
@@ -143,3 +145,87 @@ def test_differentiate_analytic_relative_accuracy():
 def test_diff_config_validation():
     with pytest.raises(ValidationError):
         DiffConfig(step=0.0)
+
+
+def _hermitian(n: int, rng: np.random.Generator) -> np.ndarray:
+    x = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+    return (x + x.conj().T) / (2 * np.sqrt(n))
+
+
+def _assert_matches_scipy(h: np.ndarray, directions) -> None:
+    exp = unitary_exponential(h)
+    assert max_abs(exp.unitary() - expm(-1j * h)) < 1e-13
+    for g in directions:
+        want = expm_frechet(-1j * h, -1j * g, compute_expm=False)
+        assert max_abs(exp.partial(g) - want) < 1e-13
+
+
+@pytest.mark.parametrize("n", [2, 3, 8, 64])
+def test_unitary_exponential_matches_scipy(n):
+    rng = np.random.default_rng(100 + n)
+    gens = [_hermitian(n, rng) for _ in range(2)]
+    for theta in ([0.7, -0.4], [1.3, 0.9], [0.0, 0.0]):
+        h = theta[0] * gens[0] + theta[1] * gens[1]
+        _assert_matches_scipy(h, gens)
+
+
+def test_unitary_exponential_at_zero_is_identity_with_derivative_minus_i_g():
+    rng = np.random.default_rng(7)
+    g = _hermitian(5, rng)
+    exp = unitary_exponential(np.zeros((5, 5), dtype=complex))
+    assert max_abs(exp.unitary() - np.eye(5)) < 1e-15
+    assert max_abs(exp.partial(g) - (-1j * g)) < 1e-15
+
+
+def test_unitary_exponential_on_an_exactly_degenerate_pair():
+    rng = np.random.default_rng(8)
+    q, _ = np.linalg.qr(rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)))
+    h = (q * np.array([-0.8, 0.3, 0.3, 1.1])) @ q.conj().T
+    h = (h + h.conj().T) / 2
+    values = np.linalg.eigvalsh(h)
+    assert abs(values[1] - values[2]) < 1e-14
+    _assert_matches_scipy(h, [_hermitian(4, rng) for _ in range(2)])
+
+
+def test_unitary_exponential_columns_select_the_full_result():
+    rng = np.random.default_rng(9)
+    h, g = _hermitian(6, rng), _hermitian(6, rng)
+    exp = unitary_exponential(h)
+    cols = slice(0, None, 3)
+    assert max_abs(exp.unitary(cols) - exp.unitary()[:, cols]) < 1e-15
+    assert max_abs(exp.partial(g, cols) - exp.partial(g)[:, cols]) < 1e-15
+
+
+def test_unitary_exponential_partial_matches_central_difference():
+    rng = np.random.default_rng(10)
+    gens = [_hermitian(3, rng) for _ in range(2)]
+    theta = np.array([0.4, -0.9])
+
+    def curve(index):
+        def u(t):
+            point = theta.copy()
+            point[index] = t
+            return unitary_exponential(point[0] * gens[0] + point[1] * gens[1]).unitary()
+
+        return u
+
+    exp = unitary_exponential(theta[0] * gens[0] + theta[1] * gens[1])
+    for index, g in enumerate(gens):
+        numeric = differentiate_curve(curve(index), theta[index], DiffConfig(step=1e-3))
+        assert max_abs(exp.partial(g) - numeric) < 1e-9
+
+
+@pytest.mark.parametrize("theta", [(0.0, 0.0), (0.7, -0.4)])
+def test_rotation_two_param_matches_closed_form(theta):
+    from qfibounds.channels import rotation_two_param
+
+    channel = rotation_two_param()
+    r = float(np.hypot(*theta))
+    axis = np.array(theta) / r if r else np.zeros(2)
+    want = np.cos(r / 2) * np.eye(2) - 1j * np.sin(r / 2) * (axis[0] * SX + axis[1] * SY)
+    [u] = channel.kraus_matrices(np.array(theta))
+    assert max_abs(u - want) < 1e-15
+    if r == 0:
+        for index, sigma in enumerate((SX, SY)):
+            [du] = channel.kraus_grad_fn(np.array(theta), index)
+            assert max_abs(du - (-0.5j * sigma)) < 1e-15

@@ -43,21 +43,21 @@ def test_batteries_are_lists_of_channel_theta_pairs():
 
 def test_run_suites_decomposes_each_point_once(monkeypatch):
     calls = _count(monkeypatch, "canonical_kraus")
-    original = verify.one_param_battery
-    screens = []
+    original = verify._one_param_curves
+    built = []
 
     def small_battery(seed=verify.DEFAULT_SEED, count=200):
-        before = calls["canonical_kraus"]
-        battery = original(seed, 6)
-        screens.append((calls["canonical_kraus"] - before, len(battery)))
-        return battery
+        points = original(seed, 6)
+        built.append(len(points))
+        return points
 
-    monkeypatch.setattr(verify, "one_param_battery", small_battery)
+    monkeypatch.setattr(verify, "_one_param_curves", small_battery)
     results = verify.run_suites(["ordering", "gap", "routes"], seed=11)
     assert all(r.passed for r in results)
-    [(screen, points)] = screens
-    assert points == 6
-    assert calls["canonical_kraus"] - screen == points
+    assert built == [6]
+    # The screening curve is the one the suites read: no point is decomposed
+    # twice, and no screened-out theta is decomposed at this seed.
+    assert calls["canonical_kraus"] == 6
 
 
 def test_directional_suite_builds_one_core_per_channel_and_direction(monkeypatch):
