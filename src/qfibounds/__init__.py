@@ -70,12 +70,10 @@ from .linalg import (
 from .multiparam import (
     InfoMatrix,
     LoewnerReport,
-    MultiSpectralCurve,
     directional_reduction_check,
     fisher_matrix,
     loewner_report,
     multi_attainability_check,
-    multi_spectral_curve,
     pinv_with_rank,
     sld_matrix,
     sm_matrix,

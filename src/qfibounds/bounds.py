@@ -1,4 +1,4 @@
-"""One-parameter channel bounds.
+"""Channel bounds at a point, and the scalar one-parameter functionals.
 
 Canonical Kraus decomposition with an explicit, reproducible gauge; spectral
 curves of the output state; the SLD score and quantum information; the
@@ -6,9 +6,14 @@ channel bound computed from canonical Kraus derivatives or from the spectral
 curve; the gap identity between the two informations; attainability
 verdicts; optimal-POVM construction and POVM optimality condition checks.
 
-Only canonical_kraus and spectral_curve decompose.  A spectral curve carries
-the decomposition it came from and caches its overlap matrix, bound terms and
-SLD score, so every function of a point reads one value: the curve.
+Only canonical_kraus and spectral_curve decompose.  A spectral curve is the
+value of a point for any parameter count m: it holds the eigensystem with
+all m partials, carries the decomposition it came from, and caches its
+overlap and SLD score stacks (one matrix per parameter) and bound terms, so
+every function of a point reads one value: the curve.  The scalar
+functionals read a one-parameter curve and refuse a curve with several
+parameters; multiparam builds the matrices from the same curve, and
+curve.directional(v) gives the one-parameter curve along a direction.
 
 Gauge convention: the canonical operators Y = X^dag E come from the
 eigenvectors X of the input-state Gram matrix, and their derivatives follow
@@ -234,46 +239,53 @@ def canonical_kraus(channel: ParametricChannel, theta) -> CanonicalKraus:
 
 @dataclass(frozen=True)
 class SpectralCurve:
-    """Output-state eigensystem and its derivative at one parameter point.
+    """Output-state eigensystem and its m partials at one parameter point.
 
     values are ascending with entries below the support threshold zeroed;
     vectors span the full space (unsupported slots hold an orthonormal
     completion whose derivative columns are zero and never used directly).
-    kraus is the canonical decomposition the curve was built from: None for
-    spectral-form families and for the views of a multi-parameter curve.
-    The overlap matrix, the bound terms and the SLD score are computed once
-    per curve and cached; the cached arrays are read-only.
+    value_derivs and vector_derivs hold one row per parameter, and the
+    one-parameter bound is the m = 1 case.  kraus is the canonical
+    decomposition the curve was built from: None for spectral-form families
+    and for directional curves.  The overlap and SLD score stacks and the
+    bound terms are computed once per curve and cached; the cached arrays
+    are read-only.
     """
 
-    theta: float
+    theta: np.ndarray          # (m,)
     values: np.ndarray         # (d,)
     vectors: np.ndarray        # (d, d)
-    value_derivs: np.ndarray   # (d,)
-    vector_derivs: np.ndarray  # (d, d)
+    value_derivs: np.ndarray   # (m, d)
+    vector_derivs: np.ndarray  # (m, d, d)
     support: np.ndarray        # (d,) bool
     gauge_source: str
     kraus: CanonicalKraus | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
-        p, w, dp = self.values, self.vectors, self.value_derivs
+        p, w = self.values, self.vectors
         if abs(float(p.sum()) - 1.0) > CURVE_SUM_TOL:
             raise ConsistencyError(f"eigenvalues sum to {p.sum()!r}")
-        if abs(float(dp.sum())) > CURVE_DERIV_TOL:
-            raise ConsistencyError(f"eigenvalue derivatives sum to {dp.sum()!r}")
+        for dp in self.value_derivs:
+            if abs(float(dp.sum())) > CURVE_DERIV_TOL:
+                raise ConsistencyError(f"eigenvalue derivatives sum to {dp.sum()!r}")
         gram_defect = max_abs(w.conj().T @ w - np.eye(w.shape[0]))
         if gram_defect > CURVE_SUM_TOL:
             raise ConsistencyError(f"eigenvector orthonormality defect {gram_defect:.3e}")
         # The checks read supported rows only, which overlaps leaves as computed.
-        overlap = self.overlaps
-        diag_re = np.abs(np.real(np.diag(overlap))[self.support])
-        if diag_re.size and float(np.max(diag_re)) > CURVE_DERIV_TOL:
-            raise ConsistencyError(
-                f"Re<w_k'|w_k> = {float(np.max(diag_re)):.3e}; norms not preserved"
-            )
         ss = np.ix_(self.support, self.support)
-        antisym = max_abs(overlap[ss] + overlap[ss].conj().T) if self.support.any() else 0.0
-        if antisym > CURVE_DERIV_TOL:
-            raise ConsistencyError(f"overlap antisymmetry defect {antisym:.3e}")
+        for overlap in self.overlaps:
+            diag_re = np.abs(np.real(np.diag(overlap))[self.support])
+            if diag_re.size and float(np.max(diag_re)) > CURVE_DERIV_TOL:
+                raise ConsistencyError(
+                    f"Re<w_k'|w_k> = {float(np.max(diag_re)):.3e}; norms not preserved"
+                )
+            antisym = max_abs(overlap[ss] + overlap[ss].conj().T) if self.support.any() else 0.0
+            if antisym > CURVE_DERIV_TOL:
+                raise ConsistencyError(f"overlap antisymmetry defect {antisym:.3e}")
+
+    @property
+    def param_count(self) -> int:
+        return self.value_derivs.shape[0]
 
     @property
     def dim(self) -> int:
@@ -283,22 +295,42 @@ class SpectralCurve:
         w = self.vectors
         return hermitian_part((w * self.values) @ w.conj().T)
 
-    def state_derivative(self) -> np.ndarray:
-        w, dw = self.vectors, self.vector_derivs
-        out = (w * self.value_derivs) @ w.conj().T + (dw * self.values) @ w.conj().T
+    def _state_partial(self, l: int) -> np.ndarray:
+        w, dw = self.vectors, self.vector_derivs[l]
+        out = (w * self.value_derivs[l]) @ w.conj().T + (dw * self.values) @ w.conj().T
         return out + (w * self.values) @ dw.conj().T
+
+    def state_derivative(self) -> np.ndarray:
+        """d rho / d theta of a one-parameter curve."""
+        _require_one_parameter(self)
+        return self._state_partial(0)
+
+    def directional(self, direction) -> SpectralCurve:
+        """Curve of the one-parameter slice along a direction, by linearity."""
+        v = np.asarray(direction, dtype=float)
+        return SpectralCurve(
+            theta=np.zeros(1),
+            values=self.values,
+            vectors=self.vectors,
+            value_derivs=(v @ self.value_derivs)[np.newaxis],
+            vector_derivs=np.tensordot(v, self.vector_derivs, axes=(0, 0))[np.newaxis],
+            support=self.support,
+            gauge_source=self.gauge_source,
+        )
 
     @cached_property
     def overlaps(self) -> np.ndarray:
-        """Matrix O[j, k] = <w_j'|w_k>.
+        """Stack O[l, j, k] = <d_l w_j|w_k>, one matrix per parameter.
 
         Rows for unsupported j are recovered from supported columns through
         the antisymmetry <w_j'|w_k> = -<w_j|w_k'>*; entries with both indices
         unsupported are zero.
         """
-        out = self.vector_derivs.conj().T @ self.vectors
         off = ~self.support
-        out[off, :] = -np.conj(out[:, off]).T
+        out = np.empty(self.vector_derivs.shape, dtype=complex)
+        for o, dw in zip(out, self.vector_derivs):
+            o[...] = dw.conj().T @ self.vectors
+            o[off, :] = -np.conj(o[:, off]).T
         out.setflags(write=False)
         return out
 
@@ -309,7 +341,8 @@ class SpectralCurve:
         Cross terms use symmetrized |<w_j'|w_k>|^2 for supported pairs so the
         gap identity holds to round-off by construction.
         """
-        p, dp, supp, o = self.values, self.value_derivs, self.support, self.overlaps
+        _require_one_parameter(self)
+        p, dp, supp, o = self.values, self.value_derivs[0], self.support, self.overlaps[0]
         classical = float(np.sum(dp[supp] ** 2 / p[supp])) if supp.any() else 0.0
         h_cross = c_cross = 0.0
         for j in range(self.dim):
@@ -328,30 +361,42 @@ class SpectralCurve:
 
     @cached_property
     def sld_score(self) -> np.ndarray:
-        """The SLD solution this curve induces; see the module function sld_score."""
-        p, dp, supp, o = self.values, self.value_derivs, self.support, self.overlaps
+        """Stack of the SLD solutions this curve induces, one per parameter.
+
+        See the module function sld_score for the construction.
+        """
+        p, supp, w = self.values, self.support, self.vectors
         d = self.dim
-        lam_frame = np.zeros((d, d), dtype=complex)
-        for k in np.flatnonzero(supp):
-            lam_frame[k, k] = dp[k] / p[k]
-        for j in range(d):
-            for k in range(j + 1, d):
-                tot = p[j] + p[k]
-                if tot <= 0:
-                    continue
-                entry = 2.0 * (p[j] - p[k]) / tot * o[j, k]
-                lam_frame[j, k] = entry
-                lam_frame[k, j] = np.conj(entry)
-        w = self.vectors
-        lam = hermitian_part(w @ lam_frame @ w.conj().T)
         rho = self.state_matrix()
-        residual = max_abs(self.state_derivative() - 0.5 * (rho @ lam + lam @ rho))
-        if residual > SLD_RESIDUAL_TOL:
-            raise ConsistencyError(
-                f"SLD residual {residual:.3e}: curve data inconsistent with its own state derivative"
-            )
-        lam.setflags(write=False)
-        return lam
+        out = np.empty(self.vector_derivs.shape, dtype=complex)
+        for l, (dp, o) in enumerate(zip(self.value_derivs, self.overlaps)):
+            lam_frame = np.zeros((d, d), dtype=complex)
+            for k in np.flatnonzero(supp):
+                lam_frame[k, k] = dp[k] / p[k]
+            for j in range(d):
+                for k in range(j + 1, d):
+                    tot = p[j] + p[k]
+                    if tot <= 0:
+                        continue
+                    entry = 2.0 * (p[j] - p[k]) / tot * o[j, k]
+                    lam_frame[j, k] = entry
+                    lam_frame[k, j] = np.conj(entry)
+            lam = hermitian_part(w @ lam_frame @ w.conj().T)
+            residual = max_abs(self._state_partial(l) - 0.5 * (rho @ lam + lam @ rho))
+            if residual > SLD_RESIDUAL_TOL:
+                raise ConsistencyError(
+                    f"SLD residual {residual:.3e}: curve data inconsistent with its own "
+                    "state derivative"
+                )
+            out[l] = lam
+        out.setflags(write=False)
+        return out
+
+
+def _require_one_parameter(curve: SpectralCurve) -> None:
+    if curve.param_count != 1:
+        m = curve.param_count
+        raise ValidationError(f"scalar bounds need a one-parameter curve, not {m} parameters")
 
 
 def _orthonormal_completion(columns: np.ndarray, dim: int) -> np.ndarray:
@@ -365,20 +410,13 @@ def _orthonormal_completion(columns: np.ndarray, dim: int) -> np.ndarray:
     return basis
 
 
-def _eigendata(channel: ParametricChannel, vec: np.ndarray):
-    """Supported output eigendata with all m partials at vec, and its decomposition.
+def _kraus_eigendata(ck: CanonicalKraus, psi: np.ndarray) -> SpectralData:
+    """Supported output eigendata with all m partials, read off the decomposition.
 
-    Returns (canonical decomposition, SpectralData).  A spectral-form family
-    supplies its own eigendata and no decomposition.  A Kraus-form channel
-    gives w_k = Y_k psi / sqrt(p_k); an unsupported mode whose vector Y_k psi
+    w_k = Y_k psi / sqrt(p_k); an unsupported mode whose vector Y_k psi
     moves means the weight grows away from theta: theta sits at a rank change
     and is refused.
     """
-    if not channel.is_kraus_form:
-        channel.require_in_domain(vec)
-        return None, channel.spectral_at(vec)
-    ck = canonical_kraus(channel, vec)
-    psi = channel.input_state.amplitudes
     vs = ck.operators @ psi                  # (n, d)
     dvs = ck.derivatives @ psi               # (m, n, d)
     supported = ck.weights > SUPPORT_TOL
@@ -393,7 +431,7 @@ def _eigendata(channel: ParametricChannel, vec: np.ndarray):
     dv = dvs[:, supported]
     dp = 2.0 * np.real(np.sum(vs[supported].conj() * dv, axis=-1))  # (m, r)
     dw = (dv - (dp / (2 * roots))[..., np.newaxis] * w) / roots[:, np.newaxis]
-    return ck, SpectralData(
+    return SpectralData(
         values=ck.weights[supported],
         vectors=w.T,
         value_grads=dp,
@@ -401,13 +439,23 @@ def _eigendata(channel: ParametricChannel, vec: np.ndarray):
     )
 
 
-def _assemble_curve(data: SpectralData, dim: int):
-    """Ascending, completed eigensystem with all m partials.
+def spectral_curve(channel: ParametricChannel, theta) -> SpectralCurve:
+    """Output-state spectral curve at theta with all m partials.
 
-    Returns (values, vectors, value partials (m, d), vector partials
-    (m, d, d), support); unsupported slots hold an orthonormal completion
-    with zero partials.
+    Kraus-form channels go through the canonical decomposition, which fixes
+    the eigenvector gauge and which the curve carries; spectral-form families
+    supply their own analytic eigen-data.  The eigensystem is sorted
+    ascending and completed to a full basis: unsupported slots hold an
+    orthonormal completion with zero partials.
     """
+    vec = channel.theta_vector(theta)
+    if channel.is_kraus_form:
+        ck = canonical_kraus(channel, vec)
+        data = _kraus_eigendata(ck, channel.input_state.amplitudes)
+    else:
+        channel.require_in_domain(vec)
+        ck, data = None, channel.spectral_at(vec)
+    dim = channel.dim
     values = np.asarray(data.values, dtype=float)
     order = np.argsort(values, kind="stable")
     keep = order[values[order] > SUPPORT_TOL]
@@ -417,11 +465,9 @@ def _assemble_curve(data: SpectralData, dim: int):
     n_fill = dim - keep.size
     w_s = np.asarray(data.vectors, dtype=complex)[:, keep]
     completion = _normalize_phases(_orthonormal_completion(w_s, dim)[:, keep.size:])
-    p = np.concatenate([np.zeros(n_fill), values[keep]])
     dp = np.concatenate(
         [np.zeros((m, n_fill)), np.asarray(data.value_grads, dtype=float)[:, keep]], axis=1
     )
-    w = np.column_stack([completion, w_s])
     dw = np.concatenate(
         [
             np.zeros((m, dim, n_fill), dtype=complex),
@@ -429,24 +475,16 @@ def _assemble_curve(data: SpectralData, dim: int):
         ],
         axis=2,
     )
-    support = np.concatenate([np.zeros(n_fill, dtype=bool), np.ones(keep.size, dtype=bool)])
-    return p, w, dp, dw, support
-
-
-def spectral_curve(channel: ParametricChannel, theta) -> SpectralCurve:
-    """Output-state spectral curve at theta, carrying its canonical decomposition.
-
-    Kraus-form channels go through the canonical decomposition, which fixes
-    the eigenvector gauge; spectral-form families supply their own analytic
-    eigen-data.
-    """
-    if channel.param_count != 1:
-        raise ValidationError("spectral_curve expects a one-parameter channel")
-    vec = channel.theta_vector(theta)
-    ck, data = _eigendata(channel, vec)
-    p, w, dp, dw, support = _assemble_curve(data, channel.dim)
-    gauge = "spectral-form" if ck is None else "canonical-kraus"
-    return SpectralCurve(float(vec[0]), p, w, dp[0], dw[0], support, gauge, ck)
+    return SpectralCurve(
+        theta=vec,
+        values=np.concatenate([np.zeros(n_fill), values[keep]]),
+        vectors=np.column_stack([completion, w_s]),
+        value_derivs=dp,
+        vector_derivs=dw,
+        support=np.concatenate([np.zeros(n_fill, dtype=bool), np.ones(keep.size, dtype=bool)]),
+        gauge_source="spectral-form" if ck is None else "canonical-kraus",
+        kraus=ck,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -459,16 +497,18 @@ def sld_score(curve: SpectralCurve) -> np.ndarray:
     In the eigenbasis: diagonal entries p_k'/p_k on the support, off-diagonal
     entries 2 (p_j - p_k) <w_j'|w_k> / (p_j + p_k) where p_j + p_k > 0, and
     zeros on the off-support block.  Verified against the defining equation
-    rho' = (rho L + L rho) / 2 before returning.  Cached on the curve.
+    rho' = (rho L + L rho) / 2 before returning.  Cached on the curve, which
+    keeps one score per parameter; this reads a one-parameter curve's.
     """
-    return curve.sld_score
+    _require_one_parameter(curve)
+    return curve.sld_score[0]
 
 
 def sld_information(curve: SpectralCurve) -> float:
     """SLD quantum information H of the output-state family at this point."""
     classical, h_cross, _, _ = curve.bound_terms
     value = classical + h_cross
-    lam = curve.sld_score
+    lam = curve.sld_score[0]
     check = float(np.real(np.trace(curve.state_matrix() @ lam @ lam)))
     if abs(check - value) > 1e-6 * max(1.0, abs(value)):
         raise ConsistencyError(
@@ -500,7 +540,8 @@ def bound_gap(curve: SpectralCurve) -> float:
 
     Checked against the difference of the two bounds before returning.
     """
-    p, o = curve.values, curve.overlaps
+    _require_one_parameter(curve)
+    p, o = curve.values, curve.overlaps[0]
     gap = 0.0
     idx = np.flatnonzero(curve.support)
     for j in idx:
@@ -515,9 +556,13 @@ def bound_gap(curve: SpectralCurve) -> float:
 
 
 def attainability_check(curve: SpectralCurve, tol: float = 1e-6) -> tuple[bool, float]:
-    """Whether every supported overlap <w_j'|w_k> vanishes; returns (verdict, residual)."""
+    """Whether every supported overlap <d_l w_j|w_k> vanishes, for every parameter l.
+
+    Returns (verdict, residual), the residual being the largest such overlap.
+    """
     idx = np.flatnonzero(curve.support)
-    residual = float(np.max(np.abs(curve.overlaps[np.ix_(idx, idx)]))) if idx.size else 0.0
+    supported = curve.overlaps[:, idx[:, np.newaxis], idx]
+    residual = float(np.max(np.abs(supported))) if idx.size else 0.0
     return residual < tol, residual
 
 
@@ -704,8 +749,10 @@ def bound_report(
 
     H, C, the gap and the attainability residual read the curve's cached
     overlap matrix and bound terms; the C_kraus cross-check and C_E read its
-    canonical decomposition (absent for a spectral-form family).
+    canonical decomposition (absent for a spectral-form family).  The curve
+    must have one parameter.
     """
+    theta = float(curve.theta[0])
     c_spec = sm_bound_spectral(curve)
     attainable, residual = attainability_check(curve, attainability_tol)
     warnings: list[str] = []
@@ -723,11 +770,11 @@ def bound_report(
     f = None
     if povm is not None:
         try:
-            f = fisher_information(channel, povm, curve.theta)
+            f = fisher_information(channel, povm, theta)
         except SingularTermError as exc:
             warnings.append(f"Fisher information dropped: {exc}")
     return BoundReport(
-        theta=curve.theta,
+        theta=theta,
         sld_information=sld_information(curve),
         channel_bound=c_spec,
         gap=bound_gap(curve),
@@ -743,10 +790,15 @@ def bound_report(
 
 
 def remixing_penalty(mixing_grad: np.ndarray, weights: np.ndarray) -> float:
-    """Extra bound cost 4 sum_{j,k} p_k |du_jk|^2 of a theta-dependent remixing.
+    """Penalty term 4 sum_{j,k} p_k |du_jk|^2 of a theta-dependent remixing.
 
     weights are the canonical Gram eigenvalues indexed like the second
-    (canonical) axis of the mixing matrix.
+    (canonical) axis of the mixing matrix.  For the canonical curve Y remixed
+    by a unitary u, the bound of u Y is C_E = C + penalty + 8 Re sum_jk
+    (u^dag du)_jk <Y_j' psi|Y_k psi>.  The cross term vanishes where the
+    attainability residual does, and only there is the penalty the whole
+    extra cost C_E - C; elsewhere the cross term has either sign, so C_E can
+    fall below C + penalty.
     """
     du = np.asarray(mixing_grad, dtype=complex)
     return 4.0 * float(np.sum(np.abs(du) ** 2 @ np.asarray(weights, dtype=float)))

@@ -45,7 +45,6 @@ from .multiparam import (
     fisher_matrix,
     loewner_report,
     multi_attainability_check,
-    multi_spectral_curve,
     pinv_with_rank,
     sld_matrix,
     sm_matrix,
@@ -137,7 +136,7 @@ def _resolve_povm(name: str | None, channel, curve=None) -> tuple[POVM | None, s
             "the optimal POVM comes from a single SLD score; pick a named basis "
             "for multi-parameter channels"
         )
-    return optimal_povm_from_sld(sld_score(curve)), f"sld-optimal@{curve.theta:.6g}"
+    return optimal_povm_from_sld(sld_score(curve)), f"sld-optimal@{curve.theta[0]:.6g}"
 
 
 def _channel_block(spec: ChannelSpec, channel) -> dict:
@@ -183,14 +182,13 @@ def _point_report(channel, curve, povm, povm_id, tol) -> dict:
     return doc
 
 
-def _matrix_report(channel, theta, povm, povm_id, tol) -> dict:
-    msc = multi_spectral_curve(channel, theta)
-    h = sld_matrix(msc)
-    c = sm_matrix(channel, msc)
-    att = multi_attainability_check(msc, tol, channel=channel)
+def _matrix_report(channel, curve, povm, povm_id, tol) -> dict:
+    h = sld_matrix(curve)
+    c = sm_matrix(channel, curve)
+    att = multi_attainability_check(curve, tol, channel=channel)
     warnings = []
     doc = {
-        "theta": [float(x) for x in msc.theta],
+        "theta": [float(x) for x in curve.theta],
         "sld_information": reporting.info_matrix_dict(h),
         "channel_bound": reporting.info_matrix_dict(c),
         "attainability": {
@@ -199,7 +197,7 @@ def _matrix_report(channel, theta, povm, povm_id, tol) -> dict:
             "tol": att.tol,
             "quasi_classical": att.quasi_classical,
         },
-        "gauge_source": msc.gauge_source,
+        "gauge_source": curve.gauge_source,
     }
     if att.unitary_condition_values is not None:
         doc["unitary_condition"] = [
@@ -214,7 +212,7 @@ def _matrix_report(channel, theta, povm, povm_id, tol) -> dict:
         )
     if povm is not None:
         doc["povm"] = povm_id
-        f = fisher_matrix(channel, povm, msc.theta)
+        f = fisher_matrix(channel, povm, curve.theta)
         doc["fisher_information"] = reporting.info_matrix_dict(f)
         doc["loewner"] = reporting.loewner_report_dict(loewner_report(f, h, c))
     doc["warnings"] = warnings
@@ -225,15 +223,14 @@ def cmd_report(args) -> int:
     spec, channel = _load_spec(args.spec)
     theta = args.theta if len(args.theta) > 1 else args.theta[0]
     channel.require_in_domain(theta)
-    if channel.param_count == 1:
-        # a named basis is validated before the point is decomposed
-        named = args.povm != "optimal" and _resolve_povm(args.povm, channel)
-        curve = spectral_curve(channel, theta)
-        povm, povm_id = named or _resolve_povm(args.povm, channel, curve)
-        result = _point_report(channel, curve, povm, povm_id, args.tol)
-    else:
-        povm, povm_id = _resolve_povm(args.povm, channel)
-        result = _matrix_report(channel, theta, povm, povm_id, args.tol)
+    one_param = channel.param_count == 1
+    # a named basis, or the refusal of an optimal one for several parameters,
+    # comes before the point is decomposed
+    named = (args.povm != "optimal" or not one_param) and _resolve_povm(args.povm, channel)
+    curve = spectral_curve(channel, theta)
+    povm, povm_id = named or _resolve_povm(args.povm, channel, curve)
+    report = _point_report if one_param else _matrix_report
+    result = report(channel, curve, povm, povm_id, args.tol)
     doc = {
         "tool": reporting.TOOL,
         "channel": _channel_block(spec, channel),

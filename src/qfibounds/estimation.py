@@ -420,6 +420,10 @@ def optimize_input_state(
         evaluate = lambda curve: sm_bound_spectral(curve)
     else:
         raise ValidationError(f"unknown objective {objective!r}; use 'sld' or 'channel-bound'")
+    if channel.param_count != 1:
+        # both objectives are scalar bounds, which refuse a multi-parameter
+        # curve, so no start could evaluate one: fail before decomposing
+        raise NumericError("every optimization start failed to evaluate the objective")
     dim = channel.dim
     n_angles = 2 * dim - 2
 

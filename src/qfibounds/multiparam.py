@@ -8,15 +8,14 @@ quantity back to one-parameter slices.
 All parameters share one canonical decomposition at the point, and each
 partial follows the same parallel-transport gauge as the one-parameter
 machinery, so the per-parameter eigendata live in a common frame and no
-mixed partials are ever needed.  multi_spectral_curve is the only function
-here that decomposes: the curve carries the decomposition and its
-one-parameter slices, and the matrix, attainability and directional
-functions read them from the curve.
+mixed partials are ever needed.  Nothing here decomposes: every function
+reads the point's spectral curve (bounds.spectral_curve), whose overlap and
+SLD score stacks hold one matrix per parameter.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -24,20 +23,16 @@ from .bounds import (
     DP_FLOOR,
     P_FLOOR,
     SUPPORT_TOL,
-    CanonicalKraus,
     SpectralCurve,
-    _assemble_curve,
-    _eigendata,
     attainability_check,
     sld_information,
-    sld_score,
     sm_bound_spectral,
     spectral_curve,
     unitary_condition,
 )
 from .channels import ParametricChannel, directional_channel
 from .errors import ConsistencyError, SingularTermError, ValidationError
-from .linalg import hermitian_part, loewner_leq, max_abs
+from .linalg import loewner_leq, max_abs
 from .quantum import POVM
 
 PINV_RCOND = 1e-12
@@ -81,90 +76,11 @@ def pinv_with_rank(info: InfoMatrix) -> tuple[np.ndarray, int]:
     return np.linalg.pinv(entries, rcond=PINV_RCOND), rank
 
 
-@dataclass(frozen=True)
-class MultiSpectralCurve:
-    """Shared output eigensystem with one derivative set per parameter.
-
-    kraus is the canonical decomposition the curve was built from (None for
-    spectral-form families).  The m one-parameter slices are built once, which
-    runs their invariant checks, and kept in slices.
-    """
-
-    theta: np.ndarray            # (m,)
-    values: np.ndarray           # (d,)
-    vectors: np.ndarray          # (d, d)
-    value_partials: np.ndarray   # (m, d)
-    vector_partials: np.ndarray  # (m, d, d)
-    support: np.ndarray          # (d,) bool
-    gauge_source: str
-    kraus: CanonicalKraus | None = field(default=None, compare=False, repr=False)
-    slices: tuple[SpectralCurve, ...] = field(init=False, compare=False, repr=False)
-
-    def __post_init__(self):
-        slices = tuple(
-            SpectralCurve(
-                theta=float(self.theta[l]),
-                values=self.values,
-                vectors=self.vectors,
-                value_derivs=self.value_partials[l],
-                vector_derivs=self.vector_partials[l],
-                support=self.support,
-                gauge_source=self.gauge_source,
-            )
-            for l in range(self.param_count)
-        )
-        object.__setattr__(self, "slices", slices)
-
-    @property
-    def param_count(self) -> int:
-        return self.value_partials.shape[0]
-
-    @property
-    def dim(self) -> int:
-        return self.vectors.shape[0]
-
-    def directional(self, direction: np.ndarray) -> SpectralCurve:
-        """Curve of the one-parameter slice along a direction, by linearity."""
-        v = np.asarray(direction, dtype=float)
-        return SpectralCurve(
-            theta=0.0,
-            values=self.values,
-            vectors=self.vectors,
-            value_derivs=v @ self.value_partials,
-            vector_derivs=np.tensordot(v, self.vector_partials, axes=(0, 0)),
-            support=self.support,
-            gauge_source=self.gauge_source,
-        )
-
-    def state_matrix(self) -> np.ndarray:
-        w = self.vectors
-        return hermitian_part((w * self.values) @ w.conj().T)
-
-
-def multi_spectral_curve(channel: ParametricChannel, theta) -> MultiSpectralCurve:
-    """Output-state eigensystem with per-parameter derivatives at theta."""
-    vec = channel.theta_vector(theta)
-    ck, data = _eigendata(channel, vec)
-    values, vectors, value_partials, vector_partials, support = _assemble_curve(
-        data, channel.dim
-    )
-    return MultiSpectralCurve(
-        theta=vec,
-        values=values,
-        vectors=vectors,
-        value_partials=value_partials,
-        vector_partials=vector_partials,
-        support=support,
-        gauge_source="spectral-form" if ck is None else "canonical-kraus",
-        kraus=ck,
-    )
-
-
-def sld_matrix(curve: MultiSpectralCurve) -> InfoMatrix:
-    """SLD information matrix H_jk = Re tr(L_j rho L_k) from per-parameter scores."""
+def sld_matrix(curve: SpectralCurve) -> InfoMatrix:
+    """SLD information matrix H_jk = Re tr(L_j rho L_k) from the curve's score stack."""
     m = curve.param_count
     rho = curve.state_matrix()
-    scores = [sld_score(view) for view in curve.slices]
+    scores = curve.sld_score
     entries = np.zeros((m, m))
     for j in range(m):
         for k in range(j, m):
@@ -173,7 +89,7 @@ def sld_matrix(curve: MultiSpectralCurve) -> InfoMatrix:
     return InfoMatrix(entries, "sld")
 
 
-def sm_matrix(channel: ParametricChannel, curve: MultiSpectralCurve) -> InfoMatrix:
+def sm_matrix(channel: ParametricChannel, curve: SpectralCurve) -> InfoMatrix:
     """Channel-bound matrix.
 
     Kraus-form channels use C_jk = 4 sum_l Re tr(dY_l/dth_j rho0 (dY_l/dth_k)^dag)
@@ -232,7 +148,7 @@ class MultiAttainability:
 
 
 def multi_attainability_check(
-    curve: MultiSpectralCurve, tol: float = 1e-6, channel: ParametricChannel | None = None
+    curve: SpectralCurve, tol: float = 1e-6, channel: ParametricChannel | None = None
 ) -> MultiAttainability:
     """Matrix-bound equality condition: all supported <w_j^(l)|w_k> vanish.
 
@@ -241,8 +157,8 @@ def multi_attainability_check(
     per-parameter unitary condition values tr(U rho0 dU^dag), read from the
     curve's decomposition.
     """
-    residual = max(attainability_check(view, tol)[1] for view in curve.slices)
-    quasi = all(max_abs(dw[:, curve.support]) < tol for dw in curve.vector_partials)
+    attainable, residual = attainability_check(curve, tol)
+    quasi = all(max_abs(dw[:, curve.support]) < tol for dw in curve.vector_derivs)
     unitary_values = None
     ck = curve.kraus
     if channel is not None and ck is not None and ck.raw_operators.shape[0] == 1:
@@ -250,7 +166,7 @@ def multi_attainability_check(
         unitary_values = tuple(
             unitary_condition(ck.raw_operators[0], du[0], rho0) for du in ck.raw_derivatives
         )
-    return MultiAttainability(residual < tol, residual, tol, quasi, unitary_values)
+    return MultiAttainability(attainable, residual, tol, quasi, unitary_values)
 
 
 @dataclass(frozen=True)
@@ -320,7 +236,7 @@ class DirectionalCheck:
 
 def directional_reduction_check(
     channel: ParametricChannel,
-    curve: MultiSpectralCurve,
+    curve: SpectralCurve,
     direction,
     sld: InfoMatrix | None = None,
     sm: InfoMatrix | None = None,

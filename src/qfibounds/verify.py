@@ -40,7 +40,6 @@ from .multiparam import (
     fisher_matrix,
     loewner_report,
     multi_attainability_check,
-    multi_spectral_curve,
     sld_matrix,
     sm_matrix,
 )
@@ -48,8 +47,8 @@ from .quantum import POVM
 
 DEFAULT_SEED = 20260809
 SUITES = ("ordering", "gap", "routes", "directional")
-ONE_PARAM_MAX_DIM = 4
-TWO_PARAM_MAX_DIM = 3
+# param_count -> (Philox key salt, largest dimension, theta half-width)
+_BATTERY_DRAWS = {1: (0, 4, 0.6), 2: (0xA5A5A5A5, 3, 0.5)}
 
 
 @dataclass(frozen=True)
@@ -76,29 +75,37 @@ def one_param_battery(
     seed: int = DEFAULT_SEED, count: int = 200
 ) -> list[tuple[ParametricChannel, float]]:
     """Seeded random one-parameter Kraus curves with evaluation points."""
-    return [(channel, theta) for channel, theta, _ in _one_param_curves(seed, count)]
+    return [(channel, float(theta[0])) for channel, theta, _ in _battery_curves(seed, count, 1)]
 
 
-def _one_param_curves(seed: int = DEFAULT_SEED, count: int = 200) -> list:
+def two_param_battery(
+    seed: int = DEFAULT_SEED, count: int = 50
+) -> list[tuple[ParametricChannel, np.ndarray]]:
+    """Seeded random two-parameter Kraus curves with evaluation points."""
+    return [(channel, theta) for channel, theta, _ in _battery_curves(seed, count, 2)]
+
+
+def _battery_curves(seed: int, count: int, param_count: int) -> list:
     """(channel, theta, spectral curve) per battery point; the screening curve is kept.
 
     The curve carries its canonical decomposition, so the suites that read
     it decompose no point again.
     """
-    rng = np.random.Generator(np.random.Philox(key=np.uint64(seed)))
+    salt, max_dim, width = _BATTERY_DRAWS[param_count]
+    rng = np.random.Generator(np.random.Philox(key=np.uint64(seed ^ salt)))
     battery = []
-    for i in range(count):
-        dim = int(rng.integers(2, ONE_PARAM_MAX_DIM + 1))
+    for _ in range(count):
+        dim = int(rng.integers(2, max_dim + 1))
         env = int(rng.integers(1, dim + 1))
         channel = random_kraus_channel(
             dim=dim,
             env=env,
-            param_count=1,
+            param_count=param_count,
             seed=int(rng.integers(0, 2**63)),
             input_state=random_pure_state(dim, rng),
         )
         for _ in range(8):
-            theta = float(rng.uniform(-0.6, 0.6))
+            theta = rng.uniform(-width, width, size=param_count)
             try:
                 battery.append((channel, theta, spectral_curve(channel, theta)))
                 break
@@ -107,35 +114,9 @@ def _one_param_curves(seed: int = DEFAULT_SEED, count: int = 200) -> list:
     return battery
 
 
-def two_param_battery(
-    seed: int = DEFAULT_SEED, count: int = 50
-) -> list[tuple[ParametricChannel, np.ndarray]]:
-    rng = np.random.Generator(np.random.Philox(key=np.uint64(seed ^ 0xA5A5A5A5)))
-    battery = []
-    for i in range(count):
-        dim = int(rng.integers(2, TWO_PARAM_MAX_DIM + 1))
-        env = int(rng.integers(1, dim + 1))
-        channel = random_kraus_channel(
-            dim=dim,
-            env=env,
-            param_count=2,
-            seed=int(rng.integers(0, 2**63)),
-            input_state=random_pure_state(dim, rng),
-        )
-        for _ in range(8):
-            theta = rng.uniform(-0.5, 0.5, size=2)
-            try:
-                multi_spectral_curve(channel, theta)
-                battery.append((channel, theta))
-                break
-            except DegeneracyError:
-                continue
-    return battery
-
-
 def gap_suite(seed: int = DEFAULT_SEED, count: int = 200) -> list[CheckResult]:
     """Gap formula equals C - H on every battery channel."""
-    return _gap(_one_param_curves(seed, count))
+    return _gap(_battery_curves(seed, count, 1))
 
 
 def _gap(points) -> list[CheckResult]:
@@ -156,7 +137,7 @@ def _gap(points) -> list[CheckResult]:
 
 def ordering_suite(seed: int = DEFAULT_SEED, count: int = 200) -> list[CheckResult]:
     """F <= H <= C, H <= C_E under remixing, and F = H for the SLD eigenbasis."""
-    return _ordering(_one_param_curves(seed, count), seed)
+    return _ordering(_battery_curves(seed, count, 1), seed)
 
 
 def _ordering(points, seed: int) -> list[CheckResult]:
@@ -228,7 +209,7 @@ def _ordering(points, seed: int) -> list[CheckResult]:
 
 def routes_suite(seed: int = DEFAULT_SEED, count: int = 200) -> list[CheckResult]:
     """Channel bound from canonical Kraus derivatives vs from the spectral curve."""
-    return _routes(_one_param_curves(seed, count))
+    return _routes(_battery_curves(seed, count, 1))
 
 
 def _routes(points) -> list[CheckResult]:
@@ -253,15 +234,14 @@ def directional_suite(
 ) -> list[CheckResult]:
     """Multi-parameter Loewner ordering and slice consistency checks."""
     rng = np.random.Generator(np.random.Philox(key=np.uint64(seed ^ 0x3C3C3C3C)))
-    battery = two_param_battery(seed, count)
+    battery = _battery_curves(seed, count, 2)
     worst_slack = np.inf
     worst_dir = 0.0
     worst_diag = 0.0
     skipped = 0
-    for channel, theta in battery:
-        msc = multi_spectral_curve(channel, theta)
-        h = sld_matrix(msc)
-        c = sm_matrix(channel, msc)
+    for channel, theta, curve in battery:
+        h = sld_matrix(curve)
+        c = sm_matrix(channel, curve)
         f = fisher_matrix(channel, random_povm(channel.dim, rng), theta)
         rep = loewner_report(f, h, c)
         worst_slack = min(
@@ -270,7 +250,8 @@ def directional_suite(
             rep.sld_le_sm.min_eigenvalue,
             rep.fisher_le_sm.min_eigenvalue,
         )
-        for l, slice_curve in enumerate(msc.slices):
+        for l, axis in enumerate(np.eye(2)):
+            slice_curve = curve.directional(axis)
             worst_diag = max(
                 worst_diag,
                 abs(sld_information(slice_curve) - h.entries[l, l]),
@@ -280,7 +261,7 @@ def directional_suite(
             v = rng.normal(size=2)
             v /= np.linalg.norm(v)
             try:
-                check = directional_reduction_check(channel, msc, v, h, c)
+                check = directional_reduction_check(channel, curve, v, h, c)
             except (DegeneracyError, NumericError):
                 skipped += 1
                 continue
@@ -313,10 +294,10 @@ def directional_suite(
     # attainability residual vanishes.
     ch = example2()
     theta = np.array([0.6, 0.3])
-    msc = multi_spectral_curve(ch, theta)
-    h = sld_matrix(msc)
-    c = sm_matrix(ch, msc)
-    att = multi_attainability_check(msc, tol=1e-9)
+    curve = spectral_curve(ch, theta)
+    h = sld_matrix(curve)
+    c = sm_matrix(ch, curve)
+    att = multi_attainability_check(curve, tol=1e-9)
     entry_gap = max_abs(c.entries - h.entries)
     results.append(
         CheckResult(
@@ -333,7 +314,7 @@ def run_suites(names, seed: int = DEFAULT_SEED) -> list[CheckResult]:
     """Run the named suites; the one-parameter suites share one battery and its curves."""
     picked = list(SUITES) if "all" in names else list(names)
     one_param = {"ordering", "gap", "routes"} & set(picked)
-    points = _one_param_curves(seed) if one_param else None
+    points = _battery_curves(seed, 200, 1) if one_param else None
     runners = {
         "ordering": lambda: _ordering(points, seed),
         "gap": lambda: _gap(points),

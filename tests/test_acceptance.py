@@ -42,7 +42,7 @@ from qfibounds.bounds import (
 from qfibounds.channels import builtin, kraus_derivative, random_hermitian, remix_channel
 from qfibounds.estimation import AdaptiveConfig, adaptive_experiment, cr_experiment
 from qfibounds.linalg import max_abs
-from qfibounds.multiparam import multi_attainability_check, multi_spectral_curve, sld_matrix, sm_matrix
+from qfibounds.multiparam import multi_attainability_check, sld_matrix, sm_matrix
 from qfibounds.quantum import PureState, pauli_basis_povm
 from qfibounds.verify import (
     directional_suite,
@@ -85,7 +85,7 @@ def test_criterion_1_example1_equality_as_stated():
             assert abs(h - stated) / stated < 1e-7, f"H({t}) = {h}, stated {stated}"
             assert abs(c - stated) / stated < 1e-7, f"C({t}) = {c}, stated {stated}"
             supp = curve.support
-            eigen_term = float(np.sum(curve.value_derivs[supp] ** 2 / curve.values[supp]))
+            eigen_term = float(np.sum(curve.value_derivs[0][supp] ** 2 / curve.values[supp]))
             eigen_stated = 4.0 / (1.0 - t * t)
             assert abs(eigen_term - eigen_stated) / eigen_stated < 1e-7, (
                 f"eigenvalue term({t}) = {eigen_term}, stated {eigen_stated}"
@@ -256,11 +256,11 @@ def test_criterion_8_multi_parameter_suite():
         start = time.time()
         ch = builtin("example2")
         theta = np.array([0.6, 0.3])
-        msc = multi_spectral_curve(ch, theta)
-        h = sld_matrix(msc)
-        c = sm_matrix(ch, msc)
+        curve = spectral_curve(ch, theta)
+        h = sld_matrix(curve)
+        c = sm_matrix(ch, curve)
         assert max_abs(h.entries - c.entries) < 1e-8
-        att = multi_attainability_check(msc, tol=1e-9)
+        att = multi_attainability_check(curve, tol=1e-9)
         assert att.attainable and att.residual < 1e-9
         results = directional_suite(count=50, directions=20)
         assert all(r.passed for r in results), results

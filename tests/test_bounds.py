@@ -211,7 +211,7 @@ def test_canonical_requires_kraus_form_and_input():
 def test_spectral_curve_example1():
     curve = spectral_curve(builtin("example1"), 0.6)
     assert np.allclose(np.sort(curve.values), [0.0, 0.36, 0.64])
-    o = curve.overlaps
+    o = curve.overlaps[0]
     idx = np.flatnonzero(curve.support)
     assert max_abs(o[np.ix_(idx, idx)]) < 1e-12
 
@@ -223,17 +223,38 @@ def test_spectral_curve_dephasing_fixed_eigenvectors():
 
 
 def test_cached_curve_arrays_are_read_only():
-    curve = spectral_curve(builtin("amplitude-damping"), 0.3)
-    for cached in (curve.overlaps, curve.sld_score):
-        with pytest.raises(ValueError, match="read-only"):
-            cached[0, 0] = 0.0
-    assert curve.overlaps is curve.overlaps and curve.sld_score is curve.sld_score
+    # one (d, d) matrix per parameter, for one parameter and for two
+    points = ((builtin("amplitude-damping"), 0.3), (builtin("dephasing-2p"), [0.4, 0.3]))
+    for channel, theta in points:
+        curve = spectral_curve(channel, theta)
+        m, d = channel.param_count, channel.dim
+        assert curve.theta.shape == (m,)
+        assert curve.value_derivs.shape == (m, d) and curve.vector_derivs.shape == (m, d, d)
+        for cached in (curve.overlaps, curve.sld_score):
+            assert cached.shape == (m, d, d)
+            with pytest.raises(ValueError, match="read-only"):
+                cached[0, 0, 0] = 0.0
+        assert curve.overlaps is curve.overlaps and curve.sld_score is curve.sld_score
+
+
+def test_scalar_functionals_refuse_a_two_parameter_curve():
+    channel = builtin("dephasing-2p")
+    curve = spectral_curve(channel, [0.4, 0.3])
+    scalar = (sld_information, sm_bound_spectral, bound_gap, sld_score)
+    for read in scalar + (
+        lambda c: bound_report(channel, c),
+        lambda c: c.bound_terms,
+        lambda c: c.state_derivative(),
+    ):
+        with pytest.raises(ValidationError, match="one-parameter curve"):
+            read(curve)
+    assert attainability_check(curve)[0]  # reads every parameter
 
 
 def test_spectral_curve_rotation_gauge_overlap():
     """Canonical gauge keeps the phase of the unitary family: <w'|w> = i/2 on |0>."""
     curve = spectral_curve(builtin("rotation", axis="z"), 0.3)
-    o = curve.overlaps
+    o = curve.overlaps[0]
     k = int(np.flatnonzero(curve.support)[0])
     assert o[k, k] == pytest.approx(0.5j, abs=1e-9)
 
@@ -242,7 +263,7 @@ def test_spectral_curve_derivatives_match_value_slopes():
     # dephasing eigenvalues are (theta, 1 - theta): slopes +- 1
     curve = spectral_curve(builtin("dephasing"), 0.3)
     order = np.argsort(curve.values)
-    assert np.allclose(curve.value_derivs[order], [1.0, -1.0], atol=1e-9)
+    assert np.allclose(curve.value_derivs[0][order], [1.0, -1.0], atol=1e-9)
 
 
 def test_dephasing_resolves_eigenvalue_crossing():
@@ -352,7 +373,11 @@ def test_sm_bound_kraus_representation_dependence():
 
 
 def test_remixing_penalty_identity():
-    """Measured C_E - C equals 4 sum p_k |du_jk|^2 for an attainable channel."""
+    """On an attainable channel the cross term of C_E vanishes: C_E - C is the penalty.
+
+    Dephasing keeps its eigenvectors, so every supported overlap <w_j'|w_k>
+    is zero and the measured C_E - C equals 4 sum p_k |du_jk|^2 alone.
+    """
     ch = builtin("dephasing")
     theta = 0.2
     rng = np.random.default_rng(8)
@@ -367,6 +392,35 @@ def test_remixing_penalty_identity():
     du_canonical = dmix(np.array([theta]), 0) @ ck.mixing.conj().T
     penalty = remixing_penalty(du_canonical, ck.weights)
     assert c_e - c_ups == pytest.approx(penalty, rel=1e-6)
+
+
+@pytest.mark.parametrize(
+    "channel, theta",
+    [
+        (builtin("amplitude-damping"), 0.3),
+        (random_kraus_channel(dim=3, env=3, seed=4), 0.2),
+    ],
+    ids=["amplitude-damping-plus", "random-kraus"],
+)
+def test_remixing_penalty_identity_fails_off_attainability(channel, theta):
+    """Off attainability C_E - C is the penalty plus a cross term of either sign."""
+    assert not attainability_check(spectral_curve(channel, theta))[0]
+    ck = canonical_kraus(channel, theta)
+    psi = channel.input_state.amplitudes
+    rho0 = channel.input_state.density()
+    h = random_hermitian(ck.operators.shape[0], np.random.default_rng(8))
+    c = sm_bound_kraus(ck.operators, ck.derivatives[0], rho0)
+    overlaps = (ck.derivatives[0] @ psi).conj() @ (ck.operators @ psi).T  # <Y_j' psi|Y_k psi>
+    penalties, misses = [], []
+    for du in (-1j * h, 1j * h):  # u = exp(-+i (t - theta) h), the identity at theta
+        remixed = ck.derivatives[0] + np.tensordot(du, ck.operators, axes=(1, 0))
+        c_e = sm_bound_kraus(ck.operators, remixed, rho0)
+        cross = 8.0 * float(np.real(np.sum(du * overlaps)))
+        penalties.append(remixing_penalty(du, ck.weights))
+        misses.append(c_e - c - penalties[-1])
+        assert misses[-1] == pytest.approx(cross, abs=1e-9)
+    assert penalties[0] == penalties[1]
+    assert min(misses) < -0.1 and max(misses) > 0.1  # C_E falls below C + penalty
 
 
 # ---------------------------------------------------------------------------

@@ -427,7 +427,8 @@ def test_sweep_decomposes_each_point_once(spec_file, capsys, monkeypatch, text):
 
 
 def test_multiparameter_report_builds_one_core(spec_file, capsys, monkeypatch):
-    # The curve's two slices serve the SLD matrix and the attainability check.
+    # One curve's score and overlap stacks serve the SLD matrix and the
+    # attainability check.
     text = "family = random-kraus\ndim = 3\nenv = 2\nseed = 11\nparam_count = 2\n"
     for povm in ((), ("--povm", "computational")):
         with monkeypatch.context() as patch:
@@ -437,20 +438,20 @@ def test_multiparameter_report_builds_one_core(spec_file, capsys, monkeypatch):
             code, _, _ = run_cli(capsys, *argv)
         assert code == 0
         assert calls == {"canonical_kraus": 1}
-        assert work == {"curves": 2, "overlaps": 2, "sld_score": 2}
+        assert work == {"curves": 1, "overlaps": 1, "sld_score": 1}
 
 
 def test_verify_builds_one_battery_per_run(monkeypatch):
     from qfibounds import verify
 
     built = []
-    original = verify._one_param_curves
+    original = verify._battery_curves
 
-    def small_battery(seed=verify.DEFAULT_SEED, count=200):
+    def small_battery(seed, count, param_count):
         built.append(seed)
-        return original(seed, 6)
+        return original(seed, 6, param_count)
 
-    monkeypatch.setattr(verify, "_one_param_curves", small_battery)
+    monkeypatch.setattr(verify, "_battery_curves", small_battery)
     shared = verify.run_suites(["ordering", "gap", "routes"], seed=11)
     assert built == [11]
     separate = verify.ordering_suite(11) + verify.gap_suite(11) + verify.routes_suite(11)
@@ -509,7 +510,7 @@ def test_consumers_import_no_private_bounds_or_multiparam_names():
     import ast
 
     package = Path(qfibounds.__file__).resolve().parent
-    for consumer in ("cli", "verify", "estimation"):
+    for consumer in ("cli", "verify", "estimation", "multiparam", "reporting"):
         tree = ast.parse((package / f"{consumer}.py").read_text(encoding="utf-8"))
         imports = [node for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)]
         for node in imports:

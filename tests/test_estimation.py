@@ -261,3 +261,16 @@ def test_optimize_input_dephasing_beats_grid_scan():
 def test_optimize_input_rejects_objective():
     with pytest.raises(ValidationError, match="unknown objective"):
         optimize_input_state(builtin("dephasing"), 0.3, "entropy")
+
+
+def test_optimize_input_fails_on_two_parameters_without_decomposing(monkeypatch):
+    from qfibounds import bounds
+
+    def refuse(*args):
+        raise AssertionError("decomposed a point")
+
+    monkeypatch.setattr(bounds, "canonical_kraus", refuse)
+    channel = random_kraus_channel(dim=3, env=2, seed=11, param_count=2)
+    for objective in ("sld", "channel-bound"):
+        with pytest.raises(NumericError, match="every optimization start failed"):
+            optimize_input_state(channel, [0.3, 0.4], objective, restarts=1)

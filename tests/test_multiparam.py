@@ -18,7 +18,6 @@ from qfibounds.multiparam import (
     fisher_matrix,
     loewner_report,
     multi_attainability_check,
-    multi_spectral_curve,
     pinv_with_rank,
     sld_matrix,
     sm_matrix,
@@ -39,10 +38,9 @@ def test_single_parameter_reduction():
     """m = 1 matrices reduce to the scalar quantities."""
     ch = builtin("amplitude-damping")
     theta = np.array([0.3])
-    msc = multi_spectral_curve(ch, theta)
-    h = sld_matrix(msc)
-    c = sm_matrix(ch, msc)
     curve = spectral_curve(ch, 0.3)
+    h = sld_matrix(curve)
+    c = sm_matrix(ch, curve)
     assert h.entries[0, 0] == pytest.approx(sld_information(curve), rel=1e-9)
     assert c.entries[0, 0] == pytest.approx(sm_bound_spectral(curve), rel=1e-9)
     povm = pauli_basis_povm("x")
@@ -74,13 +72,13 @@ def test_sld_matrix_quasi_classical_closed_form():
     coeffs = np.array([[0.7, -0.3, -0.2], [0.3, 0.3, 0.2]])
     ch = custom_spectral(w, coeffs, ((0.1, 0.9), (0.1, 0.9)), name="classical-2p")
     theta = np.array([0.3, 0.5])
-    msc = multi_spectral_curve(ch, theta)
-    h = sld_matrix(msc)
+    curve = spectral_curve(ch, theta)
+    h = sld_matrix(curve)
     p = coeffs[:, 0] + coeffs[:, 1:] @ theta
     grads = coeffs[:, 1:]
     expected = np.einsum("kj,kl,k->jl", grads, grads, 1.0 / p)
     assert max_abs(h.entries - expected) < 1e-12
-    att = multi_attainability_check(msc)
+    att = multi_attainability_check(curve)
     assert att.attainable and att.quasi_classical
 
 
@@ -90,44 +88,57 @@ def test_canonical_kraus_serves_every_parameter():
     ck = canonical_kraus(ch, theta)
     n, d = ck.operators.shape[:2]
     assert ck.derivatives.shape == ck.raw_derivatives.shape == (2, n, d, d)
-    msc = multi_spectral_curve(ch, theta)
-    assert msc.kraus is not None
-    assert all(view.kraus is None for view in msc.slices)
+    curve = spectral_curve(ch, theta)
+    assert curve.kraus is not None
     rho0 = ch.input_state.density()
-    for l, view in enumerate(msc.slices):
+    for l, axis in enumerate(np.eye(2)):
+        view = curve.directional(axis)
+        assert view.kraus is None
         c_kraus = sm_bound_kraus(ck.operators, ck.derivatives[l], rho0)
         assert c_kraus == pytest.approx(sm_bound_spectral(view), rel=1e-9)
+
+
+def test_axis_curves_match_the_matrix_diagonals():
+    """curve.directional(e_l) gives the H and C on the diagonals of the matrices."""
+    for name, theta in (("dephasing-2p", [0.4, 0.3]), ("example2", [0.6, 0.3])):
+        ch = builtin(name)
+        curve = spectral_curve(ch, theta)
+        h, c = sld_matrix(curve), sm_matrix(ch, curve)
+        for l, axis in enumerate(np.eye(2)):
+            view = curve.directional(axis)
+            assert abs(sld_information(view) - h.entries[l, l]) < 1e-12, name
+            assert abs(sm_bound_spectral(view) - c.entries[l, l]) < 1e-12, name
 
 
 def test_example2_equality_matrices():
     ch = builtin("example2")
     theta = np.array([0.6, 0.3])
-    msc = multi_spectral_curve(ch, theta)
-    h = sld_matrix(msc)
-    c = sm_matrix(ch, msc)
+    curve = spectral_curve(ch, theta)
+    h = sld_matrix(curve)
+    c = sm_matrix(ch, curve)
     f, g = theta
     expected = np.diag([4 / (1 - f * f), 4 * f * f / (1 - g * g)])
     assert max_abs(h.entries - expected) < 1e-12
     assert max_abs(c.entries - h.entries) < 1e-12
-    att = multi_attainability_check(msc, tol=1e-9)
+    att = multi_attainability_check(curve, tol=1e-9)
     assert att.attainable and att.residual < 1e-12
     assert not att.quasi_classical
 
 
 def test_sm_matrix_two_param_unitary_at_origin():
     ch = builtin("rotation-2p")
-    msc = multi_spectral_curve(ch, np.array([0.0, 0.0]))
-    c = sm_matrix(ch, msc)
+    curve = spectral_curve(ch, np.array([0.0, 0.0]))
+    c = sm_matrix(ch, curve)
     assert max_abs(c.entries - np.eye(2)) < 1e-9
-    att = multi_attainability_check(msc, channel=ch)
+    att = multi_attainability_check(curve, channel=ch)
     assert att.unitary_condition_values is not None
     assert all(abs(z) < 1e-9 for z in att.unitary_condition_values)
 
 
 def test_damped_rotation_not_attainable():
     ch = builtin("damped-rotation")
-    msc = multi_spectral_curve(ch, np.array([0.5, 0.4]))
-    att = multi_attainability_check(msc)
+    curve = spectral_curve(ch, np.array([0.5, 0.4]))
+    att = multi_attainability_check(curve)
     assert not att.attainable
     assert att.residual > 0.01
 
@@ -147,9 +158,9 @@ def test_directional_axis_recovers_slice():
     theta = np.array([0.4, 0.3])
     for axis in range(2):
         v = np.eye(2)[axis]
-        check = directional_reduction_check(ch, multi_spectral_curve(ch, theta), v)
+        check = directional_reduction_check(ch, spectral_curve(ch, theta), v)
         assert check.passed
-        h = sld_matrix(multi_spectral_curve(ch, theta))
+        h = sld_matrix(spectral_curve(ch, theta))
         assert check.sld_slice == pytest.approx(h.entries[axis, axis], rel=1e-9)
 
 
@@ -157,7 +168,7 @@ def test_directional_example2_diagonal_direction():
     ch = builtin("example2")
     theta = np.array([0.6, 0.3])
     v = np.array([1.0, 1.0]) / np.sqrt(2)
-    check = directional_reduction_check(ch, multi_spectral_curve(ch, theta), v)
+    check = directional_reduction_check(ch, spectral_curve(ch, theta), v)
     assert check.passed
     assert check.sld_slice == pytest.approx(check.sm_slice, rel=1e-9)  # equality family
 
@@ -165,13 +176,13 @@ def test_directional_example2_diagonal_direction():
 def test_directional_random_channels():
     rng = np.random.default_rng(3)
     for channel, theta in two_param_battery(seed=9, count=5):
-        msc = multi_spectral_curve(channel, theta)
-        h = sld_matrix(msc)
-        c = sm_matrix(channel, msc)
+        curve = spectral_curve(channel, theta)
+        h = sld_matrix(curve)
+        c = sm_matrix(channel, curve)
         for _ in range(4):
             v = rng.normal(size=2)
             v /= np.linalg.norm(v)
-            check = directional_reduction_check(channel, msc, v, sld=h, sm=c)
+            check = directional_reduction_check(channel, curve, v, sld=h, sm=c)
             assert check.sld_mismatch < 1e-5
             assert check.sm_mismatch < 1e-5
             assert check.kraus_deriv_mismatch < 1e-5
@@ -180,9 +191,9 @@ def test_directional_random_channels():
 def test_loewner_chain_random_channels():
     rng = np.random.default_rng(4)
     for channel, theta in two_param_battery(seed=21, count=6):
-        msc = multi_spectral_curve(channel, theta)
-        h = sld_matrix(msc)
-        c = sm_matrix(channel, msc)
+        curve = spectral_curve(channel, theta)
+        h = sld_matrix(curve)
+        c = sm_matrix(channel, curve)
         f = fisher_matrix(channel, random_povm(channel.dim, rng), theta)
         rep = loewner_report(f, h, c)
         assert rep.all_hold, rep
@@ -197,10 +208,10 @@ def test_matrix_equality_iff_attainable():
         (builtin("damped-rotation"), np.array([0.5, 0.4])),
     ] + two_param_battery(seed=31, count=8)
     for channel, theta in cases:
-        msc = multi_spectral_curve(channel, theta)
-        att = multi_attainability_check(msc, tol)
+        curve = spectral_curve(channel, theta)
+        att = multi_attainability_check(curve, tol)
         entry_gap = max_abs(
-            sm_matrix(channel, msc).entries - sld_matrix(msc).entries
+            sm_matrix(channel, curve).entries - sld_matrix(curve).entries
         )
         m, d = channel.param_count, channel.dim
         assert att.attainable == (entry_gap < m * d * d * tol), (
@@ -221,7 +232,7 @@ def test_pinv_with_rank_discloses_singularity():
 def test_multi_degeneracy_is_refused():
     ch = builtin("dephasing-2p")
     with pytest.raises(DegeneracyError):
-        multi_spectral_curve(ch, np.array([0.625, 0.8]))  # t1 t2 = 0.5 crossing
+        spectral_curve(ch, np.array([0.625, 0.8]))  # t1 t2 = 0.5 crossing
 
 
 def test_directional_suite_regression_seed():

@@ -43,15 +43,15 @@ def test_batteries_are_lists_of_channel_theta_pairs():
 
 def test_run_suites_decomposes_each_point_once(monkeypatch):
     calls = _count(monkeypatch, "canonical_kraus")
-    original = verify._one_param_curves
+    original = verify._battery_curves
     built = []
 
-    def small_battery(seed=verify.DEFAULT_SEED, count=200):
-        points = original(seed, 6)
+    def small_battery(seed, count, param_count):
+        points = original(seed, 6, param_count)
         built.append(len(points))
         return points
 
-    monkeypatch.setattr(verify, "_one_param_curves", small_battery)
+    monkeypatch.setattr(verify, "_battery_curves", small_battery)
     results = verify.run_suites(["ordering", "gap", "routes"], seed=11)
     assert all(r.passed for r in results)
     assert built == [6]
@@ -67,8 +67,9 @@ def test_directional_suite_builds_one_core_per_channel_and_direction(monkeypatch
     calls.clear()
     results = verify.directional_suite(seed=9, count=5, directions=4)
     assert all(r.passed for r in results)
-    # example2, the equality family, is spectral-form and builds no core.
-    assert calls["canonical_kraus"] - screen == len(battery) * (1 + 4)
+    # The suite reads the screening curves, and example2, the equality
+    # family, is spectral-form and builds no core.
+    assert calls["canonical_kraus"] == screen + len(battery) * 4
 
 
 def test_directional_suite_reports_skipped_directions(monkeypatch):
