@@ -51,6 +51,7 @@ from .errors import (
 from .estimation import (
     AdaptiveConfig,
     EstimationRun,
+    InputOptimum,
     MLEResult,
     adaptive_experiment,
     adaptive_two_stage,

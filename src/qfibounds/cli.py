@@ -297,10 +297,11 @@ def cmd_estimate(args) -> int:
             AdaptiveConfig(n_pilot=args.n_pilot),
             args.reps,
             seed,
+            curve=curve,
         )
     else:
         run = cr_experiment(
-            channel, args.theta_true, povm, args.shots, args.reps, seed, povm_id
+            channel, args.theta_true, povm, args.shots, args.reps, seed, povm_id, curve=curve
         )
     doc = {
         "tool": reporting.TOOL,
@@ -315,7 +316,7 @@ def cmd_optimize_input(args) -> int:
     spec, channel = _load_spec(args.spec)
     theta = args.theta if len(args.theta) > 1 else args.theta[0]
     channel.require_in_domain(theta)
-    state, value = optimize_input_state(
+    result = optimize_input_state(
         channel, theta, args.objective, restarts=args.restarts, seed=_seed_of(args)
     )
     doc = {
@@ -323,9 +324,12 @@ def cmd_optimize_input(args) -> int:
         "channel": _channel_block(spec, channel),
         "objective": args.objective,
         "theta": args.theta,
-        "optimal_input": [reporting.complex_value(z) for z in state.amplitudes],
-        "value": value,
+        "optimal_input": [reporting.complex_value(z) for z in result.state.amplitudes],
+        "value": result.value,
     }
+    if result.ancilla_bound is not None:
+        doc["ancilla_bound"] = result.ancilla_bound
+        doc["certified"] = result.certified
     sys.stdout.write(reporting.to_json(doc))
     return 0
 

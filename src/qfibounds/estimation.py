@@ -3,7 +3,9 @@
 Seeded multinomial sampling of measurement outcomes, maximum-likelihood
 estimation by grid scan plus golden-section refinement, the adaptive
 two-stage measurement, Cramér-Rao comparisons across replications, and
-derivative-free optimization of the input state.
+optimization of the input state: the convex dual of the SLD information,
+which certifies an optimal input where it can, and a derivative-free
+search elsewhere.
 
 The scan grid's output states are tabulated once per experiment, and each
 replication scores the whole grid with one einsum per observed outcome; only
@@ -22,6 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .bounds import (
+    SpectralCurve,
     fisher_information,
     optimal_povm_from_sld,
     sld_information,
@@ -29,7 +32,7 @@ from .bounds import (
     sm_bound_spectral,
     spectral_curve,
 )
-from .channels import ParametricChannel
+from .channels import ParametricChannel, kraus_derivative
 from .errors import NumericError, SingularTermError, ValidationError
 from .linalg import DEFAULT_DIFF
 from .quantum import (
@@ -43,6 +46,11 @@ from .quantum import (
 UNINFORMATIVE_FLOOR = 1e-9
 MLE_GRID_POINTS = 129
 MLE_REFINE_TOL = 1e-8
+# An input is certified optimal for H when H there comes within
+# CERTIFY_TOL * max(1, bound) of the ancilla bound.  The dual's BFGS stops
+# when no gradient entry exceeds DUAL_GTOL.
+CERTIFY_TOL = 1e-9
+DUAL_GTOL = 1e-8
 _STAGE2_SALT = 0x9E3779B97F4A7C15  # fixed stream split for the second stage
 
 
@@ -211,17 +219,19 @@ class EstimationRun:
 
 
 def predicted_bounds(
-    channel: ParametricChannel, theta_true: float, povm: POVM | None, shots: int
+    channel: ParametricChannel, curve: SpectralCurve, povm: POVM | None, shots: int
 ) -> tuple[dict[str, float | None], list[str]]:
-    """Variance floors 1/(N F), 1/(N H), 1/(N C) at the true parameter."""
+    """Variance floors 1/(N F), 1/(N H), 1/(N C) at the true parameter.
+
+    `curve` is the channel's spectral curve at the true parameter.
+    """
     warnings: list[str] = []
-    curve = spectral_curve(channel, theta_true)
     h = sld_information(curve)
     c = sm_bound_spectral(curve)
     f = None
     if povm is not None:
         try:
-            f = fisher_information(channel, povm, theta_true)
+            f = fisher_information(channel, povm, curve.theta)
         except SingularTermError as exc:
             warnings.append(f"Fisher information singular: {exc}")
     bounds: dict[str, float | None] = {
@@ -242,11 +252,13 @@ def cr_experiment(
     replications: int,
     seed: int,
     povm_id: str = "custom",
+    curve: SpectralCurve | None = None,
 ) -> EstimationRun:
     """Replicated sampling + MLE, compared against the variance floors.
 
     Ratios are empirical variance divided by each floor; a floor is omitted
-    when the corresponding information vanishes.
+    when the corresponding information vanishes.  `curve`, the spectral
+    curve at theta_true, is built after the replications when not given.
     """
     if replications < 2:
         raise ValidationError("need at least 2 replications for a variance")
@@ -261,7 +273,9 @@ def cr_experiment(
         estimates.append(mle_estimate(channel, povm, counts, grid_states=states).theta_hat)
     estimates = np.array(estimates)
     variance = float(np.var(estimates, ddof=1))
-    bounds, _ = predicted_bounds(channel, theta_true, povm, shots)
+    if curve is None:
+        curve = spectral_curve(channel, theta_true)
+    bounds, _ = predicted_bounds(channel, curve, povm, shots)
     ratios = {
         key: (None if floor is None else variance / floor) for key, floor in bounds.items()
     }
@@ -342,7 +356,8 @@ def adaptive_two_stage(
     does not propagate beyond the choice of measurement basis.
     """
     run, stage2_povm = _two_stage(channel, theta_true, shots, config, seed, _grid_states(channel))
-    bounds, _ = predicted_bounds(channel, theta_true, stage2_povm, run.shots)
+    curve = spectral_curve(channel, theta_true)
+    bounds, _ = predicted_bounds(channel, curve, stage2_povm, run.shots)
     return dataclasses.replace(run, predicted_bounds=bounds)
 
 
@@ -353,10 +368,13 @@ def adaptive_experiment(
     config: AdaptiveConfig,
     replications: int,
     seed: int,
+    curve: SpectralCurve | None = None,
 ) -> EstimationRun:
     """Replicated adaptive runs with the variance compared to 1/((N - n) H).
 
-    The floors are those of the first replication's stage-2 POVM.
+    The floors are those of the first replication's stage-2 POVM.  `curve`,
+    the spectral curve at theta_true, is built after the first replication
+    when not given.
     """
     if replications < 2:
         raise ValidationError("need at least 2 replications for a variance")
@@ -364,7 +382,9 @@ def adaptive_experiment(
     first, stage2_povm = _two_stage(
         channel, theta_true, shots, config, replication_seed(seed, 0), states
     )
-    bounds, _ = predicted_bounds(channel, theta_true, stage2_povm, first.shots)
+    if curve is None:
+        curve = spectral_curve(channel, theta_true)
+    bounds, _ = predicted_bounds(channel, curve, stage2_povm, first.shots)
     rest = [
         _two_stage(channel, theta_true, shots, config, replication_seed(seed, rep), states)[0]
         for rep in range(1, replications)
@@ -396,36 +416,69 @@ def _state_from_angles(x: np.ndarray, dim: int) -> PureState:
     return PureState(amps / np.linalg.norm(amps))
 
 
-def optimize_input_state(
-    channel: ParametricChannel,
-    theta,
-    objective: str = "sld",
-    restarts: int = 8,
-    seed: int = 0,
-) -> tuple[PureState, float]:
-    """Maximize H or the channel bound over pure input states.
+@dataclass(frozen=True)
+class InputOptimum:
+    """The best pure input found, its objective value and, for H, the dual bound.
 
-    Derivative-free simplex search over 2d - 2 angles (global phase and norm
-    fixed), best of `restarts` seeded starts.  Candidates whose evaluation
-    hits a degeneracy are rejected and the search continues.
+    `ancilla_bound` is min_h 4 lambda_max(alpha_h), which no input reaches,
+    an ancilla included; `certified` says that `value` comes within
+    CERTIFY_TOL of it.  Both are None for the channel-bound objective.
+    """
+
+    state: PureState
+    value: float
+    ancilla_bound: float | None = None
+    certified: bool | None = None
+
+
+def _sld_dual(channel: ParametricChannel, theta) -> tuple[float, np.ndarray]:
+    """min over Hermitian h of 4 lambda_max(alpha_h), and the top eigenvector there.
+
+    alpha_h = sum_k K_k^dag K_k with K_k = E_k' - i sum_j h_kj E_j.  Every h
+    bounds H from above at every input, an ancilla included, and the least
+    bound is the best H with an ancilla (Fujiwara & Imai, J. Phys. A 41,
+    255304, 2008).  The bound is convex in the n^2 real entries x of
+    h = (x + x^T) / 2 + i (x - x^T) / 2, and its gradient comes from the top
+    eigenvector v: d lambda = 2 Re <K v, dK v> with dK = -i (dh) E.  The
+    returned eigenvector's global phase makes its largest amplitude real and
+    positive.
     """
     from scipy.optimize import minimize  # imported here: it is slow to import
 
-    if not channel.is_kraus_form:
-        raise ValidationError("input-state optimization needs a Kraus-form channel")
-    key = objective.strip().lower()
-    if key in ("sld", "h"):
-        evaluate = lambda curve: sld_information(curve)
-    elif key in ("channel-bound", "sm", "c", "bound"):
-        evaluate = lambda curve: sm_bound_spectral(curve)
-    else:
-        raise ValidationError(f"unknown objective {objective!r}; use 'sld' or 'channel-bound'")
-    if channel.param_count != 1:
-        # both objectives are scalar bounds, which refuse a multi-parameter
-        # curve, so no start could evaluate one: fail before decomposing
-        raise NumericError("every optimization start failed to evaluate the objective")
+    ops = channel.kraus_matrices(theta)
+    derivs = kraus_derivative(channel, theta)
+    if not np.all(np.isfinite(derivs)):
+        raise NumericError(f"Kraus derivative at theta={theta!r} is not finite")
+    n = ops.shape[0]
+
+    def top(x: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
+        x = x.reshape(n, n)
+        h = (x + x.T) / 2 + 0.5j * (x - x.T)
+        k = derivs - 1j * np.tensordot(h, ops, axes=(1, 0))
+        values, vectors = np.linalg.eigh(np.einsum("kji,kjl->il", k.conj(), k))
+        return 4.0 * float(values[-1]), vectors[:, -1], k
+
+    def bound_and_gradient(x: np.ndarray) -> tuple[float, np.ndarray]:
+        bound, v, k = top(x)
+        g = (k @ v).conj() @ (ops @ v).T  # g_kj = <K_k v|E_j v>
+        return bound, 4.0 * ((g.imag + g.imag.T) + (g.real - g.real.T)).ravel()
+
+    res = minimize(
+        bound_and_gradient, np.zeros(n * n), jac=True, method="BFGS",
+        options={"gtol": DUAL_GTOL},
+    )
+    bound, v, _ = top(res.x)
+    lead = v[np.argmax(np.abs(v))]
+    return bound, v * (abs(lead) / lead)
+
+
+def _simplex_search(
+    channel: ParametricChannel, theta, evaluate, restarts: int, seed: int
+) -> tuple[PureState, float]:
+    """Nelder-Mead over 2d - 2 angles, best of `restarts` seeded starts."""
+    from scipy.optimize import minimize  # imported here: it is slow to import
+
     dim = channel.dim
-    n_angles = 2 * dim - 2
 
     def cost(x: np.ndarray) -> float:
         try:
@@ -451,3 +504,57 @@ def optimize_input_state(
     if best_x is None or best_val >= 1e9:
         raise NumericError("every optimization start failed to evaluate the objective")
     return _state_from_angles(best_x, dim), -best_val
+
+
+def optimize_input_state(
+    channel: ParametricChannel,
+    theta,
+    objective: str = "sld",
+    restarts: int = 8,
+    seed: int = 0,
+) -> InputOptimum:
+    """Maximize H or the channel bound over pure input states.
+
+    For H (objective "sld") the convex dual min_h 4 lambda_max(alpha_h)
+    comes first (see `_sld_dual`): it bounds H at every input, an ancilla
+    included, and is returned as `ancilla_bound`.  When H at the top
+    eigenvector of alpha_h comes within CERTIFY_TOL * max(1, bound) of the
+    bound, that eigenvector is optimal and is returned, certified, with no
+    search.  Otherwise (a degenerate top eigenvalue, or a bound that only an
+    ancilla reaches) the simplex search below runs, and the eigenvector
+    replaces its result only if it beats it by more than that tolerance;
+    `certified` then says whether the search closed the gap.
+
+    The channel bound has no dual here: derivative-free simplex search over
+    2d - 2 angles (global phase and norm fixed), best of `restarts` seeded
+    starts.  Candidates whose evaluation hits a degeneracy are rejected and
+    the search continues.
+    """
+    if not channel.is_kraus_form:
+        raise ValidationError("input-state optimization needs a Kraus-form channel")
+    key = objective.strip().lower()
+    sld = key in ("sld", "h")
+    if not sld and key not in ("channel-bound", "sm", "c", "bound"):
+        raise ValidationError(f"unknown objective {objective!r}; use 'sld' or 'channel-bound'")
+    if channel.param_count != 1:
+        # both objectives are scalar bounds: refuse before decomposing
+        raise ValidationError(
+            "input-state optimization handles one-parameter channels, "
+            f"got {channel.param_count} parameters"
+        )
+    if not sld:
+        return InputOptimum(*_simplex_search(channel, theta, sm_bound_spectral, restarts, seed))
+
+    bound, psi = _sld_dual(channel, theta)
+    slack = CERTIFY_TOL * max(1.0, bound)
+    top = PureState(psi)
+    try:
+        at_top = sld_information(spectral_curve(channel.with_input_state(top), theta))
+    except (NumericError, ValidationError):
+        at_top = -np.inf
+    if at_top >= bound - slack:
+        return InputOptimum(top, at_top, bound, True)
+    state, value = _simplex_search(channel, theta, sld_information, restarts, seed)
+    if at_top > value + slack:
+        state, value = top, at_top
+    return InputOptimum(state, value, bound, value >= bound - slack)

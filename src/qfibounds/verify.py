@@ -10,6 +10,7 @@ Shared by `qfi verify` and the acceptance tests.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -140,6 +141,21 @@ def ordering_suite(seed: int = DEFAULT_SEED, count: int = 200) -> list[CheckResu
     return _ordering(_battery_curves(seed, count, 1), seed)
 
 
+def _exponential_mixing(g: np.ndarray):
+    """The remixing exp(-i t g) and its derivative -i g exp(-i t g), as (mix, dmix).
+
+    Both come from one decomposition of t g, kept for the last t asked for:
+    the remixed stack and its derivative are asked for at the same t.
+    """
+
+    @lru_cache(maxsize=1)
+    def at(t: float) -> tuple[np.ndarray, np.ndarray]:
+        u = unitary_exponential(t * g).unitary()
+        return u, -1j * g @ u
+
+    return (lambda t: at(float(t[0]))[0]), (lambda t, i: at(float(t[0]))[1])
+
+
 def _ordering(points, seed: int) -> list[CheckResult]:
     rng = np.random.Generator(np.random.Philox(key=np.uint64(seed ^ 0x0F0F0F0F)))
     worst_fh = worst_hc = worst_hce = np.inf
@@ -159,11 +175,7 @@ def _ordering(points, seed: int) -> list[CheckResult]:
         gen = random_hermitian(n_ops, rng)
         for label, mix, dmix in (
             ("fixed", lambda t, u=fixed: u, lambda t, i: np.zeros_like(fixed)),
-            (
-                "curve",
-                lambda t, g=gen: unitary_exponential(t[0] * g).unitary(),
-                lambda t, i, g=gen: -1j * g @ unitary_exponential(t[0] * g).unitary(),
-            ),
+            ("curve", *_exponential_mixing(gen)),
         ):
             remixed = remix_channel(channel, mix, dmix, name=f"{channel.name}-{label}")
             ce = sm_bound_kraus(

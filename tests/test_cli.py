@@ -204,6 +204,39 @@ def test_optimize_input_command(spec_file, capsys):
     assert len(doc["optimal_input"]) == 2
 
 
+def test_optimize_input_sld_adds_the_dual_keys(spec_file, capsys):
+    path = spec_file(DAMPING)
+    docs = {}
+    for objective in ("sld", "channel-bound"):
+        code, out, _ = run_cli(
+            capsys, "optimize-input", path, "--theta", "0.3", "--objective", objective,
+            "--restarts", "1",
+        )
+        assert code == 0
+        docs[objective] = json.loads(out)
+    sld, bound = docs["sld"], docs["channel-bound"]
+    assert set(sld) - set(bound) == {"ancilla_bound", "certified"}
+    assert set(bound) <= set(sld)
+    assert sld["certified"] is True
+    assert sld["ancilla_bound"] == pytest.approx(1 / (0.3 * 0.7), abs=1e-12)
+
+
+@pytest.mark.parametrize(
+    "command, args",
+    [
+        ("sweep", ("--theta-grid", "0.2,0.4")),
+        ("estimate", ("--theta-true", "0.3")),
+        ("optimize-input", ("--theta", "0.3", "0.4")),
+    ],
+    ids=["sweep", "estimate", "optimize-input"],
+)
+def test_one_parameter_commands_refuse_two_parameters(spec_file, capsys, command, args):
+    text = "family = random-kraus\ndim = 3\nenv = 2\nseed = 11\nparam_count = 2\n"
+    code, out, err = run_cli(capsys, command, spec_file(text), *args)
+    assert code == 2 and out == ""
+    assert "one-parameter channels" in err
+
+
 def test_verify_gap_suite(capsys):
     code, out, _ = run_cli(capsys, "verify", "--suite", "gap")
     assert code == 0
@@ -439,6 +472,19 @@ def test_multiparameter_report_builds_one_core(spec_file, capsys, monkeypatch):
         assert code == 0
         assert calls == {"canonical_kraus": 1}
         assert work == {"curves": 1, "overlaps": 1, "sld_score": 1}
+
+
+def test_estimate_decomposes_theta_true_once(spec_file, capsys, monkeypatch):
+    # The curve behind the SLD-optimal POVM also gives the variance floors;
+    # the adaptive run adds one decomposition per replication's pivot.
+    path = spec_file(DAMPING)
+    common = ("estimate", path, "--theta-true", "0.3", "--shots", "100", "--reps", "3")
+    for extra, expected in (((), 1), (("--adaptive", "--n-pilot", "50"), 4)):
+        with monkeypatch.context() as patch:
+            calls = _count_calls(patch, "canonical_kraus")
+            code, _, _ = run_cli(capsys, *common, *extra)
+        assert code == 0
+        assert calls == {"canonical_kraus": expected}
 
 
 def test_verify_builds_one_battery_per_run(monkeypatch):

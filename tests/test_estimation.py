@@ -6,7 +6,10 @@ import pytest
 from qfibounds.bounds import optimal_povm_from_sld, sld_information, sld_score, spectral_curve
 from qfibounds.channels import ParametricChannel, builtin, random_kraus_channel
 from qfibounds.errors import NumericError, ValidationError
+from qfibounds import estimation
+from qfibounds.channels import random_pure_state
 from qfibounds.estimation import (
+    CERTIFY_TOL,
     MLE_GRID_POINTS,
     AdaptiveConfig,
     adaptive_experiment,
@@ -220,23 +223,24 @@ def test_rotation_adaptive_unit_information():
 
 def test_optimize_input_rotation_sld():
     ch = builtin("rotation", axis="z")
-    state, value = optimize_input_state(ch, 0.3, "sld", restarts=6, seed=1)
-    assert value == pytest.approx(1.0, abs=1e-6)
+    result = optimize_input_state(ch, 0.3, "sld", restarts=6, seed=1)
+    assert result.value == pytest.approx(1.0, abs=1e-6)
     # optimum sits on the equator: equal magnitudes
-    mags = np.abs(state.amplitudes)
+    mags = np.abs(result.state.amplitudes)
     assert np.allclose(mags, [np.sqrt(0.5)] * 2, atol=1e-4)
 
 
 def test_optimize_input_rotation_bound_is_flat():
     ch = builtin("rotation", axis="z")
-    _, value = optimize_input_state(ch, 0.3, "channel-bound", restarts=3, seed=2)
-    assert value == pytest.approx(1.0, abs=1e-9)
+    result = optimize_input_state(ch, 0.3, "channel-bound", restarts=3, seed=2)
+    assert result.value == pytest.approx(1.0, abs=1e-9)
+    assert result.ancilla_bound is None and result.certified is None
 
 
 def test_optimize_input_dephasing_beats_grid_scan():
     ch = builtin("dephasing")
     theta = 0.3
-    state, value = optimize_input_state(ch, theta, "sld", restarts=6, seed=3)
+    value = optimize_input_state(ch, theta, "sld", restarts=6, seed=3).value
     assert value == pytest.approx(1 / (theta * (1 - theta)), rel=1e-6)
     # random-state scan oracle: the optimizer must not fall short of it.  The
     # draws are those of 10,000 successive `normal(size=2)` real and imaginary
@@ -272,5 +276,82 @@ def test_optimize_input_fails_on_two_parameters_without_decomposing(monkeypatch)
     monkeypatch.setattr(bounds, "canonical_kraus", refuse)
     channel = random_kraus_channel(dim=3, env=2, seed=11, param_count=2)
     for objective in ("sld", "channel-bound"):
-        with pytest.raises(NumericError, match="every optimization start failed"):
+        with pytest.raises(ValidationError, match="one-parameter channels, got 2 parameters"):
             optimize_input_state(channel, [0.3, 0.4], objective, restarts=1)
+
+
+def h_at(channel, state, theta):
+    return sld_information(spectral_curve(channel.with_input_state(state), theta))
+
+
+@pytest.mark.parametrize(
+    "channel, theta",
+    [
+        (builtin("amplitude-damping"), 0.3),
+        (builtin("dephasing"), 0.3),
+        (builtin("depolarizing"), 0.3),
+        (random_kraus_channel(dim=3, env=2, seed=2), 0.2),
+    ],
+    ids=["amplitude-damping", "dephasing", "depolarizing", "random-kraus-3-2"],
+)
+def test_ancilla_bound_caps_h_at_random_inputs(channel, theta):
+    # weak duality: 4 lambda_max(alpha_h) bounds H at every input
+    bound = optimize_input_state(channel, theta, "sld", restarts=1).ancilla_bound
+    rng = np.random.default_rng(64)
+    values = [h_at(channel, random_pure_state(channel.dim, rng), theta) for _ in range(64)]
+    assert max(values) > 0.1 * bound
+    assert bound >= max(values) - 1e-12 * max(1.0, bound)
+
+
+def test_optimize_input_certifies_amplitude_damping():
+    theta = 0.3
+    result = optimize_input_state(builtin("amplitude-damping"), theta, "sld")
+    exact = 1 / (theta * (1 - theta))
+    assert result.certified is True
+    assert result.ancilla_bound == pytest.approx(exact, abs=1e-12)
+    assert result.value == pytest.approx(exact, abs=1e-12)
+    # the excited state, with its global phase fixed
+    assert np.allclose(result.state.amplitudes, [0.0, 1.0], atol=1e-12)
+
+
+@pytest.mark.parametrize(
+    "channel",
+    [builtin("amplitude-damping")]
+    + [
+        random_kraus_channel(dim=d, env=e, seed=2)
+        for d, e in [(2, 2), (4, 2), (6, 3), (8, 2), (8, 8)]
+    ],
+    ids=["amplitude-damping", "rk-2-2", "rk-4-2", "rk-6-3", "rk-8-2", "rk-8-8"],
+)
+def test_certified_run_builds_one_curve_and_no_search(monkeypatch, channel):
+    import scipy.optimize
+
+    theta = 0.3 if channel.name == "amplitude-damping" else 0.2
+    calls = {"curves": 0, "nelder-mead": 0}
+    curve_fn, minimize = estimation.spectral_curve, scipy.optimize.minimize
+
+    def counted_curve(*args):
+        calls["curves"] += 1
+        return curve_fn(*args)
+
+    def counted_minimize(*args, **kwargs):
+        calls["nelder-mead"] += kwargs.get("method") == "Nelder-Mead"
+        return minimize(*args, **kwargs)
+
+    monkeypatch.setattr(estimation, "spectral_curve", counted_curve)
+    monkeypatch.setattr(scipy.optimize, "minimize", counted_minimize)
+    result = optimize_input_state(channel, theta, "sld", restarts=1)
+    assert result.certified is True
+    assert calls["curves"] <= 2 and calls["nelder-mead"] == 0
+    assert result.state.dim == channel.dim
+    assert result.value == h_at(channel, result.state, theta)
+    assert result.value >= result.ancilla_bound - CERTIFY_TOL * max(1.0, result.ancilla_bound)
+
+
+def test_optimize_input_depolarizing_needs_an_ancilla():
+    # The maximally entangled input with an ancilla reaches 100/31; the best
+    # pure input without one gives 100/51, so the gap stays open.
+    result = optimize_input_state(builtin("depolarizing"), 0.3, "sld", restarts=1)
+    assert result.certified is False
+    assert result.ancilla_bound == pytest.approx(100 / 31, rel=1e-12)
+    assert result.value == pytest.approx(100 / 51, rel=1e-6)

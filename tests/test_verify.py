@@ -60,6 +60,23 @@ def test_run_suites_decomposes_each_point_once(monkeypatch):
     assert calls["canonical_kraus"] == 6
 
 
+def test_ordering_decomposes_each_remixing_generator_once_per_point(monkeypatch):
+    # The theta-dependent remixing exp(-i theta g) and its derivative come
+    # from one decomposition of theta g; the battery families decompose
+    # through their own module and are not counted here.
+    calls = Counter()
+    original = verify.unitary_exponential
+
+    def counted(h):
+        calls["unitary_exponential"] += 1
+        return original(h)
+
+    monkeypatch.setattr(verify, "unitary_exponential", counted)
+    results = verify.ordering_suite(seed=11, count=6)
+    assert all(r.passed for r in results)
+    assert calls["unitary_exponential"] == 6
+
+
 def test_directional_suite_builds_one_core_per_channel_and_direction(monkeypatch):
     calls = _count(monkeypatch, "canonical_kraus")
     battery = verify.two_param_battery(seed=9, count=5)
