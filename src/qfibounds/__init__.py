@@ -27,7 +27,6 @@ from .bounds import (
     sm_bound_kraus,
     sm_bound_spectral,
     spectral_curve,
-    unitary_attainability,
     unitary_condition,
 )
 from .channels import (

@@ -10,10 +10,13 @@ Only canonical_kraus and spectral_curve decompose.  A spectral curve is the
 value of a point for any parameter count m: it holds the eigensystem with
 all m partials, carries the decomposition it came from, and caches its
 overlap and SLD score stacks (one matrix per parameter) and bound terms, so
-every function of a point reads one value: the curve.  The scalar
-functionals read a one-parameter curve and refuse a curve with several
-parameters; multiparam builds the matrices from the same curve, and
-curve.directional(v) gives the one-parameter curve along a direction.
+every function of a point reads one value: the curve.  The Fisher
+information of a POVM reads the curve's state and its per-parameter
+partials (SpectralCurve.fisher), the unitary condition reads its
+decomposition, and no function of a point evaluates the channel again.
+The scalar functionals read a one-parameter curve and refuse a curve with
+several parameters; multiparam builds the matrices from the same curve,
+and curve.directional(v) gives the one-parameter curve along a direction.
 
 Gauge convention: the canonical operators Y = X^dag E come from the
 eigenvectors X of the input-state Gram matrix, and their derivatives follow
@@ -295,7 +298,8 @@ class SpectralCurve:
         w = self.vectors
         return hermitian_part((w * self.values) @ w.conj().T)
 
-    def _state_partial(self, l: int) -> np.ndarray:
+    def state_partial(self, l: int) -> np.ndarray:
+        """d rho / d theta_l."""
         w, dw = self.vectors, self.vector_derivs[l]
         out = (w * self.value_derivs[l]) @ w.conj().T + (dw * self.values) @ w.conj().T
         return out + (w * self.values) @ dw.conj().T
@@ -303,7 +307,33 @@ class SpectralCurve:
     def state_derivative(self) -> np.ndarray:
         """d rho / d theta of a one-parameter curve."""
         _require_one_parameter(self)
-        return self._state_partial(0)
+        return self.state_partial(0)
+
+    def fisher(self, povm: POVM) -> np.ndarray:
+        """(m, m) Fisher information of the POVM outcomes, from this curve's state.
+
+        F_jk = sum_i d_j p_i d_k p_i / p_i over outcomes with p_i above
+        P_FLOOR; an outcome below it whose probability still moves by more
+        than DP_FLOOR is a singular term and raises.
+        """
+        elements = povm.elements
+        probs = np.clip(np.real(np.einsum("ij,mji->m", self.state_matrix(), elements)), 0.0, None)
+        dprobs = np.array(
+            [np.real(np.einsum("ij,mji->m", self.state_partial(l), elements))
+             for l in range(self.param_count)]
+        )
+        entries = np.zeros((self.param_count, self.param_count))
+        for i, pm in enumerate(probs):
+            if pm > P_FLOOR:
+                entries += np.outer(dprobs[:, i], dprobs[:, i]) / pm
+            else:
+                steepest = dprobs[np.argmax(np.abs(dprobs[:, i])), i]
+                if abs(steepest) > DP_FLOOR:
+                    raise SingularTermError(
+                        f"outcome {i}: probability {pm:.3e} at the support boundary with "
+                        f"derivative {steepest:.3e}"
+                    )
+        return entries
 
     def directional(self, direction) -> SpectralCurve:
         """Curve of the one-parameter slice along a direction, by linearity."""
@@ -382,7 +412,7 @@ class SpectralCurve:
                     lam_frame[j, k] = entry
                     lam_frame[k, j] = np.conj(entry)
             lam = hermitian_part(w @ lam_frame @ w.conj().T)
-            residual = max_abs(self._state_partial(l) - 0.5 * (rho @ lam + lam @ rho))
+            residual = max_abs(self.state_partial(l) - 0.5 * (rho @ lam + lam @ rho))
             if residual > SLD_RESIDUAL_TOL:
                 raise ConsistencyError(
                     f"SLD residual {residual:.3e}: curve data inconsistent with its own "
@@ -566,28 +596,24 @@ def attainability_check(curve: SpectralCurve, tol: float = 1e-6) -> tuple[bool, 
     return residual < tol, residual
 
 
-def unitary_condition(operator: np.ndarray, derivative: np.ndarray, rho0: np.ndarray) -> complex:
-    """Condition value tr(U rho0 U'^dag) of a single-operator family along one parameter."""
-    return complex(np.trace(operator @ rho0 @ derivative.conj().T))
+def unitary_condition(
+    channel: ParametricChannel, curve: SpectralCurve, tol: float = 1e-6
+) -> tuple[tuple[complex, ...], bool]:
+    """Per-parameter condition values tr(U rho0 d_l U^dag) of a single-operator channel.
 
-
-def unitary_attainability(
-    channel: ParametricChannel, theta, tol: float = 1e-6
-) -> tuple[complex, bool]:
-    """Condition value tr(U rho0 U'^dag) for a single-operator channel.
-
-    The bound is attainable for the unitary family exactly when this vanishes.
+    Read from the family's own operator and partials in the curve's
+    decomposition.  The bound is attainable along parameter l exactly when
+    its value vanishes; the flag says whether every value is below tol.
     """
-    if not channel.is_kraus_form:
+    ck = curve.kraus
+    if ck is None:
         raise ValidationError("unitary condition needs a Kraus-form channel")
-    ops = channel.kraus_matrices(theta)
-    if ops.shape[0] != 1:
-        raise ValidationError(f"channel has {ops.shape[0]} Kraus operators; expected 1")
-    if channel.input_state is None:
-        raise ValidationError("channel needs an input state")
-    du = kraus_derivative(channel, theta, 0)[0]
-    value = unitary_condition(ops[0], du, channel.input_state.density().matrix)
-    return value, abs(value) < tol
+    n = ck.raw_operators.shape[0]
+    if n != 1:
+        raise ValidationError(f"channel has {n} Kraus operators; expected 1")
+    u, rho0 = ck.raw_operators[0], channel.input_state.density().matrix
+    values = tuple(complex(np.trace(u @ rho0 @ du[0].conj().T)) for du in ck.raw_derivatives)
+    return values, all(abs(z) < tol for z in values)
 
 
 def optimal_povm_from_sld(lam: np.ndarray) -> POVM:
@@ -597,25 +623,10 @@ def optimal_povm_from_sld(lam: np.ndarray) -> POVM:
     return POVM(np.array([block @ block.conj().T for block in blocks]))
 
 
-def fisher_information(channel: ParametricChannel, povm: POVM, theta) -> float:
-    """Classical Fisher information of the POVM outcome distribution at theta."""
-    if channel.param_count != 1:
-        raise ValidationError("fisher_information expects a one-parameter channel")
-    vec = channel.require_in_domain(theta)
-    rho = channel.output_matrix(vec)
-    drho = channel.output_matrix_partial(vec, 0)
-    probs = np.clip(np.real(np.einsum("ij,mji->m", rho, povm.elements)), 0.0, None)
-    dprobs = np.real(np.einsum("ij,mji->m", drho, povm.elements))
-    total = 0.0
-    for m, (pm, dpm) in enumerate(zip(probs, dprobs)):
-        if pm > P_FLOOR:
-            total += dpm * dpm / pm
-        elif abs(dpm) > DP_FLOOR:
-            raise SingularTermError(
-                f"outcome {m}: probability {pm:.3e} at the support boundary with "
-                f"derivative {dpm:.3e}"
-            )
-    return total
+def fisher_information(curve: SpectralCurve, povm: POVM) -> float:
+    """Classical Fisher information of the POVM outcomes at a one-parameter curve's point."""
+    _require_one_parameter(curve)
+    return curve.fisher(povm)[0, 0]
 
 
 # ---------------------------------------------------------------------------
@@ -654,14 +665,18 @@ def _fit_real_scale(pairs: list[tuple[np.ndarray, np.ndarray]], tol: float):
 
 
 def povm_sld_condition_check(
-    povm: POVM, lam: np.ndarray, rho: DensityMatrix, tol: float = 1e-6
+    povm: POVM, curve: SpectralCurve, tol: float = 1e-6
 ) -> ConditionReport:
     """Check M^(1/2) L rho^(1/2) = xi_m M^(1/2) rho^(1/2) per POVM element.
 
+    L is the SLD score of a one-parameter curve, and rho^(1/2) comes from
+    its eigensystem, so an unsupported eigenvalue contributes an exact zero.
     A real xi_m is extracted by least squares; the residual combines the
     misfit norm with the imaginary part of the fitted coefficient.
     """
-    root_rho = psd_sqrt(rho.matrix)
+    lam = sld_score(curve)
+    w = curve.vectors
+    root_rho = hermitian_part((w * np.sqrt(curve.values)) @ w.conj().T)
     elements = []
     for m, mat in enumerate(povm.elements):
         root_m = psd_sqrt(mat)
@@ -770,7 +785,7 @@ def bound_report(
     f = None
     if povm is not None:
         try:
-            f = fisher_information(channel, povm, theta)
+            f = fisher_information(curve, povm)
         except SingularTermError as exc:
             warnings.append(f"Fisher information dropped: {exc}")
     return BoundReport(

@@ -1,14 +1,16 @@
 """Parametric channel families.
 
 A ParametricChannel is a differentiable family given either as a Kraus curve
-theta -> {E_k(theta)} with a pure input state, or directly as a spectral
-curve (output eigenvalues and eigenvectors with analytic derivatives).
-Built-in families cover the standard qubit channels, the two rank-two
-three-level families used throughout the test suite, and seeded random
-Kraus curves generated from random Hamiltonians on system + environment.
-The exponential families (`random-kraus`, `rotation-2p`) take their Kraus
-stack and every partial from one eigendecomposition of the generator per
-theta (`linalg.unitary_exponential`); this module imports no scipy.
+theta -> {E_k(theta)} with its analytic partials and a pure input state, or
+directly as a spectral curve (output eigenvalues and eigenvectors with
+analytic derivatives).  A Kraus-form channel must carry kraus_grad_fn: no
+Kraus derivative is taken by finite differences.  Built-in families cover
+the standard qubit channels, the two rank-two three-level families used
+throughout the test suite, and seeded random Kraus curves generated from
+random Hamiltonians on system + environment.  The exponential families
+(`random-kraus`, `rotation-2p`) take their Kraus stack and every partial
+from one eigendecomposition of the generator per theta
+(`linalg.unitary_exponential`); this module imports no scipy.
 """
 
 from __future__ import annotations
@@ -20,13 +22,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import ValidationError
-from .linalg import (
-    DEFAULT_DIFF,
-    differentiate_curve,
-    hermitian_part,
-    max_abs,
-    unitary_exponential,
-)
+from .linalg import hermitian_part, max_abs, unitary_exponential
 from .quantum import PAULI_Z, PAULIS, DensityMatrix, PureState
 
 SPECTRAL_SUM_TOL = 1e-10
@@ -64,6 +60,8 @@ class ParametricChannel:
     def __post_init__(self):
         if (self.kraus_fn is None) == (self.spectral_fn is None):
             raise ValidationError("channel needs exactly one of kraus_fn / spectral_fn")
+        if self.kraus_fn is not None and self.kraus_grad_fn is None:
+            raise ValidationError(f"Kraus-form channel {self.name!r} needs kraus_grad_fn")
         if len(self.domain) != self.param_count:
             raise ValidationError("domain box must have one interval per parameter")
         if self.input_state is not None and self.input_state.dim != self.dim:
@@ -138,56 +136,17 @@ class ParametricChannel:
     def output_state(self, theta) -> DensityMatrix:
         return DensityMatrix(self.output_matrix(theta))
 
-    def output_matrix_partial(self, theta, index: int = 0) -> np.ndarray:
-        """Partial derivative of the output density matrix along one parameter."""
-        vec = self.theta_vector(theta)
-        if self.is_kraus_form:
-            if self.kraus_grad_fn is not None:
-                ops = self.kraus_matrices(vec)
-                grads = np.asarray(self.kraus_grad_fn(vec, index), dtype=complex)
-                psi = self.input_state.amplitudes
-                vs = ops @ psi
-                dvs = grads @ psi
-                out = np.einsum("ki,kj->ij", dvs, vs.conj())
-                return out + out.conj().T
-            return differentiate_curve(
-                lambda t: self.output_matrix(_axis_point(vec, index, t)), vec[index], DEFAULT_DIFF
-            )
-        data = self.spectral_at(vec)
-        w, dw = data.vectors, data.vector_grads[index]
-        dp = data.value_grads[index]
-        out = (w * dp) @ w.conj().T + (dw * data.values) @ w.conj().T
-        cross = (w * data.values) @ dw.conj().T
-        return out + cross
-
-
-def _axis_point(theta: np.ndarray, index: int, value: float) -> np.ndarray:
-    out = theta.copy()
-    out[index] = value
-    return out
-
 
 def kraus_derivative(channel: ParametricChannel, theta, index: int = 0) -> np.ndarray:
     """Partial derivative of the Kraus stack along parameter `index`.
 
-    Uses the analytic derivative when the family provides one, otherwise a
-    central difference with the element ordering held fixed across the
-    stencil.
+    Reads the family's analytic kraus_grad_fn, which every Kraus-form
+    channel carries, at a point inside the domain.
     """
     if not channel.is_kraus_form:
         raise ValidationError(f"channel {channel.name!r} has no Kraus curve to differentiate")
     vec = channel.require_in_domain(theta)
-    if channel.kraus_grad_fn is not None:
-        return np.asarray(channel.kraus_grad_fn(vec, index), dtype=complex)
-    lo, hi = channel.domain[index]
-    reach = DEFAULT_DIFF.max_offset
-    if not (lo <= vec[index] - reach and vec[index] + reach <= hi):
-        raise ValidationError(
-            f"finite-difference stencil leaves the domain at theta={vec.tolist()}"
-        )
-    return differentiate_curve(
-        lambda t: channel.kraus_matrices(_axis_point(vec, index, t)), vec[index], DEFAULT_DIFF
-    )
+    return np.asarray(channel.kraus_grad_fn(vec, index), dtype=complex)
 
 
 # ---------------------------------------------------------------------------
@@ -587,15 +546,14 @@ def custom_spectral(
 def remix_channel(
     channel: ParametricChannel,
     mixing_fn: Callable[[np.ndarray], np.ndarray],
-    mixing_grad_fn: Callable[[np.ndarray, int], np.ndarray] | None = None,
+    mixing_grad_fn: Callable[[np.ndarray, int], np.ndarray],
     name: str | None = None,
 ) -> ParametricChannel:
     """Remix a Kraus curve: F_j(theta) = sum_k u_jk(theta) E_k(theta).
 
-    The mixing matrix must be unitary at every theta (rows may exceed the
-    original operator count if u is a rectangular isometry is not supported;
-    u must be square).  Analytic derivatives survive when both the family
-    and the mixing supply them.
+    The mixing matrix u must be square and unitary at every theta.
+    mixing_grad_fn(theta, l) gives its partial along parameter l, which
+    with the family's own partials gives the remixed Kraus derivative.
     """
     if not channel.is_kraus_form:
         raise ValidationError("only Kraus-form channels can be remixed")
@@ -604,14 +562,12 @@ def remix_channel(
         u = np.asarray(mixing_fn(theta), dtype=complex)
         return np.tensordot(u, channel.kraus_matrices(theta), axes=(1, 0))
 
-    grad = None
-    if mixing_grad_fn is not None and channel.kraus_grad_fn is not None:
-        def grad(theta: np.ndarray, index: int) -> np.ndarray:
-            u = np.asarray(mixing_fn(theta), dtype=complex)
-            du = np.asarray(mixing_grad_fn(theta, index), dtype=complex)
-            ops = channel.kraus_matrices(theta)
-            dops = np.asarray(channel.kraus_grad_fn(theta, index), dtype=complex)
-            return np.tensordot(du, ops, axes=(1, 0)) + np.tensordot(u, dops, axes=(1, 0))
+    def grad(theta: np.ndarray, index: int) -> np.ndarray:
+        u = np.asarray(mixing_fn(theta), dtype=complex)
+        du = np.asarray(mixing_grad_fn(theta, index), dtype=complex)
+        ops = channel.kraus_matrices(theta)
+        dops = np.asarray(channel.kraus_grad_fn(theta, index), dtype=complex)
+        return np.tensordot(du, ops, axes=(1, 0)) + np.tensordot(u, dops, axes=(1, 0))
 
     return dataclasses.replace(
         channel,
@@ -644,18 +600,17 @@ def directional_channel(
         def kraus(tvec: np.ndarray) -> np.ndarray:
             return channel.kraus_matrices(center + tvec[0] * v)
 
-        if channel.kraus_grad_fn is not None:
-            def grad(tvec: np.ndarray, index: int) -> np.ndarray:
-                point = center + tvec[0] * v
-                acc = None
-                for l, vl in enumerate(v):
-                    if vl == 0.0:
-                        continue
-                    term = vl * np.asarray(channel.kraus_grad_fn(point, l), dtype=complex)
-                    acc = term if acc is None else acc + term
-                if acc is None:
-                    acc = np.zeros_like(channel.kraus_matrices(point))
-                return acc
+        def grad(tvec: np.ndarray, index: int) -> np.ndarray:
+            point = center + tvec[0] * v
+            acc = None
+            for l, vl in enumerate(v):
+                if vl == 0.0:
+                    continue
+                term = vl * np.asarray(channel.kraus_grad_fn(point, l), dtype=complex)
+                acc = term if acc is None else acc + term
+            if acc is None:
+                acc = np.zeros_like(channel.kraus_matrices(point))
+            return acc
     else:
         def spectral(tvec: np.ndarray) -> SpectralData:
             data = channel.spectral_at(center + tvec[0] * v)

@@ -161,17 +161,15 @@ def _point_report(channel, curve, povm, povm_id, tol) -> dict:
         )
     ck = curve.kraus
     if ck is not None and ck.operators.shape[0] == 1:
-        rho0 = channel.input_state.density().matrix
-        value = unitary_condition(ck.raw_operators[0], ck.raw_derivatives[0][0], rho0)
+        (value,), attainable = unitary_condition(channel, curve, tol)
         doc["unitary_condition"] = {
             "value": reporting.complex_value(value),
-            "attainable": abs(value) < tol,
+            "attainable": attainable,
         }
     if povm is not None:
         doc["povm"] = povm_id
-        rho = channel.output_state(curve.theta)
         doc["sld_condition"] = reporting.condition_report_dict(
-            povm_sld_condition_check(povm, sld_score(curve), rho, tol)
+            povm_sld_condition_check(povm, curve, tol)
         )
         if ck is not None:
             sm_report, _ = povm_sm_condition_check(
@@ -212,7 +210,7 @@ def _matrix_report(channel, curve, povm, povm_id, tol) -> dict:
         )
     if povm is not None:
         doc["povm"] = povm_id
-        f = fisher_matrix(channel, povm, curve.theta)
+        f = fisher_matrix(curve, povm)
         doc["fisher_information"] = reporting.info_matrix_dict(f)
         doc["loewner"] = reporting.loewner_report_dict(loewner_report(f, h, c))
     doc["warnings"] = warnings

@@ -219,19 +219,16 @@ class EstimationRun:
 
 
 def predicted_bounds(
-    channel: ParametricChannel, curve: SpectralCurve, povm: POVM | None, shots: int
+    curve: SpectralCurve, povm: POVM | None, shots: int
 ) -> tuple[dict[str, float | None], list[str]]:
-    """Variance floors 1/(N F), 1/(N H), 1/(N C) at the true parameter.
-
-    `curve` is the channel's spectral curve at the true parameter.
-    """
+    """Variance floors 1/(N F), 1/(N H), 1/(N C) read from the curve at the true parameter."""
     warnings: list[str] = []
     h = sld_information(curve)
     c = sm_bound_spectral(curve)
     f = None
     if povm is not None:
         try:
-            f = fisher_information(channel, povm, curve.theta)
+            f = fisher_information(curve, povm)
         except SingularTermError as exc:
             warnings.append(f"Fisher information singular: {exc}")
     bounds: dict[str, float | None] = {
@@ -275,7 +272,7 @@ def cr_experiment(
     variance = float(np.var(estimates, ddof=1))
     if curve is None:
         curve = spectral_curve(channel, theta_true)
-    bounds, _ = predicted_bounds(channel, curve, povm, shots)
+    bounds, _ = predicted_bounds(curve, povm, shots)
     ratios = {
         key: (None if floor is None else variance / floor) for key, floor in bounds.items()
     }
@@ -357,7 +354,7 @@ def adaptive_two_stage(
     """
     run, stage2_povm = _two_stage(channel, theta_true, shots, config, seed, _grid_states(channel))
     curve = spectral_curve(channel, theta_true)
-    bounds, _ = predicted_bounds(channel, curve, stage2_povm, run.shots)
+    bounds, _ = predicted_bounds(curve, stage2_povm, run.shots)
     return dataclasses.replace(run, predicted_bounds=bounds)
 
 
@@ -384,7 +381,7 @@ def adaptive_experiment(
     )
     if curve is None:
         curve = spectral_curve(channel, theta_true)
-    bounds, _ = predicted_bounds(channel, curve, stage2_povm, first.shots)
+    bounds, _ = predicted_bounds(curve, stage2_povm, first.shots)
     rest = [
         _two_stage(channel, theta_true, shots, config, replication_seed(seed, rep), states)[0]
         for rep in range(1, replications)
@@ -528,7 +525,9 @@ def optimize_input_state(
     The channel bound has no dual here: derivative-free simplex search over
     2d - 2 angles (global phase and norm fixed), best of `restarts` seeded
     starts.  Candidates whose evaluation hits a degeneracy are rejected and
-    the search continues.
+    the search continues.  A theta closer to a domain edge than the stencil
+    margin is refused up front with a ValidationError, as spectral_curve
+    refuses it.
     """
     if not channel.is_kraus_form:
         raise ValidationError("input-state optimization needs a Kraus-form channel")
@@ -542,6 +541,8 @@ def optimize_input_state(
             "input-state optimization handles one-parameter channels, "
             f"got {channel.param_count} parameters"
         )
+    # a candidate's curve needs the stencil margin; refuse here, not in every candidate
+    channel.require_in_domain(theta, margin=DEFAULT_DIFF.max_offset)
     if not sld:
         return InputOptimum(*_simplex_search(channel, theta, sm_bound_spectral, restarts, seed))
 

@@ -20,8 +20,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bounds import (
-    DP_FLOOR,
-    P_FLOOR,
     SUPPORT_TOL,
     SpectralCurve,
     attainability_check,
@@ -31,7 +29,7 @@ from .bounds import (
     unitary_condition,
 )
 from .channels import ParametricChannel, directional_channel
-from .errors import ConsistencyError, SingularTermError, ValidationError
+from .errors import ConsistencyError, ValidationError
 from .linalg import loewner_leq, max_abs
 from .quantum import POVM
 
@@ -116,26 +114,9 @@ def sm_matrix(channel: ParametricChannel, curve: SpectralCurve) -> InfoMatrix:
     return InfoMatrix(entries, "sm")
 
 
-def fisher_matrix(channel: ParametricChannel, povm: POVM, theta) -> InfoMatrix:
-    """Classical Fisher information matrix of the POVM outcome distribution."""
-    vec = channel.require_in_domain(theta)
-    m = channel.param_count
-    rho = channel.output_matrix(vec)
-    probs = np.clip(np.real(np.einsum("ij,mji->m", rho, povm.elements)), 0.0, None)
-    dprobs = np.empty((m, len(povm)))
-    for l in range(m):
-        drho = channel.output_matrix_partial(vec, l)
-        dprobs[l] = np.real(np.einsum("ij,mji->m", drho, povm.elements))
-    entries = np.zeros((m, m))
-    for i, pm in enumerate(probs):
-        if pm > P_FLOOR:
-            entries += np.outer(dprobs[:, i], dprobs[:, i]) / pm
-        elif float(np.max(np.abs(dprobs[:, i]))) > DP_FLOOR:
-            raise SingularTermError(
-                f"outcome {i}: probability {pm:.3e} at the support boundary with a "
-                "large derivative"
-            )
-    return InfoMatrix(entries, "fisher")
+def fisher_matrix(curve: SpectralCurve, povm: POVM) -> InfoMatrix:
+    """Classical Fisher information matrix of the POVM outcomes at the curve's point."""
+    return InfoMatrix(curve.fisher(povm), "fisher")
 
 
 @dataclass(frozen=True)
@@ -162,10 +143,7 @@ def multi_attainability_check(
     unitary_values = None
     ck = curve.kraus
     if channel is not None and ck is not None and ck.raw_operators.shape[0] == 1:
-        rho0 = channel.input_state.density().matrix
-        unitary_values = tuple(
-            unitary_condition(ck.raw_operators[0], du[0], rho0) for du in ck.raw_derivatives
-        )
+        unitary_values, _ = unitary_condition(channel, curve, tol)
     return MultiAttainability(attainable, residual, tol, quasi, unitary_values)
 
 

@@ -165,7 +165,7 @@ def _ordering(points, seed: int) -> list[CheckResult]:
         h = sld_information(curve)
         c = sm_bound_spectral(curve)
         povm = random_povm(channel.dim, rng)
-        f = fisher_information(channel, povm, theta)
+        f = fisher_information(curve, povm)
         worst_fh = min(worst_fh, h - f)
         worst_hc = min(worst_hc, c - h)
 
@@ -188,7 +188,7 @@ def _ordering(points, seed: int) -> list[CheckResult]:
         lam = sld_score(curve)
         eigs = np.linalg.eigvalsh(lam)
         if len(eigs) < 2 or float(np.min(np.diff(eigs))) > 1e-4:
-            f_opt = fisher_information(channel, optimal_povm_from_sld(lam), theta)
+            f_opt = fisher_information(curve, optimal_povm_from_sld(lam))
             worst_opt = max(worst_opt, abs(f_opt - h) / max(1.0, h))
             optimal_checked += 1
     return [
@@ -251,10 +251,10 @@ def directional_suite(
     worst_dir = 0.0
     worst_diag = 0.0
     skipped = 0
-    for channel, theta, curve in battery:
+    for channel, _, curve in battery:
         h = sld_matrix(curve)
         c = sm_matrix(channel, curve)
-        f = fisher_matrix(channel, random_povm(channel.dim, rng), theta)
+        f = fisher_matrix(curve, random_povm(channel.dim, rng))
         rep = loewner_report(f, h, c)
         worst_slack = min(
             worst_slack,

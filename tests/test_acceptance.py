@@ -37,7 +37,7 @@ from qfibounds.bounds import (
     sm_bound_kraus,
     sm_bound_spectral,
     spectral_curve,
-    unitary_attainability,
+    unitary_condition,
 )
 from qfibounds.channels import builtin, kraus_derivative, random_hermitian, remix_channel
 from qfibounds.estimation import AdaptiveConfig, adaptive_experiment, cr_experiment
@@ -150,7 +150,7 @@ def test_criterion_2_quasi_classical_chain():
             want = 1.0 / (theta * (1.0 - theta))
             curve = spectral_curve(ch, theta)
             for value in (
-                fisher_information(ch, povm, theta),
+                fisher_information(curve, povm),
                 sld_information(curve),
                 sm_bound_spectral(curve),
             ):
@@ -171,9 +171,9 @@ def test_criterion_3_unitary_condition():
     def body():
         theta = 0.4
         ch = builtin("rotation", axis="z")
-        value, flat = unitary_attainability(ch, theta)
-        assert abs(value - 0.5j) < 1e-8 and not flat
         curve = spectral_curve(ch, theta)
+        (value,), flat = unitary_condition(ch, curve)
+        assert abs(value - 0.5j) < 1e-8 and not flat
         assert abs(sld_information(curve)) < 1e-8
         assert abs(sm_bound_spectral(curve) - 1.0) < 1e-8
         assert abs(bound_gap(curve) - 1.0) < 1e-8
@@ -182,9 +182,9 @@ def test_criterion_3_unitary_condition():
             builtin("rotation", axis="z", input_state=PLUS),
             builtin("rotation", axis="x"),
         ):
-            value, flat = unitary_attainability(variant, theta)
-            assert abs(value) < 1e-8 and flat
             curve = spectral_curve(variant, theta)
+            (value,), flat = unitary_condition(variant, curve)
+            assert abs(value) < 1e-8 and flat
             h, c = sld_information(curve), sm_bound_spectral(curve)
             assert abs(h - c) < 1e-8
 

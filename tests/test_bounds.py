@@ -19,7 +19,7 @@ from qfibounds.bounds import (
     sm_bound_kraus,
     sm_bound_spectral,
     spectral_curve,
-    unitary_attainability,
+    unitary_condition,
 )
 from qfibounds.channels import (
     builtin,
@@ -34,7 +34,8 @@ from qfibounds.channels import (
 from qfibounds.errors import DegeneracyError, ValidationError
 from qfibounds.linalg import max_abs
 from qfibounds.quantum import POVM, PureState, computational_basis_povm, pauli_basis_povm
-from qfibounds.verify import one_param_battery, random_povm
+from qfibounds.multiparam import fisher_matrix
+from qfibounds.verify import one_param_battery, random_povm, two_param_battery
 
 PLUS = PureState(np.array([1.0, 1.0]) / np.sqrt(2))
 KET0 = PureState(np.array([1.0, 0.0]))
@@ -59,6 +60,22 @@ def sld_information_from_state(rho_fn, theta: float, h: float = 1e-5) -> float:
             if s > 1e-12:
                 total += 2 * abs(vecs[:, j].conj() @ drho @ vecs[:, k]) ** 2 / s
     return total
+
+
+def fisher_from_state(rho_fn, povm: POVM, theta, h: float = 1e-5) -> np.ndarray:
+    """(m, m) Fisher matrix from outcome probabilities of the raw state family,
+    each partial a central difference along one axis."""
+    theta = np.atleast_1d(np.asarray(theta, dtype=float))
+
+    def probs(t):
+        return np.real([np.trace(rho_fn(t) @ e) for e in povm.elements])
+
+    dprobs = np.array([
+        (8 * (probs(theta + h * e) - probs(theta - h * e))
+         - (probs(theta + 2 * h * e) - probs(theta - 2 * h * e))) / (12 * h)
+        for e in np.eye(len(theta))
+    ])
+    return (dprobs / probs(theta)) @ dprobs.T
 
 
 # ---------------------------------------------------------------------------
@@ -123,18 +140,7 @@ def test_canonical_derivatives_match_stencil_oracle():
         assert_matches_stencil(ch, float(rng.choice([-1, 1]) * rng.uniform(0.1, 0.6)))
 
 
-def test_canonical_derivatives_match_stencil_oracle_fd_fallback():
-    """A remix without mixing_grad_fn has no analytic Kraus derivative."""
-    rng = np.random.default_rng(3141)
-    for _ in range(3):
-        base = random_kraus_channel(dim=3, env=3, seed=int(rng.integers(2**31)))
-        gen = random_hermitian(3, rng)
-        rem = remix_channel(base, lambda t, g=gen: expm(-1j * t[0] * g))
-        assert rem.kraus_grad_fn is None
-        assert_matches_stencil(rem, float(rng.uniform(0.1, 0.6)))
-
-
-@pytest.mark.parametrize("analytic", [True, False])
+@pytest.mark.parametrize("analytic", [True])  # every remixing carries an analytic derivative
 def test_remixed_dephasing_crossing_is_continuous(analytic):
     """At theta = 0.5 the Gram eigenvalues of a theta-dependent remix of
     dephasing cross; the coupling inside the resolved cluster keeps C
@@ -142,7 +148,7 @@ def test_remixed_dephasing_crossing_is_continuous(analytic):
     ill-determined for a first-order derivative, and that is refused."""
     gen = np.array([[0.3, 0.7 - 0.2j], [0.7 + 0.2j, -0.1]])
     mix = lambda t: expm(-1j * t[0] * gen)
-    dmix = (lambda t, i: -1j * gen @ mix(t)) if analytic else None
+    dmix = lambda t, i: -1j * gen @ mix(t)
     ch = remix_channel(builtin("dephasing"), mix, dmix)
     c = {t: sm_bound_spectral(spectral_curve(ch, t)) for t in (0.5 - 1e-4, 0.5, 0.5 + 1e-4)}
     assert c[0.5] == pytest.approx(4.2, abs=1e-6)
@@ -464,17 +470,21 @@ def test_attainability_examples():
     assert ok and residual < 1e-12
 
 
+def _unitary_condition_at(channel, theta):
+    return unitary_condition(channel, spectral_curve(channel, theta))
+
+
 def test_unitary_attainability_examples():
-    value, ok = unitary_attainability(builtin("rotation", axis="z"), 0.4)
+    (value,), ok = _unitary_condition_at(builtin("rotation", axis="z"), 0.4)
     assert value == pytest.approx(0.5j, abs=1e-12) and not ok
-    value, ok = unitary_attainability(
+    (value,), ok = _unitary_condition_at(
         builtin("rotation", axis="z", input_state=PLUS), 0.4
     )
     assert abs(value) < 1e-12 and ok
-    value, ok = unitary_attainability(builtin("rotation", axis="x"), 0.4)
+    (value,), ok = _unitary_condition_at(builtin("rotation", axis="x"), 0.4)
     assert abs(value) < 1e-12 and ok
     with pytest.raises(ValidationError, match="expected 1"):
-        unitary_attainability(builtin("dephasing"), 0.4)
+        _unitary_condition_at(builtin("dephasing"), 0.4)
 
 
 # ---------------------------------------------------------------------------
@@ -498,14 +508,14 @@ def test_optimal_povm_examples():
 
 
 def test_fisher_information_examples():
-    dz = builtin("dephasing")
-    assert fisher_information(dz, pauli_basis_povm("x"), 0.2) == pytest.approx(6.25, rel=1e-9)
-    assert fisher_information(dz, computational_basis_povm(2), 0.2) == pytest.approx(
+    dz = spectral_curve(builtin("dephasing"), 0.2)
+    assert fisher_information(dz, pauli_basis_povm("x")) == pytest.approx(6.25, rel=1e-9)
+    assert fisher_information(dz, computational_basis_povm(2)) == pytest.approx(
         0.0, abs=1e-12
     )
     rot = builtin("rotation", axis="z", input_state=PLUS)
     for theta in (0.1, 0.7, 1.3):
-        f = fisher_information(rot, pauli_basis_povm("y"), theta)
+        f = fisher_information(spectral_curve(rot, theta), pauli_basis_povm("y"))
         assert f == pytest.approx(1.0, rel=1e-9)
 
 
@@ -513,8 +523,28 @@ def test_fisher_optimal_povm_achieves_h():
     ch = builtin("amplitude-damping")
     curve = spectral_curve(ch, 0.3)
     povm = optimal_povm_from_sld(sld_score(curve))
-    f = fisher_information(ch, povm, 0.3)
+    f = fisher_information(curve, povm)
     assert f == pytest.approx(sld_information(curve), rel=1e-6)
+
+
+def test_fisher_information_matches_state_oracle():
+    rng = np.random.default_rng(29)
+    points = one_param_battery(seed=404, count=12)
+    assert len(points) == 12
+    for channel, theta in points:
+        povm = random_povm(channel.dim, rng)
+        f = fisher_information(spectral_curve(channel, theta), povm)
+        oracle = fisher_from_state(channel.output_matrix, povm, theta)
+        assert f == pytest.approx(oracle[0, 0], rel=1e-6), channel.name
+
+
+def test_fisher_matrix_matches_state_oracle_per_axis():
+    rng = np.random.default_rng(31)
+    for channel, theta in two_param_battery(seed=404, count=4):
+        povm = random_povm(channel.dim, rng)
+        f = fisher_matrix(spectral_curve(channel, theta), povm).entries
+        oracle = fisher_from_state(channel.output_matrix, povm, theta)
+        assert max_abs(f - oracle) <= 1e-6 * max_abs(oracle), channel.name
 
 
 # ---------------------------------------------------------------------------
@@ -524,26 +554,23 @@ def test_fisher_optimal_povm_achieves_h():
 def test_sld_condition_dephasing_eigenbasis():
     ch = builtin("dephasing")
     curve = spectral_curve(ch, 0.2)
-    lam = sld_score(curve)
-    report = povm_sld_condition_check(pauli_basis_povm("x"), lam, ch.output_state(0.2), 1e-6)
+    report = povm_sld_condition_check(pauli_basis_povm("x"), curve, 1e-6)
     assert report.satisfied
     assert sorted(e.xi for e in report.elements) == pytest.approx([-1.25, 5.0], rel=1e-6)
 
 
 def test_sld_condition_fails_for_uninformative_basis():
     ch = builtin("dephasing")
-    lam = sld_score(spectral_curve(ch, 0.2))
-    report = povm_sld_condition_check(
-        computational_basis_povm(2), lam, ch.output_state(0.2), 1e-6
-    )
+    curve = spectral_curve(ch, 0.2)
+    report = povm_sld_condition_check(computational_basis_povm(2), curve, 1e-6)
     assert not report.satisfied
     assert report.max_residual() > 0.1
 
 
 def test_sld_condition_identity_povm():
     ch = builtin("rotation", axis="z")
-    lam = sld_score(spectral_curve(ch, 0.3))  # zero score
-    report = povm_sld_condition_check(POVM(np.eye(2)[np.newaxis]), lam, ch.output_state(0.3))
+    curve = spectral_curve(ch, 0.3)  # zero score
+    report = povm_sld_condition_check(POVM(np.eye(2)[np.newaxis]), curve)
     assert report.satisfied
     assert report.elements[0].xi == pytest.approx(0.0, abs=1e-9)
 
@@ -630,7 +657,7 @@ def _separate_bound_report(channel, theta, povm, tol=1e-6) -> BoundReport:
         attainability_residual=residual,
         attainability_tol=tol,
         gauge_source=curve.gauge_source,
-        fisher_information=fisher_information(channel, povm, theta),
+        fisher_information=fisher_information(curve, povm),
         representation_bound=c_e,
         method_cross_check=cross,
         warnings=warnings,
@@ -666,7 +693,7 @@ def test_ordering_random_battery_small():
         curve = spectral_curve(channel, theta)
         h = sld_information(curve)
         c = sm_bound_spectral(curve)
-        f = fisher_information(channel, random_povm(channel.dim, rng), theta)
+        f = fisher_information(curve, random_povm(channel.dim, rng))
         assert f <= h + 1e-7
         assert h <= c + 1e-8
         assert bound_gap(curve) == pytest.approx(c - h, abs=1e-8 * max(1.0, c))

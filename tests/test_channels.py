@@ -118,19 +118,19 @@ def test_example1_supported_overlaps_vanish_on_grid():
         assert max_abs(overlap) < 1e-10
 
 
-def test_finite_difference_fallback_matches_analytic():
+def test_kraus_form_needs_its_derivative():
     ch = builtin("dephasing")
-    stripped = ParametricChannel(
-        name="dephasing-fd",
-        dim=2,
-        param_count=1,
-        domain=ch.domain,
-        input_state=ch.input_state,
-        kraus_fn=ch.kraus_fn,
-    )
-    got = kraus_derivative(stripped, 0.3, 0)
-    want = kraus_derivative(ch, 0.3, 0)
-    assert max_abs(got - want) < 1e-6
+    with pytest.raises(ValidationError, match="needs kraus_grad_fn"):
+        ParametricChannel(
+            name="dephasing-no-grad",
+            dim=2,
+            param_count=1,
+            domain=ch.domain,
+            input_state=ch.input_state,
+            kraus_fn=ch.kraus_fn,
+        )
+    with pytest.raises(TypeError, match="mixing_grad_fn"):
+        remix_channel(ch, lambda t: np.eye(2))
 
 
 def test_random_kraus_channel_complete_and_smooth():

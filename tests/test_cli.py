@@ -221,6 +221,20 @@ def test_optimize_input_sld_adds_the_dual_keys(spec_file, capsys):
     assert sld["ancilla_bound"] == pytest.approx(1 / (0.3 * 0.7), abs=1e-12)
 
 
+@pytest.mark.parametrize("objective", ["sld", "channel-bound"])
+def test_optimize_input_keeps_the_domain_margin(spec_file, capsys, objective):
+    # Within the stencil margin of an edge the input search cannot evaluate any
+    # candidate; it is refused up front with the report's message.
+    path = spec_file(DAMPING)
+    for command in (
+        ("optimize-input", path, "--theta=1e-5", "--objective", objective, "--restarts", "1"),
+        ("report", path, "--theta=1e-5"),
+    ):
+        code, out, err = run_cli(capsys, *command)
+        assert code == 2 and out == ""
+        assert "theta [1e-05] outside domain ((0.0, 1.0),) with stencil margin 0.0002" in err
+
+
 @pytest.mark.parametrize(
     "command, args",
     [
@@ -474,6 +488,45 @@ def test_multiparameter_report_builds_one_core(spec_file, capsys, monkeypatch):
         assert work == {"curves": 1, "overlaps": 1, "sld_score": 1}
 
 
+def test_report_evaluates_the_family_once_per_point(spec_file, capsys, monkeypatch):
+    # The curve's state and partials feed F, the SLD condition and the
+    # bounds: one Kraus stack, and one partial per parameter.
+    import dataclasses
+
+    from qfibounds import cli as cli_module
+
+    load = cli_module._load_spec
+    calls = {}
+
+    def counting(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+
+        return wrapper
+
+    def loaded(path):
+        spec, channel = load(path)  # the spec's own domain validation is not counted
+        calls.update(kraus_fn=0, kraus_grad_fn=0)
+        return spec, dataclasses.replace(
+            channel,
+            kraus_fn=counting("kraus_fn", channel.kraus_fn),
+            kraus_grad_fn=counting("kraus_grad_fn", channel.kraus_grad_fn),
+        )
+
+    monkeypatch.setattr(cli_module, "_load_spec", loaded)
+    text = "family = random-kraus\ndim = 3\nenv = 2\nseed = 11\n"
+    for extra, theta, povm, expected in (
+        ("", ("0.3",), "optimal", {"kraus_fn": 1, "kraus_grad_fn": 1}),
+        ("param_count = 2\n", ("0.3", "0.4"), "computational",
+         {"kraus_fn": 1, "kraus_grad_fn": 2}),
+    ):
+        argv = ("report", spec_file(text + extra), "--theta", *theta, "--povm", povm)
+        code, _, _ = run_cli(capsys, *argv)
+        assert code == 0
+        assert calls == expected
+
+
 def test_estimate_decomposes_theta_true_once(spec_file, capsys, monkeypatch):
     # The curve behind the SLD-optimal POVM also gives the variance floors;
     # the adaptive run adds one decomposition per replication's pivot.
@@ -564,3 +617,29 @@ def test_consumers_import_no_private_bounds_or_multiparam_names():
             if source in ("bounds", "multiparam"):
                 private = [alias.name for alias in node.names if alias.name.startswith("_")]
                 assert not private, (consumer, source, private)
+
+
+def test_only_the_crossing_gram_derivative_uses_finite_differences():
+    # Every Kraus partial is analytic; the one stencil left is the second Gram
+    # derivative at a one-parameter crossing, inside canonical_kraus.
+    import ast
+
+    package = Path(qfibounds.__file__).resolve().parent
+    callers = set()
+    for path in sorted(package.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+
+        def visit(node, scope):
+            for child in ast.iter_child_nodes(node):
+                inner = scope
+                if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                    inner = f"{scope}.{child.name}"
+                if isinstance(child, ast.Call):
+                    func = child.func
+                    name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", "")
+                    if name == "differentiate_curve":
+                        callers.add(inner)
+                visit(child, inner)
+
+        visit(tree, path.stem)
+    assert callers == {"bounds.canonical_kraus"}

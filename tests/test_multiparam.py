@@ -37,22 +37,21 @@ def test_info_matrix_validation():
 def test_single_parameter_reduction():
     """m = 1 matrices reduce to the scalar quantities."""
     ch = builtin("amplitude-damping")
-    theta = np.array([0.3])
     curve = spectral_curve(ch, 0.3)
     h = sld_matrix(curve)
     c = sm_matrix(ch, curve)
     assert h.entries[0, 0] == pytest.approx(sld_information(curve), rel=1e-9)
     assert c.entries[0, 0] == pytest.approx(sm_bound_spectral(curve), rel=1e-9)
     povm = pauli_basis_povm("x")
-    f = fisher_matrix(ch, povm, theta)
-    assert f.entries[0, 0] == pytest.approx(fisher_information(ch, povm, 0.3), rel=1e-9)
+    f = fisher_matrix(curve, povm)
+    assert f.entries[0, 0] == pytest.approx(fisher_information(curve, povm), rel=1e-9)
 
 
 def test_fisher_matrix_two_param_dephasing():
     """Binomial model p = (1 - t1 t2, t1 t2) measured in the +- basis."""
     ch = builtin("dephasing-2p")
     theta = np.array([0.4, 0.3])
-    f = fisher_matrix(ch, pauli_basis_povm("x"), theta)
+    f = fisher_matrix(spectral_curve(ch, theta), pauli_basis_povm("x"))
     t1, t2 = theta
     q = t1 * t2
     expected = np.array([[t2 * t2, t1 * t2], [t1 * t2, t1 * t1]]) / (q * (1 - q))
@@ -62,7 +61,7 @@ def test_fisher_matrix_two_param_dephasing():
 
 def test_fisher_matrix_constant_probabilities():
     ch = builtin("dephasing-2p")
-    f = fisher_matrix(ch, computational_basis_povm(2), np.array([0.4, 0.3]))
+    f = fisher_matrix(spectral_curve(ch, np.array([0.4, 0.3])), computational_basis_povm(2))
     assert max_abs(f.entries) < 1e-12
 
 
@@ -194,7 +193,7 @@ def test_loewner_chain_random_channels():
         curve = spectral_curve(channel, theta)
         h = sld_matrix(curve)
         c = sm_matrix(channel, curve)
-        f = fisher_matrix(channel, random_povm(channel.dim, rng), theta)
+        f = fisher_matrix(curve, random_povm(channel.dim, rng))
         rep = loewner_report(f, h, c)
         assert rep.all_hold, rep
 
