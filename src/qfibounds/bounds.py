@@ -9,14 +9,16 @@ verdicts; optimal-POVM construction and POVM optimality condition checks.
 Only canonical_kraus and spectral_curve decompose.  A spectral curve is the
 value of a point for any parameter count m: it holds the eigensystem with
 all m partials, carries the decomposition it came from, and caches its
-overlap and SLD score stacks (one matrix per parameter) and bound terms, so
-every function of a point reads one value: the curve.  The Fisher
+overlap and SLD score stacks (one matrix per parameter) and its information
+matrices (H, C), so every function of a point reads one value: the curve.
+H and C are one bilinear form of the overlap stack under two weight
+matrices; the scalar bounds and the gap are 1 x 1 cases of it.  The Fisher
 information of a POVM reads the curve's state and its per-parameter
 partials (SpectralCurve.fisher), the unitary condition reads its
 decomposition, and no function of a point evaluates the channel again.
 The scalar functionals read a one-parameter curve and refuse a curve with
-several parameters; multiparam builds the matrices from the same curve,
-and curve.directional(v) gives the one-parameter curve along a direction.
+several parameters; multiparam wraps the matrices of the same curve, and
+curve.directional(v) gives the one-parameter curve along a direction.
 
 Gauge convention: the canonical operators Y = X^dag E come from the
 eigenvectors X of the input-state Gram matrix, and their derivatives follow
@@ -251,8 +253,8 @@ class SpectralCurve:
     one-parameter bound is the m = 1 case.  kraus is the canonical
     decomposition the curve was built from: None for spectral-form families
     and for directional curves.  The overlap and SLD score stacks and the
-    bound terms are computed once per curve and cached; the cached arrays
-    are read-only.
+    information matrices are computed once per curve and cached; the cached
+    arrays are read-only.
     """
 
     theta: np.ndarray          # (m,)
@@ -290,24 +292,15 @@ class SpectralCurve:
     def param_count(self) -> int:
         return self.value_derivs.shape[0]
 
-    @property
-    def dim(self) -> int:
-        return self.vectors.shape[0]
-
     def state_matrix(self) -> np.ndarray:
         w = self.vectors
         return hermitian_part((w * self.values) @ w.conj().T)
 
-    def state_partial(self, l: int) -> np.ndarray:
-        """d rho / d theta_l."""
-        w, dw = self.vectors, self.vector_derivs[l]
-        out = (w * self.value_derivs[l]) @ w.conj().T + (dw * self.values) @ w.conj().T
-        return out + (w * self.values) @ dw.conj().T
-
-    def state_derivative(self) -> np.ndarray:
-        """d rho / d theta of a one-parameter curve."""
-        _require_one_parameter(self)
-        return self.state_partial(0)
+    def state_partials(self) -> np.ndarray:
+        """(m, d, d) stack of the partials d rho / d theta_l."""
+        w, dp = self.vectors, self.value_derivs[:, np.newaxis, :]
+        moving = (self.vector_derivs * self.values) @ w.conj().T
+        return (w * dp) @ w.conj().T + moving + np.conj(np.swapaxes(moving, 1, 2))
 
     def fisher(self, povm: POVM) -> np.ndarray:
         """(m, m) Fisher information of the POVM outcomes, from this curve's state.
@@ -318,10 +311,7 @@ class SpectralCurve:
         """
         elements = povm.elements
         probs = np.clip(np.real(np.einsum("ij,mji->m", self.state_matrix(), elements)), 0.0, None)
-        dprobs = np.array(
-            [np.real(np.einsum("ij,mji->m", self.state_partial(l), elements))
-             for l in range(self.param_count)]
-        )
+        dprobs = np.real(np.einsum("lij,mji->lm", self.state_partials(), elements))
         entries = np.zeros((self.param_count, self.param_count))
         for i, pm in enumerate(probs):
             if pm > P_FLOOR:
@@ -365,62 +355,77 @@ class SpectralCurve:
         return out
 
     @cached_property
-    def bound_terms(self) -> tuple[float, float, float, float]:
-        """(classical term, H cross term, C cross term, diagonal C term).
+    def _pair_ratio(self) -> np.ndarray:
+        """2 (p_j - p_k) / (p_j + p_k) per eigenvalue pair, shared by H and the SLD score."""
+        p = self.values
+        return _over_pair_total(p, 2.0 * (p[:, np.newaxis] - p))
 
-        Cross terms use symmetrized |<w_j'|w_k>|^2 for supported pairs so the
-        gap identity holds to round-off by construction.
+    @cached_property
+    def information(self) -> tuple[np.ndarray, np.ndarray]:
+        """(H, C): the (m, m) SLD information and channel-bound matrices.
+
+        Both are sum_k d_l p_k d_n p_k / p_k over the support plus a pair form
+        of the overlap stack (see _pair_form), with weights
+        2 (p_j - p_k)^2 / (p_j + p_k) for H and 2 (p_j + p_k) for C; the
+        diagonal pairs give C its 4 p_k |<w_k'|w_k>|^2 terms.  The scalar
+        bounds are the (0, 0) entries of a one-parameter curve.  Both arrays
+        are read-only; the SLD score checks H.
         """
-        _require_one_parameter(self)
-        p, dp, supp, o = self.values, self.value_derivs[0], self.support, self.overlaps[0]
-        classical = float(np.sum(dp[supp] ** 2 / p[supp])) if supp.any() else 0.0
-        h_cross = c_cross = 0.0
-        for j in range(self.dim):
-            for k in range(j + 1, self.dim):
-                tot = p[j] + p[k]
-                if tot <= 0:
-                    continue
-                if supp[j] and supp[k]:
-                    mag2 = 0.5 * (abs(o[j, k]) ** 2 + abs(o[k, j]) ** 2)
-                else:
-                    mag2 = abs(o[j, k]) ** 2
-                h_cross += 4 * (p[j] - p[k]) ** 2 / tot * mag2
-                c_cross += 4 * tot * mag2
-        diag = float(np.sum(p[supp] * np.abs(np.diag(o))[supp] ** 2)) * 4 if supp.any() else 0.0
-        return classical, h_cross, c_cross, diag
+        p, supp = self.values, self.support
+        dp = self.value_derivs[:, supp]
+        classical = (dp / p[supp]) @ dp.T
+        total = p[:, np.newaxis] + p
+        weights = np.array([0.5 * total * self._pair_ratio**2, 2.0 * total])
+        h, c = classical + _pair_form(self, weights)
+        for a in (h, c):
+            a.setflags(write=False)
+        return h, c
 
     @cached_property
     def sld_score(self) -> np.ndarray:
         """Stack of the SLD solutions this curve induces, one per parameter.
 
-        See the module function sld_score for the construction.
+        In the eigenbasis: p_k'/p_k on the support diagonal, the pair ratio
+        2 (p_j - p_k) / (p_j + p_k) times <w_j'|w_k> above it and the
+        conjugate below, zeros on the off-support block.  Checked against
+        the defining equation rho' = (rho L + L rho) / 2 and against
+        H = Re tr(rho L_l L_n).
         """
         p, supp, w = self.values, self.support, self.vectors
-        d = self.dim
+        frames = np.triu(self._pair_ratio, 1) * self.overlaps
+        frames += np.conj(np.swapaxes(frames, 1, 2))
+        idx = np.flatnonzero(supp)
+        frames[:, idx, idx] = self.value_derivs[:, supp] / p[supp]
+        scores = w @ frames @ w.conj().T
+        scores = (scores + np.conj(np.swapaxes(scores, 1, 2))) / 2
         rho = self.state_matrix()
-        out = np.empty(self.vector_derivs.shape, dtype=complex)
-        for l, (dp, o) in enumerate(zip(self.value_derivs, self.overlaps)):
-            lam_frame = np.zeros((d, d), dtype=complex)
-            for k in np.flatnonzero(supp):
-                lam_frame[k, k] = dp[k] / p[k]
-            for j in range(d):
-                for k in range(j + 1, d):
-                    tot = p[j] + p[k]
-                    if tot <= 0:
-                        continue
-                    entry = 2.0 * (p[j] - p[k]) / tot * o[j, k]
-                    lam_frame[j, k] = entry
-                    lam_frame[k, j] = np.conj(entry)
-            lam = hermitian_part(w @ lam_frame @ w.conj().T)
-            residual = max_abs(self.state_partial(l) - 0.5 * (rho @ lam + lam @ rho))
-            if residual > SLD_RESIDUAL_TOL:
-                raise ConsistencyError(
-                    f"SLD residual {residual:.3e}: curve data inconsistent with its own "
-                    "state derivative"
-                )
-            out[l] = lam
-        out.setflags(write=False)
-        return out
+        residual = max_abs(self.state_partials() - 0.5 * (rho @ scores + scores @ rho))
+        if residual > SLD_RESIDUAL_TOL:
+            raise ConsistencyError(
+                f"SLD residual {residual:.3e}: curve data inconsistent with its own "
+                "state derivative"
+            )
+        h = self.information[0]
+        check = np.real(np.einsum("ij,ljk,nki->ln", rho, scores, scores))
+        if max_abs(check - h) > 1e-6 * max(1.0, max_abs(h)):
+            raise ConsistencyError(
+                f"H mismatch: eigendata kernel {h.tolist()!r} vs Re tr(rho L_l L_n) "
+                f"{check.tolist()!r}"
+            )
+        scores.setflags(write=False)
+        return scores
+
+
+def _over_pair_total(p: np.ndarray, numerator: np.ndarray) -> np.ndarray:
+    """numerator_jk / (p_j + p_k), for a numerator that vanishes where p_j + p_k does."""
+    total = p[:, np.newaxis] + p
+    return numerator / np.where(total > 0, total, 1.0)
+
+
+def _pair_form(curve: SpectralCurve, w: np.ndarray) -> np.ndarray:
+    """Re sum_jk w[..., j, k] conj(O[l, j, k]) O[n, j, k]: an (m, m) matrix per weight matrix w."""
+    o = curve.overlaps.reshape(curve.param_count, -1)
+    return np.real((o.conj() * w.reshape(*w.shape[:-2], 1, -1)) @ o.T)
 
 
 def _require_one_parameter(curve: SpectralCurve) -> None:
@@ -522,35 +527,25 @@ def spectral_curve(channel: ParametricChannel, theta) -> SpectralCurve:
 # ---------------------------------------------------------------------------
 
 def sld_score(curve: SpectralCurve) -> np.ndarray:
-    """The particular self-adjoint SLD solution induced by the spectral curve.
-
-    In the eigenbasis: diagonal entries p_k'/p_k on the support, off-diagonal
-    entries 2 (p_j - p_k) <w_j'|w_k> / (p_j + p_k) where p_j + p_k > 0, and
-    zeros on the off-support block.  Verified against the defining equation
-    rho' = (rho L + L rho) / 2 before returning.  Cached on the curve, which
-    keeps one score per parameter; this reads a one-parameter curve's.
-    """
+    """The self-adjoint SLD solution a one-parameter curve induces (SpectralCurve.sld_score)."""
     _require_one_parameter(curve)
     return curve.sld_score[0]
 
 
 def sld_information(curve: SpectralCurve) -> float:
-    """SLD quantum information H of the output-state family at this point."""
-    classical, h_cross, _, _ = curve.bound_terms
-    value = classical + h_cross
-    lam = curve.sld_score[0]
-    check = float(np.real(np.trace(curve.state_matrix() @ lam @ lam)))
-    if abs(check - value) > 1e-6 * max(1.0, abs(value)):
-        raise ConsistencyError(
-            f"H mismatch: eigendata formula {value!r} vs tr(rho L^2) {check!r}"
-        )
-    return value
+    """SLD quantum information H of the output-state family at this point.
+
+    The (0, 0) entry of curve.information, read after the SLD score, which
+    checks it against Re tr(rho L^2).
+    """
+    sld_score(curve)
+    return float(curve.information[0][0, 0])
 
 
 def sm_bound_spectral(curve: SpectralCurve) -> float:
     """Channel bound evaluated purely from the output-state spectral curve."""
-    classical, _, c_cross, diag = curve.bound_terms
-    return classical + c_cross + diag
+    _require_one_parameter(curve)
+    return float(curve.information[1][0, 0])
 
 
 def sm_bound_kraus(operators, derivatives, rho0: DensityMatrix) -> float:
@@ -571,16 +566,11 @@ def bound_gap(curve: SpectralCurve) -> float:
     Checked against the difference of the two bounds before returning.
     """
     _require_one_parameter(curve)
-    p, o = curve.values, curve.overlaps[0]
-    gap = 0.0
-    idx = np.flatnonzero(curve.support)
-    for j in idx:
-        for k in idx:
-            gap += 8.0 * p[j] * p[k] / (p[j] + p[k]) * abs(o[j, k]) ** 2
-    classical, h_cross, c_cross, diag = curve.bound_terms
-    direct = (classical + c_cross + diag) - (classical + h_cross)
-    scale = max(1.0, classical + c_cross + diag)
-    if abs(gap - direct) > 1e-8 * scale:
+    p = curve.values
+    gap = float(_pair_form(curve, _over_pair_total(p, 8.0 * np.outer(p, p)))[0, 0])
+    h, c = (float(a[0, 0]) for a in curve.information)
+    direct = c - h
+    if abs(gap - direct) > 1e-8 * max(1.0, c):
         raise ConsistencyError(f"gap formula {gap!r} vs bound difference {direct!r}")
     return gap
 

@@ -182,7 +182,7 @@ def _point_report(channel, curve, povm, povm_id, tol) -> dict:
 
 def _matrix_report(channel, curve, povm, povm_id, tol) -> dict:
     h = sld_matrix(curve)
-    c = sm_matrix(channel, curve)
+    c = sm_matrix(curve)
     att = multi_attainability_check(curve, tol, channel=channel)
     warnings = []
     doc = {

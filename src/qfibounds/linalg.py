@@ -25,7 +25,7 @@ PSD_NEG_TOL = 1e-8
 def max_abs(a: np.ndarray) -> float:
     """Max-entry norm, the norm used by most tolerance checks."""
     a = np.asarray(a)
-    return float(np.max(np.abs(a))) if a.size else 0.0
+    return float(np.abs(a).max()) if a.size else 0.0
 
 
 def hermitian_part(a: np.ndarray) -> np.ndarray:
@@ -124,13 +124,17 @@ def psd_sqrt(a: np.ndarray) -> np.ndarray:
     """Hermitian square root of a positive-semidefinite matrix.
 
     Eigenvalues in (-PSD_NEG_TOL, 0) are clamped to zero; anything more
-    negative is rejected.
+    negative is rejected.  Eigenvalues at or below d eps lambda_max are
+    round-off and count as zero, so the root of a projector (a pure state
+    among them) is the projector itself, not a sum with ~1e-8 roots of noise.
     """
     sys = hermitian_eigendecompose(a)
-    lo = float(sys.eigenvalues[0]) if sys.eigenvalues.size else 0.0
+    values = sys.eigenvalues
+    lo, hi = (float(values[0]), float(values[-1])) if values.size else (0.0, 0.0)
     if lo < -PSD_NEG_TOL:
         raise ValidationError(f"matrix is not PSD: min eigenvalue {lo:.3e}")
-    roots = np.sqrt(np.clip(sys.eigenvalues, 0.0, None))
+    floor = values.size * np.finfo(float).eps * max(hi, 0.0)
+    roots = np.sqrt(np.where(values > floor, values, 0.0))
     v = sys.eigenvectors
     return hermitian_part((v * roots) @ v.conj().T)
 

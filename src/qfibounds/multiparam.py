@@ -9,8 +9,10 @@ All parameters share one canonical decomposition at the point, and each
 partial follows the same parallel-transport gauge as the one-parameter
 machinery, so the per-parameter eigendata live in a common frame and no
 mixed partials are ever needed.  Nothing here decomposes: every function
-reads the point's spectral curve (bounds.spectral_curve), whose overlap and
-SLD score stacks hold one matrix per parameter.
+reads the point's spectral curve (bounds.spectral_curve).  The SLD and
+channel-bound matrices are the curve's cached information pair, the same
+pair form of the overlap stack whose (0, 0) entries are the scalar bounds,
+so Kraus-form and spectral-form families take one route.
 """
 
 from __future__ import annotations
@@ -75,43 +77,14 @@ def pinv_with_rank(info: InfoMatrix) -> tuple[np.ndarray, int]:
 
 
 def sld_matrix(curve: SpectralCurve) -> InfoMatrix:
-    """SLD information matrix H_jk = Re tr(L_j rho L_k) from the curve's score stack."""
-    m = curve.param_count
-    rho = curve.state_matrix()
-    scores = curve.sld_score
-    entries = np.zeros((m, m))
-    for j in range(m):
-        for k in range(j, m):
-            val = float(np.real(np.trace(scores[j] @ rho @ scores[k])))
-            entries[j, k] = entries[k, j] = val
-    return InfoMatrix(entries, "sld")
+    """SLD information matrix H of the curve, checked against Re tr(rho L_j L_k)."""
+    curve.sld_score  # building the score stack checks H
+    return InfoMatrix(curve.information[0], "sld")
 
 
-def sm_matrix(channel: ParametricChannel, curve: SpectralCurve) -> InfoMatrix:
-    """Channel-bound matrix.
-
-    Kraus-form channels use C_jk = 4 sum_l Re tr(dY_l/dth_j rho0 (dY_l/dth_k)^dag)
-    on the canonical operators of the curve's decomposition; spectral-form
-    families assemble the same quadratic form from the eigendata by
-    polarization.
-    """
-    m = curve.param_count
-    entries = np.zeros((m, m))
-    if curve.kraus is not None:
-        dvs = curve.kraus.derivatives @ channel.input_state.amplitudes  # (m, n, d)
-        for j in range(m):
-            for k in range(j, m):
-                val = 4.0 * float(np.real(np.sum(np.conj(dvs[k]) * dvs[j])))
-                entries[j, k] = entries[k, j] = val
-        return InfoMatrix(entries, "sm")
-    basis = np.eye(m)
-    diag = [sm_bound_spectral(curve.directional(basis[l])) for l in range(m)]
-    for j in range(m):
-        entries[j, j] = diag[j]
-        for k in range(j + 1, m):
-            mixed = sm_bound_spectral(curve.directional(basis[j] + basis[k]))
-            entries[j, k] = entries[k, j] = 0.5 * (mixed - diag[j] - diag[k])
-    return InfoMatrix(entries, "sm")
+def sm_matrix(curve: SpectralCurve) -> InfoMatrix:
+    """Channel-bound matrix C of the curve, for Kraus-form and spectral-form families alike."""
+    return InfoMatrix(curve.information[1], "sm")
 
 
 def fisher_matrix(curve: SpectralCurve, povm: POVM) -> InfoMatrix:
@@ -213,11 +186,7 @@ class DirectionalCheck:
 
 
 def directional_reduction_check(
-    channel: ParametricChannel,
-    curve: SpectralCurve,
-    direction,
-    sld: InfoMatrix | None = None,
-    sm: InfoMatrix | None = None,
+    channel: ParametricChannel, curve: SpectralCurve, direction
 ) -> DirectionalCheck:
     """Compare the one-parameter channel along a direction with the matrix data.
 
@@ -234,18 +203,13 @@ def directional_reduction_check(
         supported = curve.kraus.weights > SUPPORT_TOL
         diff = slice_curve.kraus.derivatives[0][supported] - combo[supported]
         kraus_mismatch = max_abs(diff) / max(1.0, max_abs(combo[supported]))
-    h_slice = sld_information(slice_curve)
-    c_slice = sm_bound_spectral(slice_curve)
-    if sld is None:
-        sld = sld_matrix(curve)
-    if sm is None:
-        sm = sm_matrix(channel, curve)
+    h, c = curve.information
     return DirectionalCheck(
         direction=v,
         kraus_deriv_mismatch=kraus_mismatch,
-        sld_slice=h_slice,
-        sld_quadratic=float(v @ sld.entries @ v),
-        sm_slice=c_slice,
-        sm_quadratic=float(v @ sm.entries @ v),
+        sld_slice=sld_information(slice_curve),
+        sld_quadratic=float(v @ h @ v),
+        sm_slice=sm_bound_spectral(slice_curve),
+        sm_quadratic=float(v @ c @ v),
         rel_tol=DIRECTIONAL_REL_TOL,
     )

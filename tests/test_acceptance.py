@@ -258,7 +258,7 @@ def test_criterion_8_multi_parameter_suite():
         theta = np.array([0.6, 0.3])
         curve = spectral_curve(ch, theta)
         h = sld_matrix(curve)
-        c = sm_matrix(ch, curve)
+        c = sm_matrix(curve)
         assert max_abs(h.entries - c.entries) < 1e-8
         att = multi_attainability_check(curve, tol=1e-9)
         assert att.attainable and att.residual < 1e-9

@@ -34,7 +34,7 @@ from qfibounds.channels import (
 from qfibounds.errors import DegeneracyError, ValidationError
 from qfibounds.linalg import max_abs
 from qfibounds.quantum import POVM, PureState, computational_basis_povm, pauli_basis_povm
-from qfibounds.multiparam import fisher_matrix
+from qfibounds.multiparam import fisher_matrix, sld_matrix, sm_matrix
 from qfibounds.verify import one_param_battery, random_povm, two_param_battery
 
 PLUS = PureState(np.array([1.0, 1.0]) / np.sqrt(2))
@@ -76,6 +76,24 @@ def fisher_from_state(rho_fn, povm: POVM, theta, h: float = 1e-5) -> np.ndarray:
         for e in np.eye(len(theta))
     ])
     return (dprobs / probs(theta)) @ dprobs.T
+
+
+def sld_matrix_from_state(rho_fn, theta, h: float = 1e-5) -> np.ndarray:
+    """(m, m) H_lm = Re tr(rho L_l L_m), each L_l the pseudo-inverse solution of
+    rho L + L rho = 2 d_l rho, d_l rho a central difference along one axis."""
+    theta = np.atleast_1d(np.asarray(theta, dtype=float))
+    rho = rho_fn(theta)
+    d = rho.shape[0]
+    lyapunov = np.kron(rho, np.eye(d)) + np.kron(np.eye(d), rho.T)  # row-major vec
+    scores = []
+    for e in np.eye(len(theta)):
+        drho = (
+            8 * (rho_fn(theta + h * e) - rho_fn(theta - h * e))
+            - (rho_fn(theta + 2 * h * e) - rho_fn(theta - 2 * h * e))
+        ) / (12 * h)
+        vec = np.linalg.pinv(lyapunov, rcond=1e-10) @ (2 * drho).ravel()
+        scores.append(vec.reshape(d, d))
+    return np.real(np.einsum("ij,ljk,mki->lm", rho, scores, scores))
 
 
 # ---------------------------------------------------------------------------
@@ -247,11 +265,7 @@ def test_scalar_functionals_refuse_a_two_parameter_curve():
     channel = builtin("dephasing-2p")
     curve = spectral_curve(channel, [0.4, 0.3])
     scalar = (sld_information, sm_bound_spectral, bound_gap, sld_score)
-    for read in scalar + (
-        lambda c: bound_report(channel, c),
-        lambda c: c.bound_terms,
-        lambda c: c.state_derivative(),
-    ):
+    for read in scalar + (lambda c: bound_report(channel, c),):
         with pytest.raises(ValidationError, match="one-parameter curve"):
             read(curve)
     assert attainability_check(curve)[0]  # reads every parameter
@@ -302,7 +316,7 @@ def test_sld_defining_equation_random_channels():
         curve = spectral_curve(channel, theta)
         lam = sld_score(curve)
         rho = curve.state_matrix()
-        drho = curve.state_derivative()
+        drho = curve.state_partials()[0]
         assert max_abs(drho - 0.5 * (rho @ lam + lam @ rho)) < 1e-6
 
 
@@ -545,6 +559,34 @@ def test_fisher_matrix_matches_state_oracle_per_axis():
         f = fisher_matrix(spectral_curve(channel, theta), povm).entries
         oracle = fisher_from_state(channel.output_matrix, povm, theta)
         assert max_abs(f - oracle) <= 1e-6 * max_abs(oracle), channel.name
+
+
+def test_sld_information_matches_pseudo_inverse_oracle():
+    points = one_param_battery(seed=404, count=12)
+    assert len(points) == 12
+    for channel, theta in points:
+        h = sld_information(spectral_curve(channel, theta))
+        oracle = sld_matrix_from_state(channel.output_matrix, theta)
+        assert h == pytest.approx(oracle[0, 0], rel=1e-6), channel.name
+
+
+def test_information_matrices_match_independent_routes():
+    # H against the pseudo-inverse oracle; C against 4 Re<d_j Y psi|d_k Y psi>
+    # of the curve's canonical Kraus partials where the family has them.
+    cases = two_param_battery(seed=404, count=4) + [
+        (builtin("example2"), np.array([0.6, 0.3])),
+        (builtin("damped-rotation"), np.array([0.3, 0.5])),
+    ]
+    for channel, theta in cases:
+        curve = spectral_curve(channel, theta)
+        h = sld_matrix(curve).entries
+        oracle = sld_matrix_from_state(channel.output_matrix, theta)
+        assert max_abs(h - oracle) <= 1e-6 * max_abs(oracle), channel.name
+        if curve.kraus is not None:
+            dvs = curve.kraus.derivatives @ channel.input_state.amplitudes
+            kraus = 4.0 * np.real(np.einsum("jni,kni->jk", dvs.conj(), dvs))
+            c = sm_matrix(curve).entries
+            assert max_abs(c - kraus) <= 1e-12 * max_abs(kraus), channel.name
 
 
 # ---------------------------------------------------------------------------

@@ -527,6 +527,26 @@ def test_report_evaluates_the_family_once_per_point(spec_file, capsys, monkeypat
         assert calls == expected
 
 
+def test_multiparameter_report_builds_one_spectral_curve(spec_file, capsys, monkeypatch):
+    # H and C both come from the point's curve: no directional slice curves.
+    from qfibounds.bounds import SpectralCurve
+
+    built = []
+    post_init = SpectralCurve.__post_init__
+
+    def counting(self):
+        built.append(self)
+        post_init(self)
+
+    monkeypatch.setattr(SpectralCurve, "__post_init__", counting)
+    for text, theta in ((EXAMPLE2, ("0.6", "0.3")), (DEPHASING2P, ("0.4", "0.3"))):
+        built.clear()
+        argv = ("report", spec_file(text), "--theta", *theta, "--povm", "computational")
+        code, _, _ = run_cli(capsys, *argv)
+        assert code == 0
+        assert len(built) == 1, text
+
+
 def test_estimate_decomposes_theta_true_once(spec_file, capsys, monkeypatch):
     # The curve behind the SLD-optimal POVM also gives the variance floors;
     # the adaptive run adds one decomposition per replication's pivot.

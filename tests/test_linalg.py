@@ -86,6 +86,15 @@ def test_psd_sqrt_square_reconstructs():
     assert max_abs(b @ b - a) < 1e-9 * max(1.0, max_abs(a))
 
 
+def test_psd_sqrt_of_a_pure_state_is_the_state():
+    # a round-off eigenvalue near 1e-17 has a root near 3e-9: it must count as zero
+    from qfibounds.channels import random_kraus_channel
+
+    for seed in range(20):
+        rho = random_kraus_channel(dim=3, env=2, seed=seed).input_state.density().matrix
+        assert max_abs(psd_sqrt(rho) - rho) < 1e-15, seed
+
+
 def test_psd_sqrt_rejects_negative():
     with pytest.raises(ValidationError, match="PSD"):
         psd_sqrt(np.diag([1.0, -1e-6]))

@@ -39,7 +39,7 @@ def test_single_parameter_reduction():
     ch = builtin("amplitude-damping")
     curve = spectral_curve(ch, 0.3)
     h = sld_matrix(curve)
-    c = sm_matrix(ch, curve)
+    c = sm_matrix(curve)
     assert h.entries[0, 0] == pytest.approx(sld_information(curve), rel=1e-9)
     assert c.entries[0, 0] == pytest.approx(sm_bound_spectral(curve), rel=1e-9)
     povm = pauli_basis_povm("x")
@@ -102,7 +102,7 @@ def test_axis_curves_match_the_matrix_diagonals():
     for name, theta in (("dephasing-2p", [0.4, 0.3]), ("example2", [0.6, 0.3])):
         ch = builtin(name)
         curve = spectral_curve(ch, theta)
-        h, c = sld_matrix(curve), sm_matrix(ch, curve)
+        h, c = sld_matrix(curve), sm_matrix(curve)
         for l, axis in enumerate(np.eye(2)):
             view = curve.directional(axis)
             assert abs(sld_information(view) - h.entries[l, l]) < 1e-12, name
@@ -114,7 +114,7 @@ def test_example2_equality_matrices():
     theta = np.array([0.6, 0.3])
     curve = spectral_curve(ch, theta)
     h = sld_matrix(curve)
-    c = sm_matrix(ch, curve)
+    c = sm_matrix(curve)
     f, g = theta
     expected = np.diag([4 / (1 - f * f), 4 * f * f / (1 - g * g)])
     assert max_abs(h.entries - expected) < 1e-12
@@ -127,7 +127,7 @@ def test_example2_equality_matrices():
 def test_sm_matrix_two_param_unitary_at_origin():
     ch = builtin("rotation-2p")
     curve = spectral_curve(ch, np.array([0.0, 0.0]))
-    c = sm_matrix(ch, curve)
+    c = sm_matrix(curve)
     assert max_abs(c.entries - np.eye(2)) < 1e-9
     att = multi_attainability_check(curve, channel=ch)
     assert att.unitary_condition_values is not None
@@ -176,12 +176,10 @@ def test_directional_random_channels():
     rng = np.random.default_rng(3)
     for channel, theta in two_param_battery(seed=9, count=5):
         curve = spectral_curve(channel, theta)
-        h = sld_matrix(curve)
-        c = sm_matrix(channel, curve)
         for _ in range(4):
             v = rng.normal(size=2)
             v /= np.linalg.norm(v)
-            check = directional_reduction_check(channel, curve, v, sld=h, sm=c)
+            check = directional_reduction_check(channel, curve, v)
             assert check.sld_mismatch < 1e-5
             assert check.sm_mismatch < 1e-5
             assert check.kraus_deriv_mismatch < 1e-5
@@ -192,7 +190,7 @@ def test_loewner_chain_random_channels():
     for channel, theta in two_param_battery(seed=21, count=6):
         curve = spectral_curve(channel, theta)
         h = sld_matrix(curve)
-        c = sm_matrix(channel, curve)
+        c = sm_matrix(curve)
         f = fisher_matrix(curve, random_povm(channel.dim, rng))
         rep = loewner_report(f, h, c)
         assert rep.all_hold, rep
@@ -210,7 +208,7 @@ def test_matrix_equality_iff_attainable():
         curve = spectral_curve(channel, theta)
         att = multi_attainability_check(curve, tol)
         entry_gap = max_abs(
-            sm_matrix(channel, curve).entries - sld_matrix(curve).entries
+            sm_matrix(curve).entries - sld_matrix(curve).entries
         )
         m, d = channel.param_count, channel.dim
         assert att.attainable == (entry_gap < m * d * d * tol), (
