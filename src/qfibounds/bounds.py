@@ -17,8 +17,7 @@ information of a POVM reads the curve's state and its per-parameter
 partials (SpectralCurve.fisher), the unitary condition reads its
 decomposition, and no function of a point evaluates the channel again.
 The scalar functionals read a one-parameter curve and refuse a curve with
-several parameters; multiparam wraps the matrices of the same curve, and
-curve.directional(v) gives the one-parameter curve along a direction.
+several parameters; multiparam wraps the matrices of the same curve.
 
 Gauge convention: the canonical operators Y = X^dag E come from the
 eigenvectors X of the input-state Gram matrix, and their derivatives follow
@@ -251,10 +250,9 @@ class SpectralCurve:
     completion whose derivative columns are zero and never used directly).
     value_derivs and vector_derivs hold one row per parameter, and the
     one-parameter bound is the m = 1 case.  kraus is the canonical
-    decomposition the curve was built from: None for spectral-form families
-    and for directional curves.  The overlap and SLD score stacks and the
-    information matrices are computed once per curve and cached; the cached
-    arrays are read-only.
+    decomposition the curve was built from, None for spectral-form families.
+    The overlap and SLD score stacks and the information matrices are
+    computed once per curve and cached; the cached arrays are read-only.
     """
 
     theta: np.ndarray          # (m,)
@@ -324,19 +322,6 @@ class SpectralCurve:
                         f"derivative {steepest:.3e}"
                     )
         return entries
-
-    def directional(self, direction) -> SpectralCurve:
-        """Curve of the one-parameter slice along a direction, by linearity."""
-        v = np.asarray(direction, dtype=float)
-        return SpectralCurve(
-            theta=np.zeros(1),
-            values=self.values,
-            vectors=self.vectors,
-            value_derivs=(v @ self.value_derivs)[np.newaxis],
-            vector_derivs=np.tensordot(v, self.vector_derivs, axes=(0, 0))[np.newaxis],
-            support=self.support,
-            gauge_source=self.gauge_source,
-        )
 
     @cached_property
     def overlaps(self) -> np.ndarray:

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable, Sequence
 
 import numpy as np
@@ -578,54 +579,55 @@ def remix_channel(
 
 
 def directional_channel(
-    channel: ParametricChannel, theta, direction: np.ndarray, name: str | None = None
+    channel: ParametricChannel, theta, directions: np.ndarray, name: str | None = None
 ) -> ParametricChannel:
-    """One-parameter slice t -> channel(theta + t * direction)."""
+    """The k-parameter fan t -> channel(theta + V^T t) of a (k, m) direction matrix V.
+
+    Partial j is sum_l V[j, l] d_l, of the Kraus stack or of the spectral
+    data; an (m,) vector gives the one-parameter slice.  Coordinate j spans
+    (-t_j / k, t_j / k), t_j the largest |t| keeping theta + t V[j] in the
+    box, so the fan's box maps into the parent box.
+    """
     center = channel.require_in_domain(theta)
-    v = np.asarray(direction, dtype=float)
-    if v.shape != (channel.param_count,):
-        raise ValidationError(f"direction must have {channel.param_count} components")
-    # Largest |t| keeping theta + t v inside the box.
-    t_max = np.inf
-    for x, vl, (lo, hi) in zip(center, v, channel.domain):
-        if vl > 0:
-            t_max = min(t_max, (hi - x) / vl, (x - lo) / vl)
-        elif vl < 0:
-            t_max = min(t_max, (x - lo) / (-vl), (hi - x) / (-vl))
-    if not np.isfinite(t_max) or t_max <= 0:
+    v = np.asarray(directions, dtype=float)
+    fan = np.atleast_2d(v)
+    if fan.ndim != 2 or fan.shape[1] != channel.param_count:
+        raise ValidationError(f"directions must have {channel.param_count} components")
+    k = fan.shape[0]
+    lo, hi = np.array(channel.domain, dtype=float).T
+    room = np.minimum(hi - center, center - lo)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t_max = np.min(np.where(fan == 0.0, np.inf, room / np.abs(fan)), axis=1)
+    if not np.all(np.isfinite(t_max) & (t_max > 0)):
         raise ValidationError("direction leaves the domain immediately")
 
     kraus = spectral = grad = None
     if channel.is_kraus_form:
         def kraus(tvec: np.ndarray) -> np.ndarray:
-            return channel.kraus_matrices(center + tvec[0] * v)
+            return channel.kraus_matrices(center + tvec @ fan)
+
+        @lru_cache(maxsize=1)  # the k partials of a point are asked for together
+        def partials(point: bytes) -> np.ndarray:
+            at = np.frombuffer(point)
+            return np.array([channel.kraus_grad_fn(at, l) for l in range(len(at))], dtype=complex)
 
         def grad(tvec: np.ndarray, index: int) -> np.ndarray:
-            point = center + tvec[0] * v
-            acc = None
-            for l, vl in enumerate(v):
-                if vl == 0.0:
-                    continue
-                term = vl * np.asarray(channel.kraus_grad_fn(point, l), dtype=complex)
-                acc = term if acc is None else acc + term
-            if acc is None:
-                acc = np.zeros_like(channel.kraus_matrices(point))
-            return acc
+            return np.tensordot(fan[index], partials((center + tvec @ fan).tobytes()), axes=1)
     else:
         def spectral(tvec: np.ndarray) -> SpectralData:
-            data = channel.spectral_at(center + tvec[0] * v)
+            data = channel.spectral_at(center + tvec @ fan)
             return SpectralData(
                 values=data.values,
                 vectors=data.vectors,
-                value_grads=(v @ data.value_grads)[np.newaxis],
-                vector_grads=np.tensordot(v, data.vector_grads, axes=(0, 0))[np.newaxis],
+                value_grads=fan @ data.value_grads,
+                vector_grads=np.tensordot(fan, data.vector_grads, axes=(1, 0)),
             )
 
     return ParametricChannel(
-        name=name or f"{channel.name}-slice",
+        name=name or f"{channel.name}-{'slice' if v.ndim == 1 else 'fan'}",
         dim=channel.dim,
-        param_count=1,
-        domain=((-t_max, t_max),),
+        param_count=k,
+        domain=tuple((-t / k, t / k) for t in t_max),
         input_state=channel.input_state,
         kraus_fn=kraus,
         kraus_grad_fn=grad,

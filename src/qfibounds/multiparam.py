@@ -2,8 +2,8 @@
 
 Fisher, SLD and channel-bound matrices for channels with several parameters,
 Loewner-order comparisons, the matrix attainability condition, and the
-directional-reduction consistency checks that tie every multi-parameter
-quantity back to one-parameter slices.
+directional-reduction check that ties the matrices to the fan of slices
+along k directions: one curve of the fan gives V H V^T and V C V^T.
 
 All parameters share one canonical decomposition at the point, and each
 partial follows the same parallel-transport gauge as the one-parameter
@@ -25,14 +25,12 @@ from .bounds import (
     SUPPORT_TOL,
     SpectralCurve,
     attainability_check,
-    sld_information,
-    sm_bound_spectral,
     spectral_curve,
     unitary_condition,
 )
 from .channels import ParametricChannel, directional_channel
-from .errors import ConsistencyError, ValidationError
-from .linalg import loewner_leq, max_abs
+from .errors import ConsistencyError, NumericError, ValidationError
+from .linalg import DEFAULT_DIFF, loewner_leq, max_abs
 from .quantum import POVM
 
 PINV_RCOND = 1e-12
@@ -159,57 +157,64 @@ def loewner_report(
 
 @dataclass(frozen=True)
 class DirectionalCheck:
-    """Consistency of one-parameter slices with the multi-parameter data."""
+    """The fan's (k, k) H and C against V H V^T and V C V^T, entry by entry."""
 
-    direction: np.ndarray
+    directions: np.ndarray
     kraus_deriv_mismatch: float | None
-    sld_slice: float
-    sld_quadratic: float
-    sm_slice: float
-    sm_quadratic: float
-    rel_tol: float
+    sld_slice: np.ndarray
+    sld_quadratic: np.ndarray
+    sm_slice: np.ndarray
+    sm_quadratic: np.ndarray
 
     @property
     def sld_mismatch(self) -> float:
-        return abs(self.sld_slice - self.sld_quadratic) / max(1.0, abs(self.sld_quadratic))
+        return _entry_mismatch(self.sld_slice, self.sld_quadratic)
 
     @property
     def sm_mismatch(self) -> float:
-        return abs(self.sm_slice - self.sm_quadratic) / max(1.0, abs(self.sm_quadratic))
+        return _entry_mismatch(self.sm_slice, self.sm_quadratic)
 
     @property
     def passed(self) -> bool:
-        ok = self.sld_mismatch < self.rel_tol and self.sm_mismatch < self.rel_tol
-        if self.kraus_deriv_mismatch is not None:
-            ok = ok and self.kraus_deriv_mismatch < self.rel_tol
-        return ok
+        mismatches = (self.sld_mismatch, self.sm_mismatch, self.kraus_deriv_mismatch or 0.0)
+        return all(x < DIRECTIONAL_REL_TOL for x in mismatches)
+
+
+def _entry_mismatch(fan: np.ndarray, quadratic: np.ndarray) -> float:
+    return float(np.max(np.abs(fan - quadratic) / np.maximum(1.0, np.abs(quadratic))))
 
 
 def directional_reduction_check(
-    channel: ParametricChannel, curve: SpectralCurve, direction
+    channel: ParametricChannel, curve: SpectralCurve, directions
 ) -> DirectionalCheck:
-    """Compare the one-parameter channel along a direction with the matrix data.
+    """Check the fan t -> channel(theta + V^T t) along the rows of V (or one v) at t = 0.
 
-    Checks that the canonical-operator derivative of the slice equals the
-    linear combination of the curve's per-parameter derivatives (supported
-    operators only), and that the slice's scalar informations match v^T H v
-    and v^T C v.
+    One curve of the fan serves every direction: its supported canonical
+    partials must equal V times the curve's partials, its H and C must equal
+    V H V^T and V C V^T entry by entry, and its SLD score stack checks the
+    SLD residual and H.  A Kraus-form fan narrower than the stencil margin
+    raises NumericError.
     """
-    v = np.asarray(direction, dtype=float)
-    slice_curve = spectral_curve(directional_channel(channel, curve.theta, v), 0.0)
+    v = np.atleast_2d(np.asarray(directions, dtype=float))
+    fan, origin = directional_channel(channel, curve.theta, v), np.zeros(len(v))
+    if fan.is_kraus_form and not fan.in_domain(origin, DEFAULT_DIFF.max_offset):
+        raise NumericError(f"fan at {curve.theta.tolist()} is narrower than the stencil margin")
+    fan_curve = spectral_curve(fan, origin)
+    fan_curve.sld_score  # building the score stack checks the residual and H
     kraus_mismatch = None
     if curve.kraus is not None:
-        combo = np.tensordot(v, curve.kraus.derivatives, axes=(0, 0))
         supported = curve.kraus.weights > SUPPORT_TOL
-        diff = slice_curve.kraus.derivatives[0][supported] - combo[supported]
-        kraus_mismatch = max_abs(diff) / max(1.0, max_abs(combo[supported]))
+        combo = np.tensordot(v, curve.kraus.derivatives[:, supported], axes=(1, 0))
+        diff = fan_curve.kraus.derivatives[:, supported] - combo
+        scale = np.maximum(1.0, np.max(np.abs(combo), axis=(1, 2, 3)))
+        kraus_mismatch = float(np.max(np.max(np.abs(diff), axis=(1, 2, 3)) / scale))
     h, c = curve.information
+    fan_h, fan_c = fan_curve.information
     return DirectionalCheck(
-        direction=v,
+        directions=v,
         kraus_deriv_mismatch=kraus_mismatch,
-        sld_slice=sld_information(slice_curve),
-        sld_quadratic=float(v @ h @ v),
-        sm_slice=sm_bound_spectral(slice_curve),
-        sm_quadratic=float(v @ c @ v),
-        rel_tol=DIRECTIONAL_REL_TOL,
+        sld_slice=fan_h,
+        sld_quadratic=v @ h @ v.T,
+        sm_slice=fan_c,
+        sm_quadratic=v @ c @ v.T,
     )

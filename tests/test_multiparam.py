@@ -9,8 +9,13 @@ from qfibounds.bounds import (
     sm_bound_spectral,
     spectral_curve,
 )
-from qfibounds.channels import builtin, custom_spectral, random_kraus_channel
-from qfibounds.errors import ConsistencyError, DegeneracyError, ValidationError
+from qfibounds.channels import (
+    builtin,
+    custom_spectral,
+    directional_channel,
+    random_kraus_channel,
+)
+from qfibounds.errors import ConsistencyError, DegeneracyError, NumericError, ValidationError
 from qfibounds.linalg import max_abs
 from qfibounds.multiparam import (
     InfoMatrix,
@@ -91,20 +96,19 @@ def test_canonical_kraus_serves_every_parameter():
     assert curve.kraus is not None
     rho0 = ch.input_state.density()
     for l, axis in enumerate(np.eye(2)):
-        view = curve.directional(axis)
-        assert view.kraus is None
+        view = spectral_curve(directional_channel(ch, theta, axis), 0.0)
         c_kraus = sm_bound_kraus(ck.operators, ck.derivatives[l], rho0)
         assert c_kraus == pytest.approx(sm_bound_spectral(view), rel=1e-9)
 
 
 def test_axis_curves_match_the_matrix_diagonals():
-    """curve.directional(e_l) gives the H and C on the diagonals of the matrices."""
+    """The curves of the axis slices give the H and C on the diagonals of the matrices."""
     for name, theta in (("dephasing-2p", [0.4, 0.3]), ("example2", [0.6, 0.3])):
         ch = builtin(name)
         curve = spectral_curve(ch, theta)
         h, c = sld_matrix(curve), sm_matrix(curve)
         for l, axis in enumerate(np.eye(2)):
-            view = curve.directional(axis)
+            view = spectral_curve(directional_channel(ch, theta, axis), 0.0)
             assert abs(sld_information(view) - h.entries[l, l]) < 1e-12, name
             assert abs(sm_bound_spectral(view) - c.entries[l, l]) < 1e-12, name
 
@@ -183,6 +187,39 @@ def test_directional_random_channels():
             assert check.sld_mismatch < 1e-5
             assert check.sm_mismatch < 1e-5
             assert check.kraus_deriv_mismatch < 1e-5
+
+
+@pytest.mark.parametrize(
+    "name, theta", [("dephasing-2p", [0.4, 0.3]), ("example2", [0.6, 0.3])]
+)
+def test_fan_matrices_are_the_contracted_matrices(name, theta):
+    """One fan curve gives V H V^T and V C V^T, off-diagonals included, and its
+    one-direction case is the scalar slice."""
+    ch = builtin(name)
+    curve = spectral_curve(ch, theta)
+    h, c = sld_matrix(curve).entries, sm_matrix(curve).entries
+    v = np.array([[1.0, 0.0], [0.6, 0.8], [0.6, 0.8]])  # an axis and a repeated direction
+    check = directional_reduction_check(ch, curve, v)
+    assert check.passed
+    assert check.sld_slice.shape == check.sm_slice.shape == (3, 3)
+    assert max_abs(check.sld_slice - v @ h @ v.T) < 1e-9
+    assert max_abs(check.sm_slice - v @ c @ v.T) < 1e-9
+    for j, row in enumerate(v):
+        single = directional_reduction_check(ch, curve, row)
+        assert single.passed and single.directions.shape == (1, 2)
+        assert single.sld_slice[0, 0] == pytest.approx(check.sld_slice[j, j], rel=1e-9)
+        assert single.sm_slice[0, 0] == pytest.approx(check.sm_slice[j, j], rel=1e-9)
+    assert check.sld_slice[0, 0] == pytest.approx(h[0, 0], rel=1e-9)
+
+
+def test_fan_too_narrow_for_the_stencil_is_a_numeric_error():
+    ch = random_kraus_channel(dim=2, env=2, seed=5, param_count=2)
+    theta = np.array([0.999, 0.0])  # 1e-3 from the edge: a 20-direction fan is 5e-5 wide
+    curve = spectral_curve(ch, theta)
+    v = np.tile([1.0, 0.0], (20, 1))
+    with pytest.raises(NumericError, match="stencil margin"):
+        directional_reduction_check(ch, curve, v)
+    assert directional_reduction_check(ch, curve, v[0]).passed
 
 
 def test_loewner_chain_random_channels():

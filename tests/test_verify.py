@@ -7,6 +7,7 @@ call counts, the battery's (channel, theta) contract, and the reporting of
 skipped directions.
 """
 
+import dataclasses
 from collections import Counter
 
 from qfibounds import bounds, multiparam, verify
@@ -77,26 +78,30 @@ def test_ordering_decomposes_each_remixing_generator_once_per_point(monkeypatch)
     assert calls["unitary_exponential"] == 6
 
 
-def test_directional_suite_builds_one_core_per_channel_and_direction(monkeypatch):
+def test_directional_suite_builds_one_core_per_channel(monkeypatch):
     calls = _count(monkeypatch, "canonical_kraus")
     battery = verify.two_param_battery(seed=9, count=5)
     screen = calls["canonical_kraus"]
     calls.clear()
     results = verify.directional_suite(seed=9, count=5, directions=4)
     assert all(r.passed for r in results)
-    # The suite reads the screening curves, and example2, the equality
-    # family, is spectral-form and builds no core.
-    assert calls["canonical_kraus"] == screen + len(battery) * 4
+    # The suite reads the screening curves and checks all directions of a
+    # channel on one fan curve; example2, the equality family, is
+    # spectral-form and builds no core.
+    assert calls["canonical_kraus"] == screen + len(battery)
+
+
+def _slice_check(results):
+    [check] = [r for r in results if r.name.startswith("slice consistency")]
+    return check
 
 
 def test_directional_suite_reports_skipped_directions(monkeypatch):
-    def slice_check(results):
-        [check] = [r for r in results if r.name.startswith("slice consistency")]
-        return check
-
-    clean = slice_check(verify.directional_suite(seed=9, count=5, directions=4))
+    clean = _slice_check(verify.directional_suite(seed=9, count=5, directions=4))
     assert clean.passed and "skipped" not in clean.detail
-    tried = len(verify.two_param_battery(seed=9, count=5)) * 4
+    battery = verify.two_param_battery(seed=9, count=5)
+    tried = len(battery) * 4
+    first = f"{battery[0][0].name} theta {battery[0][1].tolist()}"
 
     original = verify.directional_reduction_check
     seen = Counter()
@@ -107,15 +112,56 @@ def test_directional_suite_reports_skipped_directions(monkeypatch):
             raise DegeneracyError("forced skip")
         return original(*args)
 
+    # A channel's fan carries all of its directions, so a skip removes them all.
     monkeypatch.setattr(verify, "directional_reduction_check", every_other)
-    half = slice_check(verify.directional_suite(seed=9, count=5, directions=4))
+    half = _slice_check(verify.directional_suite(seed=9, count=5, directions=4))
     assert half.passed
-    assert half.detail.endswith(f", {(tried + 1) // 2} of {tried} directions skipped")
+    skipped = ((len(battery) + 1) // 2) * 4
+    assert half.detail.endswith(f", {skipped} of {tried} directions skipped, first at {first}")
 
     def always(*args):
         raise DegeneracyError("forced skip")
 
     monkeypatch.setattr(verify, "directional_reduction_check", always)
-    none = slice_check(verify.directional_suite(seed=9, count=5, directions=4))
+    none = _slice_check(verify.directional_suite(seed=9, count=5, directions=4))
     assert not none.passed
-    assert none.detail.endswith(f", {tried} of {tried} directions skipped")
+    assert none.detail.endswith(f", {tried} of {tried} directions skipped, first at {first}")
+
+
+def test_failing_directional_check_names_its_worst_point(monkeypatch):
+    battery = verify.two_param_battery(seed=9, count=5)
+    original = verify.directional_reduction_check
+    seen = Counter()
+
+    def third_is_off(*args):
+        seen["calls"] += 1
+        check = original(*args)
+        if seen["calls"] == 3:
+            check = dataclasses.replace(check, kraus_deriv_mismatch=1.0)
+        return check
+
+    monkeypatch.setattr(verify, "directional_reduction_check", third_is_off)
+    results = verify.directional_suite(seed=9, count=5, directions=4)
+    failed = _slice_check(results)
+    assert not failed.passed
+    channel, theta = battery[2]
+    assert failed.detail.endswith(f"; worst at {channel.name} theta {theta.tolist()}")
+    # Passing checks keep their details.
+    assert all(" at " not in r.detail for r in results if r.passed)
+
+
+def test_matrix_diagonal_check_catches_a_perturbed_kernel(monkeypatch):
+    # H is checked against a pseudo-inverse SLD solve from the raw Kraus
+    # stack, which does not read the curve's kernel: scaling the kernel's H
+    # must fail the check (comparing with slice curves would not notice).
+    original = bounds.SpectralCurve.information.func
+
+    def perturbed(self):
+        h, c = original(self)
+        return h * (1 + 1e-7), c
+
+    monkeypatch.setattr(bounds.SpectralCurve, "information", property(perturbed))
+    results = verify.directional_suite(seed=9, count=5, directions=4)
+    [diagonals] = [r for r in results if r.name.startswith("matrix diagonals")]
+    assert not diagonals.passed
+    assert "; worst at random-kraus-" in diagonals.detail
