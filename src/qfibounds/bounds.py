@@ -11,13 +11,17 @@ value of a point for any parameter count m: it holds the eigensystem with
 all m partials, carries the decomposition it came from, and caches its
 overlap and SLD score stacks (one matrix per parameter) and its information
 matrices (H, C), so every function of a point reads one value: the curve.
+Both take one point or an (N, m) stack of points of one channel: a stack
+gives every array a leading (N,) axis and is decomposed in one pass, which
+is how a sweep decomposes its grid, and the point call is the stack of one.
 H and C are one bilinear form of the overlap stack under two weight
 matrices; the scalar bounds and the gap are 1 x 1 cases of it.  The Fisher
 information of a POVM reads the curve's state and its per-parameter
 partials (SpectralCurve.fisher), the unitary condition reads its
 decomposition, and no function of a point evaluates the channel again.
-The scalar functionals read a one-parameter curve and refuse a curve with
-several parameters; multiparam wraps the matrices of the same curve.
+The scalar functionals read a one-parameter curve, one value per point of
+a stacked curve, and refuse a curve with several parameters; multiparam
+wraps the matrices of the same curve.
 
 Gauge convention: the canonical operators Y = X^dag E come from the
 eigenvectors X of the input-state Gram matrix, and their derivatives follow
@@ -35,7 +39,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .channels import ParametricChannel, SpectralData, kraus_derivative
+from .channels import ParametricChannel, SpectralData
 from .errors import (
     ConsistencyError,
     DegeneracyError,
@@ -44,8 +48,9 @@ from .errors import (
 )
 from .linalg import (
     DEFAULT_DIFF,
-    _cluster_slices,
     _normalize_phases,
+    adjoint,
+    cluster_labels,
     differentiate_curve,
     hermitian_eigendecompose,
     hermitian_part,
@@ -62,6 +67,11 @@ GRAM_DIAG_TOL = 1e-8
 CURVE_SUM_TOL = 1e-9
 CURVE_DERIV_TOL = 1e-6
 SLD_RESIDUAL_TOL = 1e-6
+EPS = np.finfo(float).eps
+UNATTAINABLE = (
+    "channel bound not attainable here: the measurement optimality "
+    "condition on canonical Kraus derivatives is unsatisfiable"
+)
 
 
 # ---------------------------------------------------------------------------
@@ -70,7 +80,10 @@ SLD_RESIDUAL_TOL = 1e-6
 
 @dataclass(frozen=True)
 class CanonicalKraus:
-    """Canonical operators at a point, their m partials, and the mixing unitary."""
+    """Canonical operators at a point, their m partials, and the mixing unitary.
+
+    Built from a stack of N points, every field has a leading (N,) axis.
+    """
 
     theta: np.ndarray            # (m,)
     operators: np.ndarray        # (n, d, d)
@@ -81,18 +94,19 @@ class CanonicalKraus:
     raw_derivatives: np.ndarray  # (m, n, d, d) its partials
 
 
-def _gram(ops: np.ndarray, psi: np.ndarray) -> np.ndarray:
-    vs = ops @ psi
-    return vs @ vs.conj().T
+def _only_point(ck: CanonicalKraus) -> CanonicalKraus:
+    """The one point of a stack of one: each field loses its leading axis."""
+    return CanonicalKraus(**{name: value[0] for name, value in vars(ck).items()})
 
 
-def _gram_derivative(ops: np.ndarray, dops: np.ndarray, psi: np.ndarray) -> np.ndarray:
-    half = (dops @ psi) @ (ops @ psi).conj().T
-    return half + half.conj().T
+def _gram_derivative(vs: np.ndarray, dvs: np.ndarray) -> np.ndarray:
+    """Derivative of the Gram matrix of the vectors E_k psi, from the vectors dE_k psi."""
+    half = dvs @ adjoint(vs)
+    return half + adjoint(half)
 
 
 def _resolve_degenerate_clusters(
-    vectors: np.ndarray, gram_deriv: np.ndarray, clusters: list[slice]
+    vectors: np.ndarray, gram_deriv: np.ndarray, clusters: list[np.ndarray]
 ) -> np.ndarray:
     """Rotate supported degenerate clusters to diagonalize the projected Gram derivative.
 
@@ -101,8 +115,8 @@ def _resolve_degenerate_clusters(
     if it does not, the derivative is genuinely ill-posed and we refuse.
     """
     vectors = vectors.copy()
-    for sl in clusters:
-        block = vectors[:, sl]
+    for members in clusters:
+        block = vectors[:, members]
         sub = hermitian_eigendecompose(block.conj().T @ gram_deriv @ block)
         gaps = np.diff(sub.eigenvalues)
         if gaps.size and float(np.min(gaps)) < DEGENERACY_TOL:
@@ -110,7 +124,7 @@ def _resolve_degenerate_clusters(
                 "degenerate Gram eigenvalues with degenerate first-order splitting; "
                 "perturb theta to move off the crossing"
             )
-        vectors[:, sl] = _normalize_phases(block @ sub.eigenvectors)
+        vectors[:, members] = _normalize_phases(block @ sub.eigenvectors)
     return vectors
 
 
@@ -119,7 +133,7 @@ def _crossing_coupling(
     values: np.ndarray,
     gram_second: np.ndarray,
     vectors: np.ndarray,
-    sl: slice,
+    members: np.ndarray,
 ) -> np.ndarray:
     """Parallel-transport generator inside a resolved supported cluster.
 
@@ -127,11 +141,11 @@ def _crossing_coupling(
     perturbation theory gives K_ba = [(X^dag G'' X)_ba / 2 +
     sum_{c outside} B_bc B_ca / (g - g_c)] / (g'_a - g'_b).
     """
-    outside = np.r_[0:sl.start, sl.stop:len(values)]
-    block = vectors[:, sl]
-    through = coupling[sl][:, outside] / (float(np.mean(values[sl])) - values[outside])
-    numer = 0.5 * (block.conj().T @ gram_second @ block) + through @ coupling[outside][:, sl]
-    slopes = np.real(np.diag(coupling)[sl])
+    outside = ~members
+    block = vectors[:, members]
+    through = coupling[members][:, outside] / (float(np.mean(values[members])) - values[outside])
+    numer = 0.5 * (block.conj().T @ gram_second @ block) + through @ coupling[outside][:, members]
+    slopes = np.real(np.diag(coupling)[members])
     split = slopes[np.newaxis, :] - slopes[:, np.newaxis]
     np.fill_diagonal(split, 1.0)
     out = numer / split
@@ -142,13 +156,15 @@ def _crossing_coupling(
 def canonical_kraus(channel: ParametricChannel, theta) -> CanonicalKraus:
     """Canonical operators Y = X^dag E and their m partials at theta.
 
-    Requires a Kraus-form channel with a pure input state.  G X = X diag(g)
-    diagonalizes the input-state Gram matrix.  The partials are
-    d_l Y = X^dag d_l E - K_l Y in the parallel-transport gauge, where
-    (K_l)_jk = (X^dag d_l G X)_jk / (g_k - g_j) between eigenvalue clusters
-    and K_l = 0 inside the unsupported cluster, because Y_k psi = 0 there.
-    d_l E comes from kraus_derivative.  A supported degenerate cluster is
-    resolved for one parameter only; with several it is refused, since a
+    Requires a Kraus-form channel with a pure input state.  theta is one
+    point, or an (N, m) stack decomposed in one pass (one batched eigh) whose
+    fields gain a leading (N,) axis.  G X = X diag(g) diagonalizes the
+    input-state Gram matrix.  The partials are d_l Y = X^dag d_l E - K_l Y in
+    the parallel-transport gauge, where (K_l)_jk = (X^dag d_l G X)_jk /
+    (g_k - g_j) between eigenvalue clusters and K_l = 0 inside the
+    unsupported cluster, because Y_k psi = 0 there.  d_l E is the family's
+    kraus_grad_fn.  A supported degenerate cluster is resolved, on its own
+    rows, for one parameter only; with several it is refused, since a
     crossing can split differently along different axes.  With the raw Kraus
     stack and its partials kept, one call feeds everything a report needs.
     """
@@ -156,13 +172,21 @@ def canonical_kraus(channel: ParametricChannel, theta) -> CanonicalKraus:
         raise ValidationError(f"channel {channel.name!r} has no Kraus curve")
     if channel.input_state is None:
         raise ValidationError(f"channel {channel.name!r} needs a pure input state")
-    vec = channel.require_in_domain(theta, margin=DEFAULT_DIFF.max_offset)
+    thetas = channel.require_in_domain(channel.theta_stack(theta), DEFAULT_DIFF.max_offset)
     psi = channel.input_state.amplitudes
+    m = channel.param_count
 
-    ops = channel.kraus_matrices(vec)
-    sys = hermitian_eigendecompose(_gram(ops, psi))
+    # each point's stack and partials together: the exponential families memo one point
+    ops, dops = [], []
+    for t in thetas:
+        ops.append(channel.kraus_matrices(t))
+        dops.append([channel.kraus_grad_fn(t, l) for l in range(m)])
+    ops, dops = np.array(ops), np.array(dops, dtype=complex)
+    count, n = ops.shape[:2]
+    vs = ops @ psi
+    sys = hermitian_eigendecompose(vs @ adjoint(vs))
     g = sys.eigenvalues
-    p = np.clip(g, 0.0, None)
+    p = g.clip(0.0, None)
     boundary = (p > SUPPORT_TOL) & (p <= DEGENERACY_TOL)
     if boundary.any():
         raise DegeneracyError(
@@ -170,71 +194,77 @@ def canonical_kraus(channel: ParametricChannel, theta) -> CanonicalKraus:
             "the supported/unsupported split is unreliable, perturb theta"
         )
     supported = p > SUPPORT_TOL
-    dops = [kraus_derivative(channel, vec, l) for l in range(channel.param_count)]
-    gram_derivs = [_gram_derivative(ops, d, psi) for d in dops]
+    gram_derivs = _gram_derivative(vs[:, np.newaxis], dops @ psi)
 
-    slices = list(_cluster_slices(g, DEGENERACY_TOL))
-    crossings = [sl for sl in slices if sl.stop - sl.start > 1 and supported[sl].any()]
+    labels = cluster_labels(g, DEGENERACY_TOL)
+    same = labels[:, :, np.newaxis] == labels[:, np.newaxis, :]
+    crossing = ((same.sum(axis=-1) > 1) & supported).any(axis=-1)
     vectors = sys.eigenvectors
-    if crossings:
-        if channel.param_count != 1:
+    resolved = []  # (row, its crossing clusters, its second Gram derivative)
+    if crossing.any():
+        if m != 1:
             raise DegeneracyError(
                 "supported Gram eigenvalues are degenerate at the center point; "
                 "perturb theta to separate them"
             )
-        vectors = _resolve_degenerate_clusters(vectors, gram_derivs[0], crossings)
+        rows = np.flatnonzero(crossing)
+        # each crossing row's degenerate clusters that hold a supported mode
+        clusters = [
+            [labels[i] == c for c in np.unique(labels[i, supported[i]])
+             if np.sum(labels[i] == c) > 1]
+            for i in rows
+        ]
+        for i, members in zip(rows, clusters):
+            vectors[i] = _resolve_degenerate_clusters(vectors[i], gram_derivs[i, 0], members)
         gram_second = differentiate_curve(
-            lambda t: _gram_derivative(
-                channel.kraus_matrices([t]), kraus_derivative(channel, [t], 0), psi
-            ),
-            float(vec[0]),
+            lambda ts: np.array([
+                _gram_derivative(
+                    channel.kraus_matrices([t]) @ psi, channel.kraus_grad_fn(np.array([t]), 0) @ psi
+                )
+                for t in ts
+            ]),
+            thetas[rows, 0],
             DEFAULT_DIFF,
         )
+        resolved = list(zip(rows, clusters, gram_second))
 
-    mixing = vectors.conj().T
-    canonical = np.tensordot(mixing, ops, axes=(1, 0))
-    labels = np.concatenate([np.full(sl.stop - sl.start, i) for i, sl in enumerate(slices)])
-    same = labels[:, np.newaxis] == labels[np.newaxis, :]
-    spacing = np.where(same, 1.0, g[np.newaxis, :] - g[:, np.newaxis])
-    between = supported[:, np.newaxis] & supported[np.newaxis, :] & ~same
-    partials = []
-    for d_ops, d_gram in zip(dops, gram_derivs):
-        coupling = mixing @ d_gram @ vectors
-        # eigh fixes each eigenvector only to about eps g_max / gap, which
-        # reaches K through B as eps g_max |g_j' - g_k'| / gap^2.
-        slopes = np.real(np.diag(coupling))
-        noise = np.finfo(float).eps * g[-1] * np.abs(slopes[:, np.newaxis] - slopes)
-        noisy = between & (noise / spacing**2 * np.sqrt(p) > CURVE_DERIV_TOL)
-        if noisy.any():
-            j, k = np.argwhere(noisy)[0]
-            raise DegeneracyError(
-                f"Gram eigenvalues {g[j]:.6g} and {g[k]:.6g} are {abs(g[k] - g[j]):.3e} "
-                "apart, too close for an accurate derivative; perturb theta away "
-                "from the crossing"
-            )
-        generator = np.where(same, 0.0, coupling / spacing)
-        for sl in crossings:
-            generator[sl, sl] = _crossing_coupling(coupling, g, gram_second, vectors, sl)
-        partials.append(
-            np.tensordot(mixing, d_ops, axes=(1, 0))
-            - np.tensordot(generator, canonical, axes=(1, 0))
-        )
-
-    gram_canonical = _gram(canonical, psi)
-    off_diag = gram_canonical - np.diag(np.diag(gram_canonical))
-    if max_abs(off_diag) > GRAM_DIAG_TOL:
-        raise ConsistencyError(
-            f"canonical Gram matrix not diagonal: off-diagonal {max_abs(off_diag):.3e}"
-        )
-    return CanonicalKraus(
-        theta=vec,
-        operators=canonical,
-        derivatives=np.array(partials),
-        mixing=mixing,
-        weights=p,
-        raw_operators=ops,
-        raw_derivatives=np.array(dops),
+    mixing = adjoint(vectors)
+    canonical = (mixing @ ops.reshape(count, n, -1)).reshape(ops.shape)
+    spacing = np.where(same, 1.0, g[:, np.newaxis, :] - g[:, :, np.newaxis])
+    between = supported[:, :, np.newaxis] & supported[:, np.newaxis, :] & ~same
+    coupling = mixing[:, np.newaxis] @ gram_derivs @ vectors[:, np.newaxis]
+    # eigh fixes each eigenvector only to about eps g_max / gap, which
+    # reaches K through B as eps g_max |g_j' - g_k'| / gap^2.
+    slopes = coupling.diagonal(axis1=-2, axis2=-1).real
+    noise = (EPS * g[:, -1])[:, np.newaxis, np.newaxis, np.newaxis] * np.abs(
+        slopes[..., :, np.newaxis] - slopes[..., np.newaxis, :]
     )
+    ratio = noise / spacing[:, np.newaxis] ** 2 * np.sqrt(p)[:, np.newaxis, np.newaxis, :]
+    noisy = between[:, np.newaxis] & (ratio > CURVE_DERIV_TOL)
+    if noisy.any():
+        i, _, j, k = np.argwhere(noisy)[0]
+        raise DegeneracyError(
+            f"Gram eigenvalues {g[i, j]:.6g} and {g[i, k]:.6g} are {abs(g[i, k] - g[i, j]):.3e} "
+            "apart, too close for an accurate derivative; perturb theta away "
+            "from the crossing"
+        )
+    generator = np.where(same[:, np.newaxis], 0.0, coupling / spacing[:, np.newaxis])
+    for i, members_of_row, second in resolved:
+        for members in members_of_row:
+            generator[i, 0][np.ix_(members, members)] = _crossing_coupling(
+                coupling[i, 0], g[i], second, vectors[i], members
+            )
+    partials = (
+        mixing[:, np.newaxis] @ dops.reshape(count, m, n, -1)
+        - generator @ canonical.reshape(count, 1, n, -1)
+    ).reshape(dops.shape)
+
+    cvs = canonical @ psi
+    off_diag = max_abs(np.where(np.eye(n, dtype=bool), 0.0, cvs @ adjoint(cvs)))
+    if off_diag > GRAM_DIAG_TOL:
+        raise ConsistencyError(f"canonical Gram matrix not diagonal: off-diagonal {off_diag:.3e}")
+    ck = CanonicalKraus(thetas, canonical, partials, mixing, p, ops, dops)
+    return ck if np.ndim(theta) == 2 else _only_point(ck)
 
 
 # ---------------------------------------------------------------------------
@@ -251,8 +281,10 @@ class SpectralCurve:
     value_derivs and vector_derivs hold one row per parameter, and the
     one-parameter bound is the m = 1 case.  kraus is the canonical
     decomposition the curve was built from, None for spectral-form families.
-    The overlap and SLD score stacks and the information matrices are
-    computed once per curve and cached; the cached arrays are read-only.
+    A curve of an (N, m) stack of points has a leading (N,) axis on every
+    array, and its checks and cached quantities run on the whole stack.  The
+    overlap and SLD score stacks and the information matrices are computed
+    once per curve and cached; the cached arrays are read-only.
     """
 
     theta: np.ndarray          # (m,)
@@ -266,42 +298,43 @@ class SpectralCurve:
 
     def __post_init__(self):
         p, w = self.values, self.vectors
-        if abs(float(p.sum()) - 1.0) > CURVE_SUM_TOL:
-            raise ConsistencyError(f"eigenvalues sum to {p.sum()!r}")
-        for dp in self.value_derivs:
-            if abs(float(dp.sum())) > CURVE_DERIV_TOL:
-                raise ConsistencyError(f"eigenvalue derivatives sum to {dp.sum()!r}")
-        gram_defect = max_abs(w.conj().T @ w - np.eye(w.shape[0]))
+        total, slopes = p.sum(axis=-1), self.value_derivs.sum(axis=-1)
+        if (bad := np.abs(total - 1.0) > CURVE_SUM_TOL).any():
+            raise ConsistencyError(f"eigenvalues sum to {total[bad][0]!r}")
+        if (bad := np.abs(slopes) > CURVE_DERIV_TOL).any():
+            raise ConsistencyError(f"eigenvalue derivatives sum to {slopes[bad][0]!r}")
+        gram_defect = max_abs(adjoint(w) @ w - np.eye(w.shape[-1]))
         if gram_defect > CURVE_SUM_TOL:
             raise ConsistencyError(f"eigenvector orthonormality defect {gram_defect:.3e}")
-        # The checks read supported rows only, which overlaps leaves as computed.
-        ss = np.ix_(self.support, self.support)
-        for overlap in self.overlaps:
-            diag_re = np.abs(np.real(np.diag(overlap))[self.support])
-            if diag_re.size and float(np.max(diag_re)) > CURVE_DERIV_TOL:
-                raise ConsistencyError(
-                    f"Re<w_k'|w_k> = {float(np.max(diag_re)):.3e}; norms not preserved"
-                )
-            antisym = max_abs(overlap[ss] + overlap[ss].conj().T) if self.support.any() else 0.0
-            if antisym > CURVE_DERIV_TOL:
-                raise ConsistencyError(f"overlap antisymmetry defect {antisym:.3e}")
+        # The checks read supported pairs only, which overlaps leaves as computed;
+        # the diagonal of O + O^dag is 2 Re<w_k'|w_k>.
+        supp = self.support[..., np.newaxis, :]
+        o = self.overlaps
+        pairs = supp[..., :, np.newaxis] & supp[..., np.newaxis, :]
+        defect = np.where(pairs, np.abs(o + adjoint(o)), 0.0)
+        antisym = defect.max(axis=(-2, -1))
+        if (bad := antisym > CURVE_DERIV_TOL).any():
+            stretch = defect.diagonal(axis1=-2, axis2=-1).max(axis=-1)[bad][0] / 2
+            if stretch > CURVE_DERIV_TOL:
+                raise ConsistencyError(f"Re<w_k'|w_k> = {stretch:.3e}; norms not preserved")
+            raise ConsistencyError(f"overlap antisymmetry defect {antisym[bad][0]:.3e}")
 
     @property
     def param_count(self) -> int:
-        return self.value_derivs.shape[0]
+        return self.value_derivs.shape[-2]
 
     def state_matrix(self) -> np.ndarray:
         w = self.vectors
-        return hermitian_part((w * self.values) @ w.conj().T)
+        return hermitian_part((w * self.values[..., np.newaxis, :]) @ adjoint(w))
 
     def state_partials(self) -> np.ndarray:
         """(m, d, d) stack of the partials d rho / d theta_l."""
-        w, dp = self.vectors, self.value_derivs[:, np.newaxis, :]
-        moving = (self.vector_derivs * self.values) @ w.conj().T
-        return (w * dp) @ w.conj().T + moving + np.conj(np.swapaxes(moving, 1, 2))
+        w, dp = self.vectors[..., np.newaxis, :, :], self.value_derivs[..., np.newaxis, :]
+        moving = (self.vector_derivs * self.values[..., np.newaxis, np.newaxis, :]) @ adjoint(w)
+        return (w * dp) @ adjoint(w) + moving + adjoint(moving)
 
     def fisher(self, povm: POVM) -> np.ndarray:
-        """(m, m) Fisher information of the POVM outcomes, from this curve's state.
+        """(m, m) Fisher information of the POVM outcomes, from this curve's state at a point.
 
         F_jk = sum_i d_j p_i d_k p_i / p_i over outcomes with p_i above
         P_FLOOR; an outcome below it whose probability still moves by more
@@ -331,11 +364,9 @@ class SpectralCurve:
         the antisymmetry <w_j'|w_k> = -<w_j|w_k'>*; entries with both indices
         unsupported are zero.
         """
-        off = ~self.support
-        out = np.empty(self.vector_derivs.shape, dtype=complex)
-        for o, dw in zip(out, self.vector_derivs):
-            o[...] = dw.conj().T @ self.vectors
-            o[off, :] = -np.conj(o[:, off]).T
+        o = adjoint(self.vector_derivs) @ self.vectors[..., np.newaxis, :, :]
+        off = ~self.support[..., np.newaxis, :, np.newaxis]
+        out = np.where(off, -o.swapaxes(-1, -2).conj(), o)
         out.setflags(write=False)
         return out
 
@@ -343,7 +374,14 @@ class SpectralCurve:
     def _pair_ratio(self) -> np.ndarray:
         """2 (p_j - p_k) / (p_j + p_k) per eigenvalue pair, shared by H and the SLD score."""
         p = self.values
-        return _over_pair_total(p, 2.0 * (p[:, np.newaxis] - p))
+        return _over_pair_total(p, 2.0 * (p[..., :, np.newaxis] - p[..., np.newaxis, :]))
+
+    @cached_property
+    def _score_diagonal(self) -> np.ndarray:
+        """p_k' / p_k on the support, zero off it: (m, d)."""
+        supp = self.support[..., np.newaxis, :]
+        p = np.where(supp, self.values[..., np.newaxis, :], 1.0)
+        return np.where(supp, self.value_derivs / p, 0.0)
 
     @cached_property
     def information(self) -> tuple[np.ndarray, np.ndarray]:
@@ -356,10 +394,9 @@ class SpectralCurve:
         bounds are the (0, 0) entries of a one-parameter curve.  Both arrays
         are read-only; the SLD score checks H.
         """
-        p, supp = self.values, self.support
-        dp = self.value_derivs[:, supp]
-        classical = (dp / p[supp]) @ dp.T
-        total = p[:, np.newaxis] + p
+        p = self.values
+        classical = self._score_diagonal @ self.value_derivs.swapaxes(-1, -2)
+        total = p[..., :, np.newaxis] + p[..., np.newaxis, :]
         weights = np.array([0.5 * total * self._pair_ratio**2, 2.0 * total])
         h, c = classical + _pair_form(self, weights)
         for a in (h, c):
@@ -376,14 +413,14 @@ class SpectralCurve:
         the defining equation rho' = (rho L + L rho) / 2 and against
         H = Re tr(rho L_l L_n).
         """
-        p, supp, w = self.values, self.support, self.vectors
-        frames = np.triu(self._pair_ratio, 1) * self.overlaps
-        frames += np.conj(np.swapaxes(frames, 1, 2))
-        idx = np.flatnonzero(supp)
-        frames[:, idx, idx] = self.value_derivs[:, supp] / p[supp]
-        scores = w @ frames @ w.conj().T
-        scores = (scores + np.conj(np.swapaxes(scores, 1, 2))) / 2
-        rho = self.state_matrix()
+        w = self.vectors[..., np.newaxis, :, :]
+        frames = np.triu(self._pair_ratio, 1)[..., np.newaxis, :, :] * self.overlaps
+        frames += adjoint(frames)
+        idx = np.arange(frames.shape[-1])
+        frames[..., idx, idx] = self._score_diagonal
+        scores = w @ frames @ adjoint(w)
+        scores = (scores + adjoint(scores)) / 2
+        rho = self.state_matrix()[..., np.newaxis, :, :]
         residual = max_abs(self.state_partials() - 0.5 * (rho @ scores + scores @ rho))
         if residual > SLD_RESIDUAL_TOL:
             raise ConsistencyError(
@@ -391,11 +428,12 @@ class SpectralCurve:
                 "state derivative"
             )
         h = self.information[0]
-        check = np.real(np.einsum("ij,ljk,nki->ln", rho, scores, scores))
-        if max_abs(check - h) > 1e-6 * max(1.0, max_abs(h)):
+        check = np.einsum("...ij,...ljk,...nki->...ln", rho[..., 0, :, :], scores, scores).real
+        scale = np.maximum(1.0, np.abs(h).max(axis=(-2, -1)))
+        if (bad := np.abs(check - h).max(axis=(-2, -1)) > 1e-6 * scale).any():
             raise ConsistencyError(
-                f"H mismatch: eigendata kernel {h.tolist()!r} vs Re tr(rho L_l L_n) "
-                f"{check.tolist()!r}"
+                f"H mismatch: eigendata kernel {h[bad][0].tolist()!r} vs Re tr(rho L_l L_n) "
+                f"{check[bad][0].tolist()!r}"
             )
         scores.setflags(write=False)
         return scores
@@ -403,14 +441,14 @@ class SpectralCurve:
 
 def _over_pair_total(p: np.ndarray, numerator: np.ndarray) -> np.ndarray:
     """numerator_jk / (p_j + p_k), for a numerator that vanishes where p_j + p_k does."""
-    total = p[:, np.newaxis] + p
+    total = p[..., :, np.newaxis] + p[..., np.newaxis, :]
     return numerator / np.where(total > 0, total, 1.0)
 
 
 def _pair_form(curve: SpectralCurve, w: np.ndarray) -> np.ndarray:
-    """Re sum_jk w[..., j, k] conj(O[l, j, k]) O[n, j, k]: an (m, m) matrix per weight matrix w."""
-    o = curve.overlaps.reshape(curve.param_count, -1)
-    return np.real((o.conj() * w.reshape(*w.shape[:-2], 1, -1)) @ o.T)
+    """Re sum_jk w[i, ..., j, k] conj(O[l, j, k]) O[n, j, k]: (K, ..., m, m) for K weights."""
+    o = curve.overlaps.reshape(*curve.overlaps.shape[:-2], -1)
+    return ((o.conj() * w.reshape(*w.shape[:-2], 1, -1)) @ o.swapaxes(-1, -2)).real
 
 
 def _require_one_parameter(curve: SpectralCurve) -> None:
@@ -419,92 +457,123 @@ def _require_one_parameter(curve: SpectralCurve) -> None:
         raise ValidationError(f"scalar bounds need a one-parameter curve, not {m} parameters")
 
 
+def _per_point(a: np.ndarray):
+    """A float for a point curve's quantity, the (N,) array for a stacked curve's."""
+    return float(a) if np.ndim(a) == 0 else a
+
+
 def _orthonormal_completion(columns: np.ndarray, dim: int) -> np.ndarray:
-    """Extend orthonormal columns to a full basis, deterministically."""
+    """Extend a stack of orthonormal column sets to full bases, deterministically."""
     basis = columns
-    while basis.shape[1] < dim:
-        residuals = np.eye(dim, dtype=complex) - basis @ (basis.conj().T)
-        norms = np.linalg.norm(residuals, axis=0)
-        pick = int(np.argmax(norms))
-        basis = np.column_stack([basis, residuals[:, pick] / norms[pick]])
+    rows = np.arange(len(basis))
+    while basis.shape[-1] < dim:
+        residuals = np.eye(dim, dtype=complex) - basis @ adjoint(basis)
+        norms = np.sqrt(np.add.reduce((residuals.conj() * residuals).real, axis=-2))
+        pick = np.argmax(norms, axis=-1)
+        column = residuals[rows, :, pick] / norms[rows, pick][:, np.newaxis]
+        basis = np.concatenate([basis, column[..., np.newaxis]], axis=-1)
     return basis
 
 
 def _kraus_eigendata(ck: CanonicalKraus, psi: np.ndarray) -> SpectralData:
-    """Supported output eigendata with all m partials, read off the decomposition.
+    """Output eigendata of every Gram mode of a stacked decomposition, with all m partials.
 
-    w_k = Y_k psi / sqrt(p_k); an unsupported mode whose vector Y_k psi
-    moves means the weight grows away from theta: theta sits at a rank change
-    and is refused.
+    w_k = Y_k psi / sqrt(p_k) on the supported modes; unsupported modes keep
+    their weight with zero vectors and partials, for spectral_curve to drop.
+    An unsupported mode whose vector Y_k psi moves means the weight grows
+    away from theta: theta sits at a rank change and is refused.
     """
-    vs = ck.operators @ psi                  # (n, d)
-    dvs = ck.derivatives @ psi               # (m, n, d)
-    supported = ck.weights > SUPPORT_TOL
-    moving = np.linalg.norm(dvs[:, ~supported], axis=-1)
-    if moving.size and float(np.max(moving)) > CURVE_DERIV_TOL:
+    vs = ck.operators @ psi                  # (N, n, d)
+    dvs = ck.derivatives @ psi               # (N, m, n, d)
+    supported = (ck.weights > SUPPORT_TOL)[:, np.newaxis, :, np.newaxis]
+    moving = max_abs(np.where(supported[..., 0], 0.0, np.linalg.norm(dvs, axis=-1)))
+    if moving > CURVE_DERIV_TOL:
         raise DegeneracyError(
-            f"an unsupported Gram mode moves (|dY_k psi| = {float(np.max(moving)):.3e}); "
+            f"an unsupported Gram mode moves (|dY_k psi| = {moving:.3e}); "
             "theta is at a rank change, perturb it"
         )
-    roots = np.sqrt(ck.weights[supported])
-    w = vs[supported] / roots[:, np.newaxis]  # (r, d)
-    dv = dvs[:, supported]
-    dp = 2.0 * np.real(np.sum(vs[supported].conj() * dv, axis=-1))  # (m, r)
-    dw = (dv - (dp / (2 * roots))[..., np.newaxis] * w) / roots[:, np.newaxis]
+    roots = np.sqrt(np.where(supported[:, 0], ck.weights[..., np.newaxis], 1.0))  # (N, n, 1)
+    w = np.where(supported[:, 0], vs / roots, 0.0)
+    dp = 2.0 * (vs[:, np.newaxis].conj() * dvs).sum(axis=-1).real
+    dp = np.where(supported[..., 0], dp, 0.0)  # (N, m, n)
+    dw = (dvs - dp[..., np.newaxis] / (2 * roots[:, np.newaxis]) * w[:, np.newaxis]) / roots[
+        :, np.newaxis
+    ]
     return SpectralData(
-        values=ck.weights[supported],
-        vectors=w.T,
+        values=ck.weights,
+        vectors=w.swapaxes(-1, -2),
         value_grads=dp,
-        vector_grads=np.transpose(dw, (0, 2, 1)),
+        vector_grads=np.where(supported, dw, 0.0).swapaxes(-1, -2),
     )
+
+
+def _stacked(points: list[SpectralData]) -> SpectralData:
+    """Several points' spectral data as one stack, each point's columns in ascending order."""
+    orders = [np.argsort(d.values, kind="stable") for d in points]
+    pairs = list(zip(points, orders))
+    return SpectralData(
+        values=np.array([d.values[o] for d, o in pairs]),
+        vectors=np.array([d.vectors[:, o] for d, o in pairs]),
+        value_grads=np.array([d.value_grads[:, o] for d, o in pairs]),
+        vector_grads=np.array([d.vector_grads[..., o] for d, o in pairs]),
+    )
+
+
+def _last_columns(a, dim: int, dtype) -> np.ndarray:
+    """The last dim columns of a, zero-padded in front to exactly dim."""
+    a = np.asarray(a, dtype=dtype)
+    if a.shape[-1] == dim:
+        return a
+    a = a[..., max(a.shape[-1] - dim, 0):]
+    pad = np.zeros(a.shape[:-1] + (dim - a.shape[-1],), dtype=dtype)
+    return np.concatenate([pad, a], axis=-1)
 
 
 def spectral_curve(channel: ParametricChannel, theta) -> SpectralCurve:
     """Output-state spectral curve at theta with all m partials.
 
+    theta is one point, or an (N, m) stack of points of the same channel
+    that is decomposed in one pass; the point call is the stack of one.
     Kraus-form channels go through the canonical decomposition, which fixes
-    the eigenvector gauge and which the curve carries; spectral-form families
-    supply their own analytic eigen-data.  The eigensystem is sorted
-    ascending and completed to a full basis: unsupported slots hold an
+    the eigenvector gauge and which the curve carries; spectral-form
+    families supply their own analytic eigen-data, one point at a time, and
+    join the same tail.  The eigensystem is ascending (the Gram eigenvalues
+    are already) and completed to a full basis: unsupported slots hold an
     orthonormal completion with zero partials.
     """
-    vec = channel.theta_vector(theta)
+    thetas = channel.theta_stack(theta)
     if channel.is_kraus_form:
-        ck = canonical_kraus(channel, vec)
+        ck = canonical_kraus(channel, thetas)
         data = _kraus_eigendata(ck, channel.input_state.amplitudes)
     else:
-        channel.require_in_domain(vec)
-        ck, data = None, channel.spectral_at(vec)
+        channel.require_in_domain(thetas)
+        ck, data = None, _stacked([channel.spectral_at(t) for t in thetas])
     dim = channel.dim
-    values = np.asarray(data.values, dtype=float)
-    order = np.argsort(values, kind="stable")
-    keep = order[values[order] > SUPPORT_TOL]
-    if keep.size > dim:
-        raise ConsistencyError(f"{keep.size} supported eigenvalues exceed dimension {dim}")
-    m = np.shape(data.value_grads)[0]
-    n_fill = dim - keep.size
-    w_s = np.asarray(data.vectors, dtype=complex)[:, keep]
-    completion = _normalize_phases(_orthonormal_completion(w_s, dim)[:, keep.size:])
-    dp = np.concatenate(
-        [np.zeros((m, n_fill)), np.asarray(data.value_grads, dtype=float)[:, keep]], axis=1
+    rank = (data.values > SUPPORT_TOL).sum(axis=-1)
+    if rank.max() > dim:
+        raise ConsistencyError(f"{rank.max()} supported eigenvalues exceed dimension {dim}")
+    values, vectors, dp, dw = (
+        _last_columns(a, dim, dtype) for a, dtype in zip(vars(data).values(), (float, complex) * 2)
     )
-    dw = np.concatenate(
-        [
-            np.zeros((m, dim, n_fill), dtype=complex),
-            np.asarray(data.vector_grads, dtype=complex)[:, :, keep],
-        ],
-        axis=2,
+    support = values > SUPPORT_TOL
+    for r in sorted(set(rank[rank < dim].tolist())):  # one completion pass per deficient rank
+        rows = rank == r
+        basis = _orthonormal_completion(vectors[rows][..., dim - r:], dim)
+        vectors[rows, :, : dim - r] = _normalize_phases(basis[..., r:])
+    keep = support[:, np.newaxis]
+    curve = dict(
+        theta=thetas,
+        values=np.where(support, values, 0.0),
+        vectors=vectors,
+        value_derivs=np.where(keep, dp, 0.0),
+        vector_derivs=np.where(keep[:, np.newaxis], dw, 0.0),
+        support=support,
     )
-    return SpectralCurve(
-        theta=vec,
-        values=np.concatenate([np.zeros(n_fill), values[keep]]),
-        vectors=np.column_stack([completion, w_s]),
-        value_derivs=dp,
-        vector_derivs=dw,
-        support=np.concatenate([np.zeros(n_fill, dtype=bool), np.ones(keep.size, dtype=bool)]),
-        gauge_source="spectral-form" if ck is None else "canonical-kraus",
-        kraus=ck,
-    )
+    if np.ndim(theta) != 2:
+        curve = {k: v[0] for k, v in curve.items()}
+        ck = None if ck is None else _only_point(ck)
+    gauge = "spectral-form" if ck is None else "canonical-kraus"
+    return SpectralCurve(**curve, gauge_source=gauge, kraus=ck)
 
 
 # ---------------------------------------------------------------------------
@@ -514,35 +583,36 @@ def spectral_curve(channel: ParametricChannel, theta) -> SpectralCurve:
 def sld_score(curve: SpectralCurve) -> np.ndarray:
     """The self-adjoint SLD solution a one-parameter curve induces (SpectralCurve.sld_score)."""
     _require_one_parameter(curve)
-    return curve.sld_score[0]
+    return curve.sld_score[..., 0, :, :]
 
 
 def sld_information(curve: SpectralCurve) -> float:
     """SLD quantum information H of the output-state family at this point.
 
     The (0, 0) entry of curve.information, read after the SLD score, which
-    checks it against Re tr(rho L^2).
+    checks it against Re tr(rho L^2).  A stacked curve gives one value per
+    point, here and in the other scalar functionals.
     """
     sld_score(curve)
-    return float(curve.information[0][0, 0])
+    return _per_point(curve.information[0][..., 0, 0])
 
 
 def sm_bound_spectral(curve: SpectralCurve) -> float:
     """Channel bound evaluated purely from the output-state spectral curve."""
     _require_one_parameter(curve)
-    return float(curve.information[1][0, 0])
+    return _per_point(curve.information[1][..., 0, 0])
 
 
 def sm_bound_kraus(operators, derivatives, rho0: DensityMatrix) -> float:
-    """Channel bound 4 sum_k tr(E_k' rho0 E_k'^dag) for any Kraus representation."""
+    """Channel bound 4 sum_k tr(E_k' rho0 E_k'^dag) for any Kraus representation (or a stack)."""
     ops = operators.operators if isinstance(operators, KrausSet) else np.asarray(operators)
     derivs = np.asarray(derivatives, dtype=complex)
     if derivs.shape != np.shape(ops):
         raise ValidationError(
             f"derivative stack shape {derivs.shape} does not match operators {np.shape(ops)}"
         )
-    value = np.einsum("kij,jl,kil->", derivs, rho0.matrix, derivs.conj())
-    return 4.0 * float(np.real(value))
+    value = np.einsum("...kij,jl,...kil->...", derivs, rho0.matrix, derivs.conj())
+    return _per_point(4.0 * np.real(value))
 
 
 def bound_gap(curve: SpectralCurve) -> float:
@@ -552,12 +622,15 @@ def bound_gap(curve: SpectralCurve) -> float:
     """
     _require_one_parameter(curve)
     p = curve.values
-    gap = float(_pair_form(curve, _over_pair_total(p, 8.0 * np.outer(p, p)))[0, 0])
-    h, c = (float(a[0, 0]) for a in curve.information)
+    weight = _over_pair_total(p, 8.0 * (p[..., :, np.newaxis] * p[..., np.newaxis, :]))
+    gap = _pair_form(curve, weight[np.newaxis])[0, ..., 0, 0]
+    h, c = (a[..., 0, 0] for a in curve.information)
     direct = c - h
-    if abs(gap - direct) > 1e-8 * max(1.0, c):
-        raise ConsistencyError(f"gap formula {gap!r} vs bound difference {direct!r}")
-    return gap
+    if (bad := np.abs(gap - direct) > 1e-8 * np.maximum(1.0, c)).any():
+        raise ConsistencyError(
+            f"gap formula {float(gap[bad][0])!r} vs bound difference {float(direct[bad][0])!r}"
+        )
+    return _per_point(gap)
 
 
 def attainability_check(curve: SpectralCurve, tol: float = 1e-6) -> tuple[bool, float]:
@@ -565,9 +638,9 @@ def attainability_check(curve: SpectralCurve, tol: float = 1e-6) -> tuple[bool, 
 
     Returns (verdict, residual), the residual being the largest such overlap.
     """
-    idx = np.flatnonzero(curve.support)
-    supported = curve.overlaps[:, idx[:, np.newaxis], idx]
-    residual = float(np.max(np.abs(supported))) if idx.size else 0.0
+    supp = curve.support[..., np.newaxis, :]
+    pairs = supp[..., :, np.newaxis] & supp[..., np.newaxis, :]
+    residual = _per_point(np.where(pairs, np.abs(curve.overlaps), 0.0).max(axis=(-3, -2, -1)))
     return residual < tol, residual
 
 
@@ -594,7 +667,8 @@ def unitary_condition(
 def optimal_povm_from_sld(lam: np.ndarray) -> POVM:
     """Projectors onto the SLD eigenbasis; degenerate eigenspaces merge."""
     sys = hermitian_eigendecompose(lam)
-    blocks = [sys.eigenvectors[:, sl] for sl in _cluster_slices(sys.eigenvalues, DEGENERACY_TOL)]
+    labels = cluster_labels(sys.eigenvalues, DEGENERACY_TOL)
+    blocks = [sys.eigenvectors[:, labels == c] for c in range(labels[-1] + 1)]
     return POVM(np.array([block @ block.conj().T for block in blocks]))
 
 
@@ -740,43 +814,49 @@ def bound_report(
     H, C, the gap and the attainability residual read the curve's cached
     overlap matrix and bound terms; the C_kraus cross-check and C_E read its
     canonical decomposition (absent for a spectral-form family).  The curve
-    must have one parameter.
+    must have one parameter.  A stacked curve, read without a POVM, gives a
+    list of reports, one per point.
     """
-    theta = float(curve.theta[0])
+    stacked = curve.theta.ndim == 2
+    if stacked and povm is not None:
+        raise ValidationError("Fisher information is read at one point, not a stack")
     c_spec = sm_bound_spectral(curve)
     attainable, residual = attainability_check(curve, attainability_tol)
-    warnings: list[str] = []
-    cross = c_e = None
-    ck = curve.kraus
+    ck, count = curve.kraus, len(curve.theta) if stacked else 1
+    cross = c_e = [None] * count
     if ck is not None:
         rho0 = channel.input_state.density()
-        cross = abs(c_spec - sm_bound_kraus(ck.operators, ck.derivatives[0], rho0))
-        c_e = sm_bound_kraus(ck.raw_operators, ck.raw_derivatives[0], rho0)
-    if not attainable:
-        warnings.append(
-            "channel bound not attainable here: the measurement optimality "
-            "condition on canonical Kraus derivatives is unsatisfiable"
-        )
+        cross = np.abs(c_spec - sm_bound_kraus(ck.operators, ck.derivatives[..., 0, :, :, :], rho0))
+        c_e = sm_bound_kraus(ck.raw_operators, ck.raw_derivatives[..., 0, :, :, :], rho0)
+    warnings: list[str] = []
     f = None
     if povm is not None:
         try:
             f = fisher_information(curve, povm)
         except SingularTermError as exc:
             warnings.append(f"Fisher information dropped: {exc}")
-    return BoundReport(
-        theta=theta,
-        sld_information=sld_information(curve),
-        channel_bound=c_spec,
-        gap=bound_gap(curve),
-        attainable=attainable,
-        attainability_residual=residual,
-        attainability_tol=attainability_tol,
-        gauge_source=curve.gauge_source,
-        fisher_information=f,
-        representation_bound=c_e,
-        method_cross_check=cross,
-        warnings=tuple(warnings),
-    )
+    h, gap = sld_information(curve), bound_gap(curve)
+    columns = (curve.theta[..., 0], h, c_spec, gap, attainable, residual, c_e, cross)
+    reports = [
+        BoundReport(
+            theta=float(t),
+            sld_information=float(h_t),
+            channel_bound=float(c_t),
+            gap=float(gap_t),
+            attainable=bool(ok),
+            attainability_residual=float(res),
+            attainability_tol=attainability_tol,
+            gauge_source=curve.gauge_source,
+            fisher_information=f,
+            representation_bound=None if c_e_t is None else float(c_e_t),
+            method_cross_check=None if cross_t is None else float(cross_t),
+            warnings=tuple(warnings if ok else [UNATTAINABLE, *warnings]),
+        )
+        for t, h_t, c_t, gap_t, ok, res, c_e_t, cross_t in zip(
+            *(np.reshape(a, count) for a in columns)
+        )
+    ]
+    return reports if stacked else reports[0]
 
 
 def remixing_penalty(mixing_grad: np.ndarray, weights: np.ndarray) -> float:

@@ -80,20 +80,31 @@ class ParametricChannel:
             )
         return vec
 
+    def theta_stack(self, theta) -> np.ndarray:
+        """(N, m) stack of points: an (N, m) array as given, anything else as one point."""
+        arr = np.asarray(theta, dtype=float)
+        if arr.ndim == 2 and arr.shape[1] == self.param_count:
+            return arr
+        return self.theta_vector(arr)[np.newaxis]
+
+    def _inside(self, points: np.ndarray, margin: float) -> np.ndarray:
+        lo, hi = np.array(self.domain, dtype=float).T
+        return ((lo + margin <= points) & (points <= hi - margin)).all(axis=1)
+
     def in_domain(self, theta, margin: float = 0.0) -> bool:
-        vec = self.theta_vector(theta)
-        return all(
-            lo + margin <= x <= hi - margin for x, (lo, hi) in zip(vec, self.domain)
-        )
+        """Whether the point, or every point of an (N, m) stack, lies margin inside the box."""
+        return bool(self._inside(self.theta_stack(theta), margin).all())
 
     def require_in_domain(self, theta, margin: float = 0.0) -> np.ndarray:
-        vec = self.theta_vector(theta)
-        if not self.in_domain(vec, margin):
+        """The point as an (m,) vector, or the (N, m) stack; the first point outside is named."""
+        points = self.theta_stack(theta)
+        inside = self._inside(points, margin)
+        if not inside.all():
             raise ValidationError(
-                f"theta {vec.tolist()} outside domain {self.domain}"
+                f"theta {points[np.argmin(inside)].tolist()} outside domain {self.domain}"
                 + (f" with stencil margin {margin}" if margin else "")
             )
-        return vec
+        return points if np.ndim(theta) == 2 else points[0]
 
     def kraus_matrices(self, theta) -> np.ndarray:
         """Raw (n, d, d) Kraus stack at theta; element order is fixed across theta."""

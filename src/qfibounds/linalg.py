@@ -28,8 +28,13 @@ def max_abs(a: np.ndarray) -> float:
     return float(np.abs(a).max()) if a.size else 0.0
 
 
+def adjoint(a: np.ndarray) -> np.ndarray:
+    """Conjugate transpose of the last two axes, for a matrix or a stack of them."""
+    return a.conj().swapaxes(-1, -2)
+
+
 def hermitian_part(a: np.ndarray) -> np.ndarray:
-    return (a + a.conj().T) / 2
+    return (a + adjoint(a)) / 2
 
 
 @dataclass(frozen=True)
@@ -52,9 +57,12 @@ DEFAULT_DIFF = DiffConfig()
 
 
 def differentiate_curve(
-    curve: Callable[[float], np.ndarray], theta: float, cfg: DiffConfig = DEFAULT_DIFF
+    curve: Callable[[float], np.ndarray], theta, cfg: DiffConfig = DEFAULT_DIFF
 ) -> np.ndarray:
-    """Central-4 finite-difference derivative of an array-valued curve at theta."""
+    """Central-4 finite-difference derivative of an array-valued curve at theta.
+
+    theta may be an array of points, for a curve that maps it to one stack.
+    """
     h = cfg.step
     weights = {-2 * h: 1 / (12 * h), -h: -8 / (12 * h), h: 8 / (12 * h), 2 * h: -1 / (12 * h)}
     out = None
@@ -73,50 +81,56 @@ class EigenSystem:
 
 
 def _normalize_phases(vecs: np.ndarray) -> np.ndarray:
-    """Make the largest-magnitude entry of each column real positive."""
-    out = vecs.copy()
-    for i in range(out.shape[1]):
-        col = out[:, i]
-        j = int(np.argmax(np.abs(col)))
-        z = col[j]
-        if np.abs(z) > 0:
-            out[:, i] = col * (np.conj(z) / np.abs(z))
-    return out
+    """Make the largest-magnitude entry of each unit column real positive (over any stack)."""
+    flat = vecs.reshape(-1, *vecs.shape[-2:])
+    top = flat[
+        np.arange(len(flat))[:, np.newaxis],
+        np.argmax(np.abs(flat), axis=-2),
+        np.arange(flat.shape[-1]),
+    ]
+    return vecs * (np.conj(top) / np.abs(top)).reshape(*vecs.shape[:-2], 1, -1)
 
 
-def _cluster_slices(values: np.ndarray, tol: float):
-    start = 0
-    for i in range(1, len(values) + 1):
-        if i == len(values) or values[i] - values[i - 1] > tol:
-            yield slice(start, i)
-            start = i
+def cluster_labels(values: np.ndarray, tol: float) -> np.ndarray:
+    """Cluster index of each ascending value along the last axis.
+
+    A new cluster starts wherever two neighbours are more than tol apart.
+    """
+    labels = np.zeros(values.shape, dtype=int)
+    np.cumsum(values[..., 1:] - values[..., :-1] > tol, axis=-1, out=labels[..., 1:])
+    return labels
+
+
+def _hermitian(a) -> np.ndarray:
+    """The Hermitian part of a square matrix (or stack), refused beyond HERMITICITY_TOL."""
+    a = np.asarray(a, dtype=complex)
+    if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
+        raise ValidationError(f"expected a square matrix, got shape {a.shape}")
+    asym = max_abs(a - adjoint(a))
+    if asym >= HERMITICITY_TOL:
+        raise ValidationError(f"matrix is not Hermitian: max asymmetry {asym:.3e}")
+    return hermitian_part(a)
 
 
 def hermitian_eigendecompose(a: np.ndarray) -> EigenSystem:
-    """Eigendecompose a Hermitian matrix with a reproducible gauge.
+    """Eigendecompose a Hermitian matrix, or a stack of them, with a reproducible gauge.
 
     Eigenvalues come back ascending.  Each eigenvector has its
     largest-magnitude entry made real positive, and columns inside a
-    degenerate cluster are ordered lexicographically by (Re, Im) entries so
-    repeated calls on equal inputs give identical output.
+    degenerate cluster are ordered lexicographically by their (Re, Im)
+    entries rounded to 10 decimals, so repeated calls on equal inputs give
+    identical output.  A stack (..., n, n) is fixed matrix by matrix.
     """
-    a = np.asarray(a, dtype=complex)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValidationError(f"expected a square matrix, got shape {a.shape}")
-    asym = max_abs(a - a.conj().T)
-    if asym >= HERMITICITY_TOL:
-        raise ValidationError(f"matrix is not Hermitian: max asymmetry {asym:.3e}")
-    values, vectors = np.linalg.eigh(hermitian_part(a))
+    values, vectors = np.linalg.eigh(_hermitian(a))
     vectors = _normalize_phases(vectors)
-    for sl in _cluster_slices(values, CLUSTER_TOL):
-        if sl.stop - sl.start > 1:
-            block = vectors[:, sl]
-            keys = [
-                tuple(x for e in block[:, i] for x in (round(e.real, 10), round(e.imag, 10)))
-                for i in range(block.shape[1])
-            ]
-            order = sorted(range(block.shape[1]), key=keys.__getitem__)
-            vectors[:, sl] = block[:, order]
+    if (values[..., 1:] - values[..., :-1] <= CLUSTER_TOL).any():
+        labels = cluster_labels(values, CLUSTER_TOL)
+        # lexsort reads its last key first: the cluster, then row 0 (Re, Im), row 1, ...
+        parts = np.round(np.stack([vectors.real, vectors.imag], axis=-2), 10)
+        keys = parts.reshape(*parts.shape[:-3], -1, parts.shape[-1])[..., ::-1, :]
+        keys = np.concatenate([keys, labels[..., np.newaxis, :]], axis=-2)
+        order = np.lexsort(np.moveaxis(keys, -2, 0), axis=-1)
+        vectors = np.take_along_axis(vectors, order[..., np.newaxis, :], axis=-1)
     return EigenSystem(values, vectors)
 
 
@@ -127,15 +141,14 @@ def psd_sqrt(a: np.ndarray) -> np.ndarray:
     negative is rejected.  Eigenvalues at or below d eps lambda_max are
     round-off and count as zero, so the root of a projector (a pure state
     among them) is the projector itself, not a sum with ~1e-8 roots of noise.
+    The root does not depend on the eigenvector gauge, so none is fixed.
     """
-    sys = hermitian_eigendecompose(a)
-    values = sys.eigenvalues
+    values, v = np.linalg.eigh(_hermitian(a))
     lo, hi = (float(values[0]), float(values[-1])) if values.size else (0.0, 0.0)
     if lo < -PSD_NEG_TOL:
         raise ValidationError(f"matrix is not PSD: min eigenvalue {lo:.3e}")
     floor = values.size * np.finfo(float).eps * max(hi, 0.0)
     roots = np.sqrt(np.where(values > floor, values, 0.0))
-    v = sys.eigenvectors
     return hermitian_part((v * roots) @ v.conj().T)
 
 

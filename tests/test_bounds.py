@@ -773,3 +773,20 @@ def test_fixed_remix_keeps_bound_above_h():
             channel.input_state.density(),
         )
         assert h <= c_e + 1e-8
+
+
+def test_stacked_curve_equals_its_points_across_a_rank_change():
+    # t -> (t^2, 1 - t^2) drops to rank one at t = 0, so one stack holds two
+    # ranks, each completed to a full basis as its points are alone.
+    import dataclasses
+
+    channel = dataclasses.replace(builtin("example1"), domain=((-0.5, 0.5),))
+    grid = np.array([[-0.2], [0.0], [0.3]])
+    stacked = spectral_curve(channel, grid)
+    assert stacked.support.sum(axis=-1).tolist() == [2, 1, 2]
+    for i, theta in enumerate(grid[:, 0]):
+        point = spectral_curve(channel, theta)
+        for name in ("values", "vectors", "value_derivs", "vector_derivs", "support"):
+            assert np.array_equal(getattr(stacked, name)[i], getattr(point, name)), (theta, name)
+        for a, b in zip(stacked.information, point.information):
+            assert np.array_equal(a[i], b), theta

@@ -441,17 +441,106 @@ def test_report_optimal_povm_builds_the_sld_score_once(spec_file, capsys, monkey
         assert work == {"curves": 1, "overlaps": 1, "sld_score": 1}
 
 
+def test_parser_survives_an_argparse_error(spec_file, capsys):
+    from qfibounds.cli import _build_parser
+
+    with pytest.raises(SystemExit):
+        main(["report", spec_file(DEPHASING), "--theta", "0.2", "--povm", "bogus"])
+    capsys.readouterr()
+    code, out, _ = run_cli(capsys, "report", spec_file(DEPHASING), "--theta", "0.2")
+    assert code == 0
+    assert json.loads(out)["result"]["sld_information"] == pytest.approx(6.25, rel=1e-6)
+    assert _build_parser() is _build_parser()
+
+
+STACK_CASES = {
+    "dephasing": (DEPHASING, "0.05:0.95:7"),
+    "dephasing-crossing": (DEPHASING, "0.3,0.5,0.7"),  # 0.5 is resolved inside the stack
+    "example1": (EXAMPLE1, "0.05:0.95:7"),
+    "rotation": ("family = rotation\naxis = x\n", "-3:3:7"),
+    "random-kraus-3x2": ("family = random-kraus\ndim = 3\nenv = 2\nseed = 11\n", "-0.9:0.9:7"),
+    "random-kraus-8x8": ("family = random-kraus\ndim = 8\nenv = 8\nseed = 11\n", "-0.9:0.9:4"),
+}
+
+
+def _point_row(channel, theta):
+    from qfibounds.bounds import bound_report, spectral_curve
+
+    return bound_report(channel, spectral_curve(channel, theta))
+
+
+@pytest.mark.parametrize("case", sorted(STACK_CASES))
+def test_sweep_rows_equal_single_point_curves(spec_file, capsys, case):
+    # The stacked sweep kernel and the N = 1 curve give the same numbers.
+    from qfibounds.errors import NumericError
+    from qfibounds.specfile import ChannelSpec
+
+    text, grid = STACK_CASES[case]
+    channel = ChannelSpec.from_text(text).build()
+    code, out, _ = run_cli(capsys, "sweep", spec_file(text), f"--theta-grid={grid}")
+    assert code == 0
+    rows = json.loads(out)["points"]
+    assert len(rows) > 1
+    for row in rows:
+        if "sld_information" not in row:  # theta = 0 of random-kraus is a rank change
+            with pytest.raises(NumericError) as refusal:
+                _point_row(channel, row["theta"])
+            assert row["warnings"] == [str(refusal.value)]
+            continue
+        point = _point_row(channel, row["theta"])
+        scale = max(1.0, abs(point.channel_bound))
+        for key, value, rel in (
+            ("sld_information", point.sld_information, True),
+            ("channel_bound", point.channel_bound, True),
+            ("representation_bound", point.representation_bound, True),
+            ("gap", point.gap, False),
+        ):
+            if value is None:
+                assert row[key] is None
+            else:
+                bound = 1e-13 * (abs(value) if rel else scale)
+                assert abs(row[key] - value) <= bound, (case, row["theta"], key)
+        residual = row["attainability"]["residual"]
+        assert abs(residual - point.attainability_residual) <= 1e-13 * scale
+        assert row["attainability"]["attainable"] is point.attainable
+
+
+def test_sweep_keeps_point_failures_to_their_rows(spec_file, capsys):
+    # 0.5 is a crossing the one-parameter resolution handles; 0.500001 is
+    # too close to it for an accurate derivative and is refused alone.
+    code, out, _ = run_cli(
+        capsys, "sweep", spec_file(DEPHASING), "--theta-grid", "0.3,0.5,0.500001,0.7"
+    )
+    assert code == 0
+    rows = json.loads(out)["points"]
+    assert [r["theta"] for r in rows] == [0.3, 0.5, 0.500001, 0.7]
+    assert rows[1]["sld_information"] == 4.0 and rows[1]["channel_bound"] == 4.0
+    assert rows[2] == {
+        "theta": 0.500001,
+        "warnings": [
+            "Gram eigenvalues 0.499999 and 0.500001 are 2.000e-06 apart, too close for an "
+            "accurate derivative; perturb theta away from the crossing"
+        ],
+    }
+    for row, expected in ((rows[0], 4.761904761904764), (rows[3], 4.761904761904763)):
+        assert row["sld_information"] == expected and row["channel_bound"] == expected
+
+
 @pytest.mark.parametrize(
     "text",
     [DEPHASING, DAMPING, "family = random-kraus\ndim = 3\nenv = 2\n"],
     ids=["dephasing", "amplitude-damping", "random-kraus"],
 )
 def test_sweep_decomposes_each_point_once(spec_file, capsys, monkeypatch, text):
+    # One stacked canonical_kraus serves the whole grid; it asks the family
+    # for each point's Kraus stack and its partial once.
+    import dataclasses
+
     from qfibounds import cli as cli_module
     from qfibounds.channels import ParametricChannel
 
-    calls = _count_calls(monkeypatch, "canonical_kraus", "kraus_derivative")
-    calls["kraus_matrices"] = 0
+    calls = _count_calls(monkeypatch, "canonical_kraus")
+    calls.update(kraus_matrices=0, kraus_grad_fn=0)
     original = ParametricChannel.kraus_matrices
     load = cli_module._load_spec
 
@@ -461,16 +550,22 @@ def test_sweep_decomposes_each_point_once(spec_file, capsys, monkeypatch, text):
 
     def loaded(path):
         # loading validates the Kraus stack over the domain; count the points only
-        out = load(path)
+        spec, channel = load(path)
         calls.update(dict.fromkeys(calls, 0))
-        return out
+        grad = channel.kraus_grad_fn
+
+        def counted_grad(theta, index):
+            calls["kraus_grad_fn"] += 1
+            return grad(theta, index)
+
+        return spec, dataclasses.replace(channel, kraus_grad_fn=counted_grad)
 
     monkeypatch.setattr(ParametricChannel, "kraus_matrices", kraus_matrices)
     monkeypatch.setattr(cli_module, "_load_spec", loaded)
     code, _, _ = run_cli(capsys, "sweep", spec_file(text), "--theta-grid", "0.2:0.6:3")
     assert code == 0
     # The raw Kraus stack and its derivative feed the curve, C_kraus and C_E.
-    assert calls == {"canonical_kraus": 3, "kraus_derivative": 3, "kraus_matrices": 3}
+    assert calls == {"canonical_kraus": 1, "kraus_matrices": 3, "kraus_grad_fn": 3}
 
 
 def test_multiparameter_report_builds_one_core(spec_file, capsys, monkeypatch):
