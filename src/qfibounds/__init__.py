@@ -60,7 +60,6 @@ from .estimation import (
     sample_outcomes,
 )
 from .linalg import (
-    DiffConfig,
     EigenSystem,
     differentiate_curve,
     hermitian_eigendecompose,

@@ -47,7 +47,7 @@ from .errors import (
     ValidationError,
 )
 from .linalg import (
-    DEFAULT_DIFF,
+    STENCIL_REACH,
     _normalize_phases,
     adjoint,
     cluster_labels,
@@ -67,6 +67,7 @@ GRAM_DIAG_TOL = 1e-8
 CURVE_SUM_TOL = 1e-9
 CURVE_DERIV_TOL = 1e-6
 SLD_RESIDUAL_TOL = 1e-6
+TINY_WEIGHT = 1e-6  # below it a weight's relative rounding, EPS / p, passes 2e-10
 EPS = np.finfo(float).eps
 UNATTAINABLE = (
     "channel bound not attainable here: the measurement optimality "
@@ -164,24 +165,22 @@ def canonical_kraus(channel: ParametricChannel, theta) -> CanonicalKraus:
     (g_k - g_j) between eigenvalue clusters and K_l = 0 inside the
     unsupported cluster, because Y_k psi = 0 there.  d_l E is the family's
     kraus_grad_fn.  A supported degenerate cluster is resolved, on its own
-    rows, for one parameter only; with several it is refused, since a
-    crossing can split differently along different axes.  With the raw Kraus
+    rows, for one parameter only and by a stencil that must fit in the
+    domain; with several it is refused, since a crossing can split
+    differently along different axes.  With the raw Kraus
     stack and its partials kept, one call feeds everything a report needs.
     """
     if not channel.is_kraus_form:
         raise ValidationError(f"channel {channel.name!r} has no Kraus curve")
     if channel.input_state is None:
         raise ValidationError(f"channel {channel.name!r} needs a pure input state")
-    thetas = channel.require_in_domain(channel.theta_stack(theta), DEFAULT_DIFF.max_offset)
+    thetas = channel.require_in_domain(channel.theta_stack(theta))
     psi = channel.input_state.amplitudes
     m = channel.param_count
 
     # each point's stack and partials together: the exponential families memo one point
-    ops, dops = [], []
-    for t in thetas:
-        ops.append(channel.kraus_matrices(t))
-        dops.append([channel.kraus_grad_fn(t, l) for l in range(m)])
-    ops, dops = np.array(ops), np.array(dops, dtype=complex)
+    pairs = [(channel.kraus_matrices(t), channel.kraus_partials(t)) for t in thetas]
+    ops, dops = np.array([a for a, _ in pairs]), np.array([da for _, da in pairs])
     count, n = ops.shape[:2]
     vs = ops @ psi
     sys = hermitian_eigendecompose(vs @ adjoint(vs))
@@ -208,6 +207,12 @@ def canonical_kraus(channel: ParametricChannel, theta) -> CanonicalKraus:
                 "perturb theta to separate them"
             )
         rows = np.flatnonzero(crossing)
+        # the second Gram derivative below is a central-4 stencil: it must fit in the box
+        if near := [t.tolist() for t in thetas[rows] if not channel.in_domain(t, STENCIL_REACH)]:
+            raise DegeneracyError(
+                f"supported Gram eigenvalues cross at theta {near[0]}, within "
+                f"{STENCIL_REACH} of a domain edge, where the crossing cannot be resolved"
+            )
         # each crossing row's degenerate clusters that hold a supported mode
         clusters = [
             [labels[i] == c for c in np.unique(labels[i, supported[i]])
@@ -219,12 +224,11 @@ def canonical_kraus(channel: ParametricChannel, theta) -> CanonicalKraus:
         gram_second = differentiate_curve(
             lambda ts: np.array([
                 _gram_derivative(
-                    channel.kraus_matrices([t]) @ psi, channel.kraus_grad_fn(np.array([t]), 0) @ psi
+                    channel.kraus_matrices([t]) @ psi, channel.kraus_partials([t])[0] @ psi
                 )
                 for t in ts
             ]),
             thetas[rows, 0],
-            DEFAULT_DIFF,
         )
         resolved = list(zip(rows, clusters, gram_second))
 
@@ -303,21 +307,23 @@ class SpectralCurve:
             raise ConsistencyError(f"eigenvalues sum to {total[bad][0]!r}")
         if (bad := np.abs(slopes) > CURVE_DERIV_TOL).any():
             raise ConsistencyError(f"eigenvalue derivatives sum to {slopes[bad][0]!r}")
-        gram_defect = max_abs(adjoint(w) @ w - np.eye(w.shape[-1]))
-        if gram_defect > CURVE_SUM_TOL:
-            raise ConsistencyError(f"eigenvector orthonormality defect {gram_defect:.3e}")
-        # The checks read supported pairs only, which overlaps leaves as computed;
-        # the diagonal of O + O^dag is 2 Re<w_k'|w_k>.
-        supp = self.support[..., np.newaxis, :]
+        # w_k = Y_k psi / sqrt(p_k) and w_k' = dY_k psi / sqrt(p_k) - (p_k' / 2 p_k) w_k:
+        # <w_j|w_k> carries rounding of 1 / sqrt(p_j p_k), and overlap pair (j, k)
+        # that of s_j + s_k, s_k = |w_k'| + |p_k' / p_k|.
+        supp = self.support
+        root = np.sqrt(np.where(supp, p, 1.0))
+        _require_within(
+            np.abs(adjoint(w) @ w - np.eye(w.shape[-1])), CURVE_SUM_TOL,
+            lambda ix: 1 / np.multiply(*_at_pair(root, ix)), p, "eigenvector orthonormality defect",
+        )
+        # supported pairs only, which overlaps leaves as computed; the diagonal is 2 Re<w_k'|w_k>
+        pairs = supp[..., np.newaxis, :, np.newaxis] & supp[..., np.newaxis, np.newaxis, :]
         o = self.overlaps
-        pairs = supp[..., :, np.newaxis] & supp[..., np.newaxis, :]
-        defect = np.where(pairs, np.abs(o + adjoint(o)), 0.0)
-        antisym = defect.max(axis=(-2, -1))
-        if (bad := antisym > CURVE_DERIV_TOL).any():
-            stretch = defect.diagonal(axis1=-2, axis2=-1).max(axis=-1)[bad][0] / 2
-            if stretch > CURVE_DERIV_TOL:
-                raise ConsistencyError(f"Re<w_k'|w_k> = {stretch:.3e}; norms not preserved")
-            raise ConsistencyError(f"overlap antisymmetry defect {antisym[bad][0]:.3e}")
+        sizes = lambda: np.linalg.norm(self.vector_derivs, axis=-2) + np.abs(self._score_diagonal)
+        _require_within(
+            np.where(pairs, np.abs(o + adjoint(o)), 0.0), CURVE_DERIV_TOL,
+            lambda ix: np.add(*_at_pair(sizes(), ix)), p, "overlap antisymmetry defect",
+        )
 
     @property
     def param_count(self) -> int:
@@ -421,22 +427,48 @@ class SpectralCurve:
         scores = w @ frames @ adjoint(w)
         scores = (scores + adjoint(scores)) / 2
         rho = self.state_matrix()[..., np.newaxis, :, :]
-        residual = max_abs(self.state_partials() - 0.5 * (rho @ scores + scores @ rho))
-        if residual > SLD_RESIDUAL_TOL:
-            raise ConsistencyError(
-                f"SLD residual {residual:.3e}: curve data inconsistent with its own "
-                "state derivative"
-            )
+        # each side is at most max |L| or max |H| in size, as tr rho = 1
+        _require_within(
+            np.abs(self.state_partials() - 0.5 * (rho @ scores + scores @ rho)),
+            SLD_RESIDUAL_TOL, lambda ix: np.abs(scores).max(axis=(-2, -1))[ix[:-2]],
+            self.values, "SLD residual (curve data against their own state derivative)",
+        )
         h = self.information[0]
         check = np.einsum("...ij,...ljk,...nki->...ln", rho[..., 0, :, :], scores, scores).real
-        scale = np.maximum(1.0, np.abs(h).max(axis=(-2, -1)))
-        if (bad := np.abs(check - h).max(axis=(-2, -1)) > 1e-6 * scale).any():
-            raise ConsistencyError(
-                f"H mismatch: eigendata kernel {h[bad][0].tolist()!r} vs Re tr(rho L_l L_n) "
-                f"{check[bad][0].tolist()!r}"
-            )
+        _require_within(
+            np.abs(check - h), 1e-6, lambda ix: np.abs(h).max(axis=(-2, -1))[ix[:-2]],
+            self.values, "H mismatch (eigendata kernel against Re tr(rho L_l L_n))",
+        )
         scores.setflags(write=False)
         return scores
+
+
+def _require_within(defect: np.ndarray, tol: float, scale, values: np.ndarray, what: str) -> None:
+    """Refuse the first entry of defect beyond tol and beyond tol * max(1, scale(index)).
+
+    scale is asked only for the entries beyond tol.  Next to a supported
+    weight below TINY_WEIGHT (values holds each point's) the rounding can
+    outgrow even that, and the failure is a DegeneracyError naming the weight.
+    """
+    index = np.nonzero(defect > tol)
+    if not index[0].size:
+        return
+    worse = defect[index] > tol * np.maximum(1.0, scale(index))
+    if worse.any():
+        at = tuple(int(i[np.argmax(worse)]) for i in index)
+        row = values[at[: values.ndim - 1]]
+        if (low := float(row[row > 0].min())) < TINY_WEIGHT:
+            raise DegeneracyError(
+                f"{what} {defect[at]:.3e} next to the supported weight {low:.3e}; "
+                "theta is too close to a rank change, perturb it"
+            )
+        raise ConsistencyError(f"{what} {defect[at]:.3e}")
+
+
+def _at_pair(a: np.ndarray, index: tuple) -> tuple[np.ndarray, np.ndarray]:
+    """a[..., j] and a[..., k] at each (..., j, k) index of a pair matrix."""
+    *lead, j, k = index
+    return a[(*lead, j)], a[(*lead, k)]
 
 
 def _over_pair_total(p: np.ndarray, numerator: np.ndarray) -> np.ndarray:

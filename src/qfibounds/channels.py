@@ -95,26 +95,34 @@ class ParametricChannel:
         """Whether the point, or every point of an (N, m) stack, lies margin inside the box."""
         return bool(self._inside(self.theta_stack(theta), margin).all())
 
-    def require_in_domain(self, theta, margin: float = 0.0) -> np.ndarray:
+    def require_in_domain(self, theta) -> np.ndarray:
         """The point as an (m,) vector, or the (N, m) stack; the first point outside is named."""
         points = self.theta_stack(theta)
-        inside = self._inside(points, margin)
+        inside = self._inside(points, 0.0)
         if not inside.all():
             raise ValidationError(
                 f"theta {points[np.argmin(inside)].tolist()} outside domain {self.domain}"
-                + (f" with stencil margin {margin}" if margin else "")
             )
         return points if np.ndim(theta) == 2 else points[0]
 
     def kraus_matrices(self, theta) -> np.ndarray:
         """Raw (n, d, d) Kraus stack at theta; element order is fixed across theta."""
+        return self._finite_kraus(self.kraus_fn, theta, "Kraus evaluation")
+
+    def kraus_partials(self, theta) -> np.ndarray:
+        """Raw (m, n, d, d) partials at theta; one diverging at a domain edge is refused."""
+        grads = lambda t: [self.kraus_grad_fn(t, l) for l in range(self.param_count)]
+        return self._finite_kraus(grads, theta, "Kraus derivative")
+
+    def _finite_kraus(self, fn, theta, what: str) -> np.ndarray:
         if self.kraus_fn is None:
             raise ValidationError(f"channel {self.name!r} has no Kraus form")
-        with np.errstate(invalid="ignore"):
-            ops = np.asarray(self.kraus_fn(self.theta_vector(theta)), dtype=complex)
-        if not np.all(np.isfinite(ops)):
-            raise ValidationError(f"Kraus evaluation at {theta!r} produced non-finite entries")
-        return ops
+        vec = self.theta_vector(theta)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            out = np.asarray(fn(vec), dtype=complex)
+        if not np.isfinite(out).all():
+            raise ValidationError(f"{what} at theta {vec.tolist()} produced non-finite entries")
+        return out
 
     def spectral_at(self, theta) -> SpectralData:
         if self.spectral_fn is None:
@@ -150,15 +158,8 @@ class ParametricChannel:
 
 
 def kraus_derivative(channel: ParametricChannel, theta, index: int = 0) -> np.ndarray:
-    """Partial derivative of the Kraus stack along parameter `index`.
-
-    Reads the family's analytic kraus_grad_fn, which every Kraus-form
-    channel carries, at a point inside the domain.
-    """
-    if not channel.is_kraus_form:
-        raise ValidationError(f"channel {channel.name!r} has no Kraus curve to differentiate")
-    vec = channel.require_in_domain(theta)
-    return np.asarray(channel.kraus_grad_fn(vec, index), dtype=complex)
+    """The family's analytic partial of the Kraus stack along parameter `index`."""
+    return channel.kraus_partials(channel.require_in_domain(theta))[index]
 
 
 # ---------------------------------------------------------------------------
@@ -619,8 +620,7 @@ def directional_channel(
 
         @lru_cache(maxsize=1)  # the k partials of a point are asked for together
         def partials(point: bytes) -> np.ndarray:
-            at = np.frombuffer(point)
-            return np.array([channel.kraus_grad_fn(at, l) for l in range(len(at))], dtype=complex)
+            return channel.kraus_partials(np.frombuffer(point))
 
         def grad(tvec: np.ndarray, index: int) -> np.ndarray:
             return np.tensordot(fan[index], partials((center + tvec @ fan).tobytes()), axes=1)

@@ -32,9 +32,9 @@ from .bounds import (
     sm_bound_spectral,
     spectral_curve,
 )
-from .channels import ParametricChannel, kraus_derivative
+from .channels import ParametricChannel
 from .errors import NumericError, SingularTermError, ValidationError
-from .linalg import DEFAULT_DIFF
+from .linalg import STENCIL_REACH
 from .quantum import (
     POVM,
     DensityMatrix,
@@ -312,7 +312,9 @@ def _two_stage(
     pilot_counts = sample_outcomes(rho_true, pilot_povm, config.n_pilot, seed)
     pilot = mle_estimate(channel, pilot_povm, pilot_counts, grid_states=grid_states)
     lo, hi = channel.domain[0]
-    margin = DEFAULT_DIFF.max_offset if channel.is_kraus_form else 0.0
+    # A pilot MLE can land within 1e-8 of an edge, where a Kraus-form point's
+    # smallest weight sits at the support boundary and is refused.
+    margin = STENCIL_REACH if channel.is_kraus_form else 0.0
     pivot = float(np.clip(pilot.theta_hat, lo + margin, hi - margin))
     stage2_povm = optimal_povm_from_sld(sld_score(spectral_curve(channel, pivot)))
     n2 = shots - config.n_pilot
@@ -443,9 +445,7 @@ def _sld_dual(channel: ParametricChannel, theta) -> tuple[float, np.ndarray]:
     from scipy.optimize import minimize  # imported here: it is slow to import
 
     ops = channel.kraus_matrices(theta)
-    derivs = kraus_derivative(channel, theta)
-    if not np.all(np.isfinite(derivs)):
-        raise NumericError(f"Kraus derivative at theta={theta!r} is not finite")
+    derivs = channel.kraus_partials(theta)[0]
     n = ops.shape[0]
 
     def top(x: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
@@ -525,9 +525,9 @@ def optimize_input_state(
     The channel bound has no dual here: derivative-free simplex search over
     2d - 2 angles (global phase and norm fixed), best of `restarts` seeded
     starts.  Candidates whose evaluation hits a degeneracy are rejected and
-    the search continues.  A theta closer to a domain edge than the stencil
-    margin is refused up front with a ValidationError, as spectral_curve
-    refuses it.
+    the search continues; near a domain edge, where a candidate's smallest
+    weight can reach the support boundary, that can be every candidate, and
+    the search raises NumericError.
     """
     if not channel.is_kraus_form:
         raise ValidationError("input-state optimization needs a Kraus-form channel")
@@ -541,8 +541,8 @@ def optimize_input_state(
             "input-state optimization handles one-parameter channels, "
             f"got {channel.param_count} parameters"
         )
-    # a candidate's curve needs the stencil margin; refuse here, not in every candidate
-    channel.require_in_domain(theta, margin=DEFAULT_DIFF.max_offset)
+    # a partial that diverges at theta (a domain edge) would fail every candidate
+    channel.kraus_partials(channel.require_in_domain(theta))
     if not sld:
         return InputOptimum(*_simplex_search(channel, theta, sm_bound_spectral, restarts, seed))
 

@@ -37,39 +37,21 @@ def hermitian_part(a: np.ndarray) -> np.ndarray:
     return (a + adjoint(a)) / 2
 
 
-@dataclass(frozen=True)
-class DiffConfig:
-    """The central-4 finite-difference stencil; step is in parameter units."""
-
-    step: float = 1e-4
-
-    def __post_init__(self):
-        if self.step <= 0:
-            raise ValidationError(f"finite-difference step must be positive, got {self.step}")
-
-    @property
-    def max_offset(self) -> float:
-        """Largest |offset| from the expansion point that will be evaluated."""
-        return 2 * self.step
-
-
-DEFAULT_DIFF = DiffConfig()
+STENCIL_STEP = 1e-4  # central-4 step, in parameter units
+STENCIL_REACH = 2 * STENCIL_STEP  # largest |offset| from the expansion point it evaluates
 
 
 def differentiate_curve(
-    curve: Callable[[float], np.ndarray], theta, cfg: DiffConfig = DEFAULT_DIFF
+    curve: Callable[[float], np.ndarray], theta, step: float = STENCIL_STEP
 ) -> np.ndarray:
     """Central-4 finite-difference derivative of an array-valued curve at theta.
 
     theta may be an array of points, for a curve that maps it to one stack.
     """
-    h = cfg.step
-    weights = {-2 * h: 1 / (12 * h), -h: -8 / (12 * h), h: 8 / (12 * h), 2 * h: -1 / (12 * h)}
-    out = None
-    for off, w in weights.items():
-        sample = np.asarray(curve(theta + off), dtype=complex)
-        out = w * sample if out is None else out + w * sample
-    return out
+    return sum(
+        w / (12 * step) * np.asarray(curve(theta + k * step), dtype=complex)
+        for k, w in ((-2, 1), (-1, -8), (1, 8), (2, -1))
+    )
 
 
 @dataclass(frozen=True)

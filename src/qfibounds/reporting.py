@@ -23,46 +23,36 @@ from .multiparam import InfoMatrix, LoewnerReport
 TOOL = {"name": "qfibounds", "version": __version__}
 
 
-def native(obj):
-    """Recursively convert numpy scalars and arrays to plain Python values."""
-    if isinstance(obj, np.bool_):
-        return bool(obj)
-    if isinstance(obj, np.integer):
-        return int(obj)
-    if isinstance(obj, np.floating):
-        return float(obj)
-    if isinstance(obj, np.ndarray):
-        return [native(x) for x in obj]
-    if isinstance(obj, dict):
-        return {key: native(value) for key, value in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [native(x) for x in obj]
-    return obj
+def _plain(obj):
+    """A numpy array or scalar as the plain Python value json can write."""
+    if isinstance(obj, (np.ndarray, np.generic)):
+        return obj.tolist()  # a numpy scalar's tolist() is its item()
+    raise TypeError(f"{type(obj).__name__} is not JSON serializable")
 
 
 def ensure_finite(obj, path: str = "$") -> None:
-    """Reject documents containing non-finite numbers."""
-    if isinstance(obj, bool) or obj is None or isinstance(obj, (str, int)):
-        return
-    if isinstance(obj, float):
-        if not math.isfinite(obj):
-            raise NumericError(f"non-finite value at {path}: {obj!r}")
-        return
+    """Reject documents containing non-finite numbers, naming the first one's path."""
+    if isinstance(obj, (np.ndarray, np.generic)):
+        obj = obj.tolist()
     if isinstance(obj, dict):
         for key, value in obj.items():
             ensure_finite(value, f"{path}.{key}")
-        return
-    if isinstance(obj, (list, tuple)):
+    elif isinstance(obj, (list, tuple)):
         for i, value in enumerate(obj):
             ensure_finite(value, f"{path}[{i}]")
-        return
-    raise NumericError(f"unserializable value at {path}: {type(obj).__name__}")
+    elif isinstance(obj, float) and not math.isfinite(obj):
+        raise NumericError(f"non-finite value at {path}: {obj!r}")
+    elif not (obj is None or isinstance(obj, (str, int, float))):
+        raise NumericError(f"unserializable value at {path}: {type(obj).__name__}")
 
 
 def to_json(doc: dict) -> str:
-    doc = native(doc)
-    ensure_finite(doc)
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    """The document in one pass; a value json refuses is then found and named."""
+    try:
+        return json.dumps(doc, indent=2, sort_keys=True, allow_nan=False, default=_plain) + "\n"
+    except (TypeError, ValueError):
+        ensure_finite(doc)
+        raise
 
 
 def complex_value(z: complex) -> dict:
@@ -122,6 +112,7 @@ def loewner_report_dict(report: LoewnerReport) -> dict:
 
 
 def sweep_csv(rows: list[dict]) -> str:
+    ensure_finite(rows, "$.points")
     columns = [
         "theta",
         "fisher_information",
@@ -143,7 +134,5 @@ def sweep_csv(rows: list[dict]) -> str:
             flat["attainability_residual"] = att["residual"]
             flat["attainable"] = att["attainable"]
         flat["warnings"] = ";".join(flat.get("warnings") or [])
-        flat.pop("method_cross_check", None)
-        flat.pop("gauge_source", None)
         writer.writerow({k: flat.get(k, "") for k in columns})
     return buffer.getvalue()

@@ -301,7 +301,7 @@ def test_criterion_10_finite_difference_fidelity():
 
     def body():
         from qfibounds.channels import BUILTIN_FAMILIES
-        from qfibounds.linalg import DEFAULT_DIFF, differentiate_curve
+        from qfibounds.linalg import differentiate_curve
 
         for family in sorted(BUILTIN_FAMILIES):
             ch = builtin(family)
@@ -316,7 +316,7 @@ def test_criterion_10_finite_difference_fidelity():
                     point[index] = t
                     return ch.kraus_matrices(point)
 
-                numeric = differentiate_curve(curve, mid[index], DEFAULT_DIFF)
+                numeric = differentiate_curve(curve, mid[index])
                 err = max_abs(numeric - analytic) / max(1.0, max_abs(analytic))
                 assert err < 1e-6, f"{family}[{index}]: {err:.3e}"
 

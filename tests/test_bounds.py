@@ -31,7 +31,7 @@ from qfibounds.channels import (
     random_unitary,
     remix_channel,
 )
-from qfibounds.errors import DegeneracyError, ValidationError
+from qfibounds.errors import ConsistencyError, DegeneracyError, ValidationError
 from qfibounds.linalg import max_abs
 from qfibounds.quantum import POVM, PureState, computational_basis_povm, pauli_basis_povm
 from qfibounds.multiparam import fisher_matrix, sld_matrix, sm_matrix
@@ -215,12 +215,13 @@ def test_canonical_recovers_hadamard_remixed_dephasing():
 
 
 def test_canonical_kraus_keeps_the_domain_margin():
-    # The margin is the central-4 stencil reach, 2e-4, from each domain edge.
+    # The margin is the central-4 stencil reach, 2e-4, and only a crossing runs
+    # the stencil: depolarizing's weights 1 - t/2 and t/2 cross at the edge t = 1.
+    with pytest.raises(DegeneracyError, match=r"cross at theta \[1\.0\], within 0\.0002"):
+        canonical_kraus(builtin("depolarizing"), 1.0)
     ch = builtin("dephasing")
-    for theta in (1e-4, 1 - 1e-4):
-        with pytest.raises(ValidationError, match="stencil margin"):
-            canonical_kraus(ch, theta)
-    assert canonical_kraus(ch, 2e-4).weights == pytest.approx([2e-4, 1 - 2e-4])
+    for theta in (1e-4, 2e-4, 1 - 1e-4):
+        assert canonical_kraus(ch, theta).weights == pytest.approx(sorted([theta, 1 - theta]))
 
 
 def test_canonical_requires_kraus_form_and_input():
@@ -790,3 +791,103 @@ def test_stacked_curve_equals_its_points_across_a_rank_change():
             assert np.array_equal(getattr(stacked, name)[i], getattr(point, name)), (theta, name)
         for a, b in zip(stacked.information, point.information):
             assert np.array_equal(a[i], b), theta
+
+
+# ---------------------------------------------------------------------------
+# Domain edges: values or typed refusals down to 1e-12 from each edge
+# ---------------------------------------------------------------------------
+
+EDGE_OFFSETS = np.concatenate([[0.0], np.logspace(np.log10(2e-4), -12, 120)])
+
+
+def _edge_points(channel, offsets):
+    lo, hi = channel.domain[0]
+    return [(lo + off, off) for off in offsets] + [(hi - off, off) for off in offsets]
+
+
+def _damping_h(g):
+    return 1 / (4 * (1 - g)) + 1 + (g - 0.5) ** 2 / (g * (1 - g))
+
+
+def _dephasing_h(t):
+    return 1 / (t * (1 - t))
+
+
+@pytest.mark.parametrize("family", ["amplitude-damping", "dephasing", "depolarizing"])
+def test_edge_scan_gives_values_or_typed_refusals(family):
+    # A RuntimeWarning fails the test (pyproject's filterwarnings), and a
+    # ConsistencyError is not caught: each point is a value or a refusal.
+    ch = builtin(family)
+    values = 0
+    for theta, _ in _edge_points(ch, EDGE_OFFSETS):
+        try:
+            curve = spectral_curve(ch, theta)
+            report = bound_report(ch, curve)
+        except (DegeneracyError, ValidationError):
+            continue
+        quantities = [sld_information(curve), sm_bound_spectral(curve), bound_gap(curve)]
+        assert np.all(np.isfinite(quantities)), theta
+        assert report.sld_information == quantities[0]
+        values += 1
+    assert values >= 50
+
+
+@pytest.mark.parametrize(
+    "family, closed_form, near, far",
+    [("amplitude-damping", _damping_h, 1e-12, 1e-8), ("dephasing", _dephasing_h, 1e-8, 1e-8)],
+)
+def test_edge_values_match_closed_forms(family, closed_form, near, far):
+    # near: relative tolerance at the lower edge, far: at the upper one, where
+    # the small Gram weight comes out of a unit-size Gram matrix.
+    ch = builtin(family)
+    for theta, _ in _edge_points(ch, np.logspace(-3, -7, 41)):
+        h = sld_information(spectral_curve(ch, theta))
+        rel = near if theta < 0.5 else far
+        assert h == pytest.approx(closed_form(theta), rel=rel), theta
+    for theta, _ in _edge_points(ch, EDGE_OFFSETS):
+        try:
+            h = sld_information(spectral_curve(ch, theta))
+        except (DegeneracyError, ValidationError):
+            continue
+        assert h == pytest.approx(closed_form(theta), rel=1e-8), theta
+
+
+@pytest.mark.parametrize("family", ["amplitude-damping", "dephasing", "depolarizing"])
+def test_edge_values_match_pseudo_inverse_oracle(family):
+    # The oracle's stencil step is a hundredth of the distance to the edge.
+    ch = builtin(family)
+    checked = 0
+    for theta, off in _edge_points(ch, EDGE_OFFSETS[EDGE_OFFSETS >= 1e-7]):
+        try:
+            h = sld_information(spectral_curve(ch, theta))
+        except (DegeneracyError, ValidationError):
+            continue
+        oracle = sld_matrix_from_state(ch.output_matrix, theta, h=min(1e-5, off / 100))
+        assert h == pytest.approx(oracle[0, 0], rel=1e-6), theta
+        checked += 1
+    assert checked >= 20
+
+
+@pytest.mark.parametrize("theta", [0.3, 1 - 1e-5])
+def test_corrupted_curve_is_a_consistency_error(theta):
+    # One entry of the largest weight's eigenvector partial is off by one: the
+    # scaled tolerance of a near-edge point does not hide it.
+    import dataclasses
+
+    curve = spectral_curve(builtin("amplitude-damping"), theta)
+    k = int(np.argmax(curve.values))
+    i = int(np.argmax(np.abs(curve.vectors[:, k])))
+    corrupted = curve.vector_derivs.copy()
+    corrupted[0, i, k] += 1.0
+    with pytest.raises(ConsistencyError):
+        dataclasses.replace(curve, vector_derivs=corrupted)
+
+
+def test_corrupted_curve_next_to_a_tiny_weight_is_a_degeneracy_error():
+    import dataclasses
+
+    curve = spectral_curve(builtin("amplitude-damping"), 1 - 1e-7)
+    corrupted = curve.vector_derivs.copy()
+    corrupted[0, 0, 1] += 1.0
+    with pytest.raises(DegeneracyError, match="next to the supported weight 2.500e-08"):
+        dataclasses.replace(curve, vector_derivs=corrupted)

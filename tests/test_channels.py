@@ -12,7 +12,7 @@ from qfibounds.channels import (
     remix_channel,
 )
 from qfibounds.errors import ValidationError
-from qfibounds.linalg import DEFAULT_DIFF, differentiate_curve, max_abs
+from qfibounds.linalg import differentiate_curve, max_abs
 from qfibounds.quantum import KrausSet
 
 ALL_FAMILIES = sorted(BUILTIN_FAMILIES)
@@ -85,7 +85,7 @@ def test_kraus_derivative_analytic_vs_numeric(family):
             point[index] = t
             return ch.kraus_matrices(point)
 
-        numeric = differentiate_curve(curve, mid[index], DEFAULT_DIFF)
+        numeric = differentiate_curve(curve, mid[index])
         err = max_abs(numeric - analytic) / max(1.0, max_abs(analytic))
         assert err < 1e-6, f"{family} axis {index}: {err:.3e}"
 
@@ -105,7 +105,7 @@ def test_completeness_derivative_vanishes(family):
             point[index] = t
             return ch.kraus_matrices(point)
 
-        grads = differentiate_curve(curve, mid[index], DEFAULT_DIFF)
+        grads = differentiate_curve(curve, mid[index])
         total = sum(g.conj().T @ e + e.conj().T @ g for e, g in zip(ops, grads))
         assert max_abs(total) < 1e-6
 
@@ -138,9 +138,7 @@ def test_random_kraus_channel_complete_and_smooth():
     for theta in ([0.0, 0.0], [0.3, -0.2], [-0.5, 0.5]):
         KrausSet(ch.kraus_matrices(np.array(theta)))
     analytic = kraus_derivative(ch, np.array([0.2, 0.1]), 1)
-    num = differentiate_curve(
-        lambda t: ch.kraus_matrices(np.array([0.2, t])), 0.1, DEFAULT_DIFF
-    )
+    num = differentiate_curve(lambda t: ch.kraus_matrices(np.array([0.2, t])), 0.1)
     assert max_abs(num - analytic) < 1e-8
 
 

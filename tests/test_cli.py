@@ -223,16 +223,29 @@ def test_optimize_input_sld_adds_the_dual_keys(spec_file, capsys):
 
 @pytest.mark.parametrize("objective", ["sld", "channel-bound"])
 def test_optimize_input_keeps_the_domain_margin(spec_file, capsys, objective):
-    # Within the stencil margin of an edge the input search cannot evaluate any
-    # candidate; it is refused up front with the report's message.
+    # The margin is kept where the stencil runs: depolarizing's weights cross at
+    # its edge t = 1 for every input, so no candidate there can be evaluated.
+    depolarizing = spec_file("family = depolarizing\n", name="depolarizing.qchan")
+    code, out, err = run_cli(
+        capsys, "optimize-input", depolarizing, "--theta=1.0", "--objective", objective,
+        "--restarts", "1",
+    )
+    assert code == 3 and out == ""
+    assert "every optimization start failed to evaluate the objective" in err
+    # Without a crossing, 1e-5 from the edge, both objectives reach the closed-form
+    # optimum 1 / (t (1 - t)).  One seeded channel-bound start lands where every
+    # candidate sits at the support boundary; two find the optimum.
     path = spec_file(DAMPING)
-    for command in (
-        ("optimize-input", path, "--theta=1e-5", "--objective", objective, "--restarts", "1"),
-        ("report", path, "--theta=1e-5"),
-    ):
-        code, out, err = run_cli(capsys, *command)
-        assert code == 2 and out == ""
-        assert "theta [1e-05] outside domain ((0.0, 1.0),) with stencil margin 0.0002" in err
+    command = ("optimize-input", path, "--theta=1e-5", "--objective", objective)
+    if objective == "channel-bound":
+        code, out, err = run_cli(capsys, *command, "--restarts", "1")
+        assert code == 3 and out == ""
+        assert "every optimization start failed to evaluate the objective" in err
+    code, out, _ = run_cli(capsys, *command, "--restarts", "2")
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["value"] == pytest.approx(1 / (1e-5 * (1 - 1e-5)), rel=1e-12)
+    assert doc.get("certified") is (True if objective == "sld" else None)
 
 
 @pytest.mark.parametrize(
@@ -369,12 +382,51 @@ def test_config_block_holds_only_the_verdict_tolerance(spec_file, capsys):
 
 
 def test_report_keeps_the_domain_margin(spec_file, capsys):
-    # The canonical decomposition stays 2e-4 (the central-4 stencil reach) inside the domain.
-    code, out, err = run_cli(capsys, "report", spec_file(DEPHASING), "--theta", "0.0001")
+    # Only a crossing keeps the central-4 stencil's reach, 2e-4, from an edge:
+    # depolarizing's weights 1 - t/2 and t/2 cross at its edge t = 1.
+    code, out, err = run_cli(capsys, "report", spec_file("family = depolarizing\n"), "--theta=1")
+    assert code == 3 and out == ""
+    assert "cross at theta [1.0], within 0.0002 of a domain edge" in err
+    # Dephasing has no crossing near its edges.
+    path = spec_file(DEPHASING)
+    for theta in (1e-4, 2e-4):
+        code, out, _ = run_cli(capsys, "report", path, "--theta", repr(theta))
+        assert code == 0
+        h = json.loads(out)["result"]["sld_information"]
+        assert h == pytest.approx(1 / (theta * (1 - theta)), rel=1e-12)
+    # At the edge a weight vanishes and the family's partial 0.5 / sqrt(t) diverges.
+    code, out, err = run_cli(capsys, "report", path, "--theta", "0")
     assert code == 2 and out == ""
-    assert "stencil margin 0.0002" in err
-    code, _, _ = run_cli(capsys, "report", spec_file(DEPHASING), "--theta", "0.0002")
+    assert "Kraus derivative at theta [0.0] produced non-finite entries" in err
+
+
+def test_sweep_to_a_crossing_at_the_edge_reports_every_row(spec_file, capsys):
+    # Depolarizing's weights cross at t = 1: rows too close to it carry a warning.
+    grid = "--theta-grid=0.9998,0.99995,0.999999,1.0"
+    code, out, _ = run_cli(capsys, "sweep", spec_file("family = depolarizing\n"), grid)
     assert code == 0
+    rows = json.loads(out)["points"]
+    assert [row["theta"] for row in rows] == [0.9998, 0.99995, 0.999999, 1.0]
+    for row in rows[:2]:
+        assert row["sld_information"] == pytest.approx(1 / (row["theta"] * (2 - row["theta"])))
+    assert "too close for an accurate derivative" in rows[2]["warnings"][0]
+    assert "cross at theta [1.0], within 0.0002 of a domain edge" in rows[3]["warnings"][0]
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_non_finite_sweep_value_is_a_numeric_failure(spec_file, capsys, monkeypatch, fmt):
+    from qfibounds import reporting
+
+    plain = reporting.bound_report_dict
+
+    def broken(report):
+        return {**plain(report), "gap": float("nan")}
+
+    monkeypatch.setattr(reporting, "bound_report_dict", broken)
+    path = spec_file(DEPHASING)
+    code, out, err = run_cli(capsys, "sweep", path, "--theta-grid=0.2,0.4", f"--format={fmt}")
+    assert code == 3 and out == ""
+    assert "non-finite value at $.points[0].gap: nan" in err
 
 
 def _count_calls(monkeypatch, *names) -> dict:

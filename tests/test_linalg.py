@@ -4,7 +4,6 @@ from scipy.linalg import expm, expm_frechet
 
 from qfibounds.errors import ValidationError
 from qfibounds.linalg import (
-    DiffConfig,
     differentiate_curve,
     hermitian_eigendecompose,
     loewner_leq,
@@ -176,26 +175,20 @@ def test_differentiate_constant_and_linear():
 
 def test_differentiate_matrix_exponential():
     curve = lambda t: expm(-0.5j * t * SZ)
-    got = differentiate_curve(curve, 0.3, DiffConfig(step=1e-4))
+    got = differentiate_curve(curve, 0.3, step=1e-4)
     want = -0.5j * SZ @ expm(-0.5j * 0.3 * SZ)
     assert max_abs(got - want) < 1e-9
 
 
 def test_differentiate_analytic_relative_accuracy():
-    # default-like config at h = 1e-4, central-4: relative error below 1e-6
-    cfg = DiffConfig(step=1e-4)
+    # the default step, h = 1e-4, central-4: relative error below 1e-6
     rng = np.random.default_rng(5)
     x = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
     h = (x + x.conj().T) / 2
     curve = lambda t: expm(-1j * t * h)
-    got = differentiate_curve(curve, 0.7, cfg)
+    got = differentiate_curve(curve, 0.7)
     want = -1j * h @ expm(-1j * 0.7 * h)
     assert max_abs(got - want) / max_abs(want) < 1e-6
-
-
-def test_diff_config_validation():
-    with pytest.raises(ValidationError):
-        DiffConfig(step=0.0)
 
 
 def _hermitian(n: int, rng: np.random.Generator) -> np.ndarray:
@@ -262,7 +255,7 @@ def test_unitary_exponential_partial_matches_central_difference():
 
     exp = unitary_exponential(theta[0] * gens[0] + theta[1] * gens[1])
     for index, g in enumerate(gens):
-        numeric = differentiate_curve(curve(index), theta[index], DiffConfig(step=1e-3))
+        numeric = differentiate_curve(curve(index), theta[index], step=1e-3)
         assert max_abs(exp.partial(g) - numeric) < 1e-9
 
 
