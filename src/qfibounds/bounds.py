@@ -178,9 +178,8 @@ def canonical_kraus(channel: ParametricChannel, theta) -> CanonicalKraus:
     psi = channel.input_state.amplitudes
     m = channel.param_count
 
-    # each point's stack and partials together: the exponential families memo one point
-    pairs = [(channel.kraus_matrices(t), channel.kraus_partials(t)) for t in thetas]
-    ops, dops = np.array([a for a, _ in pairs]), np.array([da for _, da in pairs])
+    # the stack, then its partials: the exponential families memo one stack of points
+    ops, dops = channel.kraus_matrices(thetas), channel.kraus_partials(thetas)
     count, n = ops.shape[:2]
     vs = ops @ psi
     sys = hermitian_eigendecompose(vs @ adjoint(vs))
@@ -222,13 +221,10 @@ def canonical_kraus(channel: ParametricChannel, theta) -> CanonicalKraus:
         for i, members in zip(rows, clusters):
             vectors[i] = _resolve_degenerate_clusters(vectors[i], gram_derivs[i, 0], members)
         gram_second = differentiate_curve(
-            lambda ts: np.array([
-                _gram_derivative(
-                    channel.kraus_matrices([t]) @ psi, channel.kraus_partials([t])[0] @ psi
-                )
-                for t in ts
-            ]),
-            thetas[rows, 0],
+            lambda ts: _gram_derivative(
+                channel.kraus_matrices(ts) @ psi, channel.kraus_partials(ts)[:, 0] @ psi
+            ),
+            thetas[rows],
         )
         resolved = list(zip(rows, clusters, gram_second))
 

@@ -10,20 +10,20 @@ throughout the test suite, and seeded random Kraus curves generated from
 random Hamiltonians on system + environment.  The exponential families
 (`random-kraus`, `rotation-2p`) take their Kraus stack and every partial
 from one eigendecomposition of the generator per theta
-(`linalg.unitary_exponential`); this module imports no scipy.
+(`linalg.unitary_exponential`); this module imports no scipy.  Every Kraus
+family evaluates a whole stack of points in one call (see ParametricChannel).
 """
 
 from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Callable, Sequence
 
 import numpy as np
 
 from .errors import ValidationError
-from .linalg import hermitian_part, max_abs, unitary_exponential
+from .linalg import adjoint, hermitian_part, max_abs, unitary_exponential
 from .quantum import PAULI_Z, PAULIS, DensityMatrix, PureState
 
 SPECTRAL_SUM_TOL = 1e-10
@@ -47,7 +47,13 @@ class SpectralData:
 
 @dataclass(frozen=True)
 class ParametricChannel:
-    """A differentiable family of channels over a box-shaped parameter domain."""
+    """A differentiable family of channels over a box-shaped parameter domain.
+
+    Broadcast contract: kraus_fn(theta) and kraus_grad_fn(theta, l) map
+    (..., m) points to (..., n, d, d), each point with the bits of its own
+    call, so an (N, m) stack is one call.  kraus_matrices, kraus_partials
+    and output_matrix take a point or an (N, m) stack; spectral_fn one point.
+    """
 
     name: str
     dim: int
@@ -106,22 +112,24 @@ class ParametricChannel:
         return points if np.ndim(theta) == 2 else points[0]
 
     def kraus_matrices(self, theta) -> np.ndarray:
-        """Raw (n, d, d) Kraus stack at theta; element order is fixed across theta."""
+        """Raw (n, d, d) Kraus stack at theta, or (N, n, d, d); element order is fixed."""
         return self._finite_kraus(self.kraus_fn, theta, "Kraus evaluation")
 
     def kraus_partials(self, theta) -> np.ndarray:
-        """Raw (m, n, d, d) partials at theta; one diverging at a domain edge is refused."""
-        grads = lambda t: [self.kraus_grad_fn(t, l) for l in range(self.param_count)]
+        """Raw (m, n, d, d) partials at theta, or (N, m, n, d, d); a diverging one is refused."""
+        grads = lambda t: np.stack([self.kraus_grad_fn(t, l) for l in range(self.param_count)], -4)
         return self._finite_kraus(grads, theta, "Kraus derivative")
 
     def _finite_kraus(self, fn, theta, what: str) -> np.ndarray:
         if self.kraus_fn is None:
             raise ValidationError(f"channel {self.name!r} has no Kraus form")
-        vec = self.theta_vector(theta)
+        points = self.theta_stack(theta)
         with np.errstate(divide="ignore", invalid="ignore"):
-            out = np.asarray(fn(vec), dtype=complex)
-        if not np.isfinite(out).all():
-            raise ValidationError(f"{what} at theta {vec.tolist()} produced non-finite entries")
+            out = np.asarray(fn(points if np.ndim(theta) == 2 else points[0]), dtype=complex)
+        finite = np.isfinite(out).reshape(len(points), -1).all(axis=1)
+        if not finite.all():
+            at = points[np.argmin(finite)].tolist()
+            raise ValidationError(f"{what} at theta {at} produced non-finite entries")
         return out
 
     def spectral_at(self, theta) -> SpectralData:
@@ -141,17 +149,15 @@ class ParametricChannel:
         return dataclasses.replace(self, input_state=state)
 
     def output_matrix(self, theta) -> np.ndarray:
-        """Raw output density matrix (no wrapper validation)."""
+        """Raw (d, d) output density matrix, (N, d, d) for a stack (no wrapper validation)."""
         if self.is_kraus_form:
             if self.input_state is None:
                 raise ValidationError(f"channel {self.name!r} has no input state")
-            ops = self.kraus_matrices(theta)
-            psi = self.input_state.amplitudes
-            vs = ops @ psi
-            return hermitian_part(np.einsum("ki,kj->ij", vs, vs.conj()))
-        data = self.spectral_at(theta)
-        w = data.vectors
-        return hermitian_part((w * data.values) @ w.conj().T)
+            vs = self.kraus_matrices(theta) @ self.input_state.amplitudes
+            return hermitian_part(np.einsum("...ki,...kj->...ij", vs, vs.conj()))
+        points = [self.spectral_at(t) for t in self.theta_stack(theta)]
+        rhos = np.array([(data.vectors * data.values) @ adjoint(data.vectors) for data in points])
+        return hermitian_part(rhos if np.ndim(theta) == 2 else rhos[0])
 
     def output_state(self, theta) -> DensityMatrix:
         return DensityMatrix(self.output_matrix(theta))
@@ -168,18 +174,44 @@ def kraus_derivative(channel: ParametricChannel, theta, index: int = 0) -> np.nd
 
 _KET0 = PureState(np.array([1.0, 0.0]))
 _PLUS = PureState(np.array([1.0, 1.0]) / np.sqrt(2.0))
+_DEPHASING_OPS = np.array([np.eye(2), PAULI_Z], dtype=complex)
+_DEPOLARIZING_OPS = np.array([np.eye(2), PAULIS["x"], PAULIS["y"], PAULIS["z"]], dtype=complex)
+
+
+def last_point_cache(fn: Callable[[np.ndarray], object]):
+    """fn of a point or stack, kept for the last one (its shape and bits) asked for."""
+    memo: dict = {}
+
+    def cached(theta):
+        theta = np.asarray(theta, dtype=float)
+        key = (theta.shape, theta.tobytes())
+        if key not in memo:
+            memo.clear()
+            memo[key] = fn(theta)
+        return memo[key]
+
+    return cached
+
+
+def _weighted(coeffs: list, ops: np.ndarray) -> np.ndarray:
+    """The (..., n, d, d) stack c_k(theta) O_k from n coefficient arrays of shape (...)."""
+    return np.stack(coeffs, axis=-1)[..., np.newaxis, np.newaxis] * ops
+
+
+def _rotation(t: np.ndarray, sigma: np.ndarray) -> np.ndarray:
+    """The (..., 1, 2, 2) stack of exp(-i t sigma / 2) at angles of shape (...)."""
+    t = t[..., np.newaxis, np.newaxis, np.newaxis]
+    return np.cos(t / 2) * np.eye(2) - 1j * np.sin(t / 2) * sigma
 
 
 def _dephasing_kraus(theta: np.ndarray) -> np.ndarray:
-    (t,) = theta
-    return np.array([np.sqrt(1 - t) * np.eye(2), np.sqrt(t) * PAULI_Z], dtype=complex)
+    t = theta[..., 0]
+    return _weighted([np.sqrt(1 - t), np.sqrt(t)], _DEPHASING_OPS)
 
 
 def _dephasing_grad(theta: np.ndarray, index: int) -> np.ndarray:
-    (t,) = theta
-    return np.array(
-        [-0.5 / np.sqrt(1 - t) * np.eye(2), 0.5 / np.sqrt(t) * PAULI_Z], dtype=complex
-    )
+    t = theta[..., 0]
+    return _weighted([-0.5 / np.sqrt(1 - t), 0.5 / np.sqrt(t)], _DEPHASING_OPS)
 
 
 def dephasing(input_state: PureState = _PLUS) -> ParametricChannel:
@@ -202,12 +234,10 @@ def rotation(axis: str = "z", input_state: PureState = _KET0) -> ParametricChann
     sigma = PAULIS[axis]
 
     def kraus(theta: np.ndarray) -> np.ndarray:
-        (t,) = theta
-        u = np.cos(t / 2) * np.eye(2) - 1j * np.sin(t / 2) * sigma
-        return u[np.newaxis]
+        return _rotation(theta[..., 0], sigma)
 
     def grad(theta: np.ndarray, index: int) -> np.ndarray:
-        return -0.5j * sigma @ kraus(theta)[0][np.newaxis]
+        return -0.5j * sigma @ kraus(theta)
 
     return ParametricChannel(
         name=f"rotation-{axis}",
@@ -221,17 +251,17 @@ def rotation(axis: str = "z", input_state: PureState = _KET0) -> ParametricChann
 
 
 def _amplitude_damping_kraus(theta: np.ndarray) -> np.ndarray:
-    (t,) = theta
-    e0 = np.array([[1.0, 0.0], [0.0, np.sqrt(1 - t)]], dtype=complex)
-    e1 = np.array([[0.0, np.sqrt(t)], [0.0, 0.0]], dtype=complex)
-    return np.array([e0, e1])
+    t = theta[..., 0]
+    ops = np.zeros(t.shape + (2, 2, 2), dtype=complex)
+    ops[..., 0, 0, 0], ops[..., 0, 1, 1], ops[..., 1, 0, 1] = 1.0, np.sqrt(1 - t), np.sqrt(t)
+    return ops
 
 
 def _amplitude_damping_grad(theta: np.ndarray, index: int) -> np.ndarray:
-    (t,) = theta
-    d0 = np.array([[0.0, 0.0], [0.0, -0.5 / np.sqrt(1 - t)]], dtype=complex)
-    d1 = np.array([[0.0, 0.5 / np.sqrt(t)], [0.0, 0.0]], dtype=complex)
-    return np.array([d0, d1])
+    t = theta[..., 0]
+    ops = np.zeros(t.shape + (2, 2, 2), dtype=complex)
+    ops[..., 0, 1, 1], ops[..., 1, 0, 1] = -0.5 / np.sqrt(1 - t), 0.5 / np.sqrt(t)
+    return ops
 
 
 def amplitude_damping(input_state: PureState = _PLUS) -> ParametricChannel:
@@ -249,17 +279,16 @@ def amplitude_damping(input_state: PureState = _PLUS) -> ParametricChannel:
 
 def depolarizing(input_state: PureState = _KET0) -> ParametricChannel:
     """Qubit depolarizing in the four-element form {sqrt(1-3t/4) I, sqrt(t/4) sigma}."""
-    sigmas = [np.eye(2, dtype=complex), PAULIS["x"], PAULIS["y"], PAULIS["z"]]
 
     def kraus(theta: np.ndarray) -> np.ndarray:
-        (t,) = theta
-        coeffs = [np.sqrt(1 - 3 * t / 4)] + [np.sqrt(t / 4)] * 3
-        return np.array([c * s for c, s in zip(coeffs, sigmas)])
+        t = theta[..., 0]
+        c = np.sqrt(t / 4)
+        return _weighted([np.sqrt(1 - 3 * t / 4), c, c, c], _DEPOLARIZING_OPS)
 
     def grad(theta: np.ndarray, index: int) -> np.ndarray:
-        (t,) = theta
-        coeffs = [-3 / (8 * np.sqrt(1 - 3 * t / 4))] + [1 / (8 * np.sqrt(t / 4))] * 3
-        return np.array([c * s for c, s in zip(coeffs, sigmas)])
+        t = theta[..., 0]
+        c = 1 / (8 * np.sqrt(t / 4))
+        return _weighted([-3 / (8 * np.sqrt(1 - 3 * t / 4)), c, c, c], _DEPOLARIZING_OPS)
 
     return ParametricChannel(
         name="depolarizing",
@@ -355,16 +384,13 @@ def dephasing_two_param(input_state: PureState = _PLUS) -> ParametricChannel:
     """Two-parameter dephasing with flip weight theta1 * theta2; quasi-classical on |+>."""
 
     def kraus(theta: np.ndarray) -> np.ndarray:
-        q = theta[0] * theta[1]
-        return np.array([np.sqrt(1 - q) * np.eye(2), np.sqrt(q) * PAULI_Z], dtype=complex)
+        q = theta[..., 0] * theta[..., 1]
+        return _weighted([np.sqrt(1 - q), np.sqrt(q)], _DEPHASING_OPS)
 
     def grad(theta: np.ndarray, index: int) -> np.ndarray:
-        q = theta[0] * theta[1]
-        dq = theta[1] if index == 0 else theta[0]
-        return np.array(
-            [-0.5 * dq / np.sqrt(1 - q) * np.eye(2), 0.5 * dq / np.sqrt(q) * PAULI_Z],
-            dtype=complex,
-        )
+        q = theta[..., 0] * theta[..., 1]
+        dq = theta[..., 1 - index]
+        return _weighted([-0.5 * dq / np.sqrt(1 - q), 0.5 * dq / np.sqrt(q)], _DEPHASING_OPS)
 
     return ParametricChannel(
         name="dephasing-2p",
@@ -394,19 +420,14 @@ def rotation_two_param(input_state: PureState = _KET0) -> ParametricChannel:
 def damped_rotation(input_state: PureState = _PLUS) -> ParametricChannel:
     """Amplitude damping (theta1) followed by a z rotation (theta2)."""
 
-    def unitary(t: float) -> np.ndarray:
-        return np.cos(t / 2) * np.eye(2) - 1j * np.sin(t / 2) * PAULI_Z
-
     def kraus(theta: np.ndarray) -> np.ndarray:
-        u = unitary(theta[1])
-        return np.array([u @ e for e in _amplitude_damping_kraus(theta[:1])])
+        return _rotation(theta[..., 1], PAULI_Z) @ _amplitude_damping_kraus(theta[..., :1])
 
     def grad(theta: np.ndarray, index: int) -> np.ndarray:
-        u = unitary(theta[1])
+        u = _rotation(theta[..., 1], PAULI_Z)
         if index == 0:
-            return np.array([u @ e for e in _amplitude_damping_grad(theta[:1], 0)])
-        du = -0.5j * PAULI_Z @ u
-        return np.array([du @ e for e in _amplitude_damping_kraus(theta[:1])])
+            return u @ _amplitude_damping_grad(theta[..., :1], 0)
+        return -0.5j * PAULI_Z @ u @ _amplitude_damping_kraus(theta[..., :1])
 
     return ParametricChannel(
         name="damped-rotation",
@@ -423,10 +444,9 @@ def _exponential_kraus(gens: Sequence[np.ndarray], env: int):
     """kraus_fn and kraus_grad_fn of E_k(theta) = (I x <k|) exp(-i sum_l theta_l G_l) (I x |0>).
 
     The generators act on system x environment with composite index i*env + k;
-    env = 1 gives the single unitary.  The stack and every partial at a point
-    come from one eigendecomposition of the generator, kept for the last
-    theta asked for: a point's stack and its partials are asked for together,
-    and a hit returns the same bits as recomputing.
+    env = 1 gives the single unitary.  The stack and every partial at a point,
+    or at each point of a stack, come from one (batched) eigendecomposition
+    of the generator, kept for the last points asked for.
     """
     gens = np.array(gens, dtype=complex)
     total = gens.shape[1]
@@ -437,22 +457,18 @@ def _exponential_kraus(gens: Sequence[np.ndarray], env: int):
     gens = gens[:, order][:, :, order]
     flat = gens.reshape(len(gens), -1)
     columns = slice(0, dim)
-    memo: dict[bytes, object] = {}
 
+    @last_point_cache
     def decomposition(theta: np.ndarray):
-        theta = np.asarray(theta, dtype=float)
-        key = theta.tobytes()
-        found = memo.get(key)
-        if found is None:
-            memo.clear()
-            found = memo[key] = unitary_exponential((theta @ flat).reshape(total, total))
-        return found
+        h = theta[..., np.newaxis, :] @ flat
+        return unitary_exponential(h.reshape(*theta.shape[:-1], total, total))
 
     def kraus(theta: np.ndarray) -> np.ndarray:
-        return decomposition(theta).unitary(columns).reshape(env, dim, dim)
+        return decomposition(theta).unitary(columns).reshape(*np.shape(theta)[:-1], env, dim, dim)
 
     def grad(theta: np.ndarray, index: int) -> np.ndarray:
-        return decomposition(theta).partial(gens[index], columns).reshape(env, dim, dim)
+        ops = decomposition(theta).partial(gens[index], columns)
+        return ops.reshape(*np.shape(theta)[:-1], env, dim, dim)
 
     return kraus, grad
 
@@ -567,20 +583,22 @@ def remix_channel(
     The mixing matrix u must be square and unitary at every theta.
     mixing_grad_fn(theta, l) gives its partial along parameter l, which
     with the family's own partials gives the remixed Kraus derivative.
+    Both broadcast like kraus_fn, (..., m) to (..., n, n); a constant (n, n)
+    matrix serves every point.
     """
     if not channel.is_kraus_form:
         raise ValidationError("only Kraus-form channels can be remixed")
 
+    def mix(u, ops: np.ndarray) -> np.ndarray:
+        flat = ops.reshape(*ops.shape[:-2], -1)
+        return (np.asarray(u, dtype=complex) @ flat).reshape(ops.shape)
+
     def kraus(theta: np.ndarray) -> np.ndarray:
-        u = np.asarray(mixing_fn(theta), dtype=complex)
-        return np.tensordot(u, channel.kraus_matrices(theta), axes=(1, 0))
+        return mix(mixing_fn(theta), channel.kraus_fn(theta))
 
     def grad(theta: np.ndarray, index: int) -> np.ndarray:
-        u = np.asarray(mixing_fn(theta), dtype=complex)
-        du = np.asarray(mixing_grad_fn(theta, index), dtype=complex)
-        ops = channel.kraus_matrices(theta)
-        dops = np.asarray(channel.kraus_grad_fn(theta, index), dtype=complex)
-        return np.tensordot(du, ops, axes=(1, 0)) + np.tensordot(u, dops, axes=(1, 0))
+        ops, dops = channel.kraus_fn(theta), np.asarray(channel.kraus_grad_fn(theta, index))
+        return mix(mixing_grad_fn(theta, index), ops) + mix(mixing_fn(theta), dops)
 
     return dataclasses.replace(
         channel,
@@ -596,7 +614,8 @@ def directional_channel(
     """The k-parameter fan t -> channel(theta + V^T t) of a (k, m) direction matrix V.
 
     Partial j is sum_l V[j, l] d_l, of the Kraus stack or of the spectral
-    data; an (m,) vector gives the one-parameter slice.  Coordinate j spans
+    data; an (m,) vector gives the one-parameter slice.  The fan's Kraus
+    form broadcasts like its parent's.  Coordinate j spans
     (-t_j / k, t_j / k), t_j the largest |t| keeping theta + t V[j] in the
     box, so the fan's box maps into the parent box.
     """
@@ -613,20 +632,21 @@ def directional_channel(
     if not np.all(np.isfinite(t_max) & (t_max > 0)):
         raise ValidationError("direction leaves the domain immediately")
 
+    at = lambda tvec: center + (tvec[..., np.newaxis, :] @ fan)[..., 0, :]
     kraus = spectral = grad = None
     if channel.is_kraus_form:
         def kraus(tvec: np.ndarray) -> np.ndarray:
-            return channel.kraus_matrices(center + tvec @ fan)
+            return channel.kraus_fn(at(tvec))
 
-        @lru_cache(maxsize=1)  # the k partials of a point are asked for together
-        def partials(point: bytes) -> np.ndarray:
-            return channel.kraus_partials(np.frombuffer(point))
+        @last_point_cache
+        def partials(t: np.ndarray) -> np.ndarray:
+            return np.stack([channel.kraus_grad_fn(t, l) for l in range(channel.param_count)], -4)
 
         def grad(tvec: np.ndarray, index: int) -> np.ndarray:
-            return np.tensordot(fan[index], partials((center + tvec @ fan).tobytes()), axes=1)
+            return (fan[index][:, None, None, None] * partials(at(tvec))).sum(axis=-4)
     else:
         def spectral(tvec: np.ndarray) -> SpectralData:
-            data = channel.spectral_at(center + tvec @ fan)
+            data = channel.spectral_at(at(tvec))
             return SpectralData(
                 values=data.values,
                 vectors=data.vectors,

@@ -7,9 +7,10 @@ optimization of the input state: the convex dual of the SLD information,
 which certifies an optimal input where it can, and a derivative-free
 search elsewhere.
 
-The scan grid's output states are tabulated once per experiment, and each
-replication scores the whole grid with one einsum per observed outcome; only
-the golden-section refinement evaluates the channel per replication.
+Every replication of an experiment is estimated at once: the scan grid's
+output states are tabulated in one stacked call, every replication's counts
+score the whole grid, and the golden-section refinement steps all of them
+in lockstep, one stacked channel evaluation per step.
 
 RNG contract: Philox (counter-based, 64-bit keys).  Replication r draws from
 the stream keyed by seed XOR r, so replications are reproducible and
@@ -33,7 +34,7 @@ from .bounds import (
     spectral_curve,
 )
 from .channels import ParametricChannel
-from .errors import NumericError, SingularTermError, ValidationError
+from .errors import DegeneracyError, NumericError, SingularTermError, ValidationError
 from .linalg import STENCIL_REACH
 from .quantum import (
     POVM,
@@ -73,26 +74,33 @@ def sample_outcomes(rho: DensityMatrix, povm: POVM, shots: int, seed: int) -> np
 
 @dataclass(frozen=True)
 class MLEResult:
-    theta_hat: float
-    log_likelihood: float
-    boundary: bool
+    """One estimate, or the (R,) arrays of a stack of R count vectors."""
+
+    theta_hat: float | np.ndarray
+    log_likelihood: float | np.ndarray
+    boundary: bool | np.ndarray
 
 
-def _golden_max(fun, lo: float, hi: float, tol: float) -> float:
+def _golden_max(fun, a: np.ndarray, b: np.ndarray, tol: float) -> np.ndarray:
+    """Golden-section maxima of R rows in lockstep, row r over its bracket [a_r, b_r].
+
+    fun(points, rows) scores one point per listed row; a row stops being
+    scored once its bracket is no wider than tol.
+    """
     inv_phi = (np.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
+    a, b = a.copy(), b.copy()
     c = b - inv_phi * (b - a)
     d = a + inv_phi * (b - a)
-    fc, fd = fun(c), fun(d)
-    while b - a > tol:
-        if fc >= fd:
-            b, d, fd = d, c, fc
-            c = b - inv_phi * (b - a)
-            fc = fun(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + inv_phi * (b - a)
-            fd = fun(d)
+    fc, fd = np.split(fun(np.concatenate([c, d]), np.tile(np.arange(len(a)), 2)), 2)
+    while (rows := np.flatnonzero(b - a > tol)).size:
+        left = fc[rows] >= fd[rows]
+        lo, hi = rows[left], rows[~left]
+        b[lo], d[lo], fd[lo] = d[lo], c[lo], fc[lo]
+        c[lo] = b[lo] - inv_phi * (b[lo] - a[lo])
+        a[hi], c[hi], fc[hi] = c[hi], d[hi], fd[hi]
+        d[hi] = a[hi] + inv_phi * (b[hi] - a[hi])
+        values = fun(np.where(left, c[rows], d[rows]), rows)
+        fc[lo], fd[hi] = values[left], values[~left]
     return 0.5 * (a + b)
 
 
@@ -101,64 +109,72 @@ def _grid_states(channel: ParametricChannel) -> np.ndarray:
     if channel.param_count != 1:
         raise ValidationError("mle_estimate handles one-parameter channels")
     lo, hi = channel.domain[0]
-    return np.stack(
-        [channel.output_matrix(np.array([t])) for t in np.linspace(lo, hi, MLE_GRID_POINTS)]
-    )
+    return channel.output_matrix(np.linspace(lo, hi, MLE_GRID_POINTS)[:, np.newaxis])
+
+
+def _log_likelihood(counts: np.ndarray, states: np.ndarray, elements: np.ndarray) -> np.ndarray:
+    """sum_k n_k log Re tr(rho_p M_k) over observed outcomes: (..., P, k) counts -> (..., P).
+
+    states (..., P, d, d) and elements (..., k, d, d) meet in one matmul per
+    stacked item, so an item's bits do not depend on the others (an einsum's
+    need not), and the outcomes add one by one: zero-count padding is exact.
+    """
+    rho = states.reshape(*states.shape[:-2], -1)
+    flat = elements.swapaxes(-1, -2).reshape(*elements.shape[:-2], -1)
+    probs = np.clip((rho @ flat.swapaxes(-1, -2)).real, 0.0, None)
+    observed = counts > 0
+    with np.errstate(divide="ignore"):
+        terms = np.where(observed, counts * np.log(np.where(observed, probs, 1.0)), 0.0)
+    return sum(terms[..., k] for k in range(terms.shape[-1]))
 
 
 def mle_estimate(
     channel: ParametricChannel,
-    povm: POVM,
+    povm: POVM | np.ndarray,
     counts: np.ndarray,
     *,
     grid_states: np.ndarray | None = None,
+    seeds=None,
 ) -> MLEResult:
-    """Maximum-likelihood estimate by coarse grid scan and golden-section refinement.
+    """Maximum-likelihood estimates by coarse grid scan and golden-section refinement.
 
-    The grid is scored from the channel's output states on it, one einsum
-    per observed outcome; only the refinement evaluates the channel.
-    `grid_states` holds those states, stacked (MLE_GRID_POINTS, d, d): the
-    experiments tabulate them once and hand them to every replication.  It
-    is a cache only; passing it cannot change the result.  Exact ties on the
-    grid break toward the domain center; estimates pinned to the boundary
-    are flagged.
+    counts is a (k,) vector or an (R, k) stack, one row per replication (a
+    vector is the stack of one), and povm one POVM or an (R, k, d, d) stack
+    of elements, one POVM per row.  The grid is scored from its tabulated
+    output states, `grid_states` (a cache: passing it cannot change the
+    result); exact ties break toward the domain center.  The rows are
+    refined in lockstep, one stacked evaluation per step, and each row gets
+    the bits of its own call.  Boundary estimates are flagged.  `seeds`,
+    the rows' stream seeds, name a failing row's replication.
     """
-    counts = np.asarray(counts)
-    if counts.sum() < 1:
+    rows, stacked = np.atleast_2d(counts), np.ndim(counts) == 2
+    elements = povm.elements if isinstance(povm, POVM) else np.asarray(povm, dtype=complex)
+    per_row = elements.ndim == 4
+    if (rows.sum(axis=1) < 1).any():
         raise ValidationError("counts are empty")
     if grid_states is None:
         grid_states = _grid_states(channel)
     lo, hi = channel.domain[0]
 
-    observed = counts > 0
-
-    def loglik(t: float) -> float:
-        rho = channel.output_matrix(np.array([t]))
-        probs = np.clip(np.real(np.einsum("ij,mji->m", rho, povm.elements)), 0.0, None)
-        with np.errstate(divide="ignore"):
-            return float(np.sum(counts[observed] * np.log(probs[observed])))
+    def loglik(points: np.ndarray, which: np.ndarray) -> np.ndarray:
+        states = channel.output_matrix(points[:, np.newaxis])[:, np.newaxis]
+        own = elements[which] if per_row else elements
+        return _log_likelihood(rows[which, np.newaxis], states, own)[:, 0]
 
     grid = np.linspace(lo, hi, MLE_GRID_POINTS)
-    # One einsum per observed POVM element, stacked C-contiguous, adds up in
-    # the order `loglik` does, so the grid values match it bit for bit; one
-    # "gij,mji->gm" einsum, or a sum over a masked column view, does not.
-    probs = np.stack(
-        [np.einsum("gij,ji->g", grid_states, e) for e in povm.elements[observed]], axis=1
-    )
-    with np.errstate(divide="ignore"):
-        values = np.sum(counts[observed] * np.log(np.clip(np.real(probs), 0.0, None)), axis=1)
-    if not np.any(np.isfinite(values)):
-        raise NumericError("log-likelihood is -inf over the entire search domain")
-    best = np.max(values)
-    ties = np.flatnonzero(values == best)
-    center = 0.5 * (lo + hi)
-    pick = int(ties[np.argmin(np.abs(grid[ties] - center))])
-    a = grid[max(pick - 1, 0)]
-    b = grid[min(pick + 1, MLE_GRID_POINTS - 1)]
-    theta_hat = _golden_max(loglik, a, b, MLE_REFINE_TOL) if b > a else float(grid[pick])
-    width = hi - lo
-    boundary = bool((theta_hat - lo) < 1e-6 * width or (hi - theta_hat) < 1e-6 * width)
-    return MLEResult(float(theta_hat), loglik(float(theta_hat)), boundary)
+    values = _log_likelihood(rows[:, np.newaxis], grid_states, elements)  # (R, grid)
+    if (dead := ~np.isfinite(values).any(axis=1)).any():
+        r = int(np.argmax(dead))
+        where = f" for replication {r}" + ("" if seeds is None else f" (seed {seeds[r]})")
+        raise NumericError(f"log-likelihood is -inf over the entire search domain{where * stacked}")
+    ties = values == values.max(axis=1, keepdims=True)
+    pick = np.argmin(np.where(ties, np.abs(grid - 0.5 * (lo + hi)), np.inf), axis=1)
+    a = grid[np.maximum(pick - 1, 0)]
+    b = grid[np.minimum(pick + 1, MLE_GRID_POINTS - 1)]
+    theta_hat = _golden_max(loglik, a, b, MLE_REFINE_TOL)
+    boundary = np.minimum(theta_hat - lo, hi - theta_hat) < 1e-6 * (hi - lo)
+    result = MLEResult(theta_hat, loglik(theta_hat, np.arange(len(rows))), boundary)
+    return result if stacked else MLEResult(*(v[0].item() for v in vars(result).values()))
 
 
 @dataclass(frozen=True)
@@ -220,25 +236,25 @@ class EstimationRun:
 
 def predicted_bounds(
     curve: SpectralCurve, povm: POVM | None, shots: int
-) -> tuple[dict[str, float | None], list[str]]:
-    """Variance floors 1/(N F), 1/(N H), 1/(N C) read from the curve at the true parameter."""
-    warnings: list[str] = []
+) -> dict[str, float | None]:
+    """Variance floors 1/(N F), 1/(N H), 1/(N C) read from the curve at the true parameter.
+
+    A floor is None where its information is below UNINFORMATIVE_FLOOR, or
+    for F, where the Fisher information has a singular term.
+    """
     h = sld_information(curve)
     c = sm_bound_spectral(curve)
     f = None
     if povm is not None:
         try:
             f = fisher_information(curve, povm)
-        except SingularTermError as exc:
-            warnings.append(f"Fisher information singular: {exc}")
-    bounds: dict[str, float | None] = {
+        except SingularTermError:
+            pass
+    return {
         "fisher": None if f is None or f < UNINFORMATIVE_FLOOR else 1.0 / (shots * f),
         "sld": None if h < UNINFORMATIVE_FLOOR else 1.0 / (shots * h),
         "channel_bound": None if c < UNINFORMATIVE_FLOOR else 1.0 / (shots * c),
     }
-    if f is not None and f < UNINFORMATIVE_FLOOR:
-        warnings.append("measurement is uninformative at theta_true (Fisher information ~ 0)")
-    return bounds, warnings
 
 
 def cr_experiment(
@@ -260,37 +276,52 @@ def cr_experiment(
     if replications < 2:
         raise ValidationError("need at least 2 replications for a variance")
     rho = channel.output_state(np.array([theta_true]))
-    states = _grid_states(channel)
-    estimates = []
-    first_counts = None
-    for rep in range(replications):
-        counts = sample_outcomes(rho, povm, shots, replication_seed(seed, rep))
-        if first_counts is None:
-            first_counts = counts
-        estimates.append(mle_estimate(channel, povm, counts, grid_states=states).theta_hat)
-    estimates = np.array(estimates)
-    variance = float(np.var(estimates, ddof=1))
+    seeds = [replication_seed(seed, rep) for rep in range(replications)]
+    counts = np.array([sample_outcomes(rho, povm, shots, s) for s in seeds])
+    estimates = mle_estimate(channel, povm, counts, seeds=seeds).theta_hat
     if curve is None:
         curve = spectral_curve(channel, theta_true)
-    bounds, _ = predicted_bounds(curve, povm, shots)
-    ratios = {
-        key: (None if floor is None else variance / floor) for key, floor in bounds.items()
-    }
-    return EstimationRun(
+    run = EstimationRun(
         channel_id=channel.name,
         theta_true=float(theta_true),
         povm_id=povm_id,
         shots=shots,
         seed=seed,
-        counts=tuple(int(c) for c in first_counts),
+        counts=tuple(int(c) for c in counts[0]),
         theta_hat=float(estimates[0]),
+        predicted_bounds={},
+    )
+    return _compared(run, estimates, curve, povm)
+
+
+def _compared(run: EstimationRun, estimates: np.ndarray, curve: SpectralCurve, povm: POVM):
+    """run with its replications' estimates and their variance against povm's floors at curve."""
+    bounds = predicted_bounds(curve, povm, run.shots)
+    variance = float(np.var(estimates, ddof=1))
+    return dataclasses.replace(
+        run,
         predicted_bounds=bounds,
         empirical_variance=variance,
-        variance_ratios=ratios,
-        replications=replications,
+        variance_ratios={k: None if f is None else variance / f for k, f in bounds.items()},
+        replications=len(estimates),
         theta_hats=tuple(float(t) for t in estimates),
-        bias=float(np.mean(estimates) - theta_true),
+        bias=float(np.mean(estimates) - run.theta_true),
     )
+
+
+def _pivot_curves(channel: ParametricChannel, pivots: np.ndarray, seeds) -> SpectralCurve:
+    """The stacked curve at every pivot; a refused stack is redone point by point to name one."""
+    try:
+        return spectral_curve(channel, pivots[:, np.newaxis])
+    except DegeneracyError:
+        for rep, (pivot, s) in enumerate(zip(pivots, seeds)):
+            try:
+                spectral_curve(channel, pivot)
+            except DegeneracyError as exc:
+                raise DegeneracyError(
+                    f"replication {rep} (seed {s}), pivot theta {float(pivot)!r}: {exc}"
+                ) from None
+        raise
 
 
 def _two_stage(
@@ -298,36 +329,45 @@ def _two_stage(
     theta_true: float,
     shots: int,
     config: AdaptiveConfig,
-    seed: int,
-    grid_states: np.ndarray,
-) -> tuple[EstimationRun, POVM]:
-    """One adaptive run without its variance floors, and its stage-2 POVM.
+    seeds: list[int],
+) -> tuple[EstimationRun, POVM, np.ndarray]:
+    """Every replication's adaptive run, replication r drawing from seeds[r].
 
-    Both stages score their scan grid from the shared `grid_states`.
+    Each stage is one MLE call over all replications on one tabulated grid,
+    and the pivots are one stacked curve.  Returns the first replication's
+    run without floors, its stage-2 POVM and every final estimate.
     """
     if config.n_pilot >= shots:
         raise ValidationError(f"n_pilot {config.n_pilot} must be below shots {shots}")
+    states = _grid_states(channel)
     pilot_povm = computational_basis_povm(channel.dim)
     rho_true = channel.output_state(np.array([theta_true]))
-    pilot_counts = sample_outcomes(rho_true, pilot_povm, config.n_pilot, seed)
-    pilot = mle_estimate(channel, pilot_povm, pilot_counts, grid_states=grid_states)
+    pilot_counts = np.array(
+        [sample_outcomes(rho_true, pilot_povm, config.n_pilot, s) for s in seeds]
+    )
+    pilot = mle_estimate(channel, pilot_povm, pilot_counts, grid_states=states, seeds=seeds)
     lo, hi = channel.domain[0]
     # A pilot MLE can land within 1e-8 of an edge, where a Kraus-form point's
     # smallest weight sits at the support boundary and is refused.
     margin = STENCIL_REACH if channel.is_kraus_form else 0.0
-    pivot = float(np.clip(pilot.theta_hat, lo + margin, hi - margin))
-    stage2_povm = optimal_povm_from_sld(sld_score(spectral_curve(channel, pivot)))
+    pivots = np.clip(pilot.theta_hat, lo + margin, hi - margin)
+    povms = [optimal_povm_from_sld(lam) for lam in sld_score(_pivot_curves(channel, pivots, seeds))]
     n2 = shots - config.n_pilot
-    counts2 = sample_outcomes(rho_true, stage2_povm, n2, seed ^ _STAGE2_SALT)
-    final = mle_estimate(channel, stage2_povm, counts2, grid_states=grid_states)
+    drawn = [sample_outcomes(rho_true, p, n2, s ^ _STAGE2_SALT) for p, s in zip(povms, seeds)]
+    # zero elements pad a POVM that merged degenerate SLD eigenvalues
+    elements = np.zeros((len(seeds), max(map(len, povms)), channel.dim, channel.dim), complex)
+    counts2 = np.zeros(elements.shape[:2], dtype=int)
+    for rep, (povm, c) in enumerate(zip(povms, drawn)):
+        elements[rep, : len(povm)], counts2[rep, : len(c)] = povm.elements, c
+    final = mle_estimate(channel, elements, counts2, grid_states=states, seeds=seeds)
     stages = (
         StageRecord(
-            "pilot", config.n_pilot, tuple(int(c) for c in pilot_counts),
-            pilot.theta_hat, pilot.boundary,
+            "pilot", config.n_pilot, tuple(int(c) for c in pilot_counts[0]),
+            float(pilot.theta_hat[0]), bool(pilot.boundary[0]),
         ),
         StageRecord(
-            f"sld-optimal@{pivot:.6g}", n2, tuple(int(c) for c in counts2),
-            final.theta_hat, final.boundary,
+            f"sld-optimal@{pivots[0]:.6g}", n2, tuple(int(c) for c in drawn[0]),
+            float(final.theta_hat[0]), bool(final.boundary[0]),
         ),
     )
     run = EstimationRun(
@@ -335,14 +375,14 @@ def _two_stage(
         theta_true=float(theta_true),
         povm_id=f"adaptive({stages[1].povm_id})",
         shots=n2,
-        seed=seed,
-        counts=tuple(int(c) for c in counts2),
-        theta_hat=final.theta_hat,
+        seed=seeds[0],
+        counts=stages[1].counts,
+        theta_hat=stages[1].theta_hat,
         predicted_bounds={},
         stages=stages,
-        boundary=final.boundary,
+        boundary=stages[1].boundary,
     )
-    return run, stage2_povm
+    return run, povms[0], final.theta_hat
 
 
 def adaptive_two_stage(
@@ -354,9 +394,9 @@ def adaptive_two_stage(
     the second-stage data only; both stages are recorded.  Bias of the pilot
     does not propagate beyond the choice of measurement basis.
     """
-    run, stage2_povm = _two_stage(channel, theta_true, shots, config, seed, _grid_states(channel))
+    run, stage2_povm, _ = _two_stage(channel, theta_true, shots, config, [seed])
     curve = spectral_curve(channel, theta_true)
-    bounds, _ = predicted_bounds(curve, stage2_povm, run.shots)
+    bounds = predicted_bounds(curve, stage2_povm, run.shots)
     return dataclasses.replace(run, predicted_bounds=bounds)
 
 
@@ -372,37 +412,16 @@ def adaptive_experiment(
     """Replicated adaptive runs with the variance compared to 1/((N - n) H).
 
     The floors are those of the first replication's stage-2 POVM.  `curve`,
-    the spectral curve at theta_true, is built after the first replication
-    when not given.
+    the spectral curve at theta_true, is built after the replications when
+    not given.
     """
     if replications < 2:
         raise ValidationError("need at least 2 replications for a variance")
-    states = _grid_states(channel)
-    first, stage2_povm = _two_stage(
-        channel, theta_true, shots, config, replication_seed(seed, 0), states
-    )
+    seeds = [replication_seed(seed, rep) for rep in range(replications)]
+    first, stage2_povm, estimates = _two_stage(channel, theta_true, shots, config, seeds)
     if curve is None:
         curve = spectral_curve(channel, theta_true)
-    bounds, _ = predicted_bounds(curve, stage2_povm, first.shots)
-    rest = [
-        _two_stage(channel, theta_true, shots, config, replication_seed(seed, rep), states)[0]
-        for rep in range(1, replications)
-    ]
-    estimates = np.array([run.theta_hat for run in (first, *rest)])
-    variance = float(np.var(estimates, ddof=1))
-    ratios = {
-        key: (None if floor is None else variance / floor) for key, floor in bounds.items()
-    }
-    return dataclasses.replace(
-        first,
-        predicted_bounds=bounds,
-        seed=seed,
-        empirical_variance=variance,
-        variance_ratios=ratios,
-        replications=replications,
-        theta_hats=tuple(float(t) for t in estimates),
-        bias=float(np.mean(estimates) - theta_true),
-    )
+    return dataclasses.replace(_compared(first, estimates, curve, stage2_povm), seed=seed)
 
 
 def _state_from_angles(x: np.ndarray, dim: int) -> PureState:

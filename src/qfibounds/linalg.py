@@ -159,7 +159,8 @@ class UnitaryExponential:
 
     `columns` selects the columns of U (or of its derivative) to return, so a
     caller that needs U applied to a few basis states skips the rest of the
-    last product.
+    last product.  A stack (..., n, n) of generators gives a stack of each,
+    matrix by matrix.
     """
 
     eigenvalues: np.ndarray
@@ -169,22 +170,25 @@ class UnitaryExponential:
     def _divided_differences(self) -> np.ndarray:
         """-i Gamma, so that the derivative along G is W (-i Gamma o W^dag G W) W^dag."""
         lam = self.eigenvalues
-        mean = (lam[:, np.newaxis] + lam) / 2
-        half_gap = (lam[:, np.newaxis] - lam) / (2 * np.pi)
-        return -1j * np.exp(-1j * mean) * np.sinc(half_gap)
+        half_gap = (lam[..., :, np.newaxis] - lam[..., np.newaxis, :]) / (2 * np.pi)
+        out = -1j * np.exp(-1j * ((lam[..., :, np.newaxis] + lam[..., np.newaxis, :]) / 2))
+        out *= np.sinc(half_gap)  # in place: a stack of these is large
+        return out
 
     def unitary(self, columns=slice(None)) -> np.ndarray:
         w = self.eigenvectors
-        return np.dot(w * np.exp(-1j * self.eigenvalues), w[columns].conj().T)
+        phases = np.exp(-1j * self.eigenvalues)[..., np.newaxis, :]
+        return (w * phases) @ adjoint(w[..., columns, :])
 
     def partial(self, direction: np.ndarray, columns=slice(None)) -> np.ndarray:
-        w = self.eigenvectors
-        adjoint = w.conj().T
-        inner = adjoint @ direction @ w
-        return w @ (self._divided_differences * inner) @ adjoint[:, columns]
+        w, gamma = self.eigenvectors, self._divided_differences
+        back = adjoint(w)
+        inner = back @ direction @ w
+        np.multiply(gamma, inner, out=inner)  # in place: a stack of these is large
+        return w @ inner @ back[..., :, columns]
 
 
 def unitary_exponential(h: np.ndarray) -> UnitaryExponential:
-    """Decompose the Hermitian generator h once for exp(-i h) and its derivatives."""
+    """Decompose the Hermitian generator h (or a stack) once for exp(-i h) and its derivatives."""
     values, vectors = np.linalg.eigh(h)
     return UnitaryExponential(values, vectors)

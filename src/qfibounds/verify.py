@@ -11,7 +11,6 @@ Shared by `qfi verify` and the acceptance tests.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -30,6 +29,7 @@ from .channels import (
     ParametricChannel,
     example2,
     kraus_derivative,
+    last_point_cache,
     random_hermitian,
     random_kraus_channel,
     random_pure_state,
@@ -147,15 +147,16 @@ def _exponential_mixing(g: np.ndarray):
     """The remixing exp(-i t g) and its derivative -i g exp(-i t g), as (mix, dmix).
 
     Both come from one decomposition of t g, kept for the last t asked for:
-    the remixed stack and its derivative are asked for at the same t.
+    the remixed stack and its derivative are asked for at the same t.  Both
+    broadcast over a stack of points.
     """
 
-    @lru_cache(maxsize=1)
-    def at(t: float) -> tuple[np.ndarray, np.ndarray]:
-        u = unitary_exponential(t * g).unitary()
+    @last_point_cache
+    def at(t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        u = unitary_exponential(t[..., :1, np.newaxis] * g).unitary()
         return u, -1j * g @ u
 
-    return (lambda t: at(float(t[0]))[0]), (lambda t, i: at(float(t[0]))[1])
+    return (lambda t: at(t)[0]), (lambda t, i: at(t)[1])
 
 
 def _ordering(points, seed: int) -> list[CheckResult]:

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qfibounds.channels import (
     BUILTIN_FAMILIES,
@@ -8,6 +10,7 @@ from qfibounds.channels import (
     custom_spectral,
     directional_channel,
     kraus_derivative,
+    random_hermitian,
     random_kraus_channel,
     remix_channel,
 )
@@ -239,3 +242,89 @@ def test_exponential_family_memo_returns_the_same_bits():
         moved = evaluate(moved_channel)
         for a, b, c in zip(cold, warm, moved):
             assert np.array_equal(a, b) and np.array_equal(a, c)
+
+
+# ---------------------------------------------------------------------------
+# Broadcast contract: a stack of points gives each point the bits of its own call
+# ---------------------------------------------------------------------------
+
+KRAUS_BUILTINS = [
+    family for family in ALL_FAMILIES if family != "random-kraus" and builtin(family).is_kraus_form
+]
+PROPERTY = settings(max_examples=80, deadline=None, derandomize=True, database=None)
+
+
+def _exponential_mixing(n: int, seed: int):
+    """A theta-dependent remixing exp(-i theta_0 g) and its partials, both broadcasting."""
+    g = random_hermitian(n, np.random.default_rng(seed))
+    lam, v = np.linalg.eigh(g)
+
+    def mix(theta):
+        return (v * np.exp(-1j * theta[..., :1, np.newaxis] * lam)) @ v.conj().T
+
+    def dmix(theta, index):
+        return (-1j * g @ mix(theta)) * (index == 0)
+
+    return mix, dmix
+
+
+@st.composite
+def _kraus_family(draw, param_count=None):
+    if draw(st.booleans()):
+        return random_kraus_channel(
+            dim=draw(st.integers(2, 4)),
+            env=draw(st.integers(1, 3)),
+            param_count=param_count or draw(st.integers(1, 2)),
+            seed=draw(st.integers(0, 2**63 - 1)),
+        )
+    families = [f for f in KRAUS_BUILTINS if param_count in (None, builtin(f).param_count)]
+    family = draw(st.sampled_from(families))
+    if family == "rotation":
+        return builtin(family, axis=draw(st.sampled_from("xyz")))
+    return builtin(family)
+
+
+@st.composite
+def _stacked_channel(draw):
+    """A Kraus-form channel (built-in, random, remixed or a fan) and an (N, m) stack in its box."""
+    kind = draw(st.sampled_from(["family", "remix", "fan"]))
+    if kind == "fan":
+        parent = draw(_kraus_family(param_count=2))
+        lo, hi = np.array(parent.domain).T
+        center = lo + (hi - lo) * np.array(draw(st.lists(st.floats(0.2, 0.8), min_size=2, max_size=2)))
+        k = draw(st.integers(1, 2))
+        rows = st.lists(st.floats(0.1, 1.0) | st.floats(-1.0, -0.1), min_size=2, max_size=2)
+        channel = directional_channel(parent, center, np.array(draw(st.lists(rows, min_size=k, max_size=k))))
+    else:
+        channel = draw(_kraus_family())
+        if kind == "remix":
+            n = len(channel.kraus_matrices(np.mean(channel.domain, axis=1)))
+            channel = remix_channel(channel, *_exponential_mixing(n, draw(st.integers(0, 2**32))))
+    count = draw(st.integers(1, 5))
+    fractions = draw(
+        st.lists(st.floats(0.02, 0.98), min_size=count * channel.param_count,
+                 max_size=count * channel.param_count)
+    )
+    lo, hi = np.array(channel.domain).T
+    return channel, lo + (hi - lo) * np.reshape(fractions, (count, channel.param_count))
+
+
+def _same_bits(a, b) -> bool:
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@PROPERTY
+@given(_stacked_channel())
+def test_stacked_family_calls_match_point_calls(drawn):
+    channel, points = drawn
+    calls = [lambda t: channel.kraus_fn(t)] + [
+        lambda t, l=l: channel.kraus_grad_fn(t, l) for l in range(channel.param_count)
+    ]
+    for call in calls:
+        stack = call(points)
+        assert stack.shape[:1] == (len(points),) and stack.ndim == 4
+        assert all(_same_bits(stack[i], call(point)) for i, point in enumerate(points))
+        assert _same_bits(call(points[:, np.newaxis])[:, 0], stack)  # any leading axes
+    rhos = channel.output_matrix(points)
+    assert all(_same_bits(rhos[i], channel.output_matrix(point)) for i, point in enumerate(points))

@@ -585,7 +585,7 @@ def test_sweep_keeps_point_failures_to_their_rows(spec_file, capsys):
 )
 def test_sweep_decomposes_each_point_once(spec_file, capsys, monkeypatch, text):
     # One stacked canonical_kraus serves the whole grid; it asks the family
-    # for each point's Kraus stack and its partial once.
+    # for the grid's Kraus stacks and their partials in one call each.
     import dataclasses
 
     from qfibounds import cli as cli_module
@@ -617,7 +617,7 @@ def test_sweep_decomposes_each_point_once(spec_file, capsys, monkeypatch, text):
     code, _, _ = run_cli(capsys, "sweep", spec_file(text), "--theta-grid", "0.2:0.6:3")
     assert code == 0
     # The raw Kraus stack and its derivative feed the curve, C_kraus and C_E.
-    assert calls == {"canonical_kraus": 1, "kraus_matrices": 3, "kraus_grad_fn": 3}
+    assert calls == {"canonical_kraus": 1, "kraus_matrices": 1, "kraus_grad_fn": 1}
 
 
 def test_multiparameter_report_builds_one_core(spec_file, capsys, monkeypatch):
@@ -696,10 +696,10 @@ def test_multiparameter_report_builds_one_spectral_curve(spec_file, capsys, monk
 
 def test_estimate_decomposes_theta_true_once(spec_file, capsys, monkeypatch):
     # The curve behind the SLD-optimal POVM also gives the variance floors;
-    # the adaptive run adds one decomposition per replication's pivot.
+    # the adaptive run adds one stacked decomposition of every replication's pivot.
     path = spec_file(DAMPING)
     common = ("estimate", path, "--theta-true", "0.3", "--shots", "100", "--reps", "3")
-    for extra, expected in (((), 1), (("--adaptive", "--n-pilot", "50"), 4)):
+    for extra, expected in (((), 1), (("--adaptive", "--n-pilot", "50"), 2)):
         with monkeypatch.context() as patch:
             calls = _count_calls(patch, "canonical_kraus")
             code, _, _ = run_cli(capsys, *common, *extra)

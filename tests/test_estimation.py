@@ -5,7 +5,7 @@ import pytest
 
 from qfibounds.bounds import optimal_povm_from_sld, sld_information, sld_score, spectral_curve
 from qfibounds.channels import ParametricChannel, builtin, random_kraus_channel
-from qfibounds.errors import NumericError, ValidationError
+from qfibounds.errors import DegeneracyError, NumericError, ValidationError
 from qfibounds import estimation
 from qfibounds.channels import random_pure_state
 from qfibounds.estimation import (
@@ -21,6 +21,7 @@ from qfibounds.estimation import (
     sample_outcomes,
 )
 from qfibounds.quantum import (
+    POVM,
     PureState,
     computational_basis_povm,
     pauli_basis_povm,
@@ -153,13 +154,101 @@ def test_experiments_tabulate_the_grid_once(monkeypatch):
         lambda self, *args, **kwargs: calls.append(1) or original(self, *args, **kwargs),
     )
     ch = builtin("dephasing")
-    reps = 10
-    cr_experiment(ch, 0.2, XPOVM, 1000, reps, seed=5)
-    # the grid once, the true state once, then only the refinement per replication
-    assert 0 < len(calls) <= MLE_GRID_POINTS + 1 + 40 * reps
-    calls.clear()
-    adaptive_experiment(ch, 0.2, 1000, AdaptiveConfig(n_pilot=200), reps, seed=5)
-    assert 0 < len(calls) <= MLE_GRID_POINTS + 1 + 80 * reps
+    # The grid in one call, the true state once, then one stacked call per
+    # refinement step for all replications: the count does not grow with reps.
+    counts = {}
+    for reps in (3, 10):
+        calls.clear()
+        cr_experiment(ch, 0.2, XPOVM, 1000, reps, seed=5)
+        fixed = len(calls)
+        calls.clear()
+        adaptive_experiment(ch, 0.2, 1000, AdaptiveConfig(n_pilot=200), reps, seed=5)
+        counts[reps] = (fixed, len(calls))
+    assert counts[3] == counts[10]
+    fixed, adaptive = counts[10]
+    assert 0 < fixed <= 2 + 40
+    assert 0 < adaptive <= 2 + 80
+
+
+def _phase_damping() -> ParametricChannel:
+    """E_0 = diag(1, sqrt(1-t)), E_1 = diag(0, sqrt(t)) on |+>: <0|rho|0> = 1/2 at every t."""
+
+    def kraus(theta):
+        t = theta[..., 0]
+        ops = np.zeros(t.shape + (2, 2, 2), dtype=complex)
+        ops[..., 0, 0, 0], ops[..., 0, 1, 1], ops[..., 1, 1, 1] = 1.0, np.sqrt(1 - t), np.sqrt(t)
+        return ops
+
+    def grad(theta, index):
+        t = theta[..., 0]
+        ops = np.zeros(t.shape + (2, 2, 2), dtype=complex)
+        ops[..., 0, 1, 1], ops[..., 1, 1, 1] = -0.5 / np.sqrt(1 - t), 0.5 / np.sqrt(t)
+        return ops
+
+    return ParametricChannel("phase-damping", 2, 1, ((0.0, 1.0),), PLUS, kraus, grad)
+
+
+ZPOVM = computational_basis_povm(2)
+# Z and X projectors at half weight: outcome 0 reads <0|rho|0> / 2, flat for phase damping
+MIXED = POVM(np.concatenate([ZPOVM.elements, XPOVM.elements]) / 2)
+
+
+def _padded(povm: POVM, k: int) -> np.ndarray:
+    return np.concatenate([povm.elements, np.zeros((k - len(povm), 2, 2))])
+
+
+@pytest.mark.parametrize("per_row", [False, True], ids=["one-povm", "povm-per-row"])
+def test_stacked_mle_rows_match_single_row_calls(monkeypatch, per_row):
+    ch = _phase_damping()
+    if per_row:
+        povms = [ZPOVM, XPOVM, MIXED, MIXED]
+        counts = [[10, 0], [80, 20], [0, 0, 100, 0], [0, 0, 70, 30]]
+        povm = np.array([_padded(p, 4) for p in povms])
+    else:
+        povms = [MIXED] * 4
+        counts = [[10, 0, 0, 0], [5, 5, 60, 40], [0, 0, 100, 0], [0, 0, 70, 30]]
+        povm = MIXED
+    flat, edge = 0, 2  # the flat row's grid ties everywhere; the edge row's maximum is at 0
+    stack = np.array([np.pad(c, (0, 4 - len(c))) for c in counts])
+    sizes = []
+    with monkeypatch.context() as patch:
+        original = ParametricChannel.output_matrix
+        patch.setattr(
+            ParametricChannel, "output_matrix",
+            lambda self, theta: sizes.append(len(theta)) or original(self, theta),
+        )
+        stacked = mle_estimate(ch, povm, stack)
+    for row, (p, c) in enumerate(zip(povms, counts)):
+        alone = mle_estimate(ch, p, np.array(c))
+        assert stacked.theta_hat[row] == alone.theta_hat
+        assert stacked.log_likelihood[row] == alone.log_likelihood
+        assert stacked.boundary[row] == alone.boundary
+    assert stacked.boundary.tolist() == [False, False, True, False]
+    assert stacked.theta_hat[edge] < 1e-7
+    assert abs(stacked.theta_hat[flat] - 0.5) <= 1 / (MLE_GRID_POINTS - 1)
+    # grid, first two points of every row, one step per row still open, estimates:
+    # the one-step bracket closes a step before the others
+    assert sizes[:2] == [MLE_GRID_POINTS, 8] and sizes[-1] == 4
+    assert 4 in sizes[2:-1] and 0 < min(sizes[2:-1]) < 4
+
+
+def test_stacked_mle_names_the_replication_of_an_impossible_row():
+    # z rotation leaves |0> fixed, so outcome |1> never occurs in this basis
+    ch = builtin("rotation", axis="z", input_state=PureState(np.array([1.0, 0.0])))
+    counts = np.array([[10, 0], [0, 10]])
+    with pytest.raises(NumericError, match=r"-inf .* for replication 1 \(seed 12\)$"):
+        mle_estimate(ch, ZPOVM, counts, seeds=[11, 12])
+
+
+def test_adaptive_names_the_replication_of_a_refused_pivot():
+    # Replication 18's pilot lands where a Gram weight sits at the support boundary.
+    ch = random_kraus_channel(dim=4, env=2, seed=8323093291234078290)
+    seed, config = 5124073795492520131, AdaptiveConfig(n_pilot=500)
+    expected = r"replication 18 \(seed 5124073795492520145\), pivot theta 8\.66\d*e-05: .*support"
+    with pytest.raises(DegeneracyError, match=expected):
+        adaptive_experiment(ch, -0.033683, 10_000, config, 19, seed)
+    with pytest.raises(DegeneracyError, match="support boundary"):
+        adaptive_two_stage(ch, -0.033683, 10_000, config, replication_seed(seed, 18))
 
 
 def test_replication_seed_xor():
