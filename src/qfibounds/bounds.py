@@ -43,6 +43,7 @@ from .channels import ParametricChannel, SpectralData
 from .errors import (
     ConsistencyError,
     DegeneracyError,
+    NumericError,
     SingularTermError,
     ValidationError,
 )
@@ -54,7 +55,6 @@ from .linalg import (
     differentiate_curve,
     hermitian_eigendecompose,
     hermitian_part,
-    max_abs,
     psd_sqrt,
 )
 from .quantum import POVM, DensityMatrix, KrausSet
@@ -93,6 +93,7 @@ class CanonicalKraus:
     weights: np.ndarray          # (n,) Gram eigenvalues, ascending
     raw_operators: np.ndarray    # (n, d, d) the family's own Kraus stack
     raw_derivatives: np.ndarray  # (m, n, d, d) its partials
+    psi: np.ndarray              # (d,) the input state; (1, d) for all points of one channel
 
 
 def _only_point(ck: CanonicalKraus) -> CanonicalKraus:
@@ -154,45 +155,70 @@ def _crossing_coupling(
     return out
 
 
-def canonical_kraus(channel: ParametricChannel, theta) -> CanonicalKraus:
+def _channels_of(channel, theta):
+    """The channels (one for all rows or one per row), the (N, m) stack, psi, and a row namer."""
+    channels = [channel] if isinstance(channel, ParametricChannel) else list(channel)
+    thetas = channels[0].theta_stack(theta)
+    if len(channels) not in (1, len(thetas)):
+        raise ValidationError(f"{len(channels)} channels for {len(thetas)} points")
+    for c in channels:
+        if not c.is_kraus_form or c.input_state is None:
+            raise ValidationError(f"channel {c.name!r} has no Kraus curve with a pure input state")
+    psi = np.array([c.input_state.amplitudes for c in channels])[:, np.newaxis, :, np.newaxis]
+    name = lambda i: f"; at {channels[i].name} theta {thetas[i].tolist()}"
+    return channels, thetas, psi, (lambda i: "") if len(channels) == 1 else name
+
+
+def _each(channels: list, fn, thetas: np.ndarray) -> np.ndarray:
+    """fn(channel, its rows of thetas) of each channel, stacked in row order."""
+    if len(channels) == 1:
+        return fn(channels[0], thetas)
+    parts = []
+    for c, t in zip(channels, thetas[:, np.newaxis]):
+        try:
+            parts.append(fn(c, t))
+        except (NumericError, ValidationError) as exc:
+            raise type(exc)(f"{exc}; at {c.name} theta {t[0].tolist()}") from None
+    return np.concatenate(parts)
+
+
+def canonical_kraus(channel, theta) -> CanonicalKraus:
     """Canonical operators Y = X^dag E and their m partials at theta.
 
     Requires a Kraus-form channel with a pure input state.  theta is one
     point, or an (N, m) stack decomposed in one pass (one batched eigh) whose
-    fields gain a leading (N,) axis.  G X = X diag(g) diagonalizes the
-    input-state Gram matrix.  The partials are d_l Y = X^dag d_l E - K_l Y in
-    the parallel-transport gauge, where (K_l)_jk = (X^dag d_l G X)_jk /
-    (g_k - g_j) between eigenvalue clusters and K_l = 0 inside the
-    unsupported cluster, because Y_k psi = 0 there.  d_l E is the family's
-    kraus_grad_fn.  A supported degenerate cluster is resolved, on its own
-    rows, for one parameter only and by a stencil that must fit in the
-    domain; with several it is refused, since a crossing can split
-    differently along different axes.  With the raw Kraus
-    stack and its partials kept, one call feeds everything a report needs.
+    fields gain a leading (N,) axis; channel may then be one channel per row,
+    all of one shape, each evaluated on its row with its own input state psi.
+    G X = X diag(g) diagonalizes the input-state Gram matrix.  The partials
+    are d_l Y = X^dag d_l E - K_l Y in the parallel-transport gauge, where
+    (K_l)_jk = (X^dag d_l G X)_jk / (g_k - g_j) between eigenvalue clusters
+    and K_l = 0 inside the unsupported cluster, because Y_k psi = 0 there.
+    d_l E is the family's kraus_grad_fn.  A supported degenerate cluster is
+    resolved, on its own rows, for one parameter only and by a stencil that
+    must fit in the domain; with several it is refused, since a crossing can
+    split differently along different axes.  With the raw Kraus stack and
+    its partials kept, one call feeds everything a report needs.
     """
-    if not channel.is_kraus_form:
-        raise ValidationError(f"channel {channel.name!r} has no Kraus curve")
-    if channel.input_state is None:
-        raise ValidationError(f"channel {channel.name!r} needs a pure input state")
-    thetas = channel.require_in_domain(channel.theta_stack(theta))
-    psi = channel.input_state.amplitudes
-    m = channel.param_count
+    channels, thetas, psi, at = _channels_of(channel, theta)
+    thetas = _each(channels, lambda c, ts: c.require_in_domain(ts), thetas)
+    m = thetas.shape[1]
 
     # the stack, then its partials: the exponential families memo one stack of points
-    ops, dops = channel.kraus_matrices(thetas), channel.kraus_partials(thetas)
+    ops = _each(channels, lambda c, ts: c.kraus_matrices(ts), thetas)
+    dops = _each(channels, lambda c, ts: c.kraus_partials(ts), thetas)
     count, n = ops.shape[:2]
-    vs = ops @ psi
+    vs = (ops @ psi)[..., 0]
     sys = hermitian_eigendecompose(vs @ adjoint(vs))
     g = sys.eigenvalues
     p = g.clip(0.0, None)
     boundary = (p > SUPPORT_TOL) & (p <= DEGENERACY_TOL)
     if boundary.any():
         raise DegeneracyError(
-            f"Gram eigenvalue {p[boundary][0]:.3e} sits at the support boundary; "
-            "the supported/unsupported split is unreliable, perturb theta"
+            f"Gram eigenvalue {p[boundary][0]:.3e} sits at the support boundary; the supported/"
+            f"unsupported split is unreliable, perturb theta{at(np.argwhere(boundary)[0, 0])}"
         )
     supported = p > SUPPORT_TOL
-    gram_derivs = _gram_derivative(vs[:, np.newaxis], dops @ psi)
+    gram_derivs = _gram_derivative(vs[:, np.newaxis], (dops @ psi[:, np.newaxis])[..., 0])
 
     labels = cluster_labels(g, DEGENERACY_TOL)
     same = labels[:, :, np.newaxis] == labels[:, np.newaxis, :]
@@ -203,14 +229,17 @@ def canonical_kraus(channel: ParametricChannel, theta) -> CanonicalKraus:
         if m != 1:
             raise DegeneracyError(
                 "supported Gram eigenvalues are degenerate at the center point; "
-                "perturb theta to separate them"
+                f"perturb theta to separate them{at(np.argmax(crossing))}"
             )
         rows = np.flatnonzero(crossing)
-        # the second Gram derivative below is a central-4 stencil: it must fit in the box
-        if near := [t.tolist() for t in thetas[rows] if not channel.in_domain(t, STENCIL_REACH)]:
+        crossed = channels if len(channels) == 1 else [channels[i] for i in rows]
+        # the second Gram derivative below is a central-4 stencil: it must fit in each box
+        edge = [not channels[i % len(channels)].in_domain(thetas[i], STENCIL_REACH) for i in rows]
+        if any(edge):
+            i = rows[edge.index(True)]
             raise DegeneracyError(
-                f"supported Gram eigenvalues cross at theta {near[0]}, within "
-                f"{STENCIL_REACH} of a domain edge, where the crossing cannot be resolved"
+                f"supported Gram eigenvalues cross at theta {thetas[i].tolist()}, within "
+                f"{STENCIL_REACH} of a domain edge, where the crossing cannot be resolved{at(i)}"
             )
         # each crossing row's degenerate clusters that hold a supported mode
         clusters = [
@@ -220,9 +249,11 @@ def canonical_kraus(channel: ParametricChannel, theta) -> CanonicalKraus:
         ]
         for i, members in zip(rows, clusters):
             vectors[i] = _resolve_degenerate_clusters(vectors[i], gram_derivs[i, 0], members)
+        states = psi[rows % len(psi)]
         gram_second = differentiate_curve(
             lambda ts: _gram_derivative(
-                channel.kraus_matrices(ts) @ psi, channel.kraus_partials(ts)[:, 0] @ psi
+                (_each(crossed, lambda c, t: c.kraus_matrices(t), ts) @ states)[..., 0],
+                (_each(crossed, lambda c, t: c.kraus_partials(t)[:, 0], ts) @ states)[..., 0],
             ),
             thetas[rows],
         )
@@ -246,7 +277,7 @@ def canonical_kraus(channel: ParametricChannel, theta) -> CanonicalKraus:
         raise DegeneracyError(
             f"Gram eigenvalues {g[i, j]:.6g} and {g[i, k]:.6g} are {abs(g[i, k] - g[i, j]):.3e} "
             "apart, too close for an accurate derivative; perturb theta away "
-            "from the crossing"
+            f"from the crossing{at(i)}"
         )
     generator = np.where(same[:, np.newaxis], 0.0, coupling / spacing[:, np.newaxis])
     for i, members_of_row, second in resolved:
@@ -259,11 +290,12 @@ def canonical_kraus(channel: ParametricChannel, theta) -> CanonicalKraus:
         - generator @ canonical.reshape(count, 1, n, -1)
     ).reshape(dops.shape)
 
-    cvs = canonical @ psi
-    off_diag = max_abs(np.where(np.eye(n, dtype=bool), 0.0, cvs @ adjoint(cvs)))
-    if off_diag > GRAM_DIAG_TOL:
-        raise ConsistencyError(f"canonical Gram matrix not diagonal: off-diagonal {off_diag:.3e}")
-    ck = CanonicalKraus(thetas, canonical, partials, mixing, p, ops, dops)
+    cvs = (canonical @ psi)[..., 0]
+    off_diag = np.abs(np.where(np.eye(n, dtype=bool), 0.0, cvs @ adjoint(cvs)))
+    if (worst := off_diag.max()) > GRAM_DIAG_TOL:
+        raise ConsistencyError(f"canonical Gram matrix not diagonal: off-diagonal {worst:.3e}"
+                               f"{at(off_diag.argmax() // n**2)}")
+    ck = CanonicalKraus(thetas, canonical, partials, mixing, p, ops, dops, psi[:, 0, :, 0])
     return ck if np.ndim(theta) == 2 else _only_point(ck)
 
 
@@ -335,28 +367,15 @@ class SpectralCurve:
         moving = (self.vector_derivs * self.values[..., np.newaxis, np.newaxis, :]) @ adjoint(w)
         return (w * dp) @ adjoint(w) + moving + adjoint(moving)
 
-    def fisher(self, povm: POVM) -> np.ndarray:
+    def fisher(self, povm: POVM | np.ndarray) -> np.ndarray:
         """(m, m) Fisher information of the POVM outcomes, from this curve's state at a point.
 
         F_jk = sum_i d_j p_i d_k p_i / p_i over outcomes with p_i above
         P_FLOOR; an outcome below it whose probability still moves by more
-        than DP_FLOOR is a singular term and raises.
+        than DP_FLOOR is a singular term and raises.  A stack gives (N, m, m)
+        for one POVM, or one per point in an (N, r, d, d) stack of elements.
         """
-        elements = povm.elements
-        probs = np.clip(np.real(np.einsum("ij,mji->m", self.state_matrix(), elements)), 0.0, None)
-        dprobs = np.real(np.einsum("lij,mji->lm", self.state_partials(), elements))
-        entries = np.zeros((self.param_count, self.param_count))
-        for i, pm in enumerate(probs):
-            if pm > P_FLOOR:
-                entries += np.outer(dprobs[:, i], dprobs[:, i]) / pm
-            else:
-                steepest = dprobs[np.argmax(np.abs(dprobs[:, i])), i]
-                if abs(steepest) > DP_FLOOR:
-                    raise SingularTermError(
-                        f"outcome {i}: probability {pm:.3e} at the support boundary with "
-                        f"derivative {steepest:.3e}"
-                    )
-        return entries
+        return _fisher(self.state_matrix(), self.state_partials(), getattr(povm, "elements", povm))
 
     @cached_property
     def overlaps(self) -> np.ndarray:
@@ -439,6 +458,26 @@ class SpectralCurve:
         return scores
 
 
+def _fisher(rho: np.ndarray, partials: np.ndarray, elements: np.ndarray) -> np.ndarray:
+    if rho.ndim == 3:  # point by point: einsum sums a point of a stack in another order
+        elements = np.broadcast_to(elements, rho.shape[:1] + np.shape(elements)[-3:])
+        return np.array([_fisher(*point) for point in zip(rho, partials, elements)])
+    probs = np.clip(np.real(np.einsum("ij,mji->m", rho, elements)), 0.0, None)
+    dprobs = np.real(np.einsum("lij,mji->lm", partials, elements))
+    entries = np.zeros((len(partials), len(partials)))
+    for i, pm in enumerate(probs):
+        if pm > P_FLOOR:
+            entries += np.outer(dprobs[:, i], dprobs[:, i]) / pm
+        else:
+            steepest = dprobs[np.argmax(np.abs(dprobs[:, i])), i]
+            if abs(steepest) > DP_FLOOR:
+                raise SingularTermError(
+                    f"outcome {i}: probability {pm:.3e} at the support boundary with "
+                    f"derivative {steepest:.3e}"
+                )
+    return entries
+
+
 def _require_within(defect: np.ndarray, tol: float, scale, values: np.ndarray, what: str) -> None:
     """Refuse the first entry of defect beyond tol and beyond tol * max(1, scale(index)).
 
@@ -503,7 +542,7 @@ def _orthonormal_completion(columns: np.ndarray, dim: int) -> np.ndarray:
     return basis
 
 
-def _kraus_eigendata(ck: CanonicalKraus, psi: np.ndarray) -> SpectralData:
+def _kraus_eigendata(ck: CanonicalKraus, channel) -> SpectralData:
     """Output eigendata of every Gram mode of a stacked decomposition, with all m partials.
 
     w_k = Y_k psi / sqrt(p_k) on the supported modes; unsupported modes keep
@@ -511,14 +550,16 @@ def _kraus_eigendata(ck: CanonicalKraus, psi: np.ndarray) -> SpectralData:
     An unsupported mode whose vector Y_k psi moves means the weight grows
     away from theta: theta sits at a rank change and is refused.
     """
-    vs = ck.operators @ psi                  # (N, n, d)
-    dvs = ck.derivatives @ psi               # (N, m, n, d)
+    psi = ck.psi[:, np.newaxis, :, np.newaxis]
+    vs = (ck.operators @ psi)[..., 0]                       # (N, n, d)
+    dvs = (ck.derivatives @ psi[:, np.newaxis])[..., 0]     # (N, m, n, d)
     supported = (ck.weights > SUPPORT_TOL)[:, np.newaxis, :, np.newaxis]
-    moving = max_abs(np.where(supported[..., 0], 0.0, np.linalg.norm(dvs, axis=-1)))
-    if moving > CURVE_DERIV_TOL:
+    moving = np.where(supported[..., 0], 0.0, np.linalg.norm(dvs, axis=-1))
+    if (worst := moving.max()) > CURVE_DERIV_TOL:
+        at = _channels_of(channel, ck.theta)[3](moving.argmax() // moving[0].size)
         raise DegeneracyError(
-            f"an unsupported Gram mode moves (|dY_k psi| = {moving:.3e}); "
-            "theta is at a rank change, perturb it"
+            f"an unsupported Gram mode moves (|dY_k psi| = {worst:.3e}); "
+            f"theta is at a rank change, perturb it{at}"
         )
     roots = np.sqrt(np.where(supported[:, 0], ck.weights[..., np.newaxis], 1.0))  # (N, n, 1)
     w = np.where(supported[:, 0], vs / roots, 0.0)
@@ -557,26 +598,27 @@ def _last_columns(a, dim: int, dtype) -> np.ndarray:
     return np.concatenate([pad, a], axis=-1)
 
 
-def spectral_curve(channel: ParametricChannel, theta) -> SpectralCurve:
+def spectral_curve(channel, theta) -> SpectralCurve:
     """Output-state spectral curve at theta with all m partials.
 
-    theta is one point, or an (N, m) stack of points of the same channel
-    that is decomposed in one pass; the point call is the stack of one.
-    Kraus-form channels go through the canonical decomposition, which fixes
-    the eigenvector gauge and which the curve carries; spectral-form
-    families supply their own analytic eigen-data, one point at a time, and
-    join the same tail.  The eigensystem is ascending (the Gram eigenvalues
-    are already) and completed to a full basis: unsupported slots hold an
-    orthonormal completion with zero partials.
+    theta is one point, or an (N, m) stack of points decomposed in one pass,
+    of one channel or of one Kraus-form channel per row (see canonical_kraus);
+    the point call is the stack of one.  Kraus-form channels go through the
+    canonical decomposition, which fixes the eigenvector gauge and which the
+    curve carries; spectral-form families supply their own analytic
+    eigen-data, one point at a time, and join the same tail.  The eigensystem
+    is ascending (the Gram eigenvalues are already) and completed to a full
+    basis: unsupported slots hold an orthonormal completion with zero partials.
     """
-    thetas = channel.theta_stack(theta)
-    if channel.is_kraus_form:
+    one = channel if isinstance(channel, ParametricChannel) else channel[0]
+    thetas = one.theta_stack(theta)
+    if one is not channel or channel.is_kraus_form:
         ck = canonical_kraus(channel, thetas)
-        data = _kraus_eigendata(ck, channel.input_state.amplitudes)
+        data = _kraus_eigendata(ck, channel)
     else:
         channel.require_in_domain(thetas)
         ck, data = None, _stacked([channel.spectral_at(t) for t in thetas])
-    dim = channel.dim
+    dim = one.dim
     rank = (data.values > SUPPORT_TOL).sum(axis=-1)
     if rank.max() > dim:
         raise ConsistencyError(f"{rank.max()} supported eigenvalues exceed dimension {dim}")
@@ -631,7 +673,7 @@ def sm_bound_spectral(curve: SpectralCurve) -> float:
     return _per_point(curve.information[1][..., 0, 0])
 
 
-def sm_bound_kraus(operators, derivatives, rho0: DensityMatrix) -> float:
+def sm_bound_kraus(operators, derivatives, rho0) -> float:
     """Channel bound 4 sum_k tr(E_k' rho0 E_k'^dag) for any Kraus representation (or a stack)."""
     ops = operators.operators if isinstance(operators, KrausSet) else np.asarray(operators)
     derivs = np.asarray(derivatives, dtype=complex)
@@ -639,7 +681,8 @@ def sm_bound_kraus(operators, derivatives, rho0: DensityMatrix) -> float:
         raise ValidationError(
             f"derivative stack shape {derivs.shape} does not match operators {np.shape(ops)}"
         )
-    value = np.einsum("...kij,jl,...kil->...", derivs, rho0.matrix, derivs.conj())
+    rho = getattr(rho0, "matrix", rho0)
+    value = np.einsum("...kij,...jl,...kil->...", derivs, rho, derivs.conj())
     return _per_point(4.0 * np.real(value))
 
 

@@ -135,13 +135,14 @@ def psd_sqrt(a: np.ndarray) -> np.ndarray:
 
 
 def loewner_leq(a: np.ndarray, b: np.ndarray, tol: float = 1e-9) -> tuple[bool, float]:
-    """Test A <= B in the Loewner order; returns (verdict, min eigenvalue of B - A)."""
+    """Test A <= B in the Loewner order; returns (verdict, min eigenvalue of B - A), per pair."""
     a = np.asarray(a, dtype=complex)
     b = np.asarray(b, dtype=complex)
     if a.shape != b.shape:
         raise ValidationError(f"dimension mismatch: {a.shape} vs {b.shape}")
     diff = hermitian_part(b - a)
-    min_eig = float(np.linalg.eigvalsh(diff)[0])
+    min_eig = np.linalg.eigvalsh(diff)[..., 0]
+    min_eig = float(min_eig) if min_eig.ndim == 0 else min_eig
     return min_eig >= -tol, min_eig
 
 

@@ -157,7 +157,7 @@ def loewner_report(
 
 @dataclass(frozen=True)
 class DirectionalCheck:
-    """The fan's (k, k) H and C against V H V^T and V C V^T, entry by entry."""
+    """The fan's (k, k) H and C against V H V^T and V C V^T, entry by entry, per point."""
 
     directions: np.ndarray
     kraus_deriv_mismatch: float | None
@@ -175,42 +175,46 @@ class DirectionalCheck:
         return _entry_mismatch(self.sm_slice, self.sm_quadratic)
 
     @property
+    def mismatch(self):
+        """The worst of the three mismatches, per point."""
+        kraus = 0.0 if self.kraus_deriv_mismatch is None else self.kraus_deriv_mismatch
+        return np.maximum(np.maximum(self.sld_mismatch, self.sm_mismatch), kraus)
+
+    @property
     def passed(self) -> bool:
-        mismatches = (self.sld_mismatch, self.sm_mismatch, self.kraus_deriv_mismatch or 0.0)
-        return all(x < DIRECTIONAL_REL_TOL for x in mismatches)
+        return bool(np.all(self.mismatch < DIRECTIONAL_REL_TOL))
 
 
 def _entry_mismatch(fan: np.ndarray, quadratic: np.ndarray) -> float:
-    return float(np.max(np.abs(fan - quadratic) / np.maximum(1.0, np.abs(quadratic))))
+    return np.max(np.abs(fan - quadratic) / np.maximum(1.0, np.abs(quadratic)), axis=(-2, -1))
 
 
-def directional_reduction_check(
-    channel: ParametricChannel, curve: SpectralCurve, directions
-) -> DirectionalCheck:
+def directional_reduction_check(channel, curve: SpectralCurve, directions) -> DirectionalCheck:
     """Check the fan t -> channel(theta + V^T t) along the rows of V (or one v) at t = 0.
 
     One curve of the fan serves every direction: its supported canonical
     partials must equal V times the curve's partials, its H and C must equal
     V H V^T and V C V^T entry by entry, and its SLD score stack checks the
-    SLD residual and H, however narrow the fan.
+    SLD residual and H, however narrow the fan.  A stacked Kraus-form curve
+    takes one channel per point (or one for all) and (N, k, m) directions,
+    and its fans are decomposed in one call.
     """
-    v = np.atleast_2d(np.asarray(directions, dtype=float))
-    fan_curve = spectral_curve(directional_channel(channel, curve.theta, v), np.zeros(len(v)))
+    stacked = curve.theta.ndim == 2
+    lift = (lambda a: a) if stacked else (lambda a: a[np.newaxis])
+    v = lift(np.atleast_2d(np.asarray(directions, dtype=float)))
+    channels = [channel] * len(v) if isinstance(channel, ParametricChannel) else channel
+    fans = [directional_channel(*fan) for fan in zip(channels, lift(curve.theta), v)]
+    fan_curve = spectral_curve(fans[0] if len(fans) == 1 else fans, np.zeros(v.shape[:2]))
     fan_curve.sld_score  # building the score stack checks the residual and H
     kraus_mismatch = None
     if curve.kraus is not None:
-        supported = curve.kraus.weights > SUPPORT_TOL
-        combo = np.tensordot(v, curve.kraus.derivatives[:, supported], axes=(1, 0))
-        diff = fan_curve.kraus.derivatives[:, supported] - combo
-        scale = np.maximum(1.0, np.max(np.abs(combo), axis=(1, 2, 3)))
-        kraus_mismatch = float(np.max(np.max(np.abs(diff), axis=(1, 2, 3)) / scale))
-    h, c = curve.information
-    fan_h, fan_c = fan_curve.information
-    return DirectionalCheck(
-        directions=v,
-        kraus_deriv_mismatch=kraus_mismatch,
-        sld_slice=fan_h,
-        sld_quadratic=v @ h @ v.T,
-        sm_slice=fan_c,
-        sm_quadratic=v @ c @ v.T,
-    )
+        keep = lift(curve.kraus.weights > SUPPORT_TOL)[:, np.newaxis, :, np.newaxis, np.newaxis]
+        partials, fan_partials = lift(curve.kraus.derivatives), fan_curve.kraus.derivatives
+        combo = (v @ partials.reshape(*partials.shape[:2], -1)).reshape(fan_partials.shape)
+        diff = np.where(keep, np.abs(fan_partials - combo), 0.0).max(axis=(2, 3, 4))
+        scale = np.maximum(1.0, np.where(keep, np.abs(combo), 0.0).max(axis=(2, 3, 4)))
+        kraus_mismatch = (diff / scale).max(axis=-1)
+    (h, c), (fan_h, fan_c), vt = curve.information, fan_curve.information, v.swapaxes(-1, -2)
+    check = dict(directions=v, kraus_deriv_mismatch=kraus_mismatch, sld_slice=fan_h,
+                 sld_quadratic=v @ h @ vt, sm_slice=fan_c, sm_quadratic=v @ c @ vt)
+    return DirectionalCheck(**{k: a if stacked or a is None else a[0] for k, a in check.items()})

@@ -1,18 +1,41 @@
-"""The property suites build each canonical decomposition once per point.
+"""The property suites decompose each shape group of a battery in one call.
 
-Every check of a point reads the spectral curve the suite built there, and
-that curve carries its canonical decomposition, so no check decomposes the
-point again.  These tests pin that sharing through the public builders: the
-call counts, the battery's (channel, theta) contract, and the reporting of
-skipped directions.
+A battery's points of one (dim, Kraus count) share one stacked spectral
+curve, which carries its canonical decomposition, and every check reads
+those stacks, so no check decomposes a point again.  These tests pin that
+sharing through the public builders: the call counts, the battery's
+(channel, theta) contract and its bits against one-point curves, and the
+naming of skipped directions and of failing checks' worst points.
 """
 
 import dataclasses
+import hashlib
 from collections import Counter
 
+import numpy as np
+import pytest
+
 from qfibounds import bounds, multiparam, verify
-from qfibounds.channels import ParametricChannel
+from qfibounds.bounds import (
+    bound_gap,
+    fisher_information,
+    sld_information,
+    sm_bound_kraus,
+    sm_bound_spectral,
+    spectral_curve,
+)
+from qfibounds.channels import (
+    ParametricChannel,
+    kraus_derivative,
+    random_hermitian,
+    random_kraus_channel,
+    random_pure_state,
+    random_unitary,
+    remix_channel,
+)
 from qfibounds.errors import DegeneracyError
+from qfibounds.linalg import hermitian_eigendecompose, unitary_exponential
+from qfibounds.quantum import POVM
 
 
 def _count(monkeypatch, name: str) -> Counter:
@@ -49,22 +72,24 @@ def test_run_suites_decomposes_each_point_once(monkeypatch):
 
     def small_battery(seed, count, param_count):
         points = original(seed, 6, param_count)
-        built.append(len(points))
+        built.append(len(points.points))
         return points
 
     monkeypatch.setattr(verify, "_battery_curves", small_battery)
     results = verify.run_suites(["ordering", "gap", "routes"], seed=11)
     assert all(r.passed for r in results)
     assert built == [6]
-    # The screening curve is the one the suites read: no point is decomposed
-    # twice, and no screened-out theta is decomposed at this seed.
-    assert calls["canonical_kraus"] == 6
+    # The 6 points fall in 3 shape groups, and the group curves are the ones
+    # the suites read: each group is decomposed once, and no screened-out
+    # theta is decomposed at this seed.
+    assert calls["canonical_kraus"] == 3
 
 
 def test_ordering_decomposes_each_remixing_generator_once_per_point(monkeypatch):
-    # The theta-dependent remixing exp(-i theta g) and its derivative come
-    # from one decomposition of theta g; the battery families decompose
-    # through their own module and are not counted here.
+    # The theta-dependent remixings exp(-i theta g) of a shape group and
+    # their derivatives come from one stacked decomposition of theta g, and
+    # the 6 points fall in 3 groups; the battery families decompose through
+    # their own module and are not counted here.
     calls = Counter()
     original = verify.unitary_exponential
 
@@ -75,7 +100,7 @@ def test_ordering_decomposes_each_remixing_generator_once_per_point(monkeypatch)
     monkeypatch.setattr(verify, "unitary_exponential", counted)
     results = verify.ordering_suite(seed=11, count=6)
     assert all(r.passed for r in results)
-    assert calls["unitary_exponential"] == 6
+    assert calls["unitary_exponential"] == 3
 
 
 def test_directional_suite_builds_one_core_per_channel(monkeypatch):
@@ -85,10 +110,12 @@ def test_directional_suite_builds_one_core_per_channel(monkeypatch):
     calls.clear()
     results = verify.directional_suite(seed=9, count=5, directions=4)
     assert all(r.passed for r in results)
-    # The suite reads the screening curves and checks all directions of a
-    # channel on one fan curve; example2, the equality family, is
-    # spectral-form and builds no core.
-    assert calls["canonical_kraus"] == screen + len(battery)
+    # The 5 channels fall in 4 shape groups, each screened in one call.  The
+    # suite reads the screening curves and checks all directions of every
+    # channel of a group on one stacked fan curve; example2, the equality
+    # family, is spectral-form and builds no core.
+    assert len(battery) == 5 and screen == 4
+    assert calls["canonical_kraus"] == 2 * screen
 
 
 def _slice_check(results):
@@ -104,13 +131,14 @@ def test_directional_suite_reports_skipped_directions(monkeypatch):
     first = f"{battery[0][0].name} theta {battery[0][1].tolist()}"
 
     original = verify.directional_reduction_check
-    seen = Counter()
+    refused = {channel.name for channel, _ in battery[::2]}
 
-    def every_other(*args):
-        seen["calls"] += 1
-        if seen["calls"] % 2:
+    def every_other(channels, curve, v):
+        # A group holding a refused channel fails as one call; its points are
+        # then checked one by one.
+        if refused & {channel.name for channel in channels}:
             raise DegeneracyError("forced skip")
-        return original(*args)
+        return original(channels, curve, v)
 
     # A channel's fan carries all of its directions, so a skip removes them all.
     monkeypatch.setattr(verify, "directional_reduction_check", every_other)
@@ -130,21 +158,19 @@ def test_directional_suite_reports_skipped_directions(monkeypatch):
 
 def test_failing_directional_check_names_its_worst_point(monkeypatch):
     battery = verify.two_param_battery(seed=9, count=5)
+    channel, theta = battery[2]
     original = verify.directional_reduction_check
-    seen = Counter()
 
-    def third_is_off(*args):
-        seen["calls"] += 1
-        check = original(*args)
-        if seen["calls"] == 3:
-            check = dataclasses.replace(check, kraus_deriv_mismatch=1.0)
-        return check
+    def third_is_off(channels, curve, v):
+        # the third point's row of its group's check, whichever group holds it
+        check = original(channels, curve, v)
+        off = np.array([c.name == channel.name for c in channels], dtype=float)
+        return dataclasses.replace(check, kraus_deriv_mismatch=check.kraus_deriv_mismatch + off)
 
     monkeypatch.setattr(verify, "directional_reduction_check", third_is_off)
     results = verify.directional_suite(seed=9, count=5, directions=4)
     failed = _slice_check(results)
     assert not failed.passed
-    channel, theta = battery[2]
     assert failed.detail.endswith(f"; worst at {channel.name} theta {theta.tolist()}")
     # Passing checks keep their details.
     assert all(" at " not in r.detail for r in results if r.passed)
@@ -165,3 +191,135 @@ def test_matrix_diagonal_check_catches_a_perturbed_kernel(monkeypatch):
     [diagonals] = [r for r in results if r.name.startswith("matrix diagonals")]
     assert not diagonals.passed
     assert "; worst at random-kraus-" in diagonals.detail
+
+
+def test_failing_one_parameter_checks_name_their_worst_point(monkeypatch):
+    # Lowering C below H at one point fails H <= C and the route agreement
+    # there (C_kraus does not read the kernel); both name that point.
+    channel, theta = verify.one_param_battery(seed=9, count=6)[4]
+    original = bounds.SpectralCurve.information.func
+
+    def perturbed(self):
+        h, c = original(self)
+        at = (self.theta[..., 0] == theta)[..., np.newaxis, np.newaxis]
+        return h, np.where(at, h - 1e-3, c)
+
+    monkeypatch.setattr(bounds.SpectralCurve, "information", property(perturbed))
+    results = verify.run_suites(["ordering", "routes"], seed=9)
+    failed = {r.name: r for r in results if not r.passed}
+    assert set(failed) == {"H <= C on the same battery", "bound route agreement over 200 channels"}
+    # run_suites builds the default 200-point battery; the point is its fifth
+    named = f"; worst at {channel.name} theta {[theta]}"
+    assert all(r.detail.endswith(named) for r in failed.values())
+    assert all(" at " not in r.detail for r in results if r.passed)
+
+
+def _sequential_battery(seed: int, count: int) -> tuple[list, int]:
+    """The one-parameter battery as a point-by-point builder draws it, and its retries."""
+    rng = np.random.Generator(np.random.Philox(key=np.uint64(seed)))
+    points, retries = [], 0
+    for _ in range(count):
+        dim = int(rng.integers(2, 5))
+        env = int(rng.integers(1, dim + 1))
+        channel = random_kraus_channel(
+            dim=dim,
+            env=env,
+            param_count=1,
+            seed=int(rng.integers(0, 2**63)),
+            input_state=random_pure_state(dim, rng),
+        )
+        for _ in range(8):
+            theta = rng.uniform(-0.6, 0.6, size=1)
+            try:
+                spectral_curve(channel, theta)
+            except DegeneracyError:
+                retries += 1
+                continue
+            points.append((channel.name, float(theta[0])))
+            break
+    return points, retries
+
+
+# sha256 of repr([(channel.name, theta.hex()), ...]) of the sequential builder
+SEQUENTIAL_DIGESTS = {
+    3: "e7bb72d15027c2846c32f23e430a58117bfa9b988e66773d9a566784caa19adf",
+    7: "4092570a2c98b429764be8eaceb1f1df1ef435a18d41e5db6015be9d28ba0d57",
+}
+
+
+@pytest.mark.parametrize("seed", sorted(SEQUENTIAL_DIGESTS))
+def test_battery_retries_a_refused_theta_as_the_sequential_builder_does(seed):
+    # At these seeds one theta is refused ("Gram eigenvalue ... sits at the
+    # support boundary") and redrawn, which moves every later draw.
+    expected, retries = _sequential_battery(seed, 200)
+    assert retries == 1
+    text = repr([(name, theta.hex()) for name, theta in expected])
+    assert hashlib.sha256(text.encode()).hexdigest() == SEQUENTIAL_DIGESTS[seed]
+    assert [(channel.name, theta) for channel, theta in verify.one_param_battery(seed)] == expected
+
+
+def _equal_bits(a, b) -> bool:
+    return np.array_equal(np.asarray(a), np.asarray(b))
+
+
+def test_stacked_groups_match_point_curves_bit_for_bit():
+    rng = np.random.default_rng(404)
+    for count, m in ((40, 1), (12, 2)):
+        battery = verify._battery_curves(404, count, m)
+        assert len(battery.groups) >= 5
+        for rows, curve, rho0 in battery.groups:
+            dim = curve.vectors.shape[-1]
+            parts = np.array([verify._povm_parts(dim, rng) for _ in rows])
+            f = curve.fisher(verify._normalized(parts))
+            h, c = curve.information
+            if m == 1:
+                n = curve.kraus.operators.shape[1]
+                fixed = np.array([random_unitary(n, rng) for _ in rows])
+                gen = np.array([random_hermitian(n, rng) for _ in rows])
+                remixed = verify._remixed_bounds(curve, rho0, fixed, gen)
+                gap = bound_gap(curve)
+            else:
+                by_pinv = verify._sld_matrix_by_pinv(curve)
+            for i, (channel, theta) in enumerate(battery.points[p] for p in rows):
+                point, povm = spectral_curve(channel, theta), POVM(verify._normalized(parts[i]))
+                assert _equal_bits(f[i], point.fisher(povm))
+                if m == 2:
+                    assert _equal_bits(h[i], point.information[0])
+                    assert _equal_bits(c[i], point.information[1])
+                    one = spectral_curve([channel], theta[np.newaxis])
+                    assert _equal_bits(by_pinv[i], verify._sld_matrix_by_pinv(one)[0])
+                    continue
+                assert _equal_bits(h[i, 0, 0], sld_information(point))
+                assert _equal_bits(c[i, 0, 0], sm_bound_spectral(point))
+                assert _equal_bits(gap[i], bound_gap(point))
+                assert _equal_bits(f[i, 0, 0], fisher_information(point, povm))
+                # C_E of the two remixings through remixed channels, one point at a time
+                g = gen[i]
+                moving = lambda t: unitary_exponential(t[..., :1, np.newaxis] * g).unitary()
+                for value, mix, dmix in (
+                    (remixed[0][i], lambda t: fixed[i], lambda t, l: np.zeros_like(fixed[i])),
+                    (remixed[1][i], moving, lambda t, l: -1j * g @ moving(t)),
+                ):
+                    channel_e = remix_channel(channel, mix, dmix)
+                    c_e = sm_bound_kraus(
+                        channel_e.kraus_matrices(theta),
+                        kraus_derivative(channel_e, theta, 0),
+                        channel.input_state.density(),
+                    )
+                    assert _equal_bits(value, c_e)
+
+
+def test_random_povm_draws_its_parts_in_one_call():
+    # One normal draw of shape (dim, 2, dim, dim) gives the POVM of a
+    # part-by-part loop, bit for bit, and leaves the generator where it does.
+    for dim in (2, 3, 4):
+        rng, ref = (np.random.Generator(np.random.Philox(key=np.uint64(dim))) for _ in range(2))
+        povm = verify.random_povm(dim, rng)
+        parts = []
+        for _ in range(dim):
+            x = ref.normal(size=(dim, dim)) + 1j * ref.normal(size=(dim, dim))
+            parts.append(x @ x.conj().T)
+        sys = hermitian_eigendecompose(sum(parts))
+        inv_root = (sys.eigenvectors / np.sqrt(sys.eigenvalues)) @ sys.eigenvectors.conj().T
+        assert _equal_bits(povm.elements, [inv_root @ p @ inv_root for p in parts])
+        assert rng.normal() == ref.normal()
