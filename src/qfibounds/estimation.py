@@ -4,8 +4,8 @@ Seeded multinomial sampling of measurement outcomes, maximum-likelihood
 estimation by grid scan plus golden-section refinement, the adaptive
 two-stage measurement, Cramér-Rao comparisons across replications, and
 optimization of the input state: the convex dual of the SLD information,
-which certifies an optimal input where it can, and a derivative-free
-search elsewhere.
+which certifies an optimal input where it can, and a BFGS search on
+stacked central differences elsewhere.
 
 Every replication of an experiment is estimated at once: the scan grid's
 output states are tabulated in one stacked call, every replication's counts
@@ -52,6 +52,9 @@ MLE_REFINE_TOL = 1e-8
 # when no gradient entry exceeds DUAL_GTOL.
 CERTIFY_TOL = 1e-9
 DUAL_GTOL = 1e-8
+# The input search's central differences step each angle by SEARCH_STEP, near
+# the cube root of machine epsilon, where truncation and round-off balance.
+SEARCH_STEP = 1e-5
 _STAGE2_SALT = 0x9E3779B97F4A7C15  # fixed stream split for the second stage
 
 
@@ -488,20 +491,31 @@ def _sld_dual(channel: ParametricChannel, theta) -> tuple[float, np.ndarray]:
     return bound, v * (abs(lead) / lead)
 
 
-def _simplex_search(
+def _input_search(
     channel: ParametricChannel, theta, evaluate, restarts: int, seed: int
 ) -> tuple[PureState, float]:
-    """Nelder-Mead over 2d - 2 angles, best of `restarts` seeded starts."""
+    """BFGS over 2d - 2 angles, best of `restarts` seeded starts.
+
+    Each objective call scores x and its neighbours x +- SEARCH_STEP e_i in one
+    stacked curve, one channel per row, for the value and its central-difference
+    gradient; a refused stack is a rejected candidate.  The returned value is
+    the point call's at the returned state.
+    """
     from scipy.optimize import minimize  # imported here: it is slow to import
 
     dim = channel.dim
+    steps = SEARCH_STEP * np.eye(2 * dim - 2)
+    thetas = np.repeat(channel.theta_stack(theta), 1 + 2 * len(steps), axis=0)
 
-    def cost(x: np.ndarray) -> float:
+    def cost(x: np.ndarray) -> tuple[float, np.ndarray]:
+        rows = [channel.with_input_state(_state_from_angles(p, dim))
+                for p in np.concatenate([x[np.newaxis], x + steps, x - steps])]
         try:
-            candidate = channel.with_input_state(_state_from_angles(x, dim))
-            return -evaluate(spectral_curve(candidate, theta))
+            values = evaluate(spectral_curve(rows, thetas))
         except (NumericError, ValidationError):
-            return 1e9
+            return 1e9, np.zeros_like(x)
+        ahead, behind = np.split(values[1:], 2)
+        return -values[0], (behind - ahead) / (2 * SEARCH_STEP)
 
     rng = rng_from_seed(seed)
     best_x, best_val = None, np.inf
@@ -509,17 +523,13 @@ def _simplex_search(
         x0 = np.concatenate(
             [rng.uniform(0.0, np.pi, dim - 1), rng.uniform(0.0, 2 * np.pi, dim - 1)]
         )
-        res = minimize(
-            cost,
-            x0,
-            method="Nelder-Mead",
-            options={"maxiter": 4000, "xatol": 1e-10, "fatol": 1e-12},
-        )
+        res = minimize(cost, x0, jac=True, method="BFGS")
         if res.fun < best_val:
             best_x, best_val = res.x, float(res.fun)
     if best_x is None or best_val >= 1e9:
         raise NumericError("every optimization start failed to evaluate the objective")
-    return _state_from_angles(best_x, dim), -best_val
+    state = _state_from_angles(best_x, dim)
+    return state, evaluate(spectral_curve(channel.with_input_state(state), theta))
 
 
 def optimize_input_state(
@@ -537,12 +547,12 @@ def optimize_input_state(
     eigenvector of alpha_h comes within CERTIFY_TOL * max(1, bound) of the
     bound, that eigenvector is optimal and is returned, certified, with no
     search.  Otherwise (a degenerate top eigenvalue, or a bound that only an
-    ancilla reaches) the simplex search below runs, and the eigenvector
+    ancilla reaches) the input search below runs, and the eigenvector
     replaces its result only if it beats it by more than that tolerance;
     `certified` then says whether the search closed the gap.
 
-    The channel bound has no dual here: derivative-free simplex search over
-    2d - 2 angles (global phase and norm fixed), best of `restarts` seeded
+    The channel bound has no dual here: BFGS over 2d - 2 angles (global
+    phase and norm fixed) on central differences, best of `restarts` seeded
     starts.  Candidates whose evaluation hits a degeneracy are rejected and
     the search continues; near a domain edge, where a candidate's smallest
     weight can reach the support boundary, that can be every candidate, and
@@ -563,7 +573,7 @@ def optimize_input_state(
     # a partial that diverges at theta (a domain edge) would fail every candidate
     channel.kraus_partials(channel.require_in_domain(theta))
     if not sld:
-        return InputOptimum(*_simplex_search(channel, theta, sm_bound_spectral, restarts, seed))
+        return InputOptimum(*_input_search(channel, theta, sm_bound_spectral, restarts, seed))
 
     bound, psi = _sld_dual(channel, theta)
     slack = CERTIFY_TOL * max(1.0, bound)
@@ -574,7 +584,7 @@ def optimize_input_state(
         at_top = -np.inf
     if at_top >= bound - slack:
         return InputOptimum(top, at_top, bound, True)
-    state, value = _simplex_search(channel, theta, sld_information, restarts, seed)
+    state, value = _input_search(channel, theta, sld_information, restarts, seed)
     if at_top > value + slack:
         state, value = top, at_top
     return InputOptimum(state, value, bound, value >= bound - slack)

@@ -249,6 +249,33 @@ def test_optimize_input_keeps_the_domain_margin(spec_file, capsys, objective):
 
 
 @pytest.mark.parametrize(
+    "spec, theta, objective",
+    [
+        ("family = dephasing\ninput_state = [1+0i, 0+0i]\n", 1e-7, "sld"),
+        (DAMPING, 1e-5, "channel-bound"),
+    ],
+    ids=["dephasing-sld", "amplitude-damping-channel-bound"],
+)
+def test_optimize_input_near_an_edge_stops_short(spec_file, capsys, monkeypatch, spec, theta,
+                                                  objective):
+    # Near the edge many candidates sit at the support boundary and are refused.
+    # Each of the 8 default starts must stop within 50 curves, not wander on
+    # that plateau.  The dual's top eigenvector on dephasing is |1>, where H = 0,
+    # so the sld search runs there too.
+    from qfibounds import estimation
+
+    calls = []
+    curve = estimation.spectral_curve
+    monkeypatch.setattr(estimation, "spectral_curve", lambda *a: calls.append(a) or curve(*a))
+    code, out, _ = run_cli(
+        capsys, "optimize-input", spec_file(spec), f"--theta={theta!r}", "--objective", objective,
+    )
+    assert code == 0
+    assert json.loads(out)["value"] == pytest.approx(1 / (theta * (1 - theta)), rel=1e-12)
+    assert len(calls) <= 8 * 50
+
+
+@pytest.mark.parametrize(
     "command, args",
     [
         ("sweep", ("--theta-grid", "0.2,0.4")),

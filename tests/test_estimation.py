@@ -3,7 +3,13 @@ import dataclasses
 import numpy as np
 import pytest
 
-from qfibounds.bounds import optimal_povm_from_sld, sld_information, sld_score, spectral_curve
+from qfibounds.bounds import (
+    optimal_povm_from_sld,
+    sld_information,
+    sld_score,
+    sm_bound_spectral,
+    spectral_curve,
+)
 from qfibounds.channels import ParametricChannel, builtin, random_kraus_channel
 from qfibounds.errors import DegeneracyError, NumericError, ValidationError
 from qfibounds import estimation
@@ -413,28 +419,44 @@ def test_optimize_input_certifies_amplitude_damping():
     ids=["amplitude-damping", "rk-2-2", "rk-4-2", "rk-6-3", "rk-8-2", "rk-8-8"],
 )
 def test_certified_run_builds_one_curve_and_no_search(monkeypatch, channel):
-    import scipy.optimize
-
     theta = 0.3 if channel.name == "amplitude-damping" else 0.2
-    calls = {"curves": 0, "nelder-mead": 0}
-    curve_fn, minimize = estimation.spectral_curve, scipy.optimize.minimize
+    calls = {"curves": 0, "searches": 0}
+    curve_fn, search = estimation.spectral_curve, estimation._input_search
 
     def counted_curve(*args):
         calls["curves"] += 1
         return curve_fn(*args)
 
-    def counted_minimize(*args, **kwargs):
-        calls["nelder-mead"] += kwargs.get("method") == "Nelder-Mead"
-        return minimize(*args, **kwargs)
+    def counted_search(*args):
+        calls["searches"] += 1
+        return search(*args)
 
     monkeypatch.setattr(estimation, "spectral_curve", counted_curve)
-    monkeypatch.setattr(scipy.optimize, "minimize", counted_minimize)
+    monkeypatch.setattr(estimation, "_input_search", counted_search)
     result = optimize_input_state(channel, theta, "sld", restarts=1)
     assert result.certified is True
-    assert calls["curves"] <= 2 and calls["nelder-mead"] == 0
+    assert calls["searches"] == 0
+    assert calls["curves"] <= 2
     assert result.state.dim == channel.dim
     assert result.value == h_at(channel, result.state, theta)
     assert result.value >= result.ancilla_bound - CERTIFY_TOL * max(1.0, result.ancilla_bound)
+
+
+def test_channel_bound_value_is_the_point_call_at_the_returned_state():
+    channel, theta = builtin("amplitude-damping"), 0.3
+    result = optimize_input_state(channel, theta, "channel-bound", restarts=2, seed=0)
+    at_state = sm_bound_spectral(spectral_curve(channel.with_input_state(result.state), theta))
+    assert result.value == at_state
+
+
+@pytest.mark.parametrize("dim", [3, 4])
+def test_channel_bound_beats_random_inputs(dim):
+    channel, theta = random_kraus_channel(dim=dim, env=2, seed=2), 0.3
+    value = optimize_input_state(channel, theta, "channel-bound").value
+    rng = np.random.default_rng(64)
+    inputs = [channel.with_input_state(random_pure_state(dim, rng)) for _ in range(64)]
+    best = max(sm_bound_spectral(spectral_curve(c, theta)) for c in inputs)
+    assert value >= best - 1e-9 * max(1.0, best)
 
 
 def test_optimize_input_depolarizing_needs_an_ancilla():
