@@ -57,7 +57,7 @@ from .linalg import (
     hermitian_part,
     psd_sqrt,
 )
-from .quantum import POVM, DensityMatrix, KrausSet
+from .quantum import CONSTRUCT_HERM_TOL, POVM, DensityMatrix, KrausSet
 
 SUPPORT_TOL = 1e-10
 DEGENERACY_TOL = 1e-8
@@ -93,7 +93,7 @@ class CanonicalKraus:
     weights: np.ndarray          # (n,) Gram eigenvalues, ascending
     raw_operators: np.ndarray    # (n, d, d) the family's own Kraus stack
     raw_derivatives: np.ndarray  # (m, n, d, d) its partials
-    psi: np.ndarray              # (d,) the input state; (1, d) for all points of one channel
+    psi: np.ndarray              # (d,) the input state; (1, d) or (N, d) for a stack
 
 
 def _only_point(ck: CanonicalKraus) -> CanonicalKraus:
@@ -155,16 +155,25 @@ def _crossing_coupling(
     return out
 
 
-def _channels_of(channel, theta):
+def _channels_of(channel, theta, inputs=None):
     """The channels (one for all rows or one per row), the (N, m) stack, psi, and a row namer."""
     channels = [channel] if isinstance(channel, ParametricChannel) else list(channel)
     thetas = channels[0].theta_stack(theta)
     if len(channels) not in (1, len(thetas)):
         raise ValidationError(f"{len(channels)} channels for {len(thetas)} points")
     for c in channels:
-        if not c.is_kraus_form or c.input_state is None:
+        if not c.is_kraus_form or (c.input_state is None and inputs is None):
             raise ValidationError(f"channel {c.name!r} has no Kraus curve with a pure input state")
-    psi = np.array([c.input_state.amplitudes for c in channels])[:, np.newaxis, :, np.newaxis]
+    psi = np.array([c.input_state.amplitudes for c in channels] if inputs is None else inputs,
+                   dtype=complex)
+    if inputs is not None:  # one channel at one point, one psi per row
+        if len(channels) * len(thetas) > 1 or psi.shape[1:] != (channels[0].dim,):
+            raise ValidationError("an input stack needs one channel, one point and (N, d) rows")
+        defect = np.abs(np.sum(np.abs(psi) ** 2, axis=1) - 1.0)
+        if (bad := defect > CONSTRUCT_HERM_TOL).any():
+            i = np.argmax(bad)
+            raise ValidationError(f"input row {i} is not normalized: norm defect {defect[i]:.3e}")
+    psi = psi[:, np.newaxis, :, np.newaxis]
     name = lambda i: f"; at {channels[i].name} theta {thetas[i].tolist()}"
     return channels, thetas, psi, (lambda i: "") if len(channels) == 1 else name
 
@@ -182,13 +191,15 @@ def _each(channels: list, fn, thetas: np.ndarray) -> np.ndarray:
     return np.concatenate(parts)
 
 
-def canonical_kraus(channel, theta) -> CanonicalKraus:
+def canonical_kraus(channel, theta, inputs=None) -> CanonicalKraus:
     """Canonical operators Y = X^dag E and their m partials at theta.
 
     Requires a Kraus-form channel with a pure input state.  theta is one
     point, or an (N, m) stack decomposed in one pass (one batched eigh) whose
     fields gain a leading (N,) axis; channel may then be one channel per row,
     all of one shape, each evaluated on its row with its own input state psi.
+    An (N, d) stack of unit inputs instead gives N rows of one channel at one
+    point, whose family is evaluated once; row i has psi = inputs[i].
     G X = X diag(g) diagonalizes the input-state Gram matrix.  The partials
     are d_l Y = X^dag d_l E - K_l Y in the parallel-transport gauge, where
     (K_l)_jk = (X^dag d_l G X)_jk / (g_k - g_j) between eigenvalue clusters
@@ -199,13 +210,15 @@ def canonical_kraus(channel, theta) -> CanonicalKraus:
     split differently along different axes.  With the raw Kraus stack and
     its partials kept, one call feeds everything a report needs.
     """
-    channels, thetas, psi, at = _channels_of(channel, theta)
-    thetas = _each(channels, lambda c, ts: c.require_in_domain(ts), thetas)
-    m = thetas.shape[1]
+    channels, thetas, psi, at = _channels_of(channel, theta, inputs)
+    spread = lambda a: np.repeat(a, len(psi), axis=0) if len(a) < len(psi) else a
+    points = _each(channels, lambda c, ts: c.require_in_domain(ts), thetas)
+    m = points.shape[1]
 
     # the stack, then its partials: the exponential families memo one stack of points
-    ops = _each(channels, lambda c, ts: c.kraus_matrices(ts), thetas)
-    dops = _each(channels, lambda c, ts: c.kraus_partials(ts), thetas)
+    ops = spread(_each(channels, lambda c, ts: c.kraus_matrices(ts), points))
+    dops = spread(_each(channels, lambda c, ts: c.kraus_partials(ts), points))
+    thetas = spread(points)
     count, n = ops.shape[:2]
     vs = (ops @ psi)[..., 0]
     sys = hermitian_eigendecompose(vs @ adjoint(vs))
@@ -296,7 +309,7 @@ def canonical_kraus(channel, theta) -> CanonicalKraus:
         raise ConsistencyError(f"canonical Gram matrix not diagonal: off-diagonal {worst:.3e}"
                                f"{at(off_diag.argmax() // n**2)}")
     ck = CanonicalKraus(thetas, canonical, partials, mixing, p, ops, dops, psi[:, 0, :, 0])
-    return ck if np.ndim(theta) == 2 else _only_point(ck)
+    return ck if np.ndim(theta) == 2 or inputs is not None else _only_point(ck)
 
 
 # ---------------------------------------------------------------------------
@@ -556,7 +569,8 @@ def _kraus_eigendata(ck: CanonicalKraus, channel) -> SpectralData:
     supported = (ck.weights > SUPPORT_TOL)[:, np.newaxis, :, np.newaxis]
     moving = np.where(supported[..., 0], 0.0, np.linalg.norm(dvs, axis=-1))
     if (worst := moving.max()) > CURVE_DERIV_TOL:
-        at = _channels_of(channel, ck.theta)[3](moving.argmax() // moving[0].size)
+        i = moving.argmax() // moving[0].size
+        at = "" if isinstance(channel, ParametricChannel) else _channels_of(channel, ck.theta)[3](i)
         raise DegeneracyError(
             f"an unsupported Gram mode moves (|dY_k psi| = {worst:.3e}); "
             f"theta is at a rank change, perturb it{at}"
@@ -598,12 +612,13 @@ def _last_columns(a, dim: int, dtype) -> np.ndarray:
     return np.concatenate([pad, a], axis=-1)
 
 
-def spectral_curve(channel, theta) -> SpectralCurve:
+def spectral_curve(channel, theta, inputs=None) -> SpectralCurve:
     """Output-state spectral curve at theta with all m partials.
 
     theta is one point, or an (N, m) stack of points decomposed in one pass,
     of one channel or of one Kraus-form channel per row (see canonical_kraus);
-    the point call is the stack of one.  Kraus-form channels go through the
+    the point call is the stack of one; an (N, d) stack of inputs gives N rows
+    at one point (see canonical_kraus).  Kraus-form channels go through the
     canonical decomposition, which fixes the eigenvector gauge and which the
     curve carries; spectral-form families supply their own analytic
     eigen-data, one point at a time, and join the same tail.  The eigensystem
@@ -612,9 +627,9 @@ def spectral_curve(channel, theta) -> SpectralCurve:
     """
     one = channel if isinstance(channel, ParametricChannel) else channel[0]
     thetas = one.theta_stack(theta)
-    if one is not channel or channel.is_kraus_form:
-        ck = canonical_kraus(channel, thetas)
-        data = _kraus_eigendata(ck, channel)
+    if one is not channel or channel.is_kraus_form or inputs is not None:
+        ck = canonical_kraus(channel, thetas, inputs)
+        thetas, data = ck.theta, _kraus_eigendata(ck, channel)
     else:
         channel.require_in_domain(thetas)
         ck, data = None, _stacked([channel.spectral_at(t) for t in thetas])
@@ -639,7 +654,7 @@ def spectral_curve(channel, theta) -> SpectralCurve:
         vector_derivs=np.where(keep[:, np.newaxis], dw, 0.0),
         support=support,
     )
-    if np.ndim(theta) != 2:
+    if np.ndim(theta) != 2 and inputs is None:
         curve = {k: v[0] for k, v in curve.items()}
         ck = None if ck is None else _only_point(ck)
     gauge = "spectral-form" if ck is None else "canonical-kraus"

@@ -427,14 +427,15 @@ def adaptive_experiment(
     return dataclasses.replace(_compared(first, estimates, curve, stage2_povm), seed=seed)
 
 
-def _state_from_angles(x: np.ndarray, dim: int) -> PureState:
-    mags = np.ones(dim)
+def _inputs_from_angles(x: np.ndarray, dim: int) -> np.ndarray:
+    """(N, dim) unit inputs of (N, 2 dim - 2) angles, each row normalized by its own 1-D norm."""
+    mags = np.ones((len(x), dim))
     for i in range(dim - 1):
-        mags[i] *= np.cos(x[i])
-        mags[i + 1:] *= np.sin(x[i])
-    phases = np.concatenate([[0.0], x[dim - 1:]])
+        mags[:, i] *= np.cos(x[:, i])
+        mags[:, i + 1:] *= np.sin(x[:, i, np.newaxis])
+    phases = np.concatenate([np.zeros((len(x), 1)), x[:, dim - 1:]], axis=1)
     amps = mags * np.exp(1j * phases)
-    return PureState(amps / np.linalg.norm(amps))
+    return amps / np.array([np.linalg.norm(a) for a in amps])[:, np.newaxis]
 
 
 @dataclass(frozen=True)
@@ -497,21 +498,20 @@ def _input_search(
     """BFGS over 2d - 2 angles, best of `restarts` seeded starts.
 
     Each objective call scores x and its neighbours x +- SEARCH_STEP e_i in one
-    stacked curve, one channel per row, for the value and its central-difference
-    gradient; a refused stack is a rejected candidate.  The returned value is
-    the point call's at the returned state.
+    curve of the channel at theta with that stack of 1 + 2(2d - 2) inputs (one
+    family evaluation), for the value and its central-difference gradient; a
+    refused stack is a rejected candidate.  The returned value is the point
+    call's at the returned state.
     """
     from scipy.optimize import minimize  # imported here: it is slow to import
 
     dim = channel.dim
     steps = SEARCH_STEP * np.eye(2 * dim - 2)
-    thetas = np.repeat(channel.theta_stack(theta), 1 + 2 * len(steps), axis=0)
 
     def cost(x: np.ndarray) -> tuple[float, np.ndarray]:
-        rows = [channel.with_input_state(_state_from_angles(p, dim))
-                for p in np.concatenate([x[np.newaxis], x + steps, x - steps])]
+        inputs = _inputs_from_angles(np.concatenate([x[np.newaxis], x + steps, x - steps]), dim)
         try:
-            values = evaluate(spectral_curve(rows, thetas))
+            values = evaluate(spectral_curve(channel, theta, inputs))
         except (NumericError, ValidationError):
             return 1e9, np.zeros_like(x)
         ahead, behind = np.split(values[1:], 2)
@@ -528,7 +528,7 @@ def _input_search(
             best_x, best_val = res.x, float(res.fun)
     if best_x is None or best_val >= 1e9:
         raise NumericError("every optimization start failed to evaluate the objective")
-    state = _state_from_angles(best_x, dim)
+    state = PureState(_inputs_from_angles(best_x[np.newaxis], dim)[0])
     return state, evaluate(spectral_curve(channel.with_input_state(state), theta))
 
 

@@ -793,6 +793,53 @@ def test_stacked_curve_equals_its_points_across_a_rank_change():
             assert np.array_equal(a[i], b), theta
 
 
+def _input_stack_cases():
+    rng = np.random.default_rng(21)
+    damping = builtin("amplitude-damping")
+    # |0> is rank-deficient: E_1 |0> = 0, so one Gram weight is exactly zero
+    rows = [KET0.amplitudes, PLUS.amplitudes, np.array([0.0, 1.0])]
+    rows += [random_pure_state(2, rng).amplitudes for _ in range(3)]
+    yield damping, 0.3, np.array(rows, dtype=complex)
+    for dim, env, seed in ((3, 2, 11), (8, 8, 11)):
+        channel = random_kraus_channel(dim=dim, env=env, seed=seed)
+        yield channel, 0.3, np.array([random_pure_state(dim, rng).amplitudes for _ in range(5)])
+
+
+@pytest.mark.parametrize("case", range(3), ids=["damping", "random-kraus-3-2", "random-kraus-8-8"])
+def test_input_stack_rows_equal_point_curves_bit_for_bit(case):
+    channel, theta, inputs = list(_input_stack_cases())[case]
+    stacked = spectral_curve(channel, theta, inputs)
+    assert stacked.values.shape[0] == len(inputs)
+    for i, psi in enumerate(inputs):
+        point = spectral_curve(channel.with_input_state(PureState(psi)), theta)
+        for name in ("theta", "values", "vectors", "value_derivs", "vector_derivs", "support"):
+            assert np.array_equal(getattr(stacked, name)[i], getattr(point, name)), (i, name)
+        for name, value in vars(point.kraus).items():
+            assert np.array_equal(getattr(stacked.kraus, name)[i], value), (i, name)
+        for a, b in zip(stacked.information, point.information):
+            assert np.array_equal(a[i], b), i
+    assert canonical_kraus(channel, theta, inputs).operators.shape[0] == len(inputs)
+
+
+def test_input_stack_refuses_at_a_refused_row():
+    channel = builtin("amplitude-damping")
+    # psi = (sqrt(1 - e), sqrt(e)) puts the small Gram weight near g (1 - g) e^2 = 1e-9
+    e = np.sqrt(1e-9 / 0.21)
+    boundary = np.array([np.sqrt(1 - e), np.sqrt(e)], dtype=complex)
+    unnormalized = np.array([1.0, 1e-4], dtype=complex)
+    for row, theta, error in (
+        (boundary, 0.3, DegeneracyError),
+        (unnormalized, 0.3, ValidationError),
+        (PLUS.amplitudes, 1.5, ValidationError),
+    ):
+        with pytest.raises(error):
+            spectral_curve(channel.with_input_state(PureState(row)), theta)
+        with pytest.raises(error):
+            spectral_curve(channel, theta, np.array([PLUS.amplitudes, row, KET0.amplitudes]))
+    with pytest.raises(ValidationError, match="input stack"):
+        spectral_curve(channel, [[0.2], [0.3]], np.array([PLUS.amplitudes] * 2))
+
+
 # ---------------------------------------------------------------------------
 # Domain edges: values or typed refusals down to 1e-12 from each edge
 # ---------------------------------------------------------------------------

@@ -442,6 +442,30 @@ def test_certified_run_builds_one_curve_and_no_search(monkeypatch, channel):
     assert result.value >= result.ancilla_bound - CERTIFY_TOL * max(1.0, result.ancilla_bound)
 
 
+@pytest.mark.parametrize(
+    "channel", [builtin("amplitude-damping"), random_kraus_channel(dim=3, env=2, seed=11)],
+    ids=["amplitude-damping", "random-kraus"],
+)
+def test_channel_bound_search_evaluates_the_family_once_per_curve(monkeypatch, channel):
+    calls = {"kraus": 0, "curves": 0}
+    kraus_fn, curve_fn = channel.kraus_fn, estimation.spectral_curve
+
+    def counted_kraus(theta):
+        calls["kraus"] += 1
+        return kraus_fn(theta)
+
+    def counted_curve(*args):
+        calls["curves"] += 1
+        return curve_fn(*args)
+
+    channel = dataclasses.replace(channel, kraus_fn=counted_kraus)
+    monkeypatch.setattr(estimation, "spectral_curve", counted_curve)
+    optimize_input_state(channel, 0.3, "channel-bound", restarts=1)
+    # every stacked step, and the final point call, evaluates the family once
+    assert calls["curves"] > 2
+    assert calls["kraus"] == calls["curves"]
+
+
 def test_channel_bound_value_is_the_point_call_at_the_returned_state():
     channel, theta = builtin("amplitude-damping"), 0.3
     result = optimize_input_state(channel, theta, "channel-bound", restarts=2, seed=0)
