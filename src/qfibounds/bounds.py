@@ -661,6 +661,21 @@ def spectral_curve(channel, theta, inputs=None) -> SpectralCurve:
     return SpectralCurve(**curve, gauge_source=gauge, kraus=ck)
 
 
+def halving(fn, count: int, refusal=NumericError) -> list:
+    """fn(rows) of rows 0..count-1, one entry per row: its value, or its lone call's refusal.
+
+    fn maps an index array to one value per index; a stack that raises
+    refusal is called again in halves.  A row keeps the bits of its own call.
+    """
+    def run(rows):
+        try:
+            return list(fn(rows))
+        except refusal as exc:
+            half = len(rows) // 2
+            return [exc] if len(rows) == 1 else run(rows[:half]) + run(rows[half:])
+    return run(np.arange(count)) if count else []
+
+
 # ---------------------------------------------------------------------------
 # Information quantities
 # ---------------------------------------------------------------------------

@@ -28,6 +28,7 @@ import numpy as np
 from . import reporting
 from .bounds import (
     bound_report,
+    halving,
     optimal_povm_from_sld,
     povm_sld_condition_check,
     povm_sm_condition_check,
@@ -242,25 +243,24 @@ def cmd_report(args) -> int:
     return 0
 
 
+def _grid_number(token: str, kind=float):
+    try:
+        return kind(token)
+    except ValueError:
+        raise ValidationError(f"grid token {token!r} is not a valid {kind.__name__}") from None
+
+
 def _parse_grid(text: str) -> np.ndarray:
     if ":" in text:
         parts = text.split(":")
         if len(parts) != 3:
             raise ValidationError(f"grid {text!r} must be start:stop:count")
-        start, stop, count = float(parts[0]), float(parts[1]), int(parts[2])
+        start, stop = _grid_number(parts[0]), _grid_number(parts[1])
+        count = _grid_number(parts[2], int)
         if count < 1:
             raise ValidationError("grid count must be positive")
         return np.linspace(start, stop, count)
-    return np.array([float(tok) for tok in text.split(",") if tok.strip()])
-
-
-def _sweep_row(channel, theta: float, tol: float) -> dict:
-    """One point decomposed alone: a numeric failure becomes the row's warning."""
-    try:
-        report = bound_report(channel, spectral_curve(channel, theta), attainability_tol=tol)
-        return reporting.bound_report_dict(report)
-    except NumericError as exc:
-        return {"theta": theta, "warnings": [str(exc)]}
+    return np.array([_grid_number(tok) for tok in text.split(",") if tok.strip()])
 
 
 def cmd_sweep(args) -> int:
@@ -269,15 +269,12 @@ def cmd_sweep(args) -> int:
         raise ValidationError("sweep handles one-parameter channels")
     grid = _parse_grid(args.theta_grid)
     thetas = channel.require_in_domain(grid[:, np.newaxis])
-    rows = []
-    try:
-        if len(grid):  # the whole grid is one stacked curve
-            curve = spectral_curve(channel, thetas)
-            reports = bound_report(channel, curve, attainability_tol=args.tol)
-            rows = [reporting.bound_report_dict(report) for report in reports]
-    except NumericError:
-        # some point is refused: each point again alone, so only its row carries the failure
-        rows = [_sweep_row(channel, float(theta), args.tol) for theta in grid]
+
+    def rows_of(index):  # one stacked curve for the whole grid, split only where it refuses
+        curve = spectral_curve(channel, thetas[index])
+        return map(reporting.bound_report_dict, bound_report(channel, curve, None, args.tol))
+    rows = [row if isinstance(row, dict) else {"theta": float(theta), "warnings": [str(row)]}
+            for theta, row in zip(grid, halving(rows_of, len(grid)))]  # a refusal is a warning
     if args.format == "csv":
         sys.stdout.write(reporting.sweep_csv(rows))
         return 0

@@ -27,6 +27,7 @@ import numpy as np
 from .bounds import (
     SpectralCurve,
     fisher_information,
+    halving,
     optimal_povm_from_sld,
     sld_information,
     sld_score,
@@ -313,18 +314,15 @@ def _compared(run: EstimationRun, estimates: np.ndarray, curve: SpectralCurve, p
 
 
 def _pivot_curves(channel: ParametricChannel, pivots: np.ndarray, seeds) -> SpectralCurve:
-    """The stacked curve at every pivot; a refused stack is redone point by point to name one."""
-    try:
-        return spectral_curve(channel, pivots[:, np.newaxis])
-    except DegeneracyError:
-        for rep, (pivot, s) in enumerate(zip(pivots, seeds)):
-            try:
-                spectral_curve(channel, pivot)
-            except DegeneracyError as exc:
-                raise DegeneracyError(
-                    f"replication {rep} (seed {s}), pivot theta {float(pivot)!r}: {exc}"
-                ) from None
-        raise
+    """The stacked curve at every pivot; a refused pivot fails the run, naming its replication."""
+    stack = lambda index: [spectral_curve(channel, pivots[index, np.newaxis])] * len(index)
+    curves = halving(stack, len(pivots), DegeneracyError)
+    for rep, (pivot, s, curve) in enumerate(zip(pivots, seeds, curves)):
+        if isinstance(curve, DegeneracyError):
+            raise DegeneracyError(
+                f"replication {rep} (seed {s}), pivot theta {float(pivot)!r}: {curve}"
+            )
+    return curves[0]
 
 
 def _two_stage(

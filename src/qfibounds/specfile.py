@@ -38,7 +38,6 @@ from .channels import BUILTIN_FAMILIES, ParametricChannel, builtin, custom_spect
 from .errors import SpecFormatError, ValidationError
 from .quantum import KrausSet, PureState
 
-_COMMON_KEYS = {"name", "family", "theta_domain", "input_state"}
 _FAMILY_KEYS: dict[str, set[str]] = {
     "dephasing": set(),
     "rotation": {"axis"},

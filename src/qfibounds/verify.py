@@ -20,6 +20,7 @@ import numpy as np
 from .bounds import (
     SpectralCurve,
     bound_gap,
+    halving,
     sld_information,
     sld_score,
     sm_bound_kraus,
@@ -126,51 +127,43 @@ def two_param_battery(
 def _battery_curves(seed: int, count: int, param_count: int) -> _Battery:
     """The battery, each shape group decomposed in one call whose rows carry their own inputs.
 
-    A sequential builder decomposes each point alone and redraws a refused
-    theta at once (8 at most, then drops the channel), so every later draw
-    depends on the retry.  Retries are rare: the battery is drawn with one
-    theta per channel and decomposed by groups, and drawn again the
-    sequential way only if a group refuses.  The curves carry their
-    decompositions, so no suite decomposes a point again.
+    A point-by-point builder redraws a refused theta at once (8 draws at
+    most, then drops the channel), which moves every later draw.  Each round
+    here draws again, passing over the thetas known to be refused, and splits
+    a refusing group in halves (bounds.halving); a round with no new refusal
+    is that builder's battery.  The curves carry their decompositions, so no
+    suite decomposes a point again.
     """
     salt, max_dim, width = _BATTERY_DRAWS[param_count]
-    for tries in (1, 8):
+    refused: set = set()  # (channel name, theta bytes) of every refused point met
+    while True:
         rng = np.random.Generator(np.random.Philox(key=np.uint64(seed ^ salt)))
-        drawn = []  # (channel, Kraus count, theta)
+        drawn, shapes = [], {}  # (channel, theta) in draw order; positions per (dim, Kraus count)
         for _ in range(count):
             dim = int(rng.integers(2, max_dim + 1))
             env = int(rng.integers(1, dim + 1))
-            channel = random_kraus_channel(
-                dim=dim,
-                env=env,
-                param_count=param_count,
-                seed=int(rng.integers(0, 2**63)),
-                input_state=random_pure_state(dim, rng),
-            )
-            for _ in range(tries):
+            channel = random_kraus_channel(dim=dim, env=env, param_count=param_count,
+                                           seed=int(rng.integers(0, 2**63)),
+                                           input_state=random_pure_state(dim, rng))
+            for _ in range(8):
                 theta = rng.uniform(-width, width, size=param_count)
-                try:
-                    if tries > 1:  # the sequential builder's screen
-                        spectral_curve(channel, theta)
-                except DegeneracyError:
-                    continue
-                drawn.append((channel, env, theta))
-                break
-        shapes: dict = {}
-        for position, (channel, env, _) in enumerate(drawn):
-            shapes.setdefault((channel.dim, env), []).append(position)
-        groups = []
-        try:
-            for rows in shapes.values():
-                channels, _, thetas = zip(*(drawn[p] for p in rows))
-                curve = spectral_curve(channels, np.array(thetas))
-                psi = curve.kraus.psi
-                groups.append((rows, curve, psi[:, :, np.newaxis] * psi.conj()[:, np.newaxis, :]))
-        except DegeneracyError:
-            if tries == 8:
-                raise
-            continue
-        return _Battery([(channel, theta) for channel, _, theta in drawn], groups)
+                if (channel.name, theta.tobytes()) not in refused:
+                    shapes.setdefault((dim, env), []).append(len(drawn))
+                    drawn.append((channel, theta))
+                    break
+        known, groups = len(refused), []
+        for rows in shapes.values():
+            channels, thetas = zip(*(drawn[p] for p in rows))
+            # each row's entry is the curve of the stack that kept it, or its own refusal
+            stack = lambda index: spectral_curve([channels[i] for i in index],
+                                                 np.array(thetas)[index])
+            curves = halving(lambda index: [stack(index)] * len(index), len(rows), DegeneracyError)
+            refused |= {(channel.name, theta.tobytes()) for channel, theta, curve
+                        in zip(channels, thetas, curves) if isinstance(curve, DegeneracyError)}
+            groups.append((rows, curves[0]))
+        if len(refused) == known:
+            rho0 = lambda psi: psi[:, :, np.newaxis] * psi.conj()[:, np.newaxis, :]
+            return _Battery(drawn, [(rows, curve, rho0(curve.kraus.psi)) for rows, curve in groups])
 
 
 def gap_suite(seed: int = DEFAULT_SEED, count: int = 200) -> list[CheckResult]:
@@ -281,11 +274,11 @@ def directional_suite(
 ) -> list[CheckResult]:
     """Multi-parameter Loewner ordering and slice consistency checks.
 
-    All directions of a channel are checked at once, on one curve of the fan
-    along them, and a shape group's fans in one call, point by point if it
-    refuses (multiparam.directional_reduction_check); a fan that cannot be
-    decomposed skips all of its directions.  A failing check names the
-    channel and theta of its worst case, and a skip those of the first one.
+    All directions of a channel are checked on one curve of the fan along
+    them, and a shape group's fans in one call, halved where it refuses
+    (multiparam.directional_reduction_check, bounds.halving); a fan that
+    cannot be decomposed skips all of its directions.  A failing check names
+    the channel and theta of its worst case, and a skip those of the first one.
     """
     rng = np.random.Generator(np.random.Philox(key=np.uint64(seed ^ 0x3C3C3C3C)))
     battery = _battery_curves(seed, count, 2)
@@ -304,18 +297,14 @@ def directional_suite(
         c_gap = np.abs(c_kraus - np.diagonal(c, axis1=-2, axis2=-1)).max(axis=-1)
         h_gap = np.abs(_sld_matrix_by_pinv(curve) - h).max(axis=(-2, -1))
         diags.append(np.maximum(h_gap, c_gap))
-        channels = [battery.points[p][0] for p in rows]
-        try:
-            mismatches.append(directional_reduction_check(channels, curve, v).mismatch)
-        except NumericError:
-            mismatches.append(np.full(len(rows), -np.inf))  # a skipped point has none
-            for i, (channel, p) in enumerate(zip(channels, rows)):
-                try:
-                    point = spectral_curve([channel], battery.points[p][1][np.newaxis])
-                    check = directional_reduction_check([channel], point, v[i : i + 1])
-                    mismatches[-1][i] = check.mismatch[0]
-                except NumericError:
-                    skips.append(p)
+
+        def check(index):  # the whole group reads its battery curve
+            channels, thetas = zip(*(battery.points[rows[i]] for i in index))
+            stack = curve if len(index) == len(rows) else spectral_curve(channels, np.array(thetas))
+            return directional_reduction_check(channels, stack, v[index]).mismatch
+        entries = halving(check, len(rows))
+        skips += [p for p, entry in zip(rows, entries) if isinstance(entry, NumericError)]
+        mismatches.append(np.array([-np.inf if p in skips else e for p, e in zip(rows, entries)]))
     tried, skipped = len(battery.points) * directions, len(skips) * directions
     skip_note = (f", {skipped} of {tried} directions skipped, first at {battery.name(min(skips))}"
                  if skips else "")

@@ -539,6 +539,7 @@ STACK_CASES = {
     "rotation": ("family = rotation\naxis = x\n", "-3:3:7"),
     "random-kraus-3x2": ("family = random-kraus\ndim = 3\nenv = 2\nseed = 11\n", "-0.9:0.9:7"),
     "random-kraus-8x8": ("family = random-kraus\ndim = 8\nenv = 8\nseed = 11\n", "-0.9:0.9:4"),
+    "dephasing-band": (DEPHASING, "0.4999999:0.5000001:41"),  # all but two rows refused
 }
 
 
@@ -603,6 +604,27 @@ def test_sweep_keeps_point_failures_to_their_rows(spec_file, capsys):
     }
     for row, expected in ((rows[0], 4.761904761904764), (rows[3], 4.761904761904763)):
         assert row["sld_information"] == expected and row["channel_bound"] == expected
+
+
+def test_sweep_splits_only_the_refusing_stacks(spec_file, capsys, monkeypatch):
+    # theta = 0, the grid's middle point, is a rank change: the grid is split
+    # in halves down to that row, and the stacks without it are kept whole.
+    calls = _count_calls(monkeypatch, "spectral_curve")
+    text = "family = random-kraus\ndim = 3\nenv = 2\nseed = 11\n"
+    code, out, _ = run_cli(capsys, "sweep", spec_file(text), "--theta-grid=-0.9:0.9:41")
+    assert code == 0
+    rows = json.loads(out)["points"]
+    assert [i for i, row in enumerate(rows) if "sld_information" not in row] == [20]
+    assert calls["spectral_curve"] <= 13
+
+
+@pytest.mark.parametrize(
+    "grid, token", [("abc", "abc"), ("0.1,abc", "abc"), ("a:b:3", "a"), ("0:1:2.5", "2.5")]
+)
+def test_malformed_grid_is_a_validation_error(spec_file, capsys, grid, token):
+    code, out, err = run_cli(capsys, "sweep", spec_file(DEPHASING), f"--theta-grid={grid}")
+    assert code == 2 and out == ""
+    assert f"grid token {token!r} is not a valid" in err
 
 
 @pytest.mark.parametrize(
