@@ -155,51 +155,16 @@ def _crossing_coupling(
     return out
 
 
-def _channels_of(channel, theta, inputs=None):
-    """The channels (one for all rows or one per row), the (N, m) stack, psi, and a row namer."""
-    channels = [channel] if isinstance(channel, ParametricChannel) else list(channel)
-    thetas = channels[0].theta_stack(theta)
-    if len(channels) not in (1, len(thetas)):
-        raise ValidationError(f"{len(channels)} channels for {len(thetas)} points")
-    for c in channels:
-        if not c.is_kraus_form or (c.input_state is None and inputs is None):
-            raise ValidationError(f"channel {c.name!r} has no Kraus curve with a pure input state")
-    psi = np.array([c.input_state.amplitudes for c in channels] if inputs is None else inputs,
-                   dtype=complex)
-    if inputs is not None:  # one channel at one point, one psi per row
-        if len(channels) * len(thetas) > 1 or psi.shape[1:] != (channels[0].dim,):
-            raise ValidationError("an input stack needs one channel, one point and (N, d) rows")
-        defect = np.abs(np.sum(np.abs(psi) ** 2, axis=1) - 1.0)
-        if (bad := defect > CONSTRUCT_HERM_TOL).any():
-            i = np.argmax(bad)
-            raise ValidationError(f"input row {i} is not normalized: norm defect {defect[i]:.3e}")
-    psi = psi[:, np.newaxis, :, np.newaxis]
-    name = lambda i: f"; at {channels[i].name} theta {thetas[i].tolist()}"
-    return channels, thetas, psi, (lambda i: "") if len(channels) == 1 else name
-
-
-def _each(channels: list, fn, thetas: np.ndarray) -> np.ndarray:
-    """fn(channel, its rows of thetas) of each channel, stacked in row order."""
-    if len(channels) == 1:
-        return fn(channels[0], thetas)
-    parts = []
-    for c, t in zip(channels, thetas[:, np.newaxis]):
-        try:
-            parts.append(fn(c, t))
-        except (NumericError, ValidationError) as exc:
-            raise type(exc)(f"{exc}; at {c.name} theta {t[0].tolist()}") from None
-    return np.concatenate(parts)
-
-
-def canonical_kraus(channel, theta, inputs=None) -> CanonicalKraus:
+def canonical_kraus(channel: ParametricChannel, theta, inputs=None) -> CanonicalKraus:
     """Canonical operators Y = X^dag E and their m partials at theta.
 
     Requires a Kraus-form channel with a pure input state.  theta is one
     point, or an (N, m) stack decomposed in one pass (one batched eigh) whose
-    fields gain a leading (N,) axis; channel may then be one channel per row,
-    all of one shape, each evaluated on its row with its own input state psi.
-    An (N, d) stack of unit inputs instead gives N rows of one channel at one
-    point, whose family is evaluated once; row i has psi = inputs[i].
+    fields gain a leading (N,) axis; the family is evaluated once for the
+    whole stack.  An (N, d) stack of unit inputs gives row i the input
+    psi = inputs[i], at row i of an N-point stack or all at one point.  A
+    family whose row i has its own generators (exponential_family) with one
+    input per row thus decomposes N channels of one shape in one call.
     G X = X diag(g) diagonalizes the input-state Gram matrix.  The partials
     are d_l Y = X^dag d_l E - K_l Y in the parallel-transport gauge, where
     (K_l)_jk = (X^dag d_l G X)_jk / (g_k - g_j) between eigenvalue clusters
@@ -210,14 +175,26 @@ def canonical_kraus(channel, theta, inputs=None) -> CanonicalKraus:
     split differently along different axes.  With the raw Kraus stack and
     its partials kept, one call feeds everything a report needs.
     """
-    channels, thetas, psi, at = _channels_of(channel, theta, inputs)
+    if not channel.is_kraus_form or (channel.input_state is None and inputs is None):
+        raise ValidationError(f"channel {channel.name!r} has no Kraus curve with a pure "
+                              "input state")
+    points = channel.require_in_domain(channel.theta_stack(theta))
+    psi = np.array([channel.input_state.amplitudes] if inputs is None else inputs, dtype=complex)
+    if inputs is not None:  # one row per point, all at one point, or one for every point
+        if psi.ndim != 2 or psi.shape[1] != channel.dim or 1 < len(points) != len(psi) > 1:
+            raise ValidationError("an input stack needs (N, d) rows, one per point; "
+                                  f"got {psi.shape} for {len(points)} points")
+        defect = np.abs(np.sum(np.abs(psi) ** 2, axis=1) - 1.0)
+        if (bad := defect > CONSTRUCT_HERM_TOL).any():
+            i = np.argmax(bad)
+            raise ValidationError(f"input row {i} is not normalized: norm defect {defect[i]:.3e}")
+    psi = psi[:, np.newaxis, :, np.newaxis]
     spread = lambda a: np.repeat(a, len(psi), axis=0) if len(a) < len(psi) else a
-    points = _each(channels, lambda c, ts: c.require_in_domain(ts), thetas)
     m = points.shape[1]
 
     # the stack, then its partials: the exponential families memo one stack of points
-    ops = spread(_each(channels, lambda c, ts: c.kraus_matrices(ts), points))
-    dops = spread(_each(channels, lambda c, ts: c.kraus_partials(ts), points))
+    ops = spread(channel.kraus_matrices(points))
+    dops = spread(channel.kraus_partials(points))
     thetas = spread(points)
     count, n = ops.shape[:2]
     vs = (ops @ psi)[..., 0]
@@ -228,7 +205,7 @@ def canonical_kraus(channel, theta, inputs=None) -> CanonicalKraus:
     if boundary.any():
         raise DegeneracyError(
             f"Gram eigenvalue {p[boundary][0]:.3e} sits at the support boundary; the supported/"
-            f"unsupported split is unreliable, perturb theta{at(np.argwhere(boundary)[0, 0])}"
+            "unsupported split is unreliable, perturb theta"
         )
     supported = p > SUPPORT_TOL
     gram_derivs = _gram_derivative(vs[:, np.newaxis], (dops @ psi[:, np.newaxis])[..., 0])
@@ -242,17 +219,16 @@ def canonical_kraus(channel, theta, inputs=None) -> CanonicalKraus:
         if m != 1:
             raise DegeneracyError(
                 "supported Gram eigenvalues are degenerate at the center point; "
-                f"perturb theta to separate them{at(np.argmax(crossing))}"
+                "perturb theta to separate them"
             )
         rows = np.flatnonzero(crossing)
-        crossed = channels if len(channels) == 1 else [channels[i] for i in rows]
-        # the second Gram derivative below is a central-4 stencil: it must fit in each box
-        edge = [not channels[i % len(channels)].in_domain(thetas[i], STENCIL_REACH) for i in rows]
+        # the second Gram derivative below is a central-4 stencil: it must fit in the box
+        edge = [not channel.in_domain(thetas[i], STENCIL_REACH) for i in rows]
         if any(edge):
             i = rows[edge.index(True)]
             raise DegeneracyError(
                 f"supported Gram eigenvalues cross at theta {thetas[i].tolist()}, within "
-                f"{STENCIL_REACH} of a domain edge, where the crossing cannot be resolved{at(i)}"
+                f"{STENCIL_REACH} of a domain edge, where the crossing cannot be resolved"
             )
         # each crossing row's degenerate clusters that hold a supported mode
         clusters = [
@@ -263,13 +239,13 @@ def canonical_kraus(channel, theta, inputs=None) -> CanonicalKraus:
         for i, members in zip(rows, clusters):
             vectors[i] = _resolve_degenerate_clusters(vectors[i], gram_derivs[i, 0], members)
         states = psi[rows % len(psi)]
-        gram_second = differentiate_curve(
-            lambda ts: _gram_derivative(
-                (_each(crossed, lambda c, t: c.kraus_matrices(t), ts) @ states)[..., 0],
-                (_each(crossed, lambda c, t: c.kraus_partials(t)[:, 0], ts) @ states)[..., 0],
-            ),
-            thetas[rows],
-        )
+        # the stencil moves the points of crossing rows only: a row may have its own family
+        moved = crossing.reshape(len(points), -1).any(axis=1, keepdims=True)
+        at = lambda ts: np.where(moved, ts, points)
+        gram_second = differentiate_curve(lambda ts: _gram_derivative(
+            (spread(channel.kraus_matrices(at(ts)))[rows] @ states)[..., 0],
+            (spread(channel.kraus_partials(at(ts))[:, 0])[rows] @ states)[..., 0],
+        ), points)
         resolved = list(zip(rows, clusters, gram_second))
 
     mixing = adjoint(vectors)
@@ -290,7 +266,7 @@ def canonical_kraus(channel, theta, inputs=None) -> CanonicalKraus:
         raise DegeneracyError(
             f"Gram eigenvalues {g[i, j]:.6g} and {g[i, k]:.6g} are {abs(g[i, k] - g[i, j]):.3e} "
             "apart, too close for an accurate derivative; perturb theta away "
-            f"from the crossing{at(i)}"
+            "from the crossing"
         )
     generator = np.where(same[:, np.newaxis], 0.0, coupling / spacing[:, np.newaxis])
     for i, members_of_row, second in resolved:
@@ -306,8 +282,7 @@ def canonical_kraus(channel, theta, inputs=None) -> CanonicalKraus:
     cvs = (canonical @ psi)[..., 0]
     off_diag = np.abs(np.where(np.eye(n, dtype=bool), 0.0, cvs @ adjoint(cvs)))
     if (worst := off_diag.max()) > GRAM_DIAG_TOL:
-        raise ConsistencyError(f"canonical Gram matrix not diagonal: off-diagonal {worst:.3e}"
-                               f"{at(off_diag.argmax() // n**2)}")
+        raise ConsistencyError(f"canonical Gram matrix not diagonal: off-diagonal {worst:.3e}")
     ck = CanonicalKraus(thetas, canonical, partials, mixing, p, ops, dops, psi[:, 0, :, 0])
     return ck if np.ndim(theta) == 2 or inputs is not None else _only_point(ck)
 
@@ -555,7 +530,7 @@ def _orthonormal_completion(columns: np.ndarray, dim: int) -> np.ndarray:
     return basis
 
 
-def _kraus_eigendata(ck: CanonicalKraus, channel) -> SpectralData:
+def _kraus_eigendata(ck: CanonicalKraus) -> SpectralData:
     """Output eigendata of every Gram mode of a stacked decomposition, with all m partials.
 
     w_k = Y_k psi / sqrt(p_k) on the supported modes; unsupported modes keep
@@ -569,11 +544,9 @@ def _kraus_eigendata(ck: CanonicalKraus, channel) -> SpectralData:
     supported = (ck.weights > SUPPORT_TOL)[:, np.newaxis, :, np.newaxis]
     moving = np.where(supported[..., 0], 0.0, np.linalg.norm(dvs, axis=-1))
     if (worst := moving.max()) > CURVE_DERIV_TOL:
-        i = moving.argmax() // moving[0].size
-        at = "" if isinstance(channel, ParametricChannel) else _channels_of(channel, ck.theta)[3](i)
         raise DegeneracyError(
             f"an unsupported Gram mode moves (|dY_k psi| = {worst:.3e}); "
-            f"theta is at a rank change, perturb it{at}"
+            "theta is at a rank change, perturb it"
         )
     roots = np.sqrt(np.where(supported[:, 0], ck.weights[..., np.newaxis], 1.0))  # (N, n, 1)
     w = np.where(supported[:, 0], vs / roots, 0.0)
@@ -612,28 +585,28 @@ def _last_columns(a, dim: int, dtype) -> np.ndarray:
     return np.concatenate([pad, a], axis=-1)
 
 
-def spectral_curve(channel, theta, inputs=None) -> SpectralCurve:
+def spectral_curve(channel: ParametricChannel, theta, inputs=None) -> SpectralCurve:
     """Output-state spectral curve at theta with all m partials.
 
-    theta is one point, or an (N, m) stack of points decomposed in one pass,
-    of one channel or of one Kraus-form channel per row (see canonical_kraus);
-    the point call is the stack of one; an (N, d) stack of inputs gives N rows
-    at one point (see canonical_kraus).  Kraus-form channels go through the
-    canonical decomposition, which fixes the eigenvector gauge and which the
-    curve carries; spectral-form families supply their own analytic
-    eigen-data, one point at a time, and join the same tail.  The eigensystem
-    is ascending (the Gram eigenvalues are already) and completed to a full
+    theta is one point, or an (N, m) stack of points decomposed in one pass;
+    the point call is the stack of one.  An (N, d) stack of inputs gives row
+    i its own input, at row i of the stack or all at one point, and a family
+    with generators per row gives each row its own channel (see
+    canonical_kraus).  Kraus-form channels go through the canonical
+    decomposition, which fixes the eigenvector gauge and which the curve
+    carries; spectral-form families supply their own analytic eigen-data,
+    one point at a time, and join the same tail.  The eigensystem is
+    ascending (the Gram eigenvalues are already) and completed to a full
     basis: unsupported slots hold an orthonormal completion with zero partials.
     """
-    one = channel if isinstance(channel, ParametricChannel) else channel[0]
-    thetas = one.theta_stack(theta)
-    if one is not channel or channel.is_kraus_form or inputs is not None:
+    thetas = channel.theta_stack(theta)
+    if channel.is_kraus_form or inputs is not None:
         ck = canonical_kraus(channel, thetas, inputs)
-        thetas, data = ck.theta, _kraus_eigendata(ck, channel)
+        thetas, data = ck.theta, _kraus_eigendata(ck)
     else:
         channel.require_in_domain(thetas)
         ck, data = None, _stacked([channel.spectral_at(t) for t in thetas])
-    dim = one.dim
+    dim = channel.dim
     rank = (data.values > SUPPORT_TOL).sum(axis=-1)
     if rank.max() > dim:
         raise ConsistencyError(f"{rank.max()} supported eigenvalues exceed dimension {dim}")

@@ -8,10 +8,12 @@ Kraus derivative is taken by finite differences.  Built-in families cover
 the standard qubit channels, the two rank-two three-level families used
 throughout the test suite, and seeded random Kraus curves generated from
 random Hamiltonians on system + environment.  The exponential families
-(`random-kraus`, `rotation-2p`) take their Kraus stack and every partial
-from one eigendecomposition of the generator per theta
+(`random-kraus`, `rotation-2p`; exponential_family) take their Kraus stack
+and every partial from one eigendecomposition of the generator per theta
 (`linalg.unitary_exponential`); this module imports no scipy.  Every Kraus
-family evaluates a whole stack of points in one call (see ParametricChannel).
+family evaluates a whole stack of points in one call (see ParametricChannel),
+and one exponential family with generators per row evaluates N channels of
+one shape, one per row, in one call.
 """
 
 from __future__ import annotations
@@ -405,16 +407,8 @@ def dephasing_two_param(input_state: PureState = _PLUS) -> ParametricChannel:
 
 def rotation_two_param(input_state: PureState = _KET0) -> ParametricChannel:
     """Two-parameter unitary exp(-i (theta1 X + theta2 Y) / 2)."""
-    kraus, grad = _exponential_kraus([PAULIS["x"] / 2, PAULIS["y"] / 2], env=1)
-    return ParametricChannel(
-        name="rotation-2p",
-        dim=2,
-        param_count=2,
-        domain=((-2.0, 2.0), (-2.0, 2.0)),
-        input_state=input_state,
-        kraus_fn=kraus,
-        kraus_grad_fn=grad,
-    )
+    gens = [PAULIS["x"] / 2, PAULIS["y"] / 2]
+    return exponential_family(gens, 1, "rotation-2p", ((-2.0, 2.0), (-2.0, 2.0)), input_state)
 
 
 def damped_rotation(input_state: PureState = _PLUS) -> ParametricChannel:
@@ -440,22 +434,28 @@ def damped_rotation(input_state: PureState = _PLUS) -> ParametricChannel:
     )
 
 
-def _exponential_kraus(gens: Sequence[np.ndarray], env: int):
-    """kraus_fn and kraus_grad_fn of E_k(theta) = (I x <k|) exp(-i sum_l theta_l G_l) (I x |0>).
+def exponential_family(
+    gens, env: int, name: str, domain: tuple[tuple[float, float], ...],
+    input_state: PureState | None = None,
+) -> ParametricChannel:
+    """E_k(theta) = (I x <k|) exp(-i sum_l theta_l G_l) (I x |0>) of an (m, T, T) generator stack.
 
-    The generators act on system x environment with composite index i*env + k;
-    env = 1 gives the single unitary.  The stack and every partial at a point,
-    or at each point of a stack, come from one (batched) eigendecomposition
-    of the generator, kept for the last points asked for.
+    The generators act on system x environment (T = dim * env) with composite
+    index i*env + k; env = 1 gives the single unitary.  The stack and every
+    partial at a point, or at each point of a stack, come from one (batched)
+    eigendecomposition of the generator, kept for the last points asked for.
+    An (N, m, T, T) stack is N families in one: row i of an (N, m) stack of
+    points is evaluated with generators i, so the N rows take one batched
+    eigendecomposition.
     """
     gens = np.array(gens, dtype=complex)
-    total = gens.shape[1]
+    total = gens.shape[-1]
     dim = total // env
     # Reorder the composite index to k*dim + i: then the states |j, 0> are the
     # first dim columns, and E_k is rows k*dim .. (k+1)*dim of those columns.
     order = np.arange(total).reshape(dim, env).T.ravel()
-    gens = gens[:, order][:, :, order]
-    flat = gens.reshape(len(gens), -1)
+    gens = gens[..., order, :][..., order]
+    flat = gens.reshape(*gens.shape[:-2], -1)
     columns = slice(0, dim)
 
     @last_point_cache
@@ -467,10 +467,11 @@ def _exponential_kraus(gens: Sequence[np.ndarray], env: int):
         return decomposition(theta).unitary(columns).reshape(*np.shape(theta)[:-1], env, dim, dim)
 
     def grad(theta: np.ndarray, index: int) -> np.ndarray:
-        ops = decomposition(theta).partial(gens[index], columns)
+        ops = decomposition(theta).partial(gens[..., index, :, :], columns)
         return ops.reshape(*np.shape(theta)[:-1], env, dim, dim)
 
-    return kraus, grad
+    return ParametricChannel(name=name, dim=dim, param_count=gens.shape[-3], domain=domain,
+                             input_state=input_state, kraus_fn=kraus, kraus_grad_fn=grad)
 
 
 def random_hermitian(dim: int, rng: np.random.Generator, scale: float = 1.0) -> np.ndarray:
@@ -484,8 +485,14 @@ def random_pure_state(dim: int, rng: np.random.Generator) -> PureState:
 
 
 def random_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
-    q, r = np.linalg.qr(rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim)))
-    return q * (np.diag(r) / np.abs(np.diag(r)))
+    return haar_unitary(rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim)))
+
+
+def haar_unitary(z: np.ndarray) -> np.ndarray:
+    """Q of z = QR with the diagonal of R made positive; a stack of z, matrix by matrix."""
+    q, r = np.linalg.qr(z)
+    diag = np.diagonal(r, axis1=-2, axis2=-1)
+    return q * (diag / np.abs(diag))[..., np.newaxis, :]
 
 
 def random_kraus_channel(
@@ -502,24 +509,21 @@ def random_kraus_channel(
     complete for every theta and smooth in theta.  env controls the number
     of Kraus operators.
     """
+    return random_kraus_draw(dim, env, param_count, seed, scale, input_state)[0]
+
+
+def random_kraus_draw(
+    dim: int, env: int, param_count: int, seed: int, scale: float = 1.0, input_state=None
+) -> tuple[ParametricChannel, np.ndarray]:
+    """random_kraus_channel's curve and the (m, T, T) generator stack it was drawn with."""
     if env < 1 or dim < 2:
         raise ValidationError("need dim >= 2 and env >= 1")
     rng = np.random.Generator(np.random.Philox(key=np.uint64(seed)))
-    total = dim * env
-    gens = [random_hermitian(total, rng, scale) for _ in range(param_count)]
+    gens = np.array([random_hermitian(dim * env, rng, scale) for _ in range(param_count)])
     if input_state is None:
         input_state = random_pure_state(dim, rng)
-
-    kraus, grad = _exponential_kraus(gens, env)
-    return ParametricChannel(
-        name=f"random-kraus-{seed}",
-        dim=dim,
-        param_count=param_count,
-        domain=tuple((-1.0, 1.0) for _ in range(param_count)),
-        input_state=input_state,
-        kraus_fn=kraus,
-        kraus_grad_fn=grad,
-    )
+    box = tuple((-1.0, 1.0) for _ in range(param_count))
+    return exponential_family(gens, env, f"random-kraus-{seed}", box, input_state), gens
 
 
 def custom_spectral(
@@ -614,21 +618,23 @@ def directional_channel(
     """The k-parameter fan t -> channel(theta + V^T t) of a (k, m) direction matrix V.
 
     Partial j is sum_l V[j, l] d_l, of the Kraus stack or of the spectral
-    data; an (m,) vector gives the one-parameter slice.  The fan's Kraus
-    form broadcasts like its parent's.  Coordinate j spans
-    (-t_j / k, t_j / k), t_j the largest |t| keeping theta + t V[j] in the
-    box, so the fan's box maps into the parent box.
+    data, all k from one product; an (m,) vector gives the one-parameter
+    slice.  The fan's Kraus form broadcasts like its parent's.  Coordinate j
+    spans (-t_j / k, t_j / k), t_j the largest |t| keeping theta + t V[j] in
+    the box, so the fan's box maps into the parent box.  (N, m) centers with
+    (N, k, m) directions give N fans, fan i at row i (see exponential_family)
+    of an (N, k) stack of points, each t_j the least over rows.
     """
     center = channel.require_in_domain(theta)
     v = np.asarray(directions, dtype=float)
     fan = np.atleast_2d(v)
-    if fan.ndim != 2 or fan.shape[1] != channel.param_count:
-        raise ValidationError(f"directions must have {channel.param_count} components")
-    k = fan.shape[0]
+    if fan.shape[:-2] != center.shape[:-1] or fan.shape[-1] != channel.param_count:
+        raise ValidationError(f"directions must have {channel.param_count} components per center")
+    k = fan.shape[-2]
     lo, hi = np.array(channel.domain, dtype=float).T
-    room = np.minimum(hi - center, center - lo)
+    room = np.minimum(hi - center, center - lo)[..., np.newaxis, :]
     with np.errstate(divide="ignore", invalid="ignore"):
-        t_max = np.min(np.where(fan == 0.0, np.inf, room / np.abs(fan)), axis=1)
+        t_max = np.min(np.where(fan == 0.0, np.inf, room / np.abs(fan)), axis=-1).reshape(-1, k)
     if not np.all(np.isfinite(t_max) & (t_max > 0)):
         raise ValidationError("direction leaves the domain immediately")
 
@@ -639,11 +645,14 @@ def directional_channel(
             return channel.kraus_fn(at(tvec))
 
         @last_point_cache
-        def partials(t: np.ndarray) -> np.ndarray:
-            return np.stack([channel.kraus_grad_fn(t, l) for l in range(channel.param_count)], -4)
+        def partials(tvec: np.ndarray) -> np.ndarray:  # (..., k, n, d, d)
+            t = at(tvec)
+            parent = np.stack([channel.kraus_grad_fn(t, l) for l in range(channel.param_count)], -4)
+            weights = fan[..., np.newaxis, np.newaxis, np.newaxis]
+            return (weights * np.expand_dims(parent, -5)).sum(axis=-4)
 
         def grad(tvec: np.ndarray, index: int) -> np.ndarray:
-            return (fan[index][:, None, None, None] * partials(at(tvec))).sum(axis=-4)
+            return partials(tvec)[..., index, :, :, :]
     else:
         def spectral(tvec: np.ndarray) -> SpectralData:
             data = channel.spectral_at(at(tvec))
@@ -658,7 +667,7 @@ def directional_channel(
         name=name or f"{channel.name}-{'slice' if v.ndim == 1 else 'fan'}",
         dim=channel.dim,
         param_count=k,
-        domain=tuple((-t / k, t / k) for t in t_max),
+        domain=tuple((-t / k, t / k) for t in t_max.min(axis=0)),
         input_state=channel.input_state,
         kraus_fn=kraus,
         kraus_grad_fn=grad,

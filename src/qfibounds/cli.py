@@ -260,7 +260,8 @@ def _parse_grid(text: str) -> np.ndarray:
         if count < 1:
             raise ValidationError("grid count must be positive")
         return np.linspace(start, stop, count)
-    return np.array([_grid_number(tok) for tok in text.split(",") if tok.strip()])
+    values = [_grid_number(tok) for tok in text.split(",") if tok.strip()]
+    return np.array(values or [_grid_number(text)])  # no value: the whole text is the bad token
 
 
 def cmd_sweep(args) -> int:

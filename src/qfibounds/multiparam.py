@@ -196,15 +196,15 @@ def directional_reduction_check(channel, curve: SpectralCurve, directions) -> Di
     partials must equal V times the curve's partials, its H and C must equal
     V H V^T and V C V^T entry by entry, and its SLD score stack checks the
     SLD residual and H, however narrow the fan.  A stacked Kraus-form curve
-    takes one channel per point (or one for all) and (N, k, m) directions,
-    and its fans are decomposed in one call.
+    takes (N, k, m) directions, and its fans, of the channel it was built
+    from and with its inputs, are decomposed in one call.
     """
     stacked = curve.theta.ndim == 2
     lift = (lambda a: a) if stacked else (lambda a: a[np.newaxis])
     v = lift(np.atleast_2d(np.asarray(directions, dtype=float)))
-    channels = [channel] * len(v) if isinstance(channel, ParametricChannel) else channel
-    fans = [directional_channel(*fan) for fan in zip(channels, lift(curve.theta), v)]
-    fan_curve = spectral_curve(fans[0] if len(fans) == 1 else fans, np.zeros(v.shape[:2]))
+    fan = directional_channel(channel, curve.theta, v if stacked else v[0])
+    psi = None if curve.kraus is None else lift(curve.kraus.psi)
+    fan_curve = spectral_curve(fan, np.zeros(v.shape[:2]), psi)
     fan_curve.sld_score  # building the score stack checks the residual and H
     kraus_mismatch = None
     if curve.kraus is not None:

@@ -5,7 +5,9 @@ F <= H <= C (and H <= C_E for remixed representations), the gap identity,
 the agreement of the Kraus and spectral routes to the channel bound, and the
 directional reduction of the multi-parameter matrices to the fan of slices
 along many directions.  A battery's points of one shape (dim, Kraus count)
-are decomposed in one stacked call, and a failing check names its worst
+are one channel whose row i carries point i's generators
+(channels.exponential_family), so a group and its fans are each evaluated
+and decomposed in one stacked call, and a failing check names its worst
 point.  Shared by `qfi verify` and the acceptance tests; `gap_suite`,
 `ordering_suite`, `routes_suite`, `one_param_battery` and
 `two_param_battery` are test seams, called only by the tests and `bench/`.
@@ -30,10 +32,11 @@ from .bounds import (
 from .channels import (
     ParametricChannel,
     example2,
+    exponential_family,
+    haar_unitary,
     random_hermitian,
-    random_kraus_channel,
+    random_kraus_draw,
     random_pure_state,
-    random_unitary,
 )
 from .errors import DegeneracyError, NumericError
 from .linalg import adjoint, hermitian_eigendecompose, loewner_leq, max_abs, unitary_exponential
@@ -81,10 +84,16 @@ def random_povm(dim: int, rng: np.random.Generator) -> POVM:
 
 @dataclass(frozen=True)
 class _Battery:
-    """Points (channel, theta) in draw order; per shape group its positions, curve and rho0."""
+    """Points (channel, theta) and generators in draw order; per shape group rows, curve, rho0."""
 
     points: list
+    generators: list
     groups: list
+
+    def family(self, rows) -> ParametricChannel:
+        """One channel for the points at rows, all of one shape: its row i is point rows[i]'s."""
+        channel, gens = self.points[rows[0]][0], np.array([self.generators[p] for p in rows])
+        return exponential_family(gens, gens.shape[-1] // channel.dim, "battery", channel.domain)
 
     def name(self, position: int) -> str:
         channel, theta = self.points[position]
@@ -138,32 +147,35 @@ def _battery_curves(seed: int, count: int, param_count: int) -> _Battery:
     refused: set = set()  # (channel name, theta bytes) of every refused point met
     while True:
         rng = np.random.Generator(np.random.Philox(key=np.uint64(seed ^ salt)))
-        drawn, shapes = [], {}  # (channel, theta) in draw order; positions per (dim, Kraus count)
+        # (channel, theta) and generators in draw order; positions per (dim, Kraus count)
+        drawn, generators, shapes = [], [], {}
         for _ in range(count):
             dim = int(rng.integers(2, max_dim + 1))
             env = int(rng.integers(1, dim + 1))
-            channel = random_kraus_channel(dim=dim, env=env, param_count=param_count,
-                                           seed=int(rng.integers(0, 2**63)),
-                                           input_state=random_pure_state(dim, rng))
+            channel, gens = random_kraus_draw(dim, env, param_count, int(rng.integers(0, 2**63)),
+                                              input_state=random_pure_state(dim, rng))
             for _ in range(8):
                 theta = rng.uniform(-width, width, size=param_count)
                 if (channel.name, theta.tobytes()) not in refused:
                     shapes.setdefault((dim, env), []).append(len(drawn))
                     drawn.append((channel, theta))
+                    generators.append(gens)
                     break
-        known, groups = len(refused), []
+        known, groups, battery = len(refused), [], _Battery(drawn, generators, [])
         for rows in shapes.values():
-            channels, thetas = zip(*(drawn[p] for p in rows))
+            thetas = np.array([drawn[p][1] for p in rows])
+            psi = np.array([drawn[p][0].input_state.amplitudes for p in rows])
             # each row's entry is the curve of the stack that kept it, or its own refusal
-            stack = lambda index: spectral_curve([channels[i] for i in index],
-                                                 np.array(thetas)[index])
+            stack = lambda index: spectral_curve(battery.family(np.array(rows)[index]),
+                                                 thetas[index], psi[index])
             curves = halving(lambda index: [stack(index)] * len(index), len(rows), DegeneracyError)
-            refused |= {(channel.name, theta.tobytes()) for channel, theta, curve
-                        in zip(channels, thetas, curves) if isinstance(curve, DegeneracyError)}
+            refused |= {(drawn[p][0].name, drawn[p][1].tobytes()) for p, curve in zip(rows, curves)
+                        if isinstance(curve, DegeneracyError)}
             groups.append((rows, curves[0]))
         if len(refused) == known:
             rho0 = lambda psi: psi[:, :, np.newaxis] * psi.conj()[:, np.newaxis, :]
-            return _Battery(drawn, [(rows, curve, rho0(curve.kraus.psi)) for rows, curve in groups])
+            return _Battery(drawn, generators,
+                            [(rows, curve, rho0(curve.kraus.psi)) for rows, curve in groups])
 
 
 def gap_suite(seed: int = DEFAULT_SEED, count: int = 200) -> list[CheckResult]:
@@ -199,15 +211,18 @@ def _remixed_bounds(curve: SpectralCurve, rho0, fixed: np.ndarray, gen: np.ndarr
 
 def _ordering(battery: _Battery, seed: int) -> list[CheckResult]:
     rng = np.random.Generator(np.random.Philox(key=np.uint64(seed ^ 0x0F0F0F0F)))
-    # each point's random POVM, fixed remixing and remixing generator, in draw order
+    # each point's random POVM, fixed remixing and remixing generator, in draw order; the
+    # fixed remixings are drawn as random_unitary's normals and made unitary per group
     n = {p: curve.kraus.operators.shape[1] for rows, curve, *_ in battery.groups for p in rows}
+    normal = lambda k: rng.normal(size=(k, k)) + 1j * rng.normal(size=(k, k))
     draws = [
-        (_povm_parts(channel.dim, rng), random_unitary(n[p], rng), random_hermitian(n[p], rng))
+        (_povm_parts(channel.dim, rng), normal(n[p]), random_hermitian(n[p], rng))
         for p, (channel, _) in enumerate(battery.points)
     ]
     h_minus_f, c_minus_h, ce_minus_h, misfits, checked = [], [], [], [], 0
     for rows, curve, rho0 in battery.groups:
-        parts, fixed, gen = (np.array(a) for a in zip(*(draws[p] for p in rows)))
+        parts, normals, gen = (np.array(a) for a in zip(*(draws[p] for p in rows)))
+        fixed = haar_unitary(normals)
         h, c = sld_information(curve), sm_bound_spectral(curve)
         povm = _normalized(parts)
         h_minus_f.append(h - curve.fisher(povm)[:, 0, 0])
@@ -299,9 +314,10 @@ def directional_suite(
         diags.append(np.maximum(h_gap, c_gap))
 
         def check(index):  # the whole group reads its battery curve
-            channels, thetas = zip(*(battery.points[rows[i]] for i in index))
-            stack = curve if len(index) == len(rows) else spectral_curve(channels, np.array(thetas))
-            return directional_reduction_check(channels, stack, v[index]).mismatch
+            family = battery.family(np.array(rows)[index])
+            stack = curve if len(index) == len(rows) else spectral_curve(
+                family, curve.theta[index], curve.kraus.psi[index])
+            return directional_reduction_check(family, stack, v[index]).mismatch
         entries = halving(check, len(rows))
         skips += [p for p, entry in zip(rows, entries) if isinstance(entry, NumericError)]
         mismatches.append(np.array([-np.inf if p in skips else e for p, e in zip(rows, entries)]))

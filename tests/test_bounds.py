@@ -837,7 +837,7 @@ def test_input_stack_refuses_at_a_refused_row():
         with pytest.raises(error):
             spectral_curve(channel, theta, np.array([PLUS.amplitudes, row, KET0.amplitudes]))
     with pytest.raises(ValidationError, match="input stack"):
-        spectral_curve(channel, [[0.2], [0.3]], np.array([PLUS.amplitudes] * 2))
+        spectral_curve(channel, [[0.2], [0.3]], np.array([PLUS.amplitudes] * 3))
 
 
 # ---------------------------------------------------------------------------

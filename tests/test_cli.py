@@ -619,7 +619,8 @@ def test_sweep_splits_only_the_refusing_stacks(spec_file, capsys, monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "grid, token", [("abc", "abc"), ("0.1,abc", "abc"), ("a:b:3", "a"), ("0:1:2.5", "2.5")]
+    "grid, token",
+    [("abc", "abc"), ("0.1,abc", "abc"), ("a:b:3", "a"), ("0:1:2.5", "2.5"), (",", ","), ("", "")],
 )
 def test_malformed_grid_is_a_validation_error(spec_file, capsys, grid, token):
     code, out, err = run_cli(capsys, "sweep", spec_file(DEPHASING), f"--theta-grid={grid}")

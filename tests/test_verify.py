@@ -15,7 +15,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from qfibounds import bounds, multiparam, verify
+from qfibounds import bounds, channels, multiparam, verify
 from qfibounds.bounds import (
     bound_gap,
     fisher_information,
@@ -26,6 +26,8 @@ from qfibounds.bounds import (
 )
 from qfibounds.channels import (
     ParametricChannel,
+    directional_channel,
+    haar_unitary,
     kraus_derivative,
     random_hermitian,
     random_kraus_channel,
@@ -131,14 +133,14 @@ def test_directional_suite_reports_skipped_directions(monkeypatch):
     first = f"{battery[0][0].name} theta {battery[0][1].tolist()}"
 
     original = verify.directional_reduction_check
-    refused = {channel.name for channel, _ in battery[::2]}
+    refused = np.array([theta for _, theta in battery[::2]])
 
-    def every_other(channels, curve, v):
-        # A stack holding a refused channel fails as one call; it is then
-        # split in halves down to the refused channels.
-        if refused & {channel.name for channel in channels}:
+    def every_other(family, curve, v):
+        # A stack holding a refused point fails as one call; it is then
+        # split in halves down to the refused points.
+        if (curve.theta[:, np.newaxis] == refused).all(axis=-1).any():
             raise DegeneracyError("forced skip")
-        return original(channels, curve, v)
+        return original(family, curve, v)
 
     # A channel's fan carries all of its directions, so a skip removes them all.
     monkeypatch.setattr(verify, "directional_reduction_check", every_other)
@@ -161,10 +163,10 @@ def test_failing_directional_check_names_its_worst_point(monkeypatch):
     channel, theta = battery[2]
     original = verify.directional_reduction_check
 
-    def third_is_off(channels, curve, v):
+    def third_is_off(family, curve, v):
         # the third point's row of its group's check, whichever group holds it
-        check = original(channels, curve, v)
-        off = np.array([c.name == channel.name for c in channels], dtype=float)
+        check = original(family, curve, v)
+        off = (curve.theta == theta).all(axis=-1).astype(float)
         return dataclasses.replace(check, kraus_deriv_mismatch=check.kraus_deriv_mismatch + off)
 
     monkeypatch.setattr(verify, "directional_reduction_check", third_is_off)
@@ -261,6 +263,31 @@ def test_battery_retries_a_refused_theta_as_the_sequential_builder_does(seed):
     assert [(channel.name, theta) for channel, theta in verify.one_param_battery(seed)] == expected
 
 
+def test_each_group_kernel_call_evaluates_its_family_once(monkeypatch):
+    # A shape group's channels are one family with generators per row: each
+    # kernel call, the battery's halves and the fans included, decomposes the
+    # generators of all its rows in one batched call, and no battery channel
+    # is evaluated on its own.  Seed 3 redraws a theta and halves a group.
+    kernel, generators = [], []  # the rows of each call
+    canonical_kraus, unitary_exponential = bounds.canonical_kraus, channels.unitary_exponential
+
+    def counted_kernel(channel, theta, inputs=None):
+        kernel.append(len(theta))
+        return canonical_kraus(channel, theta, inputs)
+
+    def counted_generators(h):
+        generators.append(len(h))
+        return unitary_exponential(h)
+
+    monkeypatch.setattr(bounds, "canonical_kraus", counted_kernel)
+    monkeypatch.setattr(channels, "unitary_exponential", counted_generators)
+    for build in (lambda: verify.one_param_battery(3),
+                  lambda: verify.directional_suite(seed=9, count=5, directions=4)):
+        kernel.clear(), generators.clear()
+        build()
+        assert len(kernel) > 2 and generators == kernel
+
+
 def test_a_redrawn_battery_splits_only_the_refusing_groups(monkeypatch):
     # Seed 3 redraws one theta: each of two rounds decomposes the 9 shape
     # groups, and only the group holding the refused row is split in halves
@@ -292,14 +319,25 @@ def test_stacked_groups_match_point_curves_bit_for_bit():
                 gap = bound_gap(curve)
             else:
                 by_pinv = verify._sld_matrix_by_pinv(curve)
+                # the group's fans, from one evaluation of its family, as the suite builds them
+                v = rng.normal(size=(len(rows), 3, 2))
+                fans = directional_channel(battery.family(rows), curve.theta, v)
+                fan = spectral_curve(fans, np.zeros((len(rows), 3)), curve.kraus.psi)
             for i, (channel, theta) in enumerate(battery.points[p] for p in rows):
                 point, povm = spectral_curve(channel, theta), POVM(verify._normalized(parts[i]))
                 assert _equal_bits(f[i], point.fisher(povm))
                 if m == 2:
                     assert _equal_bits(h[i], point.information[0])
                     assert _equal_bits(c[i], point.information[1])
-                    one = spectral_curve([channel], theta[np.newaxis])
+                    one = spectral_curve(channel, theta[np.newaxis])
                     assert _equal_bits(by_pinv[i], verify._sld_matrix_by_pinv(one)[0])
+                    alone = spectral_curve(directional_channel(channel, theta, v[i]), np.zeros(3))
+                    for name in ("values", "vectors", "value_derivs", "vector_derivs"):
+                        assert _equal_bits(getattr(fan, name)[i], getattr(alone, name)), name
+                    for name, value in vars(alone.kraus).items():
+                        assert _equal_bits(getattr(fan.kraus, name)[i], value), name
+                    for a, b in zip(fan.information, alone.information):
+                        assert _equal_bits(a[i], b)
                     continue
                 assert _equal_bits(h[i, 0, 0], sld_information(point))
                 assert _equal_bits(c[i, 0, 0], sm_bound_spectral(point))
@@ -334,4 +372,16 @@ def test_random_povm_draws_its_parts_in_one_call():
         sys = hermitian_eigendecompose(sum(parts))
         inv_root = (sys.eigenvectors / np.sqrt(sys.eigenvalues)) @ sys.eigenvectors.conj().T
         assert _equal_bits(povm.elements, [inv_root @ p @ inv_root for p in parts])
+        assert rng.normal() == ref.normal()
+
+
+def test_ordering_unitaries_of_a_group_equal_random_unitary_row_by_row():
+    # The ordering suite draws each point's normals as random_unitary does
+    # and makes a shape group's unitaries in one batched QR, bit for bit.
+    for dim in (2, 3, 5):
+        rng, ref = (np.random.Generator(np.random.Philox(key=np.uint64(dim))) for _ in range(2))
+        normals = np.array([rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+                            for _ in range(40)])
+        for row in haar_unitary(normals):
+            assert _equal_bits(row, random_unitary(dim, ref))
         assert rng.normal() == ref.normal()
