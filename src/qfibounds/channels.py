@@ -153,13 +153,30 @@ class ParametricChannel:
     def output_matrix(self, theta) -> np.ndarray:
         """Raw (d, d) output density matrix, (N, d, d) for a stack (no wrapper validation)."""
         if self.is_kraus_form:
-            if self.input_state is None:
-                raise ValidationError(f"channel {self.name!r} has no input state")
-            vs = self.kraus_matrices(theta) @ self.input_state.amplitudes
+            vs = self.kraus_matrices(theta) @ self._input()
             return hermitian_part(np.einsum("...ki,...kj->...ij", vs, vs.conj()))
         points = [self.spectral_at(t) for t in self.theta_stack(theta)]
         rhos = np.array([(data.vectors * data.values) @ adjoint(data.vectors) for data in points])
         return hermitian_part(rhos if np.ndim(theta) == 2 else rhos[0])
+
+    def output_partials(self, theta) -> np.ndarray:
+        """Raw (m, d, d) analytic partials of output_matrix, (N, m, d, d) for a stack."""
+        if self.is_kraus_form:  # sum_k E_k' psi (E_k psi)^dag + h.c.
+            vs = (self.kraus_matrices(theta) @ self._input())[..., np.newaxis, :, :]
+            dvs = self.kraus_partials(theta) @ self._input()
+            half = np.einsum("...ki,...kj->...ij", dvs, vs.conj())
+            return half + adjoint(half)
+        out = []  # W' P W^dag + h.c. + W P' W^dag
+        for data in map(self.spectral_at, self.theta_stack(theta)):
+            w, dp = data.vectors, data.value_grads[:, np.newaxis]
+            half = (data.vector_grads * data.values) @ adjoint(w)
+            out.append(half + adjoint(half) + hermitian_part((w * dp) @ adjoint(w)))
+        return np.array(out) if np.ndim(theta) == 2 else out[0]
+
+    def _input(self) -> np.ndarray:
+        if self.input_state is None:
+            raise ValidationError(f"channel {self.name!r} has no input state")
+        return self.input_state.amplitudes
 
     def output_state(self, theta) -> DensityMatrix:
         return DensityMatrix(self.output_matrix(theta))

@@ -9,10 +9,10 @@
 Exit codes: 0 success, 2 validation error, 3 numeric failure
 (degeneracy / singular terms / non-finite output), 4 verification-suite
 failure.  The seed falls back to the QFI_SEED environment variable, then 0;
-for `verify`, then the default battery seed.  The only numeric option is the
-verdict tolerance --tol; the finite-difference policy (central-4, step 1e-4)
-is fixed, and only a one-parameter crossing, where it runs, keeps its reach
-from a domain edge.
+for `verify`, then the default battery seed.  A seed outside [0, 2**64)
+exits 2.  The only numeric option is the verdict tolerance --tol; the
+finite-difference policy (central-4, step 1e-4) is fixed, and only a
+one-parameter crossing, where it runs, keeps its reach from a domain edge.
 """
 
 from __future__ import annotations
@@ -110,10 +110,13 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _seed_of(args) -> int:
-    if getattr(args, "seed", None) is not None:
-        return args.seed
-    return int(os.environ.get("QFI_SEED", "0"))
+def _seed_of(args, default: int = 0) -> int:
+    """--seed, else QFI_SEED, else default; anything but an integer in [0, 2**64) is refused."""
+    given = args.seed if args.seed is not None else os.environ.get("QFI_SEED", default)
+    if not (str(given).strip().isdecimal() and int(given) < 2**64):
+        where = "--seed" if args.seed is not None else "QFI_SEED"
+        raise ValidationError(f"{where} {given!r} is not an integer in [0, 2**64)")
+    return int(given)
 
 
 def _load_spec(path: Path) -> tuple[ChannelSpec, ParametricChannel]:
@@ -342,8 +345,7 @@ def cmd_optimize_input(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    explicit = args.seed is not None or "QFI_SEED" in os.environ
-    results = run_suites([args.suite], seed=_seed_of(args) if explicit else DEFAULT_SEED)
+    results = run_suites([args.suite], seed=_seed_of(args, DEFAULT_SEED))
     failed = [r for r in results if not r.passed]
     if args.format == "json":
         doc = {

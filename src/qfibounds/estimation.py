@@ -1,16 +1,18 @@
 """Monte-Carlo verification layer.
 
 Seeded multinomial sampling of measurement outcomes, maximum-likelihood
-estimation by grid scan plus golden-section refinement, the adaptive
-two-stage measurement, Cramér-Rao comparisons across replications, and
-optimization of the input state: the convex dual of the SLD information,
-which certifies an optimal input where it can, and a BFGS search on
-stacked central differences elsewhere.
+estimation by grid scan plus a safeguarded Newton refinement on the
+analytic score, the adaptive two-stage measurement, Cramér-Rao comparisons
+across replications, and optimization of the input state: the convex dual
+of the SLD information, which certifies an optimal input where it can, and
+a BFGS search on stacked central differences elsewhere.
 
 Every replication of an experiment is estimated at once: the scan grid's
 output states are tabulated in one stacked call, every replication's counts
-score the whole grid, and the golden-section refinement steps all of them
-in lockstep, one stacked channel evaluation per step.
+score the whole grid, and the Newton refinement steps all of them in
+lockstep, one stacked evaluation of the output state and its partial per
+step (see `_refine`).  The outcome probabilities of one state and POVM are
+computed once for all the replications that draw from them.
 
 RNG contract: Philox (counter-based, 64-bit keys).  Replication r draws from
 the stream keyed by seed XOR r, so replications are reproducible and
@@ -48,6 +50,7 @@ from .quantum import (
 UNINFORMATIVE_FLOOR = 1e-9
 MLE_GRID_POINTS = 129
 MLE_REFINE_TOL = 1e-8
+MLE_FLAT_TOL = 1e-12  # of N + |l|, the round-off scale of a log-likelihood of N shots
 # An input is certified optimal for H when H there comes within
 # CERTIFY_TOL * max(1, bound) of the ancilla bound.  The dual's BFGS stops
 # when no gradient entry exceeds DUAL_GTOL.
@@ -69,11 +72,15 @@ def replication_seed(seed: int, replication: int) -> int:
 
 def sample_outcomes(rho: DensityMatrix, povm: POVM, shots: int, seed: int) -> np.ndarray:
     """Multinomial outcome counts; identical seeds give identical counts."""
+    return _draws(measurement_distribution(rho, povm), shots, [seed])[0]
+
+
+def _draws(probs: np.ndarray, shots: int, seeds) -> np.ndarray:
+    """Multinomial counts of the outcome distribution probs, one row per seed's stream."""
     if shots < 1:
         raise ValidationError(f"shots must be positive, got {shots}")
-    probs = measurement_distribution(rho, povm)
     probs = probs / probs.sum()
-    return rng_from_seed(seed).multinomial(shots, probs)
+    return np.array([rng_from_seed(s).multinomial(shots, probs) for s in seeds])
 
 
 @dataclass(frozen=True)
@@ -85,27 +92,35 @@ class MLEResult:
     boundary: bool | np.ndarray
 
 
-def _golden_max(fun, a: np.ndarray, b: np.ndarray, tol: float) -> np.ndarray:
-    """Golden-section maxima of R rows in lockstep, row r over its bracket [a_r, b_r].
+def _refine(score, grid: np.ndarray, values: np.ndarray, pick: np.ndarray, shots) -> np.ndarray:
+    """Score roots of R rows in lockstep, row r bracketed by the grid neighbours of pick[r].
 
-    fun(points, rows) scores one point per listed row; a row stops being
-    scored once its bracket is no wider than tol.
+    score(points, rows) is l' at one point per listed row.  Newton steps start at the vertex of
+    the parabola through the grid maximum and neighbours, with its curvature, then secants.  A
+    score shrinks the bracket by its sign; a step leaving it, or not halving the last step,
+    bisects it.  A row stops at a step or bracket of MLE_REFINE_TOL; a flat row keeps its pick.
     """
-    inv_phi = (np.sqrt(5.0) - 1.0) / 2.0
-    a, b = a.copy(), b.copy()
-    c = b - inv_phi * (b - a)
-    d = a + inv_phi * (b - a)
-    fc, fd = np.split(fun(np.concatenate([c, d]), np.tile(np.arange(len(a)), 2)), 2)
-    while (rows := np.flatnonzero(b - a > tol)).size:
-        left = fc[rows] >= fd[rows]
-        lo, hi = rows[left], rows[~left]
-        b[lo], d[lo], fd[lo] = d[lo], c[lo], fc[lo]
-        c[lo] = b[lo] - inv_phi * (b[lo] - a[lo])
-        a[hi], c[hi], fc[hi] = c[hi], d[hi], fd[hi]
-        d[hi] = a[hi] + inv_phi * (b[hi] - a[hi])
-        values = fun(np.where(left, c[rows], d[rows]), rows)
-        fc[lo], fd[hi] = values[left], values[~left]
-    return 0.5 * (a + b)
+    h, center = grid[1] - grid[0], np.clip(pick, 1, len(grid) - 2)
+    f0, f1, f2 = np.take_along_axis(values, center[:, np.newaxis] + [-1, 0, 1], axis=1).T
+    a, b = grid[np.maximum(pick - 1, 0)], grid[np.minimum(pick + 1, len(grid) - 1)]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        second = f0 - 2 * f1 + f2
+        vertex, curvature = grid[center] - 0.5 * h * (f2 - f0) / second, second / h**2
+        done = np.abs(second) <= MLE_FLAT_TOL * (shots + np.abs(values.max(axis=1)))
+        x = np.where(done, grid[pick], np.where((a < vertex) & (vertex < b), vertex, (a + b) / 2))
+        step, x_prev, s_prev = b - a, np.full_like(x, np.nan), np.full_like(x, np.nan)
+        while (live := np.flatnonzero(~done)).size:
+            s = score(xl := x[live], live)
+            al = a[live] = np.where(s >= 0, xl, a[live])
+            bl = b[live] = np.where(s <= 0, xl, b[live])
+            secant = (s - s_prev[live]) / (xl - x_prev[live])
+            c = curvature[live] = np.where(np.isnan(x_prev[live]), curvature[live], secant)
+            t = xl - s / c
+            t = np.where((al < t) & (t < bl) & (np.abs(t - xl) <= step[live] / 2), t, (al + bl) / 2)
+            step[live] = np.abs(t - xl)
+            done[live] = (step[live] <= MLE_REFINE_TOL) | (bl - al <= MLE_REFINE_TOL)
+            x_prev[live], s_prev[live], x[live] = xl, s, t
+    return x
 
 
 def _grid_states(channel: ParametricChannel) -> np.ndarray:
@@ -116,19 +131,19 @@ def _grid_states(channel: ParametricChannel) -> np.ndarray:
     return channel.output_matrix(np.linspace(lo, hi, MLE_GRID_POINTS)[:, np.newaxis])
 
 
-def _log_likelihood(counts: np.ndarray, states: np.ndarray, elements: np.ndarray) -> np.ndarray:
-    """sum_k n_k log Re tr(rho_p M_k) over observed outcomes: (..., P, k) counts -> (..., P).
+def _outcome_sum(counts: np.ndarray, states, elements, partials=None) -> np.ndarray:
+    """sum_k n_k log p_k, or with partials the score sum_k n_k p_k' / p_k, over observed outcomes.
 
-    states (..., P, d, d) and elements (..., k, d, d) meet in one matmul per
-    stacked item, so an item's bits do not depend on the others (an einsum's
-    need not), and the outcomes add one by one: zero-count padding is exact.
+    p_k = Re tr(rho_p M_k), p_k' = Re tr(rho_p' M_k) of (..., P, d, d) states (partials) and
+    (..., k, d, d) elements, one matmul per stacked item so that an item's bits do not depend on
+    the others; the outcomes of (..., P, k) counts add one by one: zero-count padding is exact.
     """
-    rho = states.reshape(*states.shape[:-2], -1)
-    flat = elements.swapaxes(-1, -2).reshape(*elements.shape[:-2], -1)
-    probs = np.clip((rho @ flat.swapaxes(-1, -2)).real, 0.0, None)
-    observed = counts > 0
-    with np.errstate(divide="ignore"):
-        terms = np.where(observed, counts * np.log(np.where(observed, probs, 1.0)), 0.0)
+    flat = elements.swapaxes(-1, -2).reshape(*elements.shape[:-2], -1).swapaxes(-1, -2)
+    traced = lambda a: (a.reshape(*a.shape[:-2], -1) @ flat).real
+    probs = np.clip(traced(states), 0.0, None)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        terms = counts * (np.log(probs) if partials is None else traced(partials) / probs)
+    terms = np.where(counts > 0, terms, 0.0)
     return sum(terms[..., k] for k in range(terms.shape[-1]))
 
 
@@ -140,7 +155,7 @@ def mle_estimate(
     grid_states: np.ndarray | None = None,
     seeds=None,
 ) -> MLEResult:
-    """Maximum-likelihood estimates by coarse grid scan and golden-section refinement.
+    """Maximum-likelihood estimates by coarse grid scan and Newton refinement on the score.
 
     counts is a (k,) vector or an (R, k) stack, one row per replication (a
     vector is the stack of one), and povm one POVM or an (R, k, d, d) stack
@@ -153,31 +168,29 @@ def mle_estimate(
     """
     rows, stacked = np.atleast_2d(counts), np.ndim(counts) == 2
     elements = povm.elements if isinstance(povm, POVM) else np.asarray(povm, dtype=complex)
-    per_row = elements.ndim == 4
     if (rows.sum(axis=1) < 1).any():
         raise ValidationError("counts are empty")
     if grid_states is None:
         grid_states = _grid_states(channel)
     lo, hi = channel.domain[0]
 
-    def loglik(points: np.ndarray, which: np.ndarray) -> np.ndarray:
-        states = channel.output_matrix(points[:, np.newaxis])[:, np.newaxis]
-        own = elements[which] if per_row else elements
-        return _log_likelihood(rows[which, np.newaxis], states, own)[:, 0]
+    def at(points: np.ndarray, which: np.ndarray, score: bool = False) -> np.ndarray:
+        theta, own = points[:, np.newaxis], elements[which] if elements.ndim == 4 else elements
+        states = channel.output_matrix(theta)[:, np.newaxis]
+        partials = channel.output_partials(theta) if score else None
+        return _outcome_sum(rows[which, np.newaxis], states, own, partials)[:, 0]
 
     grid = np.linspace(lo, hi, MLE_GRID_POINTS)
-    values = _log_likelihood(rows[:, np.newaxis], grid_states, elements)  # (R, grid)
+    values = _outcome_sum(rows[:, np.newaxis], grid_states, elements)  # (R, grid)
     if (dead := ~np.isfinite(values).any(axis=1)).any():
         r = int(np.argmax(dead))
         where = f" for replication {r}" + ("" if seeds is None else f" (seed {seeds[r]})")
         raise NumericError(f"log-likelihood is -inf over the entire search domain{where * stacked}")
     ties = values == values.max(axis=1, keepdims=True)
     pick = np.argmin(np.where(ties, np.abs(grid - 0.5 * (lo + hi)), np.inf), axis=1)
-    a = grid[np.maximum(pick - 1, 0)]
-    b = grid[np.minimum(pick + 1, MLE_GRID_POINTS - 1)]
-    theta_hat = _golden_max(loglik, a, b, MLE_REFINE_TOL)
+    theta_hat = _refine(lambda x, which: at(x, which, True), grid, values, pick, rows.sum(axis=1))
     boundary = np.minimum(theta_hat - lo, hi - theta_hat) < 1e-6 * (hi - lo)
-    result = MLEResult(theta_hat, loglik(theta_hat, np.arange(len(rows))), boundary)
+    result = MLEResult(theta_hat, at(theta_hat, np.arange(len(rows))), boundary)
     return result if stacked else MLEResult(*(v[0].item() for v in vars(result).values()))
 
 
@@ -281,7 +294,7 @@ def cr_experiment(
         raise ValidationError("need at least 2 replications for a variance")
     rho = channel.output_state(np.array([theta_true]))
     seeds = [replication_seed(seed, rep) for rep in range(replications)]
-    counts = np.array([sample_outcomes(rho, povm, shots, s) for s in seeds])
+    counts = _draws(measurement_distribution(rho, povm), shots, seeds)
     estimates = mle_estimate(channel, povm, counts, seeds=seeds).theta_hat
     if curve is None:
         curve = spectral_curve(channel, theta_true)
@@ -343,9 +356,7 @@ def _two_stage(
     states = _grid_states(channel)
     pilot_povm = computational_basis_povm(channel.dim)
     rho_true = channel.output_state(np.array([theta_true]))
-    pilot_counts = np.array(
-        [sample_outcomes(rho_true, pilot_povm, config.n_pilot, s) for s in seeds]
-    )
+    pilot_counts = _draws(measurement_distribution(rho_true, pilot_povm), config.n_pilot, seeds)
     pilot = mle_estimate(channel, pilot_povm, pilot_counts, grid_states=states, seeds=seeds)
     lo, hi = channel.domain[0]
     # A pilot MLE can land within 1e-8 of an edge, where a Kraus-form point's

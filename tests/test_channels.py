@@ -94,6 +94,26 @@ def test_kraus_derivative_analytic_vs_numeric(family):
 
 
 @pytest.mark.parametrize("family", ALL_FAMILIES)
+def test_output_partials_analytic_vs_numeric(family):
+    """Output partials, from Kraus partials or spectral data, agree with central differences."""
+    ch = builtin(family)
+    mid = np.array([(2 * lo + hi) / 3 for lo, hi in ch.domain])
+    analytic = ch.output_partials(mid)
+    assert analytic.shape == (ch.param_count, ch.dim, ch.dim)
+    for index in range(ch.param_count):
+
+        def curve(t, index=index):
+            point = mid.copy()
+            point[index] = t
+            return ch.output_matrix(point)
+
+        numeric = differentiate_curve(curve, mid[index])
+        assert max_abs(analytic[index] - analytic[index].conj().T) == 0.0
+        err = max_abs(numeric - analytic[index]) / max(1.0, max_abs(analytic[index]))
+        assert err < 1e-6, f"{family} axis {index}: {err:.3e}"
+
+
+@pytest.mark.parametrize("family", ALL_FAMILIES)
 def test_completeness_derivative_vanishes(family):
     """d/dtheta sum E^dag E = 0, via finite differences of the raw curve."""
     ch = builtin(family)
@@ -328,3 +348,7 @@ def test_stacked_family_calls_match_point_calls(drawn):
         assert _same_bits(call(points[:, np.newaxis])[:, 0], stack)  # any leading axes
     rhos = channel.output_matrix(points)
     assert all(_same_bits(rhos[i], channel.output_matrix(point)) for i, point in enumerate(points))
+    partials = channel.output_partials(points)
+    assert all(
+        _same_bits(partials[i], channel.output_partials(point)) for i, point in enumerate(points)
+    )

@@ -345,6 +345,45 @@ def test_sweep_rank_change_row_is_warnings_only(spec_file, capsys):
 
 
 @pytest.mark.parametrize(
+    "command, argv, env, named",
+    [
+        ("verify", ["--seed", "-1"], None, "--seed -1"),
+        ("verify", ["--seed", str(2**64)], None, f"--seed {2**64}"),
+        ("verify", [], "-1", "QFI_SEED '-1'"),
+        ("estimate", [], "abc", "QFI_SEED 'abc'"),
+        ("estimate", ["--seed", str(2**64)], None, f"--seed {2**64}"),
+        ("estimate", ["--seed", "-1"], "5", "--seed -1"),
+        ("optimize-input", [], "1.5", "QFI_SEED '1.5'"),
+        ("optimize-input", ["--seed", str(2**65)], None, f"--seed {2**65}"),
+    ],
+)
+def test_seed_outside_range_or_not_an_integer_exits_2(
+    spec_file, capsys, monkeypatch, command, argv, env, named
+):
+    if env is None:
+        monkeypatch.delenv("QFI_SEED", raising=False)
+    else:
+        monkeypatch.setenv("QFI_SEED", env)
+    point = {
+        "verify": ["--suite", "gap"],
+        "estimate": [spec_file(DEPHASING), "--theta-true", "0.2", "--shots", "100", "--reps", "2"],
+        "optimize-input": [spec_file(DEPHASING), "--theta", "0.3", "--restarts", "1"],
+    }[command]
+    code, out, err = run_cli(capsys, command, *point, *argv)
+    assert (code, out) == (2, "")
+    assert err == f"error: {named} is not an integer in [0, 2**64)\n"
+
+
+def test_largest_seed_is_accepted(capsys, monkeypatch):
+    from qfibounds import cli as cli_module
+
+    seen = []
+    monkeypatch.setattr(cli_module, "run_suites", lambda names, seed: seen.append(seed) or [])
+    code, _, _ = run_cli(capsys, "verify", "--suite", "gap", "--seed", str(2**64 - 1))
+    assert code == 0 and seen == [2**64 - 1]
+
+
+@pytest.mark.parametrize(
     "argv, env, expected",
     [(["--seed", "0"], None, 0), (["--seed", "0"], "5", 0), ([], "5", 5), ([], None, None)],
 )
