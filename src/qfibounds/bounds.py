@@ -320,9 +320,9 @@ class SpectralCurve:
         p, w = self.values, self.vectors
         total, slopes = p.sum(axis=-1), self.value_derivs.sum(axis=-1)
         if (bad := np.abs(total - 1.0) > CURVE_SUM_TOL).any():
-            raise ConsistencyError(f"eigenvalues sum to {total[bad][0]!r}")
+            raise ConsistencyError(f"eigenvalues sum to {float(total[bad][0])!r}")
         if (bad := np.abs(slopes) > CURVE_DERIV_TOL).any():
-            raise ConsistencyError(f"eigenvalue derivatives sum to {slopes[bad][0]!r}")
+            raise ConsistencyError(f"eigenvalue derivatives sum to {float(slopes[bad][0])!r}")
         # w_k = Y_k psi / sqrt(p_k) and w_k' = dY_k psi / sqrt(p_k) - (p_k' / 2 p_k) w_k:
         # <w_j|w_k> carries rounding of 1 / sqrt(p_j p_k), and overlap pair (j, k)
         # that of s_j + s_k, s_k = |w_k'| + |p_k' / p_k|.
@@ -563,18 +563,6 @@ def _kraus_eigendata(ck: CanonicalKraus) -> SpectralData:
     )
 
 
-def _stacked(points: list[SpectralData]) -> SpectralData:
-    """Several points' spectral data as one stack, each point's columns in ascending order."""
-    orders = [np.argsort(d.values, kind="stable") for d in points]
-    pairs = list(zip(points, orders))
-    return SpectralData(
-        values=np.array([d.values[o] for d, o in pairs]),
-        vectors=np.array([d.vectors[:, o] for d, o in pairs]),
-        value_grads=np.array([d.value_grads[:, o] for d, o in pairs]),
-        vector_grads=np.array([d.vector_grads[..., o] for d, o in pairs]),
-    )
-
-
 def _last_columns(a, dim: int, dtype) -> np.ndarray:
     """The last dim columns of a, zero-padded in front to exactly dim."""
     a = np.asarray(a, dtype=dtype)
@@ -595,17 +583,22 @@ def spectral_curve(channel: ParametricChannel, theta, inputs=None) -> SpectralCu
     canonical_kraus).  Kraus-form channels go through the canonical
     decomposition, which fixes the eigenvector gauge and which the curve
     carries; spectral-form families supply their own analytic eigen-data,
-    one point at a time, and join the same tail.  The eigensystem is
-    ascending (the Gram eigenvalues are already) and completed to a full
-    basis: unsupported slots hold an orthonormal completion with zero partials.
+    sorted ascending, and join the same tail.  The eigensystem is ascending
+    (the Gram eigenvalues are already) and completed to a full basis:
+    unsupported slots hold an orthonormal completion with zero partials.  An
+    unsupported eigenvalue that moves means theta is at a rank change, and
+    is refused as the Kraus route refuses a moving unsupported mode.
     """
     thetas = channel.theta_stack(theta)
     if channel.is_kraus_form or inputs is not None:
         ck = canonical_kraus(channel, thetas, inputs)
         thetas, data = ck.theta, _kraus_eigendata(ck)
     else:
-        channel.require_in_domain(thetas)
-        ck, data = None, _stacked([channel.spectral_at(t) for t in thetas])
+        data = channel.spectral_at(channel.require_in_domain(thetas))
+        order = np.argsort(data.values, axis=-1, kind="stable")[:, np.newaxis]  # as Gram weights are
+        ascending = lambda a: np.take_along_axis(  # (N, ..., r) sorted as (N, K, r)
+            a.reshape(len(order), -1, a.shape[-1]), order, axis=-1).reshape(a.shape)
+        ck, data = None, SpectralData(*map(ascending, vars(data).values()))
     dim = channel.dim
     rank = (data.values > SUPPORT_TOL).sum(axis=-1)
     if rank.max() > dim:
@@ -614,11 +607,14 @@ def spectral_curve(channel: ParametricChannel, theta, inputs=None) -> SpectralCu
         _last_columns(a, dim, dtype) for a, dtype in zip(vars(data).values(), (float, complex) * 2)
     )
     support = values > SUPPORT_TOL
+    keep = support[:, np.newaxis]
+    if (worst := np.where(keep, 0.0, np.abs(dp)).max()) > CURVE_DERIV_TOL:
+        raise DegeneracyError(f"an unsupported eigenvalue moves (|p_k'| = {worst:.3e}); "
+                              "theta is at a rank change, perturb it")
     for r in sorted(set(rank[rank < dim].tolist())):  # one completion pass per deficient rank
         rows = rank == r
         basis = _orthonormal_completion(vectors[rows][..., dim - r:], dim)
         vectors[rows, :, : dim - r] = _normalize_phases(basis[..., r:])
-    keep = support[:, np.newaxis]
     curve = dict(
         theta=thetas,
         values=np.where(support, values, 0.0),

@@ -10,10 +10,10 @@ throughout the test suite, and seeded random Kraus curves generated from
 random Hamiltonians on system + environment.  The exponential families
 (`random-kraus`, `rotation-2p`; exponential_family) take their Kraus stack
 and every partial from one eigendecomposition of the generator per theta
-(`linalg.unitary_exponential`); this module imports no scipy.  Every Kraus
-family evaluates a whole stack of points in one call (see ParametricChannel),
-and one exponential family with generators per row evaluates N channels of
-one shape, one per row, in one call.
+(`linalg.unitary_exponential`); this module imports no scipy.  Every family,
+Kraus or spectral form, evaluates a whole stack of points in one call (see
+ParametricChannel), and one exponential family with generators per row
+evaluates N channels of one shape, one per row, in one call.
 """
 
 from __future__ import annotations
@@ -39,6 +39,7 @@ class SpectralData:
     vectors: (d, r) orthonormal columns.
     value_grads: (m, r) partial derivatives of the eigenvalues.
     vector_grads: (m, d, r) partial derivatives of the eigenvector columns.
+    The data of a stack of points give every array the stack's leading axes.
     """
 
     values: np.ndarray
@@ -52,9 +53,11 @@ class ParametricChannel:
     """A differentiable family of channels over a box-shaped parameter domain.
 
     Broadcast contract: kraus_fn(theta) and kraus_grad_fn(theta, l) map
-    (..., m) points to (..., n, d, d), each point with the bits of its own
-    call, so an (N, m) stack is one call.  kraus_matrices, kraus_partials
-    and output_matrix take a point or an (N, m) stack; spectral_fn one point.
+    (..., m) points to (..., n, d, d), and spectral_fn(theta) maps them to
+    SpectralData with arrays (..., r), (..., d, r), (..., m, r) and
+    (..., m, d, r); each point has the bits of its own call, so an (N, m)
+    stack is one call.  kraus_matrices, kraus_partials, spectral_at,
+    output_matrix and output_partials take a point or an (N, m) stack.
     """
 
     name: str
@@ -135,16 +138,19 @@ class ParametricChannel:
         return out
 
     def spectral_at(self, theta) -> SpectralData:
+        """spectral_fn at theta or an (N, m) stack, refused at the first point that fails a check."""
         if self.spectral_fn is None:
             raise ValidationError(f"channel {self.name!r} has no spectral form")
-        data = self.spectral_fn(self.theta_vector(theta))
-        p, w = data.values, data.vectors
-        if abs(float(p.sum()) - 1.0) > SPECTRAL_SUM_TOL:
-            raise ValidationError(f"spectral values sum defect {abs(p.sum() - 1.0):.3e}")
-        gram = w.conj().T @ w
-        defect = max_abs(gram - np.eye(w.shape[1]))
-        if defect > SPECTRAL_SUM_TOL:
-            raise ValidationError(f"spectral vectors orthonormality defect {defect:.3e}")
+        points = self.theta_stack(theta)
+        data = self.spectral_fn(points if np.ndim(theta) == 2 else points[0])
+        w, count = data.vectors, len(points)
+        for what, defect in (
+            ("values sum", np.abs(data.values.sum(axis=-1) - 1.0).reshape(count)),
+            ("vectors orthonormality",
+             np.abs(adjoint(w) @ w - np.eye(w.shape[-1])).reshape(count, -1).max(axis=-1)),
+        ):
+            if (bad := defect > SPECTRAL_SUM_TOL).any():
+                raise ValidationError(f"spectral {what} defect {defect[np.argmax(bad)]:.3e}")
         return data
 
     def with_input_state(self, state: PureState) -> "ParametricChannel":
@@ -155,9 +161,9 @@ class ParametricChannel:
         if self.is_kraus_form:
             vs = self.kraus_matrices(theta) @ self._input()
             return hermitian_part(np.einsum("...ki,...kj->...ij", vs, vs.conj()))
-        points = [self.spectral_at(t) for t in self.theta_stack(theta)]
-        rhos = np.array([(data.vectors * data.values) @ adjoint(data.vectors) for data in points])
-        return hermitian_part(rhos if np.ndim(theta) == 2 else rhos[0])
+        data = self.spectral_at(theta)
+        w = data.vectors
+        return hermitian_part((w * data.values[..., np.newaxis, :]) @ adjoint(w))
 
     def output_partials(self, theta) -> np.ndarray:
         """Raw (m, d, d) analytic partials of output_matrix, (N, m, d, d) for a stack."""
@@ -166,12 +172,10 @@ class ParametricChannel:
             dvs = self.kraus_partials(theta) @ self._input()
             half = np.einsum("...ki,...kj->...ij", dvs, vs.conj())
             return half + adjoint(half)
-        out = []  # W' P W^dag + h.c. + W P' W^dag
-        for data in map(self.spectral_at, self.theta_stack(theta)):
-            w, dp = data.vectors, data.value_grads[:, np.newaxis]
-            half = (data.vector_grads * data.values) @ adjoint(w)
-            out.append(half + adjoint(half) + hermitian_part((w * dp) @ adjoint(w)))
-        return np.array(out) if np.ndim(theta) == 2 else out[0]
+        data = self.spectral_at(theta)  # W' P W^dag + h.c. + W P' W^dag
+        w, dp = data.vectors[..., np.newaxis, :, :], data.value_grads[..., np.newaxis, :]
+        half = (data.vector_grads * data.values[..., np.newaxis, np.newaxis, :]) @ adjoint(w)
+        return half + adjoint(half) + hermitian_part((w * dp) @ adjoint(w))
 
     def _input(self) -> np.ndarray:
         if self.input_state is None:
@@ -320,6 +324,25 @@ def depolarizing(input_state: PureState = _KET0) -> ParametricChannel:
     )
 
 
+def _rank_two(f: np.ndarray, g: np.ndarray, df, dg) -> SpectralData:
+    """Eigenvalues (f^2, 1-f^2) on (g, sqrt(1-g^2), 0) and (0, 0, 1), f and g of shape (...).
+
+    df and dg, the partials of f and g, broadcast to (..., m); only the first vector moves.
+    """
+    s = np.sqrt(1 - g * g)
+    values = np.empty(f.shape + (2,))
+    values[..., 0], values[..., 1] = f * f, 1 - f * f
+    vectors = np.zeros(f.shape + (3, 2), dtype=complex)
+    vectors[..., 0, 0], vectors[..., 1, 0], vectors[..., 2, 1] = g, s, 1.0
+    f, g, s = f[..., np.newaxis], g[..., np.newaxis], s[..., np.newaxis]
+    slope, turn = 2 * f * df, -g * dg / s
+    value_grads = np.empty(slope.shape + (2,))
+    value_grads[..., 0], value_grads[..., 1] = slope, -slope
+    vector_grads = np.zeros(turn.shape + (3, 2), dtype=complex)
+    vector_grads[..., 0, 0], vector_grads[..., 1, 0] = dg, turn
+    return SpectralData(values, vectors, value_grads, vector_grads)
+
+
 def example1() -> ParametricChannel:
     """Rank-two three-level family with rotating support but vanishing supported overlaps.
 
@@ -332,14 +355,7 @@ def example1() -> ParametricChannel:
     """
 
     def spectral(theta: np.ndarray) -> SpectralData:
-        (t,) = theta
-        s = np.sqrt(1 - t * t)
-        values = np.array([t * t, 1 - t * t])
-        vectors = np.array([[t, 0.0], [s, 0.0], [0.0, 1.0]], dtype=complex)
-        value_grads = np.array([[2 * t, -2 * t]])
-        vector_grads = np.zeros((1, 3, 2), dtype=complex)
-        vector_grads[0, :, 0] = [1.0, -t / s, 0.0]
-        return SpectralData(values, vectors, value_grads, vector_grads)
+        return _rank_two(theta[..., 0], theta[..., 0], 1.0, 1.0)
 
     return ParametricChannel(
         name="example1",
@@ -365,30 +381,17 @@ def example2(
     gc = np.asarray(g_coeffs, dtype=float)
     if fc.shape != (3,) or gc.shape != (3,):
         raise ValidationError("f_coeffs and g_coeffs need exactly 3 entries (const, th1, th2)")
-    corners = [
-        np.array([a, b]) for a in domain[0] for b in domain[1]
-    ]
-    for corner in corners:
+    affine = lambda c, theta: c[0] + c[1] * theta[..., 0] + c[2] * theta[..., 1]
+    for corner in (np.array([a, b]) for a in domain[0] for b in domain[1]):
         for label, coeffs in (("f", fc), ("g", gc)):
-            val = coeffs[0] + coeffs[1] * corner[0] + coeffs[2] * corner[1]
-            if not 0.0 <= val <= 1.0:
+            if not 0.0 <= (val := affine(coeffs, corner)) <= 1.0:
                 raise ValidationError(
                     f"{label}(theta) = {val:.6g} leaves [0, 1] at corner {corner.tolist()}"
                 )
 
     def spectral(theta: np.ndarray) -> SpectralData:
-        f = float(np.clip(fc[0] + fc[1] * theta[0] + fc[2] * theta[1], 0.0, 1.0))
-        g = float(np.clip(gc[0] + gc[1] * theta[0] + gc[2] * theta[1], 0.0, 1.0))
-        s = np.sqrt(1 - g * g)
-        values = np.array([f * f, 1 - f * f])
-        vectors = np.array([[g, 0.0], [s, 0.0], [0.0, 1.0]], dtype=complex)
-        value_grads = np.array(
-            [[2 * f * fc[1], -2 * f * fc[1]], [2 * f * fc[2], -2 * f * fc[2]]]
-        )
-        vector_grads = np.zeros((2, 3, 2), dtype=complex)
-        for l, gl in enumerate(gc[1:]):
-            vector_grads[l, :, 0] = [gl, -g * gl / s, 0.0]
-        return SpectralData(values, vectors, value_grads, vector_grads)
+        f, g = (np.clip(affine(c, theta), 0.0, 1.0) for c in (fc, gc))
+        return _rank_two(f, g, fc[1:], gc[1:])
 
     return ParametricChannel(
         name="example2",
@@ -574,14 +577,17 @@ def custom_spectral(
             raise ValidationError(
                 f"eigenvalue becomes negative ({np.min(vals):.3e}) at corner {corner.tolist()}"
             )
+    slopes = coeffs[:, 1:].T.copy()  # contiguous: a fan's product rounds by the layout it reads
 
     def spectral(theta: np.ndarray) -> SpectralData:
-        values = np.clip(coeffs[:, 0] + coeffs[:, 1:] @ theta, 0.0, None)
+        shift = (coeffs[:, 1:] @ theta[..., np.newaxis])[..., 0]  # as a column: a point's bits
+        values = np.clip(coeffs[:, 0] + shift, 0.0, None)
+        lead = values.shape[:-1]
         return SpectralData(
             values=values,
-            vectors=w,
-            value_grads=coeffs[:, 1:].T.copy(),
-            vector_grads=np.zeros((m, w.shape[0], w.shape[1]), dtype=complex),
+            vectors=np.broadcast_to(w, lead + w.shape),
+            value_grads=np.broadcast_to(slopes, lead + slopes.shape),
+            vector_grads=np.zeros(lead + (m,) + w.shape, dtype=complex),
         )
 
     return ParametricChannel(
@@ -636,7 +642,7 @@ def directional_channel(
 
     Partial j is sum_l V[j, l] d_l, of the Kraus stack or of the spectral
     data, all k from one product; an (m,) vector gives the one-parameter
-    slice.  The fan's Kraus form broadcasts like its parent's.  Coordinate j
+    slice.  The fan broadcasts like its parent, in either form.  Coordinate j
     spans (-t_j / k, t_j / k), t_j the largest |t| keeping theta + t V[j] in
     the box, so the fan's box maps into the parent box.  (N, m) centers with
     (N, k, m) directions give N fans, fan i at row i (see exponential_family)
@@ -672,13 +678,10 @@ def directional_channel(
             return partials(tvec)[..., index, :, :, :]
     else:
         def spectral(tvec: np.ndarray) -> SpectralData:
-            data = channel.spectral_at(at(tvec))
-            return SpectralData(
-                values=data.values,
-                vectors=data.vectors,
-                value_grads=fan @ data.value_grads,
-                vector_grads=np.tensordot(fan, data.vector_grads, axes=(1, 0)),
-            )
+            data = channel.spectral_fn(at(tvec))
+            dw = data.vector_grads  # (..., m, d, r), contracted over m as (..., m, d r)
+            dw = (fan @ dw.reshape(*dw.shape[:-2], -1)).reshape(*dw.shape[:-3], k, *dw.shape[-2:])
+            return dataclasses.replace(data, value_grads=fan @ data.value_grads, vector_grads=dw)
 
     return ParametricChannel(
         name=name or f"{channel.name}-{'slice' if v.ndim == 1 else 'fan'}",

@@ -793,6 +793,26 @@ def test_stacked_curve_equals_its_points_across_a_rank_change():
             assert np.array_equal(a[i], b), theta
 
 
+def test_curve_consistency_messages_print_plain_floats():
+    import dataclasses
+
+    curve = spectral_curve(builtin("example1"), 0.6)
+    with pytest.raises(ConsistencyError, match=r"^eigenvalues sum to 2\.0$"):
+        dataclasses.replace(curve, values=2 * curve.values)
+    with pytest.raises(ConsistencyError, match=r"^eigenvalue derivatives sum to 1\.0$"):
+        dataclasses.replace(curve, value_derivs=np.array([[1.0, 0.0, 0.0]]))
+
+
+def test_moving_unsupported_eigenvalue_of_a_spectral_family_is_a_rank_change():
+    # p_2 = theta leaves the support at theta = 0 with slope one
+    w = np.array([[1.0, 1.0], [1.0, -1.0]], dtype=complex) / np.sqrt(2)
+    channel = custom_spectral(w, np.array([[1.0, -1.0], [0.0, 1.0]]), ((0.0, 0.95),))
+    message = r"^an unsupported eigenvalue moves \(\|p_k'\| = 1\.000e\+00\); theta is at a rank"
+    for theta in (0.0, np.array([[0.0], [0.5]])):
+        with pytest.raises(DegeneracyError, match=message):
+            spectral_curve(channel, theta)
+
+
 def _input_stack_cases():
     rng = np.random.default_rng(21)
     damping = builtin("amplitude-damping")

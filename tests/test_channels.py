@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qfibounds.bounds import spectral_curve
 from qfibounds.channels import (
     BUILTIN_FAMILIES,
     ParametricChannel,
@@ -12,6 +13,7 @@ from qfibounds.channels import (
     kraus_derivative,
     random_hermitian,
     random_kraus_channel,
+    random_unitary,
     remix_channel,
 )
 from qfibounds.errors import ValidationError
@@ -19,6 +21,9 @@ from qfibounds.linalg import differentiate_curve, max_abs
 from qfibounds.quantum import KrausSet
 
 ALL_FAMILIES = sorted(BUILTIN_FAMILIES)
+KRAUS_FAMILIES = [family for family in ALL_FAMILIES if builtin(family).is_kraus_form]
+SPECTRAL_FAMILIES = [family for family in ALL_FAMILIES if not builtin(family).is_kraus_form]
+SPECTRAL_FIELDS = ("values", "vectors", "value_grads", "vector_grads")
 
 
 def _grid(channel: ParametricChannel, points: int = 25) -> list[np.ndarray]:
@@ -71,12 +76,10 @@ def test_builtin_form_invariants_on_grid(family):
             ch.spectral_at(theta)
 
 
-@pytest.mark.parametrize("family", ALL_FAMILIES)
+@pytest.mark.parametrize("family", KRAUS_FAMILIES)
 def test_kraus_derivative_analytic_vs_numeric(family):
     """Analytic family derivatives agree with central differences at default config."""
     ch = builtin(family)
-    if not ch.is_kraus_form:
-        pytest.skip("spectral-form family")
     assert ch.kraus_grad_fn is not None
     mid = np.array([(lo + hi) / 2 for lo, hi in ch.domain])
     for index in range(ch.param_count):
@@ -113,12 +116,40 @@ def test_output_partials_analytic_vs_numeric(family):
         assert err < 1e-6, f"{family} axis {index}: {err:.3e}"
 
 
-@pytest.mark.parametrize("family", ALL_FAMILIES)
+@pytest.mark.parametrize("family", SPECTRAL_FAMILIES)
+def test_spectral_derivative_analytic_vs_numeric(family):
+    """Analytic eigenvalue and eigenvector partials agree with central differences."""
+    ch = builtin(family)
+    mid = np.array([(2 * lo + hi) / 3 for lo, hi in ch.domain])
+    data = ch.spectral_fn(mid)
+    for index in range(ch.param_count):
+        for name, analytic in (("values", data.value_grads), ("vectors", data.vector_grads)):
+
+            def curve(t, index=index, name=name):
+                point = mid.copy()
+                point[index] = t
+                return getattr(ch.spectral_fn(point), name)
+
+            numeric = differentiate_curve(curve, mid[index])
+            err = max_abs(numeric - analytic[index]) / max(1.0, max_abs(analytic[index]))
+            assert err < 1e-6, f"{family} {name} axis {index}: {err:.3e}"
+
+
+@pytest.mark.parametrize("family", SPECTRAL_FAMILIES)
+def test_spectral_slopes_sum_to_zero_and_frame_stays_orthonormal(family):
+    """sum_k p_k' = 0 and W^dag W' + W'^dag W = 0 on the grid: trace and frame are kept."""
+    ch = builtin(family)
+    for theta in _grid(ch):
+        data = ch.spectral_fn(theta)
+        assert max_abs(data.value_grads.sum(axis=-1)) < 1e-12
+        w, dw = data.vectors, data.vector_grads
+        assert max_abs(w.conj().T @ dw + dw.conj().swapaxes(-1, -2) @ w) < 1e-12
+
+
+@pytest.mark.parametrize("family", KRAUS_FAMILIES)
 def test_completeness_derivative_vanishes(family):
     """d/dtheta sum E^dag E = 0, via finite differences of the raw curve."""
     ch = builtin(family)
-    if not ch.is_kraus_form:
-        pytest.skip("spectral-form family")
     mid = np.array([(lo + hi) / 2 for lo, hi in ch.domain])
     for index in range(ch.param_count):
         ops = ch.kraus_matrices(mid)
@@ -268,10 +299,8 @@ def test_exponential_family_memo_returns_the_same_bits():
 # Broadcast contract: a stack of points gives each point the bits of its own call
 # ---------------------------------------------------------------------------
 
-KRAUS_BUILTINS = [
-    family for family in ALL_FAMILIES if family != "random-kraus" and builtin(family).is_kraus_form
-]
-PROPERTY = settings(max_examples=80, deadline=None, derandomize=True, database=None)
+KRAUS_BUILTINS = [family for family in KRAUS_FAMILIES if family != "random-kraus"]
+PROPERTY = settings(max_examples=160, deadline=None, derandomize=True, database=None)
 
 
 def _exponential_mixing(n: int, seed: int):
@@ -305,16 +334,51 @@ def _kraus_family(draw, param_count=None):
 
 
 @st.composite
+def _affine_coeffs(draw, box=(0.05, 0.95)):
+    """(c0, c1, c2) of a map c0 + c1 t1 + c2 t2 that stays in [0.05, 0.95] over box x box."""
+    slopes = np.array(draw(st.lists(st.floats(-0.45, 0.45), min_size=2, max_size=2)))
+    low = np.minimum(slopes * box[0], slopes * box[1]).sum()
+    spread = np.abs(slopes).sum() * (box[1] - box[0])
+    const = 0.05 - low + draw(st.floats(0.0, 1.0)) * (0.9 - spread)
+    return [const, *slopes]
+
+
+@st.composite
+def _spectral_family(draw, param_count=None):
+    """example1, example2 with drawn affine maps, or a custom_spectral with a random frame."""
+    choices = [k for k, m in (("example1", 1), ("example2", 2), ("custom", param_count))
+               if param_count in (None, m)]
+    kind = draw(st.sampled_from(choices))
+    if kind == "example1":
+        return builtin("example1")
+    if kind == "example2":
+        return builtin("example2", f_coeffs=draw(_affine_coeffs()), g_coeffs=draw(_affine_coeffs()))
+    m = param_count or draw(st.integers(1, 2))
+    dim = draw(st.integers(2, 3))
+    rank = draw(st.integers(2, dim))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32)))
+    const = 0.2 + rng.random(rank)
+    slopes = rng.normal(size=(rank, m))
+    slopes -= slopes.mean(axis=0)
+    slopes *= 0.5 * const.min() / const.sum() / np.abs(slopes).sum(axis=1).max()
+    coeffs = np.column_stack([const / const.sum(), slopes])
+    return custom_spectral(random_unitary(dim, rng)[:, :rank], coeffs, ((0.0, 1.0),) * m)
+
+
+@st.composite
 def _stacked_channel(draw):
-    """A Kraus-form channel (built-in, random, remixed or a fan) and an (N, m) stack in its box."""
-    kind = draw(st.sampled_from(["family", "remix", "fan"]))
-    if kind == "fan":
-        parent = draw(_kraus_family(param_count=2))
+    """A channel (built-in, random, remixed, spectral or a fan) and an (N, m) stack in its box."""
+    kind = draw(st.sampled_from(["family", "spectral", "remix", "spectral-fan", "fan"]))
+    if kind.endswith("fan"):
+        family = _spectral_family if kind == "spectral-fan" else _kraus_family
+        parent = draw(family(param_count=2))
         lo, hi = np.array(parent.domain).T
         center = lo + (hi - lo) * np.array(draw(st.lists(st.floats(0.2, 0.8), min_size=2, max_size=2)))
         k = draw(st.integers(1, 2))
         rows = st.lists(st.floats(0.1, 1.0) | st.floats(-1.0, -0.1), min_size=2, max_size=2)
         channel = directional_channel(parent, center, np.array(draw(st.lists(rows, min_size=k, max_size=k))))
+    elif kind == "spectral":
+        channel = draw(_spectral_family())
     else:
         channel = draw(_kraus_family())
         if kind == "remix":
@@ -338,12 +402,18 @@ def _same_bits(a, b) -> bool:
 @given(_stacked_channel())
 def test_stacked_family_calls_match_point_calls(drawn):
     channel, points = drawn
-    calls = [lambda t: channel.kraus_fn(t)] + [
-        lambda t, l=l: channel.kraus_grad_fn(t, l) for l in range(channel.param_count)
-    ]
-    for call in calls:
+    if channel.is_kraus_form:
+        calls = [(lambda t: channel.kraus_fn(t), 4)] + [
+            (lambda t, l=l: channel.kraus_grad_fn(t, l), 4) for l in range(channel.param_count)
+        ]
+    else:
+        calls = [
+            (lambda t, name=name: getattr(channel.spectral_fn(t), name), ndim)
+            for name, ndim in zip(SPECTRAL_FIELDS, (2, 3, 3, 4))
+        ]
+    for call, ndim in calls:
         stack = call(points)
-        assert stack.shape[:1] == (len(points),) and stack.ndim == 4
+        assert stack.shape[:1] == (len(points),) and stack.ndim == ndim
         assert all(_same_bits(stack[i], call(point)) for i, point in enumerate(points))
         assert _same_bits(call(points[:, np.newaxis])[:, 0], stack)  # any leading axes
     rhos = channel.output_matrix(points)
@@ -352,3 +422,8 @@ def test_stacked_family_calls_match_point_calls(drawn):
     assert all(
         _same_bits(partials[i], channel.output_partials(point)) for i, point in enumerate(points)
     )
+    if not channel.is_kraus_form:
+        stacked = spectral_curve(channel, points).information
+        for i, point in enumerate(points):
+            alone = spectral_curve(channel, point).information
+            assert all(_same_bits(a[i], b) for a, b in zip(stacked, alone))

@@ -22,6 +22,15 @@ DAMPING = "family = amplitude-damping\n"
 DEPHASING2P = "family = dephasing-2p\n"
 # E_k(0) = delta_k0 I, so the Gram rank jumps from 1 at theta = 0 to 2 nearby.
 RANK_CHANGE = "family = random-kraus\ndim = 3\nenv = 2\nseed = 3022\n"
+# p_2 = theta leaves the support at theta = 0 with slope one: a spectral-form rank change.
+SPECTRAL_RANK_CHANGE = """\
+family = custom-spectral
+theta_domain = [0.0, 0.95]
+eigenvector_1 = [0.7071067811865476+0i, 0.7071067811865476+0i]
+eigenvector_2 = [0.7071067811865476+0i, -0.7071067811865476+0i]
+eigenvalue_1 = [1.0, -1.0]
+eigenvalue_2 = [0.0, 1.0]
+"""
 
 
 @pytest.fixture
@@ -342,6 +351,19 @@ def test_sweep_rank_change_row_is_warnings_only(spec_file, capsys):
     assert set(points[1]) == {"theta", "warnings"}
     assert "rank change" in points[1]["warnings"][0]
     assert all("channel_bound" in points[i] for i in (0, 2))
+
+
+def test_spectral_rank_change_is_refused_as_a_rank_change(spec_file, capsys):
+    moving = ("an unsupported eigenvalue moves (|p_k'| = 1.000e+00); "
+              "theta is at a rank change, perturb it")
+    spec = spec_file(SPECTRAL_RANK_CHANGE)
+    code, out, err = run_cli(capsys, "report", spec, "--theta", "0")
+    assert (code, out, err) == (3, "", f"numeric failure: {moving}\n")
+    code, out, _ = run_cli(capsys, "sweep", spec, "--theta-grid=0,0.5")
+    assert code == 0
+    points = json.loads(out)["points"]
+    assert points[0] == {"theta": 0.0, "warnings": [moving]}
+    assert "channel_bound" in points[1]
 
 
 @pytest.mark.parametrize(
