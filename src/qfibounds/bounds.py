@@ -767,9 +767,6 @@ class ConditionReport:
     tol: float
     note: str = ""
 
-    def max_residual(self) -> float:
-        return max((e.residual for e in self.elements if not e.vacuous), default=0.0)
-
 
 def _fit_real_scale(pairs: list[tuple[np.ndarray, np.ndarray]], tol: float):
     """Least-squares real xi with A_i ~ xi B_i stacked over i."""
@@ -928,17 +925,3 @@ def bound_report(
     ]
     return reports if stacked else reports[0]
 
-
-def remixing_penalty(mixing_grad: np.ndarray, weights: np.ndarray) -> float:
-    """Penalty term 4 sum_{j,k} p_k |du_jk|^2 of a theta-dependent remixing.
-
-    weights are the canonical Gram eigenvalues indexed like the second
-    (canonical) axis of the mixing matrix.  For the canonical curve Y remixed
-    by a unitary u, the bound of u Y is C_E = C + penalty + 8 Re sum_jk
-    (u^dag du)_jk <Y_j' psi|Y_k psi>.  The cross term vanishes where the
-    attainability residual does, and only there is the penalty the whole
-    extra cost C_E - C; elsewhere the cross term has either sign, so C_E can
-    fall below C + penalty.
-    """
-    du = np.asarray(mixing_grad, dtype=complex)
-    return 4.0 * float(np.sum(np.abs(du) ** 2 @ np.asarray(weights, dtype=float)))

@@ -186,11 +186,6 @@ class ParametricChannel:
         return DensityMatrix(self.output_matrix(theta))
 
 
-def kraus_derivative(channel: ParametricChannel, theta, index: int = 0) -> np.ndarray:
-    """The family's analytic partial of the Kraus stack along parameter `index`."""
-    return channel.kraus_partials(channel.require_in_domain(theta))[index]
-
-
 # ---------------------------------------------------------------------------
 # Built-in families
 # ---------------------------------------------------------------------------
@@ -504,10 +499,6 @@ def random_pure_state(dim: int, rng: np.random.Generator) -> PureState:
     return PureState(amps / np.linalg.norm(amps))
 
 
-def random_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
-    return haar_unitary(rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim)))
-
-
 def haar_unitary(z: np.ndarray) -> np.ndarray:
     """Q of z = QR with the diagonal of R made positive; a stack of z, matrix by matrix."""
     q, r = np.linalg.qr(z)
@@ -596,42 +587,6 @@ def custom_spectral(
         param_count=m,
         domain=tuple(domain),
         spectral_fn=spectral,
-    )
-
-
-def remix_channel(
-    channel: ParametricChannel,
-    mixing_fn: Callable[[np.ndarray], np.ndarray],
-    mixing_grad_fn: Callable[[np.ndarray, int], np.ndarray],
-    name: str | None = None,
-) -> ParametricChannel:
-    """Remix a Kraus curve: F_j(theta) = sum_k u_jk(theta) E_k(theta).
-
-    The mixing matrix u must be square and unitary at every theta.
-    mixing_grad_fn(theta, l) gives its partial along parameter l, which
-    with the family's own partials gives the remixed Kraus derivative.
-    Both broadcast like kraus_fn, (..., m) to (..., n, n); a constant (n, n)
-    matrix serves every point.
-    """
-    if not channel.is_kraus_form:
-        raise ValidationError("only Kraus-form channels can be remixed")
-
-    def mix(u, ops: np.ndarray) -> np.ndarray:
-        flat = ops.reshape(*ops.shape[:-2], -1)
-        return (np.asarray(u, dtype=complex) @ flat).reshape(ops.shape)
-
-    def kraus(theta: np.ndarray) -> np.ndarray:
-        return mix(mixing_fn(theta), channel.kraus_fn(theta))
-
-    def grad(theta: np.ndarray, index: int) -> np.ndarray:
-        ops, dops = channel.kraus_fn(theta), np.asarray(channel.kraus_grad_fn(theta, index))
-        return mix(mixing_grad_fn(theta, index), ops) + mix(mixing_fn(theta), dops)
-
-    return dataclasses.replace(
-        channel,
-        name=name or f"{channel.name}-remixed",
-        kraus_fn=kraus,
-        kraus_grad_fn=grad,
     )
 
 

@@ -1,7 +1,7 @@
 """Command-line surface.
 
-    qfi report SPEC --theta 0.2 [--povm optimal] [--format json]
-    qfi sweep SPEC --theta-grid 0.1:0.9:9 [--format csv]
+    qfi report SPEC --theta 0.2 [--povm optimal] [--tol 1e-6]
+    qfi sweep SPEC --theta-grid 0.1:0.9:9 [--tol 1e-6] [--format csv]
     qfi estimate SPEC --theta-true 0.2 --shots 10000 --reps 200 [--adaptive]
     qfi optimize-input SPEC --theta 0.3 --objective sld
     qfi verify --suite all
@@ -10,7 +10,8 @@ Exit codes: 0 success, 2 validation error, 3 numeric failure
 (degeneracy / singular terms / non-finite output), 4 verification-suite
 failure.  The seed falls back to the QFI_SEED environment variable, then 0;
 for `verify`, then the default battery seed.  A seed outside [0, 2**64)
-exits 2.  The only numeric option is the verdict tolerance --tol; the
+exits 2.  The only numeric option is the verdict tolerance --tol of
+`report` and `sweep`, which must be finite and positive (else exit 2); the
 finite-difference policy (central-4, step 1e-4) is fixed, and only a
 one-parameter crossing, where it runs, keeps its reach from a domain edge.
 """
@@ -67,19 +68,16 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, with_spec=True):
-        if with_spec:
-            p.add_argument("spec", type=Path, help="channel spec file")
-        p.add_argument("--tol", type=float, default=1e-6, help="verdict tolerance")
-        p.add_argument("--format", choices=("json", "csv"), default="json")
-
     p = sub.add_parser("report", help="bounds and attainability at one point")
-    add_common(p)
+    p.add_argument("spec", type=Path, help="channel spec file")
+    p.add_argument("--tol", type=float, default=1e-6, help="verdict tolerance")
     p.add_argument("--theta", type=float, nargs="+", required=True)
     p.add_argument("--povm", choices=POVM_CHOICES)
 
     p = sub.add_parser("sweep", help="bounds over a parameter grid")
-    add_common(p)
+    p.add_argument("spec", type=Path, help="channel spec file")
+    p.add_argument("--tol", type=float, default=1e-6, help="verdict tolerance")
+    p.add_argument("--format", choices=("json", "csv"), default="json")
     p.add_argument(
         "--theta-grid",
         required=True,
@@ -87,7 +85,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
 
     p = sub.add_parser("estimate", help="seeded Monte-Carlo estimation experiment")
-    add_common(p)
+    p.add_argument("spec", type=Path, help="channel spec file")
     p.add_argument("--theta-true", type=float, required=True)
     p.add_argument("--shots", "-N", type=int, default=10000)
     p.add_argument("--reps", type=int, default=200)
@@ -97,7 +95,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n-pilot", type=int, default=500)
 
     p = sub.add_parser("optimize-input", help="maximize H or the channel bound over inputs")
-    add_common(p)
+    p.add_argument("spec", type=Path, help="channel spec file")
     p.add_argument("--theta", type=float, nargs="+", required=True)
     p.add_argument("--objective", choices=("sld", "channel-bound"), default="sld")
     p.add_argument("--restarts", type=int, default=8)
@@ -117,6 +115,13 @@ def _seed_of(args, default: int = 0) -> int:
         where = "--seed" if args.seed is not None else "QFI_SEED"
         raise ValidationError(f"{where} {given!r} is not an integer in [0, 2**64)")
     return int(given)
+
+
+def _tol_of(args) -> float:
+    """--tol, refused unless finite and positive: every verdict is `residual < tol`."""
+    if not (np.isfinite(args.tol) and args.tol > 0):
+        raise ValidationError(f"--tol {args.tol!r} is not a finite positive number")
+    return args.tol
 
 
 def _load_spec(path: Path) -> tuple[ChannelSpec, ParametricChannel]:
@@ -225,6 +230,7 @@ def _matrix_report(channel, curve, povm, povm_id, tol) -> dict:
 
 
 def cmd_report(args) -> int:
+    tol = _tol_of(args)
     spec, channel = _load_spec(args.spec)
     theta = args.theta if len(args.theta) > 1 else args.theta[0]
     channel.require_in_domain(theta)
@@ -235,11 +241,11 @@ def cmd_report(args) -> int:
     curve = spectral_curve(channel, theta)
     povm, povm_id = named or _resolve_povm(args.povm, channel, curve)
     report = _point_report if one_param else _matrix_report
-    result = report(channel, curve, povm, povm_id, args.tol)
+    result = report(channel, curve, povm, povm_id, tol)
     doc = {
         "tool": reporting.TOOL,
         "channel": _channel_block(spec, channel),
-        "config": {"tol": args.tol},
+        "config": {"tol": tol},
         "result": result,
     }
     sys.stdout.write(reporting.to_json(doc))
@@ -268,6 +274,7 @@ def _parse_grid(text: str) -> np.ndarray:
 
 
 def cmd_sweep(args) -> int:
+    tol = _tol_of(args)
     spec, channel = _load_spec(args.spec)
     if channel.param_count != 1:
         raise ValidationError("sweep handles one-parameter channels")
@@ -276,7 +283,7 @@ def cmd_sweep(args) -> int:
 
     def rows_of(index):  # one stacked curve for the whole grid, split only where it refuses
         curve = spectral_curve(channel, thetas[index])
-        return map(reporting.bound_report_dict, bound_report(channel, curve, None, args.tol))
+        return map(reporting.bound_report_dict, bound_report(channel, curve, None, tol))
     rows = [row if isinstance(row, dict) else {"theta": float(theta), "warnings": [str(row)]}
             for theta, row in zip(grid, halving(rows_of, len(grid)))]  # a refusal is a warning
     if args.format == "csv":
@@ -285,7 +292,7 @@ def cmd_sweep(args) -> int:
     doc = {
         "tool": reporting.TOOL,
         "channel": _channel_block(spec, channel),
-        "config": {"tol": args.tol},
+        "config": {"tol": tol},
         "points": rows,
     }
     sys.stdout.write(reporting.to_json(doc))

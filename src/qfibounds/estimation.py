@@ -397,21 +397,6 @@ def _two_stage(
     return run, povms[0], final.theta_hat
 
 
-def adaptive_two_stage(
-    channel: ParametricChannel, theta_true: float, shots: int, config: AdaptiveConfig, seed: int
-) -> EstimationRun:
-    """Pilot measurement, then the SLD-optimal POVM at the pilot estimate.
-
-    The pilot measures in the computational basis.  The final estimate uses
-    the second-stage data only; both stages are recorded.  Bias of the pilot
-    does not propagate beyond the choice of measurement basis.
-    """
-    run, stage2_povm, _ = _two_stage(channel, theta_true, shots, config, [seed])
-    curve = spectral_curve(channel, theta_true)
-    bounds = predicted_bounds(curve, stage2_povm, run.shots)
-    return dataclasses.replace(run, predicted_bounds=bounds)
-
-
 def adaptive_experiment(
     channel: ParametricChannel,
     theta_true: float,
@@ -423,7 +408,10 @@ def adaptive_experiment(
 ) -> EstimationRun:
     """Replicated adaptive runs with the variance compared to 1/((N - n) H).
 
-    The floors are those of the first replication's stage-2 POVM.  `curve`,
+    Each replication measures a pilot in the computational basis, then the
+    SLD-optimal POVM at its pilot estimate; its final estimate uses the
+    second-stage data only.  The record's stages are the first
+    replication's, and the floors are those of its stage-2 POVM.  `curve`,
     the spectral curve at theta_true, is built after the replications when
     not given.
     """
@@ -528,7 +516,7 @@ def _input_search(
 
     rng = rng_from_seed(seed)
     best_x, best_val = None, np.inf
-    for _ in range(max(1, restarts)):
+    for _ in range(restarts):
         x0 = np.concatenate(
             [rng.uniform(0.0, np.pi, dim - 1), rng.uniform(0.0, 2 * np.pi, dim - 1)]
         )
@@ -573,6 +561,8 @@ def optimize_input_state(
     sld = key in ("sld", "h")
     if not sld and key not in ("channel-bound", "sm", "c", "bound"):
         raise ValidationError(f"unknown objective {objective!r}; use 'sld' or 'channel-bound'")
+    if restarts < 1:
+        raise ValidationError(f"restarts must be at least 1, got {restarts}")
     if channel.param_count != 1:
         # both objectives are scalar bounds: refuse before decomposing
         raise ValidationError(

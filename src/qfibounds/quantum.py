@@ -156,39 +156,6 @@ class POVM:
         return self.elements.shape[0]
 
 
-def validate(x, kind: str | None = None) -> dict[str, float]:
-    """Report per-invariant residuals without raising.
-
-    Accepts the wrapper types directly, or raw arrays together with
-    kind = "density" | "kraus" | "povm".
-    """
-    if isinstance(x, DensityMatrix):
-        return diagnose_density(x.matrix)
-    if isinstance(x, KrausSet):
-        return diagnose_kraus(x.operators)
-    if isinstance(x, POVM):
-        return diagnose_povm(x.elements)
-    if kind == "density":
-        return diagnose_density(x)
-    if kind == "kraus":
-        return diagnose_kraus(x)
-    if kind == "povm":
-        return diagnose_povm(x)
-    raise ValidationError("raw input needs kind='density'|'kraus'|'povm'")
-
-
-def apply_channel(kraus: KrausSet, rho0: DensityMatrix) -> DensityMatrix:
-    """Apply sum_k E_k rho E_k^dag."""
-    if kraus.dim != rho0.dim:
-        raise ValidationError(f"dimension mismatch: channel {kraus.dim}, state {rho0.dim}")
-    defect = diagnose_kraus(kraus.operators)["completeness"]
-    if defect > USER_TOL:
-        raise ValidationError(f"completeness defect {defect:.3e} exceeds {USER_TOL}")
-    ops = kraus.operators
-    out = np.einsum("kij,jl,kml->im", ops, rho0.matrix, ops.conj())
-    return DensityMatrix(hermitian_part(out))
-
-
 def measurement_distribution(rho: DensityMatrix, povm: POVM) -> np.ndarray:
     """Outcome probabilities tr(rho M_m), clamped and renormalized at round-off scale."""
     if rho.dim != povm.dim:
@@ -211,15 +178,10 @@ def computational_basis_povm(dim: int) -> POVM:
     return POVM(np.array([np.outer(eye[:, i], eye[:, i].conj()) for i in range(dim)]))
 
 
-def basis_povm(vectors: np.ndarray) -> POVM:
-    """Rank-one projectors onto the columns of an orthonormal matrix."""
-    v = np.asarray(vectors, dtype=complex)
-    return POVM(np.array([np.outer(v[:, i], v[:, i].conj()) for i in range(v.shape[1])]))
-
-
 def pauli_basis_povm(axis: str) -> POVM:
     """Projectors onto the +1/-1 eigenvectors of a Pauli operator, + first."""
     if axis not in PAULIS:
         raise ValidationError(f"unknown Pauli axis {axis!r}")
     _, vectors = np.linalg.eigh(PAULIS[axis])
-    return basis_povm(vectors[:, ::-1])
+    v = vectors[:, ::-1]
+    return POVM(np.array([np.outer(v[:, i], v[:, i].conj()) for i in range(v.shape[1])]))

@@ -77,10 +77,6 @@ def parse_complex(token: str, line: int | None = None) -> complex:
         raise SpecFormatError(f"bad complex literal {token!r}", line) from None
 
 
-def format_complex(z: complex) -> str:
-    return f"{z.real:.17g}{z.imag:+.17g}i"
-
-
 def _parse_list(value: str, line: int):
     m = _BRACKET_RE.fullmatch(value.strip())
     if not m:
@@ -240,29 +236,6 @@ class ChannelSpec:
             name=self.name,
         )
 
-    def to_text(self) -> str:
-        """Canonical serialization; parses back to an equivalent spec."""
-        lines = [f"family = {self.family}", f"name = {self.name}"]
-        if self.domain is not None:
-            lines.append(
-                "theta_domain = " + " ".join(f"[{lo:.17g}, {hi:.17g}]" for lo, hi in self.domain)
-            )
-        if self.input_state is not None:
-            lines.append(
-                "input_state = [" + ", ".join(format_complex(z) for z in self.input_state) + "]"
-            )
-        for key in sorted(self.options):
-            value = self.options[key]
-            if isinstance(value, (tuple, list)):
-                if any(isinstance(z, complex) for z in value):
-                    body = ", ".join(format_complex(complex(z)) for z in value)
-                else:
-                    body = ", ".join(f"{float(z):.17g}" for z in value)
-                lines.append(f"{key} = [{body}]")
-            else:
-                lines.append(f"{key} = {value}")
-        return "\n".join(lines) + "\n"
-
 
 def _validate_over_domain(channel: ParametricChannel) -> None:
     """Check form invariants at the domain corners and midpoint."""
@@ -279,7 +252,3 @@ def _validate_over_domain(channel: ParametricChannel) -> None:
                 f"channel invariants fail at theta = {point.tolist()}: {exc}"
             ) from None
 
-
-def parse_channel_spec(text: str) -> ParametricChannel:
-    """Parse spec text and build the validated channel."""
-    return ChannelSpec.from_text(text).build()

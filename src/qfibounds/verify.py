@@ -8,9 +8,9 @@ along many directions.  A battery's points of one shape (dim, Kraus count)
 are one channel whose row i carries point i's generators
 (channels.exponential_family), so a group and its fans are each evaluated
 and decomposed in one stacked call, and a failing check names its worst
-point.  Shared by `qfi verify` and the acceptance tests; `gap_suite`,
-`ordering_suite`, `routes_suite`, `one_param_battery` and
-`two_param_battery` are test seams, called only by the tests and `bench/`.
+point.  Shared by `qfi verify` and the acceptance tests, which run a suite
+through `run_suites`; `one_param_battery`, `two_param_battery` and
+`random_povm` are test seams, called only by the tests and `bench/`.
 """
 
 from __future__ import annotations
@@ -178,11 +178,6 @@ def _battery_curves(seed: int, count: int, param_count: int) -> _Battery:
                             [(rows, curve, rho0(curve.kraus.psi)) for rows, curve in groups])
 
 
-def gap_suite(seed: int = DEFAULT_SEED, count: int = 200) -> list[CheckResult]:
-    """Gap formula equals C - H on every battery channel."""
-    return _gap(_battery_curves(seed, count, 1))
-
-
 def _gap(battery: _Battery) -> list[CheckResult]:
     defects = []
     for _, curve, _ in battery.groups:
@@ -190,11 +185,6 @@ def _gap(battery: _Battery) -> list[CheckResult]:
         defects.append(np.abs((c - h) - bound_gap(curve)) / np.maximum(1.0, c))
     name = f"gap identity over {len(battery.points)} random channels"
     return battery.checks("gap", [(name, defects, False, 1e-8, "worst relative defect {:.3e}")])
-
-
-def ordering_suite(seed: int = DEFAULT_SEED, count: int = 200) -> list[CheckResult]:
-    """F <= H <= C, H <= C_E under remixing, and F = H for the SLD eigenbasis."""
-    return _ordering(_battery_curves(seed, count, 1), seed)
 
 
 def _remixed_bounds(curve: SpectralCurve, rho0, fixed: np.ndarray, gen: np.ndarray) -> list:
@@ -212,7 +202,7 @@ def _remixed_bounds(curve: SpectralCurve, rho0, fixed: np.ndarray, gen: np.ndarr
 def _ordering(battery: _Battery, seed: int) -> list[CheckResult]:
     rng = np.random.Generator(np.random.Philox(key=np.uint64(seed ^ 0x0F0F0F0F)))
     # each point's random POVM, fixed remixing and remixing generator, in draw order; the
-    # fixed remixings are drawn as random_unitary's normals and made unitary per group
+    # fixed remixings are drawn as complex normals and made unitary per group (haar_unitary)
     n = {p: curve.kraus.operators.shape[1] for rows, curve, *_ in battery.groups for p in rows}
     normal = lambda k: rng.normal(size=(k, k)) + 1j * rng.normal(size=(k, k))
     draws = [
@@ -247,11 +237,6 @@ def _ordering(battery: _Battery, seed: int) -> list[CheckResult]:
         (f"SLD eigenbasis achieves F = H ({checked} nondegenerate cases)", misfits, False, 1e-5,
          "worst relative misfit {:.3e}"),
     ])
-
-
-def routes_suite(seed: int = DEFAULT_SEED, count: int = 200) -> list[CheckResult]:
-    """Channel bound from canonical Kraus derivatives vs from the spectral curve."""
-    return _routes(_battery_curves(seed, count, 1))
 
 
 def _routes(battery: _Battery) -> list[CheckResult]:

@@ -13,7 +13,6 @@ from qfibounds.bounds import (
     optimal_povm_from_sld,
     povm_sld_condition_check,
     povm_sm_condition_check,
-    remixing_penalty,
     sld_information,
     sld_score,
     sm_bound_kraus,
@@ -24,18 +23,17 @@ from qfibounds.bounds import (
 from qfibounds.channels import (
     builtin,
     custom_spectral,
-    kraus_derivative,
     random_hermitian,
     random_kraus_channel,
     random_pure_state,
-    random_unitary,
-    remix_channel,
 )
 from qfibounds.errors import ConsistencyError, DegeneracyError, ValidationError
 from qfibounds.linalg import max_abs
 from qfibounds.quantum import POVM, PureState, computational_basis_povm, pauli_basis_povm
 from qfibounds.multiparam import fisher_matrix, sld_matrix, sm_matrix
 from qfibounds.verify import one_param_battery, random_povm, two_param_battery
+
+from oracles import random_unitary, remix_channel, remixing_penalty
 
 PLUS = PureState(np.array([1.0, 1.0]) / np.sqrt(2))
 KET0 = PureState(np.array([1.0, 0.0]))
@@ -353,7 +351,7 @@ def test_pure_state_unitary_oracle():
         theta = 0.37
         psi = ch.input_state.amplitudes
         u = ch.kraus_matrices(theta)[0]
-        du = kraus_derivative(ch, theta, 0)[0]
+        du = ch.kraus_partials(theta)[0][0]
         v, dv = u @ psi, du @ psi
         oracle = 4 * (np.vdot(dv, dv).real - abs(np.vdot(dv, v)) ** 2)
         h = sld_information(spectral_curve(ch, theta))
@@ -377,7 +375,7 @@ def test_sm_bound_rotation():
     ch = builtin("rotation", axis="z")
     assert sm_bound_spectral(spectral_curve(ch, 0.3)) == pytest.approx(1.0, rel=1e-9)
     rho0 = ch.input_state.density()
-    c = sm_bound_kraus(ch.kraus_matrices(0.3), kraus_derivative(ch, 0.3), rho0)
+    c = sm_bound_kraus(ch.kraus_matrices(0.3), ch.kraus_partials(0.3)[0], rho0)
     assert c == pytest.approx(1.0, rel=1e-12)
 
 
@@ -389,7 +387,7 @@ def test_sm_bound_kraus_representation_dependence():
     dmix = lambda t, i: -1j * gen @ expm(-1j * t[0] * gen)
     rem = remix_channel(ch, mix, dmix)
     rho0 = ch.input_state.density()
-    c_e = sm_bound_kraus(rem.kraus_matrices(0.2), kraus_derivative(rem, 0.2), rho0)
+    c_e = sm_bound_kraus(rem.kraus_matrices(0.2), rem.kraus_partials(0.2)[0], rho0)
     assert c_e > 6.25 + 1e-3
 
 
@@ -409,7 +407,7 @@ def test_remixing_penalty_identity():
     rho0 = ch.input_state.density()
     ck = canonical_kraus(ch, theta)
     c_ups = sm_bound_kraus(ck.operators, ck.derivatives[0], rho0)
-    c_e = sm_bound_kraus(rem.kraus_matrices(theta), kraus_derivative(rem, theta), rho0)
+    c_e = sm_bound_kraus(rem.kraus_matrices(theta), rem.kraus_partials(theta)[0], rho0)
     du_canonical = dmix(np.array([theta]), 0) @ ck.mixing.conj().T
     penalty = remixing_penalty(du_canonical, ck.weights)
     assert c_e - c_ups == pytest.approx(penalty, rel=1e-6)
@@ -607,7 +605,7 @@ def test_sld_condition_fails_for_uninformative_basis():
     curve = spectral_curve(ch, 0.2)
     report = povm_sld_condition_check(computational_basis_povm(2), curve, 1e-6)
     assert not report.satisfied
-    assert report.max_residual() > 0.1
+    assert max(e.residual for e in report.elements if not e.vacuous) > 0.1
 
 
 def test_sld_condition_identity_povm():
@@ -685,7 +683,7 @@ def _separate_bound_report(channel, theta, povm, tol=1e-6) -> BoundReport:
         rho0 = channel.input_state.density()
         ck = canonical_kraus(channel, theta)
         cross = abs(c - sm_bound_kraus(ck.operators, ck.derivatives[0], rho0))
-        raw = (channel.kraus_matrices(theta), kraus_derivative(channel, theta, 0))
+        raw = (channel.kraus_matrices(theta), channel.kraus_partials(theta)[0])
         c_e = sm_bound_kraus(*raw, rho0)
     warnings = () if attainable else (
         "channel bound not attainable here: the measurement optimality "
@@ -770,7 +768,7 @@ def test_fixed_remix_keeps_bound_above_h():
         rem = remix_channel(channel, lambda t, u=u: u, lambda t, i, u=u: np.zeros_like(u))
         c_e = sm_bound_kraus(
             rem.kraus_matrices(theta),
-            kraus_derivative(rem, theta, 0),
+            rem.kraus_partials(theta)[0],
             channel.input_state.density(),
         )
         assert h <= c_e + 1e-8

@@ -439,26 +439,53 @@ def test_tool_version_is_the_package_version(monkeypatch):
     assert reporting.TOOL["version"] == qfibounds.__version__
 
 
-@pytest.mark.parametrize(
-    "command, args",
-    [
-        ("report", ("--theta", "0.3")),
-        ("sweep", ("--theta-grid", "0.2,0.4")),
-        ("estimate", ("--theta-true", "0.3")),
-        ("optimize-input", ("--theta", "0.3")),
-    ],
-    ids=["report", "sweep", "estimate", "optimize-input"],
-)
-@pytest.mark.parametrize(
-    "flag",
-    [("--fd-step", "1e-3"), ("--fd-scheme", "central-2"), ("--richardson",)],
-    ids=["fd-step", "fd-scheme", "richardson"],
-)
-def test_retired_finite_difference_flags_are_usage_errors(spec_file, capsys, command, args, flag):
+COMMAND_ARGS = {
+    "report": ("--theta", "0.3"),
+    "sweep": ("--theta-grid", "0.2,0.4"),
+    "estimate": ("--theta-true", "0.3"),
+    "optimize-input": ("--theta", "0.3"),
+}
+RETIRED_FLAGS = {
+    "fd-step": ("--fd-step", "1e-3"),
+    "fd-scheme": ("--fd-scheme", "central-2"),
+    "richardson": ("--richardson",),
+    "format": ("--format", "csv"),
+    "tol": ("--tol", "0.5"),
+}
+# the finite-difference flags on every spec command; --format and --tol where the command
+# ignored them
+RETIRED_CASES = [
+    (flag, command) for flag in ("fd-step", "fd-scheme", "richardson") for command in COMMAND_ARGS
+] + [("format", "report"), ("format", "estimate"), ("tol", "estimate"),
+     ("format", "optimize-input"), ("tol", "optimize-input")]
+
+
+@pytest.mark.parametrize("flag, command", RETIRED_CASES, ids=[f"{f}-{c}" for f, c in RETIRED_CASES])
+def test_retired_finite_difference_flags_are_usage_errors(spec_file, capsys, flag, command):
     with pytest.raises(SystemExit) as exc:
-        main([command, spec_file(DEPHASING), *args, *flag])
+        main([command, spec_file(DEPHASING), *COMMAND_ARGS[command], *RETIRED_FLAGS[flag]])
     assert exc.value.code == 2
     assert "unrecognized arguments" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["report", "sweep"])
+@pytest.mark.parametrize("tol", ["nan", "inf", "-1", "0"])
+def test_tol_must_be_finite_and_positive(tmp_path, capsys, command, tol):
+    # refused before the spec is read: this spec file does not exist
+    spec = str(tmp_path / "missing.qchan")
+    code, out, err = run_cli(capsys, command, spec, *COMMAND_ARGS[command], f"--tol={tol}")
+    assert code == 2 and out == ""
+    assert err == f"error: --tol {float(tol)!r} is not a finite positive number\n"
+
+
+@pytest.mark.parametrize("restarts", ["0", "-2"])
+def test_optimize_input_needs_a_restart(spec_file, capsys, restarts):
+    code, out, err = run_cli(
+        capsys, "optimize-input", spec_file(DAMPING), "--theta", "0.3", "--objective",
+        "channel-bound", "--restarts", restarts,
+    )
+    assert code == 2 and out == ""
+    assert err == f"error: restarts must be at least 1, got {restarts}\n"
 
 
 def test_config_block_holds_only_the_verdict_tolerance(spec_file, capsys):
@@ -829,9 +856,10 @@ def test_verify_builds_one_battery_per_run(monkeypatch):
         return original(seed, 6, param_count)
 
     monkeypatch.setattr(verify, "_battery_curves", small_battery)
-    shared = verify.run_suites(["ordering", "gap", "routes"], seed=11)
+    names = ["ordering", "gap", "routes"]
+    shared = verify.run_suites(names, seed=11)
     assert built == [11]
-    separate = verify.ordering_suite(11) + verify.gap_suite(11) + verify.routes_suite(11)
+    separate = [r for name in names for r in verify.run_suites([name], seed=11)]
     assert shared == separate
 
 

@@ -19,7 +19,6 @@ from qfibounds.estimation import (
     MLE_GRID_POINTS,
     AdaptiveConfig,
     adaptive_experiment,
-    adaptive_two_stage,
     cr_experiment,
     mle_estimate,
     optimize_input_state,
@@ -310,7 +309,7 @@ def test_adaptive_names_the_replication_of_a_refused_pivot():
     with pytest.raises(DegeneracyError, match=expected):
         adaptive_experiment(ch, -0.033683, 10_000, config, 19, seed)
     with pytest.raises(DegeneracyError, match="support boundary"):
-        adaptive_two_stage(ch, -0.033683, 10_000, config, replication_seed(seed, 18))
+        adaptive_experiment(ch, -0.033683, 10_000, config, 2, replication_seed(seed, 18))
 
 
 def test_replication_seed_xor():
@@ -319,8 +318,9 @@ def test_replication_seed_xor():
 
 
 def test_adaptive_two_stage_record():
+    # replication 0 draws from seed ^ 0 = seed, and the record is its run
     ch = builtin("dephasing")
-    run = adaptive_two_stage(ch, 0.2, 2000, AdaptiveConfig(n_pilot=500), seed=13)
+    run = adaptive_experiment(ch, 0.2, 2000, AdaptiveConfig(n_pilot=500), 2, seed=13)
     assert len(run.stages) == 2
     assert run.stages[0].povm_id == "pilot"
     assert run.stages[0].shots == 500
@@ -331,10 +331,10 @@ def test_adaptive_two_stage_record():
 
 def test_adaptive_degenerate_split_runs():
     ch = builtin("dephasing")
-    run = adaptive_two_stage(ch, 0.3, 50, AdaptiveConfig(n_pilot=49), seed=2)
+    run = adaptive_experiment(ch, 0.3, 50, AdaptiveConfig(n_pilot=49), 2, seed=2)
     assert run.stages[1].shots == 1
     with pytest.raises(ValidationError, match="below shots"):
-        adaptive_two_stage(ch, 0.3, 50, AdaptiveConfig(n_pilot=50), seed=2)
+        adaptive_experiment(ch, 0.3, 50, AdaptiveConfig(n_pilot=50), 2, seed=2)
 
 
 def test_adaptive_experiment_efficiency():
@@ -359,7 +359,7 @@ def test_adaptive_experiment_computes_the_floors_once(monkeypatch):
     config = AdaptiveConfig(n_pilot=200)
     run = adaptive_experiment(ch, 0.2, 1000, config, 5, seed=3)
     assert len(calls) == 1
-    first = adaptive_two_stage(ch, 0.2, 1000, config, replication_seed(3, 0))
+    first = adaptive_experiment(ch, 0.2, 1000, config, 2, replication_seed(3, 0))
     assert run.predicted_bounds == first.predicted_bounds
     assert run.theta_hats[0] == first.theta_hat
 

@@ -3,26 +3,17 @@ import pytest
 
 from qfibounds.errors import ValidationError
 from qfibounds.quantum import (
-    PAULI_Z,
     POVM,
     DensityMatrix,
     KrausSet,
     PureState,
-    apply_channel,
     computational_basis_povm,
     measurement_distribution,
     pauli_basis_povm,
-    validate,
 )
 
 PLUS = PureState(np.array([1.0, 1.0]) / np.sqrt(2))
 KET0 = PureState(np.array([1.0, 0.0]))
-
-
-def dephasing_kraus(theta: float) -> KrausSet:
-    return KrausSet(
-        np.array([np.sqrt(1 - theta) * np.eye(2), np.sqrt(theta) * PAULI_Z], dtype=complex)
-    )
 
 
 def test_density_matrix_rejections():
@@ -53,54 +44,11 @@ def test_povm_invariants():
     POVM(np.array([np.eye(3)]))
 
 
-def test_validate_reports_residuals():
-    diag = validate([np.eye(2), np.eye(2)], kind="kraus")
-    assert diag["completeness"] == pytest.approx(1.0)
-    diag = validate(np.diag([0.51, 0.5]), kind="density")
-    assert diag["trace"] == pytest.approx(0.01)
-    diag = validate(dephasing_kraus(0.3))
-    assert diag["completeness"] < 1e-12
-
-
-def test_apply_channel_identity():
-    rho = PLUS.density()
-    out = apply_channel(KrausSet(np.array([np.eye(2, dtype=complex)])), rho)
-    assert np.allclose(out.matrix, rho.matrix)
-
-
-def test_apply_channel_dephasing():
-    out = apply_channel(dephasing_kraus(0.2), PLUS.density())
-    plus = PLUS.density().matrix
-    minus = np.array([[0.5, -0.5], [-0.5, 0.5]])
-    assert np.allclose(out.matrix, 0.8 * plus + 0.2 * minus)
-
-
-def test_apply_channel_unitary_preserves_purity():
-    rng = np.random.default_rng(0)
-    x = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
-    q, _ = np.linalg.qr(x)
-    amps = rng.normal(size=3) + 1j * rng.normal(size=3)
-    rho = PureState(amps / np.linalg.norm(amps)).density()
-    out = apply_channel(KrausSet(q[np.newaxis]), rho)
-    assert out.purity() == pytest.approx(1.0, abs=1e-9)
-
-
-def test_apply_channel_preserves_trace_and_hermiticity():
-    rng = np.random.default_rng(1)
-    for _ in range(10):
-        theta = rng.uniform(0.05, 0.95)
-        x = rng.normal(size=2) + 1j * rng.normal(size=2)
-        rho = PureState(x / np.linalg.norm(x)).density()
-        out = apply_channel(dephasing_kraus(theta), rho)
-        assert abs(np.trace(out.matrix) - 1) < 1e-9
-        assert np.max(np.abs(out.matrix - out.matrix.conj().T)) < 1e-10
-
-
 def test_measurement_distribution_examples():
     comp = computational_basis_povm(2)
     assert np.allclose(measurement_distribution(KET0.density(), comp), [1.0, 0.0])
     assert np.allclose(measurement_distribution(PLUS.density(), comp), [0.5, 0.5])
-    dephased = apply_channel(dephasing_kraus(0.2), PLUS.density())
+    dephased = DensityMatrix(np.array([[0.5, 0.3], [0.3, 0.5]]))  # dephasing at 0.2 on |+>
     pm = pauli_basis_povm("x")
     assert np.allclose(measurement_distribution(dephased, pm), [0.8, 0.2])
 
@@ -117,8 +65,6 @@ def test_measurement_distribution_properties():
 
 
 def test_dimension_mismatch():
-    with pytest.raises(ValidationError, match="mismatch"):
-        apply_channel(dephasing_kraus(0.1), DensityMatrix(np.eye(3) / 3))
     with pytest.raises(ValidationError, match="mismatch"):
         measurement_distribution(DensityMatrix(np.eye(3) / 3), computational_basis_povm(2))
 
