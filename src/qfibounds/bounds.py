@@ -57,7 +57,7 @@ from .linalg import (
     hermitian_part,
     psd_sqrt,
 )
-from .quantum import CONSTRUCT_HERM_TOL, POVM, DensityMatrix, KrausSet
+from .quantum import CONSTRUCT_HERM_TOL, POVM, DensityMatrix
 
 SUPPORT_TOL = 1e-10
 DEGENERACY_TOL = 1e-8
@@ -674,7 +674,7 @@ def sm_bound_spectral(curve: SpectralCurve) -> float:
 
 def sm_bound_kraus(operators, derivatives, rho0) -> float:
     """Channel bound 4 sum_k tr(E_k' rho0 E_k'^dag) for any Kraus representation (or a stack)."""
-    ops = operators.operators if isinstance(operators, KrausSet) else np.asarray(operators)
+    ops = np.asarray(operators)
     derivs = np.asarray(derivatives, dtype=complex)
     if derivs.shape != np.shape(ops):
         raise ValidationError(
@@ -810,35 +810,31 @@ def povm_sm_condition_check(
     derivatives,
     rho0: DensityMatrix,
     tol: float = 1e-6,
-) -> tuple[ConditionReport, np.ndarray]:
+) -> ConditionReport:
     """Check M^(1/2) Y_k' rho0^(1/2) = xi_m M^(1/2) Y_k rho0^(1/2) for all m, k.
 
     One real xi_m must serve every k, so xi_m solves the stacked least-squares
-    problem.  Returns the per-element report plus the (m, k) residual table.
-    The condition is unsatisfiable for channels that fail the attainability
-    condition, so a failed check cannot by itself disqualify a measurement
-    there.
+    problem, and the report holds its residual per element.  The condition
+    is unsatisfiable for channels that fail the attainability condition, so
+    a failed check cannot by itself disqualify a measurement there.
     """
-    ops = operators.operators if isinstance(operators, KrausSet) else np.asarray(operators)
+    ops = np.asarray(operators)
     derivs = np.asarray(derivatives, dtype=complex)
     if abs(rho0.purity() - 1.0) > 1e-9:
         raise ValidationError("condition check requires a pure input state")
     root_rho = psd_sqrt(rho0.matrix)
     elements = []
-    table = np.zeros((len(povm), ops.shape[0]))
     for m, mat in enumerate(povm.elements):
         root_m = psd_sqrt(mat)
         pairs = [(root_m @ dk @ root_rho, root_m @ ek @ root_rho) for ek, dk in zip(ops, derivs)]
         xi, residual, vacuous = _fit_real_scale(pairs, tol)
-        for k, (a, b) in enumerate(pairs):
-            table[m, k] = float(np.linalg.norm(a - xi * b))
         elements.append(ConditionElement(m, xi, residual, vacuous))
     satisfied = all(e.vacuous or e.residual < tol for e in elements)
     note = (
         "unsatisfiable for channels that violate the attainability condition; "
         "a failing check does not certify the measurement as suboptimal there"
     )
-    return ConditionReport(tuple(elements), satisfied, tol, note), table
+    return ConditionReport(tuple(elements), satisfied, tol, note)
 
 
 # ---------------------------------------------------------------------------

@@ -2,7 +2,8 @@
 
     qfi report SPEC --theta 0.2 [--povm optimal] [--tol 1e-6]
     qfi sweep SPEC --theta-grid 0.1:0.9:9 [--tol 1e-6] [--format csv]
-    qfi estimate SPEC --theta-true 0.2 --shots 10000 --reps 200 [--adaptive]
+    qfi estimate SPEC --theta-true 0.2 --shots 10000 --reps 200
+        [--povm optimal | --adaptive [--n-pilot 500]]
     qfi optimize-input SPEC --theta 0.3 --objective sld
     qfi verify --suite all
 
@@ -40,7 +41,6 @@ from .bounds import (
 from .channels import ParametricChannel
 from .errors import NumericError, ValidationError
 from .estimation import (
-    AdaptiveConfig,
     adaptive_experiment,
     cr_experiment,
     optimize_input_state,
@@ -90,9 +90,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--shots", "-N", type=int, default=10000)
     p.add_argument("--reps", type=int, default=200)
     p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--povm", choices=POVM_CHOICES, default="optimal")
-    p.add_argument("--adaptive", action="store_true", help="two-stage adaptive measurement")
-    p.add_argument("--n-pilot", type=int, default=500)
+    mode = p.add_mutually_exclusive_group()
+    mode.add_argument("--povm", choices=POVM_CHOICES, help="a fixed run's POVM (default optimal)")
+    mode.add_argument("--adaptive", action="store_true", help="two-stage adaptive measurement")
+    p.add_argument("--n-pilot", type=int, help="an adaptive run's pilot shots (default 500)")
 
     p = sub.add_parser("optimize-input", help="maximize H or the channel bound over inputs")
     p.add_argument("spec", type=Path, help="channel spec file")
@@ -184,7 +185,7 @@ def _point_report(channel, curve, povm, povm_id, tol) -> dict:
             povm_sld_condition_check(povm, curve, tol)
         )
         if ck is not None:
-            sm_report, _ = povm_sm_condition_check(
+            sm_report = povm_sm_condition_check(
                 povm, ck.operators, ck.derivatives[0], channel.input_state.density(), tol
             )
             doc["sm_condition"] = reporting.condition_report_dict(sm_report)
@@ -300,24 +301,23 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_estimate(args) -> int:
+    if args.n_pilot is not None and not args.adaptive:
+        raise ValidationError("--n-pilot applies only to an --adaptive run")
     spec, channel = _load_spec(args.spec)
     if channel.param_count != 1:
         raise ValidationError("estimation handles one-parameter channels")
     seed = _seed_of(args)
     channel.require_in_domain(args.theta_true)
-    curve = spectral_curve(channel, args.theta_true) if args.povm == "optimal" else None
-    povm, povm_id = _resolve_povm(args.povm, channel, curve)
+    povm_name = args.povm or "optimal"  # None for an adaptive run, which needs the curve too
+    # built before any sampling, so that a refused theta_true fails first
+    curve = spectral_curve(channel, args.theta_true) if povm_name == "optimal" else None
     if args.adaptive:
+        n_pilot = 500 if args.n_pilot is None else args.n_pilot
         run = adaptive_experiment(
-            channel,
-            args.theta_true,
-            args.shots,
-            AdaptiveConfig(n_pilot=args.n_pilot),
-            args.reps,
-            seed,
-            curve=curve,
+            channel, args.theta_true, args.shots, n_pilot, args.reps, seed, curve
         )
     else:
+        povm, povm_id = _resolve_povm(povm_name, channel, curve)
         run = cr_experiment(
             channel, args.theta_true, povm, args.shots, args.reps, seed, povm_id, curve=curve
         )

@@ -22,7 +22,7 @@ independent of execution order.
 from __future__ import annotations
 
 import dataclasses
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -195,17 +195,6 @@ def mle_estimate(
 
 
 @dataclass(frozen=True)
-class AdaptiveConfig:
-    """Two-stage measurement settings: the pilot size."""
-
-    n_pilot: int
-
-    def __post_init__(self):
-        if self.n_pilot < 1:
-            raise ValidationError(f"n_pilot must be positive, got {self.n_pilot}")
-
-
-@dataclass(frozen=True)
 class StageRecord:
     povm_id: str
     shots: int
@@ -226,34 +215,26 @@ class EstimationRun:
     counts: tuple[int, ...]
     theta_hat: float
     predicted_bounds: dict[str, float | None]
-    empirical_variance: float | None = None
-    variance_ratios: dict[str, float | None] = field(default_factory=dict)
-    replications: int = 1
-    theta_hats: tuple[float, ...] = ()
-    bias: float | None = None
+    empirical_variance: float
+    variance_ratios: dict[str, float | None]
+    replications: int
+    theta_hats: tuple[float, ...]
+    bias: float
     stages: tuple[StageRecord, ...] = ()
     boundary: bool = False
     rng: str = "philox4x64"
 
     def __post_init__(self):
-        if sum(self.counts) != self.shots:
-            raise ValidationError(
-                f"counts sum to {sum(self.counts)}, expected {self.shots} shots"
-            )
-        if self.empirical_variance is not None and self.empirical_variance < 0:
+        if (total := sum(self.counts)) != self.shots:
+            raise ValidationError(f"counts sum to {total}, expected {self.shots} shots")
+        if self.empirical_variance < 0:
             raise ValidationError("variance must be nonnegative")
 
     def to_dict(self) -> dict:
-        out = dataclasses.asdict(self)
-        out["counts"] = list(self.counts)
-        out["theta_hats"] = list(self.theta_hats)
-        out["stages"] = [dataclasses.asdict(s) | {"counts": list(s.counts)} for s in self.stages]
-        return out
+        return dataclasses.asdict(self)
 
 
-def predicted_bounds(
-    curve: SpectralCurve, povm: POVM | None, shots: int
-) -> dict[str, float | None]:
+def predicted_bounds(curve: SpectralCurve, povm: POVM, shots: int) -> dict[str, float | None]:
     """Variance floors 1/(N F), 1/(N H), 1/(N C) read from the curve at the true parameter.
 
     A floor is None where its information is below UNINFORMATIVE_FLOOR, or
@@ -261,17 +242,48 @@ def predicted_bounds(
     """
     h = sld_information(curve)
     c = sm_bound_spectral(curve)
-    f = None
-    if povm is not None:
-        try:
-            f = fisher_information(curve, povm)
-        except SingularTermError:
-            pass
+    try:
+        f = fisher_information(curve, povm)
+    except SingularTermError:
+        f = None
     return {
         "fisher": None if f is None or f < UNINFORMATIVE_FLOOR else 1.0 / (shots * f),
         "sld": None if h < UNINFORMATIVE_FLOOR else 1.0 / (shots * h),
         "channel_bound": None if c < UNINFORMATIVE_FLOOR else 1.0 / (shots * c),
     }
+
+
+def _run(
+    channel: ParametricChannel, theta_true: float, povm_id: str, shots: int, seed: int,
+    counts: np.ndarray, estimates: np.ndarray, povm: POVM, curve: SpectralCurve | None,
+    **adaptive,
+) -> EstimationRun:
+    """The record of every replication's estimate, its counts those of replication 0.
+
+    The variance is compared with povm's floors at `curve`, the spectral curve
+    at theta_true, built here when None.  An adaptive run passes its `stages`
+    and `boundary`.
+    """
+    if curve is None:
+        curve = spectral_curve(channel, theta_true)
+    bounds = predicted_bounds(curve, povm, shots)
+    variance = float(np.var(estimates, ddof=1))
+    return EstimationRun(
+        channel_id=channel.name,
+        theta_true=float(theta_true),
+        povm_id=povm_id,
+        shots=shots,
+        seed=seed,
+        counts=tuple(int(c) for c in counts),
+        theta_hat=float(estimates[0]),
+        predicted_bounds=bounds,
+        empirical_variance=variance,
+        variance_ratios={k: None if f is None else variance / f for k, f in bounds.items()},
+        replications=len(estimates),
+        theta_hats=tuple(float(t) for t in estimates),
+        bias=float(np.mean(estimates) - theta_true),
+        **adaptive,
+    )
 
 
 def cr_experiment(
@@ -284,9 +296,9 @@ def cr_experiment(
     povm_id: str = "custom",
     curve: SpectralCurve | None = None,
 ) -> EstimationRun:
-    """Replicated sampling + MLE, compared against the variance floors.
+    """Replicated sampling and MLE in one POVM, compared against its variance floors.
 
-    Ratios are empirical variance divided by each floor; a floor is omitted
+    Ratios are empirical variance divided by each floor; a floor is None
     when the corresponding information vanishes.  `curve`, the spectral
     curve at theta_true, is built after the replications when not given.
     """
@@ -296,34 +308,7 @@ def cr_experiment(
     seeds = [replication_seed(seed, rep) for rep in range(replications)]
     counts = _draws(measurement_distribution(rho, povm), shots, seeds)
     estimates = mle_estimate(channel, povm, counts, seeds=seeds).theta_hat
-    if curve is None:
-        curve = spectral_curve(channel, theta_true)
-    run = EstimationRun(
-        channel_id=channel.name,
-        theta_true=float(theta_true),
-        povm_id=povm_id,
-        shots=shots,
-        seed=seed,
-        counts=tuple(int(c) for c in counts[0]),
-        theta_hat=float(estimates[0]),
-        predicted_bounds={},
-    )
-    return _compared(run, estimates, curve, povm)
-
-
-def _compared(run: EstimationRun, estimates: np.ndarray, curve: SpectralCurve, povm: POVM):
-    """run with its replications' estimates and their variance against povm's floors at curve."""
-    bounds = predicted_bounds(curve, povm, run.shots)
-    variance = float(np.var(estimates, ddof=1))
-    return dataclasses.replace(
-        run,
-        predicted_bounds=bounds,
-        empirical_variance=variance,
-        variance_ratios={k: None if f is None else variance / f for k, f in bounds.items()},
-        replications=len(estimates),
-        theta_hats=tuple(float(t) for t in estimates),
-        bias=float(np.mean(estimates) - run.theta_true),
-    )
+    return _run(channel, theta_true, povm_id, shots, seed, counts[0], estimates, povm, curve)
 
 
 def _pivot_curves(channel: ParametricChannel, pivots: np.ndarray, seeds) -> SpectralCurve:
@@ -338,25 +323,36 @@ def _pivot_curves(channel: ParametricChannel, pivots: np.ndarray, seeds) -> Spec
     return curves[0]
 
 
-def _two_stage(
+def adaptive_experiment(
     channel: ParametricChannel,
     theta_true: float,
     shots: int,
-    config: AdaptiveConfig,
-    seeds: list[int],
-) -> tuple[EstimationRun, POVM, np.ndarray]:
-    """Every replication's adaptive run, replication r drawing from seeds[r].
+    n_pilot: int,
+    replications: int,
+    seed: int,
+    curve: SpectralCurve | None = None,
+) -> EstimationRun:
+    """Replicated two-stage runs with the variance compared to 1/((N - n) H).
 
-    Each stage is one MLE call over all replications on one tabulated grid,
-    and the pivots are one stacked curve.  Returns the first replication's
-    run without floors, its stage-2 POVM and every final estimate.
+    Each replication measures n_pilot shots in the computational basis, then
+    the remaining N - n_pilot in the SLD-optimal POVM at its pilot estimate;
+    its final estimate uses the second-stage data only.  Each stage is one
+    MLE call over all replications on one tabulated grid, and the pivots are
+    one stacked curve.  The record's stages are replication 0's, and the
+    floors are those of its stage-2 POVM.  `curve`, the spectral curve at
+    theta_true, is built after the replications when not given.
     """
-    if config.n_pilot >= shots:
-        raise ValidationError(f"n_pilot {config.n_pilot} must be below shots {shots}")
+    if n_pilot < 1:
+        raise ValidationError(f"n_pilot must be positive, got {n_pilot}")
+    if replications < 2:
+        raise ValidationError("need at least 2 replications for a variance")
+    if n_pilot >= shots:
+        raise ValidationError(f"n_pilot {n_pilot} must be below shots {shots}")
+    seeds = [replication_seed(seed, rep) for rep in range(replications)]
     states = _grid_states(channel)
     pilot_povm = computational_basis_povm(channel.dim)
     rho_true = channel.output_state(np.array([theta_true]))
-    pilot_counts = _draws(measurement_distribution(rho_true, pilot_povm), config.n_pilot, seeds)
+    pilot_counts = _draws(measurement_distribution(rho_true, pilot_povm), n_pilot, seeds)
     pilot = mle_estimate(channel, pilot_povm, pilot_counts, grid_states=states, seeds=seeds)
     lo, hi = channel.domain[0]
     # A pilot MLE can land within 1e-8 of an edge, where a Kraus-form point's
@@ -364,7 +360,7 @@ def _two_stage(
     margin = STENCIL_REACH if channel.is_kraus_form else 0.0
     pivots = np.clip(pilot.theta_hat, lo + margin, hi - margin)
     povms = [optimal_povm_from_sld(lam) for lam in sld_score(_pivot_curves(channel, pivots, seeds))]
-    n2 = shots - config.n_pilot
+    n2 = shots - n_pilot
     drawn = [sample_outcomes(rho_true, p, n2, s ^ _STAGE2_SALT) for p, s in zip(povms, seeds)]
     # zero elements pad a POVM that merged degenerate SLD eigenvalues
     elements = np.zeros((len(seeds), max(map(len, povms)), channel.dim, channel.dim), complex)
@@ -372,56 +368,21 @@ def _two_stage(
     for rep, (povm, c) in enumerate(zip(povms, drawn)):
         elements[rep, : len(povm)], counts2[rep, : len(c)] = povm.elements, c
     final = mle_estimate(channel, elements, counts2, grid_states=states, seeds=seeds)
+    stage2_id = f"sld-optimal@{pivots[0]:.6g}"
     stages = (
         StageRecord(
-            "pilot", config.n_pilot, tuple(int(c) for c in pilot_counts[0]),
+            "pilot", n_pilot, tuple(int(c) for c in pilot_counts[0]),
             float(pilot.theta_hat[0]), bool(pilot.boundary[0]),
         ),
         StageRecord(
-            f"sld-optimal@{pivots[0]:.6g}", n2, tuple(int(c) for c in drawn[0]),
+            stage2_id, n2, tuple(int(c) for c in drawn[0]),
             float(final.theta_hat[0]), bool(final.boundary[0]),
         ),
     )
-    run = EstimationRun(
-        channel_id=channel.name,
-        theta_true=float(theta_true),
-        povm_id=f"adaptive({stages[1].povm_id})",
-        shots=n2,
-        seed=seeds[0],
-        counts=stages[1].counts,
-        theta_hat=stages[1].theta_hat,
-        predicted_bounds={},
-        stages=stages,
-        boundary=stages[1].boundary,
+    return _run(
+        channel, theta_true, f"adaptive({stage2_id})", n2, seed, drawn[0], final.theta_hat,
+        povms[0], curve, stages=stages, boundary=stages[1].boundary,
     )
-    return run, povms[0], final.theta_hat
-
-
-def adaptive_experiment(
-    channel: ParametricChannel,
-    theta_true: float,
-    shots: int,
-    config: AdaptiveConfig,
-    replications: int,
-    seed: int,
-    curve: SpectralCurve | None = None,
-) -> EstimationRun:
-    """Replicated adaptive runs with the variance compared to 1/((N - n) H).
-
-    Each replication measures a pilot in the computational basis, then the
-    SLD-optimal POVM at its pilot estimate; its final estimate uses the
-    second-stage data only.  The record's stages are the first
-    replication's, and the floors are those of its stage-2 POVM.  `curve`,
-    the spectral curve at theta_true, is built after the replications when
-    not given.
-    """
-    if replications < 2:
-        raise ValidationError("need at least 2 replications for a variance")
-    seeds = [replication_seed(seed, rep) for rep in range(replications)]
-    first, stage2_povm, estimates = _two_stage(channel, theta_true, shots, config, seeds)
-    if curve is None:
-        curve = spectral_curve(channel, theta_true)
-    return dataclasses.replace(_compared(first, estimates, curve, stage2_povm), seed=seed)
 
 
 def _inputs_from_angles(x: np.ndarray, dim: int) -> np.ndarray:
@@ -557,9 +518,7 @@ def optimize_input_state(
     """
     if not channel.is_kraus_form:
         raise ValidationError("input-state optimization needs a Kraus-form channel")
-    key = objective.strip().lower()
-    sld = key in ("sld", "h")
-    if not sld and key not in ("channel-bound", "sm", "c", "bound"):
+    if objective not in ("sld", "channel-bound"):
         raise ValidationError(f"unknown objective {objective!r}; use 'sld' or 'channel-bound'")
     if restarts < 1:
         raise ValidationError(f"restarts must be at least 1, got {restarts}")
@@ -571,7 +530,7 @@ def optimize_input_state(
         )
     # a partial that diverges at theta (a domain edge) would fail every candidate
     channel.kraus_partials(channel.require_in_domain(theta))
-    if not sld:
+    if objective == "channel-bound":
         return InputOptimum(*_input_search(channel, theta, sm_bound_spectral, restarts, seed))
 
     bound, psi = _sld_dual(channel, theta)

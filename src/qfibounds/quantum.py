@@ -1,8 +1,7 @@
 """Validated quantum primitives.
 
-Density matrices, pure states, Kraus sets and POVMs are thin immutable
-wrappers around numpy arrays whose defining invariants are checked at
-construction.  Construction-time tolerances sit at 1e-9/1e-10; operations
+Density matrices, pure states and POVMs are thin immutable wrappers around
+numpy arrays whose defining invariants are checked at construction.  Construction-time tolerances sit at 1e-9/1e-10; operations
 that accept possibly sloppy user input re-check at 1e-6.
 """
 
@@ -103,30 +102,6 @@ class DensityMatrix:
 
     def purity(self) -> float:
         return float(np.real(np.trace(self.matrix @ self.matrix)))
-
-
-@dataclass(frozen=True)
-class KrausSet:
-    """Operators E_1..E_n with sum E_k^dag E_k = I."""
-
-    operators: np.ndarray
-    completeness_tol: float = CONSTRUCT_SUM_TOL
-
-    def __post_init__(self):
-        ops = np.array(self.operators, dtype=complex)
-        if ops.ndim != 3 or ops.shape[1] != ops.shape[2]:
-            raise ValidationError(f"expected a stack of square matrices, got shape {ops.shape}")
-        defect = diagnose_kraus(ops)["completeness"]
-        if defect > self.completeness_tol:
-            raise ValidationError(f"completeness defect {defect:.3e}")
-        object.__setattr__(self, "operators", _freeze(ops))
-
-    @property
-    def dim(self) -> int:
-        return self.operators.shape[-1]
-
-    def __len__(self) -> int:
-        return self.operators.shape[0]
 
 
 @dataclass(frozen=True)

@@ -36,7 +36,7 @@ import numpy as np
 
 from .channels import BUILTIN_FAMILIES, ParametricChannel, builtin, custom_spectral
 from .errors import SpecFormatError, ValidationError
-from .quantum import KrausSet, PureState
+from .quantum import CONSTRUCT_SUM_TOL, PureState, diagnose_kraus
 
 _FAMILY_KEYS: dict[str, set[str]] = {
     "dephasing": set(),
@@ -244,7 +244,9 @@ def _validate_over_domain(channel: ParametricChannel) -> None:
     for point in list(corners) + [mid]:
         try:
             if channel.is_kraus_form:
-                KrausSet(channel.kraus_matrices(point))
+                defect = diagnose_kraus(channel.kraus_matrices(point))["completeness"]
+                if defect > CONSTRUCT_SUM_TOL:
+                    raise ValidationError(f"completeness defect {defect:.3e}")
             else:
                 channel.spectral_at(point)
         except ValidationError as exc:

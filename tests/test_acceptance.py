@@ -39,7 +39,7 @@ from qfibounds.bounds import (
     unitary_condition,
 )
 from qfibounds.channels import builtin, random_hermitian
-from qfibounds.estimation import AdaptiveConfig, adaptive_experiment, cr_experiment
+from qfibounds.estimation import adaptive_experiment, cr_experiment
 from qfibounds.linalg import max_abs
 from qfibounds.multiparam import multi_attainability_check, sld_matrix, sm_matrix
 from qfibounds.quantum import PureState, pauli_basis_povm
@@ -151,7 +151,7 @@ def test_criterion_2_quasi_classical_chain():
             ):
                 assert abs(value - want) / want < 1e-6, f"theta={theta}: {value} vs {want}"
             ck = canonical_kraus(ch, theta)
-            report, _ = povm_sm_condition_check(
+            report = povm_sm_condition_check(
                 povm, ck.operators, ck.derivatives[0], ch.input_state.density()
             )
             assert report.satisfied, f"condition check failed at theta={theta}"
@@ -282,7 +282,7 @@ def test_criterion_9_estimation():
         )
 
         n_pilot = 500
-        arun = adaptive_experiment(ch, 0.2, n, AdaptiveConfig(n_pilot=n_pilot), reps, seed)
+        arun = adaptive_experiment(ch, 0.2, n, n_pilot, reps, seed)
         h = sld_information(spectral_curve(ch, 0.2))
         floor = 1.0 / ((n - n_pilot) * h)
         assert abs(arun.empirical_variance / floor - 1.0) < 0.15

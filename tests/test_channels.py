@@ -15,7 +15,7 @@ from qfibounds.channels import (
 )
 from qfibounds.errors import ValidationError
 from qfibounds.linalg import differentiate_curve, max_abs
-from qfibounds.quantum import KrausSet
+from qfibounds.quantum import diagnose_kraus
 
 from oracles import random_unitary, remix_channel
 
@@ -70,7 +70,7 @@ def test_builtin_form_invariants_on_grid(family):
     ch = builtin(family)
     for theta in _grid(ch):
         if ch.is_kraus_form:
-            KrausSet(ch.kraus_matrices(theta))
+            assert diagnose_kraus(ch.kraus_matrices(theta))["completeness"] < 1e-9
         else:
             ch.spectral_at(theta)
 
@@ -189,7 +189,7 @@ def test_kraus_form_needs_its_derivative():
 def test_random_kraus_channel_complete_and_smooth():
     ch = random_kraus_channel(dim=3, env=2, param_count=2, seed=5)
     for theta in ([0.0, 0.0], [0.3, -0.2], [-0.5, 0.5]):
-        KrausSet(ch.kraus_matrices(np.array(theta)))
+        assert diagnose_kraus(ch.kraus_matrices(np.array(theta)))["completeness"] < 1e-9
     analytic = ch.kraus_partials(np.array([0.2, 0.1]))[1]
     num = differentiate_curve(lambda t: ch.kraus_matrices(np.array([0.2, t])), 0.1)
     assert max_abs(num - analytic) < 1e-8
@@ -205,7 +205,7 @@ def test_remix_preserves_channel():
     ch = builtin("dephasing")
     had = np.array([[1, 1], [1, -1]]) / np.sqrt(2)
     rem = remix_channel(ch, lambda t: had, lambda t, i: np.zeros((2, 2)))
-    KrausSet(rem.kraus_matrices(0.3))
+    assert diagnose_kraus(rem.kraus_matrices(0.3))["completeness"] < 1e-9
     rho_a = ch.output_matrix(0.3)
     rho_b = rem.output_matrix(0.3)
     assert max_abs(rho_a - rho_b) < 1e-12

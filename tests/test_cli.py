@@ -202,6 +202,25 @@ def test_estimate_adaptive(spec_file, capsys):
     assert exp["stages"][1]["shots"] == 1600
 
 
+@pytest.mark.parametrize("povm", ["optimal", "computational", "x-basis", "y-basis"])
+def test_estimate_refuses_a_povm_for_an_adaptive_run(spec_file, capsys, povm):
+    # the second stage measures the SLD-optimal POVM at the pilot estimate
+    with pytest.raises(SystemExit) as exc:
+        main(["estimate", spec_file(DEPHASING), "--theta-true", "0.3", "--shots", "2000",
+              "--reps", "5", "--adaptive", "--povm", povm])
+    assert exc.value.code == 2
+    assert "argument --povm: not allowed with argument --adaptive" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("povm", [(), ("--povm", "computational")])
+def test_estimate_refuses_a_pilot_size_for_a_fixed_run(spec_file, capsys, povm):
+    code, out, err = run_cli(
+        capsys, "estimate", spec_file(DEPHASING), "--theta-true", "0.3", "--shots", "2000",
+        "--reps", "5", "--n-pilot", "300", *povm,
+    )
+    assert (code, out, err) == (2, "", "error: --n-pilot applies only to an --adaptive run\n")
+
+
 def test_optimize_input_command(spec_file, capsys):
     code, out, _ = run_cli(
         capsys, "optimize-input", spec_file(DEPHASING), "--theta", "0.3",

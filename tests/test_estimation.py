@@ -17,7 +17,6 @@ from qfibounds.channels import random_pure_state
 from qfibounds.estimation import (
     CERTIFY_TOL,
     MLE_GRID_POINTS,
-    AdaptiveConfig,
     adaptive_experiment,
     cr_experiment,
     mle_estimate,
@@ -167,7 +166,7 @@ def test_experiments_tabulate_the_grid_once(monkeypatch):
         cr_experiment(ch, 0.2, XPOVM, 1000, reps, seed=5)
         fixed = len(calls)
         calls.clear()
-        adaptive_experiment(ch, 0.2, 1000, AdaptiveConfig(n_pilot=200), reps, seed=5)
+        adaptive_experiment(ch, 0.2, 1000, 200, reps, seed=5)
         counts[reps] = (fixed, len(calls))
     assert counts[3] == counts[10]
     fixed, adaptive = counts[10]
@@ -266,7 +265,7 @@ def test_example1_fixed_and_adaptive_estimates():
     ch, theta, reps = builtin("example1"), 0.4, 24
     povm = optimal_povm_from_sld(sld_score(spectral_curve(ch, theta)))
     fixed = cr_experiment(ch, theta, povm, 10_000, reps, seed=3)
-    adaptive = adaptive_experiment(ch, theta, 10_000, AdaptiveConfig(n_pilot=500), reps, seed=3)
+    adaptive = adaptive_experiment(ch, theta, 10_000, 500, reps, seed=3)
     for run in (fixed, adaptive):
         assert len(run.theta_hats) == reps and not run.boundary
         assert abs(run.bias) < 5 * np.sqrt(run.empirical_variance / reps)
@@ -304,12 +303,12 @@ def test_stacked_mle_names_the_replication_of_an_impossible_row():
 def test_adaptive_names_the_replication_of_a_refused_pivot():
     # Replication 18's pilot lands where a Gram weight sits at the support boundary.
     ch = random_kraus_channel(dim=4, env=2, seed=8323093291234078290)
-    seed, config = 5124073795492520131, AdaptiveConfig(n_pilot=500)
+    seed, n_pilot = 5124073795492520131, 500
     expected = r"replication 18 \(seed 5124073795492520145\), pivot theta 8\.66\d*e-05: .*support"
     with pytest.raises(DegeneracyError, match=expected):
-        adaptive_experiment(ch, -0.033683, 10_000, config, 19, seed)
+        adaptive_experiment(ch, -0.033683, 10_000, n_pilot, 19, seed)
     with pytest.raises(DegeneracyError, match="support boundary"):
-        adaptive_experiment(ch, -0.033683, 10_000, config, 2, replication_seed(seed, 18))
+        adaptive_experiment(ch, -0.033683, 10_000, n_pilot, 2, replication_seed(seed, 18))
 
 
 def test_replication_seed_xor():
@@ -320,7 +319,7 @@ def test_replication_seed_xor():
 def test_adaptive_two_stage_record():
     # replication 0 draws from seed ^ 0 = seed, and the record is its run
     ch = builtin("dephasing")
-    run = adaptive_experiment(ch, 0.2, 2000, AdaptiveConfig(n_pilot=500), 2, seed=13)
+    run = adaptive_experiment(ch, 0.2, 2000, 500, 2, seed=13)
     assert len(run.stages) == 2
     assert run.stages[0].povm_id == "pilot"
     assert run.stages[0].shots == 500
@@ -331,16 +330,19 @@ def test_adaptive_two_stage_record():
 
 def test_adaptive_degenerate_split_runs():
     ch = builtin("dephasing")
-    run = adaptive_experiment(ch, 0.3, 50, AdaptiveConfig(n_pilot=49), 2, seed=2)
+    run = adaptive_experiment(ch, 0.3, 50, 49, 2, seed=2)
     assert run.stages[1].shots == 1
     with pytest.raises(ValidationError, match="below shots"):
-        adaptive_experiment(ch, 0.3, 50, AdaptiveConfig(n_pilot=50), 2, seed=2)
+        adaptive_experiment(ch, 0.3, 50, 50, 2, seed=2)
+    # the pilot size is checked before the replication count
+    with pytest.raises(ValidationError, match="^n_pilot must be positive, got 0$"):
+        adaptive_experiment(ch, 0.3, 50, 0, 1, seed=2)
 
 
 def test_adaptive_experiment_efficiency():
     ch = builtin("dephasing")
     n, n_pilot = 10_000, 500
-    run = adaptive_experiment(ch, 0.2, n, AdaptiveConfig(n_pilot=n_pilot), 200, seed=7)
+    run = adaptive_experiment(ch, 0.2, n, n_pilot, 200, seed=7)
     h = sld_information(spectral_curve(ch, 0.2))
     floor = 1 / ((n - n_pilot) * h)
     assert abs(run.empirical_variance / floor - 1) < 0.15
@@ -356,10 +358,9 @@ def test_adaptive_experiment_computes_the_floors_once(monkeypatch):
         estimation, "predicted_bounds", lambda *args: calls.append(args) or original(*args)
     )
     ch = builtin("dephasing")
-    config = AdaptiveConfig(n_pilot=200)
-    run = adaptive_experiment(ch, 0.2, 1000, config, 5, seed=3)
+    run = adaptive_experiment(ch, 0.2, 1000, 200, 5, seed=3)
     assert len(calls) == 1
-    first = adaptive_experiment(ch, 0.2, 1000, config, 2, replication_seed(3, 0))
+    first = adaptive_experiment(ch, 0.2, 1000, 200, 2, replication_seed(3, 0))
     assert run.predicted_bounds == first.predicted_bounds
     assert run.theta_hats[0] == first.theta_hat
 
@@ -367,7 +368,7 @@ def test_adaptive_experiment_computes_the_floors_once(monkeypatch):
 def test_rotation_adaptive_unit_information():
     # restrict to an identifiable window: cos^2(theta/2) aliases +-theta
     ch = dataclasses.replace(builtin("rotation", axis="x"), domain=((0.05, 3.0),))
-    run = adaptive_experiment(ch, 0.4, 4000, AdaptiveConfig(n_pilot=400), 100, seed=21)
+    run = adaptive_experiment(ch, 0.4, 4000, 400, 100, seed=21)
     floor = 1 / ((4000 - 400) * 1.0)  # H = C = 1 for this family
     assert abs(run.empirical_variance / floor - 1) < 0.25
 
@@ -414,8 +415,10 @@ def test_optimize_input_dephasing_beats_grid_scan():
 
 
 def test_optimize_input_rejects_objective():
-    with pytest.raises(ValidationError, match="unknown objective"):
-        optimize_input_state(builtin("dephasing"), 0.3, "entropy")
+    # only the two names the CLI offers; no aliases, no case or space folding
+    for objective in ("entropy", "h", "bound", " SLD"):
+        with pytest.raises(ValidationError, match="unknown objective"):
+            optimize_input_state(builtin("dephasing"), 0.3, objective)
 
 
 def test_optimize_input_fails_on_two_parameters_without_decomposing(monkeypatch):

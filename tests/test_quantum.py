@@ -5,7 +5,6 @@ from qfibounds.errors import ValidationError
 from qfibounds.quantum import (
     POVM,
     DensityMatrix,
-    KrausSet,
     PureState,
     computational_basis_povm,
     measurement_distribution,
@@ -28,11 +27,6 @@ def test_density_matrix_rejections():
 def test_pure_state_norm():
     with pytest.raises(ValidationError, match="norm defect"):
         PureState(np.array([1.0, 1.0]))
-
-
-def test_kraus_completeness():
-    with pytest.raises(ValidationError, match="completeness"):
-        KrausSet(np.array([np.eye(2), np.eye(2)]))
 
 
 def test_povm_invariants():

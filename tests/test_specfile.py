@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
+from qfibounds import channels
 from qfibounds.bounds import sld_information, spectral_curve
+from qfibounds.channels import ParametricChannel
 from qfibounds.errors import SpecFormatError, ValidationError
 from qfibounds.specfile import ChannelSpec, parse_complex
 
@@ -123,6 +125,19 @@ def test_domain_override_validation():
     # domain outside the family's mathematical range fails invariant checks
     with pytest.raises(ValidationError, match="invariants fail"):
         ChannelSpec.from_text("family = dephasing\ntheta_domain = [0.5, 1.5]\n").build()
+
+
+def test_incomplete_kraus_family_fails_spec_validation(monkeypatch):
+    # two identity operators: sum E^dag E = 2 I at every theta
+    doubled = lambda theta: np.broadcast_to(np.eye(2), (*np.shape(theta)[:-1], 2, 2, 2))
+    factory = lambda: ParametricChannel(
+        name="doubled", dim=2, param_count=1, domain=((0.0, 1.0),), kraus_fn=doubled,
+        kraus_grad_fn=lambda theta, l: np.zeros_like(doubled(theta)),
+    )
+    monkeypatch.setitem(channels.BUILTIN_FAMILIES, "dephasing", factory)
+    expected = r"^channel invariants fail at theta = \[0\.0\]: completeness defect 1\.000e\+00$"
+    with pytest.raises(ValidationError, match=expected):
+        ChannelSpec.from_text("family = dephasing\n").build()
 
 
 def test_input_state_rejected_for_spectral_families():
