@@ -185,7 +185,7 @@ def canonical_kraus(channel: ParametricChannel, theta, inputs=None) -> Canonical
             raise ValidationError("an input stack needs (N, d) rows, one per point; "
                                   f"got {psi.shape} for {len(points)} points")
         defect = np.abs(np.sum(np.abs(psi) ** 2, axis=1) - 1.0)
-        if (bad := defect > CONSTRUCT_HERM_TOL).any():
+        if (bad := ~(defect <= CONSTRUCT_HERM_TOL)).any():  # a nan row fails too
             i = np.argmax(bad)
             raise ValidationError(f"input row {i} is not normalized: norm defect {defect[i]:.3e}")
     psi = psi[:, np.newaxis, :, np.newaxis]

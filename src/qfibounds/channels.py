@@ -19,6 +19,7 @@ evaluates N channels of one shape, one per row, in one call.
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -376,6 +377,8 @@ def example2(
     gc = np.asarray(g_coeffs, dtype=float)
     if fc.shape != (3,) or gc.shape != (3,):
         raise ValidationError("f_coeffs and g_coeffs need exactly 3 entries (const, th1, th2)")
+    if len(domain) != 2:
+        raise ValidationError(f"example2 has 2 parameters; domain has {len(domain)} interval(s)")
     affine = lambda c, theta: c[0] + c[1] * theta[..., 0] + c[2] * theta[..., 1]
     for corner in (np.array([a, b]) for a in domain[0] for b in domain[1]):
         for label, coeffs in (("f", fc), ("g", gc)):
@@ -529,6 +532,12 @@ def random_kraus_draw(
     """random_kraus_channel's curve and the (m, T, T) generator stack it was drawn with."""
     if env < 1 or dim < 2:
         raise ValidationError("need dim >= 2 and env >= 1")
+    if param_count < 1:
+        raise ValidationError(f"param_count must be at least 1, got {param_count}")
+    if not math.isfinite(scale):
+        raise ValidationError(f"scale must be finite, got {scale!r}")
+    if not 0 <= seed < 2**64:
+        raise ValidationError(f"seed must be in [0, 2**64), got {seed}")
     rng = np.random.Generator(np.random.Philox(key=np.uint64(seed)))
     gens = np.array([random_hermitian(dim * env, rng, scale) for _ in range(param_count)])
     if input_state is None:
@@ -557,9 +566,10 @@ def custom_spectral(
             f"need vectors (d, r) and value_coeffs (r, {m + 1}); got {w.shape}, {coeffs.shape}"
         )
     gram_defect = max_abs(w.conj().T @ w - np.eye(w.shape[1]))
-    if gram_defect > SPECTRAL_SUM_TOL:
+    if not gram_defect <= SPECTRAL_SUM_TOL:  # a nan entry fails too
         raise ValidationError(f"eigenvectors not orthonormal: defect {gram_defect:.3e}")
-    if abs(coeffs[:, 0].sum() - 1.0) > SPECTRAL_SUM_TOL or max_abs(coeffs[:, 1:].sum(axis=0)) > SPECTRAL_SUM_TOL:
+    sum_defects = [abs(coeffs[:, 0].sum() - 1.0), max_abs(coeffs[:, 1:].sum(axis=0))]
+    if not all(defect <= SPECTRAL_SUM_TOL for defect in sum_defects):
         raise ValidationError("eigenvalue coefficients do not keep the values summing to one")
     corners = np.array(np.meshgrid(*domain)).T.reshape(-1, m)
     for corner in corners:

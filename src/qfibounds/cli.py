@@ -158,7 +158,7 @@ def _channel_block(spec: ChannelSpec, channel) -> dict:
         "family": spec.family,
         "dim": channel.dim,
         "param_count": channel.param_count,
-        "domain": [[lo, hi] for lo, hi in channel.domain],
+        "domain": channel.domain,
         "spec": spec.source,
     }
 
@@ -175,20 +175,14 @@ def _point_report(channel, curve, povm, povm_id, tol) -> dict:
     ck = curve.kraus
     if ck is not None and ck.operators.shape[0] == 1:
         (value,), attainable = unitary_condition(channel, curve, tol)
-        doc["unitary_condition"] = {
-            "value": reporting.complex_value(value),
-            "attainable": attainable,
-        }
+        doc["unitary_condition"] = {"value": value, "attainable": attainable}
     if povm is not None:
         doc["povm"] = povm_id
-        doc["sld_condition"] = reporting.condition_report_dict(
-            povm_sld_condition_check(povm, curve, tol)
-        )
+        doc["sld_condition"] = povm_sld_condition_check(povm, curve, tol)
         if ck is not None:
-            sm_report = povm_sm_condition_check(
+            doc["sm_condition"] = povm_sm_condition_check(
                 povm, ck.operators, ck.derivatives[0], channel.input_state.density(), tol
             )
-            doc["sm_condition"] = reporting.condition_report_dict(sm_report)
     doc["warnings"] = warnings
     return doc
 
@@ -199,9 +193,9 @@ def _matrix_report(channel, curve, povm, povm_id, tol) -> dict:
     att = multi_attainability_check(curve, tol, channel=channel)
     warnings = []
     doc = {
-        "theta": [float(x) for x in curve.theta],
-        "sld_information": reporting.info_matrix_dict(h),
-        "channel_bound": reporting.info_matrix_dict(c),
+        "theta": curve.theta,
+        "sld_information": h,
+        "channel_bound": c,
         "attainability": {
             "attainable": att.attainable,
             "residual": att.residual,
@@ -211,11 +205,9 @@ def _matrix_report(channel, curve, povm, povm_id, tol) -> dict:
         "gauge_source": curve.gauge_source,
     }
     if att.unitary_condition_values is not None:
-        doc["unitary_condition"] = [
-            reporting.complex_value(z) for z in att.unitary_condition_values
-        ]
+        doc["unitary_condition"] = att.unitary_condition_values
     inv, rank = pinv_with_rank(h)
-    doc["covariance_floor"] = {"matrix": reporting.matrix_values(inv), "rank": rank}
+    doc["covariance_floor"] = {"matrix": inv, "rank": rank}
     if rank < h.size:
         warnings.append(
             f"SLD information matrix is rank {rank} of {h.size}; covariance floor "
@@ -224,8 +216,8 @@ def _matrix_report(channel, curve, povm, povm_id, tol) -> dict:
     if povm is not None:
         doc["povm"] = povm_id
         f = fisher_matrix(curve, povm)
-        doc["fisher_information"] = reporting.info_matrix_dict(f)
-        doc["loewner"] = reporting.loewner_report_dict(loewner_report(f, h, c))
+        doc["fisher_information"] = f
+        doc["loewner"] = loewner_report(f, h, c)
     doc["warnings"] = warnings
     return doc
 
@@ -324,7 +316,7 @@ def cmd_estimate(args) -> int:
     doc = {
         "tool": reporting.TOOL,
         "channel": _channel_block(spec, channel),
-        "experiment": run.to_dict(),
+        "experiment": run,
     }
     sys.stdout.write(reporting.to_json(doc))
     return 0
@@ -341,7 +333,7 @@ def cmd_optimize_input(args) -> int:
         "channel": _channel_block(spec, channel),
         "objective": args.objective,
         "theta": args.theta,
-        "optimal_input": [reporting.complex_value(z) for z in result.state.amplitudes],
+        "optimal_input": result.state.amplitudes,
         "value": result.value,
     }
     if result.ancilla_bound is not None:
@@ -357,10 +349,7 @@ def cmd_verify(args) -> int:
     if args.format == "json":
         doc = {
             "tool": reporting.TOOL,
-            "checks": [
-                {"suite": r.suite, "name": r.name, "passed": r.passed, "detail": r.detail}
-                for r in results
-            ],
+            "checks": results,
             "passed": not failed,
         }
         sys.stdout.write(reporting.to_json(doc))

@@ -21,7 +21,6 @@ independent of execution order.
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass
 
 import numpy as np
@@ -230,9 +229,6 @@ class EstimationRun:
         if self.empirical_variance < 0:
             raise ValidationError("variance must be nonnegative")
 
-    def to_dict(self) -> dict:
-        return dataclasses.asdict(self)
-
 
 def predicted_bounds(curve: SpectralCurve, povm: POVM, shots: int) -> dict[str, float | None]:
     """Variance floors 1/(N F), 1/(N H), 1/(N C) read from the curve at the true parameter.
@@ -256,13 +252,12 @@ def predicted_bounds(curve: SpectralCurve, povm: POVM, shots: int) -> dict[str, 
 def _run(
     channel: ParametricChannel, theta_true: float, povm_id: str, shots: int, seed: int,
     counts: np.ndarray, estimates: np.ndarray, povm: POVM, curve: SpectralCurve | None,
-    **adaptive,
+    boundary: bool, stages: tuple[StageRecord, ...] = (),
 ) -> EstimationRun:
-    """The record of every replication's estimate, its counts those of replication 0.
+    """The record of every replication's estimate, its counts and boundary flag replication 0's.
 
     The variance is compared with povm's floors at `curve`, the spectral curve
-    at theta_true, built here when None.  An adaptive run passes its `stages`
-    and `boundary`.
+    at theta_true, built here when None.  An adaptive run passes its `stages`.
     """
     if curve is None:
         curve = spectral_curve(channel, theta_true)
@@ -282,7 +277,8 @@ def _run(
         replications=len(estimates),
         theta_hats=tuple(float(t) for t in estimates),
         bias=float(np.mean(estimates) - theta_true),
-        **adaptive,
+        stages=stages,
+        boundary=boundary,
     )
 
 
@@ -307,8 +303,11 @@ def cr_experiment(
     rho = channel.output_state(np.array([theta_true]))
     seeds = [replication_seed(seed, rep) for rep in range(replications)]
     counts = _draws(measurement_distribution(rho, povm), shots, seeds)
-    estimates = mle_estimate(channel, povm, counts, seeds=seeds).theta_hat
-    return _run(channel, theta_true, povm_id, shots, seed, counts[0], estimates, povm, curve)
+    fit = mle_estimate(channel, povm, counts, seeds=seeds)
+    return _run(
+        channel, theta_true, povm_id, shots, seed, counts[0], fit.theta_hat, povm, curve,
+        bool(fit.boundary[0]),
+    )
 
 
 def _pivot_curves(channel: ParametricChannel, pivots: np.ndarray, seeds) -> SpectralCurve:
@@ -381,7 +380,7 @@ def adaptive_experiment(
     )
     return _run(
         channel, theta_true, f"adaptive({stage2_id})", n2, seed, drawn[0], final.theta_hat,
-        povms[0], curve, stages=stages, boundary=stages[1].boundary,
+        povms[0], curve, stages[1].boundary, stages,
     )
 
 

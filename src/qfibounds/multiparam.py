@@ -34,7 +34,6 @@ from .linalg import loewner_leq, max_abs
 from .quantum import POVM
 
 PINV_RCOND = 1e-12
-DIRECTIONAL_REL_TOL = 1e-5
 
 
 @dataclass(frozen=True)
@@ -130,10 +129,7 @@ class LoewnerReport:
     sld_le_sm: LoewnerVerdict
     fisher_le_sm: LoewnerVerdict
     tol: float
-
-    @property
-    def all_hold(self) -> bool:
-        return self.fisher_le_sld.holds and self.sld_le_sm.holds and self.fisher_le_sm.holds
+    all_hold: bool
 
 
 def loewner_report(
@@ -152,7 +148,7 @@ def loewner_report(
     }.items():
         holds, min_eig = loewner_leq(a.entries, b.entries, tol)
         checks[name] = LoewnerVerdict(holds, min_eig)
-    return LoewnerReport(tol=tol, **checks)
+    return LoewnerReport(tol=tol, all_hold=all(v.holds for v in checks.values()), **checks)
 
 
 @dataclass(frozen=True)
@@ -179,10 +175,6 @@ class DirectionalCheck:
         """The worst of the three mismatches, per point."""
         kraus = 0.0 if self.kraus_deriv_mismatch is None else self.kraus_deriv_mismatch
         return np.maximum(np.maximum(self.sld_mismatch, self.sm_mismatch), kraus)
-
-    @property
-    def passed(self) -> bool:
-        return bool(np.all(self.mismatch < DIRECTIONAL_REL_TOL))
 
 
 def _entry_mismatch(fan: np.ndarray, quadratic: np.ndarray) -> float:

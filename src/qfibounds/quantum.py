@@ -65,7 +65,7 @@ class PureState:
     def __post_init__(self):
         amps = np.array(self.amplitudes, dtype=complex).reshape(-1)
         defect = abs(float(np.sum(np.abs(amps) ** 2)) - 1.0)
-        if defect > CONSTRUCT_HERM_TOL:
+        if not defect <= CONSTRUCT_HERM_TOL:  # a nan amplitude fails too
             raise ValidationError(f"state is not normalized: norm defect {defect:.3e}")
         object.__setattr__(self, "amplitudes", _freeze(amps))
 

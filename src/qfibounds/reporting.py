@@ -4,11 +4,16 @@ JSON is the default output; tables can also serialize to CSV.  Documents are
 deterministic (sorted keys, fixed layout) and every numeric field is checked
 finite before emission.  Floats serialize via Python's shortest round-trip
 representation, which is lossless on parse.
+
+A document may hold the package's records themselves: a dataclass record
+encodes as an object of its fields, a complex number as `{"re", "im"}`, and
+a numpy array or scalar as its `tolist()`.
 """
 
 from __future__ import annotations
 
 import csv
+import dataclasses
 import io
 import json
 import math
@@ -16,15 +21,18 @@ import math
 import numpy as np
 
 from . import __version__
-from .bounds import BoundReport, ConditionReport
+from .bounds import BoundReport
 from .errors import NumericError
-from .multiparam import InfoMatrix, LoewnerReport
 
 TOOL = {"name": "qfibounds", "version": __version__}
 
 
 def _plain(obj):
-    """A numpy array or scalar as the plain Python value json can write."""
+    """What json writes for obj: a record's fields, a complex's parts, a numpy value's list."""
+    if dataclasses.is_dataclass(obj):
+        return {field.name: getattr(obj, field.name) for field in dataclasses.fields(obj)}
+    if isinstance(obj, complex):
+        return {"re": obj.real, "im": obj.imag}
     if isinstance(obj, (np.ndarray, np.generic)):
         return obj.tolist()  # a numpy scalar's tolist() is its item()
     raise TypeError(f"{type(obj).__name__} is not JSON serializable")
@@ -32,18 +40,21 @@ def _plain(obj):
 
 def ensure_finite(obj, path: str = "$") -> None:
     """Reject documents containing non-finite numbers, naming the first one's path."""
-    if isinstance(obj, (np.ndarray, np.generic)):
-        obj = obj.tolist()
     if isinstance(obj, dict):
         for key, value in obj.items():
             ensure_finite(value, f"{path}.{key}")
     elif isinstance(obj, (list, tuple)):
         for i, value in enumerate(obj):
             ensure_finite(value, f"{path}[{i}]")
-    elif isinstance(obj, float) and not math.isfinite(obj):
-        raise NumericError(f"non-finite value at {path}: {obj!r}")
-    elif not (obj is None or isinstance(obj, (str, int, float))):
-        raise NumericError(f"unserializable value at {path}: {type(obj).__name__}")
+    elif isinstance(obj, float):
+        if not math.isfinite(obj):
+            raise NumericError(f"non-finite value at {path}: {obj!r}")
+    elif not (obj is None or isinstance(obj, (str, int))):
+        try:
+            plain = _plain(obj)
+        except TypeError:
+            raise NumericError(f"unserializable value at {path}: {type(obj).__name__}") from None
+        ensure_finite(plain, path)
 
 
 def to_json(doc: dict) -> str:
@@ -53,17 +64,6 @@ def to_json(doc: dict) -> str:
     except (TypeError, ValueError):
         ensure_finite(doc)
         raise
-
-
-def complex_value(z: complex) -> dict:
-    return {"re": float(np.real(z)), "im": float(np.imag(z))}
-
-
-def matrix_values(m: np.ndarray) -> list:
-    arr = np.asarray(m)
-    if np.iscomplexobj(arr):
-        return [[complex_value(z) for z in row] for row in arr]
-    return [[float(x) for x in row] for row in arr.reshape(arr.shape[0], -1)]
 
 
 def bound_report_dict(report: BoundReport) -> dict:
@@ -83,32 +83,6 @@ def bound_report_dict(report: BoundReport) -> dict:
         "gauge_source": report.gauge_source,
         "warnings": list(report.warnings),
     }
-
-
-def condition_report_dict(report: ConditionReport) -> dict:
-    return {
-        "satisfied": report.satisfied,
-        "tol": report.tol,
-        "note": report.note,
-        "elements": [
-            {"index": e.index, "xi": e.xi, "residual": e.residual, "vacuous": e.vacuous}
-            for e in report.elements
-        ],
-    }
-
-
-def info_matrix_dict(matrix: InfoMatrix | None) -> dict | None:
-    if matrix is None:
-        return None
-    return {"kind": matrix.kind, "entries": matrix_values(matrix.entries)}
-
-
-def loewner_report_dict(report: LoewnerReport) -> dict:
-    out = {"tol": report.tol, "all_hold": report.all_hold}
-    for name in ("fisher_le_sld", "sld_le_sm", "fisher_le_sm"):
-        verdict = getattr(report, name)
-        out[name] = {"holds": verdict.holds, "min_eigenvalue": verdict.min_eigenvalue}
-    return out
 
 
 def sweep_csv(rows: list[dict]) -> str:

@@ -3,7 +3,8 @@
 A flat key/value document, one `key = value` pair per line, `#` comments.
 Values are bare words, numbers, complex numbers in `a+bi` form, lists
 `[x, y, ...]`, or domain boxes `[a, b]`, `[a, b] x 2`, `[a1, b1] [a2, b2]`.
-Unknown and duplicate keys are rejected with their line number.
+A built-in family's keys are its constructor's keyword options, each typed
+by its default.  Unknown and duplicate keys are rejected with their line number.
 
 Example::
 
@@ -29,8 +30,10 @@ data file; register a family in code instead.
 from __future__ import annotations
 
 import dataclasses
+import inspect
 import re
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 
@@ -38,21 +41,6 @@ from .channels import BUILTIN_FAMILIES, ParametricChannel, builtin, custom_spect
 from .errors import SpecFormatError, ValidationError
 from .quantum import CONSTRUCT_SUM_TOL, PureState, diagnose_kraus
 
-_FAMILY_KEYS: dict[str, set[str]] = {
-    "dephasing": set(),
-    "rotation": {"axis"},
-    "amplitude-damping": set(),
-    "depolarizing": set(),
-    "example1": set(),
-    "example2": {"f_coeffs", "g_coeffs"},
-    "dephasing-2p": set(),
-    "rotation-2p": set(),
-    "damped-rotation": set(),
-    "random-kraus": {"dim", "env", "param_count", "seed", "scale"},
-    "custom-spectral": set(),  # plus eigenvector_* / eigenvalue_*
-}
-_NO_INPUT_STATE = {"example1", "example2", "custom-spectral"}
-_INT_KEYS = {"dim", "env", "param_count", "seed"}
 _BRACKET_RE = re.compile(r"\[([^\[\]]*)\]")
 
 
@@ -102,7 +90,11 @@ def _parse_domain(value: str, line: int) -> tuple[tuple[float, float], ...]:
         parts = [p.strip() for p in g.split(",")]
         if len(parts) != 2:
             raise SpecFormatError(f"domain interval needs two endpoints, got [{g}]", line)
-        lo, hi = float(parts[0]), float(parts[1])
+        try:
+            lo, hi = float(parts[0]), float(parts[1])
+        except ValueError:
+            message = f"theta_domain endpoints must be numbers, got [{g}]"
+            raise SpecFormatError(message, line) from None
         if not lo < hi:
             raise SpecFormatError(f"empty domain interval [{lo}, {hi}]", line)
         intervals.append((lo, hi))
@@ -111,6 +103,28 @@ def _parse_domain(value: str, line: int) -> tuple[tuple[float, float], ...]:
             raise SpecFormatError("`x n` repetition needs exactly one interval", line)
         intervals = intervals * repeat
     return tuple(intervals)
+
+
+@cache  # a signature costs about 40 us, five times the rest of a parse
+def _parameters(factory):
+    """A built-in family's options: the keyword arguments of its constructor."""
+    return inspect.signature(factory).parameters
+
+
+def _option(key: str, value: str, default, line: int):
+    """A family option typed by its constructor's default: a word, a number or a real list."""
+    if isinstance(default, str):
+        return value.lower()
+    if isinstance(default, (int, float)):
+        try:
+            return type(default)(value)
+        except ValueError:
+            kind = "an integer" if isinstance(default, int) else "a number"
+            raise SpecFormatError(f"key {key!r} needs {kind}", line) from None
+    items = _parse_list(value, line)  # a coefficient list
+    if any(abs(z.imag) > 0 for z in items):
+        raise SpecFormatError(f"key {key!r} must be real-valued", line)
+    return tuple(z.real for z in items)
 
 
 @dataclass(frozen=True)
@@ -152,39 +166,26 @@ class ChannelSpec:
         if "theta_domain" in entries:
             value, lineno = entries.pop("theta_domain")
             domain = _parse_domain(value, lineno)
+        params = {} if family == "custom-spectral" else _parameters(BUILTIN_FAMILIES[family])
         input_state = None
         if "input_state" in entries:
             value, lineno = entries.pop("input_state")
-            if family in _NO_INPUT_STATE:
+            if "input_state" not in params:
                 raise SpecFormatError(
                     f"family {family!r} does not take an input state", lineno
                 )
             input_state = tuple(_parse_list(value, lineno))
 
-        allowed = _FAMILY_KEYS[family]
         options: dict = {}
         for key, (value, lineno) in entries.items():
             if family == "custom-spectral" and re.fullmatch(r"(eigenvector|eigenvalue)_\d+", key):
                 options[key] = _parse_list(value, lineno)
                 continue
-            if key not in allowed:
+            if key not in params or key == "domain":  # the domain is theta_domain
                 raise SpecFormatError(
                     f"unknown key {key!r} for family {family!r}", lineno
                 )
-            if key == "axis":
-                options[key] = value.lower()
-            elif key in _INT_KEYS:
-                try:
-                    options[key] = int(value)
-                except ValueError:
-                    raise SpecFormatError(f"key {key!r} needs an integer", lineno) from None
-            elif key == "scale":
-                options[key] = float(value)
-            else:  # coefficient lists
-                items = _parse_list(value, lineno)
-                if any(abs(z.imag) > 0 for z in items):
-                    raise SpecFormatError(f"key {key!r} must be real-valued", lineno)
-                options[key] = tuple(z.real for z in items)
+            options[key] = _option(key, value, params[key].default, lineno)
         return cls(family, name, options, domain, input_state, text)
 
     def build(self) -> ParametricChannel:
@@ -193,19 +194,18 @@ class ChannelSpec:
             channel = self._build_custom()
         else:
             options = dict(self.options)
-            if self.family == "example2" and self.domain is not None:
+            if self.domain is not None and "domain" in _parameters(BUILTIN_FAMILIES[self.family]):
                 options["domain"] = self.domain
             if self.input_state is not None:
                 options["input_state"] = PureState(np.array(self.input_state))
             channel = builtin(self.family, **options)
-            if self.domain is not None and self.family != "example2":
-                if len(self.domain) != channel.param_count:
-                    raise ValidationError(
-                        f"theta_domain has {len(self.domain)} interval(s); family "
-                        f"{self.family!r} has {channel.param_count} parameter(s)"
-                    )
-                channel = dataclasses.replace(channel, domain=self.domain)
-        channel = dataclasses.replace(channel, name=self.name)
+            if self.domain is not None and len(self.domain) != channel.param_count:
+                raise ValidationError(
+                    f"theta_domain has {len(self.domain)} interval(s); family "
+                    f"{self.family!r} has {channel.param_count} parameter(s)"
+                )
+        domain = self.domain or channel.domain
+        channel = dataclasses.replace(channel, name=self.name, domain=domain)
         _validate_over_domain(channel)
         return channel
 

@@ -21,6 +21,7 @@ test_criterion_1_reference_values and in test_bounds.py, and by the CLI
 report pinned in test_cli.py (8.5 at t = 0.6).
 """
 
+import dataclasses
 import json
 import time
 
@@ -277,8 +278,8 @@ def test_criterion_9_estimation():
         assert 0.85 <= ratio <= 1.15, f"variance ratio {ratio}"
         again = cr_experiment(ch, 0.2, povm, n, reps, seed, povm_id="x-basis")
         assert run == again
-        assert json.dumps(run.to_dict(), sort_keys=True) == json.dumps(
-            again.to_dict(), sort_keys=True
+        assert json.dumps(dataclasses.asdict(run), sort_keys=True) == json.dumps(
+            dataclasses.asdict(again), sort_keys=True
         )
 
         n_pilot = 500

@@ -118,6 +118,35 @@ def test_report_validation_exit_codes(spec_file, capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("text, key", [
+    ("family = dephasing\ntheta_domain = [x, 0.9]\n", "theta_domain"),
+    ("family = random-kraus\nscale = abc\n", "scale"),
+    ("family = random-kraus\nscale = nan\n", "scale"),
+    ("family = random-kraus\nparam_count = 0\n", "param_count"),
+    ("family = random-kraus\nseed = -1\n", "seed"),
+    ("family = example2\ntheta_domain = [0.1, 0.9]\n", "domain"),
+])
+def test_malformed_spec_value_exits_2_naming_its_key(spec_file, capsys, text, key):
+    code, out, err = run_cli(capsys, "report", spec_file(text), "--theta", "0.3")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and key in err
+
+
+@pytest.mark.parametrize("text, message", [
+    ("family = dephasing\ninput_state = [1+0i, nan]\n",
+     "state is not normalized: norm defect nan"),
+    (SPECTRAL_RANK_CHANGE.replace("[0.7071067811865476+0i, 0.7071067811865476+0i]", "[nan, 0i]"),
+     "eigenvectors not orthonormal: defect nan"),
+    (SPECTRAL_RANK_CHANGE.replace("[1.0, -1.0]", "[nan, -1.0]"),
+     "eigenvalue coefficients do not keep the values summing to one"),
+    (SPECTRAL_RANK_CHANGE.replace("[1.0, -1.0]", "[1.0, nan]"),
+     "eigenvalue coefficients do not keep the values summing to one"),
+])
+def test_non_finite_amplitude_or_coefficient_exits_2(spec_file, capsys, text, message):
+    code, out, err = run_cli(capsys, "report", spec_file(text), "--theta", "0.3")
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
 def test_report_numeric_failure_exit_code(spec_file, capsys):
     # dephasing-2p at t1 t2 = 0.5 crosses the output-eigenvalue degeneracy
     code, _, err = run_cli(
@@ -200,6 +229,18 @@ def test_estimate_adaptive(spec_file, capsys):
     assert len(exp["stages"]) == 2
     assert exp["stages"][0]["povm_id"] == "pilot"
     assert exp["stages"][1]["shots"] == 1600
+
+
+def test_fixed_estimate_records_replication_zeros_boundary_flag(spec_file, capsys):
+    # the x-basis likelihood of 50 "+" outcomes peaks at the domain edge theta = 0
+    code, out, _ = run_cli(
+        capsys, "estimate", spec_file("family = dephasing\n"), "--theta-true", "0.001",
+        "--shots", "50", "--reps", "4", "--seed", "3", "--povm", "x-basis",
+    )
+    assert code == 0
+    exp = json.loads(out)["experiment"]
+    assert exp["theta_hat"] == pytest.approx(7.45e-09, rel=1e-2)
+    assert exp["boundary"] is True
 
 
 @pytest.mark.parametrize("povm", ["optimal", "computational", "x-basis", "y-basis"])
@@ -561,6 +602,47 @@ def test_non_finite_sweep_value_is_a_numeric_failure(spec_file, capsys, monkeypa
     code, out, err = run_cli(capsys, "sweep", path, "--theta-grid=0.2,0.4", f"--format={fmt}")
     assert code == 3 and out == ""
     assert "non-finite value at $.points[0].gap: nan" in err
+
+
+def test_non_finite_record_field_is_named_by_its_path(spec_file, capsys, monkeypatch):
+    import dataclasses
+
+    from qfibounds import cli
+
+    check = cli.povm_sld_condition_check
+
+    def broken(*args):
+        report = check(*args)
+        element = dataclasses.replace(report.elements[0], xi=float("nan"))
+        return dataclasses.replace(report, elements=(element, *report.elements[1:]))
+
+    monkeypatch.setattr(cli, "povm_sld_condition_check", broken)
+    code, out, err = run_cli(
+        capsys, "report", spec_file(DEPHASING), "--theta", "0.2", "--povm", "x-basis"
+    )
+    assert (code, out) == (3, "")
+    path = "$.result.sld_condition.elements[0].xi"
+    assert err == f"numeric failure: non-finite value at {path}: nan\n"
+
+
+def test_records_complex_numbers_and_numpy_values_encode_through_one_default():
+    from qfibounds import reporting
+    from qfibounds.bounds import ConditionElement, ConditionReport
+
+    element = ConditionElement(np.int64(0), 0.5, 0.0, np.bool_(False))
+    report = ConditionReport((element,), True, 1e-6)
+    doc = {"report": report, "z": np.complex128(1 - 2j), "m": np.eye(2), "zs": np.array([1j])}
+    assert json.loads(reporting.to_json(doc)) == {
+        "report": {
+            "elements": [{"index": 0, "xi": 0.5, "residual": 0.0, "vacuous": False}],
+            "satisfied": True,
+            "tol": 1e-6,
+            "note": "",
+        },
+        "z": {"re": 1.0, "im": -2.0},
+        "m": [[1.0, 0.0], [0.0, 1.0]],
+        "zs": [{"re": 0.0, "im": 1.0}],
+    }
 
 
 def _count_calls(monkeypatch, *names) -> dict:

@@ -27,6 +27,8 @@ def test_density_matrix_rejections():
 def test_pure_state_norm():
     with pytest.raises(ValidationError, match="norm defect"):
         PureState(np.array([1.0, 1.0]))
+    with pytest.raises(ValidationError, match="norm defect nan"):  # nan fails every comparison
+        PureState(np.array([1.0, np.nan]))
 
 
 def test_povm_invariants():

@@ -88,6 +88,26 @@ def test_random_kraus_spec():
     assert ch.dim == 3
 
 
+def test_family_keys_are_the_constructor_options_typed_by_their_defaults(monkeypatch):
+    text = "family = random-kraus\ndim = 3\nscale = 2\nseed = 4\n"
+    options = ChannelSpec.from_text(text).options
+    assert options == {"dim": 3, "scale": 2.0, "seed": 4}
+    assert type(options["scale"]) is float
+    assert ChannelSpec.from_text("family = rotation\naxis = X\n").options == {"axis": "x"}
+    assert ChannelSpec.from_text("family = example2\nf_coeffs = [0, 1, 0]\n").options == {
+        "f_coeffs": (0.0, 1.0, 0.0)
+    }
+    for key in ("domain", "input_state"):  # theta_domain, and no input for example2
+        with pytest.raises(SpecFormatError):
+            ChannelSpec.from_text(f"family = example2\n{key} = [0.1, 0.9]\n")
+    monkeypatch.setitem(channels.BUILTIN_FAMILIES, "toy", lambda gain=1.0, label="a": None)
+    assert ChannelSpec.from_text("family = toy\ngain = 3\nlabel = B\n").options == {
+        "gain": 3.0, "label": "b"
+    }
+    with pytest.raises(SpecFormatError, match="key 'gain' needs a number"):
+        ChannelSpec.from_text("family = toy\ngain = three\n")
+
+
 def test_custom_spectral_spec():
     text = (
         "family = custom-spectral\n"
