@@ -636,13 +636,18 @@ def halving(fn, count: int, refusal=NumericError) -> list:
     fn maps an index array to one value per index; a stack that raises
     refusal is called again in halves.  A row keeps the bits of its own call.
     """
-    def run(rows):
+    entries, pending = [], [np.arange(count)] if count else []
+    while pending:  # depth first, first half first; no recursive closure keeps fn alive
+        rows = pending.pop()
         try:
-            return list(fn(rows))
+            entries.extend(fn(rows))
         except refusal as exc:
             half = len(rows) // 2
-            return [exc] if len(rows) == 1 else run(rows[:half]) + run(rows[half:])
-    return run(np.arange(count)) if count else []
+            if half:
+                pending += [rows[half:], rows[:half]]
+            else:  # its traceback would hold this frame, and so entries, in a cycle
+                entries.append(exc.with_traceback(None))
+    return entries
 
 
 # ---------------------------------------------------------------------------
@@ -794,8 +799,7 @@ def povm_sld_condition_check(
     w = curve.vectors
     root_rho = hermitian_part((w * np.sqrt(curve.values)) @ w.conj().T)
     elements = []
-    for m, mat in enumerate(povm.elements):
-        root_m = psd_sqrt(mat)
+    for m, root_m in enumerate(psd_sqrt(povm.elements)):
         b = root_m @ root_rho
         a = root_m @ lam @ root_rho
         xi, residual, vacuous = _fit_real_scale([(a, b)], tol)
@@ -824,8 +828,7 @@ def povm_sm_condition_check(
         raise ValidationError("condition check requires a pure input state")
     root_rho = psd_sqrt(rho0.matrix)
     elements = []
-    for m, mat in enumerate(povm.elements):
-        root_m = psd_sqrt(mat)
+    for m, root_m in enumerate(psd_sqrt(povm.elements)):
         pairs = [(root_m @ dk @ root_rho, root_m @ ek @ root_rho) for ek, dk in zip(ops, derivs)]
         xi, residual, vacuous = _fit_real_scale(pairs, tol)
         elements.append(ConditionElement(m, xi, residual, vacuous))

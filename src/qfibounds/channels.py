@@ -492,9 +492,13 @@ def exponential_family(
                              input_state=input_state, kraus_fn=kraus, kraus_grad_fn=grad)
 
 
-def random_hermitian(dim: int, rng: np.random.Generator, scale: float = 1.0) -> np.ndarray:
-    a = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-    return hermitian_part(a) * scale / np.sqrt(dim)
+def random_hermitian(
+    dim: int, rng: np.random.Generator, scale: float = 1.0, shape: tuple[int, ...] = ()
+) -> np.ndarray:
+    """A (*shape, dim, dim) stack from one normal draw: each matrix's real part, then its
+    imaginary part, as drawing the matrices one by one gives them."""
+    x = rng.normal(size=(*shape, 2, dim, dim))
+    return hermitian_part(x[..., 0, :, :] + 1j * x[..., 1, :, :]) * scale / np.sqrt(dim)
 
 
 def random_pure_state(dim: int, rng: np.random.Generator) -> PureState:
@@ -523,13 +527,6 @@ def random_kraus_channel(
     complete for every theta and smooth in theta.  env controls the number
     of Kraus operators.
     """
-    return random_kraus_draw(dim, env, param_count, seed, scale, input_state)[0]
-
-
-def random_kraus_draw(
-    dim: int, env: int, param_count: int, seed: int, scale: float = 1.0, input_state=None
-) -> tuple[ParametricChannel, np.ndarray]:
-    """random_kraus_channel's curve and the (m, T, T) generator stack it was drawn with."""
     if env < 1 or dim < 2:
         raise ValidationError("need dim >= 2 and env >= 1")
     if param_count < 1:
@@ -539,11 +536,11 @@ def random_kraus_draw(
     if not 0 <= seed < 2**64:
         raise ValidationError(f"seed must be in [0, 2**64), got {seed}")
     rng = np.random.Generator(np.random.Philox(key=np.uint64(seed)))
-    gens = np.array([random_hermitian(dim * env, rng, scale) for _ in range(param_count)])
+    gens = random_hermitian(dim * env, rng, scale, (param_count,))
     if input_state is None:
         input_state = random_pure_state(dim, rng)
     box = tuple((-1.0, 1.0) for _ in range(param_count))
-    return exponential_family(gens, env, f"random-kraus-{seed}", box, input_state), gens
+    return exponential_family(gens, env, f"random-kraus-{seed}", box, input_state)
 
 
 def custom_spectral(

@@ -117,21 +117,21 @@ def hermitian_eigendecompose(a: np.ndarray) -> EigenSystem:
 
 
 def psd_sqrt(a: np.ndarray) -> np.ndarray:
-    """Hermitian square root of a positive-semidefinite matrix.
+    """Hermitian square root of a positive-semidefinite matrix, or of each of a stack.
 
     Eigenvalues in (-PSD_NEG_TOL, 0) are clamped to zero; anything more
-    negative is rejected.  Eigenvalues at or below d eps lambda_max are
-    round-off and count as zero, so the root of a projector (a pure state
-    among them) is the projector itself, not a sum with ~1e-8 roots of noise.
-    The root does not depend on the eigenvector gauge, so none is fixed.
+    negative is rejected.  Eigenvalues at or below d eps lambda_max of their
+    matrix are round-off and count as zero, so the root of a projector (a pure
+    state among them) is the projector itself, not a sum with ~1e-8 roots of
+    noise.  The root does not depend on the eigenvector gauge, so none is fixed.
     """
     values, v = np.linalg.eigh(_hermitian(a))
-    lo, hi = (float(values[0]), float(values[-1])) if values.size else (0.0, 0.0)
+    lo = values.min(initial=0.0)
     if lo < -PSD_NEG_TOL:
         raise ValidationError(f"matrix is not PSD: min eigenvalue {lo:.3e}")
-    floor = values.size * np.finfo(float).eps * max(hi, 0.0)
+    floor = values.shape[-1] * np.finfo(float).eps * np.maximum(values[..., -1:], 0.0)
     roots = np.sqrt(np.where(values > floor, values, 0.0))
-    return hermitian_part((v * roots) @ v.conj().T)
+    return hermitian_part((v * roots[..., np.newaxis, :]) @ adjoint(v))
 
 
 def loewner_leq(a: np.ndarray, b: np.ndarray, tol: float = 1e-9) -> tuple[bool, float]:

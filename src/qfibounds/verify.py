@@ -4,13 +4,15 @@ Seeded batteries of random channels exercising the ordering chain
 F <= H <= C (and H <= C_E for remixed representations), the gap identity,
 the agreement of the Kraus and spectral routes to the channel bound, and the
 directional reduction of the multi-parameter matrices to the fan of slices
-along many directions.  A battery's points of one shape (dim, Kraus count)
-are one channel whose row i carries point i's generators
-(channels.exponential_family), so a group and its fans are each evaluated
-and decomposed in one stacked call, and a failing check names its worst
-point.  Shared by `qfi verify` and the acceptance tests, which run a suite
-through `run_suites`; `one_param_battery`, `two_param_battery` and
-`random_povm` are test seams, called only by the tests and `bench/`.
+along many directions.  A battery holds each point's family seed, env,
+theta, generators (random_kraus_channel's for that seed) and input, not
+channels.  Its points of one shape (dim, Kraus count) are one channel whose
+row i carries point i's generators (channels.exponential_family), so a
+group and its fans are each evaluated and decomposed in one stacked call,
+and a failing check names its worst point.  Shared by `qfi verify` and the
+acceptance tests, which run a suite through `run_suites`;
+`one_param_battery`, `two_param_battery` and `random_povm` are test seams,
+called only by the tests and `bench/`.
 """
 
 from __future__ import annotations
@@ -35,8 +37,7 @@ from .channels import (
     exponential_family,
     haar_unitary,
     random_hermitian,
-    random_kraus_draw,
-    random_pure_state,
+    random_kraus_channel,
 )
 from .errors import DegeneracyError, NumericError
 from .linalg import adjoint, hermitian_eigendecompose, loewner_leq, max_abs, unitary_exponential
@@ -46,7 +47,7 @@ from .multiparam import (
     sld_matrix,
     sm_matrix,
 )
-from .quantum import POVM
+from .quantum import POVM, PureState
 
 DEFAULT_SEED = 20260809
 SUITES = ("ordering", "gap", "routes", "directional")
@@ -62,10 +63,9 @@ class CheckResult:
     detail: str
 
 
-def _povm_parts(dim: int, rng: np.random.Generator) -> np.ndarray:
-    """dim random PSD parts x x^dag, drawn in one call."""
-    x = rng.normal(size=(dim, 2, dim, dim))
-    parts = x[:, 0] + 1j * x[:, 1]
+def _povm_parts(x: np.ndarray) -> np.ndarray:
+    """PSD parts z z^dag, z from (..., dim, 2, dim, dim) normals: real parts, then imaginary."""
+    parts = x[..., 0, :, :] + 1j * x[..., 1, :, :]
     return parts @ adjoint(parts)
 
 
@@ -79,31 +79,54 @@ def _normalized(parts: np.ndarray) -> np.ndarray:
 
 def random_povm(dim: int, rng: np.random.Generator) -> POVM:
     """Random informationally nontrivial POVM of dim normalized random PSD parts."""
-    return POVM(_normalized(_povm_parts(dim, rng)))
+    return POVM(_normalized(_povm_parts(rng.normal(size=(dim, 2, dim, dim)))))
 
 
 @dataclass(frozen=True)
 class _Battery:
-    """Points (channel, theta) and generators in draw order; per shape group rows, curve, rho0."""
+    """Per point in draw order its family seed, env, theta, generators and input; per group
+    its rows, curve and rho0."""
 
-    points: list
-    generators: list
+    seeds: tuple
+    envs: tuple
+    thetas: tuple
+    generators: tuple
+    inputs: tuple
     groups: list
+
+    def points(self) -> list:
+        """(channel, theta) in draw order, each point's channel its own random-kraus channel."""
+        return [(random_kraus_channel(len(psi), env, len(t), seed, input_state=PureState(psi)), t)
+                for seed, env, t, psi in zip(self.seeds, self.envs, self.thetas, self.inputs)]
 
     def family(self, rows) -> ParametricChannel:
         """One channel for the points at rows, all of one shape: its row i is point rows[i]'s."""
-        channel, gens = self.points[rows[0]][0], np.array([self.generators[p] for p in rows])
-        return exponential_family(gens, gens.shape[-1] // channel.dim, "battery", channel.domain)
+        gens = np.array([self.generators[p] for p in rows])
+        box = tuple((-1.0, 1.0) for _ in range(gens.shape[-3]))  # random_kraus_channel's domain
+        return exponential_family(gens, self.envs[rows[0]], "battery", box)
 
     def name(self, position: int) -> str:
-        channel, theta = self.points[position]
-        return f"{channel.name} theta {theta.tolist()}"
+        return f"random-kraus-{self.seeds[position]} theta {self.thetas[position].tolist()}"
 
     def values(self, per_group) -> np.ndarray:  # one value per point, in draw order
-        values = np.empty(len(self.points))
+        values = np.empty(len(self.seeds))
         for (rows, *_), group_values in zip(self.groups, per_group):
             values[rows] = group_values
         return values
+
+    def normals(self, rng: np.random.Generator, pieces) -> list:
+        """Per group, (rows, *shape) stacks of the shapes pieces(dim, Kraus count): one normal
+        draw, cut as drawing each point's pieces in turn, in draw order, gives them."""
+        shapes = [pieces(len(self.inputs[rows[0]]), curve.kraus.operators.shape[1])
+                  for rows, curve, _ in self.groups]
+        sizes = [[int(np.prod(shape)) for shape in group] for group in shapes]
+        ends = np.cumsum(self.values([sum(size) for size in sizes]).astype(int))
+        stream, stacks = rng.normal(size=ends[-1:].sum()), []
+        for (rows, *_), group, size in zip(self.groups, shapes, sizes):
+            block = stream[(ends[rows] - sum(size))[:, np.newaxis] + np.arange(sum(size))]
+            cut = np.split(block, np.cumsum(size)[:-1], axis=1)
+            stacks.append([part.reshape(len(rows), *shape) for part, shape in zip(cut, group)])
+        return stacks
 
     def checks(self, suite: str, specs) -> list[CheckResult]:
         """Checks of (name, values per group, low is bad, bound, detail, *more conditions) that
@@ -123,59 +146,62 @@ def one_param_battery(
     seed: int = DEFAULT_SEED, count: int = 200
 ) -> list[tuple[ParametricChannel, float]]:
     """Seeded random one-parameter Kraus curves with evaluation points."""
-    return [(channel, float(theta[0])) for channel, theta in _battery_curves(seed, count, 1).points]
+    return [(channel, float(t[0])) for channel, t in _battery_curves(seed, count, 1).points()]
 
 
 def two_param_battery(
     seed: int = DEFAULT_SEED, count: int = 50
 ) -> list[tuple[ParametricChannel, np.ndarray]]:
     """Seeded random two-parameter Kraus curves with evaluation points."""
-    return _battery_curves(seed, count, 2).points
+    return _battery_curves(seed, count, 2).points()
 
 
 def _battery_curves(seed: int, count: int, param_count: int) -> _Battery:
     """The battery, each shape group decomposed in one call whose rows carry their own inputs.
 
-    A point-by-point builder redraws a refused theta at once (8 draws at
-    most, then drops the channel), which moves every later draw.  Each round
-    here draws again, passing over the thetas known to be refused, and splits
-    a refusing group in halves (bounds.halving); a round with no new refusal
-    is that builder's battery.  The curves carry their decompositions, so no
-    suite decomposes a point again.
+    A point's generators are random_kraus_channel's for its family seed.  A
+    point-by-point builder redraws a refused theta at once (8 draws at most,
+    then drops the channel), which moves every later draw.  Each round here
+    draws again, passing over the thetas known to be refused, and splits a
+    refusing group in halves (bounds.halving); a round with no new refusal is
+    that builder's battery.  No suite decomposes a point again.
     """
     salt, max_dim, width = _BATTERY_DRAWS[param_count]
-    refused: set = set()  # (channel name, theta bytes) of every refused point met
+    bits = np.random.Philox(0)  # re-keyed per point: a new Philox first reads OS entropy
+    keyed, fresh = np.random.Generator(bits), bits.state
+    refused: set = set()  # (family seed, theta bytes) of every refused point met
     while True:
         rng = np.random.Generator(np.random.Philox(key=np.uint64(seed ^ salt)))
-        # (channel, theta) and generators in draw order; positions per (dim, Kraus count)
-        drawn, generators, shapes = [], [], {}
+        drawn, shapes = [], {}  # (seed, env, theta, generators, input); positions per (dim, env)
         for _ in range(count):
             dim = int(rng.integers(2, max_dim + 1))
             env = int(rng.integers(1, dim + 1))
-            channel, gens = random_kraus_draw(dim, env, param_count, int(rng.integers(0, 2**63)),
-                                              input_state=random_pure_state(dim, rng))
+            key = int(rng.integers(0, 2**63))
+            amps = rng.normal(size=dim) + 1j * rng.normal(size=dim)  # random_pure_state's draw
+            bits.state = {**fresh, "state": {**fresh["state"], "key": np.uint64([key, 0])}}
+            gens = random_hermitian(dim * env, keyed, shape=(param_count,))  # random-kraus's draw
             for _ in range(8):
                 theta = rng.uniform(-width, width, size=param_count)
-                if (channel.name, theta.tobytes()) not in refused:
+                if (key, theta.tobytes()) not in refused:
                     shapes.setdefault((dim, env), []).append(len(drawn))
-                    drawn.append((channel, theta))
-                    generators.append(gens)
+                    drawn.append((key, env, theta, gens, amps / np.linalg.norm(amps)))
                     break
-        known, groups, battery = len(refused), [], _Battery(drawn, generators, [])
+        battery = _Battery(*(list(zip(*drawn)) or [()] * 5), [])  # five columns, even if empty
+        known, groups = len(refused), []
         for rows in shapes.values():
-            thetas = np.array([drawn[p][1] for p in rows])
-            psi = np.array([drawn[p][0].input_state.amplitudes for p in rows])
+            thetas = np.array([battery.thetas[p] for p in rows])
+            psi = np.array([battery.inputs[p] for p in rows])
             # each row's entry is the curve of the stack that kept it, or its own refusal
             stack = lambda index: spectral_curve(battery.family(np.array(rows)[index]),
                                                  thetas[index], psi[index])
             curves = halving(lambda index: [stack(index)] * len(index), len(rows), DegeneracyError)
-            refused |= {(drawn[p][0].name, drawn[p][1].tobytes()) for p, curve in zip(rows, curves)
-                        if isinstance(curve, DegeneracyError)}
+            refused |= {(battery.seeds[p], battery.thetas[p].tobytes())
+                        for p, curve in zip(rows, curves) if isinstance(curve, DegeneracyError)}
             groups.append((rows, curves[0]))
         if len(refused) == known:
             rho0 = lambda psi: psi[:, :, np.newaxis] * psi.conj()[:, np.newaxis, :]
-            return _Battery(drawn, generators,
-                            [(rows, curve, rho0(curve.kraus.psi)) for rows, curve in groups])
+            battery.groups.extend((rows, curve, rho0(curve.kraus.psi)) for rows, curve in groups)
+            return battery
 
 
 def _gap(battery: _Battery) -> list[CheckResult]:
@@ -183,7 +209,7 @@ def _gap(battery: _Battery) -> list[CheckResult]:
     for _, curve, _ in battery.groups:
         h, c = sld_information(curve), sm_bound_spectral(curve)
         defects.append(np.abs((c - h) - bound_gap(curve)) / np.maximum(1.0, c))
-    name = f"gap identity over {len(battery.points)} random channels"
+    name = f"gap identity over {len(battery.seeds)} random channels"
     return battery.checks("gap", [(name, defects, False, 1e-8, "worst relative defect {:.3e}")])
 
 
@@ -201,20 +227,16 @@ def _remixed_bounds(curve: SpectralCurve, rho0, fixed: np.ndarray, gen: np.ndarr
 
 def _ordering(battery: _Battery, seed: int) -> list[CheckResult]:
     rng = np.random.Generator(np.random.Philox(key=np.uint64(seed ^ 0x0F0F0F0F)))
-    # each point's random POVM, fixed remixing and remixing generator, in draw order; the
-    # fixed remixings are drawn as complex normals and made unitary per group (haar_unitary)
-    n = {p: curve.kraus.operators.shape[1] for rows, curve, *_ in battery.groups for p in rows}
-    normal = lambda k: rng.normal(size=(k, k)) + 1j * rng.normal(size=(k, k))
-    draws = [
-        (_povm_parts(channel.dim, rng), normal(n[p]), random_hermitian(n[p], rng))
-        for p, (channel, _) in enumerate(battery.points)
-    ]
+    # each point's random POVM parts, fixed-remixing normals and remixing generator, in draw
+    # order; per group the POVMs are normalized and the remixings made unitary (haar_unitary)
+    draws = battery.normals(rng, lambda d, n: [(d, 2, d, d), (2, n, n), (2, n, n)])
     h_minus_f, c_minus_h, ce_minus_h, misfits, checked = [], [], [], [], 0
-    for rows, curve, rho0 in battery.groups:
-        parts, normals, gen = (np.array(a) for a in zip(*(draws[p] for p in rows)))
-        fixed = haar_unitary(normals)
+    for (rows, curve, rho0), (x, normals, g) in zip(battery.groups, draws):
+        fixed = haar_unitary(normals[:, 0] + 1j * normals[:, 1])
+        gen = g[:, 0] + 1j * g[:, 1]
+        gen = (gen + adjoint(gen)) / 2 / np.sqrt(gen.shape[-1])  # as random_hermitian makes them
         h, c = sld_information(curve), sm_bound_spectral(curve)
-        povm = _normalized(parts)
+        povm = _normalized(_povm_parts(x))
         h_minus_f.append(h - curve.fisher(povm)[:, 0, 0])
         c_minus_h.append(c - h)
         ce_minus_h.append(np.minimum(*_remixed_bounds(curve, rho0, fixed, gen)) - h)
@@ -229,7 +251,7 @@ def _ordering(battery: _Battery, seed: int) -> list[CheckResult]:
         misfits.append(np.where(sharp, misfit, 0.0))
         checked += int(sharp.sum())
     return battery.checks("ordering", [
-        (f"F <= H for random POVMs over {len(battery.points)} channels", h_minus_f, True, -1e-7,
+        (f"F <= H for random POVMs over {len(battery.seeds)} channels", h_minus_f, True, -1e-7,
          "min H - F = {:.3e}"),
         ("H <= C on the same battery", c_minus_h, True, -1e-8, "min C - H = {:.3e}"),
         ("H <= C_E for fixed and theta-dependent remixings", ce_minus_h, True, -1e-8,
@@ -245,7 +267,7 @@ def _routes(battery: _Battery) -> list[CheckResult]:
         c_spec = sm_bound_spectral(curve)
         c_kraus = sm_bound_kraus(curve.kraus.operators, curve.kraus.derivatives[:, 0], rho0)
         gaps.append(np.abs(c_spec - c_kraus) / np.maximum(1.0, np.abs(c_spec)))
-    name = f"bound route agreement over {len(battery.points)} channels"
+    name = f"bound route agreement over {len(battery.seeds)} channels"
     detail = "worst relative disagreement {:.3e}"
     return battery.checks("routes", [(name, gaps, False, 1e-6, detail)])
 
@@ -282,13 +304,12 @@ def directional_suite(
     """
     rng = np.random.Generator(np.random.Philox(key=np.uint64(seed ^ 0x3C3C3C3C)))
     battery = _battery_curves(seed, count, 2)
-    draws = [(_povm_parts(c.dim, rng), rng.normal(size=(directions, 2))) for c, _ in battery.points]
+    draws = battery.normals(rng, lambda d, n: [(d, 2, d, d), (directions, 2)])
     slacks, diags, mismatches, skips = [], [], [], []
-    for rows, curve, rho0 in battery.groups:
-        parts, v = (np.array(a) for a in zip(*(draws[p] for p in rows)))
+    for (rows, curve, rho0), (parts, v) in zip(battery.groups, draws):
         v /= np.linalg.norm(v, axis=-1, keepdims=True)
         curve.sld_score  # building the score stack checks H
-        f = curve.fisher(_normalized(parts))
+        f = curve.fisher(_normalized(_povm_parts(parts)))
         f, h, c = ((a + a.swapaxes(-1, -2)) / 2 for a in (f, *curve.information))
         slacks.append(np.min([loewner_leq(a, b)[1] for a, b in ((f, h), (h, c), (f, c))], axis=0))
         ck = curve.kraus
@@ -306,11 +327,11 @@ def directional_suite(
         entries = halving(check, len(rows))
         skips += [p for p, entry in zip(rows, entries) if isinstance(entry, NumericError)]
         mismatches.append(np.array([-np.inf if p in skips else e for p, e in zip(rows, entries)]))
-    tried, skipped = len(battery.points) * directions, len(skips) * directions
+    tried, skipped = len(battery.seeds) * directions, len(skips) * directions
     skip_note = (f", {skipped} of {tried} directions skipped, first at {battery.name(min(skips))}"
                  if skips else "")
     results = battery.checks("directional", [
-        (f"Loewner chain F <= H <= C over {len(battery.points)} two-parameter channels", slacks,
+        (f"Loewner chain F <= H <= C over {len(battery.seeds)} two-parameter channels", slacks,
          True, -1e-8, "min eigenvalue slack {:.3e}"),
         ("matrix diagonals match one-parameter slices", diags, False, 1e-8,
          "worst mismatch {:.3e} (H entries against a pseudo-inverse SLD solve, "

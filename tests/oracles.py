@@ -2,8 +2,10 @@
 
 No `qfi` command needs these, so they live with the tests: a Kraus-curve
 remixing with its bound penalty (acceptance criterion 7, and the oracle of
-the `verify` ordering suite's own remixing) and a seeded Haar unitary (the
-oracle of the ordering suite's batched unitaries).  Not collected by pytest.
+the `verify` ordering suite's own remixing), a seeded Haar unitary (the
+oracle of the ordering suite's batched unitaries) and the matrix-by-matrix
+Hermitian draw (the oracle of `random_hermitian`'s one-call stack).  Not
+collected by pytest.
 """
 
 from __future__ import annotations
@@ -19,6 +21,16 @@ from qfibounds.errors import ValidationError
 
 def random_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
     return haar_unitary(rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim)))
+
+
+def random_hermitians(dim: int, rng: np.random.Generator, count: int, scale: float = 1.0):
+    """count Hermitian matrices drawn one at a time, each from its real normals then its
+    imaginary ones, and scaled by scale / sqrt(dim)."""
+    mats = []
+    for _ in range(count):
+        a = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+        mats.append((a + a.conj().T) / 2 * scale / np.sqrt(dim))
+    return np.array(mats)
 
 
 def remix_channel(

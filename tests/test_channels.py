@@ -10,6 +10,7 @@ from qfibounds.channels import (
     builtin,
     custom_spectral,
     directional_channel,
+    exponential_family,
     random_hermitian,
     random_kraus_channel,
 )
@@ -17,7 +18,7 @@ from qfibounds.errors import ValidationError
 from qfibounds.linalg import differentiate_curve, max_abs
 from qfibounds.quantum import diagnose_kraus
 
-from oracles import random_unitary, remix_channel
+from oracles import random_hermitians, random_unitary, remix_channel
 
 ALL_FAMILIES = sorted(BUILTIN_FAMILIES)
 KRAUS_FAMILIES = [family for family in ALL_FAMILIES if builtin(family).is_kraus_form]
@@ -193,6 +194,30 @@ def test_random_kraus_channel_complete_and_smooth():
     analytic = ch.kraus_partials(np.array([0.2, 0.1]))[1]
     num = differentiate_curve(lambda t: ch.kraus_matrices(np.array([0.2, t])), 0.1)
     assert max_abs(num - analytic) < 1e-8
+
+
+@pytest.mark.parametrize("dim, env, param_count, seed, scale", [
+    (2, 2, 1, 9, 1.0), (3, 2, 2, 5, 1.0), (4, 1, 3, 2**63 + 7, 2.5), (3, 3, 1, 0, 0.3),
+])
+def test_random_kraus_generators_are_the_per_parameter_draws(dim, env, param_count, seed, scale):
+    # One (m, 2, T, T) normal draw gives the generators a loop of per-parameter
+    # draws gives, bit for bit, and leaves the stream where the loop does: the
+    # input state drawn next is the same too.
+    n = dim * env
+    rng, ref = (np.random.Generator(np.random.Philox(key=np.uint64(seed))) for _ in range(2))
+    gens = random_hermitian(n, rng, scale, (param_count,))
+    expected = random_hermitians(n, ref, param_count, scale)
+    assert np.array_equal(gens, expected)
+    assert rng.normal() == ref.normal()
+    channel = random_kraus_channel(dim, env, param_count, seed, scale)
+    ref = np.random.Generator(np.random.Philox(key=np.uint64(seed)))
+    family = exponential_family(random_hermitians(n, ref, param_count, scale), env, "ref",
+                                channel.domain)
+    amps = ref.normal(size=dim) + 1j * ref.normal(size=dim)
+    assert np.array_equal(channel.input_state.amplitudes, amps / np.linalg.norm(amps))
+    theta = np.linspace(-0.5, 0.4, param_count)
+    assert np.array_equal(channel.kraus_matrices(theta), family.kraus_matrices(theta))
+    assert np.array_equal(channel.kraus_partials(theta), family.kraus_partials(theta))
 
 
 def test_random_kraus_channel_deterministic():

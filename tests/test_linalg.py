@@ -139,6 +139,25 @@ def test_stacked_eigendecomposition_fixes_each_gauge_as_alone():
 def test_psd_sqrt_rejects_negative():
     with pytest.raises(ValidationError, match="PSD"):
         psd_sqrt(np.diag([1.0, -1e-6]))
+    with pytest.raises(ValidationError, match="min eigenvalue -1.000e-06"):
+        psd_sqrt(np.array([np.eye(2), np.diag([1.0, -1e-6])]))
+
+
+def test_stacked_psd_sqrt_keeps_each_matrix_bits_and_floor():
+    # One batched eigh gives each root of a stack the bits of its own call;
+    # the round-off floor is each matrix's own, so a small matrix beside a
+    # large one keeps its small eigenvalues.
+    rng = np.random.default_rng(10)
+    for dim in range(1, 7):
+        x = rng.normal(size=(5, dim, dim)) + 1j * rng.normal(size=(5, dim, dim))
+        v = x[:, :, :1] / np.linalg.norm(x[:, :, :1], axis=1, keepdims=True)
+        stack = np.concatenate([x @ x.conj().swapaxes(-1, -2), v @ v.conj().swapaxes(-1, -2)])
+        stack[0] *= 1e4  # a shared floor, about 1e-11, would zero all of stack[1]
+        stack[1] *= 1e-14
+        roots = psd_sqrt(stack)
+        for root, a in zip(roots, stack):
+            assert np.array_equal(root, psd_sqrt(a)), dim
+        assert max_abs(roots[1] @ roots[1] - stack[1]) < 1e-6 * max_abs(stack[1]), dim
 
 
 def test_loewner_examples():

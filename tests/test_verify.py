@@ -9,6 +9,7 @@ naming of skipped directions and of failing checks' worst points.
 """
 
 import dataclasses
+import gc
 import hashlib
 from collections import Counter
 
@@ -24,6 +25,7 @@ from qfibounds.bounds import (
     sm_bound_spectral,
     spectral_curve,
 )
+from qfibounds.cli import main
 from qfibounds.channels import (
     ParametricChannel,
     directional_channel,
@@ -36,7 +38,7 @@ from qfibounds.errors import DegeneracyError
 from qfibounds.linalg import hermitian_eigendecompose, unitary_exponential
 from qfibounds.quantum import POVM
 
-from oracles import random_unitary, remix_channel
+from oracles import random_hermitians, random_unitary, remix_channel
 
 
 def _count(monkeypatch, name: str) -> Counter:
@@ -73,7 +75,7 @@ def test_run_suites_decomposes_each_point_once(monkeypatch):
 
     def small_battery(seed, count, param_count):
         points = original(seed, 6, param_count)
-        built.append(len(points.points))
+        built.append(len(points.seeds))
         return points
 
     monkeypatch.setattr(verify, "_battery_curves", small_battery)
@@ -262,6 +264,69 @@ def test_battery_retries_a_refused_theta_as_the_sequential_builder_does(seed):
     assert [(channel.name, theta) for channel, theta in verify.one_param_battery(seed)] == expected
 
 
+# sha256 of `qfi verify --suite all --format json` stdout, one BLAS thread
+VERIFY_JSON_DIGESTS = {
+    3: "7b94e9f7afb81c092ae4ce97dd17d7bce30ca3c7278d046b832ff485ba29515d",
+    7: "1f2dae2b5da0f30a069155d20bfb141bf0a0e4257fc53b47d3e2ff16f851d152",
+    20260809: "3ec312b3718d13c4ca87b49035a3242c44a7a0924f84f6850567e4679645290e",
+    6180588700756636604: "f5dda11f33967109e55a9e6431fafca9ffc7d4ad2ab8946e0e57347bac0dc375",
+}
+
+
+@pytest.mark.parametrize("seed", sorted(VERIFY_JSON_DIGESTS))
+def test_verify_json_is_pinned(seed, capsys):
+    # Every detail number of every suite, at the default seed, at two seeds
+    # that redraw a refused theta and at a wide one: a change to how the
+    # batteries or the suites' inputs are drawn must keep each value's bits.
+    assert main(["verify", "--suite", "all", "--seed", str(seed), "--format", "json"]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == VERIFY_JSON_DIGESTS[seed]
+
+
+def test_battery_generators_are_random_kraus_channel_draws():
+    # The battery re-keys one Philox per point; its generators and inputs are
+    # those of the point's own random_kraus_channel, and a new Philox keyed by
+    # the family seed draws the same generators.
+    for m, count in ((1, 12), (2, 6)):
+        battery = verify._battery_curves(404, count, m)
+        for p, (seed, (channel, _)) in enumerate(zip(battery.seeds, battery.points())):
+            n = battery.generators[p].shape[-1]
+            ref = np.random.Generator(np.random.Philox(key=np.uint64(seed)))
+            assert _equal_bits(battery.generators[p], random_hermitians(n, ref, m))
+            assert channel.name == f"random-kraus-{seed}" and channel.param_count == m
+            assert _equal_bits(channel.input_state.amplitudes, battery.inputs[p])
+
+
+def test_battery_normals_are_the_point_by_point_draws():
+    # One draw cut into each group's pieces holds every point's pieces as a
+    # point-by-point draw in draw order gives them, and leaves the stream
+    # where that draw does.
+    battery = verify._battery_curves(404, 30, 1)
+    pieces = lambda d, n: [(d, 2, d, d), (2, n, n), (3,)]
+    rng, ref = (np.random.Generator(np.random.Philox(key=np.uint64(5))) for _ in range(2))
+    stacks = battery.normals(rng, pieces)
+    assert len({curve.kraus.operators.shape[1] for _, curve, _ in battery.groups}) > 1
+    group_of = {p: (g, i) for g, (rows, *_) in enumerate(battery.groups) for i, p in enumerate(rows)}
+    for p, psi in enumerate(battery.inputs):
+        g, i = group_of[p]
+        n = battery.groups[g][1].kraus.operators.shape[1]
+        for shape, stack in zip(pieces(len(psi), n), stacks[g]):
+            assert _equal_bits(stack[i], ref.normal(size=shape))
+    assert rng.normal() == ref.normal()
+
+
+def test_a_verify_run_leaves_no_reference_cycles():
+    # A battery holds every group's curves; a cycle through it would keep
+    # them until the collector runs, which raises the peak memory of runs.
+    gc.collect()
+    gc.disable()
+    try:
+        verify.run_suites(["all"], seed=3)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
 def test_each_group_kernel_call_evaluates_its_family_once(monkeypatch):
     # A shape group's channels are one family with generators per row: each
     # kernel call, the battery's halves and the fans included, decomposes the
@@ -304,10 +369,11 @@ def test_stacked_groups_match_point_curves_bit_for_bit():
     rng = np.random.default_rng(404)
     for count, m in ((40, 1), (12, 2)):
         battery = verify._battery_curves(404, count, m)
+        points = battery.points()  # as the seams build each point's channel
         assert len(battery.groups) >= 5
         for rows, curve, rho0 in battery.groups:
             dim = curve.vectors.shape[-1]
-            parts = np.array([verify._povm_parts(dim, rng) for _ in rows])
+            parts = verify._povm_parts(rng.normal(size=(len(rows), dim, 2, dim, dim)))
             f = curve.fisher(verify._normalized(parts))
             h, c = curve.information
             if m == 1:
@@ -322,7 +388,7 @@ def test_stacked_groups_match_point_curves_bit_for_bit():
                 v = rng.normal(size=(len(rows), 3, 2))
                 fans = directional_channel(battery.family(rows), curve.theta, v)
                 fan = spectral_curve(fans, np.zeros((len(rows), 3)), curve.kraus.psi)
-            for i, (channel, theta) in enumerate(battery.points[p] for p in rows):
+            for i, (channel, theta) in enumerate(points[p] for p in rows):
                 point, povm = spectral_curve(channel, theta), POVM(verify._normalized(parts[i]))
                 assert _equal_bits(f[i], point.fisher(povm))
                 if m == 2:
