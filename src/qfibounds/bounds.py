@@ -57,7 +57,7 @@ from .linalg import (
     hermitian_part,
     psd_sqrt,
 )
-from .quantum import CONSTRUCT_HERM_TOL, POVM, DensityMatrix
+from .quantum import CONSTRUCT_HERM_TOL, POVM, DensityMatrix, check_povm
 
 SUPPORT_TOL = 1e-10
 DEGENERACY_TOL = 1e-8
@@ -447,23 +447,23 @@ class SpectralCurve:
 
 
 def _fisher(rho: np.ndarray, partials: np.ndarray, elements: np.ndarray) -> np.ndarray:
-    if rho.ndim == 3:  # point by point: einsum sums a point of a stack in another order
-        elements = np.broadcast_to(elements, rho.shape[:1] + np.shape(elements)[-3:])
-        return np.array([_fisher(*point) for point in zip(rho, partials, elements)])
-    probs = np.clip(np.real(np.einsum("ij,mji->m", rho, elements)), 0.0, None)
-    dprobs = np.real(np.einsum("lij,mji->lm", partials, elements))
-    entries = np.zeros((len(partials), len(partials)))
-    for i, pm in enumerate(probs):
-        if pm > P_FLOOR:
-            entries += np.outer(dprobs[:, i], dprobs[:, i]) / pm
-        else:
-            steepest = dprobs[np.argmax(np.abs(dprobs[:, i])), i]
-            if abs(steepest) > DP_FLOOR:
-                raise SingularTermError(
-                    f"outcome {i}: probability {pm:.3e} at the support boundary with "
-                    f"derivative {steepest:.3e}"
-                )
-    return entries
+    # One einsum per point, as a point call makes (CHANGES.md, FOUND on `bounds._fisher`): stacked,
+    # one changed 20 of 72 shape cases' bits; a real matmul, 17 of 50 outputs (an F 0.0 -> 1.5e-64).
+    rhos, dirs = rho.reshape(-1, *rho.shape[-2:]), partials.reshape(-1, *partials.shape[-3:])
+    own = elements if np.ndim(elements) == 4 else [elements] * len(rhos)
+    probs, dprobs = zip(*[(np.einsum("ij,mji->m", r, e), np.einsum("lij,mji->lm", dr, e))
+                          for r, dr, e in zip(rhos, dirs, own)])
+    probs, dprobs = np.clip(np.array(probs).real, 0.0, None), np.array(dprobs).real
+    if (singular := ~(probs > P_FLOOR) & (np.abs(dprobs).max(axis=1) > DP_FLOOR)).any():
+        n, i = np.argwhere(singular)[0]  # the first point's first singular outcome
+        steepest = dprobs[n, np.argmax(np.abs(dprobs[n, :, i])), i]
+        raise SingularTermError(f"outcome {i}: probability {probs[n, i]:.3e} at the support "
+                                f"boundary with derivative {steepest:.3e}")
+    p, terms = probs[:, np.newaxis, np.newaxis], dprobs[:, :, np.newaxis] * dprobs[:, np.newaxis]
+    terms = np.divide(terms, p, out=np.zeros_like(terms), where=p > P_FLOOR)  # (N, m, m, k)
+    # a running sum adds the outcomes in order, as a loop from 0.0 does; + 0.0 turns its -0.0 to 0.0
+    entries = np.cumsum(terms, axis=-1)[..., -1] + 0.0
+    return entries.reshape(rho.shape[:-2] + entries.shape[-2:])
 
 
 def _require_within(defect: np.ndarray, tol: float, scale, values: np.ndarray, what: str) -> None:
@@ -739,12 +739,18 @@ def unitary_condition(
     return values, all(abs(z) < tol for z in values)
 
 
-def optimal_povm_from_sld(lam: np.ndarray) -> POVM:
-    """Projectors onto the SLD eigenbasis; degenerate eigenspaces merge."""
+def optimal_povm_from_sld(lam: np.ndarray) -> POVM | np.ndarray:
+    """Projectors onto the SLD eigenbasis; degenerate eigenspaces merge.  An (R, d, d) stack
+    gives one decomposition and the checked (R, r, d, d) stack of each row's lone call's
+    projectors, zero elements padding rows of fewer than r."""
     sys = hermitian_eigendecompose(lam)
     labels = cluster_labels(sys.eigenvalues, DEGENERACY_TOL)
-    blocks = [sys.eigenvectors[:, labels == c] for c in range(labels[-1] + 1)]
-    return POVM(np.array([block @ block.conj().T for block in blocks]))
+    elements = np.zeros((*labels.shape[:-1], labels[..., -1].max() + 1, *lam.shape[-2:]), complex)
+    for row in np.ndindex(labels.shape[:-1]):
+        for c in range(labels[row][-1] + 1):
+            block = sys.eigenvectors[row][:, labels[row] == c]
+            elements[row][c] = block @ block.conj().T
+    return POVM(elements) if lam.ndim == 2 else check_povm(elements)
 
 
 def fisher_information(curve: SpectralCurve, povm: POVM) -> float:

@@ -501,6 +501,18 @@ def random_hermitian(
     return hermitian_part(x[..., 0, :, :] + 1j * x[..., 1, :, :]) * scale / np.sqrt(dim)
 
 
+def keyed_stream() -> Callable[[int], np.random.Generator]:
+    """seed -> Generator(Philox(key=seed))'s stream, re-keying one Philox (a new one first reads
+    OS entropy) behind one Generator: each call ends the stream the previous call returned."""
+    bits = np.random.Philox(0)
+    keyed, fresh = np.random.Generator(bits), bits.state
+
+    def stream(seed: int) -> np.random.Generator:
+        bits.state = {**fresh, "state": {**fresh["state"], "key": np.uint64([seed, 0])}}
+        return keyed
+    return stream
+
+
 def random_pure_state(dim: int, rng: np.random.Generator) -> PureState:
     amps = rng.normal(size=dim) + 1j * rng.normal(size=dim)
     return PureState(amps / np.linalg.norm(amps))

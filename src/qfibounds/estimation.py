@@ -12,11 +12,13 @@ output states are tabulated in one stacked call, every replication's counts
 score the whole grid, and the Newton refinement steps all of them in
 lockstep, one stacked evaluation of the output state and its partial per
 step (see `_refine`).  The outcome probabilities of one state and POVM are
-computed once for all the replications that draw from them.
+computed once for all the replications that draw from them, and the second
+stage's POVMs come from one decomposition of the stacked SLD scores.
 
 RNG contract: Philox (counter-based, 64-bit keys).  Replication r draws from
 the stream keyed by seed XOR r, so replications are reproducible and
-independent of execution order.
+independent of execution order.  The streams re-key one Philox
+(channels.keyed_stream), each bit for bit the stream of a Philox of its own.
 """
 
 from __future__ import annotations
@@ -35,12 +37,10 @@ from .bounds import (
     sm_bound_spectral,
     spectral_curve,
 )
-from .channels import ParametricChannel
+from .channels import ParametricChannel, keyed_stream
 from .errors import DegeneracyError, NumericError, SingularTermError, ValidationError
-from .linalg import STENCIL_REACH
 from .quantum import (
     POVM,
-    DensityMatrix,
     PureState,
     computational_basis_povm,
     measurement_distribution,
@@ -59,6 +59,7 @@ DUAL_GTOL = 1e-8
 # the cube root of machine epsilon, where truncation and round-off balance.
 SEARCH_STEP = 1e-5
 _STAGE2_SALT = 0x9E3779B97F4A7C15  # fixed stream split for the second stage
+PIVOT_MARGIN = 2e-4  # pilot MLEs reach 1e-8 of an edge, where a Kraus-form weight can vanish
 
 
 def rng_from_seed(seed: int) -> np.random.Generator:
@@ -69,17 +70,15 @@ def replication_seed(seed: int, replication: int) -> int:
     return (seed ^ replication) & 0xFFFFFFFFFFFFFFFF
 
 
-def sample_outcomes(rho: DensityMatrix, povm: POVM, shots: int, seed: int) -> np.ndarray:
-    """Multinomial outcome counts; identical seeds give identical counts."""
-    return _draws(measurement_distribution(rho, povm), shots, [seed])[0]
-
-
-def _draws(probs: np.ndarray, shots: int, seeds) -> np.ndarray:
-    """Multinomial counts of the outcome distribution probs, one row per seed's stream."""
+def _draws(probs, shots: int, seeds) -> np.ndarray:
+    """Multinomial counts from each seed's stream, of probs or of its row of a list, zero-padded."""
     if shots < 1:
         raise ValidationError(f"shots must be positive, got {shots}")
-    probs = probs / probs.sum()
-    return np.array([rng_from_seed(s).multinomial(shots, probs) for s in seeds])
+    rows, stream = [probs] * len(seeds) if isinstance(probs, np.ndarray) else probs, keyed_stream()
+    counts = np.zeros((len(seeds), max(map(len, rows))), dtype=int)
+    for row, s, p in zip(counts, seeds, rows):
+        row[: len(p)] = stream(s).multinomial(shots, p / p.sum())
+    return counts
 
 
 @dataclass(frozen=True)
@@ -336,9 +335,9 @@ def adaptive_experiment(
     Each replication measures n_pilot shots in the computational basis, then
     the remaining N - n_pilot in the SLD-optimal POVM at its pilot estimate;
     its final estimate uses the second-stage data only.  Each stage is one
-    MLE call over all replications on one tabulated grid, and the pivots are
-    one stacked curve.  The record's stages are replication 0's, and the
-    floors are those of its stage-2 POVM.  `curve`, the spectral curve at
+    MLE call over all replications on one tabulated grid, and the pivots'
+    stacked curve gives one POVM stack.  The record's stages, and the floors
+    of its stage-2 POVM, are replication 0's.  `curve`, the spectral curve at
     theta_true, is built after the replications when not given.
     """
     if n_pilot < 1:
@@ -354,33 +353,28 @@ def adaptive_experiment(
     pilot_counts = _draws(measurement_distribution(rho_true, pilot_povm), n_pilot, seeds)
     pilot = mle_estimate(channel, pilot_povm, pilot_counts, grid_states=states, seeds=seeds)
     lo, hi = channel.domain[0]
-    # A pilot MLE can land within 1e-8 of an edge, where a Kraus-form point's
-    # smallest weight sits at the support boundary and is refused.
-    margin = STENCIL_REACH if channel.is_kraus_form else 0.0
+    margin = PIVOT_MARGIN if channel.is_kraus_form else 0.0
     pivots = np.clip(pilot.theta_hat, lo + margin, hi - margin)
-    povms = [optimal_povm_from_sld(lam) for lam in sld_score(_pivot_curves(channel, pivots, seeds))]
+    elements = optimal_povm_from_sld(sld_score(_pivot_curves(channel, pivots, seeds)))
+    # each replication draws over its own elements, past the zero ones that pad merged rows
+    probs = [measurement_distribution(rho_true, row[row.any(axis=(1, 2))]) for row in elements]
     n2 = shots - n_pilot
-    drawn = [sample_outcomes(rho_true, p, n2, s ^ _STAGE2_SALT) for p, s in zip(povms, seeds)]
-    # zero elements pad a POVM that merged degenerate SLD eigenvalues
-    elements = np.zeros((len(seeds), max(map(len, povms)), channel.dim, channel.dim), complex)
-    counts2 = np.zeros(elements.shape[:2], dtype=int)
-    for rep, (povm, c) in enumerate(zip(povms, drawn)):
-        elements[rep, : len(povm)], counts2[rep, : len(c)] = povm.elements, c
+    counts2 = _draws(probs, n2, [s ^ _STAGE2_SALT for s in seeds])
     final = mle_estimate(channel, elements, counts2, grid_states=states, seeds=seeds)
-    stage2_id = f"sld-optimal@{pivots[0]:.6g}"
+    stage2_id, own = f"sld-optimal@{pivots[0]:.6g}", len(probs[0])  # replication 0's outcomes
     stages = (
         StageRecord(
             "pilot", n_pilot, tuple(int(c) for c in pilot_counts[0]),
             float(pilot.theta_hat[0]), bool(pilot.boundary[0]),
         ),
         StageRecord(
-            stage2_id, n2, tuple(int(c) for c in drawn[0]),
+            stage2_id, n2, tuple(int(c) for c in counts2[0, :own]),
             float(final.theta_hat[0]), bool(final.boundary[0]),
         ),
     )
     return _run(
-        channel, theta_true, f"adaptive({stage2_id})", n2, seed, drawn[0], final.theta_hat,
-        povms[0], curve, stages[1].boundary, stages,
+        channel, theta_true, f"adaptive({stage2_id})", n2, seed, counts2[0, :own],
+        final.theta_hat, elements[0, :own], curve, stages[1].boundary, stages,
     )
 
 

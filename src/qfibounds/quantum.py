@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .linalg import hermitian_part, max_abs
+from .linalg import adjoint, hermitian_part, max_abs
 
 CONSTRUCT_HERM_TOL = 1e-10
 CONSTRUCT_SUM_TOL = 1e-9
@@ -46,14 +46,27 @@ def diagnose_kraus(operators) -> dict[str, float]:
     return {"completeness": max_abs(total - np.eye(d))}
 
 
-def diagnose_povm(elements) -> dict[str, float]:
-    """Per-invariant residuals of a POVM candidate."""
+def diagnose_povm(elements) -> dict:
+    """Per-invariant residuals of a POVM candidate, or (R,) arrays of an (R, k, d, d) stack's."""
     els = np.asarray(elements, dtype=complex)
-    d = els.shape[-1]
-    herm = max(max_abs(m - m.conj().T) for m in els)
-    min_eig = min(float(np.linalg.eigvalsh(hermitian_part(m))[0]) for m in els)
-    resolution = max_abs(els.sum(axis=0) - np.eye(d))
-    return {"hermiticity": herm, "min_eigenvalue": min_eig, "resolution": resolution}
+    return {
+        "hermiticity": np.abs(els - adjoint(els)).max(axis=(-3, -2, -1)),
+        "min_eigenvalue": np.linalg.eigvalsh(hermitian_part(els))[..., 0].min(axis=-1),
+        "resolution": np.abs(els.sum(axis=-3) - np.eye(els.shape[-1])).max(axis=(-2, -1)),
+    }
+
+
+def check_povm(elements: np.ndarray) -> np.ndarray:
+    """The elements, refused at the first row (of a stack) that is not a POVM, as that POVM is."""
+    h, low, r = (np.atleast_1d(v) for v in diagnose_povm(elements).values())
+    refused = np.array([h > CONSTRUCT_HERM_TOL, low < -CONSTRUCT_HERM_TOL, r > CONSTRUCT_SUM_TOL])
+    if refused.any():
+        row = int(np.argmax(refused.any(axis=0)))
+        which = int(np.argmax(refused[:, row]))  # in the order a POVM refuses them
+        message = ("element not Hermitian: defect", "element not PSD: min eigenvalue",
+                   "identity-resolution defect")[which]
+        raise ValidationError(f"{message} {(h, low, r)[which][row]:.3e}")
+    return elements
 
 
 @dataclass(frozen=True)
@@ -114,28 +127,19 @@ class POVM:
         els = np.array(self.elements, dtype=complex)
         if els.ndim != 3 or els.shape[1] != els.shape[2] or els.shape[0] < 1:
             raise ValidationError(f"expected a stack of square matrices, got shape {els.shape}")
-        diag = diagnose_povm(els)
-        if diag["hermiticity"] > CONSTRUCT_HERM_TOL:
-            raise ValidationError(f"element not Hermitian: defect {diag['hermiticity']:.3e}")
-        if diag["min_eigenvalue"] < -CONSTRUCT_HERM_TOL:
-            raise ValidationError(f"element not PSD: min eigenvalue {diag['min_eigenvalue']:.3e}")
-        if diag["resolution"] > CONSTRUCT_SUM_TOL:
-            raise ValidationError(f"identity-resolution defect {diag['resolution']:.3e}")
-        object.__setattr__(self, "elements", _freeze(els))
-
-    @property
-    def dim(self) -> int:
-        return self.elements.shape[-1]
+        object.__setattr__(self, "elements", _freeze(check_povm(els)))
 
     def __len__(self) -> int:
         return self.elements.shape[0]
 
 
-def measurement_distribution(rho: DensityMatrix, povm: POVM) -> np.ndarray:
-    """Outcome probabilities tr(rho M_m), clamped and renormalized at round-off scale."""
-    if rho.dim != povm.dim:
-        raise ValidationError(f"dimension mismatch: state {rho.dim}, POVM {povm.dim}")
-    probs = np.real(np.einsum("ij,mji->m", rho.matrix, povm.elements))
+def measurement_distribution(rho: DensityMatrix, povm: POVM | np.ndarray) -> np.ndarray:
+    """Outcome probabilities tr(rho M_m) of a POVM, or of its (k, d, d) elements taken as
+    checked, clamped and renormalized at round-off scale."""
+    elements = getattr(povm, "elements", povm)
+    if rho.dim != elements.shape[-1]:
+        raise ValidationError(f"dimension mismatch: state {rho.dim}, POVM {elements.shape[-1]}")
+    probs = np.real(np.einsum("ij,mji->m", rho.matrix, elements))
     if np.min(probs) < -CONSTRUCT_HERM_TOL:
         raise ValidationError(f"negative probability {np.min(probs):.3e}")
     probs = np.clip(probs, 0.0, None)

@@ -25,6 +25,7 @@ from .bounds import (
     SpectralCurve,
     bound_gap,
     halving,
+    optimal_povm_from_sld,
     sld_information,
     sld_score,
     sm_bound_kraus,
@@ -36,6 +37,7 @@ from .channels import (
     example2,
     exponential_family,
     haar_unitary,
+    keyed_stream,
     random_hermitian,
     random_kraus_channel,
 )
@@ -167,8 +169,7 @@ def _battery_curves(seed: int, count: int, param_count: int) -> _Battery:
     that builder's battery.  No suite decomposes a point again.
     """
     salt, max_dim, width = _BATTERY_DRAWS[param_count]
-    bits = np.random.Philox(0)  # re-keyed per point: a new Philox first reads OS entropy
-    keyed, fresh = np.random.Generator(bits), bits.state
+    keyed = keyed_stream()  # a point's generators are random-kraus's draw for its family seed
     refused: set = set()  # (family seed, theta bytes) of every refused point met
     while True:
         rng = np.random.Generator(np.random.Philox(key=np.uint64(seed ^ salt)))
@@ -178,8 +179,7 @@ def _battery_curves(seed: int, count: int, param_count: int) -> _Battery:
             env = int(rng.integers(1, dim + 1))
             key = int(rng.integers(0, 2**63))
             amps = rng.normal(size=dim) + 1j * rng.normal(size=dim)  # random_pure_state's draw
-            bits.state = {**fresh, "state": {**fresh["state"], "key": np.uint64([key, 0])}}
-            gens = random_hermitian(dim * env, keyed, shape=(param_count,))  # random-kraus's draw
+            gens = random_hermitian(dim * env, keyed(key), shape=(param_count,))
             for _ in range(8):
                 theta = rng.uniform(-width, width, size=param_count)
                 if (key, theta.tobytes()) not in refused:
@@ -245,8 +245,7 @@ def _ordering(battery: _Battery, seed: int) -> list[CheckResult]:
         lam = sld_score(curve)
         sharp = np.min(np.diff(np.linalg.eigvalsh(lam), axis=-1), axis=-1) > 1e-4
         if sharp.any():
-            columns = hermitian_eigendecompose(lam[sharp]).eigenvectors.swapaxes(-1, -2)
-            povm[sharp] = columns[..., np.newaxis] @ adjoint(columns[..., np.newaxis])
+            povm[sharp] = optimal_povm_from_sld(lam[sharp])
         misfit = np.abs(curve.fisher(povm)[:, 0, 0] - h) / np.maximum(1.0, h)
         misfits.append(np.where(sharp, misfit, 0.0))
         checked += int(sharp.sum())

@@ -15,12 +15,40 @@ from typing import Callable
 
 import numpy as np
 
+from qfibounds.bounds import DP_FLOOR, P_FLOOR
 from qfibounds.channels import ParametricChannel, haar_unitary
-from qfibounds.errors import ValidationError
+from qfibounds.errors import SingularTermError, ValidationError
+from qfibounds.quantum import POVM, DensityMatrix, measurement_distribution
 
 
 def random_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
     return haar_unitary(rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim)))
+
+
+def sample_outcomes(rho: DensityMatrix, povm: POVM, shots: int, seed: int) -> np.ndarray:
+    """Multinomial outcome counts from a new Philox keyed by the 64-bit seed."""
+    probs = measurement_distribution(rho, povm)
+    rng = np.random.Generator(np.random.Philox(key=np.uint64(seed)))
+    return rng.multinomial(shots, probs / probs.sum())
+
+
+def fisher_by_outcome(rho: np.ndarray, partials: np.ndarray, elements: np.ndarray) -> np.ndarray:
+    """(m, m) Fisher information of one point's (k, d, d) POVM elements, outcome by outcome:
+    a floored outcome whose steepest derivative exceeds DP_FLOOR is a singular term."""
+    probs = np.clip(np.real(np.einsum("ij,mji->m", rho, elements)), 0.0, None)
+    dprobs = np.real(np.einsum("lij,mji->lm", partials, elements))
+    entries = np.zeros((len(partials), len(partials)))
+    for i, pm in enumerate(probs):
+        if pm > P_FLOOR:
+            entries += np.outer(dprobs[:, i], dprobs[:, i]) / pm
+        else:
+            steepest = dprobs[np.argmax(np.abs(dprobs[:, i])), i]
+            if abs(steepest) > DP_FLOOR:
+                raise SingularTermError(
+                    f"outcome {i}: probability {pm:.3e} at the support boundary with "
+                    f"derivative {steepest:.3e}"
+                )
+    return entries
 
 
 def random_hermitians(dim: int, rng: np.random.Generator, count: int, scale: float = 1.0):

@@ -3,6 +3,7 @@ import pytest
 from scipy.linalg import expm
 from scipy.optimize import linear_sum_assignment
 
+from qfibounds import bounds
 from qfibounds.bounds import (
     BoundReport,
     attainability_check,
@@ -27,13 +28,18 @@ from qfibounds.channels import (
     random_kraus_channel,
     random_pure_state,
 )
-from qfibounds.errors import ConsistencyError, DegeneracyError, ValidationError
+from qfibounds.errors import (
+    ConsistencyError,
+    DegeneracyError,
+    SingularTermError,
+    ValidationError,
+)
 from qfibounds.linalg import max_abs
 from qfibounds.quantum import POVM, PureState, computational_basis_povm, pauli_basis_povm
 from qfibounds.multiparam import fisher_matrix, sld_matrix, sm_matrix
 from qfibounds.verify import one_param_battery, random_povm, two_param_battery
 
-from oracles import random_unitary, remix_channel, remixing_penalty
+from oracles import fisher_by_outcome, random_unitary, remix_channel, remixing_penalty
 
 PLUS = PureState(np.array([1.0, 1.0]) / np.sqrt(2))
 KET0 = PureState(np.array([1.0, 0.0]))
@@ -518,6 +524,78 @@ def test_optimal_povm_examples():
     assert len(povm) == 2
     for m in povm.elements:
         assert max_abs(m @ sx - sx @ m) < 1e-12
+
+
+def _same_bits(a, b) -> bool:
+    return np.shape(a) == np.shape(b) and np.asarray(a).tobytes() == np.asarray(b).tobytes()
+
+
+def test_stacked_optimal_povms_are_the_lone_calls_bit_for_bit():
+    # Scores with distinct eigenvalues, with a doubly degenerate zero (a pure output in d = 4)
+    # and with a triply degenerate eigenvalue, in one call: each row holds its lone call's
+    # elements, then zero elements up to the widest row.
+    thetas = np.array([[0.3], [0.55]])
+    pure = sld_score(spectral_curve(random_kraus_channel(dim=4, env=1, seed=5), thetas))
+    mixed = sld_score(spectral_curve(random_kraus_channel(dim=4, env=2, seed=7), thetas))
+    u = random_unitary(4, np.random.default_rng(3))
+    triple = u @ np.diag([1.0, 1.0, 1.0, -3.0]) @ u.conj().T
+    lam = np.concatenate([pure, mixed, triple[np.newaxis]])
+    stacked = optimal_povm_from_sld(lam)
+    lone = [optimal_povm_from_sld(score).elements for score in lam]
+    assert [len(e) for e in lone] == [3, 3, 4, 4, 2] and stacked.shape == (5, 4, 4, 4)
+    for row, elements in zip(stacked, lone):
+        assert _same_bits(row[: len(elements)], elements)
+        assert not row[len(elements):].any()
+    # a refused row raises its lone call's message
+    lam[3, 0, 1] += 1e-3
+    with pytest.raises(ValidationError) as alone:
+        optimal_povm_from_sld(lam[3])
+    with pytest.raises(ValidationError) as together:
+        optimal_povm_from_sld(lam)
+    assert str(together.value) == str(alone.value)
+
+
+def test_stacked_fisher_rows_are_the_lone_calls_bit_for_bit():
+    # Random states, partials and POVMs (one per row, and one for every row), with and
+    # without a zero element appended.  With two parameters, the last row's first partial
+    # is -I and its second vanishes, so each of its off-diagonal terms is -0.0, which a sum
+    # from 0.0 leaves 0.0.  Each row of a stack holds its lone call's bits, which are those
+    # of the outcome-by-outcome sum, the sign of zero included.
+    rng = np.random.default_rng(41)
+    for d, m in ((2, 1), (3, 2), (4, 1), (6, 2), (8, 2)):
+        z = rng.normal(size=(7, d, d)) + 1j * rng.normal(size=(7, d, d))
+        rho = z @ z.conj().swapaxes(-1, -2)
+        rho /= np.trace(rho, axis1=-2, axis2=-1).real[:, np.newaxis, np.newaxis]
+        g = rng.normal(size=(7, m, d, d)) + 1j * rng.normal(size=(7, m, d, d))
+        partials = g + g.conj().swapaxes(-1, -2)
+        if m == 2:
+            partials[-1] = [-np.eye(d), np.zeros((d, d))]
+        povms = np.array([random_povm(d, rng).elements for _ in range(7)])
+        padded = np.concatenate([povms, np.zeros((7, 1, d, d))], axis=1)
+        for elements in (povms, padded, padded[0]):
+            stacked = bounds._fisher(rho, partials, elements)
+            assert stacked.shape == (7, m, m)
+            for i in range(7):
+                own = elements[i] if elements.ndim == 4 else elements
+                lone = bounds._fisher(rho[i], partials[i], own)
+                assert _same_bits(stacked[i], lone)
+                assert _same_bits(lone, fisher_by_outcome(rho[i], partials[i], own))
+
+
+def test_stacked_fisher_refuses_the_first_row_with_a_singular_term():
+    # Row 1 is singular at outcome 1 and row 2 at outcome 0: row 1's lone message wins.
+    z = computational_basis_povm(2).elements
+    rho = np.array([np.eye(2) / 2, np.diag([1.0, 0.0]), np.diag([0.0, 1.0])])
+    partials = np.array([[np.diag([-1.0, 1.0])], [np.diag([-1.0, 1.0])], [np.diag([2.0, -2.0])]])
+    with pytest.raises(SingularTermError) as alone:
+        bounds._fisher(rho[1], partials[1], z)
+    with pytest.raises(SingularTermError) as together:
+        bounds._fisher(rho, partials, z)
+    assert str(together.value) == str(alone.value) == (
+        "outcome 1: probability 0.000e+00 at the support boundary with derivative 1.000e+00"
+    )
+    with pytest.raises(SingularTermError, match="^outcome 1: "):
+        fisher_by_outcome(rho[1], partials[1], z)
 
 
 def test_fisher_information_examples():

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -260,6 +261,49 @@ def test_estimate_refuses_a_pilot_size_for_a_fixed_run(spec_file, capsys, povm):
         "--reps", "5", "--n-pilot", "300", *povm,
     )
     assert (code, out, err) == (2, "", "error: --n-pilot applies only to an --adaptive run\n")
+
+
+ESTIMATE_SPECS = {
+    "damping": DAMPING,
+    "dephasing-plus": DEPHASING,
+    "random-4-2": "family = random-kraus\ndim = 4\nenv = 2\nseed = 7\n",
+    # a pure output in d = 4: its SLD has a doubly degenerate zero, so the POVM has 3 elements
+    "random-4-1": "family = random-kraus\ndim = 4\nenv = 1\nseed = 5\n",
+}
+ESTIMATE_MODES = {"optimal": (), "computational": ("--povm", "computational"),
+                  "adaptive": ("--adaptive",)}
+ESTIMATE_JSON_DIGESTS = {
+    ("damping", "optimal"): "d2781931880ba89165bf734d284f9ed416f6efb528c6dba13c6920cb9cc2a23d",
+    ("damping", "computational"): "3babd91abb0a80baae184718765c3f532a9daedf12458fceb19a05d3df8bc46d",
+    ("damping", "adaptive"): "d2f6419c2b8cd44fcc79852bcaaadcd999ca78ebb86de5b2df7f4bf1c109b76f",
+    ("dephasing-plus", "optimal"):
+        "79cef4ef462ac6910ba7c6bf38784487ca09be8cfe84bfd5c718f3fce6cb05bb",
+    ("dephasing-plus", "computational"):
+        "4fa2ac7e05963da21bcd651c30b11e4d9357c051c21f4fa2dd8582ea5ba8e360",
+    ("dephasing-plus", "adaptive"):
+        "edb75074b3e13edc42256473c77629a9a8c7ae62fde4999758211f08c1827375",
+    ("random-4-2", "optimal"): "9c9ecb1b855fae5ea47b705753f6ada16c357173717ede322406430abbb78727",
+    ("random-4-2", "computational"):
+        "69960e4164274dd2610faae6c8fef3d41dd1456e71a3909fb5ce78b6554b4270",
+    ("random-4-2", "adaptive"): "1b95e4b06329301a8accd993b9429f1b849736e7f4378e6983103de92c6adbc7",
+    ("random-4-1", "optimal"): "94a966cc0e67e4cf66b63f5a9d96e118997368baf66e2f40e679eeee99a4be16",
+    ("random-4-1", "computational"):
+        "48af6d58d5a12f94d0d13bc65aee1587f1b736536e263c0182baa92fac099f12",
+    ("random-4-1", "adaptive"): "948ef329b52e60bd3fe3a1a80f128957cdb0e090d3cf093f8f0231afa0aa7e8e",
+}
+
+
+@pytest.mark.parametrize("name, mode", sorted(ESTIMATE_JSON_DIGESTS))
+def test_estimate_json_is_pinned(name, mode, spec_file, capsys):
+    # Both runs' JSON, at a small and a wide seed: a change to how the counts
+    # are drawn, the POVMs built or the Fisher floors summed must keep each
+    # value's bits.
+    for seed in (3, 6180588700756636604):
+        assert main(["estimate", spec_file(ESTIMATE_SPECS[name]), "--theta-true", "0.3",
+                     "--shots", "4000", "--reps", "12", "--seed", str(seed),
+                     *ESTIMATE_MODES[mode]]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == ESTIMATE_JSON_DIGESTS[(name, mode)]
 
 
 def test_optimize_input_command(spec_file, capsys):

@@ -22,7 +22,6 @@ from qfibounds.estimation import (
     mle_estimate,
     optimize_input_state,
     replication_seed,
-    sample_outcomes,
 )
 from qfibounds.quantum import (
     POVM,
@@ -30,6 +29,8 @@ from qfibounds.quantum import (
     computational_basis_povm,
     pauli_basis_povm,
 )
+
+from oracles import sample_outcomes
 
 PLUS = PureState(np.array([1.0, 1.0]) / np.sqrt(2))
 XPOVM = pauli_basis_povm("x")
@@ -62,6 +63,19 @@ def test_sample_outcomes_law_of_large_numbers():
     counts = sample_outcomes(rho, XPOVM, n, seed=5)
     sigma = np.sqrt(0.8 * 0.2 / n)
     assert abs(counts[0] / n - 0.8) < 3 * sigma
+
+
+def test_draws_give_each_seed_its_own_philox_stream():
+    # One re-keyed Philox draws what a new Philox keyed by each seed draws; a list of
+    # one distribution per seed pads its shorter rows' counts with zeros.
+    probs, pair = np.array([0.1, 0.2, 0.3, 0.4]), np.array([0.25, 0.75])
+    seeds = [0, 2**63 + 5, 2**64 - 1]
+    fixed = estimation._draws(probs, 1000, seeds)
+    per_row = estimation._draws([probs, pair, probs], 1000, seeds)
+    for s, row, own, p in zip(seeds, fixed, per_row, (probs, pair, probs)):
+        ref = lambda q: np.random.Generator(np.random.Philox(key=np.uint64(s))).multinomial(1000, q)
+        assert np.array_equal(row, ref(probs / probs.sum()))
+        assert np.array_equal(own, np.pad(ref(p / p.sum()), (0, 4 - len(p))))
 
 
 def test_mle_binomial_closed_form():

@@ -6,6 +6,7 @@ from qfibounds.quantum import (
     POVM,
     DensityMatrix,
     PureState,
+    check_povm,
     computational_basis_povm,
     measurement_distribution,
     pauli_basis_povm,
@@ -38,6 +39,25 @@ def test_povm_invariants():
         POVM(np.array([np.diag([1.5, 1.0]), np.diag([-0.5, 0.0])]))
     # single-element POVM {I} is allowed
     POVM(np.array([np.eye(3)]))
+
+
+def test_stacked_povm_check_refuses_the_first_bad_row_as_its_povm():
+    good = computational_basis_povm(2).elements
+    skew = np.array([[[1.0, 0.1], [0.0, 0.0]], [[0.0, -0.1], [0.0, 1.0]]])  # resolves I
+    negative = np.array([np.diag([1.5, 1.0]), np.diag([-0.5, 0.0])])
+    short = np.array([np.diag([0.5, 0.5]), np.diag([0.5, 0.4])])
+    skew_and_short = skew * 0.9  # a POVM checks Hermiticity first
+    stack = np.array([good, good])
+    assert check_povm(stack) is stack and check_povm(good) is good
+    for rows in ([good, negative, skew], [skew_and_short, short], [good, good, short, negative]):
+        first = next(row for row in rows if row is not good)
+        with pytest.raises(ValidationError) as alone:
+            POVM(first)
+        with pytest.raises(ValidationError) as together:
+            check_povm(np.array(rows, dtype=complex))
+        assert str(together.value) == str(alone.value)
+    with pytest.raises(ValidationError, match="^element not Hermitian: defect 9.000e-02$"):
+        check_povm(skew_and_short)
 
 
 def test_measurement_distribution_examples():
