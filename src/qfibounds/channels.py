@@ -9,16 +9,16 @@ the standard qubit channels, the two rank-two three-level families used
 throughout the test suite, and seeded random Kraus curves generated from
 random Hamiltonians on system + environment.  The exponential families
 (`random-kraus`, `rotation-2p`; exponential_family) take their Kraus stack
-and every partial from one eigendecomposition of the generator per theta
-(`linalg.unitary_exponential`); this module imports no scipy.  Every family,
-Kraus or spectral form, evaluates a whole stack of points in one call (see
-ParametricChannel), and one exponential family with generators per row
-evaluates N channels of one shape, one per row, in one call.
+and every partial from eigendecompositions of the generator, one for the
+channel's life with one parameter and one per theta with more; no scipy.
+Every family evaluates a stack of points in one call (see ParametricChannel),
+and an exponential family with generators per row evaluates N channels at once.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -459,12 +459,15 @@ def exponential_family(
     """E_k(theta) = (I x <k|) exp(-i sum_l theta_l G_l) (I x |0>) of an (m, T, T) generator stack.
 
     The generators act on system x environment (T = dim * env) with composite
-    index i*env + k; env = 1 gives the single unitary.  The stack and every
-    partial at a point, or at each point of a stack, come from one (batched)
-    eigendecomposition of the generator, kept for the last points asked for.
-    An (N, m, T, T) stack is N families in one: row i of an (N, m) stack of
-    points is evaluated with generators i, so the N rows take one batched
-    eigendecomposition.
+    index i*env + k; env = 1 gives the single unitary.  With one parameter,
+    exp(-i theta G) = W e^{-i theta Lambda} W^dag and its partial is -i G times
+    it, so G is decomposed once, at the first evaluation, for the channel's
+    life (UnitaryExponential.along), and only (..., T, dim) arrays form.  With
+    m >= 2 the stack and every partial at a point, or at each point of a
+    stack, come from one (batched) eigendecomposition of the generator per
+    theta, kept for the last points asked for.  An (N, m, T, T) stack is N
+    families in one: row i of an (N, m) stack of points is evaluated with
+    generators i, so the N rows take one batched eigendecomposition.
     """
     gens = np.array(gens, dtype=complex)
     total = gens.shape[-1]
@@ -473,23 +476,21 @@ def exponential_family(
     # first dim columns, and E_k is rows k*dim .. (k+1)*dim of those columns.
     order = np.arange(total).reshape(dim, env).T.ravel()
     gens = gens[..., order, :][..., order]
-    flat = gens.reshape(*gens.shape[:-2], -1)
     columns = slice(0, dim)
 
-    @last_point_cache
-    def decomposition(theta: np.ndarray):
-        h = theta[..., np.newaxis, :] @ flat
-        return unitary_exponential(h.reshape(*theta.shape[:-1], total, total))
-
-    def kraus(theta: np.ndarray) -> np.ndarray:
-        return decomposition(theta).unitary(columns).reshape(*np.shape(theta)[:-1], env, dim, dim)
-
-    def grad(theta: np.ndarray, index: int) -> np.ndarray:
-        ops = decomposition(theta).partial(gens[..., index, :, :], columns)
-        return ops.reshape(*np.shape(theta)[:-1], env, dim, dim)
-
+    if gens.shape[-3] == 1:
+        generator = functools.cache(lambda: unitary_exponential(gens[..., 0, :, :]))
+        ops = lambda theta, index: generator().along(theta[..., 0], columns, index is not None)
+    else:
+        flat = gens.reshape(*gens.shape[:-2], -1)
+        decomposition = last_point_cache(lambda theta: unitary_exponential(
+            (theta[..., np.newaxis, :] @ flat).reshape(*theta.shape[:-1], total, total)))
+        ops = lambda theta, index: (decomposition(theta).unitary(columns) if index is None else
+                                    decomposition(theta).partial(gens[..., index, :, :], columns))
+    shaped = lambda theta, index: ops(theta, index).reshape(*np.shape(theta)[:-1], env, dim, dim)
     return ParametricChannel(name=name, dim=dim, param_count=gens.shape[-3], domain=domain,
-                             input_state=input_state, kraus_fn=kraus, kraus_grad_fn=grad)
+                             input_state=input_state, kraus_fn=lambda theta: shaped(theta, None),
+                             kraus_grad_fn=shaped)
 
 
 def random_hermitian(
@@ -511,6 +512,9 @@ def keyed_stream() -> Callable[[int], np.random.Generator]:
         bits.state = {**fresh, "state": {**fresh["state"], "key": np.uint64([seed, 0])}}
         return keyed
     return stream
+
+
+_random_kraus_stream = functools.cache(keyed_stream)  # at first use: numpy.random loads late
 
 
 def random_pure_state(dim: int, rng: np.random.Generator) -> PureState:
@@ -547,7 +551,7 @@ def random_kraus_channel(
         raise ValidationError(f"scale must be finite, got {scale!r}")
     if not 0 <= seed < 2**64:
         raise ValidationError(f"seed must be in [0, 2**64), got {seed}")
-    rng = np.random.Generator(np.random.Philox(key=np.uint64(seed)))
+    rng = _random_kraus_stream()(seed)  # Generator(Philox(key=seed))'s stream
     gens = random_hermitian(dim * env, rng, scale, (param_count,))
     if input_state is None:
         input_state = random_pure_state(dim, rng)

@@ -161,7 +161,8 @@ class UnitaryExponential:
     `columns` selects the columns of U (or of its derivative) to return, so a
     caller that needs U applied to a few basis states skips the rest of the
     last product.  A stack (..., n, n) of generators gives a stack of each,
-    matrix by matrix.
+    matrix by matrix.  `along` reads the whole curve t -> exp(-i t H) from
+    this one decomposition.
     """
 
     eigenvalues: np.ndarray
@@ -187,6 +188,16 @@ class UnitaryExponential:
         inner = back @ direction @ w
         np.multiply(gamma, inner, out=inner)  # in place: a stack of these is large
         return w @ inner @ back[..., :, columns]
+
+    def along(self, t: np.ndarray, columns=slice(None), derivative: bool = False) -> np.ndarray:
+        """Columns of exp(-i t H), or of its t-derivative -i H exp(-i t H), at real t of shape
+        (...) broadcast against the stack: W (e^{-i t lambda} o W^dag[:, columns]), the phases
+        times -i lambda for the derivative, so no (..., n, n) array forms."""
+        lam, w = self.eigenvalues, self.eigenvectors
+        phases = np.exp(-1j * t[..., np.newaxis] * lam)
+        if derivative:
+            phases *= -1j * lam
+        return w @ (phases[..., :, np.newaxis] * adjoint(w[..., columns, :]))
 
 
 def unitary_exponential(h: np.ndarray) -> UnitaryExponential:

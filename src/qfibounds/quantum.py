@@ -38,12 +38,12 @@ def diagnose_density(matrix: np.ndarray) -> dict[str, float]:
     return {"hermiticity": herm, "trace": trace, "min_eigenvalue": min_eig}
 
 
-def diagnose_kraus(operators) -> dict[str, float]:
-    """Completeness residual of a Kraus-set candidate: || sum E^dag E - I ||_max."""
+def diagnose_kraus(operators) -> dict:
+    """Completeness residual || sum E^dag E - I ||_max of a Kraus-set candidate, or the (N,)
+    residuals of an (N, n, d, d) stack's."""
     ops = np.asarray(operators, dtype=complex)
-    d = ops.shape[-1]
-    total = np.einsum("kij,kil->jl", ops.conj(), ops)
-    return {"completeness": max_abs(total - np.eye(d))}
+    total = np.einsum("...kij,...kil->...jl", ops.conj(), ops)
+    return {"completeness": np.abs(total - np.eye(ops.shape[-1])).max(axis=(-2, -1))}
 
 
 def diagnose_povm(elements) -> dict:

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -285,15 +286,62 @@ def _count_decompositions(monkeypatch) -> list:
 
 @pytest.mark.parametrize("param_count", [1, 2])
 def test_random_kraus_decomposes_once_per_canonical_kraus(monkeypatch, param_count):
+    # Two parameters: one decomposition per canonical_kraus.  One parameter:
+    # one per channel, of its generator at the first evaluation, none later.
     from qfibounds.bounds import canonical_kraus
 
     calls = _count_decompositions(monkeypatch)
     channel = random_kraus_channel(dim=3, env=2, param_count=param_count, seed=17)
+    assert calls == []
+    per_call = []
     for theta in (0.31, -0.27):
         before = len(calls)
         ck = canonical_kraus(channel, np.full(param_count, theta))
         assert ck.raw_derivatives.shape[0] == param_count
-        assert len(calls) - before == 1
+        per_call.append(len(calls) - before)
+    assert per_call == ([1, 0] if param_count == 1 else [1, 1])
+    assert param_count == 2 or calls == [(6, 6)]  # G itself, not a stack of theta G
+
+
+ONE_PARAMETER_THETAS = np.array([-0.9, -1e-3, 0.0, 0.37, 0.9])[:, np.newaxis]
+
+
+@pytest.mark.parametrize("seed", [0, 11, 2**63 + 7])
+@pytest.mark.parametrize("dim, env", [(2, 1), (3, 2), (8, 8)])
+def test_one_parameter_exponential_family_matches_expm(dim, env, seed):
+    # With one parameter the Kraus stack and its partial come from one
+    # decomposition of G: they must be the columns |j, 0> of exp(-i theta G)
+    # and of -i G exp(-i theta G), as scipy's expm of the drawn G gives them.
+    # Measured worst error: 1.4e-15 and 2.0e-15 times max(1, ||G||_2).
+    channel = random_kraus_channel(dim, env, 1, seed)
+    drawn = np.random.Generator(np.random.Philox(key=np.uint64(seed)))
+    g = random_hermitians(dim * env, drawn, 1)[0]
+    kraus = lambda u: u[:, ::env].reshape(dim, env, dim).swapaxes(0, 1)  # row i env + k: E_k[i]
+    bound = 1e-14 * max(1.0, np.linalg.norm(g, 2))
+    ops = channel.kraus_matrices(ONE_PARAMETER_THETAS)
+    partials = channel.kraus_partials(ONE_PARAMETER_THETAS)[:, 0]
+    for theta, op, partial in zip(ONE_PARAMETER_THETAS[:, 0], ops, partials):
+        u = scipy.linalg.expm(-1j * theta * g)
+        assert max_abs(op - kraus(u)) < bound
+        assert max_abs(partial - kraus(-1j * g @ u)) < bound
+
+
+@pytest.mark.parametrize("dim, env, seed", [(2, 1, 3), (3, 2, 11), (4, 4, 2), (8, 8, 11)])
+def test_one_parameter_random_kraus_stacks_are_point_calls_bit_for_bit(dim, env, seed):
+    # A stack of points, and the rows of one family with generators per row,
+    # give each point the bits of its own call.
+    channel = random_kraus_channel(dim, env, 1, seed)
+    points = np.concatenate([ONE_PARAMETER_THETAS, [[-0.31]]])
+    for call in (channel.kraus_matrices, channel.kraus_partials, channel.output_matrix,
+                 channel.output_partials):
+        stack = call(points)
+        assert all(_same_bits(stack[i], call(point)) for i, point in enumerate(points))
+    gens = random_hermitian(dim * env, np.random.default_rng(seed), shape=(len(points), 1))
+    family = lambda rows: exponential_family(gens[rows], env, "rows", channel.domain)
+    for evaluate in (lambda ch, t: ch.kraus_fn(t), lambda ch, t: ch.kraus_grad_fn(t, 0)):
+        stack = evaluate(family(slice(None)), points)
+        assert all(_same_bits(stack[i], evaluate(family(i), point))
+                   for i, point in enumerate(points))
 
 
 def test_exponential_family_memo_returns_the_same_bits():

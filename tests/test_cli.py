@@ -282,14 +282,14 @@ ESTIMATE_JSON_DIGESTS = {
         "4fa2ac7e05963da21bcd651c30b11e4d9357c051c21f4fa2dd8582ea5ba8e360",
     ("dephasing-plus", "adaptive"):
         "edb75074b3e13edc42256473c77629a9a8c7ae62fde4999758211f08c1827375",
-    ("random-4-2", "optimal"): "9c9ecb1b855fae5ea47b705753f6ada16c357173717ede322406430abbb78727",
+    ("random-4-2", "optimal"): "177de12dc8c3037cc32782302dca09f9871b3af75f9233ad4abb1de711395d41",
     ("random-4-2", "computational"):
-        "69960e4164274dd2610faae6c8fef3d41dd1456e71a3909fb5ce78b6554b4270",
-    ("random-4-2", "adaptive"): "1b95e4b06329301a8accd993b9429f1b849736e7f4378e6983103de92c6adbc7",
-    ("random-4-1", "optimal"): "94a966cc0e67e4cf66b63f5a9d96e118997368baf66e2f40e679eeee99a4be16",
+        "85d6b5d0772f6a37c62c8539dfd9c7dacad1de6a441f19b8b4abfb32cee41435",
+    ("random-4-2", "adaptive"): "54aac3d2ff058dfd6ec761798a1d465f6824249c205933cac3b3dea646182523",
+    ("random-4-1", "optimal"): "3700b170d0fa6b9135b9027b73334cd13f7336eaba476c00e75560d994263c04",
     ("random-4-1", "computational"):
-        "48af6d58d5a12f94d0d13bc65aee1587f1b736536e263c0182baa92fac099f12",
-    ("random-4-1", "adaptive"): "948ef329b52e60bd3fe3a1a80f128957cdb0e090d3cf093f8f0231afa0aa7e8e",
+        "8ee068c474f8d2f74e33d7bd3c6f9091d06590df495f9abe855497f74d22a870",
+    ("random-4-1", "adaptive"): "88ceaf71c9b547b6e8680a6338a782a1dc12222bd16c66f9adbd91f332775c4c",
 }
 
 

@@ -3,7 +3,7 @@ import pytest
 
 from qfibounds import channels
 from qfibounds.bounds import sld_information, spectral_curve
-from qfibounds.channels import ParametricChannel
+from qfibounds.channels import ParametricChannel, SpectralData
 from qfibounds.errors import SpecFormatError, ValidationError
 from qfibounds.specfile import ChannelSpec, parse_complex
 
@@ -158,6 +158,47 @@ def test_incomplete_kraus_family_fails_spec_validation(monkeypatch):
     expected = r"^channel invariants fail at theta = \[0\.0\]: completeness defect 1\.000e\+00$"
     with pytest.raises(ValidationError, match=expected):
         ChannelSpec.from_text("family = dephasing\n").build()
+
+
+def _defective_family(defects: dict, spectral: bool) -> ParametricChannel:
+    """A qubit family on [0, 1] with the defects (theta -> kind) at their thetas, sound elsewhere."""
+    kinds = lambda theta: np.vectorize(lambda t: defects.get(t, ""))(theta[..., 0])
+    if spectral:
+        def spectral_fn(theta):
+            kind = kinds(theta)[..., np.newaxis]
+            values = np.where(kind == "sum", 0.7, 0.5) * np.ones(2)
+            vectors = np.where(kind[..., np.newaxis] == "frame", np.diag([1.0, 2.0]), np.eye(2))
+            zeros = np.zeros((*kind.shape[:-1], 1, 2, 2), dtype=complex)
+            return SpectralData(values, vectors.astype(complex), zeros[..., 0, :], zeros)
+        return ParametricChannel("defective", 2, 1, ((0.0, 1.0),), spectral_fn=spectral_fn)
+
+    def kraus(theta):
+        kind = kinds(theta)
+        weight = np.select([kind == "incomplete", kind == "nan"], [2.0, np.nan], 1.0)
+        return np.sqrt(weight)[..., np.newaxis, np.newaxis, np.newaxis] * np.eye(2)
+    return ParametricChannel("defective", 2, 1, ((0.0, 1.0),), kraus_fn=kraus,
+                             kraus_grad_fn=lambda theta, l: np.zeros_like(kraus(theta)))
+
+
+@pytest.mark.parametrize("defects, spectral, first, message", [
+    ({0.0: "incomplete", 1.0: "nan"}, False, 0.0, "completeness defect 1.000e+00"),
+    ({0.0: "nan", 1.0: "incomplete"}, False, 0.0,
+     "Kraus evaluation at theta [0.0] produced non-finite entries"),
+    ({0.5: "nan", 1.0: "incomplete"}, False, 1.0, "completeness defect 1.000e+00"),
+    ({0.0: "frame", 1.0: "sum"}, True, 0.0, "spectral vectors orthonormality defect 3.000e+00"),
+    ({0.0: "sum", 1.0: "frame"}, True, 0.0, "spectral values sum defect 4.000e-01"),
+])
+def test_domain_validation_names_the_first_failing_point_and_its_defect(
+    monkeypatch, defects, spectral, first, message
+):
+    # The corners and the midpoint are checked in one stacked call; a refusal
+    # still names the first point, corners before the midpoint, that fails,
+    # and that point's own first defect, though a later point fails otherwise.
+    monkeypatch.setitem(channels.BUILTIN_FAMILIES, "dephasing",
+                        lambda: _defective_family(defects, spectral))
+    with pytest.raises(ValidationError) as refusal:
+        ChannelSpec.from_text("family = dephasing\n").build()
+    assert str(refusal.value) == f"channel invariants fail at theta = [{first}]: {message}"
 
 
 def test_input_state_rejected_for_spectral_families():

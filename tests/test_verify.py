@@ -266,10 +266,10 @@ def test_battery_retries_a_refused_theta_as_the_sequential_builder_does(seed):
 
 # sha256 of `qfi verify --suite all --format json` stdout, one BLAS thread
 VERIFY_JSON_DIGESTS = {
-    3: "7b94e9f7afb81c092ae4ce97dd17d7bce30ca3c7278d046b832ff485ba29515d",
-    7: "1f2dae2b5da0f30a069155d20bfb141bf0a0e4257fc53b47d3e2ff16f851d152",
-    20260809: "3ec312b3718d13c4ca87b49035a3242c44a7a0924f84f6850567e4679645290e",
-    6180588700756636604: "f5dda11f33967109e55a9e6431fafca9ffc7d4ad2ab8946e0e57347bac0dc375",
+    3: "cabec3412cc8dc7393c5c1c0b2bff2e908ea5dc1f411ce183314eba6fda42b36",
+    7: "49ebdcc3302a431c1bbf5b68ed28988e900695d6a15307744fea397a49f2d4ac",
+    20260809: "55f56439e6d70e9b34e1c26f74ccc72345de5af6e3390d22b19c0a80c590c49e",
+    6180588700756636604: "2f96ea5039861c9c09e3fdcd092956a895b12a90f2b356d4de8d8cb6e21c0f24",
 }
 
 
