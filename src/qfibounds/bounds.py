@@ -39,7 +39,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .channels import ParametricChannel, SpectralData
+from .channels import CURVE_DERIV_TOL, ParametricChannel, SpectralData
 from .errors import (
     ConsistencyError,
     DegeneracyError,
@@ -65,7 +65,6 @@ P_FLOOR = 1e-12
 DP_FLOOR = 1e-8
 GRAM_DIAG_TOL = 1e-8
 CURVE_SUM_TOL = 1e-9
-CURVE_DERIV_TOL = 1e-6
 SLD_RESIDUAL_TOL = 1e-6
 TINY_WEIGHT = 1e-6  # below it a weight's relative rounding, EPS / p, passes 2e-10
 EPS = np.finfo(float).eps
@@ -535,14 +534,14 @@ def _kraus_eigendata(ck: CanonicalKraus) -> SpectralData:
 
     w_k = Y_k psi / sqrt(p_k) on the supported modes; unsupported modes keep
     their weight with zero vectors and partials, for spectral_curve to drop.
-    An unsupported mode whose vector Y_k psi moves means the weight grows
-    away from theta: theta sits at a rank change and is refused.
+    Unsupported modes that move (root-sum-square of |dY_k psi| over them, whatever
+    basis round-off picks for them) mean a weight grows away from theta: a rank change, refused.
     """
     psi = ck.psi[:, np.newaxis, :, np.newaxis]
     vs = (ck.operators @ psi)[..., 0]                       # (N, n, d)
     dvs = (ck.derivatives @ psi[:, np.newaxis])[..., 0]     # (N, m, n, d)
     supported = (ck.weights > SUPPORT_TOL)[:, np.newaxis, :, np.newaxis]
-    moving = np.where(supported[..., 0], 0.0, np.linalg.norm(dvs, axis=-1))
+    moving = np.sqrt(np.where(supported, 0.0, (dvs.conj() * dvs).real).sum(axis=(-2, -1)))
     if (worst := moving.max()) > CURVE_DERIV_TOL:
         raise DegeneracyError(
             f"an unsupported Gram mode moves (|dY_k psi| = {worst:.3e}); "
@@ -742,14 +741,21 @@ def unitary_condition(
 def optimal_povm_from_sld(lam: np.ndarray) -> POVM | np.ndarray:
     """Projectors onto the SLD eigenbasis; degenerate eigenspaces merge.  An (R, d, d) stack
     gives one decomposition and the checked (R, r, d, d) stack of each row's lone call's
-    projectors, zero elements padding rows of fewer than r."""
-    sys = hermitian_eigendecompose(lam)
-    labels = cluster_labels(sys.eigenvalues, DEGENERACY_TOL)
-    elements = np.zeros((*labels.shape[:-1], labels[..., -1].max() + 1, *lam.shape[-2:]), complex)
-    for row in np.ndindex(labels.shape[:-1]):
-        for c in range(labels[row][-1] + 1):
-            block = sys.eigenvectors[row][:, labels[row] == c]
-            elements[row][c] = block @ block.conj().T
+    projectors, zero elements padding rows of fewer than r; the rows of one cluster pattern
+    take each cluster's projector from one batched product, with their lone calls' bits."""
+    sys, d = hermitian_eigendecompose(lam), lam.shape[-1]
+    labels = cluster_labels(sys.eigenvalues, DEGENERACY_TOL).reshape(-1, d)
+    elements = np.zeros((len(labels), labels[:, -1].max() + 1, d, d), complex)
+    patterns = labels.view(np.dtype((np.void, labels.itemsize * d)))[:, 0]
+    for first in dict(zip(patterns.tolist(), range(len(labels)))).values():  # a row per pattern
+        rows = np.flatnonzero(patterns == patterns[first])
+        v, group, lo = sys.eigenvectors.reshape(-1, d, d)[rows], elements[rows], 0
+        vh = adjoint(v)
+        for c, width in enumerate(np.bincount(labels[first]).tolist()):  # columns lo to lo + width
+            np.matmul(v[..., lo:lo + width], vh[..., lo:lo + width, :], out=group[:, c])
+            lo += width
+        elements[rows] = group
+    elements = elements.reshape(*lam.shape[:-2], *elements.shape[1:])
     return POVM(elements) if lam.ndim == 2 else check_povm(elements)
 
 

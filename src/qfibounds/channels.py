@@ -30,6 +30,7 @@ from .linalg import adjoint, hermitian_part, max_abs, unitary_exponential
 from .quantum import PAULI_Z, PAULIS, DensityMatrix, PureState
 
 SPECTRAL_SUM_TOL = 1e-10
+CURVE_DERIV_TOL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -522,13 +523,6 @@ def random_pure_state(dim: int, rng: np.random.Generator) -> PureState:
     return PureState(amps / np.linalg.norm(amps))
 
 
-def haar_unitary(z: np.ndarray) -> np.ndarray:
-    """Q of z = QR with the diagonal of R made positive; a stack of z, matrix by matrix."""
-    q, r = np.linalg.qr(z)
-    diag = np.diagonal(r, axis1=-2, axis2=-1)
-    return q * (diag / np.abs(diag))[..., np.newaxis, :]
-
-
 def random_kraus_channel(
     dim: int = 2,
     env: int = 2,
@@ -552,10 +546,15 @@ def random_kraus_channel(
     if not 0 <= seed < 2**64:
         raise ValidationError(f"seed must be in [0, 2**64), got {seed}")
     rng = _random_kraus_stream()(seed)  # Generator(Philox(key=seed))'s stream
-    gens = random_hermitian(dim * env, rng, scale, (param_count,))
+    box = tuple((-1.0, 1.0) for _ in range(param_count))
+    with np.errstate(over="ignore"):  # a scale past the float range reads as an infinite reach
+        gens = random_hermitian(dim * env, rng, scale, (param_count,))
+        reach = np.finfo(float).eps * np.linalg.norm(gens) * np.abs(box).max()
+    if not reach <= CURVE_DERIV_TOL:  # the phases theta G then carry no digit the curve can use
+        raise ValidationError(f"scale {scale!r} leaves exp(-i theta G) no correct phase digit: "
+                              f"eps max|theta| ||G||_F = {reach:.3e} > {CURVE_DERIV_TOL:g}")
     if input_state is None:
         input_state = random_pure_state(dim, rng)
-    box = tuple((-1.0, 1.0) for _ in range(param_count))
     return exponential_family(gens, env, f"random-kraus-{seed}", box, input_state)
 
 

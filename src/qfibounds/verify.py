@@ -1,16 +1,16 @@
 """Randomized property suites.
 
 Seeded batteries of random channels exercising the ordering chain
-F <= H <= C (and H <= C_E for remixed representations), the gap identity,
+F <= H <= C (and H <= C_E for theta-dependent remixings), the gap identity,
 the agreement of the Kraus and spectral routes to the channel bound, and the
 directional reduction of the multi-parameter matrices to the fan of slices
-along many directions.  A battery holds each point's family seed, env,
-theta, generators (random_kraus_channel's for that seed) and input, not
-channels.  Its points of one shape (dim, Kraus count) are one channel whose
-row i carries point i's generators (channels.exponential_family), so a
-group and its fans are each evaluated and decomposed in one stacked call,
-and a failing check names its worst point.  Shared by `qfi verify` and the
-acceptance tests, which run a suite through `run_suites`;
+along many directions.  A battery is drawn from one Philox as arrays and
+holds each point's env, theta, generators and input, not channels.  Its
+points of one shape (dim, Kraus count) are one channel whose row i carries
+point i's generators (channels.exponential_family), so a group and its fans
+are each evaluated and decomposed in one stacked call, and a failing check
+names its worst point by its index in the battery.  Shared by `qfi verify`
+and the acceptance tests, which run a suite through `run_suites`;
 `one_param_battery`, `two_param_battery` and `random_povm` are test seams,
 called only by the tests and `bench/`.
 """
@@ -36,10 +36,7 @@ from .channels import (
     ParametricChannel,
     example2,
     exponential_family,
-    haar_unitary,
-    keyed_stream,
     random_hermitian,
-    random_kraus_channel,
 )
 from .errors import DegeneracyError, NumericError
 from .linalg import adjoint, hermitian_eigendecompose, loewner_leq, max_abs, unitary_exponential
@@ -55,6 +52,7 @@ DEFAULT_SEED = 20260809
 SUITES = ("ordering", "gap", "routes", "directional")
 # param_count -> (Philox key salt, largest dimension, theta half-width)
 _BATTERY_DRAWS = {1: (0, 4, 0.6), 2: (0xA5A5A5A5, 3, 0.5)}
+_box = lambda m: ((-1.0, 1.0),) * m  # random_kraus_channel's domain
 
 
 @dataclass(frozen=True)
@@ -86,10 +84,9 @@ def random_povm(dim: int, rng: np.random.Generator) -> POVM:
 
 @dataclass(frozen=True)
 class _Battery:
-    """Per point in draw order its family seed, env, theta, generators and input; per group
-    its rows, curve and rho0."""
+    """Per point in draw order its env, theta, generators and input; per group its rows,
+    curve and rho0."""
 
-    seeds: tuple
     envs: tuple
     thetas: tuple
     generators: tuple
@@ -97,21 +94,22 @@ class _Battery:
     groups: list
 
     def points(self) -> list:
-        """(channel, theta) in draw order, each point's channel its own random-kraus channel."""
-        return [(random_kraus_channel(len(psi), env, len(t), seed, input_state=PureState(psi)), t)
-                for seed, env, t, psi in zip(self.seeds, self.envs, self.thetas, self.inputs)]
+        """(channel, theta) in draw order, point i's channel the family battery-i."""
+        return [(exponential_family(g, env, f"battery-{i}", _box(len(t)), PureState(psi)), t)
+                for i, (env, t, g, psi) in enumerate(zip(self.envs, self.thetas,
+                                                         self.generators, self.inputs))]
 
     def family(self, rows) -> ParametricChannel:
         """One channel for the points at rows, all of one shape: its row i is point rows[i]'s."""
         gens = np.array([self.generators[p] for p in rows])
-        box = tuple((-1.0, 1.0) for _ in range(gens.shape[-3]))  # random_kraus_channel's domain
-        return exponential_family(gens, self.envs[rows[0]], "battery", box)
+        return exponential_family(gens, self.envs[rows[0]], "battery", _box(gens.shape[-3]))
 
-    def name(self, position: int) -> str:
-        return f"random-kraus-{self.seeds[position]} theta {self.thetas[position].tolist()}"
+    def name(self, p: int) -> str:  # point p is the seams' p-th: one_param_battery(seed)[p]
+        shape = f"dim {len(self.inputs[p])}, env {self.envs[p]}"
+        return f"point {p} ({shape}) theta {self.thetas[p].tolist()}"
 
     def values(self, per_group) -> np.ndarray:  # one value per point, in draw order
-        values = np.empty(len(self.seeds))
+        values = np.empty(len(self.thetas))
         for (rows, *_), group_values in zip(self.groups, per_group):
             values[rows] = group_values
         return values
@@ -161,47 +159,48 @@ def two_param_battery(
 def _battery_curves(seed: int, count: int, param_count: int) -> _Battery:
     """The battery, each shape group decomposed in one call whose rows carry their own inputs.
 
-    A point's generators are random_kraus_channel's for its family seed.  A
-    point-by-point builder redraws a refused theta at once (8 draws at most,
-    then drops the channel), which moves every later draw.  Each round here
-    draws again, passing over the thetas known to be refused, and splits a
-    refusing group in halves (bounds.halving); a round with no new refusal is
-    that builder's battery.  No suite decomposes a point again.
+    One Philox keyed by (seed, salt) draws, as arrays and in this order, each
+    point's dimension, its environment size, its 8 candidate thetas and its
+    input normals (real parts, then imaginary, max_dim of each; the point takes
+    its first dim), then per shape group in sorted (dim, env) order the
+    group's (rows, m) generator stack.  A refused candidate moves only its own
+    point, to its next candidate, and a point with all 8 refused is dropped;
+    no draw moves.  A refusing group is split in halves (bounds.halving) down
+    to its refused rows, and only a group with a new refusal is decomposed
+    again.  No suite decomposes a point again.
     """
     salt, max_dim, width = _BATTERY_DRAWS[param_count]
-    keyed = keyed_stream()  # a point's generators are random-kraus's draw for its family seed
-    refused: set = set()  # (family seed, theta bytes) of every refused point met
-    while True:
-        rng = np.random.Generator(np.random.Philox(key=np.uint64(seed ^ salt)))
-        drawn, shapes = [], {}  # (seed, env, theta, generators, input); positions per (dim, env)
-        for _ in range(count):
-            dim = int(rng.integers(2, max_dim + 1))
-            env = int(rng.integers(1, dim + 1))
-            key = int(rng.integers(0, 2**63))
-            amps = rng.normal(size=dim) + 1j * rng.normal(size=dim)  # random_pure_state's draw
-            gens = random_hermitian(dim * env, keyed(key), shape=(param_count,))
-            for _ in range(8):
-                theta = rng.uniform(-width, width, size=param_count)
-                if (key, theta.tobytes()) not in refused:
-                    shapes.setdefault((dim, env), []).append(len(drawn))
-                    drawn.append((key, env, theta, gens, amps / np.linalg.norm(amps)))
-                    break
-        battery = _Battery(*(list(zip(*drawn)) or [()] * 5), [])  # five columns, even if empty
-        known, groups = len(refused), []
-        for rows in shapes.values():
-            thetas = np.array([battery.thetas[p] for p in rows])
-            psi = np.array([battery.inputs[p] for p in rows])
+    rng = np.random.Generator(np.random.Philox(key=np.uint64([seed, salt])))
+    dims = rng.integers(2, max_dim + 1, size=count)
+    envs = rng.integers(1, dims + 1)
+    candidates = rng.uniform(-width, width, size=(count, 8, param_count))
+    normals = rng.normal(size=(count, 2, max_dim))
+    pick, own, drawn = np.zeros(count, dtype=int), {}, []  # own: point -> (generators, input)
+    for dim, env in sorted(set(zip(dims.tolist(), envs.tolist()))):
+        rows = np.flatnonzero((dims == dim) & (envs == env))
+        gens = random_hermitian(dim * env, rng, shape=(len(rows), param_count))
+        amps = normals[rows, 0, :dim] + 1j * normals[rows, 1, :dim]
+        psi = amps / np.linalg.norm(amps, axis=-1, keepdims=True)
+        own.update(zip(rows.tolist(), zip(gens, psi)))
+        while (kept := np.flatnonzero(pick[rows] < 8)).size:
+            thetas = candidates[rows[kept], pick[rows[kept]]]
             # each row's entry is the curve of the stack that kept it, or its own refusal
-            stack = lambda index: spectral_curve(battery.family(np.array(rows)[index]),
-                                                 thetas[index], psi[index])
-            curves = halving(lambda index: [stack(index)] * len(index), len(rows), DegeneracyError)
-            refused |= {(battery.seeds[p], battery.thetas[p].tobytes())
-                        for p, curve in zip(rows, curves) if isinstance(curve, DegeneracyError)}
-            groups.append((rows, curves[0]))
-        if len(refused) == known:
-            rho0 = lambda psi: psi[:, :, np.newaxis] * psi.conj()[:, np.newaxis, :]
-            battery.groups.extend((rows, curve, rho0(curve.kraus.psi)) for rows, curve in groups)
-            return battery
+            stack = lambda index: spectral_curve(
+                exponential_family(gens[kept[index]], env, "battery", _box(param_count)),
+                thetas[index], psi[kept[index]])
+            curves = halving(lambda index: [stack(index)] * len(index), len(kept), DegeneracyError)
+            refused = [isinstance(curve, DegeneracyError) for curve in curves]
+            if not any(refused):
+                drawn.append((rows[kept], curves[0]))
+                break
+            pick[rows[kept[refused]]] += 1
+    alive = np.flatnonzero(pick < 8)  # the points not dropped, in draw order
+    position = np.cumsum(pick < 8) - 1  # an alive point's index in the battery
+    generators, inputs = zip(*[own[p] for p in alive.tolist()]) if alive.size else ((), ())
+    rho0 = lambda psi: psi[:, :, np.newaxis] * psi.conj()[:, np.newaxis, :]
+    groups = [(position[rows], curve, rho0(curve.kraus.psi)) for rows, curve in drawn]
+    return _Battery(tuple(envs[alive].tolist()), tuple(candidates[alive, pick[alive]]), generators,
+                    inputs, groups)
 
 
 def _gap(battery: _Battery) -> list[CheckResult]:
@@ -209,37 +208,32 @@ def _gap(battery: _Battery) -> list[CheckResult]:
     for _, curve, _ in battery.groups:
         h, c = sld_information(curve), sm_bound_spectral(curve)
         defects.append(np.abs((c - h) - bound_gap(curve)) / np.maximum(1.0, c))
-    name = f"gap identity over {len(battery.seeds)} random channels"
+    name = f"gap identity over {len(battery.thetas)} random channels"
     return battery.checks("gap", [(name, defects, False, 1e-8, "worst relative defect {:.3e}")])
 
 
-def _remixed_bounds(curve: SpectralCurve, rho0, fixed: np.ndarray, gen: np.ndarray) -> list:
-    """C_E of each point's Kraus curve remixed by its fixed u and by u(theta) = exp(-i theta g):
-    the partials du E + u E' of the family's own E, with u(theta) decomposed once per stack."""
+def _remixed_bound(curve: SpectralCurve, rho0, gen: np.ndarray) -> np.ndarray:
+    """C_E of each point's Kraus curve remixed by u(theta) = exp(-i theta g), from du E + u E'
+    (u decomposed once per stack); a fixed u would leave C_E as it is."""
     ops, dops = curve.kraus.raw_operators, curve.kraus.raw_derivatives[:, 0]
     mix = lambda u, a: (u @ a.reshape(*a.shape[:-2], -1)).reshape(a.shape)
-    moving = unitary_exponential(curve.theta[:, :1, np.newaxis] * gen).unitary()
-    return [
-        sm_bound_kraus(mix(u, ops), mix(du, ops) + mix(u, dops), rho0)
-        for u, du in ((fixed, np.zeros_like(fixed)), (moving, -1j * gen @ moving))
-    ]
+    u = unitary_exponential(curve.theta[:, :1, np.newaxis] * gen).unitary()
+    return sm_bound_kraus(mix(u, ops), mix(-1j * gen @ u, ops) + mix(u, dops), rho0)
 
 
 def _ordering(battery: _Battery, seed: int) -> list[CheckResult]:
     rng = np.random.Generator(np.random.Philox(key=np.uint64(seed ^ 0x0F0F0F0F)))
-    # each point's random POVM parts, fixed-remixing normals and remixing generator, in draw
-    # order; per group the POVMs are normalized and the remixings made unitary (haar_unitary)
-    draws = battery.normals(rng, lambda d, n: [(d, 2, d, d), (2, n, n), (2, n, n)])
+    # each point's random POVM parts and remixing generator normals, in draw order
+    draws = battery.normals(rng, lambda d, n: [(d, 2, d, d), (2, n, n)])
     h_minus_f, c_minus_h, ce_minus_h, misfits, checked = [], [], [], [], 0
-    for (rows, curve, rho0), (x, normals, g) in zip(battery.groups, draws):
-        fixed = haar_unitary(normals[:, 0] + 1j * normals[:, 1])
+    for (rows, curve, rho0), (x, g) in zip(battery.groups, draws):
         gen = g[:, 0] + 1j * g[:, 1]
         gen = (gen + adjoint(gen)) / 2 / np.sqrt(gen.shape[-1])  # as random_hermitian makes them
         h, c = sld_information(curve), sm_bound_spectral(curve)
         povm = _normalized(_povm_parts(x))
         h_minus_f.append(h - curve.fisher(povm)[:, 0, 0])
         c_minus_h.append(c - h)
-        ce_minus_h.append(np.minimum(*_remixed_bounds(curve, rho0, fixed, gen)) - h)
+        ce_minus_h.append(_remixed_bound(curve, rho0, gen) - h)
         # the SLD eigenbasis at points where no two SLD eigenvalues are within 1e-4;
         # the other points keep their random POVM, whose F is not read
         lam = sld_score(curve)
@@ -250,10 +244,10 @@ def _ordering(battery: _Battery, seed: int) -> list[CheckResult]:
         misfits.append(np.where(sharp, misfit, 0.0))
         checked += int(sharp.sum())
     return battery.checks("ordering", [
-        (f"F <= H for random POVMs over {len(battery.seeds)} channels", h_minus_f, True, -1e-7,
+        (f"F <= H for random POVMs over {len(battery.thetas)} channels", h_minus_f, True, -1e-7,
          "min H - F = {:.3e}"),
         ("H <= C on the same battery", c_minus_h, True, -1e-8, "min C - H = {:.3e}"),
-        ("H <= C_E for fixed and theta-dependent remixings", ce_minus_h, True, -1e-8,
+        ("H <= C_E for theta-dependent remixings", ce_minus_h, True, -1e-8,
          "min C_E - H = {:.3e}"),
         (f"SLD eigenbasis achieves F = H ({checked} nondegenerate cases)", misfits, False, 1e-5,
          "worst relative misfit {:.3e}"),
@@ -266,7 +260,7 @@ def _routes(battery: _Battery) -> list[CheckResult]:
         c_spec = sm_bound_spectral(curve)
         c_kraus = sm_bound_kraus(curve.kraus.operators, curve.kraus.derivatives[:, 0], rho0)
         gaps.append(np.abs(c_spec - c_kraus) / np.maximum(1.0, np.abs(c_spec)))
-    name = f"bound route agreement over {len(battery.seeds)} channels"
+    name = f"bound route agreement over {len(battery.thetas)} channels"
     detail = "worst relative disagreement {:.3e}"
     return battery.checks("routes", [(name, gaps, False, 1e-6, detail)])
 
@@ -326,11 +320,11 @@ def directional_suite(
         entries = halving(check, len(rows))
         skips += [p for p, entry in zip(rows, entries) if isinstance(entry, NumericError)]
         mismatches.append(np.array([-np.inf if p in skips else e for p, e in zip(rows, entries)]))
-    tried, skipped = len(battery.seeds) * directions, len(skips) * directions
+    tried, skipped = len(battery.thetas) * directions, len(skips) * directions
     skip_note = (f", {skipped} of {tried} directions skipped, first at {battery.name(min(skips))}"
                  if skips else "")
     results = battery.checks("directional", [
-        (f"Loewner chain F <= H <= C over {len(battery.seeds)} two-parameter channels", slacks,
+        (f"Loewner chain F <= H <= C over {len(battery.thetas)} two-parameter channels", slacks,
          True, -1e-8, "min eigenvalue slack {:.3e}"),
         ("matrix diagonals match one-parameter slices", diags, False, 1e-8,
          "worst mismatch {:.3e} (H entries against a pseudo-inverse SLD solve, "

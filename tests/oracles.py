@@ -2,10 +2,10 @@
 
 No `qfi` command needs these, so they live with the tests: a Kraus-curve
 remixing with its bound penalty (acceptance criterion 7, and the oracle of
-the `verify` ordering suite's own remixing), a seeded Haar unitary (the
-oracle of the ordering suite's batched unitaries) and the matrix-by-matrix
-Hermitian draw (the oracle of `random_hermitian`'s one-call stack).  Not
-collected by pytest.
+the `verify` ordering suite's own remixing), a seeded Haar unitary (random
+bases and remixings for the tests) and the matrix-by-matrix Hermitian draw
+(the oracle of `random_hermitian`'s one-call stack and of the `verify`
+battery's generators).  Not collected by pytest.
 """
 
 from __future__ import annotations
@@ -16,9 +16,16 @@ from typing import Callable
 import numpy as np
 
 from qfibounds.bounds import DP_FLOOR, P_FLOOR
-from qfibounds.channels import ParametricChannel, haar_unitary
+from qfibounds.channels import ParametricChannel
 from qfibounds.errors import SingularTermError, ValidationError
 from qfibounds.quantum import POVM, DensityMatrix, measurement_distribution
+
+
+def haar_unitary(z: np.ndarray) -> np.ndarray:
+    """Q of z = QR with the diagonal of R made positive; a stack of z, matrix by matrix."""
+    q, r = np.linalg.qr(z)
+    diag = np.diagonal(r, axis1=-2, axis2=-1)
+    return q * (diag / np.abs(diag))[..., np.newaxis, :]
 
 
 def random_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:

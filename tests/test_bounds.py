@@ -5,6 +5,7 @@ from scipy.optimize import linear_sum_assignment
 
 from qfibounds import bounds
 from qfibounds.bounds import (
+    DEGENERACY_TOL,
     BoundReport,
     attainability_check,
     bound_gap,
@@ -34,7 +35,7 @@ from qfibounds.errors import (
     SingularTermError,
     ValidationError,
 )
-from qfibounds.linalg import max_abs
+from qfibounds.linalg import cluster_labels, hermitian_eigendecompose, max_abs
 from qfibounds.quantum import POVM, PureState, computational_basis_povm, pauli_basis_povm
 from qfibounds.multiparam import fisher_matrix, sld_matrix, sm_matrix
 from qfibounds.verify import one_param_battery, random_povm, two_param_battery
@@ -553,6 +554,34 @@ def test_stacked_optimal_povms_are_the_lone_calls_bit_for_bit():
     with pytest.raises(ValidationError) as together:
         optimal_povm_from_sld(lam)
     assert str(together.value) == str(alone.value)
+
+
+def _optimal_povm_by_loop(lam: np.ndarray) -> np.ndarray:
+    """One row's projectors cluster by cluster, as a per-row loop forms them."""
+    sys = hermitian_eigendecompose(lam)
+    labels = cluster_labels(sys.eigenvalues, DEGENERACY_TOL)
+    blocks = [sys.eigenvectors[:, labels == c] for c in range(labels[-1] + 1)]
+    return np.array([block @ block.conj().T for block in blocks])
+
+
+def test_stacked_optimal_povm_rows_of_one_cluster_pattern_share_products():
+    # Interleaved rows of four cluster patterns (distinct, a merged pair in front,
+    # a merged pair behind, a merged triple): each pattern's rows take their
+    # projectors in batched products, and every row keeps the bits of its lone
+    # call and of a per-row loop.
+    rng = np.random.default_rng(11)
+    spectra = [[-2.0, -0.5, 1.0, 1.5], [0.5, 0.5, 1.0, 2.0], [-1.0, 0.0, 3.0, 3.0],
+               [1.0, 1.0, 1.0, -3.0]]
+    lam = np.array([(u * spectra[i % 4]) @ u.conj().T
+                    for i, u in enumerate(random_unitary(4, rng) for _ in range(16))])
+    stacked = optimal_povm_from_sld(lam)
+    widths = [4, 3, 3, 2] * 4
+    assert stacked.shape == (16, 4, 4, 4)
+    for row, score, width in zip(stacked, lam, widths):
+        lone, looped = optimal_povm_from_sld(score).elements, _optimal_povm_by_loop(score)
+        assert len(lone) == width
+        assert _same_bits(row[:width], lone) and _same_bits(lone, looped)
+        assert not row[width:].any()
 
 
 def test_stacked_fisher_rows_are_the_lone_calls_bit_for_bit():

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import qfibounds
+from qfibounds.channels import builtin
 from qfibounds.cli import main
 
 DEPHASING = """\
@@ -123,6 +124,7 @@ def test_report_validation_exit_codes(spec_file, capsys):
     ("family = dephasing\ntheta_domain = [x, 0.9]\n", "theta_domain"),
     ("family = random-kraus\nscale = abc\n", "scale"),
     ("family = random-kraus\nscale = nan\n", "scale"),
+    ("family = random-kraus\nscale = 1e308\n", "scale"),  # its phases carry no digit
     ("family = random-kraus\nparam_count = 0\n", "param_count"),
     ("family = random-kraus\nseed = -1\n", "seed"),
     ("family = example2\ntheta_domain = [0.1, 0.9]\n", "domain"),
@@ -131,6 +133,16 @@ def test_malformed_spec_value_exits_2_naming_its_key(spec_file, capsys, text, ke
     code, out, err = run_cli(capsys, "report", spec_file(text), "--theta", "0.3")
     assert (code, out) == (2, "")
     assert err.startswith("error: ") and key in err
+
+
+def test_random_kraus_scale_of_one_is_unchanged(spec_file, capsys):
+    # The build-time bound on scale refuses nothing at scale 1: the report's
+    # bytes are those from before the bound existed.
+    text = "family = random-kraus\nscale = 1\n"
+    code, out, _ = run_cli(capsys, "report", spec_file(text), "--theta", "0.3")
+    assert code == 0
+    digest = "824878b1a5c2e58882a39c5a0a0b9da18f23e68ab2dac387b15c914463e4af06"
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 @pytest.mark.parametrize("text, message", [
@@ -438,6 +450,19 @@ def test_report_refuses_rank_change(spec_file, capsys):
     assert code == 3
     assert out == ""
     assert "rank change" in err
+
+
+def test_rank_change_figure_is_the_unsupported_modes_root_sum_square(spec_file, capsys):
+    # At theta = 0 only E_0 = I is supported, with output psi, so the figure is
+    # the norm of the parts of dE_1 psi, ..., dE_7 psi orthogonal to psi, whatever
+    # basis round-off picks for the seven unsupported modes.
+    channel = builtin("random-kraus", dim=8, env=8, seed=11)
+    psi = channel.input_state.amplitudes
+    dvs = (channel.kraus_partials(np.zeros(1))[0] @ psi)[1:]
+    figure = np.sqrt(np.sum(np.abs(dvs - (dvs @ psi.conj())[:, np.newaxis] * psi) ** 2))
+    spec = spec_file("family = random-kraus\ndim = 8\nenv = 8\nseed = 11\n")
+    code, _, err = run_cli(capsys, "report", spec, "--theta", "0")
+    assert code == 3 and f"(|dY_k psi| = {figure:.3e});" in err
 
 
 def test_report_validates_a_named_basis_before_decomposing(spec_file, capsys):
