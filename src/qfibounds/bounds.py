@@ -14,6 +14,8 @@ matrices (H, C), so every function of a point reads one value: the curve.
 Both take one point or an (N, m) stack of points of one channel: a stack
 gives every array a leading (N,) axis and is decomposed in one pass, which
 is how a sweep decomposes its grid, and the point call is the stack of one.
+A stack's row failing a check is refused alone: refusals hold, per point,
+the NumericError its lone call raises or None, and the arrays the rest.
 H and C are one bilinear form of the overlap stack under two weight
 matrices; the scalar bounds and the gap are 1 x 1 cases of it.  The Fisher
 information of a POVM reads the curve's state and its per-parameter
@@ -34,7 +36,7 @@ carry their own analytic gauge ("spectral-form").
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from functools import cached_property
 
 import numpy as np
@@ -43,7 +45,6 @@ from .channels import CURVE_DERIV_TOL, ParametricChannel, SpectralData
 from .errors import (
     ConsistencyError,
     DegeneracyError,
-    NumericError,
     SingularTermError,
     ValidationError,
 )
@@ -82,7 +83,7 @@ UNATTAINABLE = (
 class CanonicalKraus:
     """Canonical operators at a point, their m partials, and the mixing unitary.
 
-    Built from a stack of N points, every field has a leading (N,) axis.
+    Built from a stack of N points, every array has a leading axis over the rows kept.
     """
 
     theta: np.ndarray            # (m,)
@@ -93,11 +94,31 @@ class CanonicalKraus:
     raw_operators: np.ndarray    # (n, d, d) the family's own Kraus stack
     raw_derivatives: np.ndarray  # (m, n, d, d) its partials
     psi: np.ndarray              # (d,) the input state; (1, d) or (N, d) for a stack
+    refusals: tuple | None = field(default=None, compare=False, repr=False)  # a stack's, per point
 
 
-def _only_point(ck: CanonicalKraus) -> CanonicalKraus:
-    """The one point of a stack of one: each field loses its leading axis."""
-    return CanonicalKraus(**{name: value[0] for name, value in vars(ck).items()})
+def _refuse(refusals: list | None, bad, error) -> None:
+    """Refuse each row k where bad holds with error(k), unless refused before; None raises it."""
+    if np.asarray(bad).any():  # one verdict per row, or a point's
+        for k in np.flatnonzero(bad):
+            if refusals is None:
+                raise error(k)
+            refusals[k] = refusals[k] or error(k)
+
+
+def _merged(refusals: tuple, found: list) -> tuple:
+    """refusals with found, one entry per point that refusals leaves None, filled in."""
+    found = iter(found)
+    return tuple(r or next(found) for r in refusals)
+
+
+def _rows(stack, keep, refusals=None):
+    """A stacked CanonicalKraus or SpectralCurve, and its kraus, cut to the rows keep selects (0:
+    its one point), with refusals; an input that serves every row (a psi of one row) stays."""
+    cut = lambda a, n=np.size(keep): (_rows(a, keep, refusals) if isinstance(a, CanonicalKraus) else
+                                      a[keep] if isinstance(a, np.ndarray) and len(a) >= n else a)
+    parts = {f.name: cut(getattr(stack, f.name)) for f in fields(stack)}
+    return type(stack)(**parts | {"refusals": refusals})
 
 
 def _gram_derivative(vs: np.ndarray, dvs: np.ndarray) -> np.ndarray:
@@ -108,25 +129,21 @@ def _gram_derivative(vs: np.ndarray, dvs: np.ndarray) -> np.ndarray:
 
 def _resolve_degenerate_clusters(
     vectors: np.ndarray, gram_deriv: np.ndarray, clusters: list[np.ndarray]
-) -> np.ndarray:
-    """Rotate supported degenerate clusters to diagonalize the projected Gram derivative.
+) -> bool:
+    """Rotate supported degenerate clusters, in place, to diagonalize the projected Gram derivative.
 
     Eigenvector curves stay well-defined through an eigenvalue crossing when
     the first-order (projected-derivative) problem separates the branches;
-    if it does not, the derivative is genuinely ill-posed and we refuse.
+    if it does not, the derivative is genuinely ill-posed: False, a refusal.
     """
-    vectors = vectors.copy()
     for members in clusters:
         block = vectors[:, members]
         sub = hermitian_eigendecompose(block.conj().T @ gram_deriv @ block)
         gaps = np.diff(sub.eigenvalues)
         if gaps.size and float(np.min(gaps)) < DEGENERACY_TOL:
-            raise DegeneracyError(
-                "degenerate Gram eigenvalues with degenerate first-order splitting; "
-                "perturb theta to move off the crossing"
-            )
+            return False
         vectors[:, members] = _normalize_phases(block @ sub.eigenvectors)
-    return vectors
+    return True
 
 
 def _crossing_coupling(
@@ -172,7 +189,8 @@ def canonical_kraus(channel: ParametricChannel, theta, inputs=None) -> Canonical
     resolved, on its own rows, for one parameter only and by a stencil that
     must fit in the domain; with several it is refused, since a crossing can
     split differently along different axes.  With the raw Kraus stack and
-    its partials kept, one call feeds everything a report needs.
+    its partials kept, one call feeds everything a report needs.  A refused
+    row of a stack reaches no cluster resolution or stencil.
     """
     if not channel.is_kraus_form or (channel.input_state is None and inputs is None):
         raise ValidationError(f"channel {channel.name!r} has no Kraus curve with a pure "
@@ -189,23 +207,23 @@ def canonical_kraus(channel: ParametricChannel, theta, inputs=None) -> Canonical
             raise ValidationError(f"input row {i} is not normalized: norm defect {defect[i]:.3e}")
     psi = psi[:, np.newaxis, :, np.newaxis]
     spread = lambda a: np.repeat(a, len(psi), axis=0) if len(a) < len(psi) else a
-    m = points.shape[1]
+    m, stacked = points.shape[1], np.ndim(theta) == 2 or inputs is not None
 
     # the stack, then its partials: the exponential families memo one stack of points
     ops = spread(channel.kraus_matrices(points))
     dops = spread(channel.kraus_partials(points))
     thetas = spread(points)
     count, n = ops.shape[:2]
+    refusals = [None] * count if stacked else None
+    kept = lambda: np.array([r is None for r in refusals]) if stacked else np.ones(count, bool)
     vs = (ops @ psi)[..., 0]
     sys = hermitian_eigendecompose(vs @ adjoint(vs))
     g = sys.eigenvalues
     p = g.clip(0.0, None)
     boundary = (p > SUPPORT_TOL) & (p <= DEGENERACY_TOL)
-    if boundary.any():
-        raise DegeneracyError(
-            f"Gram eigenvalue {p[boundary][0]:.3e} sits at the support boundary; the supported/"
-            "unsupported split is unreliable, perturb theta"
-        )
+    _refuse(refusals, boundary.any(axis=-1), lambda i: DegeneracyError(
+        f"Gram eigenvalue {p[i][boundary[i]][0]:.3e} sits at the support boundary; the supported/"
+        "unsupported split is unreliable, perturb theta"))
     supported = p > SUPPORT_TOL
     gram_derivs = _gram_derivative(vs[:, np.newaxis], (dops @ psi[:, np.newaxis])[..., 0])
 
@@ -215,37 +233,32 @@ def canonical_kraus(channel: ParametricChannel, theta, inputs=None) -> Canonical
     vectors = sys.eigenvectors
     resolved = []  # (row, its crossing clusters, its second Gram derivative)
     if crossing.any():
-        if m != 1:
-            raise DegeneracyError(
-                "supported Gram eigenvalues are degenerate at the center point; "
-                "perturb theta to separate them"
-            )
-        rows = np.flatnonzero(crossing)
+        _refuse(refusals, crossing & (m != 1), lambda _: DegeneracyError(
+            "supported Gram eigenvalues are degenerate at the center point; "
+            "perturb theta to separate them"))
         # the second Gram derivative below is a central-4 stencil: it must fit in the box
-        edge = [not channel.in_domain(thetas[i], STENCIL_REACH) for i in rows]
-        if any(edge):
-            i = rows[edge.index(True)]
-            raise DegeneracyError(
-                f"supported Gram eigenvalues cross at theta {thetas[i].tolist()}, within "
-                f"{STENCIL_REACH} of a domain edge, where the crossing cannot be resolved"
-            )
+        edge = [c and not channel.in_domain(t, STENCIL_REACH) for c, t in zip(crossing, thetas)]
+        _refuse(refusals, edge, lambda i: DegeneracyError(
+            f"supported Gram eigenvalues cross at theta {thetas[i].tolist()}, within "
+            f"{STENCIL_REACH} of a domain edge, where the crossing cannot be resolved"))
         # each crossing row's degenerate clusters that hold a supported mode
-        clusters = [
-            [labels[i] == c for c in np.unique(labels[i, supported[i]])
-             if np.sum(labels[i] == c) > 1]
-            for i in rows
-        ]
-        for i, members in zip(rows, clusters):
-            vectors[i] = _resolve_degenerate_clusters(vectors[i], gram_derivs[i, 0], members)
+        clusters = {i: [labels[i] == c for c in np.unique(labels[i, supported[i]])
+                        if np.sum(labels[i] == c) > 1] for i in np.flatnonzero(crossing & kept())}
+        unsplit = [i for i, members in clusters.items()
+                   if not _resolve_degenerate_clusters(vectors[i], gram_derivs[i, 0], members)]
+        _refuse(refusals, np.isin(np.arange(count), unsplit), lambda _: DegeneracyError(
+            "degenerate Gram eigenvalues with degenerate first-order splitting; "
+            "perturb theta to move off the crossing"))
+        rows = np.flatnonzero(resolving := crossing & kept())
         states = psi[rows % len(psi)]
-        # the stencil moves the points of crossing rows only: a row may have its own family
-        moved = crossing.reshape(len(points), -1).any(axis=1, keepdims=True)
+        # the stencil moves the points of resolved rows only: a row may have its own family
+        moved = resolving.reshape(len(points), -1).any(axis=1, keepdims=True)
         at = lambda ts: np.where(moved, ts, points)
         gram_second = differentiate_curve(lambda ts: _gram_derivative(
             (spread(channel.kraus_matrices(at(ts)))[rows] @ states)[..., 0],
             (spread(channel.kraus_partials(at(ts))[:, 0])[rows] @ states)[..., 0],
-        ), points)
-        resolved = list(zip(rows, clusters, gram_second))
+        ), points) if rows.size else []
+        resolved = [(i, clusters[i], second) for i, second in zip(rows, gram_second)]
 
     mixing = adjoint(vectors)
     canonical = (mixing @ ops.reshape(count, n, -1)).reshape(ops.shape)
@@ -256,34 +269,31 @@ def canonical_kraus(channel: ParametricChannel, theta, inputs=None) -> Canonical
     # reaches K through B as eps g_max |g_j' - g_k'| / gap^2.
     slopes = coupling.diagonal(axis1=-2, axis2=-1).real
     noise = (EPS * g[:, -1])[:, np.newaxis, np.newaxis, np.newaxis] * np.abs(
-        slopes[..., :, np.newaxis] - slopes[..., np.newaxis, :]
-    )
+        slopes[..., :, np.newaxis] - slopes[..., np.newaxis, :])
     ratio = noise / spacing[:, np.newaxis] ** 2 * np.sqrt(p)[:, np.newaxis, np.newaxis, :]
     noisy = between[:, np.newaxis] & (ratio > CURVE_DERIV_TOL)
-    if noisy.any():
-        i, _, j, k = np.argwhere(noisy)[0]
-        raise DegeneracyError(
+
+    def too_close(i):  # the row's first pair of eigenvalues too close
+        _, j, k = np.argwhere(noisy[i])[0]
+        return DegeneracyError(
             f"Gram eigenvalues {g[i, j]:.6g} and {g[i, k]:.6g} are {abs(g[i, k] - g[i, j]):.3e} "
-            "apart, too close for an accurate derivative; perturb theta away "
-            "from the crossing"
-        )
+            "apart, too close for an accurate derivative; perturb theta away from the crossing")
+    _refuse(refusals, noisy.any(axis=(1, 2, 3)), too_close)
     generator = np.where(same[:, np.newaxis], 0.0, coupling / spacing[:, np.newaxis])
     for i, members_of_row, second in resolved:
         for members in members_of_row:
             generator[i, 0][np.ix_(members, members)] = _crossing_coupling(
-                coupling[i, 0], g[i], second, vectors[i], members
-            )
-    partials = (
-        mixing[:, np.newaxis] @ dops.reshape(count, m, n, -1)
-        - generator @ canonical.reshape(count, 1, n, -1)
-    ).reshape(dops.shape)
+                coupling[i, 0], g[i], second, vectors[i], members)
+    partials = (mixing[:, np.newaxis] @ dops.reshape(count, m, n, -1)
+                - generator @ canonical.reshape(count, 1, n, -1)).reshape(dops.shape)
 
     cvs = (canonical @ psi)[..., 0]
-    off_diag = np.abs(np.where(np.eye(n, dtype=bool), 0.0, cvs @ adjoint(cvs)))
-    if (worst := off_diag.max()) > GRAM_DIAG_TOL:
-        raise ConsistencyError(f"canonical Gram matrix not diagonal: off-diagonal {worst:.3e}")
-    ck = CanonicalKraus(thetas, canonical, partials, mixing, p, ops, dops, psi[:, 0, :, 0])
-    return ck if np.ndim(theta) == 2 or inputs is not None else _only_point(ck)
+    worst = np.abs(np.where(np.eye(n, dtype=bool), 0.0, cvs @ adjoint(cvs))).max(axis=(1, 2))
+    _refuse(refusals, worst > GRAM_DIAG_TOL, lambda i: ConsistencyError(
+        f"canonical Gram matrix not diagonal: off-diagonal {worst[i]:.3e}"))
+    ck = CanonicalKraus(thetas, canonical, partials, mixing, p, ops, dops, psi[:, 0, :, 0],
+                        tuple(refusals) if stacked else None)  # then the point, or the rows kept
+    return ck if stacked and not any(refusals) else _rows(ck, kept() if stacked else 0, ck.refusals)
 
 
 # ---------------------------------------------------------------------------
@@ -300,8 +310,8 @@ class SpectralCurve:
     value_derivs and vector_derivs hold one row per parameter, and the
     one-parameter bound is the m = 1 case.  kraus is the canonical
     decomposition the curve was built from, None for spectral-form families.
-    A curve of an (N, m) stack of points has a leading (N,) axis on every
-    array, and its checks and cached quantities run on the whole stack.  The
+    A curve of an (N, m) stack has a leading axis on every array over the
+    points not refused, and its checks and cached quantities run on it.  The
     overlap and SLD score stacks and the information matrices are computed
     once per curve and cached; the cached arrays are read-only.
     """
@@ -314,31 +324,34 @@ class SpectralCurve:
     support: np.ndarray        # (d,) bool
     gauge_source: str
     kraus: CanonicalKraus | None = field(default=None, compare=False, repr=False)
+    refusals: tuple | None = field(default=None, compare=False, repr=False)  # a stack's, per point
 
-    def __post_init__(self):
+    def __post_init__(self):  # a stack's rows are the points that its refusals leave None
+        found = None if self.refusals is None else [None] * len(self.values)
         p, w = self.values, self.vectors
         total, slopes = p.sum(axis=-1), self.value_derivs.sum(axis=-1)
-        if (bad := np.abs(total - 1.0) > CURVE_SUM_TOL).any():
-            raise ConsistencyError(f"eigenvalues sum to {float(total[bad][0])!r}")
-        if (bad := np.abs(slopes) > CURVE_DERIV_TOL).any():
-            raise ConsistencyError(f"eigenvalue derivatives sum to {float(slopes[bad][0])!r}")
+        _refuse(found, np.abs(total - 1.0) > CURVE_SUM_TOL,
+                lambda i: ConsistencyError(f"eigenvalues sum to {float(np.ravel(total)[i])!r}"))
+        over = np.atleast_2d(np.abs(slopes) > CURVE_DERIV_TOL)
+        _refuse(found, over.any(axis=-1), lambda i: ConsistencyError(
+            f"eigenvalue derivatives sum to {float(np.atleast_2d(slopes)[i][over[i]][0])!r}"))
         # w_k = Y_k psi / sqrt(p_k) and w_k' = dY_k psi / sqrt(p_k) - (p_k' / 2 p_k) w_k:
         # <w_j|w_k> carries rounding of 1 / sqrt(p_j p_k), and overlap pair (j, k)
         # that of s_j + s_k, s_k = |w_k'| + |p_k' / p_k|.
         supp = self.support
         root = np.sqrt(np.where(supp, p, 1.0))
-        _require_within(
-            np.abs(adjoint(w) @ w - np.eye(w.shape[-1])), CURVE_SUM_TOL,
-            lambda ix: 1 / np.multiply(*_at_pair(root, ix)), p, "eigenvector orthonormality defect",
-        )
+        _require_within(np.abs(adjoint(w) @ w - np.eye(w.shape[-1])), CURVE_SUM_TOL,
+                        lambda ix: 1 / np.multiply(*_at_pair(root, ix)), p,
+                        "eigenvector orthonormality defect", found)
         # supported pairs only, which overlaps leaves as computed; the diagonal is 2 Re<w_k'|w_k>
         pairs = supp[..., np.newaxis, :, np.newaxis] & supp[..., np.newaxis, np.newaxis, :]
         o = self.overlaps
         sizes = lambda: np.linalg.norm(self.vector_derivs, axis=-2) + np.abs(self._score_diagonal)
-        _require_within(
-            np.where(pairs, np.abs(o + adjoint(o)), 0.0), CURVE_DERIV_TOL,
-            lambda ix: np.add(*_at_pair(sizes(), ix)), p, "overlap antisymmetry defect",
-        )
+        _require_within(np.where(pairs, np.abs(o + adjoint(o)), 0.0), CURVE_DERIV_TOL,
+                        lambda ix: np.add(*_at_pair(sizes(), ix)), p,
+                        "overlap antisymmetry defect", found)
+        if found and any(found):  # spectral_curve keeps the other rows
+            object.__setattr__(self, "refusals", _merged(self.refusals, found))
 
     @property
     def param_count(self) -> int:
@@ -465,26 +478,30 @@ def _fisher(rho: np.ndarray, partials: np.ndarray, elements: np.ndarray) -> np.n
     return entries.reshape(rho.shape[:-2] + entries.shape[-2:])
 
 
-def _require_within(defect: np.ndarray, tol: float, scale, values: np.ndarray, what: str) -> None:
-    """Refuse the first entry of defect beyond tol and beyond tol * max(1, scale(index)).
+def _require_within(defect: np.ndarray, tol: float, scale, values: np.ndarray, what: str,
+                    refusals: list | None = None) -> None:
+    """Refuse each point's first entry of defect beyond tol and tol * max(1, scale(index)).
 
     scale is asked only for the entries beyond tol.  Next to a supported
     weight below TINY_WEIGHT (values holds each point's) the rounding can
-    outgrow even that, and the failure is a DegeneracyError naming the weight.
+    outgrow even that, and the refusal is a DegeneracyError naming the weight.
     """
     index = np.nonzero(defect > tol)
     if not index[0].size:
         return
-    worse = defect[index] > tol * np.maximum(1.0, scale(index))
-    if worse.any():
-        at = tuple(int(i[np.argmax(worse)]) for i in index)
-        row = values[at[: values.ndim - 1]]
-        if (low := float(row[row > 0].min())) < TINY_WEIGHT:
-            raise DegeneracyError(
+    worse = np.transpose(index)[defect[index] > tol * np.maximum(1.0, scale(index))]
+    rows = worse[:, 0] if values.ndim > 1 else np.zeros(len(worse), int)
+
+    def refusal(row):
+        at = tuple(worse[np.argmax(rows == row)])
+        weights = values[at[: values.ndim - 1]]
+        if (low := float(weights[weights > 0].min())) < TINY_WEIGHT:
+            return DegeneracyError(
                 f"{what} {defect[at]:.3e} next to the supported weight {low:.3e}; "
                 "theta is too close to a rank change, perturb it"
             )
-        raise ConsistencyError(f"{what} {defect[at]:.3e}")
+        return ConsistencyError(f"{what} {defect[at]:.3e}")
+    _refuse(refusals, np.bincount(rows, minlength=len(np.atleast_2d(values))) > 0, refusal)
 
 
 def _at_pair(a: np.ndarray, index: tuple) -> tuple[np.ndarray, np.ndarray]:
@@ -501,8 +518,8 @@ def _over_pair_total(p: np.ndarray, numerator: np.ndarray) -> np.ndarray:
 
 def _pair_form(curve: SpectralCurve, w: np.ndarray) -> np.ndarray:
     """Re sum_jk w[i, ..., j, k] conj(O[l, j, k]) O[n, j, k]: (K, ..., m, m) for K weights."""
-    o = curve.overlaps.reshape(*curve.overlaps.shape[:-2], -1)
-    return ((o.conj() * w.reshape(*w.shape[:-2], 1, -1)) @ o.swapaxes(-1, -2)).real
+    o = curve.overlaps.reshape(*curve.overlaps.shape[:-2], curve.overlaps.shape[-1] ** 2)
+    return ((o.conj() * w.reshape(*w.shape[:-2], 1, o.shape[-1])) @ o.swapaxes(-1, -2)).real
 
 
 def _require_one_parameter(curve: SpectralCurve) -> None:
@@ -529,7 +546,7 @@ def _orthonormal_completion(columns: np.ndarray, dim: int) -> np.ndarray:
     return basis
 
 
-def _kraus_eigendata(ck: CanonicalKraus) -> SpectralData:
+def _kraus_eigendata(ck: CanonicalKraus, refusals: list) -> SpectralData:
     """Output eigendata of every Gram mode of a stacked decomposition, with all m partials.
 
     w_k = Y_k psi / sqrt(p_k) on the supported modes; unsupported modes keep
@@ -542,18 +559,16 @@ def _kraus_eigendata(ck: CanonicalKraus) -> SpectralData:
     dvs = (ck.derivatives @ psi[:, np.newaxis])[..., 0]     # (N, m, n, d)
     supported = (ck.weights > SUPPORT_TOL)[:, np.newaxis, :, np.newaxis]
     moving = np.sqrt(np.where(supported, 0.0, (dvs.conj() * dvs).real).sum(axis=(-2, -1)))
-    if (worst := moving.max()) > CURVE_DERIV_TOL:
-        raise DegeneracyError(
-            f"an unsupported Gram mode moves (|dY_k psi| = {worst:.3e}); "
-            "theta is at a rank change, perturb it"
-        )
+    worst = moving.max(axis=-1)
+    _refuse(refusals, worst > CURVE_DERIV_TOL, lambda i: DegeneracyError(
+        f"an unsupported Gram mode moves (|dY_k psi| = {worst[i]:.3e}); "
+        "theta is at a rank change, perturb it"))
     roots = np.sqrt(np.where(supported[:, 0], ck.weights[..., np.newaxis], 1.0))  # (N, n, 1)
     w = np.where(supported[:, 0], vs / roots, 0.0)
     dp = 2.0 * (vs[:, np.newaxis].conj() * dvs).sum(axis=-1).real
     dp = np.where(supported[..., 0], dp, 0.0)  # (N, m, n)
     dw = (dvs - dp[..., np.newaxis] / (2 * roots[:, np.newaxis]) * w[:, np.newaxis]) / roots[
-        :, np.newaxis
-    ]
+        :, np.newaxis]
     return SpectralData(
         values=ck.weights,
         vectors=w.swapaxes(-1, -2),
@@ -586,67 +601,56 @@ def spectral_curve(channel: ParametricChannel, theta, inputs=None) -> SpectralCu
     (the Gram eigenvalues are already) and completed to a full basis:
     unsupported slots hold an orthonormal completion with zero partials.  An
     unsupported eigenvalue that moves means theta is at a rank change, and
-    is refused as the Kraus route refuses a moving unsupported mode.
+    is refused as the Kraus route refuses a moving unsupported mode.  A
+    stack's curve holds the rows not refused, and refusals one entry per
+    point: None, or the NumericError that its lone call raises.
     """
-    thetas = channel.theta_stack(theta)
+    thetas, stacked = channel.theta_stack(theta), np.ndim(theta) == 2 or inputs is not None
     if channel.is_kraus_form or inputs is not None:
         ck = canonical_kraus(channel, thetas, inputs)
-        thetas, data = ck.theta, _kraus_eigendata(ck)
+        refusals, found = ck.refusals, [None] * len(ck.theta)
+        thetas, data = ck.theta, _kraus_eigendata(ck, found)
     else:
         data = channel.spectral_at(channel.require_in_domain(thetas))
         order = np.argsort(data.values, axis=-1, kind="stable")[:, np.newaxis]  # as Gram weights are
         ascending = lambda a: np.take_along_axis(  # (N, ..., r) sorted as (N, K, r)
             a.reshape(len(order), -1, a.shape[-1]), order, axis=-1).reshape(a.shape)
         ck, data = None, SpectralData(*map(ascending, vars(data).values()))
+        refusals, found = (None,) * len(thetas), [None] * len(thetas)
     dim = channel.dim
     rank = (data.values > SUPPORT_TOL).sum(axis=-1)
-    if rank.max() > dim:
-        raise ConsistencyError(f"{rank.max()} supported eigenvalues exceed dimension {dim}")
-    values, vectors, dp, dw = (
-        _last_columns(a, dim, dtype) for a, dtype in zip(vars(data).values(), (float, complex) * 2)
-    )
+    _refuse(found, rank > dim, lambda i: ConsistencyError(
+        f"{rank[i]} supported eigenvalues exceed dimension {dim}"))
+    values, vectors, dp, dw = (_last_columns(a, dim, dtype)
+                               for a, dtype in zip(vars(data).values(), (float, complex) * 2))
+    worst = np.where(values[:, np.newaxis] > SUPPORT_TOL, 0.0, np.abs(dp)).max(axis=(1, 2))
+    _refuse(found, worst > CURVE_DERIV_TOL, lambda i: DegeneracyError(
+        f"an unsupported eigenvalue moves (|p_k'| = {worst[i]:.3e}); "
+        "theta is at a rank change, perturb it"))
+    refusals = _merged(refusals, found)
+    if not stacked and refusals[0]:
+        raise refusals[0]
+    if not all(kept := [r is None for r in found]):
+        ck = ck and _rows(ck, kept, refusals)
+        thetas, values, vectors, dp, dw = (a[kept] for a in (thetas, values, vectors, dp, dw))
     support = values > SUPPORT_TOL
-    keep = support[:, np.newaxis]
-    if (worst := np.where(keep, 0.0, np.abs(dp)).max()) > CURVE_DERIV_TOL:
-        raise DegeneracyError(f"an unsupported eigenvalue moves (|p_k'| = {worst:.3e}); "
-                              "theta is at a rank change, perturb it")
+    keep, rank = support[:, np.newaxis], support.sum(axis=-1)
     for r in sorted(set(rank[rank < dim].tolist())):  # one completion pass per deficient rank
         rows = rank == r
         basis = _orthonormal_completion(vectors[rows][..., dim - r:], dim)
         vectors[rows, :, : dim - r] = _normalize_phases(basis[..., r:])
-    curve = dict(
-        theta=thetas,
-        values=np.where(support, values, 0.0),
-        vectors=vectors,
-        value_derivs=np.where(keep, dp, 0.0),
-        vector_derivs=np.where(keep[:, np.newaxis], dw, 0.0),
-        support=support,
-    )
-    if np.ndim(theta) != 2 and inputs is None:
+    curve = dict(theta=thetas, values=np.where(support, values, 0.0), vectors=vectors,
+                 value_derivs=np.where(keep, dp, 0.0),
+                 vector_derivs=np.where(keep[:, np.newaxis], dw, 0.0), support=support)
+    if not stacked:
         curve = {k: v[0] for k, v in curve.items()}
-        ck = None if ck is None else _only_point(ck)
+        ck, refusals = ck and _rows(ck, 0), None
     gauge = "spectral-form" if ck is None else "canonical-kraus"
-    return SpectralCurve(**curve, gauge_source=gauge, kraus=ck)
-
-
-def halving(fn, count: int, refusal=NumericError) -> list:
-    """fn(rows) of rows 0..count-1, one entry per row: its value, or its lone call's refusal.
-
-    fn maps an index array to one value per index; a stack that raises
-    refusal is called again in halves.  A row keeps the bits of its own call.
-    """
-    entries, pending = [], [np.arange(count)] if count else []
-    while pending:  # depth first, first half first; no recursive closure keeps fn alive
-        rows = pending.pop()
-        try:
-            entries.extend(fn(rows))
-        except refusal as exc:
-            half = len(rows) // 2
-            if half:
-                pending += [rows[half:], rows[:half]]
-            else:  # its traceback would hold this frame, and so entries, in a cycle
-                entries.append(exc.with_traceback(None))
-    return entries
+    curve = SpectralCurve(**curve, gauge_source=gauge, kraus=ck, refusals=refusals)
+    if curve.refusals != refusals:  # its own checks refused rows: the curve of the others
+        kept = [r is None for r, before in zip(curve.refusals, refusals) if before is None]
+        curve = _rows(curve, kept, curve.refusals)
+    return curve
 
 
 # ---------------------------------------------------------------------------

@@ -30,7 +30,6 @@ import numpy as np
 from . import reporting
 from .bounds import (
     bound_report,
-    halving,
     optimal_povm_from_sld,
     povm_sld_condition_check,
     povm_sm_condition_check,
@@ -272,13 +271,11 @@ def cmd_sweep(args) -> int:
     if channel.param_count != 1:
         raise ValidationError("sweep handles one-parameter channels")
     grid = _parse_grid(args.theta_grid)
-    thetas = channel.require_in_domain(grid[:, np.newaxis])
-
-    def rows_of(index):  # one stacked curve for the whole grid, split only where it refuses
-        curve = spectral_curve(channel, thetas[index])
-        return map(reporting.bound_report_dict, bound_report(channel, curve, None, tol))
-    rows = [row if isinstance(row, dict) else {"theta": float(theta), "warnings": [str(row)]}
-            for theta, row in zip(grid, halving(rows_of, len(grid)))]  # a refusal is a warning
+    # one stacked curve for the whole grid; a refused point's row is its refusal, as a warning
+    curve = spectral_curve(channel, channel.require_in_domain(grid[:, np.newaxis]))
+    reports = map(reporting.bound_report_dict, bound_report(channel, curve, None, tol))
+    rows = [{"theta": float(theta), "warnings": [str(refusal)]} if refusal else next(reports)
+            for theta, refusal in zip(grid, curve.refusals)]
     if args.format == "csv":
         sys.stdout.write(reporting.sweep_csv(rows))
         return 0

@@ -30,7 +30,6 @@ import numpy as np
 from .bounds import (
     SpectralCurve,
     fisher_information,
-    halving,
     optimal_povm_from_sld,
     sld_information,
     sld_score,
@@ -38,7 +37,7 @@ from .bounds import (
     spectral_curve,
 )
 from .channels import ParametricChannel, keyed_stream
-from .errors import DegeneracyError, NumericError, SingularTermError, ValidationError
+from .errors import NumericError, SingularTermError, ValidationError
 from .quantum import (
     POVM,
     PureState,
@@ -310,15 +309,13 @@ def cr_experiment(
 
 
 def _pivot_curves(channel: ParametricChannel, pivots: np.ndarray, seeds) -> SpectralCurve:
-    """The stacked curve at every pivot; a refused pivot fails the run, naming its replication."""
-    stack = lambda index: [spectral_curve(channel, pivots[index, np.newaxis])] * len(index)
-    curves = halving(stack, len(pivots), DegeneracyError)
-    for rep, (pivot, s, curve) in enumerate(zip(pivots, seeds, curves)):
-        if isinstance(curve, DegeneracyError):
-            raise DegeneracyError(
-                f"replication {rep} (seed {s}), pivot theta {float(pivot)!r}: {curve}"
-            )
-    return curves[0]
+    """One curve for every pivot; the first refused pivot fails the run, naming its replication."""
+    curve = spectral_curve(channel, pivots[:, np.newaxis])
+    for rep, (pivot, s, refusal) in enumerate(zip(pivots, seeds, curve.refusals)):
+        if refusal:
+            raise type(refusal)(f"replication {rep} (seed {s}), pivot theta {float(pivot)!r}: "
+                                f"{refusal}")
+    return curve
 
 
 def adaptive_experiment(
@@ -451,8 +448,8 @@ def _input_search(
     Each objective call scores x and its neighbours x +- SEARCH_STEP e_i in one
     curve of the channel at theta with that stack of 1 + 2(2d - 2) inputs (one
     family evaluation), for the value and its central-difference gradient; a
-    refused stack is a rejected candidate.  The returned value is the point
-    call's at the returned state.
+    stack with a refused row, or a refused stack, is a rejected candidate.  The
+    returned value is the point call's at the returned state.
     """
     from scipy.optimize import minimize  # imported here: it is slow to import
 
@@ -462,8 +459,11 @@ def _input_search(
     def cost(x: np.ndarray) -> tuple[float, np.ndarray]:
         inputs = _inputs_from_angles(np.concatenate([x[np.newaxis], x + steps, x - steps]), dim)
         try:
-            values = evaluate(spectral_curve(channel, theta, inputs))
+            curve = spectral_curve(channel, theta, inputs)
+            values = () if any(curve.refusals) else evaluate(curve)
         except (NumericError, ValidationError):
+            values = ()
+        if len(values) < len(inputs):  # refused, or a row of it refused: a rejected candidate
             return 1e9, np.zeros_like(x)
         ahead, behind = np.split(values[1:], 2)
         return -values[0], (behind - ahead) / (2 * SEARCH_STEP)

@@ -161,6 +161,7 @@ class DirectionalCheck:
     sld_quadratic: np.ndarray
     sm_slice: np.ndarray
     sm_quadratic: np.ndarray
+    refusals: tuple | None = None  # a stack's, one per fan; the arrays hold the fans not refused
 
     @property
     def sld_mismatch(self) -> float:
@@ -188,8 +189,8 @@ def directional_reduction_check(channel, curve: SpectralCurve, directions) -> Di
     partials must equal V times the curve's partials, its H and C must equal
     V H V^T and V C V^T entry by entry, and its SLD score stack checks the
     SLD residual and H, however narrow the fan.  A stacked Kraus-form curve
-    takes (N, k, m) directions, and its fans, of the channel it was built
-    from and with its inputs, are decomposed in one call.
+    takes (N, k, m) directions; its fans, of its channel and with its inputs,
+    are decomposed in one call, and a refused fan is one of the refusals.
     """
     stacked = curve.theta.ndim == 2
     lift = (lambda a: a) if stacked else (lambda a: a[np.newaxis])
@@ -197,16 +198,21 @@ def directional_reduction_check(channel, curve: SpectralCurve, directions) -> Di
     fan = directional_channel(channel, curve.theta, v if stacked else v[0])
     psi = None if curve.kraus is None else lift(curve.kraus.psi)
     fan_curve = spectral_curve(fan, np.zeros(v.shape[:2]), psi)
+    if not stacked and fan_curve.refusals[0]:
+        raise fan_curve.refusals[0]
     fan_curve.sld_score  # building the score stack checks the residual and H
+    kept = np.array([refusal is None for refusal in fan_curve.refusals])
+    v, (h, c) = v[kept], (lift(a)[kept] for a in curve.information)
     kraus_mismatch = None
-    if curve.kraus is not None:
-        keep = lift(curve.kraus.weights > SUPPORT_TOL)[:, np.newaxis, :, np.newaxis, np.newaxis]
-        partials, fan_partials = lift(curve.kraus.derivatives), fan_curve.kraus.derivatives
+    if curve.kraus is not None and kept.any():
+        keep = lift(curve.kraus.weights > SUPPORT_TOL)[kept, np.newaxis, :, np.newaxis, np.newaxis]
+        partials, fan_partials = lift(curve.kraus.derivatives)[kept], fan_curve.kraus.derivatives
         combo = (v @ partials.reshape(*partials.shape[:2], -1)).reshape(fan_partials.shape)
         diff = np.where(keep, np.abs(fan_partials - combo), 0.0).max(axis=(2, 3, 4))
         scale = np.maximum(1.0, np.where(keep, np.abs(combo), 0.0).max(axis=(2, 3, 4)))
         kraus_mismatch = (diff / scale).max(axis=-1)
-    (h, c), (fan_h, fan_c), vt = curve.information, fan_curve.information, v.swapaxes(-1, -2)
+    (fan_h, fan_c), vt = fan_curve.information, v.swapaxes(-1, -2)
     check = dict(directions=v, kraus_deriv_mismatch=kraus_mismatch, sld_slice=fan_h,
-                 sld_quadratic=v @ h @ vt, sm_slice=fan_c, sm_quadratic=v @ c @ vt)
+                 sld_quadratic=v @ h @ vt, sm_slice=fan_c, sm_quadratic=v @ c @ vt,
+                 refusals=fan_curve.refusals)  # (None,) for a point: its refused fan raised
     return DirectionalCheck(**{k: a if stacked or a is None else a[0] for k, a in check.items()})

@@ -24,7 +24,6 @@ import numpy as np
 from .bounds import (
     SpectralCurve,
     bound_gap,
-    halving,
     optimal_povm_from_sld,
     sld_information,
     sld_score,
@@ -38,7 +37,7 @@ from .channels import (
     exponential_family,
     random_hermitian,
 )
-from .errors import DegeneracyError, NumericError
+from .errors import DegeneracyError
 from .linalg import adjoint, hermitian_eigendecompose, loewner_leq, max_abs, unitary_exponential
 from .multiparam import (
     directional_reduction_check,
@@ -163,11 +162,11 @@ def _battery_curves(seed: int, count: int, param_count: int) -> _Battery:
     point's dimension, its environment size, its 8 candidate thetas and its
     input normals (real parts, then imaginary, max_dim of each; the point takes
     its first dim), then per shape group in sorted (dim, env) order the
-    group's (rows, m) generator stack.  A refused candidate moves only its own
-    point, to its next candidate, and a point with all 8 refused is dropped;
-    no draw moves.  A refusing group is split in halves (bounds.halving) down
-    to its refused rows, and only a group with a new refusal is decomposed
-    again.  No suite decomposes a point again.
+    group's (rows, m) generator stack.  A refused candidate (a DegeneracyError
+    in the group's curve) moves only its own point, to its next candidate, and
+    a point with all 8 refused is dropped; no draw moves.  A group's round is
+    one curve call, and only a round with a refusal has another one.  No suite
+    decomposes a point again.
     """
     salt, max_dim, width = _BATTERY_DRAWS[param_count]
     rng = np.random.Generator(np.random.Philox(key=np.uint64([seed, salt])))
@@ -183,17 +182,14 @@ def _battery_curves(seed: int, count: int, param_count: int) -> _Battery:
         psi = amps / np.linalg.norm(amps, axis=-1, keepdims=True)
         own.update(zip(rows.tolist(), zip(gens, psi)))
         while (kept := np.flatnonzero(pick[rows] < 8)).size:
-            thetas = candidates[rows[kept], pick[rows[kept]]]
-            # each row's entry is the curve of the stack that kept it, or its own refusal
-            stack = lambda index: spectral_curve(
-                exponential_family(gens[kept[index]], env, "battery", _box(param_count)),
-                thetas[index], psi[kept[index]])
-            curves = halving(lambda index: [stack(index)] * len(index), len(kept), DegeneracyError)
-            refused = [isinstance(curve, DegeneracyError) for curve in curves]
-            if not any(refused):
-                drawn.append((rows[kept], curves[0]))
+            family = exponential_family(gens[kept], env, "battery", _box(param_count))
+            curve = spectral_curve(family, candidates[rows[kept], pick[rows[kept]]], psi[kept])
+            if not any(curve.refusals):
+                drawn.append((rows[kept], curve))
                 break
-            pick[rows[kept[refused]]] += 1
+            if faults := [r for r in curve.refusals if r and not isinstance(r, DegeneracyError)]:
+                raise faults[0]  # a fault, not a bad draw
+            pick[rows[kept[[bool(refusal) for refusal in curve.refusals]]]] += 1
     alive = np.flatnonzero(pick < 8)  # the points not dropped, in draw order
     position = np.cumsum(pick < 8) - 1  # an alive point's index in the battery
     generators, inputs = zip(*[own[p] for p in alive.tolist()]) if alive.size else ((), ())
@@ -290,10 +286,10 @@ def directional_suite(
     """Multi-parameter Loewner ordering and slice consistency checks.
 
     All directions of a channel are checked on one curve of the fan along
-    them, and a shape group's fans in one call, halved where it refuses
-    (multiparam.directional_reduction_check, bounds.halving); a fan that
-    cannot be decomposed skips all of its directions.  A failing check names
-    the channel and theta of its worst case, and a skip those of the first one.
+    them, and a shape group's fans in one call (multiparam.directional_reduction_check).
+    A fan refused with a DegeneracyError skips all of its directions, and one refused
+    otherwise fails the slice check.  A failing check names the channel and theta of its
+    worst case, and a skip those of the first one.
     """
     rng = np.random.Generator(np.random.Philox(key=np.uint64(seed ^ 0x3C3C3C3C)))
     battery = _battery_curves(seed, count, 2)
@@ -311,15 +307,12 @@ def directional_suite(
         c_gap = np.abs(c_kraus - np.diagonal(c, axis1=-2, axis2=-1)).max(axis=-1)
         h_gap = np.abs(_sld_matrix_by_pinv(curve) - h).max(axis=(-2, -1))
         diags.append(np.maximum(h_gap, c_gap))
-
-        def check(index):  # the whole group reads its battery curve
-            family = battery.family(np.array(rows)[index])
-            stack = curve if len(index) == len(rows) else spectral_curve(
-                family, curve.theta[index], curve.kraus.psi[index])
-            return directional_reduction_check(family, stack, v[index]).mismatch
-        entries = halving(check, len(rows))
-        skips += [p for p, entry in zip(rows, entries) if isinstance(entry, NumericError)]
-        mismatches.append(np.array([-np.inf if p in skips else e for p, e in zip(rows, entries)]))
+        check = directional_reduction_check(battery.family(rows), curve, v)
+        skip = [isinstance(refusal, DegeneracyError) for refusal in check.refusals]
+        mismatch = np.where(skip, -np.inf, np.inf)  # a skipped fan, and any other refused one
+        mismatch[[refusal is None for refusal in check.refusals]] = check.mismatch
+        mismatches.append(mismatch)
+        skips += [p for p, skipped in zip(rows, skip) if skipped]
     tried, skipped = len(battery.thetas) * directions, len(skips) * directions
     skip_note = (f", {skipped} of {tried} directions skipped, first at {battery.name(min(skips))}"
                  if skips else "")

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from scipy.linalg import expm
@@ -32,6 +34,7 @@ from qfibounds.channels import (
 from qfibounds.errors import (
     ConsistencyError,
     DegeneracyError,
+    NumericError,
     SingularTermError,
     ValidationError,
 )
@@ -913,9 +916,13 @@ def test_moving_unsupported_eigenvalue_of_a_spectral_family_is_a_rank_change():
     w = np.array([[1.0, 1.0], [1.0, -1.0]], dtype=complex) / np.sqrt(2)
     channel = custom_spectral(w, np.array([[1.0, -1.0], [0.0, 1.0]]), ((0.0, 0.95),))
     message = r"^an unsupported eigenvalue moves \(\|p_k'\| = 1\.000e\+00\); theta is at a rank"
-    for theta in (0.0, np.array([[0.0], [0.5]])):
-        with pytest.raises(DegeneracyError, match=message):
-            spectral_curve(channel, theta)
+    with pytest.raises(DegeneracyError, match=message):
+        spectral_curve(channel, 0.0)
+    # a stack refuses that row alone, with the point call's refusal, and keeps the other
+    stacked = spectral_curve(channel, np.array([[0.0], [0.5]]))
+    refusal, kept = stacked.refusals
+    assert isinstance(refusal, DegeneracyError) and re.match(message, str(refusal))
+    assert kept is None and stacked.theta.tolist() == [[0.5]]
 
 
 def _input_stack_cases():
@@ -946,23 +953,121 @@ def test_input_stack_rows_equal_point_curves_bit_for_bit(case):
     assert canonical_kraus(channel, theta, inputs).operators.shape[0] == len(inputs)
 
 
-def test_input_stack_refuses_at_a_refused_row():
-    channel = builtin("amplitude-damping")
-    # psi = (sqrt(1 - e), sqrt(e)) puts the small Gram weight near g (1 - g) e^2 = 1e-9
+def _boundary_input():
+    # psi = (sqrt(1 - e), sqrt(e)) puts amplitude damping's small Gram weight at 0.3 near
+    # g (1 - g) e^2 = 1e-9, at the support boundary
     e = np.sqrt(1e-9 / 0.21)
-    boundary = np.array([np.sqrt(1 - e), np.sqrt(e)], dtype=complex)
+    return np.array([np.sqrt(1 - e), np.sqrt(e)], dtype=complex)
+
+
+def test_input_stack_validation_refuses_the_whole_stack():
+    # A rejected input is a ValidationError of the call, not a refusal of one row.
+    channel = builtin("amplitude-damping")
     unnormalized = np.array([1.0, 1e-4], dtype=complex)
-    for row, theta, error in (
-        (boundary, 0.3, DegeneracyError),
-        (unnormalized, 0.3, ValidationError),
-        (PLUS.amplitudes, 1.5, ValidationError),
-    ):
-        with pytest.raises(error):
+    for row, theta in ((unnormalized, 0.3), (PLUS.amplitudes, 1.5)):
+        with pytest.raises(ValidationError):
             spectral_curve(channel.with_input_state(PureState(row)), theta)
-        with pytest.raises(error):
+        with pytest.raises(ValidationError):
             spectral_curve(channel, theta, np.array([PLUS.amplitudes, row, KET0.amplitudes]))
     with pytest.raises(ValidationError, match="input stack"):
         spectral_curve(channel, [[0.2], [0.3]], np.array([PLUS.amplitudes] * 3))
+
+
+def _lone(channel, theta, psi=None):
+    """A stacked row's point call: its curve, or the NumericError it raises."""
+    channel = channel if psi is None else channel.with_input_state(PureState(psi))
+    try:
+        return spectral_curve(channel, theta)
+    except NumericError as exc:
+        return exc
+
+
+def _edge_grid(family):
+    """The edge scan's points, less those whose point call is a ValidationError."""
+    ch = builtin(family)
+    grid = []
+    for theta, _ in _edge_points(ch, EDGE_OFFSETS):
+        try:
+            _lone(ch, theta)
+        except ValidationError:
+            continue
+        grid.append([theta])
+    return ch, np.array(grid), None
+
+
+def _parity_cases():
+    for family in ("amplitude-damping", "dephasing", "depolarizing"):
+        yield f"edge-{family}", lambda family=family: _edge_grid(family)
+    yield "random-kraus-3-2", lambda: (random_kraus_channel(dim=3, env=2, seed=11),
+                                       np.linspace(-0.9, 0.9, 41)[:, np.newaxis], None)
+    yield "dephasing-band", lambda: (builtin("dephasing"),
+                                     np.linspace(0.4999999, 0.5000001, 41)[:, np.newaxis], None)
+    rng = np.random.default_rng(34)
+    inputs = [PLUS.amplitudes, _boundary_input(), KET0.amplitudes, _boundary_input()]
+    inputs += [random_pure_state(2, rng).amplitudes for _ in range(3)]
+    yield "input-stack", lambda: (builtin("amplitude-damping"), 0.3, np.array(inputs))
+    yield "all-refused", lambda: (builtin("amplitude-damping"),
+                                  np.linspace(0.99999999, 0.9999999999, 41)[:, np.newaxis], None)
+    # Tolerances tightened to round-off make the curve's own checks refuse rows, which
+    # no real point does: the sum and orthonormality checks, then the derivative-sum and
+    # overlap antisymmetry checks, each refusing some rows of the stack and keeping others.
+    grid = np.linspace(0.05, 0.95, 41)[:, np.newaxis]
+    yield "tight-sum-tolerance", lambda: (builtin("depolarizing"), grid, None,
+                                          {"CURVE_SUM_TOL": 1e-16})
+    yield "tight-derivative-tolerance", lambda: (builtin("amplitude-damping"), grid, None,
+                                                 {"CURVE_DERIV_TOL": 3e-16})
+
+
+PARITY_CASES = dict(_parity_cases())
+
+
+@pytest.mark.parametrize("case", PARITY_CASES)
+def test_stacked_curve_rows_are_their_point_calls(case, monkeypatch):
+    # One stacked call: a kept row holds its point call's bits, and a refused row
+    # holds the type and message of the refusal its point call raises.
+    channel, thetas, inputs, *tolerances = PARITY_CASES[case]()
+    for name, value in (tolerances or [{}])[0].items():
+        monkeypatch.setattr(bounds, name, value)
+    stacked = spectral_curve(channel, thetas, inputs)
+    rows = len(thetas) if inputs is None else len(inputs)
+    assert len(stacked.refusals) == rows
+    kept = 0
+    for i, refusal in enumerate(stacked.refusals):
+        theta = thetas[i] if inputs is None else thetas
+        lone = _lone(channel, theta, None if inputs is None else inputs[i])
+        if refusal is not None:
+            assert type(lone) is type(refusal) and str(lone) == str(refusal), (i, refusal)
+            continue
+        assert isinstance(lone, bounds.SpectralCurve), (i, lone)
+        for name in ("theta", "values", "vectors", "value_derivs", "vector_derivs", "support"):
+            assert np.array_equal(getattr(stacked, name)[kept], getattr(lone, name)), (i, name)
+        if lone.kraus is not None:
+            for name in ("operators", "derivatives", "mixing", "weights", "raw_operators"):
+                assert np.array_equal(getattr(stacked.kraus, name)[kept],
+                                      getattr(lone.kraus, name)), (i, name)
+        for a, b in zip(stacked.information, lone.information):
+            assert np.array_equal(a[kept], b), i
+        kept += 1
+    assert kept == len(stacked.theta) == len(stacked.values)
+    refused = rows - kept
+    if case == "all-refused":
+        assert kept == 0 and refused == rows
+    else:
+        assert kept and refused, (kept, refused)
+
+
+def test_refused_rows_reach_no_cluster_resolution(monkeypatch):
+    # depolarizing's weights cross at 1, too near the edge for the stencil: that row is
+    # refused before any cluster of it is resolved; dephasing's crossing at 0.5 is resolved.
+    resolved = []
+    resolve = bounds._resolve_degenerate_clusters
+    monkeypatch.setattr(bounds, "_resolve_degenerate_clusters",
+                        lambda *args: resolved.append(args) or resolve(*args))
+    curve = spectral_curve(builtin("depolarizing"), np.array([[0.9998], [1.0]]))
+    assert resolved == [] and curve.refusals[0] is None
+    assert "within 0.0002 of a domain edge" in str(curve.refusals[1])
+    curve = spectral_curve(builtin("dephasing"), np.array([[0.3], [0.5], [0.500001]]))
+    assert len(resolved) == 1 and curve.theta.tolist() == [[0.3], [0.5]]
 
 
 # ---------------------------------------------------------------------------

@@ -864,16 +864,30 @@ def test_sweep_keeps_point_failures_to_their_rows(spec_file, capsys):
         assert row["sld_information"] == expected and row["channel_bound"] == expected
 
 
-def test_sweep_splits_only_the_refusing_stacks(spec_file, capsys, monkeypatch):
-    # theta = 0, the grid's middle point, is a rank change: the grid is split
-    # in halves down to that row, and the stacks without it are kept whole.
+RANDOM_3_2 = "family = random-kraus\ndim = 3\nenv = 2\nseed = 11\n"
+
+
+@pytest.mark.parametrize(
+    "text, grid, refused",
+    [
+        (RANDOM_3_2, "-0.9:0.9:401", [200]),  # theta = 0 is a rank change
+        (RANDOM_3_2, "-0.9:0.9:41", [20]),
+        (DEPHASING, "0.4999999:0.5000001:41", [i for i in range(41) if i not in (20, 21)]),
+        (DAMPING, "0.99999999:0.9999999999:401", list(range(401))),  # every row refused
+    ],
+    ids=["random-401", "random-41", "dephasing-band", "damping-all-refused"],
+)
+def test_sweep_makes_one_curve_call_however_many_rows_refuse(
+    spec_file, capsys, monkeypatch, text, grid, refused
+):
+    # A refused row is a warning row of the one stacked curve call; no stack is called again.
     calls = _count_calls(monkeypatch, "spectral_curve")
-    text = "family = random-kraus\ndim = 3\nenv = 2\nseed = 11\n"
-    code, out, _ = run_cli(capsys, "sweep", spec_file(text), "--theta-grid=-0.9:0.9:41")
-    assert code == 0
+    code, out, err = run_cli(capsys, "sweep", spec_file(text), f"--theta-grid={grid}")
+    assert code == 0 and err == ""
     rows = json.loads(out)["points"]
-    assert [i for i, row in enumerate(rows) if "sld_information" not in row] == [20]
-    assert calls["spectral_curve"] <= 13
+    assert [i for i, row in enumerate(rows) if "sld_information" not in row] == refused
+    assert all(list(rows[i]) == ["theta", "warnings"] for i in refused)
+    assert calls["spectral_curve"] == 1
 
 
 @pytest.mark.parametrize(

@@ -212,6 +212,36 @@ def test_fan_matrices_are_the_contracted_matrices(name, theta):
     assert check.sld_slice[0, 0] == pytest.approx(h[0, 0], rel=1e-9)
 
 
+def test_a_refused_fan_is_one_refusal_of_a_stacked_check(monkeypatch):
+    # A stacked check holds the rows of the fans not refused, each the unrefused check's
+    # row, and the refusals of the others; a point's refused fan raises its refusal.
+    from qfibounds import bounds, multiparam
+
+    ch = random_kraus_channel(dim=3, env=2, seed=5, param_count=2)
+    curve = spectral_curve(ch, np.array([[0.1, 0.2], [0.3, -0.4], [-0.5, 0.6], [0.0, 0.7]]))
+    v = np.random.default_rng(8).normal(size=(4, 3, 2))
+    full = directional_reduction_check(ch, curve, v)
+    original, error, refused = multiparam.spectral_curve, DegeneracyError("forced"), []
+
+    def fan_curve(fan, theta, psi):
+        stack = original(fan, theta, psi)
+        hit = np.isin(np.arange(len(stack.theta)), refused)
+        return bounds._rows(stack, ~hit, tuple(error if h else None for h in hit))
+
+    monkeypatch.setattr(multiparam, "spectral_curve", fan_curve)
+    refused[:] = [1, 2]
+    check = directional_reduction_check(ch, curve, v)
+    assert check.refusals == (None, error, error, None)
+    for name in ("directions", "kraus_deriv_mismatch", "sld_slice", "sld_quadratic", "sm_slice",
+                 "sm_quadratic", "mismatch"):
+        assert np.array_equal(getattr(check, name), getattr(full, name)[[0, 3]]), name
+    refused[:] = [0, 1, 2, 3]
+    assert directional_reduction_check(ch, curve, v).mismatch.shape == (0,)
+    refused[:] = [0]
+    with pytest.raises(DegeneracyError, match="^forced$"):
+        directional_reduction_check(ch, spectral_curve(ch, [0.1, 0.2]), v[0])
+
+
 def test_narrow_fan_is_checked_like_a_wide_one():
     ch = random_kraus_channel(dim=2, env=2, seed=5, param_count=2)
     theta = np.array([0.999, 0.0])  # 1e-3 from the edge: a 20-direction fan is 5e-5 wide

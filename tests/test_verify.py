@@ -33,7 +33,7 @@ from qfibounds.channels import (
     exponential_family,
     random_hermitian,
 )
-from qfibounds.errors import DegeneracyError
+from qfibounds.errors import ConsistencyError, DegeneracyError
 from qfibounds.linalg import hermitian_eigendecompose, unitary_exponential
 from qfibounds.quantum import POVM, PureState
 
@@ -132,6 +132,24 @@ def _slice_check(results):
     return check
 
 
+def _refuse_rows(curve, hit, error):
+    """A stacked curve with its rows where hit holds refused with error, as one call refuses."""
+    assert not any(curve.refusals)
+    return bounds._rows(curve, ~np.asarray(hit), tuple(error if h else None for h in hit))
+
+
+def _refusing_fans(monkeypatch, battery, points, error):
+    """Refuse the fan of each battery point in points, found by its input, with error."""
+    inputs = [battery[p][0].input_state.amplitudes for p in points]
+    original = multiparam.spectral_curve
+
+    def fan_curve(channel, theta, psi):
+        hit = [any(_equal_bits(row, target) for target in inputs) for row in psi]
+        return _refuse_rows(original(channel, theta, psi), hit, error)
+
+    monkeypatch.setattr(multiparam, "spectral_curve", fan_curve)
+
+
 def test_directional_suite_reports_skipped_directions(monkeypatch):
     clean = _slice_check(verify.directional_suite(seed=9, count=5, directions=4))
     assert clean.passed and "skipped" not in clean.detail
@@ -139,30 +157,28 @@ def test_directional_suite_reports_skipped_directions(monkeypatch):
     tried = len(battery) * 4
     first = _named(battery, 0)
 
-    original = verify.directional_reduction_check
-    refused = np.array([theta for _, theta in battery[::2]])
-
-    def every_other(family, curve, v):
-        # A stack holding a refused point fails as one call; it is then
-        # split in halves down to the refused points.
-        if (curve.theta[:, np.newaxis] == refused).all(axis=-1).any():
-            raise DegeneracyError("forced skip")
-        return original(family, curve, v)
-
-    # A channel's fan carries all of its directions, so a skip removes them all.
-    monkeypatch.setattr(verify, "directional_reduction_check", every_other)
-    half = _slice_check(verify.directional_suite(seed=9, count=5, directions=4))
+    # A refused fan is a row of its group's one fan call; a channel's fan carries all
+    # of its directions, so a skip removes them all.
+    with monkeypatch.context() as patch:
+        _refusing_fans(patch, battery, range(0, len(battery), 2), DegeneracyError("forced"))
+        half = _slice_check(verify.directional_suite(seed=9, count=5, directions=4))
     assert half.passed
     skipped = ((len(battery) + 1) // 2) * 4
     assert half.detail.endswith(f", {skipped} of {tried} directions skipped, first at {first}")
 
-    def always(*args):
-        raise DegeneracyError("forced skip")
-
-    monkeypatch.setattr(verify, "directional_reduction_check", always)
+    _refusing_fans(monkeypatch, battery, range(len(battery)), DegeneracyError("forced"))
     none = _slice_check(verify.directional_suite(seed=9, count=5, directions=4))
     assert not none.passed
     assert none.detail.endswith(f", {tried} of {tried} directions skipped, first at {first}")
+
+
+def test_a_fan_refused_by_a_consistency_error_fails_the_slice_check(monkeypatch):
+    # Only a DegeneracyError skips a fan: a ConsistencyError fails the check at its point.
+    battery = verify.two_param_battery(seed=9, count=5)
+    _refusing_fans(monkeypatch, battery, [2], ConsistencyError("forced"))
+    failed = _slice_check(verify.directional_suite(seed=9, count=5, directions=4))
+    assert not failed.passed and "skipped" not in failed.detail
+    assert failed.detail == f"worst relative mismatch inf; worst at {_named(battery, 2)}"
 
 
 def test_failing_directional_check_names_its_worst_point(monkeypatch):
@@ -333,9 +349,8 @@ def test_a_refused_candidate_moves_only_its_own_point(monkeypatch):
         original = verify.spectral_curve
         for refused, moved in ((1, candidates[1]), (8, None)):
             def refusing(channel, theta, inputs=None):
-                if (theta[:, np.newaxis] == candidates[:refused]).all(axis=-1).any():
-                    raise DegeneracyError("forced refusal")
-                return original(channel, theta, inputs)
+                hit = (theta[:, np.newaxis] == candidates[:refused]).all(axis=-1).any(axis=-1)
+                return _refuse_rows(original(channel, theta, inputs), hit, DegeneracyError("forced"))
 
             monkeypatch.setattr(verify, "spectral_curve", refusing)
             battery = verify._battery_curves(404, count, m)
@@ -381,9 +396,9 @@ def test_a_verify_run_leaves_no_reference_cycles():
 
 def test_each_group_kernel_call_evaluates_its_family_once(monkeypatch):
     # A shape group's channels are one family with generators per row: each
-    # kernel call, the battery's halves and the fans included, decomposes the
-    # generators of all its rows in one batched call, and no battery channel
-    # is evaluated on its own.  Seed 1 refuses a candidate and halves a group.
+    # kernel call, a battery's redrawn round and the fans included, decomposes
+    # the generators of all its rows in one batched call, and no battery channel
+    # is evaluated on its own.  Seed 1 refuses a candidate and redraws it.
     kernel, generators = [], []  # the rows of each call
     canonical_kraus, unitary_exponential = bounds.canonical_kraus, channels.unitary_exponential
 
@@ -404,13 +419,28 @@ def test_each_group_kernel_call_evaluates_its_family_once(monkeypatch):
         assert len(kernel) > 2 and generators == kernel
 
 
-def test_a_redrawn_battery_splits_only_the_refusing_groups(monkeypatch):
-    # Seed 1 refuses one candidate: the 9 shape groups are decomposed once,
-    # and only the group holding the refused row is split in halves and then
-    # decomposed again (20 calls; a second round of every group took 28).
+def test_a_battery_round_is_one_curve_call_per_group(monkeypatch):
+    # Seed 1 refuses one candidate: each of the 9 shape groups takes one curve call,
+    # and only the group holding the refused row a second, for its redrawn round.
     calls = _count(monkeypatch, "spectral_curve")
-    verify.one_param_battery(1)
-    assert calls["spectral_curve"] <= 20
+    for seed, expected in ((1, 10), (verify.DEFAULT_SEED, 9)):
+        calls.clear()
+        verify.one_param_battery(seed)
+        assert calls["spectral_curve"] == expected, seed
+    # every suite: the batteries' rounds, one fan call per group, and the equality family
+    for seed, expected in ((1, 21), (verify.DEFAULT_SEED, 20)):
+        calls.clear()
+        verify.run_suites(["all"], seed)
+        assert calls["spectral_curve"] == expected, seed
+
+
+def test_a_battery_row_refused_by_a_consistency_error_fails_the_build(monkeypatch):
+    # A refused candidate is redrawn only for a DegeneracyError; any other refusal is a fault.
+    original = verify.spectral_curve
+    monkeypatch.setattr(verify, "spectral_curve", lambda *args: _refuse_rows(
+        original(*args), np.arange(len(args[1])) == 0, ConsistencyError("forced")))
+    with pytest.raises(ConsistencyError, match="forced"):
+        verify.one_param_battery(404, 12)
 
 
 def _equal_bits(a, b) -> bool:
