@@ -15,7 +15,8 @@ Both take one point or an (N, m) stack of points of one channel: a stack
 gives every array a leading (N,) axis and is decomposed in one pass, which
 is how a sweep decomposes its grid, and the point call is the stack of one.
 A stack's row failing a check is refused alone: refusals hold, per point,
-the NumericError its lone call raises or None, and the arrays the rest.
+None or the error its lone call raises (a NumericError, or the non-finite
+Kraus data's ValidationError), and the arrays the rest.
 H and C are one bilinear form of the overlap stack under two weight
 matrices; the scalar bounds and the gap are 1 x 1 cases of it.  The Fisher
 information of a POVM reads the curve's state and its per-parameter
@@ -127,48 +128,57 @@ def _gram_derivative(vs: np.ndarray, dvs: np.ndarray) -> np.ndarray:
     return half + adjoint(half)
 
 
-def _resolve_degenerate_clusters(
-    vectors: np.ndarray, gram_deriv: np.ndarray, clusters: list[np.ndarray]
-) -> bool:
-    """Rotate supported degenerate clusters, in place, to diagonalize the projected Gram derivative.
-
-    Eigenvector curves stay well-defined through an eigenvalue crossing when
-    the first-order (projected-derivative) problem separates the branches;
-    if it does not, the derivative is genuinely ill-posed: False, a refusal.
-    """
-    for members in clusters:
-        block = vectors[:, members]
-        sub = hermitian_eigendecompose(block.conj().T @ gram_deriv @ block)
-        gaps = np.diff(sub.eigenvalues)
-        if gaps.size and float(np.min(gaps)) < DEGENERACY_TOL:
-            return False
-        vectors[:, members] = _normalize_phases(block @ sub.eigenvectors)
-    return True
+def _crossing_patterns(labels: np.ndarray, supported: np.ndarray, rows: np.ndarray) -> list:
+    """rows grouped by cluster pattern: per pattern, the positions in rows of its rows and the
+    member masks of its degenerate clusters that hold a supported mode."""
+    keys, of = np.unique(np.hstack([labels[rows], supported[rows]]), axis=0, return_inverse=True)
+    n, of = labels.shape[1], of.reshape(-1)
+    held = lambda own, sup: [own == c for c in np.unique(own[sup]) if (own == c).sum() > 1]
+    return [(np.flatnonzero(of == j), held(key[:n], key[n:] > 0)) for j, key in enumerate(keys)]
 
 
-def _crossing_coupling(
-    coupling: np.ndarray,
-    values: np.ndarray,
-    gram_second: np.ndarray,
-    vectors: np.ndarray,
-    members: np.ndarray,
-) -> np.ndarray:
-    """Parallel-transport generator inside a resolved supported cluster.
+def _resolve_degenerate_clusters(vectors: np.ndarray, gram_derivs: np.ndarray, rows: np.ndarray,
+                                 patterns: list) -> np.ndarray:
+    """Rotate the rows' supported degenerate clusters, in place, to diagonalize the projected
+    Gram derivative: one batched eigh per cluster of a pattern.  Eigenvector curves stay
+    well-defined through a crossing when this first-order problem separates the branches;
+    the rows returned are those where it does not, an ill-posed derivative: refusals."""
+    unsplit = [rows[:0]]
+    for at, clusters in patterns:
+        group = rows[at]
+        v, derivs = vectors[group], gram_derivs[group, 0]
+        for members in clusters:
+            block = v[..., members]
+            sub = hermitian_eigendecompose(adjoint(block) @ derivs @ block)
+            unsplit.append(group[(np.diff(sub.eigenvalues) < DEGENERACY_TOL).any(axis=-1)])
+            v[..., members] = _normalize_phases(block @ sub.eigenvectors)
+        vectors[group] = v
+    return np.concatenate(unsplit)
+
+
+def _crossing_coupling(generator: np.ndarray, coupling: np.ndarray, values: np.ndarray,
+                       vectors: np.ndarray, gram_second: np.ndarray, rows: np.ndarray,
+                       patterns: list) -> None:
+    """Parallel-transport generator inside the rows' resolved supported clusters, in place, in
+    one batched pass per cluster of a pattern; gram_second holds one matrix per row.
 
     With B = X^dag G' X diagonal on the cluster, second-order degenerate
     perturbation theory gives K_ba = [(X^dag G'' X)_ba / 2 +
     sum_{c outside} B_bc B_ca / (g - g_c)] / (g'_a - g'_b).
     """
-    outside = ~members
-    block = vectors[:, members]
-    through = coupling[members][:, outside] / (float(np.mean(values[members])) - values[outside])
-    numer = 0.5 * (block.conj().T @ gram_second @ block) + through @ coupling[outside][:, members]
-    slopes = np.real(np.diag(coupling)[members])
-    split = slopes[np.newaxis, :] - slopes[:, np.newaxis]
-    np.fill_diagonal(split, 1.0)
-    out = numer / split
-    np.fill_diagonal(out, 0.0)
-    return out
+    for at, clusters in patterns:
+        group, second = rows[at], gram_second[at]
+        c, g, v = coupling[group, 0], values[group], vectors[group]
+        for members in clusters:
+            outside, inside = ~members, np.flatnonzero(members)
+            block, eye = v[..., members], np.eye(len(inside), dtype=bool)
+            mean = g[:, members].mean(axis=-1)[:, np.newaxis, np.newaxis]
+            through = c[:, members][..., outside] / (mean - g[:, np.newaxis, outside])
+            numer = 0.5 * (adjoint(block) @ second @ block) + through @ c[:, outside][..., members]
+            slopes = c.diagonal(axis1=-2, axis2=-1).real[:, members]
+            split = np.where(eye, 1.0, slopes[:, np.newaxis, :] - slopes[:, :, np.newaxis])
+            generator[group[:, np.newaxis, np.newaxis], 0, inside[:, np.newaxis], inside] = (
+                np.where(eye, 0.0, numer / split))
 
 
 def canonical_kraus(channel: ParametricChannel, theta, inputs=None) -> CanonicalKraus:
@@ -186,11 +196,11 @@ def canonical_kraus(channel: ParametricChannel, theta, inputs=None) -> Canonical
     (K_l)_jk = (X^dag d_l G X)_jk / (g_k - g_j) between eigenvalue clusters
     and K_l = 0 inside the unsupported cluster, because Y_k psi = 0 there.
     d_l E is the family's kraus_grad_fn.  A supported degenerate cluster is
-    resolved, on its own rows, for one parameter only and by a stencil that
-    must fit in the domain; with several it is refused, since a crossing can
-    split differently along different axes.  With the raw Kraus stack and
-    its partials kept, one call feeds everything a report needs.  A refused
-    row of a stack reaches no cluster resolution or stencil.
+    resolved per cluster pattern of rows, for one parameter only and by a
+    stencil that must fit in the domain; with several it is refused, since a
+    crossing can split differently along different axes.  With the raw Kraus
+    stack and its partials kept, one call feeds everything a report needs.  A
+    refused row of a stack reaches no cluster resolution or stencil.
     """
     if not channel.is_kraus_form or (channel.input_state is None and inputs is None):
         raise ValidationError(f"channel {channel.name!r} has no Kraus curve with a pure "
@@ -210,11 +220,12 @@ def canonical_kraus(channel: ParametricChannel, theta, inputs=None) -> Canonical
     m, stacked = points.shape[1], np.ndim(theta) == 2 or inputs is not None
 
     # the stack, then its partials: the exponential families memo one stack of points
-    ops = spread(channel.kraus_matrices(points))
-    dops = spread(channel.kraus_partials(points))
+    found = [None] * len(points) if stacked else None  # a non-finite point refuses its rows
+    ops = spread(channel.kraus_matrices(points, found))
+    dops = spread(channel.kraus_partials(points, found))
     thetas = spread(points)
     count, n = ops.shape[:2]
-    refusals = [None] * count if stacked else None
+    refusals = None if found is None else found * (count // len(found))
     kept = lambda: np.array([r is None for r in refusals]) if stacked else np.ones(count, bool)
     vs = (ops @ psi)[..., 0]
     sys = hermitian_eigendecompose(vs @ adjoint(vs))
@@ -231,34 +242,21 @@ def canonical_kraus(channel: ParametricChannel, theta, inputs=None) -> Canonical
     same = labels[:, :, np.newaxis] == labels[:, np.newaxis, :]
     crossing = ((same.sum(axis=-1) > 1) & supported).any(axis=-1)
     vectors = sys.eigenvectors
-    resolved = []  # (row, its crossing clusters, its second Gram derivative)
     if crossing.any():
         _refuse(refusals, crossing & (m != 1), lambda _: DegeneracyError(
             "supported Gram eigenvalues are degenerate at the center point; "
             "perturb theta to separate them"))
         # the second Gram derivative below is a central-4 stencil: it must fit in the box
-        edge = [c and not channel.in_domain(t, STENCIL_REACH) for c, t in zip(crossing, thetas)]
+        edge = crossing & ~channel.in_domain(thetas, STENCIL_REACH)
         _refuse(refusals, edge, lambda i: DegeneracyError(
             f"supported Gram eigenvalues cross at theta {thetas[i].tolist()}, within "
             f"{STENCIL_REACH} of a domain edge, where the crossing cannot be resolved"))
-        # each crossing row's degenerate clusters that hold a supported mode
-        clusters = {i: [labels[i] == c for c in np.unique(labels[i, supported[i]])
-                        if np.sum(labels[i] == c) > 1] for i in np.flatnonzero(crossing & kept())}
-        unsplit = [i for i, members in clusters.items()
-                   if not _resolve_degenerate_clusters(vectors[i], gram_derivs[i, 0], members)]
+        rows = np.flatnonzero(crossing & kept())
+        unsplit = _resolve_degenerate_clusters(vectors, gram_derivs, rows,
+                                               _crossing_patterns(labels, supported, rows))
         _refuse(refusals, np.isin(np.arange(count), unsplit), lambda _: DegeneracyError(
             "degenerate Gram eigenvalues with degenerate first-order splitting; "
             "perturb theta to move off the crossing"))
-        rows = np.flatnonzero(resolving := crossing & kept())
-        states = psi[rows % len(psi)]
-        # the stencil moves the points of resolved rows only: a row may have its own family
-        moved = resolving.reshape(len(points), -1).any(axis=1, keepdims=True)
-        at = lambda ts: np.where(moved, ts, points)
-        gram_second = differentiate_curve(lambda ts: _gram_derivative(
-            (spread(channel.kraus_matrices(at(ts)))[rows] @ states)[..., 0],
-            (spread(channel.kraus_partials(at(ts))[:, 0])[rows] @ states)[..., 0],
-        ), points) if rows.size else []
-        resolved = [(i, clusters[i], second) for i, second in zip(rows, gram_second)]
 
     mixing = adjoint(vectors)
     canonical = (mixing @ ops.reshape(count, n, -1)).reshape(ops.shape)
@@ -280,10 +278,18 @@ def canonical_kraus(channel: ParametricChannel, theta, inputs=None) -> Canonical
             "apart, too close for an accurate derivative; perturb theta away from the crossing")
     _refuse(refusals, noisy.any(axis=(1, 2, 3)), too_close)
     generator = np.where(same[:, np.newaxis], 0.0, coupling / spacing[:, np.newaxis])
-    for i, members_of_row, second in resolved:
-        for members in members_of_row:
-            generator[i, 0][np.ix_(members, members)] = _crossing_coupling(
-                coupling[i, 0], g[i], second, vectors[i], members)
+    if (rows := np.flatnonzero(resolving := crossing & kept())).size:
+        states = psi[rows % len(psi)]
+        # the stencil moves the points of resolved rows only, and every other point to the first
+        # of them: a row may have its own family, and a refused point may not evaluate
+        moved = resolving.reshape(len(points), -1).any(axis=1, keepdims=True)
+        at = lambda ts: np.where(moved, ts, ts[np.argmax(moved)])
+        gram_second = differentiate_curve(lambda ts: _gram_derivative(
+            (spread(channel.kraus_matrices(at(ts)))[rows] @ states)[..., 0],
+            (spread(channel.kraus_partials(at(ts))[:, 0])[rows] @ states)[..., 0],
+        ), points)
+        _crossing_coupling(generator, coupling, g, vectors, gram_second, rows,
+                           _crossing_patterns(labels, supported, rows))
     partials = (mixing[:, np.newaxis] @ dops.reshape(count, m, n, -1)
                 - generator @ canonical.reshape(count, 1, n, -1)).reshape(dops.shape)
 
@@ -603,7 +609,7 @@ def spectral_curve(channel: ParametricChannel, theta, inputs=None) -> SpectralCu
     unsupported eigenvalue that moves means theta is at a rank change, and
     is refused as the Kraus route refuses a moving unsupported mode.  A
     stack's curve holds the rows not refused, and refusals one entry per
-    point: None, or the NumericError that its lone call raises.
+    point: None, or the error that its lone call raises.
     """
     thetas, stacked = channel.theta_stack(theta), np.ndim(theta) == 2 or inputs is not None
     if channel.is_kraus_form or inputs is not None:
@@ -789,16 +795,23 @@ class ConditionReport:
     note: str = ""
 
 
-def _fit_real_scale(pairs: list[tuple[np.ndarray, np.ndarray]], tol: float):
-    """Least-squares real xi with A_i ~ xi B_i stacked over i."""
-    norm_b = sum(float(np.real(np.vdot(b, b))) for _, b in pairs)
-    if np.sqrt(norm_b) < tol:
-        return 0.0, 0.0, True
-    z = sum(complex(np.vdot(b, a)) for a, b in pairs)
-    xi = float(np.real(z)) / norm_b
-    residual = np.sqrt(sum(float(np.linalg.norm(a - xi * b) ** 2) for a, b in pairs))
-    residual += abs(float(np.imag(z))) / norm_b
-    return xi, residual, False
+def _fit_real_scale(a: np.ndarray, b: np.ndarray, tol: float, note: str = "") -> ConditionReport:
+    """Least-squares real xi_m with A_mk ~ xi_m B_mk over every k, for (M, K, d, d) stacks: per
+    element its xi, residual (misfit norm plus |Im z| / |B|^2) and whether |B| < tol makes it
+    vacuous.  Each sum over k adds in order the BLAS dots that np.vdot and np.linalg.norm take
+    of one matrix, so an element holds the bits of its own fit."""
+    a, b = (x.reshape(*x.shape[:2], -1) for x in (a, b))
+    dot = lambda x, y: (x[..., np.newaxis, :] @ y[..., np.newaxis])[..., 0, 0]  # a BLAS dot each
+    in_order = lambda x: np.cumsum(x, axis=1)[:, -1] + 0.0  # as a loop from 0 adds them
+    norm_b, z = in_order(dot(b.conj(), b).real), in_order(dot(b.conj(), a))
+    vacuous = np.sqrt(norm_b) < tol
+    norm_b = np.where(vacuous, 1.0, norm_b)
+    xi = np.where(vacuous, 0.0, z.real / norm_b)
+    misfit = a - xi[:, np.newaxis, np.newaxis] * b
+    squares = np.sqrt(dot(misfit.real, misfit.real) + dot(misfit.imag, misfit.imag)) ** 2
+    residual = np.where(vacuous, 0.0, np.sqrt(in_order(squares)) + np.abs(z.imag) / norm_b)
+    fits = map(ConditionElement, range(len(xi)), xi.tolist(), residual.tolist(), vacuous.tolist())
+    return ConditionReport(tuple(fits), bool((vacuous | (residual < tol)).all()), tol, note)
 
 
 def povm_sld_condition_check(
@@ -809,19 +822,14 @@ def povm_sld_condition_check(
     L is the SLD score of a one-parameter curve, and rho^(1/2) comes from
     its eigensystem, so an unsupported eigenvalue contributes an exact zero.
     A real xi_m is extracted by least squares; the residual combines the
-    misfit norm with the imaginary part of the fitted coefficient.
+    misfit norm with the imaginary part of the fitted coefficient.  Every
+    element is fitted in one stacked pass over the POVM's cached roots.
     """
     lam = sld_score(curve)
     w = curve.vectors
     root_rho = hermitian_part((w * np.sqrt(curve.values)) @ w.conj().T)
-    elements = []
-    for m, root_m in enumerate(psd_sqrt(povm.elements)):
-        b = root_m @ root_rho
-        a = root_m @ lam @ root_rho
-        xi, residual, vacuous = _fit_real_scale([(a, b)], tol)
-        elements.append(ConditionElement(m, xi, residual, vacuous))
-    satisfied = all(e.vacuous or e.residual < tol for e in elements)
-    return ConditionReport(tuple(elements), satisfied, tol)
+    roots = povm.roots[:, np.newaxis]
+    return _fit_real_scale(roots @ lam @ root_rho, roots @ root_rho, tol)
 
 
 def povm_sm_condition_check(
@@ -836,24 +844,20 @@ def povm_sm_condition_check(
     One real xi_m must serve every k, so xi_m solves the stacked least-squares
     problem, and the report holds its residual per element.  The condition
     is unsatisfiable for channels that fail the attainability condition, so
-    a failed check cannot by itself disqualify a measurement there.
+    a failed check cannot by itself disqualify a measurement there.  Every
+    element and operator pair is one matrix of one (M, K, d, d) stack.
     """
     ops = np.asarray(operators)
     derivs = np.asarray(derivatives, dtype=complex)
     if abs(rho0.purity() - 1.0) > 1e-9:
         raise ValidationError("condition check requires a pure input state")
     root_rho = psd_sqrt(rho0.matrix)
-    elements = []
-    for m, root_m in enumerate(psd_sqrt(povm.elements)):
-        pairs = [(root_m @ dk @ root_rho, root_m @ ek @ root_rho) for ek, dk in zip(ops, derivs)]
-        xi, residual, vacuous = _fit_real_scale(pairs, tol)
-        elements.append(ConditionElement(m, xi, residual, vacuous))
-    satisfied = all(e.vacuous or e.residual < tol for e in elements)
+    roots = povm.roots[:, np.newaxis]
     note = (
         "unsatisfiable for channels that violate the attainability condition; "
         "a failing check does not certify the measurement as suboptimal there"
     )
-    return ConditionReport(tuple(elements), satisfied, tol, note)
+    return _fit_real_scale(roots @ derivs @ root_rho, roots @ ops @ root_rho, tol, note)
 
 
 # ---------------------------------------------------------------------------

@@ -100,34 +100,35 @@ class ParametricChannel:
             return arr
         return self.theta_vector(arr)[np.newaxis]
 
-    def _inside(self, points: np.ndarray, margin: float) -> np.ndarray:
+    def in_domain(self, theta, margin: float = 0.0):
+        """Whether the point lies margin inside the box; (N,) verdicts for an (N, m) stack."""
         lo, hi = np.array(self.domain, dtype=float).T
-        return ((lo + margin <= points) & (points <= hi - margin)).all(axis=1)
-
-    def in_domain(self, theta, margin: float = 0.0) -> bool:
-        """Whether the point, or every point of an (N, m) stack, lies margin inside the box."""
-        return bool(self._inside(self.theta_stack(theta), margin).all())
+        points = self.theta_stack(theta)
+        inside = ((lo + margin <= points) & (points <= hi - margin)).all(axis=1)
+        return inside if np.ndim(theta) == 2 else bool(inside[0])
 
     def require_in_domain(self, theta) -> np.ndarray:
         """The point as an (m,) vector, or the (N, m) stack; the first point outside is named."""
         points = self.theta_stack(theta)
-        inside = self._inside(points, 0.0)
+        inside = self.in_domain(points)
         if not inside.all():
             raise ValidationError(
                 f"theta {points[np.argmin(inside)].tolist()} outside domain {self.domain}"
             )
         return points if np.ndim(theta) == 2 else points[0]
 
-    def kraus_matrices(self, theta) -> np.ndarray:
+    def kraus_matrices(self, theta, refusals: list | None = None) -> np.ndarray:
         """Raw (n, d, d) Kraus stack at theta, or (N, n, d, d); element order is fixed."""
-        return self._finite_kraus(self.kraus_fn, theta, "Kraus evaluation")
+        return self._finite_kraus(self.kraus_fn, theta, "Kraus evaluation", refusals)
 
-    def kraus_partials(self, theta) -> np.ndarray:
+    def kraus_partials(self, theta, refusals: list | None = None) -> np.ndarray:
         """Raw (m, n, d, d) partials at theta, or (N, m, n, d, d); a diverging one is refused."""
         grads = lambda t: np.stack([self.kraus_grad_fn(t, l) for l in range(self.param_count)], -4)
-        return self._finite_kraus(grads, theta, "Kraus derivative")
+        return self._finite_kraus(grads, theta, "Kraus derivative", refusals)
 
-    def _finite_kraus(self, fn, theta, what: str) -> np.ndarray:
+    def _finite_kraus(self, fn, theta, what: str, refusals: list | None) -> np.ndarray:
+        """fn at theta; a point with a non-finite entry raises the ValidationError naming it, or,
+        given refusals (one per point), is refused there unless refused before, its entries 0."""
         if self.kraus_fn is None:
             raise ValidationError(f"channel {self.name!r} has no Kraus form")
         points = self.theta_stack(theta)
@@ -135,8 +136,13 @@ class ParametricChannel:
             out = np.asarray(fn(points if np.ndim(theta) == 2 else points[0]), dtype=complex)
         finite = np.isfinite(out).reshape(len(points), -1).all(axis=1)
         if not finite.all():
-            at = points[np.argmin(finite)].tolist()
-            raise ValidationError(f"{what} at theta {at} produced non-finite entries")
+            refuse = lambda i: ValidationError(
+                f"{what} at theta {points[i].tolist()} produced non-finite entries")
+            if refusals is None:
+                raise refuse(np.argmin(finite))
+            for i in np.flatnonzero(~finite):
+                refusals[i] = refusals[i] or refuse(i)
+            out = np.where(finite.reshape(-1, *[1] * (out.ndim - 1)), out, 0.0)
         return out
 
     def spectral_at(self, theta) -> SpectralData:

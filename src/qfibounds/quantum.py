@@ -8,11 +8,12 @@ that accept possibly sloppy user input re-check at 1e-6.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .errors import ValidationError
-from .linalg import adjoint, hermitian_part, max_abs
+from .linalg import adjoint, hermitian_part, max_abs, psd_sqrt
 
 CONSTRUCT_HERM_TOL = 1e-10
 CONSTRUCT_SUM_TOL = 1e-9
@@ -131,6 +132,11 @@ class POVM:
 
     def __len__(self) -> int:
         return self.elements.shape[0]
+
+    @cached_property
+    def roots(self) -> np.ndarray:
+        """The elements' square roots M^(1/2), taken once per POVM; read-only."""
+        return _freeze(psd_sqrt(self.elements))
 
 
 def measurement_distribution(rho: DensityMatrix, povm: POVM | np.ndarray) -> np.ndarray:

@@ -165,8 +165,9 @@ def _battery_curves(seed: int, count: int, param_count: int) -> _Battery:
     group's (rows, m) generator stack.  A refused candidate (a DegeneracyError
     in the group's curve) moves only its own point, to its next candidate, and
     a point with all 8 refused is dropped; no draw moves.  A group's round is
-    one curve call, and only a round with a refusal has another one.  No suite
-    decomposes a point again.
+    one curve call; its kept rows are a group of their own, and the next
+    round decomposes only the refused rows, at their next candidates.  No
+    suite decomposes a point again.
     """
     salt, max_dim, width = _BATTERY_DRAWS[param_count]
     rng = np.random.Generator(np.random.Philox(key=np.uint64([seed, salt])))
@@ -181,15 +182,17 @@ def _battery_curves(seed: int, count: int, param_count: int) -> _Battery:
         amps = normals[rows, 0, :dim] + 1j * normals[rows, 1, :dim]
         psi = amps / np.linalg.norm(amps, axis=-1, keepdims=True)
         own.update(zip(rows.tolist(), zip(gens, psi)))
-        while (kept := np.flatnonzero(pick[rows] < 8)).size:
-            family = exponential_family(gens[kept], env, "battery", _box(param_count))
-            curve = spectral_curve(family, candidates[rows[kept], pick[rows[kept]]], psi[kept])
-            if not any(curve.refusals):
-                drawn.append((rows[kept], curve))
-                break
+        live = np.arange(len(rows))  # the group's rows whose candidate has not been decomposed
+        while live.size:
+            family = exponential_family(gens[live], env, "battery", _box(param_count))
+            curve = spectral_curve(family, candidates[rows[live], pick[rows[live]]], psi[live])
             if faults := [r for r in curve.refusals if r and not isinstance(r, DegeneracyError)]:
                 raise faults[0]  # a fault, not a bad draw
-            pick[rows[kept[[bool(refusal) for refusal in curve.refusals]]]] += 1
+            refused = np.array([bool(refusal) for refusal in curve.refusals])
+            if not refused.all():
+                drawn.append((rows[live[~refused]], curve))
+            pick[rows[live[refused]]] += 1
+            live = live[refused & (pick[rows[live]] < 8)]
     alive = np.flatnonzero(pick < 8)  # the points not dropped, in draw order
     position = np.cumsum(pick < 8) - 1  # an alive point's index in the battery
     generators, inputs = zip(*[own[p] for p in alive.tolist()]) if alive.size else ((), ())

@@ -5,7 +5,8 @@ remixing with its bound penalty (acceptance criterion 7, and the oracle of
 the `verify` ordering suite's own remixing), a seeded Haar unitary (random
 bases and remixings for the tests) and the matrix-by-matrix Hermitian draw
 (the oracle of `random_hermitian`'s one-call stack and of the `verify`
-battery's generators).  Not collected by pytest.
+battery's generators) and the element-by-element POVM condition checks (the
+oracle of the stacked fits in `bounds`).  Not collected by pytest.
 """
 
 from __future__ import annotations
@@ -15,9 +16,17 @@ from typing import Callable
 
 import numpy as np
 
-from qfibounds.bounds import DP_FLOOR, P_FLOOR
+from qfibounds.bounds import (
+    DP_FLOOR,
+    P_FLOOR,
+    ConditionElement,
+    ConditionReport,
+    SpectralCurve,
+    sld_score,
+)
 from qfibounds.channels import ParametricChannel
 from qfibounds.errors import SingularTermError, ValidationError
+from qfibounds.linalg import hermitian_part, psd_sqrt
 from qfibounds.quantum import POVM, DensityMatrix, measurement_distribution
 
 
@@ -117,3 +126,43 @@ def remixing_penalty(mixing_grad: np.ndarray, weights: np.ndarray) -> float:
     """
     du = np.asarray(mixing_grad, dtype=complex)
     return 4.0 * float(np.sum(np.abs(du) ** 2 @ np.asarray(weights, dtype=float)))
+
+
+def _fit_real_scale(pairs: list[tuple[np.ndarray, np.ndarray]], tol: float):
+    """Least-squares real xi with A_i ~ xi B_i stacked over i."""
+    norm_b = sum(float(np.real(np.vdot(b, b))) for _, b in pairs)
+    if np.sqrt(norm_b) < tol:
+        return 0.0, 0.0, True
+    z = sum(complex(np.vdot(b, a)) for a, b in pairs)
+    xi = float(np.real(z)) / norm_b
+    residual = np.sqrt(sum(float(np.linalg.norm(a - xi * b) ** 2) for a, b in pairs))
+    residual += abs(float(np.imag(z))) / norm_b
+    return xi, residual, False
+
+
+def sld_condition_by_element(povm: POVM, curve: SpectralCurve, tol: float = 1e-6):
+    """M^(1/2) L rho^(1/2) = xi_m M^(1/2) rho^(1/2), fitted one POVM element at a time."""
+    lam = sld_score(curve)
+    w = curve.vectors
+    root_rho = hermitian_part((w * np.sqrt(curve.values)) @ w.conj().T)
+    elements = []
+    for m, root_m in enumerate(psd_sqrt(povm.elements)):
+        xi, residual, vacuous = _fit_real_scale([(root_m @ lam @ root_rho, root_m @ root_rho)], tol)
+        elements.append(ConditionElement(m, xi, residual, vacuous))
+    satisfied = all(e.vacuous or e.residual < tol for e in elements)
+    return ConditionReport(tuple(elements), satisfied, tol)
+
+
+def sm_condition_by_element(povm: POVM, operators, derivatives, rho0: DensityMatrix,
+                            tol: float = 1e-6):
+    """M^(1/2) Y_k' rho0^(1/2) = xi_m M^(1/2) Y_k rho0^(1/2) for all k, fitted one POVM element
+    at a time over a list of its (element, operator) pairs."""
+    root_rho = psd_sqrt(rho0.matrix)
+    elements = []
+    for m, root_m in enumerate(psd_sqrt(povm.elements)):
+        pairs = [(root_m @ dk @ root_rho, root_m @ ek @ root_rho)
+                 for ek, dk in zip(operators, derivatives)]
+        xi, residual, vacuous = _fit_real_scale(pairs, tol)
+        elements.append(ConditionElement(m, xi, residual, vacuous))
+    satisfied = all(e.vacuous or e.residual < tol for e in elements)
+    return ConditionReport(tuple(elements), satisfied, tol)

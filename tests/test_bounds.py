@@ -43,7 +43,14 @@ from qfibounds.quantum import POVM, PureState, computational_basis_povm, pauli_b
 from qfibounds.multiparam import fisher_matrix, sld_matrix, sm_matrix
 from qfibounds.verify import one_param_battery, random_povm, two_param_battery
 
-from oracles import fisher_by_outcome, random_unitary, remix_channel, remixing_penalty
+from oracles import (
+    fisher_by_outcome,
+    random_unitary,
+    remix_channel,
+    remixing_penalty,
+    sld_condition_by_element,
+    sm_condition_by_element,
+)
 
 PLUS = PureState(np.array([1.0, 1.0]) / np.sqrt(2))
 KET0 = PureState(np.array([1.0, 0.0]))
@@ -760,6 +767,43 @@ def test_sm_condition_rotation_x_optimal_basis():
     assert report.satisfied
 
 
+CONDITION_CHANNELS = {
+    "dephasing": lambda: (builtin("dephasing"), 0.3),
+    "rotation-x": lambda: (builtin("rotation", axis="x"), 0.4),
+    "rotation-z": lambda: (builtin("rotation", axis="z"), 0.3),  # |0> in: vacuous elements
+    "amplitude-damping": lambda: (builtin("amplitude-damping"), 0.5),
+    "random-kraus-3-2": lambda: (random_kraus_channel(3, 2, seed=11), 0.2),
+    "random-kraus-8-8": lambda: (random_kraus_channel(8, 8, seed=11), -0.5),
+    "example1": lambda: (builtin("example1"), 0.4),  # spectral form: the SLD check only
+}
+
+
+@pytest.mark.parametrize("name", CONDITION_CHANNELS)
+def test_stacked_condition_checks_match_the_element_loops(name):
+    # One stacked fit per check against the element-by-element loops it replaced: the
+    # verdicts are equal, and xi and the residual are bit-equal or within 1e-12 relative.
+    channel, theta = CONDITION_CHANNELS[name]()
+    curve, d = spectral_curve(channel, theta), channel.dim
+    povms = [optimal_povm_from_sld(sld_score(curve)), computational_basis_povm(d),
+             POVM(np.eye(d)[np.newaxis]), random_povm(d, np.random.default_rng(35))]
+    povms += [pauli_basis_povm("x")] if d == 2 else []
+    vacuous = 0
+    for povm in povms:
+        pairs = [(povm_sld_condition_check(povm, curve), sld_condition_by_element(povm, curve))]
+        if curve.kraus is not None:
+            args = (povm, curve.kraus.operators, curve.kraus.derivatives[0],
+                    channel.input_state.density())
+            pairs.append((povm_sm_condition_check(*args), sm_condition_by_element(*args)))
+        for stacked, loop in pairs:
+            assert stacked.satisfied == loop.satisfied
+            for got, want in zip(stacked.elements, loop.elements, strict=True):
+                assert (got.index, got.vacuous) == (want.index, want.vacuous)
+                for a, b in ((got.xi, want.xi), (got.residual, want.residual)):
+                    assert a == b or abs(a - b) <= 1e-12 * abs(b) + 1e-15, (a, b)
+                vacuous += got.vacuous
+    assert (vacuous > 0) == (name == "rotation-z")
+
+
 # ---------------------------------------------------------------------------
 # Aggregate report
 # ---------------------------------------------------------------------------
@@ -1006,6 +1050,10 @@ def _parity_cases():
     inputs = [PLUS.amplitudes, _boundary_input(), KET0.amplitudes, _boundary_input()]
     inputs += [random_pure_state(2, rng).amplitudes for _ in range(3)]
     yield "input-stack", lambda: (builtin("amplitude-damping"), 0.3, np.array(inputs))
+    # crossing rows resolved per cluster pattern, every row kept
+    yield "crossing-mixed", lambda: (builtin("dephasing"),
+                                     np.array([[0.3], [0.5], [0.5], [0.7], [0.5]]), None)
+    yield "crossing-only", lambda: (builtin("dephasing"), np.full((24, 1), 0.5), None)
     yield "all-refused", lambda: (builtin("amplitude-damping"),
                                   np.linspace(0.99999999, 0.9999999999, 41)[:, np.newaxis], None)
     # Tolerances tightened to round-off make the curve's own checks refuse rows, which
@@ -1052,22 +1100,49 @@ def test_stacked_curve_rows_are_their_point_calls(case, monkeypatch):
     refused = rows - kept
     if case == "all-refused":
         assert kept == 0 and refused == rows
+    elif case.startswith("crossing"):
+        assert kept == rows
     else:
         assert kept and refused, (kept, refused)
+
+
+def test_a_non_finite_row_is_refused_as_its_point_call_raises():
+    # dephasing's Kraus partial diverges at 0 and 1: those rows carry the ValidationError
+    # their point calls raise, and the row between them keeps its values.
+    channel = builtin("dephasing")
+    curve = spectral_curve(channel, np.array([[0.0], [0.3], [1.0]]))
+    for theta, refusal in ((0.0, curve.refusals[0]), (1.0, curve.refusals[2])):
+        with pytest.raises(ValidationError) as lone:
+            spectral_curve(channel, theta)
+        assert type(refusal) is ValidationError and str(refusal) == str(lone.value)
+        assert str(refusal) == f"Kraus derivative at theta [{theta}] produced non-finite entries"
+    assert curve.refusals[1] is None and curve.theta.tolist() == [[0.3]]
+    assert np.array_equal(curve.information[0][0], spectral_curve(channel, 0.3).information[0])
 
 
 def test_refused_rows_reach_no_cluster_resolution(monkeypatch):
     # depolarizing's weights cross at 1, too near the edge for the stencil: that row is
     # refused before any cluster of it is resolved; dephasing's crossing at 0.5 is resolved.
-    resolved = []
-    resolve = bounds._resolve_degenerate_clusters
-    monkeypatch.setattr(bounds, "_resolve_degenerate_clusters",
-                        lambda *args: resolved.append(args) or resolve(*args))
+    # Each batched pass, the rotation and the coupling, records the rows it is given.
+    reached = {}
+
+    def record(name, rows_at):
+        seam, reached[name] = getattr(bounds, name), []
+
+        def recorded(*args):
+            reached[name].extend(args[rows_at].tolist())
+            return seam(*args)
+        monkeypatch.setattr(bounds, name, recorded)
+
+    record("_resolve_degenerate_clusters", 2)
+    record("_crossing_coupling", 5)
     curve = spectral_curve(builtin("depolarizing"), np.array([[0.9998], [1.0]]))
-    assert resolved == [] and curve.refusals[0] is None
+    assert reached == {"_resolve_degenerate_clusters": [], "_crossing_coupling": []}
+    assert curve.refusals[0] is None
     assert "within 0.0002 of a domain edge" in str(curve.refusals[1])
     curve = spectral_curve(builtin("dephasing"), np.array([[0.3], [0.5], [0.500001]]))
-    assert len(resolved) == 1 and curve.theta.tolist() == [[0.3], [0.5]]
+    assert reached == {"_resolve_degenerate_clusters": [1], "_crossing_coupling": [1]}
+    assert curve.theta.tolist() == [[0.3], [0.5]]
 
 
 # ---------------------------------------------------------------------------

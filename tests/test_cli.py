@@ -874,8 +874,11 @@ RANDOM_3_2 = "family = random-kraus\ndim = 3\nenv = 2\nseed = 11\n"
         (RANDOM_3_2, "-0.9:0.9:41", [20]),
         (DEPHASING, "0.4999999:0.5000001:41", [i for i in range(41) if i not in (20, 21)]),
         (DAMPING, "0.99999999:0.9999999999:401", list(range(401))),  # every row refused
+        ("family = dephasing\n", "0:1e-6:41", [0]),  # the partial diverges at theta = 0
+        (DAMPING, "0:1e-9:21", list(range(21))),  # so does amplitude damping's
     ],
-    ids=["random-401", "random-41", "dephasing-band", "damping-all-refused"],
+    ids=["random-401", "random-41", "dephasing-band", "damping-all-refused", "dephasing-edge",
+         "damping-edge"],
 )
 def test_sweep_makes_one_curve_call_however_many_rows_refuse(
     spec_file, capsys, monkeypatch, text, grid, refused
@@ -888,6 +891,31 @@ def test_sweep_makes_one_curve_call_however_many_rows_refuse(
     assert [i for i, row in enumerate(rows) if "sld_information" not in row] == refused
     assert all(list(rows[i]) == ["theta", "warnings"] for i in refused)
     assert calls["spectral_curve"] == 1
+
+
+def test_a_non_finite_sweep_row_is_the_error_of_its_point_call(spec_file, capsys):
+    # The row's warning is the message with which its point call exits 2.
+    spec = spec_file("family = dephasing\n")
+    code, out, err = run_cli(capsys, "sweep", spec, "--theta-grid=0:1e-6:41")
+    message = "Kraus derivative at theta [0.0] produced non-finite entries"
+    rows = json.loads(out)["points"]
+    assert (code, err, rows[0]) == (0, "", {"theta": 0.0, "warnings": [message]})
+    assert all("sld_information" in row for row in rows[1:]) and len(rows) == 41
+    assert run_cli(capsys, "report", spec, "--theta", "0") == (2, "", f"error: {message}\n")
+
+
+def test_report_optimal_povm_takes_the_element_roots_once(spec_file, capsys, monkeypatch):
+    # Both condition checks read the POVM's cached roots: one psd_sqrt of the element stack.
+    from qfibounds import bounds, linalg, quantum
+
+    stacks = []
+    for module in (bounds, quantum):
+        monkeypatch.setattr(module, "psd_sqrt", lambda a: stacks.append(np.ndim(a)) or (
+            linalg.psd_sqrt(a)))
+    code, out, _ = run_cli(capsys, "report", spec_file(RANDOM_3_2), "--theta", "0.3", "--povm",
+                           "optimal")
+    assert code == 0 and {"sld_condition", "sm_condition"} <= set(json.loads(out)["result"])
+    assert stacks.count(3) == 1
 
 
 @pytest.mark.parametrize(
@@ -918,9 +946,9 @@ def test_sweep_decomposes_each_point_once(spec_file, capsys, monkeypatch, text):
     original = ParametricChannel.kraus_matrices
     load = cli_module._load_spec
 
-    def kraus_matrices(self, theta):
+    def kraus_matrices(self, theta, *refusals):
         calls["kraus_matrices"] += 1
-        return original(self, theta)
+        return original(self, theta, *refusals)
 
     def loaded(path):
         # loading validates the Kraus stack over the domain; count the points only

@@ -421,12 +421,18 @@ def test_each_group_kernel_call_evaluates_its_family_once(monkeypatch):
 
 def test_a_battery_round_is_one_curve_call_per_group(monkeypatch):
     # Seed 1 refuses one candidate: each of the 9 shape groups takes one curve call,
-    # and only the group holding the refused row a second, for its redrawn round.
-    calls = _count(monkeypatch, "spectral_curve")
-    for seed, expected in ((1, 10), (verify.DEFAULT_SEED, 9)):
-        calls.clear()
+    # and only the group holding the refused row a second, for its redrawn row alone.
+    rows, original = [], verify.spectral_curve
+    monkeypatch.setattr(verify, "spectral_curve",
+                        lambda channel, theta, inputs: rows.append(len(inputs)) or original(
+                            channel, theta, inputs))
+    for seed, expected in ((1, [26, 45, 22, 28, 24, 1, 12, 23, 11, 9]),
+                           (verify.DEFAULT_SEED, [39, 42, 17, 25, 15, 12, 9, 21, 20])):
+        rows.clear()
         verify.one_param_battery(seed)
-        assert calls["spectral_curve"] == expected, seed
+        assert rows == expected, seed
+    monkeypatch.setattr(verify, "spectral_curve", original)
+    calls = _count(monkeypatch, "spectral_curve")
     # every suite: the batteries' rounds, one fan call per group, and the equality family
     for seed, expected in ((1, 21), (verify.DEFAULT_SEED, 20)):
         calls.clear()
