@@ -30,11 +30,5 @@ from .errors import (
     ValidationError,
 )
 from .estimation import optimize_input_state
-from .multiparam import (
-    directional_reduction_check,
-    fisher_matrix,
-    multi_attainability_check,
-    sld_matrix,
-    sm_matrix,
-)
 from .quantum import PureState, pauli_basis_povm
+from .verify import directional_reduction_check

@@ -1,4 +1,4 @@
-"""Channel bounds at a point, and the scalar one-parameter functionals.
+"""Channel bounds at a point, for any number of parameters, in one report.
 
 Canonical Kraus decomposition with an explicit, reproducible gauge; spectral
 curves of the output state; the SLD score and quantum information; the
@@ -22,9 +22,10 @@ matrices; the scalar bounds and the gap are 1 x 1 cases of it.  The Fisher
 information of a POVM reads the curve's state and its per-parameter
 partials (SpectralCurve.fisher), the unitary condition reads its
 decomposition, and no function of a point evaluates the channel again.
-The scalar functionals read a one-parameter curve, one value per point of
-a stacked curve, and refuse a curve with several parameters; multiparam
-wraps the matrices of the same curve.
+bound_report reads every quantity of a curve into one checked record for
+any m, a stacked curve's with a leading axis; the scalar functionals read
+the (0, 0) entries of a one-parameter curve, one value per point of a
+stacked curve, and refuse a curve with several parameters.
 
 Gauge convention: the canonical operators Y = X^dag E come from the
 eigenvectors X of the input-state Gram matrix, and their derivatives follow
@@ -694,9 +695,14 @@ def sm_bound_kraus(operators, derivatives, rho0) -> float:
         raise ValidationError(
             f"derivative stack shape {derivs.shape} does not match operators {np.shape(ops)}"
         )
+    return _per_point(_kraus_bound(derivs[..., np.newaxis, :, :, :], rho0)[..., 0, 0])
+
+
+def _kraus_bound(derivatives: np.ndarray, rho0) -> np.ndarray:
+    """(..., m, m) 4 Re sum_k tr(d_l E_k rho0 d_n E_k^dag) of (..., m, n, d, d) partials."""
     rho = getattr(rho0, "matrix", rho0)
-    value = np.einsum("...kij,...jl,...kil->...", derivs, rho, derivs.conj())
-    return _per_point(4.0 * np.real(value))
+    value = np.einsum("...lkij,...jq,...nkiq->...ln", derivatives, rho, derivatives.conj())
+    return 4.0 * np.real(value)
 
 
 def bound_gap(curve: SpectralCurve) -> float:
@@ -705,16 +711,21 @@ def bound_gap(curve: SpectralCurve) -> float:
     Checked against the difference of the two bounds before returning.
     """
     _require_one_parameter(curve)
+    return _per_point(_gap(curve)[..., 0, 0])
+
+
+def _gap(curve: SpectralCurve) -> np.ndarray:
+    """(..., m, m) gap, the pair form of weight 8 p_j p_k / (p_j + p_k), checked to be C - H."""
     p = curve.values
     weight = _over_pair_total(p, 8.0 * (p[..., :, np.newaxis] * p[..., np.newaxis, :]))
-    gap = _pair_form(curve, weight[np.newaxis])[0, ..., 0, 0]
-    h, c = (a[..., 0, 0] for a in curve.information)
+    gap = _pair_form(curve, weight[np.newaxis])[0]
+    h, c = curve.information
     direct = c - h
-    if (bad := np.abs(gap - direct) > 1e-8 * np.maximum(1.0, c)).any():
+    if (bad := np.abs(gap - direct) > 1e-8 * np.maximum(1.0, np.abs(c))).any():
         raise ConsistencyError(
             f"gap formula {float(gap[bad][0])!r} vs bound difference {float(direct[bad][0])!r}"
         )
-    return _per_point(gap)
+    return gap
 
 
 def attainability_check(curve: SpectralCurve, tol: float = 1e-6) -> tuple[bool, float]:
@@ -729,13 +740,15 @@ def attainability_check(curve: SpectralCurve, tol: float = 1e-6) -> tuple[bool, 
 
 
 def unitary_condition(
-    channel: ParametricChannel, curve: SpectralCurve, tol: float = 1e-6
+    channel: ParametricChannel, curve: SpectralCurve, tol: float = 1e-6,
+    rho0: DensityMatrix | None = None,
 ) -> tuple[tuple[complex, ...], bool]:
     """Per-parameter condition values tr(U rho0 d_l U^dag) of a single-operator channel.
 
     Read from the family's own operator and partials in the curve's
-    decomposition.  The bound is attainable along parameter l exactly when
-    its value vanishes; the flag says whether every value is below tol.
+    decomposition, and the channel's input state unless rho0 is given.  The
+    bound is attainable along parameter l exactly when its value vanishes;
+    the flag says whether every value is below tol.
     """
     ck = curve.kraus
     if ck is None:
@@ -743,7 +756,7 @@ def unitary_condition(
     n = ck.raw_operators.shape[0]
     if n != 1:
         raise ValidationError(f"channel has {n} Kraus operators; expected 1")
-    u, rho0 = ck.raw_operators[0], channel.input_state.density().matrix
+    u, rho0 = ck.raw_operators[0], (rho0 or channel.input_state.density()).matrix
     values = tuple(complex(np.trace(u @ rho0 @ du[0].conj().T)) for du in ck.raw_derivatives)
     return values, all(abs(z) < tol for z in values)
 
@@ -866,27 +879,65 @@ def povm_sm_condition_check(
 
 @dataclass(frozen=True)
 class BoundReport:
-    """All one-parameter quantities at a point, with consistency enforced."""
+    """Every bound quantity at a curve's point, for any parameter count m, checked.
 
-    theta: float
-    sld_information: float
-    channel_bound: float
-    gap: float
-    attainable: bool
-    attainability_residual: float
+    Matrices are (m, m) and symmetrized: H, C, the gap, C_E of the family's
+    own Kraus curve and C_kraus of the canonical partials (both None for a
+    spectral-form family), and F of a POVM (None without one, or when a
+    singular outcome drops it, which a warning says).  Per point: the
+    attainability verdict and residual, the quasi-classical flag (every
+    supported eigenvector partial below tol) and the warnings.  A stacked
+    curve's report gives each of them a leading (N,) axis over its points.
+    A point's report also holds (values, verdict) of the unitary condition of
+    a single-operator channel and, for one parameter and a POVM, the SLD and
+    SM optimality conditions.
+    """
+
+    theta: np.ndarray
+    sld_information: np.ndarray
+    channel_bound: np.ndarray
+    gap: np.ndarray
+    attainable: np.ndarray
+    attainability_residual: np.ndarray
     attainability_tol: float
+    quasi_classical: np.ndarray
     gauge_source: str
-    fisher_information: float | None = None
-    representation_bound: float | None = None  # C_E of the family's own Kraus curve
-    method_cross_check: float | None = None
-    warnings: tuple[str, ...] = field(default_factory=tuple)
+    fisher_information: np.ndarray | None = None
+    representation_bound: np.ndarray | None = None
+    kraus_bound: np.ndarray | None = None
+    unitary_condition: tuple | None = None
+    sld_condition: ConditionReport | None = None
+    sm_condition: ConditionReport | None = None
+    warnings: tuple = ()
 
-    def __post_init__(self):
-        h, c = self.sld_information, self.channel_bound
-        if h > c + 1e-8 * max(1.0, c):
-            raise ConsistencyError(f"H = {h!r} exceeds the channel bound {c!r}")
-        if abs(self.gap - (c - h)) > 1e-8 * max(1.0, c):
-            raise ConsistencyError(f"gap {self.gap!r} inconsistent with C - H = {c - h!r}")
+    @property
+    def method_cross_check(self):
+        """The largest entry of |C - C_kraus|, per point; None without C_kraus."""
+        if self.kraus_bound is not None:
+            return np.abs(self.channel_bound - self.kraus_bound).max(axis=(-2, -1))
+
+
+def _symmetric(a: np.ndarray) -> np.ndarray:
+    return a if a.shape[-1] == 1 else (a + a.swapaxes(-1, -2)) / 2
+
+
+def _information_matrix(a: np.ndarray, kind: str) -> np.ndarray:
+    """a symmetrized, refused if its asymmetry or a negative eigenvalue passes 1e-9 of its scale.
+
+    A 1 x 1 matrix is symmetric and, a sum of non-negative terms, never negative: it passes as is.
+    """
+    if a.shape[-1] == 1:
+        return a
+    scale = 1e-9 * np.maximum(1.0, np.abs(a).max(axis=(-2, -1)))
+    first = lambda x, bad: float(np.ravel(x)[np.argmax(np.ravel(bad))])
+    asym = np.abs(a - a.swapaxes(-1, -2)).max(axis=(-2, -1))
+    if (bad := asym > scale).any():
+        raise ConsistencyError(f"{kind} matrix asymmetry {first(asym, bad):.3e}")
+    sym = _symmetric(a)
+    low = np.linalg.eigvalsh(sym)[..., 0]
+    if (bad := low < -scale).any():
+        raise ConsistencyError(f"{kind} matrix min eigenvalue {first(low, bad):.3e}")
+    return sym
 
 
 def bound_report(
@@ -895,52 +946,48 @@ def bound_report(
     povm: POVM | None = None,
     attainability_tol: float = 1e-6,
 ) -> BoundReport:
-    """Every one-parameter bound quantity at the curve's point.
+    """Every bound quantity at the curve's point, or at each point of a stacked curve.
 
     H, C, the gap and the attainability residual read the curve's cached
-    overlap matrix and bound terms; the C_kraus cross-check and C_E read its
-    canonical decomposition (absent for a spectral-form family).  The curve
-    must have one parameter.  A stacked curve, read without a POVM, gives a
-    list of reports, one per point.
+    overlap stack, after its SLD score has checked H; C_E and the C_kraus
+    cross-check read its canonical decomposition, all m partials with their
+    cross terms; F reads its state.  Each check runs once over the whole
+    stack: the SLD score's two, the symmetry and positivity of H, C and F,
+    the gap identity and H <= C on the diagonal.  One input DensityMatrix
+    serves C_E, C_kraus, the unitary condition and the SM condition.  A POVM
+    is read at one point, not a stack.
     """
     stacked = curve.theta.ndim == 2
     if stacked and povm is not None:
         raise ValidationError("Fisher information is read at one point, not a stack")
-    c_spec = sm_bound_spectral(curve)
+    curve.sld_score  # building the score stack checks H
+    h, c = (_information_matrix(a, kind) for a, kind in zip(curve.information, ("sld", "sm")))
+    gap = _symmetric(_gap(curve))
+    hd, cd = (np.diagonal(a, axis1=-2, axis2=-1) for a in (h, c))
+    if (bad := hd > cd + 1e-8 * np.maximum(1.0, cd)).any():
+        raise ConsistencyError(
+            f"H = {float(hd[bad][0])!r} exceeds the channel bound {float(cd[bad][0])!r}")
     attainable, residual = attainability_check(curve, attainability_tol)
-    ck, count = curve.kraus, len(curve.theta) if stacked else 1
-    cross = c_e = [None] * count
+    moving = np.where(curve.support[..., np.newaxis, np.newaxis, :], np.abs(curve.vector_derivs), 0)
+    quasi = moving.max(axis=(-3, -2, -1)) < attainability_tol
+    parts, warnings, ck = {}, [], curve.kraus
     if ck is not None:
         rho0 = channel.input_state.density()
-        cross = np.abs(c_spec - sm_bound_kraus(ck.operators, ck.derivatives[..., 0, :, :, :], rho0))
-        c_e = sm_bound_kraus(ck.raw_operators, ck.raw_derivatives[..., 0, :, :, :], rho0)
-    warnings: list[str] = []
-    f = None
+        parts["kraus_bound"] = _symmetric(_kraus_bound(ck.derivatives, rho0))
+        parts["representation_bound"] = _symmetric(_kraus_bound(ck.raw_derivatives, rho0))
+        if ck.operators.shape[-3] == 1 and not stacked:
+            parts["unitary_condition"] = unitary_condition(channel, curve, attainability_tol, rho0)
     if povm is not None:
         try:
-            f = fisher_information(curve, povm)
+            parts["fisher_information"] = _information_matrix(curve.fisher(povm), "fisher")
         except SingularTermError as exc:
             warnings.append(f"Fisher information dropped: {exc}")
-    h, gap = sld_information(curve), bound_gap(curve)
-    columns = (curve.theta[..., 0], h, c_spec, gap, attainable, residual, c_e, cross)
-    reports = [
-        BoundReport(
-            theta=float(t),
-            sld_information=float(h_t),
-            channel_bound=float(c_t),
-            gap=float(gap_t),
-            attainable=bool(ok),
-            attainability_residual=float(res),
-            attainability_tol=attainability_tol,
-            gauge_source=curve.gauge_source,
-            fisher_information=f,
-            representation_bound=None if c_e_t is None else float(c_e_t),
-            method_cross_check=None if cross_t is None else float(cross_t),
-            warnings=tuple(warnings if ok else [UNATTAINABLE, *warnings]),
-        )
-        for t, h_t, c_t, gap_t, ok, res, c_e_t, cross_t in zip(
-            *(np.reshape(a, count) for a in columns)
-        )
-    ]
-    return reports if stacked else reports[0]
-
+        if curve.param_count == 1:
+            parts["sld_condition"] = povm_sld_condition_check(povm, curve, attainability_tol)
+            if ck is not None:
+                parts["sm_condition"] = povm_sm_condition_check(
+                    povm, ck.operators, ck.derivatives[0], rho0, attainability_tol)
+    noted = lambda ok: tuple(warnings if ok else [UNATTAINABLE, *warnings])
+    return BoundReport(
+        curve.theta, h, c, gap, attainable, residual, attainability_tol, quasi, curve.gauge_source,
+        warnings=tuple(map(noted, attainable)) if stacked else noted(attainable), **parts)

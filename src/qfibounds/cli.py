@@ -7,6 +7,10 @@
     qfi optimize-input SPEC --theta 0.3 --objective sld
     qfi verify --suite all
 
+`report` and `sweep` print one bounds.bound_report record through one JSON
+view, reporting.report_dict: a point's for any number of parameters, a
+sweep's stacked record as one row per point.
+
 Exit codes: 0 success, 2 validation error, 3 numeric failure
 (degeneracy / singular terms / non-finite output), 4 verification-suite
 failure.  The seed falls back to the QFI_SEED environment variable, then 0;
@@ -28,29 +32,13 @@ from pathlib import Path
 import numpy as np
 
 from . import reporting
-from .bounds import (
-    bound_report,
-    optimal_povm_from_sld,
-    povm_sld_condition_check,
-    povm_sm_condition_check,
-    sld_score,
-    spectral_curve,
-    unitary_condition,
-)
+from .bounds import bound_report, optimal_povm_from_sld, sld_score, spectral_curve
 from .channels import ParametricChannel
 from .errors import NumericError, ValidationError
 from .estimation import (
     adaptive_experiment,
     cr_experiment,
     optimize_input_state,
-)
-from .multiparam import (
-    fisher_matrix,
-    loewner_report,
-    multi_attainability_check,
-    pinv_with_rank,
-    sld_matrix,
-    sm_matrix,
 )
 from .quantum import POVM, computational_basis_povm, pauli_basis_povm
 from .specfile import ChannelSpec
@@ -162,65 +150,6 @@ def _channel_block(spec: ChannelSpec, channel) -> dict:
     }
 
 
-def _point_report(channel, curve, povm, povm_id, tol) -> dict:
-    report = bound_report(channel, curve, povm, tol)
-    doc = reporting.bound_report_dict(report)
-    warnings = list(doc["warnings"])
-    if report.gauge_source == "canonical-kraus":
-        warnings.append(
-            "eigenvector gauge fixed by parallel transport of the Gram eigenvectors; "
-            "diagonal overlaps <w'|w> are gauge-dependent"
-        )
-    ck = curve.kraus
-    if ck is not None and ck.operators.shape[0] == 1:
-        (value,), attainable = unitary_condition(channel, curve, tol)
-        doc["unitary_condition"] = {"value": value, "attainable": attainable}
-    if povm is not None:
-        doc["povm"] = povm_id
-        doc["sld_condition"] = povm_sld_condition_check(povm, curve, tol)
-        if ck is not None:
-            doc["sm_condition"] = povm_sm_condition_check(
-                povm, ck.operators, ck.derivatives[0], channel.input_state.density(), tol
-            )
-    doc["warnings"] = warnings
-    return doc
-
-
-def _matrix_report(channel, curve, povm, povm_id, tol) -> dict:
-    h = sld_matrix(curve)
-    c = sm_matrix(curve)
-    att = multi_attainability_check(curve, tol, channel=channel)
-    warnings = []
-    doc = {
-        "theta": curve.theta,
-        "sld_information": h,
-        "channel_bound": c,
-        "attainability": {
-            "attainable": att.attainable,
-            "residual": att.residual,
-            "tol": att.tol,
-            "quasi_classical": att.quasi_classical,
-        },
-        "gauge_source": curve.gauge_source,
-    }
-    if att.unitary_condition_values is not None:
-        doc["unitary_condition"] = att.unitary_condition_values
-    inv, rank = pinv_with_rank(h)
-    doc["covariance_floor"] = {"matrix": inv, "rank": rank}
-    if rank < h.size:
-        warnings.append(
-            f"SLD information matrix is rank {rank} of {h.size}; covariance floor "
-            "uses the pseudo-inverse"
-        )
-    if povm is not None:
-        doc["povm"] = povm_id
-        f = fisher_matrix(curve, povm)
-        doc["fisher_information"] = f
-        doc["loewner"] = loewner_report(f, h, c)
-    doc["warnings"] = warnings
-    return doc
-
-
 def cmd_report(args) -> int:
     tol = _tol_of(args)
     spec, channel = _load_spec(args.spec)
@@ -232,13 +161,11 @@ def cmd_report(args) -> int:
     named = (args.povm != "optimal" or not one_param) and _resolve_povm(args.povm, channel)
     curve = spectral_curve(channel, theta)
     povm, povm_id = named or _resolve_povm(args.povm, channel, curve)
-    report = _point_report if one_param else _matrix_report
-    result = report(channel, curve, povm, povm_id, tol)
     doc = {
         "tool": reporting.TOOL,
         "channel": _channel_block(spec, channel),
         "config": {"tol": tol},
-        "result": result,
+        "result": reporting.report_dict(bound_report(channel, curve, povm, tol), povm_id),
     }
     sys.stdout.write(reporting.to_json(doc))
     return 0
@@ -273,7 +200,7 @@ def cmd_sweep(args) -> int:
     grid = _parse_grid(args.theta_grid)
     # one stacked curve for the whole grid; a refused point's row is its refusal, as a warning
     curve = spectral_curve(channel, channel.require_in_domain(grid[:, np.newaxis]))
-    reports = map(reporting.bound_report_dict, bound_report(channel, curve, None, tol))
+    reports = iter(reporting.report_dict(bound_report(channel, curve, None, tol)))
     rows = [{"theta": float(theta), "warnings": [str(refusal)]} if refusal else next(reports)
             for theta, refusal in zip(grid, curve.refusals)]
     if args.format == "csv":

@@ -4,7 +4,9 @@ Seeded batteries of random channels exercising the ordering chain
 F <= H <= C (and H <= C_E for theta-dependent remixings), the gap identity,
 the agreement of the Kraus and spectral routes to the channel bound, and the
 directional reduction of the multi-parameter matrices to the fan of slices
-along many directions.  A battery is drawn from one Philox as arrays and
+along many directions: one curve of the fan t -> channel(theta + V^T t)
+gives the fan's H and C, which must be V H V^T and V C V^T of the point's
+(directional_reduction_check).  A battery is drawn from one Philox as arrays and
 holds each point's env, theta, generators and input, not channels.  Its
 points of one shape (dim, Kraus count) are one channel whose row i carries
 point i's generators (channels.exponential_family), so a group and its fans
@@ -22,8 +24,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bounds import (
+    SUPPORT_TOL,
     SpectralCurve,
     bound_gap,
+    bound_report,
     optimal_povm_from_sld,
     sld_information,
     sld_score,
@@ -33,18 +37,13 @@ from .bounds import (
 )
 from .channels import (
     ParametricChannel,
+    directional_channel,
     example2,
     exponential_family,
     random_hermitian,
 )
-from .errors import DegeneracyError
+from .errors import DegeneracyError, NumericError
 from .linalg import adjoint, hermitian_eigendecompose, loewner_leq, max_abs, unitary_exponential
-from .multiparam import (
-    directional_reduction_check,
-    multi_attainability_check,
-    sld_matrix,
-    sm_matrix,
-)
 from .quantum import POVM, PureState
 
 DEFAULT_SEED = 20260809
@@ -283,13 +282,80 @@ def _sld_matrix_by_pinv(curve: SpectralCurve) -> np.ndarray:
     return np.real(np.einsum("...ij,...ljk,...nki->...ln", rho, scores, scores))
 
 
+@dataclass(frozen=True)
+class DirectionalCheck:
+    """The fan's (k, k) H and C against V H V^T and V C V^T, entry by entry, per point."""
+
+    directions: np.ndarray
+    kraus_deriv_mismatch: float | None
+    sld_slice: np.ndarray
+    sld_quadratic: np.ndarray
+    sm_slice: np.ndarray
+    sm_quadratic: np.ndarray
+    refusals: tuple | None = None  # a stack's, one per fan; the arrays hold the fans not refused
+
+    @property
+    def sld_mismatch(self) -> float:
+        return _entry_mismatch(self.sld_slice, self.sld_quadratic)
+
+    @property
+    def sm_mismatch(self) -> float:
+        return _entry_mismatch(self.sm_slice, self.sm_quadratic)
+
+    @property
+    def mismatch(self):
+        """The worst of the three mismatches, per point."""
+        kraus = 0.0 if self.kraus_deriv_mismatch is None else self.kraus_deriv_mismatch
+        return np.maximum(np.maximum(self.sld_mismatch, self.sm_mismatch), kraus)
+
+
+def _entry_mismatch(fan: np.ndarray, quadratic: np.ndarray) -> float:
+    return np.max(np.abs(fan - quadratic) / np.maximum(1.0, np.abs(quadratic)), axis=(-2, -1))
+
+
+def directional_reduction_check(channel, curve: SpectralCurve, directions) -> DirectionalCheck:
+    """Check the fan t -> channel(theta + V^T t) along the rows of V (or one v) at t = 0.
+
+    One curve of the fan serves every direction: its supported canonical
+    partials must equal V times the curve's partials, its H and C must equal
+    V H V^T and V C V^T entry by entry, and its SLD score stack checks the
+    SLD residual and H, however narrow the fan.  A stacked Kraus-form curve
+    takes (N, k, m) directions; its fans, of its channel and with its inputs,
+    are decomposed in one call, and a refused fan is one of the refusals.
+    """
+    stacked = curve.theta.ndim == 2
+    lift = (lambda a: a) if stacked else (lambda a: a[np.newaxis])
+    v = lift(np.atleast_2d(np.asarray(directions, dtype=float)))
+    fan = directional_channel(channel, curve.theta, v if stacked else v[0])
+    psi = None if curve.kraus is None else lift(curve.kraus.psi)
+    fan_curve = spectral_curve(fan, np.zeros(v.shape[:2]), psi)
+    if not stacked and fan_curve.refusals[0]:
+        raise fan_curve.refusals[0]
+    fan_curve.sld_score  # building the score stack checks the residual and H
+    kept = np.array([refusal is None for refusal in fan_curve.refusals])
+    v, (h, c) = v[kept], (lift(a)[kept] for a in curve.information)
+    kraus_mismatch = None
+    if curve.kraus is not None and kept.any():
+        keep = lift(curve.kraus.weights > SUPPORT_TOL)[kept, np.newaxis, :, np.newaxis, np.newaxis]
+        partials, fan_partials = lift(curve.kraus.derivatives)[kept], fan_curve.kraus.derivatives
+        combo = (v @ partials.reshape(*partials.shape[:2], -1)).reshape(fan_partials.shape)
+        diff = np.where(keep, np.abs(fan_partials - combo), 0.0).max(axis=(2, 3, 4))
+        scale = np.maximum(1.0, np.where(keep, np.abs(combo), 0.0).max(axis=(2, 3, 4)))
+        kraus_mismatch = (diff / scale).max(axis=-1)
+    (fan_h, fan_c), vt = fan_curve.information, v.swapaxes(-1, -2)
+    check = dict(directions=v, kraus_deriv_mismatch=kraus_mismatch, sld_slice=fan_h,
+                 sld_quadratic=v @ h @ vt, sm_slice=fan_c, sm_quadratic=v @ c @ vt,
+                 refusals=fan_curve.refusals)  # (None,) for a point: its refused fan raised
+    return DirectionalCheck(**{k: a if stacked or a is None else a[0] for k, a in check.items()})
+
+
 def directional_suite(
     seed: int = DEFAULT_SEED, count: int = 50, directions: int = 20
 ) -> list[CheckResult]:
     """Multi-parameter Loewner ordering and slice consistency checks.
 
     All directions of a channel are checked on one curve of the fan along
-    them, and a shape group's fans in one call (multiparam.directional_reduction_check).
+    them, and a shape group's fans in one call (directional_reduction_check).
     A fan refused with a DegeneracyError skips all of its directions, and one refused
     otherwise fails the slice check.  A failing check names the channel and theta of its
     worst case, and a skip those of the first one.
@@ -329,13 +395,16 @@ def directional_suite(
          1e-5, "worst relative mismatch {:.3e}" + skip_note, skipped < tried),
     ])
     # The two-parameter equality family: matrix bounds coincide and the
-    # attainability residual vanishes.
-    curve = spectral_curve(example2(), np.array([0.6, 0.3]))
-    entry_gap = max_abs(sm_matrix(curve).entries - sld_matrix(curve).entries)
-    att = multi_attainability_check(curve, tol=1e-9)
-    name = "equality family: H = C as matrices with vanishing residual"
-    detail = f"max entry difference {entry_gap:.3e}, residual {att.residual:.3e}"
-    return results + [CheckResult("directional", name, entry_gap < 1e-8 and att.attainable, detail)]
+    # attainability residual vanishes; a check of the record that refuses it fails this one.
+    channel, name = example2(), "equality family: H = C as matrices with vanishing residual"
+    try:
+        report = bound_report(channel, spectral_curve(channel, np.array([0.6, 0.3])), None, 1e-9)
+    except NumericError as exc:
+        return results + [CheckResult("directional", name, False, f"refused: {exc}")]
+    entry_gap = max_abs(report.channel_bound - report.sld_information)
+    detail = f"max entry difference {entry_gap:.3e}, residual {report.attainability_residual:.3e}"
+    passed = entry_gap < 1e-8 and report.attainable
+    return results + [CheckResult("directional", name, passed, detail)]
 
 
 def run_suites(names, seed: int = DEFAULT_SEED) -> list[CheckResult]:

@@ -395,17 +395,17 @@ PINS = {
     'estimate @custom --theta-true 0.3 --shots 2000 --reps 4 --seed 3 --adaptive --n-pilot 500':
         '90f127db7c5451918476bfd6207c65ecaa6dfe5eac5b17981391deea91ee19d0',
     'report @dephasing-2p --theta 0.2 0.3 --povm computational':
-        'db8bbc30402ac3d40ced4d3f7bb24865e927d56770ebb24f53b6174dd5e39c6a',
+        '3cd59a68dc6bb809d482b7d3b141686e97e8725ff8c7b6e6c57d12f51e76ac57',
     'report @rotation-2p --theta 0.2 0.3 --povm computational':
-        'f90189ef739ecb30e6fddf32215ad85dd6412778b7de7a5682a7fe992b990e61',
+        'c63ebba32e8a983894bef442203bed25c0d134738b7125bbf4670fe254a25f52',
     'report @damped-rotation --theta 0.2 0.3 --povm computational':
-        'f7f4c32bdf995d333a9e5875d3c5ee8973c24023fc0d674cf45876d5a5f6fcc1',
+        'b578f72cfcff282d25390089b193e4675d64512bb75e8a8873b65139c8ffc4a9',
     'report @random-2p --theta 0.2 0.3 --povm computational':
-        '642d990444eacf223e58feae62faba3029f5e024d892668aba6df3fcf249bcbe',
+        '81382f2f0c0d23254fa9cd6f90c1b3f57cc98892665d3a3bf0e39f44fba89715',
     'report @example2 --theta 0.2 0.3 --povm computational':
-        '42483fbc1cd21ed092d00bbed2cf6134a41d16abfe40e49c4a10a16c98c01836',
+        'c73071ad35dbf28a23158e2460c83ce441439791cd160904a9f7eb248bac1723',
     'report @custom-2p --theta 0.2 0.3 --povm computational':
-        'a821226fc5877d2685eca0686a7edca6bad0966ce8eee536c755c7e419135a8e',
+        '8c8b0d0e7ec149b366718922c2ecdb0ba2b60e55775167ea18f0e9f58521bee3',
     'sweep @damping --theta-grid 0.2,0.6':
         '78eb7d0b758d12c019aa6c804e679c6c01a52f7af9aee12b4aae605ea5c96ff2',
     'report @plus --theta 0.5':
@@ -493,9 +493,9 @@ PINS = {
     'sweep @damping --theta-grid=0.99999999:0.9999999999:41':
         '05de417687c6e75f946fb793a3ec0faef61eb3ce883388d7fa5be9e3a4f6fb50',
     'report @custom-3-2p --theta 0.2 0.3':
-        '4633437c177d7f1f5883d1ae0061ffba078736d40fd6f5a594eb32589802008b',
+        '687fa78119b32dfdf1cb001aae5058a6f152f444c6b0e6d5283c6fa274cc6660',
     'report @random-2p-default --theta 0.2 0.3 --povm computational':
-        '307ebaaf7a77bc64ece9f5ee0ea76642f02e316e219ab99a74e14c2fcf8a3fdb',
+        '72e7b16d3b3e8b742d271d45738cfffb73ce84c5700feed62f3b3573c024a9fb',
     'report @dephasing-2p --theta 0.625 0.8':
         'c62a67ff965ab7b913d4ae65dc96c7cedc132f79a4b5169290e8f9557bdc2f75',
     'report @dephasing-plus --theta 1.5':
@@ -575,55 +575,55 @@ PINS = {
     'report @plus --theta 0.5 0.5':
         'aa12cfb78f789c3ec6c2c1944a7df7209b396a60b38325924a21d614c0b71797',
     'report @dephasing-2p --theta 0.4 0.3':
-        '6a5acb03370d805f5ffc89a84ad76deebb42a9a00cb687911ef932163c4820aa',
+        '96cf713df0b86ddf8d6d195f1ce574d26d70930cc2499779629ab6ce3d2f0b1a',
     'report @dephasing-2p --theta 0.4 0.3 --povm computational':
-        'aae2293e52e36117dafaa0c271298aede8ef84637a475bbb7ffa28760cd304d1',
+        '59157adeaac0eb26b4e457f9aa49620dcbb5cf7613df38bcc475895aba02e4ab',
     'report @dephasing-2p --theta 0.4 0.3 --povm x-basis':
-        '102300cef3d097572f7fc2d21daddddb7d678ffb79f8f634d97da5aa7126fabe',
+        '044d25b52c2129df012ecde69a92689b2d707449fa869a6e480fe54ad760feda',
     'report @dephasing-2p --theta 0.4 0.3 --povm y-basis':
-        'e378b8c32d1d0e311e05df1a395cbe3efe2071c11f88a5c7c530e0c0b86f21f3',
+        'b49c35b203d2055987f824b3c760373894d78a0287a5d2d17ef4a37a1f50c164',
     'report @dephasing-2p --theta 0.4 0.3 --povm optimal':
         'ec81fb754e6222cd3675c4d8fe914dc44a6d4c2e763cb8085bb0551a1355d4ef',
     'report @rotation-2p --theta 0.2 0.3':
-        '974452c188ad5b4eabee4d79a7523e2a3e54898d2105181b8f1d83a0f59ee368',
+        '481ab521edbaa476f3008b617283371e1f7fa4c7bdf4cdee29ec87fc48d4e617',
     'report @rotation-2p --theta 0.2 0.3 --povm x-basis':
-        '58df1dcc8bc78426ab68f4b6377dc039eb901c2c346415993a3c3ef8a8871506',
+        '6f01273654aec00ee038e20f20c8438653722033906de354abfdce8678fe83d9',
     'report @rotation-2p --theta 0.2 0.3 --povm y-basis':
-        '0a1bf2111d50d7f3dd378ec0de8ab5c14be01353295e188391300c8588cec4cb',
+        '2aee19f4cd4c21b94179e762ffa8417b49a529aa32bf1da9df7f3e6ff189fdaf',
     'report @rotation-2p --theta 0.2 0.3 --povm optimal':
         'ec81fb754e6222cd3675c4d8fe914dc44a6d4c2e763cb8085bb0551a1355d4ef',
     'report @rotation-2p --theta 0 0':
-        'a3d2c14f5c2867c89071ecd964ee039c9fd679f89a1cf7997984241747f5774d',
+        '88a4d958986d6ebb2218d211944cff0893d104f745bc82ca157ee32d7e077195',
     'report @rotation-2p --theta 0 0 --povm computational':
-        'af527360e2431930ff396219ccf66b14418aa4ba081cd7be8e3ad442574c6237',
+        '320d0d2e54136d8aca32f0f130e9f5a350ff8ee4190cac7675192191602f7809',
     'report @rotation-2p --theta 0 0 --povm x-basis':
-        '111f060def5729f3065de9346c860ce2ae329f4c07cfb148c1efe9fdde513a95',
+        'e28413c770767143fcda44768e6c30dc3d5c23b8bcf757202e9ad010f6043dba',
     'report @rotation-2p --theta 0 0 --povm y-basis':
-        'cdb4601de3e3b25820980412cdebfcaac755c3e011b13250c59672e42aba761b',
+        '63ec2c77a93716d21dc8706e32f65cf02ca4cbacb001b8ecd1e7ac968b587987',
     'report @rotation-2p --theta 0 0 --povm optimal':
         'ec81fb754e6222cd3675c4d8fe914dc44a6d4c2e763cb8085bb0551a1355d4ef',
     'report @damped-rotation --theta 0.5 0.4':
-        'c743a0595aeacc44fa0790bf44d4c9f228563a5d8710fac50dbc736cc76d2268',
+        '47817b435736ebac364fb86adb04cd05ac559f6db32001524b7d14fa172ecdea',
     'report @damped-rotation --theta 0.5 0.4 --povm computational':
-        '35805852537541458c2d5d7e4216b470b0bc299d06eb7386fd3d80004627e19f',
+        '5bfde60745a050a884d9df1405bf6f16fd81f7e54599ba67f7e1c3c4fcf8a7cd',
     'report @damped-rotation --theta 0.5 0.4 --povm x-basis':
-        'a5fbd965cdbf24b5ad296e411297a13ac15bed07b6db86f60468d3e095f843ad',
+        '1b799ab93d0823c4962ec3b0518ade094c5061d0727e7b14a5e9c0c3e2b8a6ce',
     'report @damped-rotation --theta 0.5 0.4 --povm y-basis':
-        '5877112e9cd08695343e18c2570a4823fbb4a05f1796af4c45572d674ffd7548',
+        'c490bbb515143814fcf9f39c4a5d6a84e797239120524f39543f43ca55752614',
     'report @damped-rotation --theta 0.5 0.4 --povm optimal':
         'ec81fb754e6222cd3675c4d8fe914dc44a6d4c2e763cb8085bb0551a1355d4ef',
     'report @random-2p --theta 0.2 0.3':
-        'ade29ccc90e92fe7e469c8dfb834c62c3deae10a6f48344641f20a78cfd61eaa',
+        'cae20c426094f5dd40d50fce6070e76badaac265ff2a559b92fb8268e959e435',
     'report @random-2p --theta 0.2 0.3 --povm x-basis':
-        '05dab5726450cf902f64471e484c52dd686e2027d96b5f4ad9b0c734dc77359d',
+        'a0cc5c6974fd7322d9173835d58af3f4fc3d81e6de00bbe54ae385cbdf376e73',
     'report @random-2p --theta 0.2 0.3 --povm y-basis':
-        '14a1758c5f5037cbb49f4430e6f726219fe120802b5e14bfdfe0f9c4c79b1dd9',
+        '23d6ab89020459170e71e88bf859b436c7ddeede9e0a5a808e3aa973d5f42705',
     'report @random-2p --theta 0.2 0.3 --povm optimal':
         'ec81fb754e6222cd3675c4d8fe914dc44a6d4c2e763cb8085bb0551a1355d4ef',
     'report @random-3-2-2p --theta 0.3 0.4':
-        'e102538f7d043e5fbfefed0eba28e01cff85cf9e4b09c90a5a04df038eac2814',
+        '4c08af448a1d39213d73111e95f01ddf65d1ac9026cd87ca02c70046f55dc33a',
     'report @random-3-2-2p --theta 0.3 0.4 --povm computational':
-        '193b1b6be1497f1a7d471f167fa93e6cb0641c220b2544300a2946417eb5d7d7',
+        'd6f3775e08ab5fb452779846724556d5dc46c59cf19675debd4ff24424cf78a5',
     'report @random-3-2-2p --theta 0.3 0.4 --povm x-basis':
         '3fb281834ce0396ec6708131993901dec094f661df322d4d7b7ca9222066fff0',
     'report @random-3-2-2p --theta 0.3 0.4 --povm y-basis':
@@ -631,9 +631,9 @@ PINS = {
     'report @random-3-2-2p --theta 0.3 0.4 --povm optimal':
         'ec81fb754e6222cd3675c4d8fe914dc44a6d4c2e763cb8085bb0551a1355d4ef',
     'report @example2 --theta 0.6 0.3':
-        'c0da48aa9ce64797a91f60d9d2d2395af5141ad1e939a2e69206312d8c455e5f',
+        '338c559fadc51dc424def26b45c22f23692f18ac3fdce0815a2f4ac5a36196cf',
     'report @example2 --theta 0.6 0.3 --povm computational':
-        '7aaa6b5e263dfb6004bddea210bb3ed0cda7eec0fa222b2df0bbdf689dde361e',
+        '2287fb73b8dc00b4b45cd98922735864697331a485436772509ef28c9cc951a0',
     'report @example2 --theta 0.6 0.3 --povm x-basis':
         '3fb281834ce0396ec6708131993901dec094f661df322d4d7b7ca9222066fff0',
     'report @example2 --theta 0.6 0.3 --povm y-basis':
@@ -641,9 +641,9 @@ PINS = {
     'report @example2 --theta 0.6 0.3 --povm optimal':
         'ec81fb754e6222cd3675c4d8fe914dc44a6d4c2e763cb8085bb0551a1355d4ef',
     'report @example2-linear --theta 0.6 0.3':
-        'aafdee1801a9174724d74158c11723b3016460f40ef8eb0a4fe8600c2ac7194d',
+        '0b619dc715c9da7c2208a74c826bff1af5ef0bd8f1e185ca7eb869ec0977eb87',
     'report @example2-linear --theta 0.6 0.3 --povm computational':
-        '2e63832da87576108ef504a6a48792a6dc8bd65424379182a1d07acb85fec1b0',
+        '24e26cd514a2d51e28dc41dac6c6073b24dd242ea9cfd64d931bebbdc29ff623',
     'report @example2-linear --theta 0.6 0.3 --povm x-basis':
         '3fb281834ce0396ec6708131993901dec094f661df322d4d7b7ca9222066fff0',
     'report @example2-linear --theta 0.6 0.3 --povm y-basis':
@@ -651,15 +651,15 @@ PINS = {
     'report @example2-linear --theta 0.6 0.3 --povm optimal':
         'ec81fb754e6222cd3675c4d8fe914dc44a6d4c2e763cb8085bb0551a1355d4ef',
     'report @custom-2p --theta 0.2 0.3':
-        'd4e8bb0c66dfd0b4067fb5641161c0cb36d041fc42f1a9a81969dc5965db73fa',
+        '9d559307884eeab319d6292e395dc9532ac5e71ddafebde41ac9c4bde36ca297',
     'report @custom-2p --theta 0.2 0.3 --povm x-basis':
-        '74fc24f21d6d488844b1a4b144bf50b700e394c8381dfb7bbbab6348bf73d9ed',
+        '3b512ab9b0fadc09b448b0beaca72e2157231f301dca2d243f93a0fc37fd4330',
     'report @custom-2p --theta 0.2 0.3 --povm y-basis':
-        '640db6f08f6f36f71d94994348d1d8971d449f55a98f7df1b8eea89921471264',
+        '0612007a8f13fd2efbaf356f755378f6efaf4763913fcc01cd5a33a24b06d6c0',
     'report @custom-2p --theta 0.2 0.3 --povm optimal':
         'ec81fb754e6222cd3675c4d8fe914dc44a6d4c2e763cb8085bb0551a1355d4ef',
     'report @custom-3-2p --theta 0.2 0.3 --povm computational':
-        '349d54d44904e95db04d3c24f77dedab7d900e44986fb4863e4344167f60be61',
+        '632923e4aff7d62ef1db4e3299c70f897769526590e67c140330026bf228527c',
     'report @custom-3-2p --theta 0.2 0.3 --povm x-basis':
         '3fb281834ce0396ec6708131993901dec094f661df322d4d7b7ca9222066fff0',
     'report @custom-3-2p --theta 0.2 0.3 --povm y-basis':

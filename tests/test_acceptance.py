@@ -30,6 +30,7 @@ import numpy as np
 from qfibounds.bounds import (
     attainability_check,
     bound_gap,
+    bound_report,
     canonical_kraus,
     fisher_information,
     povm_sm_condition_check,
@@ -42,7 +43,6 @@ from qfibounds.bounds import (
 from qfibounds.channels import builtin, random_hermitian
 from qfibounds.estimation import adaptive_experiment, cr_experiment
 from qfibounds.linalg import max_abs
-from qfibounds.multiparam import multi_attainability_check, sld_matrix, sm_matrix
 from qfibounds.quantum import PureState, pauli_basis_povm
 from qfibounds.verify import directional_suite, run_suites
 
@@ -252,12 +252,9 @@ def test_criterion_8_multi_parameter_suite():
         start = time.time()
         ch = builtin("example2")
         theta = np.array([0.6, 0.3])
-        curve = spectral_curve(ch, theta)
-        h = sld_matrix(curve)
-        c = sm_matrix(curve)
-        assert max_abs(h.entries - c.entries) < 1e-8
-        att = multi_attainability_check(curve, tol=1e-9)
-        assert att.attainable and att.residual < 1e-9
+        report = bound_report(ch, spectral_curve(ch, theta), None, 1e-9)
+        assert max_abs(report.sld_information - report.channel_bound) < 1e-8
+        assert report.attainable and report.attainability_residual < 1e-9
         results = directional_suite(count=50, directions=20)
         assert all(r.passed for r in results), results
         assert time.time() - start < 120.0

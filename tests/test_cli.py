@@ -661,12 +661,12 @@ def test_sweep_to_a_crossing_at_the_edge_reports_every_row(spec_file, capsys):
 def test_non_finite_sweep_value_is_a_numeric_failure(spec_file, capsys, monkeypatch, fmt):
     from qfibounds import reporting
 
-    plain = reporting.bound_report_dict
+    plain = reporting.report_dict
 
-    def broken(report):
-        return {**plain(report), "gap": float("nan")}
+    def broken(report, *povm_id):
+        return [{**row, "gap": float("nan")} for row in plain(report, *povm_id)]
 
-    monkeypatch.setattr(reporting, "bound_report_dict", broken)
+    monkeypatch.setattr(reporting, "report_dict", broken)
     path = spec_file(DEPHASING)
     code, out, err = run_cli(capsys, "sweep", path, "--theta-grid=0.2,0.4", f"--format={fmt}")
     assert code == 3 and out == ""
@@ -676,16 +676,16 @@ def test_non_finite_sweep_value_is_a_numeric_failure(spec_file, capsys, monkeypa
 def test_non_finite_record_field_is_named_by_its_path(spec_file, capsys, monkeypatch):
     import dataclasses
 
-    from qfibounds import cli
+    from qfibounds import bounds
 
-    check = cli.povm_sld_condition_check
+    check = bounds.povm_sld_condition_check
 
     def broken(*args):
         report = check(*args)
         element = dataclasses.replace(report.elements[0], xi=float("nan"))
         return dataclasses.replace(report, elements=(element, *report.elements[1:]))
 
-    monkeypatch.setattr(cli, "povm_sld_condition_check", broken)
+    monkeypatch.setattr(bounds, "povm_sld_condition_check", broken)
     code, out, err = run_cli(
         capsys, "report", spec_file(DEPHASING), "--theta", "0.2", "--povm", "x-basis"
     )
@@ -716,7 +716,7 @@ def test_records_complex_numbers_and_numpy_values_encode_through_one_default():
 
 def _count_calls(monkeypatch, *names) -> dict:
     """Count calls of bounds functions, from every module that imports them."""
-    from qfibounds import bounds, multiparam
+    from qfibounds import bounds
     from qfibounds import cli as cli_module
 
     calls = dict.fromkeys(names, 0)
@@ -725,7 +725,7 @@ def _count_calls(monkeypatch, *names) -> dict:
             calls[_name] += 1
             return _original(*args, **kwargs)
 
-        for module in (bounds, multiparam, cli_module):
+        for module in (bounds, cli_module):
             if hasattr(module, name):
                 monkeypatch.setattr(module, name, counted)
     return calls
@@ -916,6 +916,22 @@ def test_report_optimal_povm_takes_the_element_roots_once(spec_file, capsys, mon
                            "optimal")
     assert code == 0 and {"sld_condition", "sm_condition"} <= set(json.loads(out)["result"])
     assert stacks.count(3) == 1
+
+
+def test_report_builds_the_input_density_once(spec_file, capsys, monkeypatch):
+    # C_E, C_kraus, the unitary condition and the SM condition share one input DensityMatrix.
+    from qfibounds.quantum import DensityMatrix
+
+    built = []
+    post_init = DensityMatrix.__post_init__
+    monkeypatch.setattr(DensityMatrix, "__post_init__",
+                        lambda self: built.append(self) or post_init(self))
+    for text, theta, povm in (("family = rotation\naxis = z\n", ["0.4"], "optimal"),
+                              (RANDOM_3_2, ["0.3"], "optimal"),
+                              ("family = rotation-2p\n", ["0.2", "0.3"], "computational")):
+        built.clear()
+        code, _, _ = run_cli(capsys, "report", spec_file(text), "--theta", *theta, "--povm", povm)
+        assert code == 0 and len(built) == 1, text
 
 
 @pytest.mark.parametrize(
@@ -1127,12 +1143,12 @@ def test_consumers_import_no_private_bounds_or_multiparam_names():
     import ast
 
     package = Path(qfibounds.__file__).resolve().parent
-    for consumer in ("cli", "verify", "estimation", "multiparam", "reporting"):
+    for consumer in ("cli", "verify", "estimation", "reporting"):
         tree = ast.parse((package / f"{consumer}.py").read_text(encoding="utf-8"))
         imports = [node for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)]
         for node in imports:
             source = (node.module or "").removeprefix("qfibounds.")
-            if source in ("bounds", "multiparam"):
+            if source == "bounds":
                 private = [alias.name for alias in node.names if alias.name.startswith("_")]
                 assert not private, (consumer, source, private)
 

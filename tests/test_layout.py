@@ -87,6 +87,9 @@ CASES = {
             "theta": ["float"],
             "sld_information": MATRIX,
             "channel_bound": MATRIX,
+            "gap": MATRIX,
+            "representation_bound": MATRIX,
+            "method_cross_check": "float",
             "fisher_information": MATRIX,
             "attainability": {"attainable": "bool", "residual": "float", "tol": "float",
                               "quasi_classical": "bool"},

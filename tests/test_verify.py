@@ -17,7 +17,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from qfibounds import bounds, channels, multiparam, verify
+from qfibounds import bounds, channels, verify
 from qfibounds.bounds import (
     bound_gap,
     fisher_information,
@@ -49,7 +49,7 @@ def _count(monkeypatch, name: str) -> Counter:
         calls[name] += 1
         return original(*args, **kwargs)
 
-    for module in (bounds, multiparam, verify):
+    for module in (bounds, verify):
         if hasattr(module, name):
             monkeypatch.setattr(module, name, counted)
     return calls
@@ -141,13 +141,15 @@ def _refuse_rows(curve, hit, error):
 def _refusing_fans(monkeypatch, battery, points, error):
     """Refuse the fan of each battery point in points, found by its input, with error."""
     inputs = [battery[p][0].input_state.amplitudes for p in points]
-    original = multiparam.spectral_curve
+    original = verify.spectral_curve
 
-    def fan_curve(channel, theta, psi):
+    def fan_curve(channel, theta, psi=None):  # fans are decomposed at t = 0, with their inputs
+        if psi is None or np.any(theta):
+            return original(channel, theta, psi)
         hit = [any(_equal_bits(row, target) for target in inputs) for row in psi]
         return _refuse_rows(original(channel, theta, psi), hit, error)
 
-    monkeypatch.setattr(multiparam, "spectral_curve", fan_curve)
+    monkeypatch.setattr(verify, "spectral_curve", fan_curve)
 
 
 def test_directional_suite_reports_skipped_directions(monkeypatch):
