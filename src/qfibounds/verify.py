@@ -6,8 +6,8 @@ the agreement of the Kraus and spectral routes to the channel bound, and the
 directional reduction of the multi-parameter matrices to the fan of slices
 along many directions: one curve of the fan t -> channel(theta + V^T t)
 gives the fan's H and C, which must be V H V^T and V C V^T of the point's
-(directional_reduction_check).  A battery is drawn from one Philox as arrays and
-holds each point's env, theta, generators and input, not channels.  Its
+(directional_reduction_check).  A battery is drawn from one Philox as arrays
+and holds each point's env, theta, generators and input, not channels.  Its
 points of one shape (dim, Kraus count) are one channel whose row i carries
 point i's generators (channels.exponential_family), so a group and its fans
 are each evaluated and decomposed in one stacked call, and a failing check
