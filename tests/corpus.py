@@ -1,12 +1,13 @@
 """The standing output corpus: what every command of a fixed list prints, pinned.
 
 `COMMANDS` lists `qfi` commands as argv lists, a token `@name` standing for
-the path of a spec file holding `SPECS[name]`.  It holds the reachability
-corpus (`REACHABILITY`, which `test_reachability.py` runs), the refusal
-grids of stacked sweeps, the commands of CI's console-script step, the
-exit-2 and exit-3 cases of `test_cli.py`, `report` on every multi-parameter
-family with each named POVM, and `report --povm optimal` on the `bounds`
-benchmark's channel sizes.  `PINS` holds, per command, the sha256 of its
+the path of a spec file holding `SPECS[name]`, and a leading token
+`QFI_SEED=value` for that environment variable (unset otherwise).  It holds
+the reachability corpus (`REACHABILITY`, which `test_reachability.py`
+runs), the refusal grids of stacked sweeps, the commands of CI's
+console-script step, the exit-2 and exit-3 cases of `test_cli.py`, `report`
+on every multi-parameter family with each named POVM, and
+`report --povm optimal` on the `bounds` benchmark's channel sizes.  `PINS` holds, per command, the sha256 of its
 stdout, stderr and exit code, with the spec directory written as `<dir>`.
 `test_corpus.py` runs the list in one subprocess with one BLAS thread and
 compares.
@@ -86,6 +87,13 @@ SPECS = {
     "example2-one-domain": ["family = example2", "theta_domain = [0.1, 0.9]"],
     "unknown": ["family = warp"],
     "nan-input": ["family = dephasing", "input_state = [1+0i, nan]"],
+    "nan-vector": ["family = custom-spectral", "theta_domain = [0.0, 0.95]",
+                   "eigenvector_1 = [nan, 0i]", PAIR[1], "eigenvalue_1 = [1.0, -1.0]",
+                   "eigenvalue_2 = [0.0, 1.0]"],
+    "nan-value": ["family = custom-spectral", "theta_domain = [0.0, 0.95]", *PAIR,
+                  "eigenvalue_1 = [nan, -1.0]", "eigenvalue_2 = [0.0, 1.0]"],
+    "nan-slope": ["family = custom-spectral", "theta_domain = [0.0, 0.95]", *PAIR,
+                  "eigenvalue_1 = [1.0, nan]", "eigenvalue_2 = [0.0, 1.0]"],
     **{f"random-{d}-{e}": ["family = random-kraus", f"dim = {d}", f"env = {e}", "seed = 4001"]
        for d, e in ((2, 1), (2, 2), (3, 2), (3, 5), (4, 4), (6, 3))},
 }
@@ -167,18 +175,22 @@ CI = [
     ["report", "@dephasing-2p", "--theta", "0.625", "0.8"],
 ]
 
-# the exit-2 and exit-3 cases of test_cli.py
+# the exit-2 and exit-3 cases of test_cli.py; a leading QFI_SEED=value token sets the variable
+COMMAND_ARGS = {"report": ["--theta", "0.3"], "sweep": ["--theta-grid", "0.2,0.4"],
+                "estimate": ["--theta-true", "0.3"], "optimize-input": ["--theta", "0.3"]}
 REFUSALS = [
     ["report", "@dephasing-plus", "--theta", "1.5"],
     ["report", "@unknown", "--theta", "0.2"],
     ["report", "@missing", "--theta", "0.2"],
     *(["report", f"@{name}", "--theta", "0.3"] for name in
       ("bad-domain", "abc-scale", "nan-scale", "huge-scale", "zero-params", "negative-seed",
-       "example2-one-domain", "nan-input", "spectral-rank-change")),
+       "example2-one-domain", "nan-input", "nan-vector", "nan-value", "nan-slope",
+       "spectral-rank-change")),
     ["report", "@spectral-rank-change", "--theta", "0"],
     ["sweep", "@dephasing-plus", "--theta-grid", "0.5:1.5:3"],
     *(["estimate", "@dephasing-plus", "--theta-true", "0.3", "--shots", "2000", "--reps", "5",
-       "--adaptive", "--povm", povm] for povm in ("optimal", "x-basis")),
+       "--adaptive", "--povm", povm]
+      for povm in ("optimal", "computational", "x-basis", "y-basis")),
     ["estimate", "@dephasing-plus", "--theta-true", "0.3", "--shots", "2000", "--reps", "5",
      "--n-pilot", "300", "--povm", "computational"],
     ["optimize-input", "@depolarizing", "--theta=1.0", "--restarts", "1"],
@@ -192,17 +204,29 @@ REFUSALS = [
     ["report", "@random-8-8", "--theta", "0"],
     ["report", "@rank-change", "--theta", "0", "--povm", "x-basis"],
     ["verify", "--suite", "gap", "--seed", "-1"],
+    ["QFI_SEED=-1", "verify", "--suite", "gap"],
+    ["QFI_SEED=abc", "estimate", "@dephasing-plus", "--theta-true", "0.2", "--shots", "100",
+     "--reps", "2"],
+    ["QFI_SEED=5", "estimate", "@dephasing-plus", "--theta-true", "0.2", "--shots", "100",
+     "--reps", "2", "--seed", "-1"],
+    ["QFI_SEED=1.5", "optimize-input", "@dephasing-plus", "--theta", "0.3", "--restarts", "1"],
     ["verify", "--suite", "gap", "--seed", str(2**64)],
     ["estimate", "@dephasing-plus", "--theta-true", "0.2", "--shots", "100", "--reps", "2",
      "--seed", str(2**64)],
     ["optimize-input", "@dephasing-plus", "--theta", "0.3", "--restarts", "1", "--seed",
      str(2**65)],
-    *(["report", "@dephasing-plus", "--theta", "0.3", *flag] for flag in
-      (["--fd-step", "1e-3"], ["--richardson"], ["--tol=nan"], ["--tol=0"], ["--tol=-1"])),
-    ["sweep", "@dephasing-plus", "--theta-grid", "0.2,0.4", "--tol=inf"],
-    *(["sweep", "@dephasing-plus", f"--theta-grid={grid}"] for grid in ("abc", "0:1:2.5", ",")),
-    ["optimize-input", "@damping", "--theta", "0.3", "--objective", "channel-bound",
-     "--restarts", "0"],
+    *([command, "@dephasing-plus", *args, *flag] for command, args in COMMAND_ARGS.items()
+      for flag in (["--fd-step", "1e-3"], ["--fd-scheme", "central-2"], ["--richardson"])),
+    *([command, "@dephasing-plus", *COMMAND_ARGS[command], *flag] for command, flag in
+      (("report", ["--format", "csv"]), ("estimate", ["--format", "csv"]),
+       ("optimize-input", ["--format", "csv"]), ("estimate", ["--tol", "0.5"]),
+       ("optimize-input", ["--tol", "0.5"]))),
+    *([command, "@missing", *COMMAND_ARGS[command], f"--tol={tol}"]
+      for command in ("report", "sweep") for tol in ("nan", "inf", "-1", "0")),
+    *(["sweep", "@dephasing-plus", f"--theta-grid={grid}"]
+      for grid in ("abc", "0.1,abc", "a:b:3", "0:1:2.5", ",", "")),
+    *(["optimize-input", "@damping", "--theta", "0.3", "--objective", "channel-bound",
+       "--restarts", restarts] for restarts in ("0", "-2")),
     ["report", "@depolarizing", "--theta=1"],
     ["report", "@plus", "--theta", "0.5", "0.5"],
 ]
@@ -258,12 +282,16 @@ def run(argv, directory) -> tuple[str, str, int]:
     """(stdout, stderr, exit code) of one command run in this process, directory as <dir>."""
     from qfibounds.cli import main
 
+    if argv[0].startswith("QFI_SEED="):
+        os.environ["QFI_SEED"], argv = argv[0].removeprefix("QFI_SEED="), argv[1:]
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         try:
             code = main(resolve(argv, directory))
         except SystemExit as exc:  # argparse's usage errors
             code = exc.code
+        finally:
+            os.environ.pop("QFI_SEED", None)
     return tuple(text.getvalue().replace(str(directory), "<dir>") for text in (out, err)) + (code,)
 
 
@@ -514,6 +542,12 @@ PINS = {
         '169aeb25bbc378f841d0cecca12e820868c23a38ccd960f76728fd1c4016dbf3',
     'report @nan-input --theta 0.3':
         '2bdae4d7fa45472f5661e97c3ea519ed7c7c2d5788fa4b279f317f585f7dde45',
+    'report @nan-vector --theta 0.3':
+        'e39ef9482d942eac8a2d017c930420017458c8a7170b0ab5833793d3a78cbb5d',
+    'report @nan-value --theta 0.3':
+        '3c07b58f5437f69e62ad8eb8e1b7ff680e1f804258d6f8f4d94de7857eb86964',
+    'report @nan-slope --theta 0.3':
+        '3c07b58f5437f69e62ad8eb8e1b7ff680e1f804258d6f8f4d94de7857eb86964',
     'report @spectral-rank-change --theta 0.3':
         '2df833099e76208ec5b31ae3bfdbfceb6f09c07f3fa8b2021599eec3159bdd66',
     'report @spectral-rank-change --theta 0':
@@ -522,7 +556,11 @@ PINS = {
         'e963ee884efa8737dc697deb576bf6d53e3baa2b3bcdf4a0516f4e881475682f',
     'estimate @dephasing-plus --theta-true 0.3 --shots 2000 --reps 5 --adaptive --povm optimal':
         '9aa7fde1e7a7ada7d16315e93a5ae82762d8386deab982ee06d3ad01b0991212',
+    'estimate @dephasing-plus --theta-true 0.3 --shots 2000 --reps 5 --adaptive --povm computational':
+        '9aa7fde1e7a7ada7d16315e93a5ae82762d8386deab982ee06d3ad01b0991212',
     'estimate @dephasing-plus --theta-true 0.3 --shots 2000 --reps 5 --adaptive --povm x-basis':
+        '9aa7fde1e7a7ada7d16315e93a5ae82762d8386deab982ee06d3ad01b0991212',
+    'estimate @dephasing-plus --theta-true 0.3 --shots 2000 --reps 5 --adaptive --povm y-basis':
         '9aa7fde1e7a7ada7d16315e93a5ae82762d8386deab982ee06d3ad01b0991212',
     'estimate @dephasing-plus --theta-true 0.3 --shots 2000 --reps 5 --n-pilot 300 --povm computational':
         '66c0ef5ddabac3f5986c4366c09ab6fdb5ece13f53881707a7d279663be3bbd5',
@@ -544,6 +582,14 @@ PINS = {
         '3fb281834ce0396ec6708131993901dec094f661df322d4d7b7ca9222066fff0',
     'verify --suite gap --seed -1':
         '47fdbac41c4126fe65beb037033af8a1f4ec966c77afb72112868976f8bb1b7e',
+    'QFI_SEED=-1 verify --suite gap':
+        'eddda00d747f8a985b8fe57ca007621a000750d32eafa55ee6de7ee81495f7d5',
+    'QFI_SEED=abc estimate @dephasing-plus --theta-true 0.2 --shots 100 --reps 2':
+        'fff22d88fc282a2f2df1e6d7c2ed2c59b7d9e4a12bfd890479f5a95cde6a40cc',
+    'QFI_SEED=5 estimate @dephasing-plus --theta-true 0.2 --shots 100 --reps 2 --seed -1':
+        '47fdbac41c4126fe65beb037033af8a1f4ec966c77afb72112868976f8bb1b7e',
+    'QFI_SEED=1.5 optimize-input @dephasing-plus --theta 0.3 --restarts 1':
+        '6290866879b5fbe87038960458ce105aa053d9559a81efb75cba53e9b868b9e1',
     'verify --suite gap --seed 18446744073709551616':
         '86b8d69793d9a7c4a918e1befa19e914f47eaacef4faf998b0c54e5619230ff0',
     'estimate @dephasing-plus --theta-true 0.2 --shots 100 --reps 2 --seed 18446744073709551616':
@@ -552,24 +598,70 @@ PINS = {
         '3cd4e6c3c5e5a131d691b0b7c27131cd83fa35b70a663f98e5664e30c3347006',
     'report @dephasing-plus --theta 0.3 --fd-step 1e-3':
         '7f2f0595af4671807c3a8149628e99a0023f606a2299f2b7068547e6c80e2425',
+    'report @dephasing-plus --theta 0.3 --fd-scheme central-2':
+        '516a2f4279288128694a24e8df0c0e0370e2ad47a9f4f2f92a60c45b109f9285',
     'report @dephasing-plus --theta 0.3 --richardson':
         '6bb2adc465f23acee26c67f7511a01dc9164f7161a93b2def93b072482ba59e2',
-    'report @dephasing-plus --theta 0.3 --tol=nan':
+    'sweep @dephasing-plus --theta-grid 0.2,0.4 --fd-step 1e-3':
+        '7f2f0595af4671807c3a8149628e99a0023f606a2299f2b7068547e6c80e2425',
+    'sweep @dephasing-plus --theta-grid 0.2,0.4 --fd-scheme central-2':
+        '516a2f4279288128694a24e8df0c0e0370e2ad47a9f4f2f92a60c45b109f9285',
+    'sweep @dephasing-plus --theta-grid 0.2,0.4 --richardson':
+        '6bb2adc465f23acee26c67f7511a01dc9164f7161a93b2def93b072482ba59e2',
+    'estimate @dephasing-plus --theta-true 0.3 --fd-step 1e-3':
+        '7f2f0595af4671807c3a8149628e99a0023f606a2299f2b7068547e6c80e2425',
+    'estimate @dephasing-plus --theta-true 0.3 --fd-scheme central-2':
+        '516a2f4279288128694a24e8df0c0e0370e2ad47a9f4f2f92a60c45b109f9285',
+    'estimate @dephasing-plus --theta-true 0.3 --richardson':
+        '6bb2adc465f23acee26c67f7511a01dc9164f7161a93b2def93b072482ba59e2',
+    'optimize-input @dephasing-plus --theta 0.3 --fd-step 1e-3':
+        '7f2f0595af4671807c3a8149628e99a0023f606a2299f2b7068547e6c80e2425',
+    'optimize-input @dephasing-plus --theta 0.3 --fd-scheme central-2':
+        '516a2f4279288128694a24e8df0c0e0370e2ad47a9f4f2f92a60c45b109f9285',
+    'optimize-input @dephasing-plus --theta 0.3 --richardson':
+        '6bb2adc465f23acee26c67f7511a01dc9164f7161a93b2def93b072482ba59e2',
+    'report @dephasing-plus --theta 0.3 --format csv':
+        '25697fc31cba1e96e0740375c843f8aad49964dd6052fb1986f7253bc6e54336',
+    'estimate @dephasing-plus --theta-true 0.3 --format csv':
+        '25697fc31cba1e96e0740375c843f8aad49964dd6052fb1986f7253bc6e54336',
+    'optimize-input @dephasing-plus --theta 0.3 --format csv':
+        '25697fc31cba1e96e0740375c843f8aad49964dd6052fb1986f7253bc6e54336',
+    'estimate @dephasing-plus --theta-true 0.3 --tol 0.5':
+        '3b118a8df87e2b6c789eb177bdc73a1c01808fa80fc711132f71a417f234cc31',
+    'optimize-input @dephasing-plus --theta 0.3 --tol 0.5':
+        '3b118a8df87e2b6c789eb177bdc73a1c01808fa80fc711132f71a417f234cc31',
+    'report @missing --theta 0.3 --tol=nan':
         '941d76c3613fbab51f0d8096d1f087b3a0f4bf8b29b403c84aec0671e6eb1f81',
-    'report @dephasing-plus --theta 0.3 --tol=0':
-        '294de1f289c53f7eb71c68478e3542b689e56a310406f56663a17688b31f9dc9',
-    'report @dephasing-plus --theta 0.3 --tol=-1':
-        '66f8d304ea240a1b9f45d06ec752428c494694e4391cd0e219faacd457a3b651',
-    'sweep @dephasing-plus --theta-grid 0.2,0.4 --tol=inf':
+    'report @missing --theta 0.3 --tol=inf':
         '30a80551c9cd666852b916c27e3251f72e76b3a85a81a786a59f213e66545445',
+    'report @missing --theta 0.3 --tol=-1':
+        '66f8d304ea240a1b9f45d06ec752428c494694e4391cd0e219faacd457a3b651',
+    'report @missing --theta 0.3 --tol=0':
+        '294de1f289c53f7eb71c68478e3542b689e56a310406f56663a17688b31f9dc9',
+    'sweep @missing --theta-grid 0.2,0.4 --tol=nan':
+        '941d76c3613fbab51f0d8096d1f087b3a0f4bf8b29b403c84aec0671e6eb1f81',
+    'sweep @missing --theta-grid 0.2,0.4 --tol=inf':
+        '30a80551c9cd666852b916c27e3251f72e76b3a85a81a786a59f213e66545445',
+    'sweep @missing --theta-grid 0.2,0.4 --tol=-1':
+        '66f8d304ea240a1b9f45d06ec752428c494694e4391cd0e219faacd457a3b651',
+    'sweep @missing --theta-grid 0.2,0.4 --tol=0':
+        '294de1f289c53f7eb71c68478e3542b689e56a310406f56663a17688b31f9dc9',
     'sweep @dephasing-plus --theta-grid=abc':
         'b7153cbad2b39a298d2b13e3f48c7033c9654b13f4985d86d700b2c96624e7c4',
+    'sweep @dephasing-plus --theta-grid=0.1,abc':
+        'b7153cbad2b39a298d2b13e3f48c7033c9654b13f4985d86d700b2c96624e7c4',
+    'sweep @dephasing-plus --theta-grid=a:b:3':
+        '231178a03667d83a1c23b41b14365fc6f4d5f496ea94803d3f1b43948f0e8137',
     'sweep @dephasing-plus --theta-grid=0:1:2.5':
         '600e16a143a877bf229ec301c117719fad46eec25863f90c0c8246f0356567f2',
     'sweep @dephasing-plus --theta-grid=,':
         'ac2ba73387819b87a7ddd9fef07440a3eae3928f07b2aa6af1a37c29e8e3653c',
+    'sweep @dephasing-plus --theta-grid=':
+        'd6e689835dd401206316d772d3321ec8098661a37abfb530a26512c62d1f36a0',
     'optimize-input @damping --theta 0.3 --objective channel-bound --restarts 0':
         'c9b37f125ae3b8d1326c335a0300f369e5dcc305496ead88341a8c1769a37879',
+    'optimize-input @damping --theta 0.3 --objective channel-bound --restarts -2':
+        'df910f82ce862883545b155b83661c3b3883785a4a63ae694c8454fcc633db6b',
     'report @depolarizing --theta=1':
         '7ae279829d9fbb8ab2b462db16bc4ae30d456baf4ae7825d4514519a4913619f',
     'report @plus --theta 0.5 0.5':
