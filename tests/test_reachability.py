@@ -2,10 +2,9 @@
 
 The reachability part of the output corpus (`corpus.REACHABILITY`) runs in
 this process under `sys.setprofile`, which records the code object of every
-Python call.  It covers each command
-and output format, one Kraus-form and one spectral-form family of each
-parameter count, both `optimize-input` objectives, `verify --suite all` and
-an exit-3 refusal.  A public function that no command calls is library code
+Python call.  It covers each command and output format, one Kraus-form and
+one spectral-form family of each parameter count, both `optimize-input`
+objectives, `verify --suite all` and an exit-3 refusal.  A public function that no command calls is library code
 that only its own tests keep alive: delete it, move it into the tests as an
 oracle, or name it below with its reason.
 """
