@@ -253,14 +253,18 @@ def _ordering(battery: _Battery, seed: int) -> list[CheckResult]:
 
 
 def _routes(battery: _Battery) -> list[CheckResult]:
-    gaps = []
+    gaps, h_gaps = [], []
     for _, curve, rho0 in battery.groups:
-        c_spec = sm_bound_spectral(curve)
+        c_spec, h = sm_bound_spectral(curve), sld_information(curve)
         c_kraus = sm_bound_kraus(curve.kraus.operators, curve.kraus.derivatives[:, 0], rho0)
         gaps.append(np.abs(c_spec - c_kraus) / np.maximum(1.0, np.abs(c_spec)))
+        h_gaps.append(np.abs(_sld_matrix_by_pinv(curve)[:, 0, 0] - h) / np.maximum(1.0, h))
     name = f"bound route agreement over {len(battery.thetas)} channels"
-    detail = "worst relative disagreement {:.3e}"
-    return battery.checks("routes", [(name, gaps, False, 1e-6, detail)])
+    return battery.checks("routes", [
+        (name, gaps, False, 1e-6, "worst relative disagreement {:.3e}"),
+        ("H against a pseudo-inverse SLD solve", h_gaps, False, 1e-8,
+         "worst relative mismatch {:.3e}"),
+    ])
 
 
 def _sld_matrix_by_pinv(curve: SpectralCurve) -> np.ndarray:
@@ -317,11 +321,11 @@ def directional_reduction_check(channel, curve: SpectralCurve, directions) -> Di
     """Check the fan t -> channel(theta + V^T t) along the rows of V (or one v) at t = 0.
 
     One curve of the fan serves every direction: its supported canonical
-    partials must equal V times the curve's partials, its H and C must equal
-    V H V^T and V C V^T entry by entry, and its SLD score stack checks the
-    SLD residual and H, however narrow the fan.  A stacked Kraus-form curve
-    takes (N, k, m) directions; its fans, of its channel and with its inputs,
-    are decomposed in one call, and a refused fan is one of the refusals.
+    partials must equal V times the curve's partials, and its H and C must
+    equal V H V^T and V C V^T entry by entry, however narrow the fan.  A
+    stacked Kraus-form curve takes (N, k, m) directions; its fans, of its
+    channel and with its inputs, are decomposed in one call, and a refused
+    fan is one of the refusals.
     """
     stacked = curve.theta.ndim == 2
     lift = (lambda a: a) if stacked else (lambda a: a[np.newaxis])
@@ -331,7 +335,6 @@ def directional_reduction_check(channel, curve: SpectralCurve, directions) -> Di
     fan_curve = spectral_curve(fan, np.zeros(v.shape[:2]), psi)
     if not stacked and fan_curve.refusals[0]:
         raise fan_curve.refusals[0]
-    fan_curve.sld_score  # building the score stack checks the residual and H
     kept = np.array([refusal is None for refusal in fan_curve.refusals])
     v, (h, c) = v[kept], (lift(a)[kept] for a in curve.information)
     kraus_mismatch = None
@@ -366,7 +369,6 @@ def directional_suite(
     slacks, diags, mismatches, skips = [], [], [], []
     for (rows, curve, rho0), (parts, v) in zip(battery.groups, draws):
         v /= np.linalg.norm(v, axis=-1, keepdims=True)
-        curve.sld_score  # building the score stack checks H
         f = curve.fisher(_normalized(_povm_parts(parts)))
         f, h, c = ((a + a.swapaxes(-1, -2)) / 2 for a in (f, *curve.information))
         slacks.append(np.min([loewner_leq(a, b)[1] for a, b in ((f, h), (h, c), (f, c))], axis=0))

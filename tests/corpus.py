@@ -4,8 +4,11 @@
 the path of a spec file holding `SPECS[name]`, and a leading token
 `QFI_SEED=value` for that environment variable (unset otherwise).  It holds
 the reachability corpus (`REACHABILITY`, which `test_reachability.py`
-runs), the refusal grids of stacked sweeps, the commands of CI's
-console-script step, the exit-2 and exit-3 cases of `test_cli.py`, `report`
+runs), the refusal grids of stacked sweeps, the end-to-end commands of the
+console script (`CI`, pinned here so that CI's console-script step runs
+only `qfi verify --suite all` and the README quick start; its sweep of
+`@plus` over 0:1e-6 is one of the refusal grids), the exit-2 and exit-3
+cases of `test_cli.py`, `report`
 on every multi-parameter family with each named POVM, and
 `report --povm optimal` on the `bounds` benchmark's channel sizes.  `PINS` holds, per command, the sha256 of its
 stdout, stderr and exit code, with the spec directory written as `<dir>`.
@@ -449,7 +452,7 @@ PINS = {
     'report @rank-change --theta 0':
         'a98abaa021245175e4b349181d21807e64fd5d9bd0709f3a1fa99987238c30ee',
     'verify --suite all':
-        '029578cccc3778bd95ad43d2f15917c251407b6d8bbefc8b722a26855d9c1d43',
+        'f0a7102d82718336ff1dfdab0a361ee57f38981a3bd8b7ba54c5064a1dfa9e0d',
     'verify --suite gap --format json':
         'd63447affadc794e18d5680d058e5f00435297516785853dc89cf372c08c8f2b',
     'sweep @plus --theta-grid=0:1e-6:41':
@@ -477,15 +480,15 @@ PINS = {
     'sweep @spectral-rank-change --theta-grid=0,0.5':
         '10891312ccaabe3a7e485fb77fef016f2444563c906903fedda5ed6bacbce398',
     'verify --suite all --seed 3':
-        'f295816a2f578d3bd5d343ff6d1ed78c70ba310db8cd94f7736d36347a9e5cfc',
+        '2febb3df51e7ff4437c8eacf07802c0dfd51f3d7a2d69d2c171611ee9628e12d',
     'verify --suite all --seed 7':
-        '311d8ea8bd719201a1f1fdcb84f5d6c009bf0912316fbc14542b768b1ba377e2',
+        'ad939bab021db1f8382862652a0f0a9fcd3219ebc3911566d0e655a543dc46d1',
     'verify --suite all --seed 11':
-        'd584b23652733495b057756b151b7d07e7b6711948b78512a2a46a6b584439a6',
+        'de739921dc2a4be8d9b77c095c9c5bf201d94d9fd17daefee1f01e42de3c3353',
     'verify --suite all --seed 6180588700756636604':
-        '5cd75915325bd8abc6affb007c31af4c0910e6718ec17c526cf06fe4764dada0',
+        'c5585eefc740844597ad380fc1f637e78a32f5d789b852579f9cf1dd5b6edf09',
     'verify --suite all --seed 1':
-        'f1445107b0283aa242b80c991d38c784eadf892dbb1042311a22513c04ab7683',
+        'd330c59466776e5f82708da8d4b638b4cbeb7707791f6782b8a9120e305fb81e',
     'report @plus --theta 0.3 --tol nan':
         '941d76c3613fbab51f0d8096d1f087b3a0f4bf8b29b403c84aec0671e6eb1f81',
     'report @plus --theta 0.3 --format csv':

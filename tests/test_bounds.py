@@ -514,6 +514,11 @@ def test_unitary_attainability_examples():
     assert abs(value) < 1e-12 and ok
     with pytest.raises(ValidationError, match="expected 1"):
         _unitary_condition_at(builtin("dephasing"), 0.4)
+    # The condition is read at one point, as a report reads a POVM: a stack of
+    # two points is not a two-operator channel, nor a stack of one a point.
+    for thetas in ([[0.1], [0.2]], [[0.1]]):
+        with pytest.raises(ValidationError, match="read at one point, not a stack"):
+            _unitary_condition_at(builtin("rotation", axis="z"), thetas)
 
 
 # ---------------------------------------------------------------------------

@@ -759,7 +759,8 @@ def _count_curve_work(monkeypatch) -> dict:
 def test_report_optimal_povm_builds_the_sld_score_once(spec_file, capsys, monkeypatch):
     # One curve, carrying its canonical decomposition, feeds the SLD score,
     # the bound report and the SM condition; a spectral-form family has no
-    # decomposition.  The curve builds its overlaps and its score once.
+    # decomposition.  The curve builds its overlaps and its score once, and
+    # without a POVM that reads the score, a report or a sweep builds none.
     rotation = "family = rotation\naxis = x\n"
     kraus = {"spectral_curve": 1, "canonical_kraus": 1}
     for text, expected in (
@@ -776,6 +777,12 @@ def test_report_optimal_povm_builds_the_sld_score_once(spec_file, capsys, monkey
         assert code == 0
         assert calls == expected
         assert work == {"curves": 1, "overlaps": 1, "sld_score": 1}
+    for argv in (("report", "--theta", "0.3"), ("sweep", "--theta-grid", "0.2,0.4")):
+        with monkeypatch.context() as patch:
+            work = _count_curve_work(patch)
+            code, _, _ = run_cli(capsys, argv[0], spec_file(DEPHASING), *argv[1:])
+        assert code == 0
+        assert work == {"curves": 1, "overlaps": 1, "sld_score": 0}
 
 
 def test_parser_survives_an_argparse_error(spec_file, capsys):
@@ -987,8 +994,8 @@ def test_sweep_decomposes_each_point_once(spec_file, capsys, monkeypatch, text):
 
 
 def test_multiparameter_report_builds_one_core(spec_file, capsys, monkeypatch):
-    # One curve's score and overlap stacks serve the SLD matrix and the
-    # attainability check.
+    # One curve's overlap stack serves the SLD matrix and the attainability
+    # check; no POVM condition reads the SLD score of two parameters.
     text = "family = random-kraus\ndim = 3\nenv = 2\nseed = 11\nparam_count = 2\n"
     for povm in ((), ("--povm", "computational")):
         with monkeypatch.context() as patch:
@@ -998,7 +1005,7 @@ def test_multiparameter_report_builds_one_core(spec_file, capsys, monkeypatch):
             code, _, _ = run_cli(capsys, *argv)
         assert code == 0
         assert calls == {"canonical_kraus": 1}
-        assert work == {"curves": 1, "overlaps": 1, "sld_score": 1}
+        assert work == {"curves": 1, "overlaps": 1, "sld_score": 0}
 
 
 def test_report_evaluates_the_family_once_per_point(spec_file, capsys, monkeypatch):

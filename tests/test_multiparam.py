@@ -35,14 +35,13 @@ def _report(channel, theta, povm=None, tol=1e-6):
 
 def test_info_matrix_validation():
     # The record refuses an asymmetric or indefinite information matrix; here the
-    # curve's cached pair carries one, after its SLD score has checked H.
+    # curve's cached pair carries one.
     ch = builtin("example2")
     theta = np.array([0.6, 0.3])
     h, c = spectral_curve(ch, theta).information
     for pair, match in (((h + [[0, 1e-8], [0, 0]], c), "sld matrix asymmetry"),
                         ((h, c - 20 * np.eye(2)), "sm matrix min eigenvalue")):
         curve = spectral_curve(ch, theta)
-        curve.sld_score
         curve.__dict__["information"] = pair
         with pytest.raises(ConsistencyError, match=match):
             bound_report(ch, curve)

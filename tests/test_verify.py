@@ -220,6 +220,31 @@ def test_matrix_diagonal_check_catches_a_perturbed_kernel(monkeypatch):
     assert "; worst at point " in diagonals.detail
 
 
+@pytest.mark.parametrize("factor", [1 + 1e-7, 1 + 3e-6])
+def test_a_broken_h_weight_fails_gap_and_routes_at_a_named_point(monkeypatch, capsys, factor):
+    # Scaling the H pair weight of the curve's kernel breaks the gap identity
+    # and H's agreement with a pseudo-inverse SLD solve.  No report path
+    # checks either, so no error escapes: both checks print FAIL, each naming
+    # its worst point, which the seam rebuilds at the same index.
+    original = bounds._pair_form
+
+    def scaled(curve, weights):  # the (H, C) weights of information; the gap has one
+        if len(weights) == 2:
+            weights = np.concatenate([weights[:1] * factor, weights[1:]])
+        return original(curve, weights)
+
+    monkeypatch.setattr(bounds, "_pair_form", scaled)
+    results = verify.run_suites(["all"])
+    battery = verify.one_param_battery()
+    for suite, name in (("gap", "gap identity"), ("routes", "H against a pseudo-inverse")):
+        [check] = [r for r in results if r.suite == suite and r.name.startswith(name)]
+        assert not check.passed
+        point = int(check.detail.split("; worst at point ")[1].split()[0])
+        assert check.detail.endswith(f"; worst at {_named(battery, point)}")
+    assert main(["verify", "--suite", "all"]) == 4
+    assert "FAIL [gap]" in capsys.readouterr().out
+
+
 def test_failing_one_parameter_checks_name_their_worst_point(monkeypatch):
     # Lowering C below H at one point fails H <= C and the route agreement
     # there (C_kraus does not read the kernel); both name that point, which
@@ -313,12 +338,12 @@ def test_battery_is_the_point_by_point_reference(seed, m):
 
 # sha256 of `qfi verify --suite all --format json` stdout, one BLAS thread
 VERIFY_JSON_DIGESTS = {
-    1: "cab7a74b29292abec36262b6fa6bcd95cb6396cb150973f2734e956430bc7dee",
-    3: "e4ae22c58533b7b287ad2445111c76e7b54298a75363c7c4213e70c00944e82d",
-    7: "8e8095c91637fedb1905fffebb4bce65b263fb8f924a3599076b7a829cdd592d",
-    11: "22e2e65bcb88331394bd73d6f938cebb10bb4f5d22f98113ac96be3b513f3028",
-    20260809: "65f5622bb0cf8099baf35db566c42bfdfb5c2318b954dd173a43576f21deb878",
-    6180588700756636604: "bbc5a9c53ed4ce16c20ac295249e3017a65153142fe8be170976336aff2c5067",
+    1: "56163b32645f04a3a6ffb46f58d71c5ff8bc12b2135d31957d20dc38e9b4a205",
+    3: "e08e2159131592988d6237cafa040659632006e030f98000b8723bbbb7afffd7",
+    7: "afe050c060a581ad1ab01dd1df4dbdac9d20f05f689f2cbd7adbd3558f9d95ce",
+    11: "5fd18689747e1de95b012b9c02d026b159693e2f58c2523795840a16188a5a40",
+    20260809: "3fbc72617d80a4c759149bab5efcb21f760ef7f6d90b6aa998a14fa2cb9bea1f",
+    6180588700756636604: "1df91e4255b3e402e5e41457c3b570659a325f4cff754b7a13d5cf268d59d71e",
 }
 
 
