@@ -270,20 +270,20 @@ def _routes(battery: _Battery) -> list[CheckResult]:
 def _sld_matrix_by_pinv(curve: SpectralCurve) -> np.ndarray:
     """(N, m, m) H_jl = Re tr(rho L_j L_l) from the raw Kraus stacks, sharing no code with curves.
 
-    rho and d_l rho come from the family's own operators and partials on each
-    point's input psi, and each L_l solves rho L + L rho = 2 d_l rho by pseudo-inverse.
+    L_l, the pseudo-inverse solution of rho L + L rho = 2 d_l rho, is read in rho's eigenbasis W:
+    one SVD of the Kraus vectors V* (rows E_k psi) gives W and p = s^2, zero-padded to d, and H_jl =
+    Re sum_ab 2 conj(D_j,ab) D_l,ab / (p_a + p_b), D_l = W^dag d_l rho W, over the pairs with p_a +
+    p_b > 1e-12 of the largest (rcond 1e-12); on the batteries, within 7e-13 of a 40-digit H.
     """
-    ck, psi = curve.kraus, curve.kraus.psi
-    vs = (ck.raw_operators @ psi[:, np.newaxis, :, np.newaxis])[..., 0]
-    dvs = (ck.raw_derivatives @ psi[:, np.newaxis, np.newaxis, :, np.newaxis])[..., 0]
-    rho = vs.swapaxes(-1, -2) @ vs.conj()
-    half = dvs.swapaxes(-1, -2) @ vs.conj()[:, np.newaxis]
-    drho = half + adjoint(half)
-    count, m, d = drho.shape[:3]
-    lyapunov = np.kron(rho, np.eye(d)) + np.kron(np.eye(d), rho.swapaxes(-1, -2))  # row-major vec
-    solve = np.linalg.pinv(lyapunov, rcond=1e-12)
-    scores = (2 * drho.reshape(count, m, -1) @ solve.swapaxes(-1, -2)).reshape(drho.shape)
-    return np.real(np.einsum("...ij,...ljk,...nki->...ln", rho, scores, scores))
+    ck, psi = curve.kraus, curve.kraus.psi[:, np.newaxis, :, np.newaxis]
+    vs, dvs = (ck.raw_operators @ psi)[..., 0], (ck.raw_derivatives @ psi[:, np.newaxis])[..., 0]
+    _, s, wh = np.linalg.svd(vs.conj())
+    p = np.pad(s**2, ((0, 0), (0, vs.shape[-1] - s.shape[-1])))[:, np.newaxis]
+    half = wh[:, np.newaxis] @ dvs.swapaxes(-1, -2) @ (vs.conj() @ adjoint(wh))[:, np.newaxis]
+    rotated = (half + adjoint(half)).reshape(*half.shape[:2], -1)
+    pair = (p + p.swapaxes(-1, -2)).reshape(len(p), 1, -1)
+    weights = np.divide(2.0, pair, out=0 * pair, where=pair > 1e-12 * pair.max(-1, keepdims=True))
+    return np.real((rotated.conj() * weights) @ rotated.swapaxes(-1, -2))
 
 
 @dataclass(frozen=True)

@@ -452,7 +452,7 @@ PINS = {
     'report @rank-change --theta 0':
         'a98abaa021245175e4b349181d21807e64fd5d9bd0709f3a1fa99987238c30ee',
     'verify --suite all':
-        'f0a7102d82718336ff1dfdab0a361ee57f38981a3bd8b7ba54c5064a1dfa9e0d',
+        'bd3de948e0f244a10c55606d9d7480a0d51fff80522d290fcddc4b0bee64becd',
     'verify --suite gap --format json':
         'd63447affadc794e18d5680d058e5f00435297516785853dc89cf372c08c8f2b',
     'sweep @plus --theta-grid=0:1e-6:41':
@@ -480,15 +480,15 @@ PINS = {
     'sweep @spectral-rank-change --theta-grid=0,0.5':
         '10891312ccaabe3a7e485fb77fef016f2444563c906903fedda5ed6bacbce398',
     'verify --suite all --seed 3':
-        '2febb3df51e7ff4437c8eacf07802c0dfd51f3d7a2d69d2c171611ee9628e12d',
+        'f16e6281d56316c0e932d04e5848b221caaeab2a5f8e96ca5217ba78d0cb823b',
     'verify --suite all --seed 7':
-        'ad939bab021db1f8382862652a0f0a9fcd3219ebc3911566d0e655a543dc46d1',
+        '4dc0f9917655a446f6043831d2f5b59e88ca40f31d870061bd2b9c2deae42b65',
     'verify --suite all --seed 11':
-        'de739921dc2a4be8d9b77c095c9c5bf201d94d9fd17daefee1f01e42de3c3353',
+        '283763142738b65c794e273e7a54e68de5a1a0c6675ded8cdca1bc5deabc57bb',
     'verify --suite all --seed 6180588700756636604':
-        'c5585eefc740844597ad380fc1f637e78a32f5d789b852579f9cf1dd5b6edf09',
+        'b07588e6fbeaa4628cba290d0abd0177f6be9562624ce1c388aec3c986a9b464',
     'verify --suite all --seed 1':
-        'd330c59466776e5f82708da8d4b638b4cbeb7707791f6782b8a9120e305fb81e',
+        'fe32a07e0edf58a967f8c25b31911aa12799ca21dcb2bf2b6b6c20f89875bac3',
     'report @plus --theta 0.3 --tol nan':
         '941d76c3613fbab51f0d8096d1f087b3a0f4bf8b29b403c84aec0671e6eb1f81',
     'report @plus --theta 0.3 --format csv':

@@ -17,7 +17,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from qfibounds import bounds, channels, verify
+from qfibounds import bounds, channels, linalg, verify
 from qfibounds.bounds import (
     bound_gap,
     fisher_information,
@@ -338,12 +338,12 @@ def test_battery_is_the_point_by_point_reference(seed, m):
 
 # sha256 of `qfi verify --suite all --format json` stdout, one BLAS thread
 VERIFY_JSON_DIGESTS = {
-    1: "56163b32645f04a3a6ffb46f58d71c5ff8bc12b2135d31957d20dc38e9b4a205",
-    3: "e08e2159131592988d6237cafa040659632006e030f98000b8723bbbb7afffd7",
-    7: "afe050c060a581ad1ab01dd1df4dbdac9d20f05f689f2cbd7adbd3558f9d95ce",
-    11: "5fd18689747e1de95b012b9c02d026b159693e2f58c2523795840a16188a5a40",
-    20260809: "3fbc72617d80a4c759149bab5efcb21f760ef7f6d90b6aa998a14fa2cb9bea1f",
-    6180588700756636604: "1df91e4255b3e402e5e41457c3b570659a325f4cff754b7a13d5cf268d59d71e",
+    1: "a09495697bcaf3bd8eb48fb9abea2305c79b3ab3ed96e4b0db90ccc39b3eaafc",
+    3: "df656c9ef2bddc40ba01a9134f251681f01e3489d770361e763054fecfb9610a",
+    7: "a7058655965c521fde991c5e99f22178c394bf454d8d7a457e7292eafac5d6cd",
+    11: "9f796a697d19fc3026558b260f2af69cc74ed49645d5ffde0066912122b459ba",
+    20260809: "5a1776e8bf7133325d43de71670da216cfdd9b94ad6bebd4de79f7f28f9961cb",
+    6180588700756636604: "8ae4e31528e65b06ab8645a7e6dbc25c56bff610bf9e3d4f698dbdcb355a4a26",
 }
 
 
@@ -532,6 +532,36 @@ def test_stacked_groups_match_point_curves_bit_for_bit():
                     channel.input_state.density(),
                 )
                 assert _equal_bits(remixed[i], c_e)
+
+
+@pytest.mark.parametrize("channel, theta, expected", [
+    # one Kraus operator on d = 2: rho is pure, n = 1 < d, and one weight is zero-padded
+    (channels.rotation("z", PureState(np.array([1.0, 1.0]) / np.sqrt(2))), 0.4, 1.0),
+    (channels.dephasing(), 0.3, 1 / (0.3 * 0.7)),
+    (channels.amplitude_damping(PureState(np.array([0.0, 1.0]))), 0.3, 1 / (0.3 * 0.7)),
+])
+def test_the_sld_solve_gives_closed_forms(channel, theta, expected):
+    curve = spectral_curve(channel, np.array([[theta]]))  # a one-row stack
+    h = verify._sld_matrix_by_pinv(curve)
+    assert h.shape == (1, 1, 1) and h[0, 0, 0] == pytest.approx(expected, rel=1e-14)
+
+
+def test_the_sld_solve_shares_no_code_with_curves(monkeypatch):
+    # Once the curves are built, the solve reads only their raw Kraus stacks and
+    # inputs: with the canonical decomposition, the pair form and the library's
+    # eigendecomposition made to raise, it gives the same bits.
+    curves = [verify._battery_curves(7, count, m).groups[0][1] for count, m in ((20, 1), (8, 2))]
+    expected = [verify._sld_matrix_by_pinv(curve) for curve in curves]
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the SLD solve reached the curve's code")
+
+    for module, name in ((bounds, "canonical_kraus"), (bounds, "_pair_form"),
+                         (linalg, "hermitian_eigendecompose"),
+                         (verify, "hermitian_eigendecompose"), (verify, "spectral_curve")):
+        monkeypatch.setattr(module, name, forbidden)
+    for curve, bits in zip(curves, expected):
+        assert _equal_bits(verify._sld_matrix_by_pinv(curve), bits)
 
 
 def test_random_povm_draws_its_parts_in_one_call():
